@@ -88,6 +88,9 @@ def parse_field(spec: str):
 def load_algebra(path: str):
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
+    for key in ("field", "dim", "basis"):
+        if not isinstance(data, dict) or key not in data:
+            raise AlgebraError(f"{path}: missing key {key!r}")
     alg = algebra_from_json(data)
     law = {"lie": "jacobi", "super": "super_jacobi", "assoc": "assoc"}[alg.flavor]
     rep = validate(alg, law)
@@ -155,7 +158,7 @@ def cmd_solve(args) -> int:
         )
         print(f"specials: {specials if specials else 'none'}")
         if args.out:
-            write_json(args.out, result.to_json())
+            write_json(args.out, result.to_json(F))
         return 0
     if args.kind == "centroid":
         space = solve_centroid(alg)

@@ -34,6 +34,40 @@ from .fields import (
 # sparse RREF and nullspaces
 
 
+def _sub_multiple(dst: dict, coef, src: dict, skip: int, F: Field) -> None:
+    """dst -= coef * src, over the columns of src other than ``skip``."""
+    for j, v in src.items():
+        if j == skip:
+            continue
+        nv = F.sub(dst.get(j, F.zero()), F.mul(coef, v))
+        if F.is_zero(nv):
+            dst.pop(j, None)
+        else:
+            dst[j] = nv
+
+
+def _eliminate(row: dict, pivots: dict[int, dict], F: Field) -> None:
+    """Reduce a sparse row in place by the stored pivot rows.
+
+    Stored rows contain no other pivot column, so one pass over the pivot
+    columns present in the row suffices."""
+    for c in [c for c in row if c in pivots]:
+        _sub_multiple(row, row.pop(c), pivots[c], c, F)
+
+
+def _add_pivot(row: dict, pivots: dict[int, dict], F: Field) -> None:
+    """Store a reduced nonzero row, scaled to 1 at its least column, and
+    clear that column from the rows stored before it."""
+    p = min(row)
+    inv = F.inv(row[p])
+    row = {j: F.mul(inv, v) for j, v in row.items()}
+    row[p] = F.one()
+    for prow in pivots.values():
+        if p in prow:
+            _sub_multiple(prow, prow.pop(p), row, p, F)
+    pivots[p] = row
+
+
 def sparse_rref(rows, field: Field) -> dict[int, dict]:
     """Reduced row echelon form of a sparse system.
 
@@ -45,38 +79,9 @@ def sparse_rref(rows, field: Field) -> dict[int, dict]:
     pivots: dict[int, dict] = {}
     for row in rows:
         row = {c: v for c, v in row.items() if not F.is_zero(v)}
-        # eliminate every pivot column present (stored rows contain no
-        # other pivot columns, so one pass suffices)
-        for c in [c for c in row if c in pivots]:
-            coef = row.pop(c, None)
-            if coef is None:
-                continue
-            for j, v in pivots[c].items():
-                if j == c:
-                    continue
-                nv = F.sub(row.get(j, F.zero()), F.mul(coef, v))
-                if F.is_zero(nv):
-                    row.pop(j, None)
-                else:
-                    row[j] = nv
-        if not row:
-            continue
-        p = min(row)
-        inv = F.inv(row[p])
-        row = {j: F.mul(inv, v) for j, v in row.items()}
-        row[p] = F.one()
-        for q, prow in pivots.items():
-            if p in prow:
-                coef = prow.pop(p)
-                for j, v in row.items():
-                    if j == p:
-                        continue
-                    nv = F.sub(prow.get(j, F.zero()), F.mul(coef, v))
-                    if F.is_zero(nv):
-                        prow.pop(j, None)
-                    else:
-                        prow[j] = nv
-        pivots[p] = row
+        _eliminate(row, pivots, F)
+        if row:
+            _add_pivot(row, pivots, F)
     return pivots
 
 
@@ -131,64 +136,71 @@ def kernel_of_map(rows: list[list], field: Field) -> list[list]:
 
 
 class SpanSolver:
-    """Echelonized span of a list of vectors, with coordinate recovery."""
+    """Span of the inserted vectors, kept in sparse reduced echelon form.
+
+    A stored row also carries, in column ncols + i, its coefficient on the
+    i-th inserted vector, so reducing a vector of the span leaves minus its
+    coordinates there.  Only independent vectors are stored, so these tag
+    parts have at most ``dim`` entries.
+    """
 
     def __init__(self, field: Field, vectors: list[list] | None = None):
         self.field = field
-        self._rows: dict[int, tuple[list, list]] = {}  # pivot -> (row, coords)
+        self.ncols = None
         self.nvecs = 0
+        self._pivots: dict[int, dict] = {}
         for v in vectors or []:
             self.add(v)
 
     @property
     def dim(self) -> int:
-        return len(self._rows)
+        return len(self._pivots)
 
-    def _reduce(self, v: list):
-        """Return (residual, combination) with v = residual + sum comb_i * vec_i."""
+    def _reduce(self, v: list) -> tuple[dict, bool]:
+        """The reduced sparse row of v and whether v lies in the span."""
         F = self.field
-        v = list(v)
-        comb = [F.zero()] * self.nvecs
-        for p, (row, coords) in self._rows.items():
-            c = v[p]
-            if F.is_zero(c):
-                continue
-            for j, w in enumerate(row):
-                if not F.is_zero(w):
-                    v[j] = F.sub(v[j], F.mul(c, w))
-            for j, w in enumerate(coords):
-                if not F.is_zero(w):
-                    comb[j] = F.add(comb[j], F.mul(c, w))
-        return v, comb
+        if self.ncols is None:
+            self.ncols = len(v)
+        row = {j: c for j, c in enumerate(v) if not F.is_zero(c)}
+        _eliminate(row, self._pivots, F)
+        return row, not row or min(row) >= self.ncols
 
     def add(self, v: list) -> bool:
         """Insert a vector; True if it enlarged the span."""
-        F = self.field
+        row, inside = self._reduce(v)
         idx = self.nvecs
         self.nvecs += 1
-        for _, (_, coords) in self._rows.items():
-            coords.append(F.zero())
-        res, comb = self._reduce(v)
-        piv = next((j for j, c in enumerate(res) if not F.is_zero(c)), None)
-        if piv is None:
+        if inside:
             return False
-        inv = F.inv(res[piv])
-        res = [F.mul(inv, c) for c in res]
-        coords = [F.neg(F.mul(inv, c)) for c in comb]
-        coords[idx] = F.add(coords[idx], inv)
-        self._rows[piv] = (res, coords)
+        row[self.ncols + idx] = self.field.one()
+        _add_pivot(row, self._pivots, self.field)
         return True
 
     def contains(self, v: list) -> bool:
-        res, _ = self._reduce(v)
-        return all(self.field.is_zero(c) for c in res)
+        return self._reduce(v)[1]
 
     def coordinates(self, v: list):
         """Coefficients over the *inserted* vectors, or None if v not in span."""
-        res, comb = self._reduce(v)
-        if any(not self.field.is_zero(c) for c in res):
+        F = self.field
+        row, inside = self._reduce(v)
+        if not inside:
             return None
-        return comb
+        coords = [F.zero()] * self.nvecs
+        for j, c in row.items():
+            coords[j - self.ncols] = F.neg(c)
+        return coords
+
+    def basis(self) -> list[list]:
+        """Canonical (RREF) basis of the span, as dense vectors."""
+        F = self.field
+        out = []
+        for p in sorted(self._pivots):
+            v = [F.zero()] * self.ncols
+            for j, c in self._pivots[p].items():
+                if j < self.ncols:
+                    v[j] = c
+            out.append(v)
+        return out
 
 
 def rref_dense(vectors: list[list], field: Field) -> list[list]:
@@ -267,40 +279,15 @@ def charpoly(field: Field, matrix: list[list]) -> list:
     n = len(matrix)
     if n == 0:
         return [field.one()]
-    polys = []
+    rows = [[poly_trim(field, [field.neg(c)]) for c in row] for row in matrix]
     for i in range(n):
-        row = []
-        for j in range(n):
-            entry = [field.neg(matrix[i][j])]
-            if i == j:
-                entry.append(field.one())
-            row.append(poly_trim(field, entry))
-        polys.append(row)
-    # fraction-free determinant: the final pivot of full Bareiss elimination
-    m = [list(r) for r in polys]
-    prev = [field.one()]
-    sign = 1
-    for c in range(n):
-        pr = next((i for i in range(c, n) if m[i][c]), None)
-        if pr is None:
-            return []  # singular over K[x]: cannot happen for xI - M
-        if pr != c:
-            m[c], m[pr] = m[pr], m[c]
-            sign = -sign
-        piv = m[c][c]
-        for i in range(c + 1, n):
-            mic = m[i][c]
-            for j in range(c + 1, n):
-                num = poly_sub(
-                    field, poly_mul(field, piv, m[i][j]), poly_mul(field, mic, m[c][j])
-                )
-                m[i][j] = _poly_exact_div(field, num, prev) if num else []
-            m[i][c] = []
-        prev = piv
-    det = m[n - 1][n - 1]
-    if sign < 0:
-        det = [field.neg(c) for c in det]
-    return det
+        rows[i][i] = poly_trim(field, [field.neg(matrix[i][i]), field.one()])
+    # xI - M has full rank over K[x], so the last Bareiss pivot is its
+    # determinant up to the sign of the row permutation
+    _, pivots = fraction_free_pivots(field, rows, n)
+    det = pivots[-1]
+    inv = field.inv(det[-1])
+    return [field.mul(inv, c) for c in det]
 
 
 # ---------------------------------------------------------------------------

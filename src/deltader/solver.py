@@ -1,18 +1,32 @@
 """Linear-system solvers for delta-derivations and their relatives.
 
-For an algebra with structure constants C_ij^k and D(e_i) = sum_j d_ij e_j,
-the condition D(xy) = delta (D(x) y) + delta (x D(y)), written for every
-basis pair i < j and every target coordinate l, is the homogeneous system
+Every solver here finds the nullspace of one bilinear law.  For an algebra
+with structure constants C_ij^k and D(e_i) = sum_k d_ik e_k, the law
 
-    sum_k C_ij^k d_kl  -  delta sum_k C_kj^l d_ik  +  delta sum_k C_ki^l d_jk  =  0
+    X(e_i e_j) = a D(e_i) e_j + b (-1)^(q deg e_i) e_i D(e_j),
 
-of n^2 (n-1)/2 equations in the n^2 unknowns d_ij (unknown order
-d_11, ..., d_1n, d_21, ..., i.e. column k*n + l holds d_kl, 0-based).
-Variants of the same assembly solve module-valued delta-derivations, the
-centroid, quasiderivation pairs, delta-superderivations and the
-supercentroid.  The parametric solver treats delta as an indeterminate and
-finds the generic solution dimension together with the special values of
-delta where it jumps.
+written for every equation pair (i, j) and every target coordinate l, is
+the homogeneous row
+
+    sum_k C_ij^k x_kl  -  a sum_k C_kj^l d_ik  -  b (-1)^(q deg e_i) sum_k C_ik^l d_jk  =  0
+
+in the unknowns d_kl (column k*n + l, 0-based) and x_kl.  The solvers
+choose the coefficients:
+
+- delta-derivations: X = D, a = b = delta, q = 0; for an anticommutative
+  algebra of dimension n this is n^2 (n-1)/2 equations in n^2 unknowns;
+- delta-superderivations: X = D, a = b = delta, q = the parity of D;
+- the centroid: X = D, once with (a, b) = (1, 0) and once with (0, 1);
+- the supercentroid: as the centroid, with q = the parity of the map;
+- quasiderivation pairs (D, F): X = F in columns n^2 .. 2n^2 - 1, a = b = 1;
+- module-valued delta-derivations D: L -> M: X = D, a = b = delta, with
+  e_i v the action on M and v e_j = -(e_j v).
+
+The super variants add the constraints that make the map homogeneous.  The
+parametric solver treats delta as an indeterminate: its system is the
+pencil A + delta B, with A the law at delta = 0 and B the law at delta = 1
+minus A.  It finds the generic solution dimension together with the
+special values of delta where it jumps.
 """
 
 from __future__ import annotations
@@ -71,6 +85,48 @@ def _equation_pairs(alg: Algebra):
     return pairs
 
 
+def _law_rows(
+    alg: Algebra, a, b, parity: int = 0, x_offset: int = 0, module: ModuleAction | None = None
+) -> list[dict]:
+    """Rows of X(e_i e_j) = a D(e_i) e_j + b (-1)^(parity deg e_i) e_i D(e_j).
+
+    D maps into the algebra, or into ``module`` when one is given; with m
+    the dimension of the target, d_kl sits in column k*m + l and x_kl in
+    column x_offset + k*m + l.  Each equation pair yields m rows whatever
+    a and b are, so the rows for two coefficient choices correspond.
+    """
+    F = alg.field
+    n = alg.dim
+    table = [[alg.product(i, j) for j in range(n)] for i in range(n)]
+    if module is None:
+        m, left, right = n, table, table
+    else:
+        m = module.mdim
+        left = [[module.act(i, k) for k in range(m)] for i in range(n)]
+        right = [
+            [{l: F.neg(c) for l, c in module.act(j, k).items()} for j in range(n)]
+            for k in range(m)
+        ]
+    neg_a, neg_b = F.neg(a), F.neg(b)
+    out = []
+    for (i, j) in _equation_pairs(alg):
+        rows = [dict() for _ in range(m)]
+        for k, c in table[i][j].items():
+            for l in range(m):
+                _acc(rows[l], x_offset + k * m + l, c, F)
+        if not F.is_zero(a):
+            for k in range(m):
+                for l, c in right[k][j].items():
+                    _acc(rows[l], i * m + k, F.mul(neg_a, c), F)
+        if not F.is_zero(b):
+            cb = b if parity and alg.grading[i] else neg_b
+            for k in range(m):
+                for l, c in left[i][k].items():
+                    _acc(rows[l], j * m + k, F.mul(cb, c), F)
+        out.extend(rows)
+    return out
+
+
 @dataclass
 class LinearSystem:
     rows: list
@@ -82,34 +138,19 @@ class LinearSystem:
         return (self.nrows, self.ncols)
 
 
-def _derivation_rows(alg: Algebra, delta, parity: int | None = None) -> list[dict]:
-    F = alg.field
-    n = alg.dim
-    out = []
-    for (i, j) in _equation_pairs(alg):
-        sgn_delta = delta
-        if parity is not None and parity and alg.grading[i]:
-            sgn_delta = F.neg(delta)
-        rows = [dict() for _ in range(n)]
-        for k, c in alg.product(i, j).items():
-            for l in range(n):
-                _acc(rows[l], k * n + l, c, F)
-        neg_delta = F.neg(delta)
-        for k in range(n):
-            for l, c in alg.product(k, j).items():
-                _acc(rows[l], i * n + k, F.mul(neg_delta, c), F)
-            for l, c in alg.product(i, k).items():
-                _acc(rows[l], j * n + k, F.mul(F.neg(sgn_delta), c), F)
-        out.extend(rows)
-    return out
-
-
 def assemble_system(alg: Algebra, delta) -> LinearSystem:
     """The sparse equation rows of the delta-derivation system; for an
     anticommutative algebra of dimension n the shape is n^2(n-1)/2 x n^2."""
     delta = _payload(alg.field, delta)
-    rows = _derivation_rows(alg, delta)
+    rows = _law_rows(alg, delta, delta)
     return LinearSystem(rows, len(rows), alg.dim * alg.dim)
+
+
+def _maps(alg: Algebra, rows: list[dict], m: int) -> list[LinearMap]:
+    """Canonical basis of the maps L -> (m-dimensional target) solving rows."""
+    F = alg.field
+    n = alg.dim
+    return [LinearMap.from_flat(F, v, n, m) for v in sparse_nullspace(rows, n * m, F)]
 
 
 class SolutionSpace:
@@ -171,15 +212,8 @@ class SolutionSpace:
 
 
 def solve_delta_derivations(alg: Algebra, delta) -> SolutionSpace:
-    F = alg.field
-    n = alg.dim
-    delta = _payload(F, delta)
-    rows = _derivation_rows(alg, delta)
-    basis = [
-        LinearMap.from_flat(F, v, n, n)
-        for v in sparse_nullspace(rows, n * n, F)
-    ]
-    return SolutionSpace(alg, "delta_der", delta, basis)
+    delta = _payload(alg.field, delta)
+    return SolutionSpace(alg, "delta_der", delta, _maps(alg, _law_rows(alg, delta, delta), alg.dim))
 
 
 def solve_module_valued(alg: Algebra, M: ModuleAction, delta) -> SolutionSpace:
@@ -188,51 +222,25 @@ def solve_module_valued(alg: Algebra, M: ModuleAction, delta) -> SolutionSpace:
     rep = M.validate()
     if not rep.ok:
         raise InvalidAction(f"action fails the bracket law on {rep.violations[0][0]}")
-    F = alg.field
-    n, m = alg.dim, M.mdim
-    delta = _payload(F, delta)
-    neg_delta = F.neg(delta)
-    out = []
-    for (i, j) in _equation_pairs(alg):
-        rows = [dict() for _ in range(m)]
-        for k, c in alg.product(i, j).items():
-            for l in range(m):
-                _acc(rows[l], k * m + l, c, F)
-        for k in range(m):
-            for l, c in M.act(i, k).items():
-                _acc(rows[l], j * m + k, F.mul(neg_delta, c), F)
-            for l, c in M.act(j, k).items():
-                _acc(rows[l], i * m + k, F.mul(delta, c), F)
-        out.extend(rows)
-    basis = [
-        LinearMap.from_flat(F, v, n, m) for v in sparse_nullspace(out, n * m, F)
-    ]
-    return SolutionSpace(alg, "module_valued", delta, basis)
+    delta = _payload(alg.field, delta)
+    rows = _law_rows(alg, delta, delta, module=M)
+    return SolutionSpace(alg, "module_valued", delta, _maps(alg, rows, M.mdim))
+
+
+def _centroid_rows(alg: Algebra, parity: int = 0) -> list[dict]:
+    """chi(ab) = chi(a)b and chi(ab) = (-1)^(parity deg a) a chi(b).
+
+    The two laws' rows of each equation pair are kept together: on dense
+    structure constants elimination fills in less in that order."""
+    one, zero = alg.field.one(), alg.field.zero()
+    left, right = _law_rows(alg, one, zero), _law_rows(alg, zero, one, parity)
+    n = alg.dim
+    return [row for k in range(0, len(left), n) for row in left[k : k + n] + right[k : k + n]]
 
 
 def solve_centroid(alg: Algebra) -> SolutionSpace:
     """Maps commuting with all multiplications: chi(ab) = chi(a)b = a chi(b)."""
-    F = alg.field
-    n = alg.dim
-    out = []
-    for (i, j) in _equation_pairs(alg):
-        left = [dict() for _ in range(n)]
-        right = [dict() for _ in range(n)]
-        for k, c in alg.product(i, j).items():
-            for l in range(n):
-                _acc(left[l], k * n + l, c, F)
-                _acc(right[l], k * n + l, c, F)
-        for k in range(n):
-            for l, c in alg.product(k, j).items():
-                _acc(left[l], i * n + k, F.neg(c), F)
-            for l, c in alg.product(i, k).items():
-                _acc(right[l], j * n + k, F.neg(c), F)
-        out.extend(left)
-        out.extend(right)
-    basis = [
-        LinearMap.from_flat(F, v, n, n) for v in sparse_nullspace(out, n * n, F)
-    ]
-    return SolutionSpace(alg, "centroid", None, basis)
+    return SolutionSpace(alg, "centroid", None, _maps(alg, _centroid_rows(alg), alg.dim))
 
 
 def _parity_constraints(alg: Algebra, parity: int) -> list[dict]:
@@ -253,15 +261,9 @@ def solve_superderivations(alg: Algebra, delta, parity: int) -> SolutionSpace:
         raise GradingMissing("superderivations need a graded algebra")
     if parity not in (0, 1):
         raise ValueError("parity must be 0 or 1")
-    F = alg.field
-    n = alg.dim
-    delta = _payload(F, delta)
-    rows = _derivation_rows(alg, delta, parity=parity)
-    rows += _parity_constraints(alg, parity)
-    basis = [
-        LinearMap.from_flat(F, v, n, n) for v in sparse_nullspace(rows, n * n, F)
-    ]
-    return SolutionSpace(alg, "super_der", delta, basis, parity=parity)
+    delta = _payload(alg.field, delta)
+    rows = _law_rows(alg, delta, delta, parity) + _parity_constraints(alg, parity)
+    return SolutionSpace(alg, "super_der", delta, _maps(alg, rows, alg.dim), parity=parity)
 
 
 def solve_supercentroid(alg: Algebra, parity: int | None = None) -> SolutionSpace:
@@ -273,29 +275,8 @@ def solve_supercentroid(alg: Algebra, parity: int | None = None) -> SolutionSpac
         even = solve_supercentroid(alg, 0)
         odd = solve_supercentroid(alg, 1)
         return SolutionSpace(alg, "supercentroid", None, even.basis + odd.basis)
-    F = alg.field
-    n = alg.dim
-    out = []
-    for (i, j) in _equation_pairs(alg):
-        sgn = F.neg(F.one()) if (parity and alg.grading[i]) else F.one()
-        left = [dict() for _ in range(n)]
-        right = [dict() for _ in range(n)]
-        for k, c in alg.product(i, j).items():
-            for l in range(n):
-                _acc(left[l], k * n + l, c, F)
-                _acc(right[l], k * n + l, c, F)
-        for k in range(n):
-            for l, c in alg.product(k, j).items():
-                _acc(left[l], i * n + k, F.neg(c), F)
-            for l, c in alg.product(i, k).items():
-                _acc(right[l], j * n + k, F.neg(F.mul(sgn, c)), F)
-        out.extend(left)
-        out.extend(right)
-    out += _parity_constraints(alg, parity)
-    basis = [
-        LinearMap.from_flat(F, v, n, n) for v in sparse_nullspace(out, n * n, F)
-    ]
-    return SolutionSpace(alg, "supercentroid", None, basis, parity=parity)
+    rows = _centroid_rows(alg, parity) + _parity_constraints(alg, parity)
+    return SolutionSpace(alg, "supercentroid", None, _maps(alg, rows, alg.dim), parity=parity)
 
 
 def solve_quasiderivations(alg: Algebra) -> SolutionSpace:
@@ -304,26 +285,11 @@ def solve_quasiderivations(alg: Algebra) -> SolutionSpace:
     F = alg.field
     n = alg.dim
     nn = n * n
-    out = []
-    for (i, j) in _equation_pairs(alg):
-        rows = [dict() for _ in range(n)]
-        for k, c in alg.product(i, j).items():
-            for l in range(n):
-                _acc(rows[l], nn + k * n + l, c, F)
-        for k in range(n):
-            for l, c in alg.product(k, j).items():
-                _acc(rows[l], i * n + k, F.neg(c), F)
-            for l, c in alg.product(i, k).items():
-                _acc(rows[l], j * n + k, F.neg(c), F)
-        out.extend(rows)
-    basis = []
-    for v in sparse_nullspace(out, 2 * nn, F):
-        basis.append(
-            (
-                LinearMap.from_flat(F, v[:nn], n, n),
-                LinearMap.from_flat(F, v[nn:], n, n),
-            )
-        )
+    rows = _law_rows(alg, F.one(), F.one(), x_offset=nn)
+    basis = [
+        (LinearMap.from_flat(F, v[:nn], n, n), LinearMap.from_flat(F, v[nn:], n, n))
+        for v in sparse_nullspace(rows, 2 * nn, F)
+    ]
     return SolutionSpace(alg, "quasider", None, basis)
 
 
@@ -366,39 +332,6 @@ class ParametricResult:
         }
 
 
-def _parametric_rows(alg: Algebra) -> list[dict]:
-    """Rows of the derivation system with delta an indeterminate; entries are
-    coefficient lists [constant, delta-coefficient] over the base field."""
-    F = alg.field
-    n = alg.dim
-
-    def acc(row, col, const, lin):
-        cur = row.get(col, [])
-        c0 = cur[0] if len(cur) > 0 else F.zero()
-        c1 = cur[1] if len(cur) > 1 else F.zero()
-        c0 = F.add(c0, const)
-        c1 = F.add(c1, lin)
-        entry = poly_trim(F, [c0, c1])
-        if entry:
-            row[col] = entry
-        else:
-            row.pop(col, None)
-
-    out = []
-    for (i, j) in _equation_pairs(alg):
-        rows = [dict() for _ in range(n)]
-        for k, c in alg.product(i, j).items():
-            for l in range(n):
-                acc(rows[l], k * n + l, c, F.zero())
-        for k in range(n):
-            for l, c in alg.product(k, j).items():
-                acc(rows[l], i * n + k, F.zero(), F.neg(c))
-            for l, c in alg.product(i, k).items():
-                acc(rows[l], j * n + k, F.zero(), c)
-        out.extend(rows)
-    return out
-
-
 def solve_parametric(alg: Algebra) -> ParametricResult:
     """Generic nullspace dimension of the delta-derivation system over K[delta],
     plus the special base-field values of delta where the dimension jumps.
@@ -413,12 +346,13 @@ def solve_parametric(alg: Algebra) -> ParametricResult:
         raise ValueError("parametric solving needs a rational or prime base field")
     n = alg.dim
     ncols = n * n
-    sparse = _parametric_rows(alg)
+    # the pencil A + delta B: A is the law at delta = 0, B the law at 1 minus A
     dense = []
-    for row in sparse:
+    for a_row, ab_row in zip(_law_rows(alg, F.zero(), F.zero()), _law_rows(alg, F.one(), F.one())):
         r = [[] for _ in range(ncols)]
-        for c, poly in row.items():
-            r[c] = poly
+        for c in a_row.keys() | ab_row.keys():
+            a = a_row.get(c, F.zero())
+            r[c] = poly_trim(F, [a, F.sub(ab_row.get(c, F.zero()), a)])
         dense.append(r)
     rank, pivots = fraction_free_pivots(F, dense, ncols)
     generic = ncols - rank

@@ -1,4 +1,5 @@
 import json
+import os
 
 import pytest
 
@@ -68,6 +69,53 @@ def test_invalid_algebra_rejected(tmp_path, capsys):
     code, _, err = run(capsys, "validate", str(path_obj))
     assert code == 2
     assert "jacobi" in err
+
+
+@pytest.mark.parametrize("key", ["field", "dim", "basis"])
+def test_missing_key_named(tmp_path, capsys, key):
+    data = {"field": {"kind": "Q"}, "dim": 1, "flavor": "lie", "basis": ["a"]}
+    del data[key]
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    code, _, err = run(capsys, "validate", str(path))
+    assert code == 2
+    assert err == f"error: {path}: missing key {key!r}\n"
+
+
+GOLDEN = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "golden")
+GOLDEN_MAKE = [
+    ("W11_GF5", ["zassenhaus", "--p", "5", "--n", "1"]),
+    ("W11_GF7", ["zassenhaus", "--p", "7", "--n", "1"]),
+    ("sl3_Q", ["sl", "--n", "3", "--field", "Q"]),
+    ("osp12_GF7", ["osp12", "--field", "gf7"]),
+]
+
+
+def golden(name):
+    with open(os.path.join(GOLDEN, name), "rb") as fh:
+        return fh.read()
+
+
+@pytest.mark.parametrize("name,make_args", GOLDEN_MAKE, ids=[n for n, _ in GOLDEN_MAKE])
+def test_make_and_solve_match_golden(tmp_path, capsys, name, make_args):
+    made = tmp_path / f"{name}.made.json"
+    assert run(capsys, "make", *make_args, "--out", str(made))[0] == 0
+    assert made.read_bytes() == golden(f"{name}.make.out.json")
+    half = tmp_path / f"{name}.half.json"
+    code, out, _ = run(capsys, "solve", str(made), "--delta", "1/2", "--out", str(half))
+    assert code == 0
+    assert out.encode() == golden(f"{name}.solve.stdout")
+    assert half.read_bytes() == golden(f"{name}.solve.out.json")
+
+
+def test_parametric_out_matches_golden(tmp_path, capsys):
+    made = tmp_path / "W11_GF5.json"
+    run(capsys, "make", "zassenhaus", "--p", "5", "--n", "1", "--out", str(made))
+    out_path = tmp_path / "W11_GF5.parametric.json"
+    code, out, _ = run(capsys, "solve", str(made), "--parametric", "--out", str(out_path))
+    assert code == 0
+    assert out.encode() == golden("W11_GF5.parametric.stdout")
+    assert out_path.read_bytes() == golden("W11_GF5.parametric.out.json")
 
 
 def test_round_trip_byte_identical(tmp_path, capsys):

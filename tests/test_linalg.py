@@ -68,6 +68,10 @@ def test_span_solver_coordinates():
     for c, v in zip(got, vecs):
         recon = [F.add(t, F.mul(c, x)) for t, x in zip(recon, v)]
     assert recon == target
+    # a dependent insertion changes neither the span nor its canonical basis
+    assert not span.add([F.add(a, b) for a, b in zip(vecs[0], vecs[1])])
+    assert span.dim == 3 and span.basis() == rref_dense(vecs, F)
+    assert span.coordinates(target) == got + [F.zero()]
 
 
 def test_rref_canonical():
@@ -92,6 +96,7 @@ def test_charpoly_and_roots():
         [Fraction(5), Fraction(0), Fraction(3)],
     ]
     cp = charpoly(F, mat)
+    assert cp == [Fraction(-6), Fraction(11), Fraction(-6), Fraction(1)]
     roots = base_field_roots(F, cp)
     assert sorted(roots) == [Fraction(1), Fraction(2), Fraction(3)]
 

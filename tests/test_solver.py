@@ -193,6 +193,25 @@ def test_parametric_pointwise_consistency():
                 assert dim > res.generic_dim
             else:
                 assert dim == res.generic_dim
+    # over GF(p) every delta is checked: <e0> + GF(7)^m with [e0, v] = A v,
+    # the first A pinned (its specials 3 and 5 hang on the sign of the
+    # e_i D(e_j) term of the pencil), the others drawn
+    draws = random.Random(3)
+    mats = [[[4, 0], [4, 6]]] + [
+        [[draws.randrange(7) for _ in range(m)] for _ in range(m)] for m in (2, 3, 3)
+    ]
+    for mat in mats:
+        m = len(mat)
+        products = {
+            (0, 1 + a): {1 + b: c for b, c in enumerate(row) if c}
+            for a, row in enumerate(mat)
+            if any(row)
+        }
+        alg = Algebra(PrimeField(7), m + 1, [f"e{i}" for i in range(m + 1)], products)
+        res = solve_parametric(alg)
+        specials = dict(res.specials)
+        for d in range(7):
+            assert solve_delta_derivations(alg, d).dim == specials.get(d, res.generic_dim)
 
 
 def test_system_shape():
