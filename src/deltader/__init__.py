@@ -17,7 +17,6 @@ from .fields import (
     PrimeField,
     QuotientRing,
     FieldElement,
-    adjoin_parameter,
     field_from_json,
     field_to_json,
 )
@@ -42,7 +41,6 @@ from .algebras import (
     make_special_linear,
     make_osp12,
     make_grassmann_envelope,
-    make_form_envelope,
     algebra_from_json,
     algebra_to_json,
 )

@@ -121,6 +121,9 @@ class Algebra:
         self.meta = meta or {}
         self.products = {}
         for (i, j), terms in products.items():
+            bad = [x for x in (i, j, *terms) if not 0 <= x < dim]
+            if bad:
+                raise AlgebraError(f"product e_{i} e_{j}: index {bad[0]} outside range({dim})")
             if flavor == "lie" and not i < j:
                 raise AlgebraError(f"lie products must be stored for i<j, got ({i},{j})")
             if flavor in ("assoc", "super") and not i <= j:
@@ -222,11 +225,17 @@ class Algebra:
 # validation
 
 
-def validate(alg: Algebra, law: str = "jacobi") -> ValidationReport:
+_FLAVOR_LAW = {"lie": "jacobi", "super": "super_jacobi", "assoc": "assoc"}
+
+
+def validate(alg: Algebra, law: str | None = None) -> ValidationReport:
     """Check a defining law; report every violating basis triple with its defect.
 
-    Laws: "jacobi", "super_jacobi", "assoc", "none".
+    Laws: "jacobi", "super_jacobi", "assoc"; by default the law of the
+    algebra's flavor.
     """
+    if law is None:
+        law = _FLAVOR_LAW[alg.flavor]
     F = alg.field
     n = alg.dim
     violations = []
@@ -239,9 +248,6 @@ def validate(alg: Algebra, law: str = "jacobi") -> ValidationReport:
             for m, c in alg.product(i, k).items():
                 out[m] = F.add(out[m], F.mul(a, c))
         return out
-
-    if law == "none":
-        return ValidationReport(law, [])
 
     if law == "jacobi":
         for i, j, k in combinations(range(n), 3):
@@ -820,42 +826,6 @@ def make_grassmann_envelope(L: Algebra, m: int) -> Algebra:
     alg.meta["envelope_source"] = L
     alg.meta["supports"] = [frozenset(g) for _, g in basis]
     return alg
-
-
-def make_form_envelope(L: Algebra, m: int, functional: dict | None = None) -> list[list]:
-    """Symmetric invariant form on G(L) induced by L's form and a linear
-    functional on Grassmann monomials: (x (x) g, x' (x) g') = (x, x') f(gg').
-
-    ``functional`` maps monomial tuples to scalars; by default it is the
-    indicator of the top monomial (0, 1, ..., m-1).
-    """
-    if L.grading is None:
-        raise GradingMissing("the form envelope needs a grading")
-    if L.form is None:
-        raise FormMissing("L carries no bilinear form")
-    F = L.field
-    if functional is None:
-        functional = {tuple(range(m)): F.one()}
-    if all(F.is_zero(v) for v in functional.values()):
-        raise FormMissing("the Grassmann functional must be nonzero")
-    env = make_grassmann_envelope(L, m)
-    basis = env.meta["envelope_basis"]
-    n = env.dim
-    B = [[F.zero()] * n for _ in range(n)]
-    for p1 in range(n):
-        i, g = basis[p1]
-        for p2 in range(n):
-            j, h = basis[p2]
-            gh = grassmann_mul(g, h)
-            if gh is None:
-                continue
-            sign, mono_out = gh
-            fval = functional.get(mono_out)
-            if fval is None or F.is_zero(fval):
-                continue
-            v = F.mul(L.form[i][j], F.mul(F.from_int(sign), fval))
-            B[p1][p2] = F.add(B[p1][p2], v)
-    return B
 
 
 # ---------------------------------------------------------------------------

@@ -37,7 +37,6 @@ from .fields import (
 from .gradings import (
     BadDelta,
     NonSplitting,
-    check_semigroup,
     grading_report,
     root_decompose,
 )
@@ -91,12 +90,18 @@ def load_algebra(path: str):
     for key in ("field", "dim", "basis"):
         if not isinstance(data, dict) or key not in data:
             raise AlgebraError(f"{path}: missing key {key!r}")
-    alg = algebra_from_json(data)
-    law = {"lie": "jacobi", "super": "super_jacobi", "assoc": "assoc"}[alg.flavor]
-    rep = validate(alg, law)
+    for idx, entry in enumerate(data.get("products", [])):
+        for key in ("i", "j", "terms"):
+            if not isinstance(entry, dict) or key not in entry:
+                raise AlgebraError(f"{path}: products[{idx}]: missing key {key!r}")
+    try:
+        alg = algebra_from_json(data)
+    except AlgebraError as exc:
+        raise AlgebraError(f"{path}: {exc}") from exc
+    rep = validate(alg)
     if not rep.ok:
         raise AlgebraError(
-            f"{path}: algebra violates {law} at {rep.violations[0][0]}"
+            f"{path}: algebra violates {rep.law} at {rep.violations[0][0]}"
         )
     return alg
 
@@ -186,10 +191,7 @@ def cmd_grade(args) -> int:
     maps = load_maps(args.derivations, alg)
     dec = root_decompose(alg, maps, delta)
     report = grading_report(dec)
-    verdict = check_semigroup(dec)
-    report["semigroup_verdict"] = verdict.verdict
-    if verdict.witness is not None:
-        report["witness"] = verdict.witness
+    report["semigroup_verdict"] = report["verdict"]
     out = canonical_json(report)
     if args.out:
         write_json(args.out, report)

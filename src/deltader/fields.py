@@ -6,7 +6,8 @@ Three kinds of coefficient domains are supported:
 * ``PrimeField(p)`` -- GF(p) for a prime p >= 5 (characteristic 2 and 3 are
   rejected up front);
 * ``QuotientRing(base, modulus)`` -- the univariate quotient K[t]/(f) over a
-  rational or prime base, used as the carrier for a generic parameter.
+  rational or prime base, a coefficient field when f is irreducible (JSON
+  kind ``quot``).
 
 Field objects operate on *raw payloads* (``Fraction``, ``int`` in [0, p),
 or a tuple of base payloads of length deg f) so that inner loops stay cheap;
@@ -14,14 +15,20 @@ or a tuple of base payloads of length deg f) so that inner loops stay cheap;
 (field, payload) for use at API boundaries.
 
 Division in a quotient ring checks invertibility; a zero divisor raises
-:class:`NonInvertible` carrying the gcd witness, which the parametric solver
-uses to detect special parameter values.
+:class:`NonInvertible` carrying the gcd witness, so a reducible modulus is
+reported instead of giving wrong arithmetic.
+
+The polynomial helpers (coefficient lists, low degree first) serve the
+quotient rings and the parametric solver.  That solver works over K[delta],
+never in a quotient ring: fraction-free elimination keeps the pencil's
+entries polynomial, and its last pivot is a maximal nonvanishing minor whose
+roots in K are the only candidates for special delta.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Any, Iterable
+from typing import Iterable
 
 
 class FieldError(ArithmeticError):
@@ -346,42 +353,6 @@ def poly_eval(base: Field, f: list, x):
     return acc
 
 
-def poly_pow_mod(base: Field, f: list, e: int, m: list) -> list:
-    result = [base.one()]
-    f = poly_mod(base, f, m)
-    while e:
-        if e & 1:
-            result = poly_mod(base, poly_mul(base, result, f), m)
-        f = poly_mod(base, poly_mul(base, f, f), m)
-        e >>= 1
-    return result
-
-
-def poly_is_irreducible_gfp(field: PrimeField, f: list) -> bool:
-    """Rabin's test over GF(p) for a monic f of degree >= 1."""
-    n = poly_deg(f)
-    if n < 1:
-        return False
-    if n == 1:
-        return True
-    p = field.p
-    x = [field.zero(), field.one()]
-    # x^(p^n) == x mod f
-    h = x
-    for _ in range(n):
-        h = poly_pow_mod(field, h, p, f)
-    if poly_trim(field, poly_sub(field, h, x)) != []:
-        return False
-    for q in sorted({d for d in range(2, n + 1) if n % d == 0 and _is_prime(d)}):
-        h = x
-        for _ in range(n // q):
-            h = poly_pow_mod(field, h, p, f)
-        g = poly_gcd(field, poly_sub(field, h, x), f)
-        if poly_deg(g) != 0:
-            return False
-    return True
-
-
 class QuotientRing(Field):
     """K[t]/(f) for K rational or prime, f monic of degree >= 1.
 
@@ -500,39 +471,6 @@ class QuotientRing(Field):
 
     def __repr__(self):
         return f"{self.base!r}[t]/(deg {self.deg})"
-
-
-def adjoin_parameter(base: Field, degree_bound: int) -> QuotientRing:
-    """Extend the base field by a generic parameter t.
-
-    Returns a quotient ring whose modulus is irreducible of degree
-    degree_bound + 1, so every polynomial expression in t of degree up to
-    degree_bound is represented faithfully.  Over Q the modulus is
-    t^(d+1) - 2 (irreducible by Eisenstein at 2); over GF(p) an irreducible
-    is found by deterministic search.
-    """
-    if degree_bound < 1:
-        raise ValueError("degree_bound must be >= 1")
-    deg = degree_bound + 1
-    if isinstance(base, Rationals):
-        modulus = [Fraction(-2)] + [Fraction(0)] * (deg - 1) + [Fraction(1)]
-        return QuotientRing(base, modulus)
-    if isinstance(base, PrimeField):
-        p = base.p
-        # x^deg + a*x + b, then widen to a quadratic tail if needed
-        for a in range(p):
-            for b in range(1, p):
-                f = [b, a] + [0] * (deg - 2) + [1]
-                if poly_is_irreducible_gfp(base, f):
-                    return QuotientRing(base, f)
-        for c in range(p):
-            for a in range(p):
-                for b in range(1, p):
-                    f = [b, a, c] + [0] * (deg - 3) + [1]
-                    if poly_is_irreducible_gfp(base, f):
-                        return QuotientRing(base, f)
-        raise InvalidField(f"no irreducible of degree {deg} found over GF({p})")
-    raise InvalidField("parameter adjunction requires a Q or GF(p) base")
 
 
 # ---------------------------------------------------------------------------

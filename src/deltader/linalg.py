@@ -8,13 +8,14 @@ bases reproducible byte-for-byte.
 
 For linear systems with a polynomial parameter we use one-step fraction-free
 (Bareiss) elimination with column pivoting: entries stay polynomials, no
-division by parameter-dependent quantities ever happens, and the pivots are
-minors whose base-field roots bound the set of parameter values where the
-rank can drop.
+division by parameter-dependent quantities ever happens, and the last pivot
+is a maximal nonvanishing minor, so the rank can drop only at its roots.
+Rational roots are isolated exactly by Sturm bisection.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .fields import (
@@ -24,6 +25,7 @@ from .fields import (
     poly_deg,
     poly_divmod,
     poly_eval,
+    poly_gcd,
     poly_mul,
     poly_sub,
     poly_trim,
@@ -239,9 +241,10 @@ def fraction_free_pivots(
     """Bareiss elimination on a matrix of polynomials over ``base``.
 
     ``rows[i][j]`` is a coefficient list (may be empty = zero).  Returns
-    (rank, pivots) where each pivot is a nonzero polynomial minor; the rank
-    is the generic rank, and any specialization where the rank drops is a
-    common root of at least one pivot.
+    (rank, pivots) where the k-th pivot is, up to sign, the k x k minor on
+    the first k chosen rows and pivot columns; the rank r is the generic
+    rank, and the last pivot is an r x r minor, so any specialization where
+    the rank drops is a root of it.
     """
     m = [list(r) for r in rows if any(r)]
     nrows = len(m)
@@ -294,49 +297,71 @@ def charpoly(field: Field, matrix: list[list]) -> list:
 # root finding in the base field
 
 
-def _divisors(n: int) -> list[int]:
-    n = abs(n)
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d * d != n:
-                large.append(n // d)
-        d += 1
-    return small + large[::-1]
+def _primitive(f: list) -> list[int]:
+    """f times a positive rational: coprime integer coefficients, same signs."""
+    den = math.lcm(*(c.denominator for c in f))
+    ints = [int(c * den) for c in f]
+    g = math.gcd(*ints)
+    return [c // g for c in ints]
+
+
+def _derivative(f: list) -> list:
+    return [k * c for k, c in enumerate(f)][1:]
+
+
+def _sign_at(f: list[int], y: int, q: int) -> int:
+    """Sign of f(y/q) for q > 0, from the integer q^deg f(y/q)."""
+    acc, qk = f[-1], 1
+    for c in reversed(f[:-1]):
+        qk *= q
+        acc = acc * y + c * qk
+    return (acc > 0) - (acc < 0)
+
+
+def _rational_roots(f: list) -> list:
+    """Distinct rational roots of f over Q by Sturm bisection.
+
+    On the primitive squarefree part, every rational root x satisfies
+    lead * x = y for an integer y, so the Sturm counts of roots in (a/lead,
+    b/lead] are bisected over integer a < b down to b - a = 1, where the
+    only candidate left is y = b.
+    """
+    Q = Rationals()
+    f = _primitive(poly_divmod(Q, f, poly_gcd(Q, f, _derivative(f)))[0])
+    lead = abs(f[-1])
+    seq = [f, _primitive(_derivative(f))]
+    while len(seq[-1]) > 1:
+        rem = poly_divmod(Q, [Fraction(c) for c in seq[-2]], [Fraction(c) for c in seq[-1]])[1]
+        seq.append(_primitive([-c for c in rem]))
+
+    def variations(y: int) -> int:
+        signs = [s for s in (_sign_at(g, y, lead) for g in seq) if s]
+        return sum(a != b for a, b in zip(signs, signs[1:]))
+
+    # Cauchy: every root x has |lead * x| < lead + max |coefficient|
+    m = lead + max(abs(c) for c in f)
+    roots, todo = [], [(-m, variations(-m), m, variations(m))]
+    while todo:
+        a, va, b, vb = todo.pop()
+        if va == vb:
+            continue
+        if b - a == 1:
+            if _sign_at(f, b, lead) == 0:
+                roots.append(Fraction(b, lead))
+            continue
+        c = (a + b) // 2
+        vc = variations(c)
+        todo += [(a, va, c, vc), (c, vc, b, vb)]
+    return sorted(roots)
 
 
 def base_field_roots(base: Field, f: list) -> list:
-    """All roots of the polynomial f (over ``base``) lying in ``base``."""
+    """All roots of the polynomial f (over ``base``) lying in ``base``, sorted."""
     f = poly_trim(base, list(f))
     if not f or poly_deg(f) == 0:
         return []
     if isinstance(base, PrimeField):
         return [a for a in range(base.p) if base.is_zero(poly_eval(base, f, a))]
     if isinstance(base, Rationals):
-        # clear denominators, then rational root theorem
-        den = 1
-        for c in f:
-            den = den * c.denominator // _gcd(den, c.denominator)
-        ints = [int(c * den) for c in f]
-        while ints and ints[0] == 0:
-            ints = ints[1:]  # factor out x; x=0 handled below
-        roots = set()
-        if base.is_zero(poly_eval(base, f, Fraction(0))):
-            roots.add(Fraction(0))
-        if ints:
-            a0, lead = ints[0], ints[-1]
-            for p in _divisors(a0):
-                for q in _divisors(lead):
-                    for cand in (Fraction(p, q), Fraction(-p, q)):
-                        if base.is_zero(poly_eval(base, f, cand)):
-                            roots.add(cand)
-        return sorted(roots)
+        return _rational_roots(f)
     raise TypeError("root search is supported over Q and GF(p) only")
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a

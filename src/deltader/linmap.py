@@ -130,7 +130,3 @@ class LinearMap:
     def to_json(self) -> list:
         F = self.field
         return [[F.fmt(c) for c in row] for row in self.rows]
-
-    @classmethod
-    def from_json(cls, field: Field, rows: list) -> "LinearMap":
-        return cls(field, [[field.coerce(c) for c in row] for row in rows])

@@ -26,7 +26,8 @@ The super variants add the constraints that make the map homogeneous.  The
 parametric solver treats delta as an indeterminate: its system is the
 pencil A + delta B, with A the law at delta = 0 and B the law at delta = 1
 minus A.  It finds the generic solution dimension together with the
-special values of delta where it jumps.
+special values of delta where it jumps; these are all roots of the last
+fraction-free pivot, a maximal nonvanishing minor of the pencil.
 """
 
 from __future__ import annotations
@@ -322,9 +323,6 @@ class ParametricResult:
     generic_dim: int
     specials: list  # (delta payload in the base field, dimension)
 
-    def special_deltas(self) -> list:
-        return [d for (d, _) in self.specials]
-
     def to_json(self, field: Field) -> dict:
         return {
             "generic_dim": self.generic_dim,
@@ -336,10 +334,11 @@ def solve_parametric(alg: Algebra) -> ParametricResult:
     """Generic nullspace dimension of the delta-derivation system over K[delta],
     plus the special base-field values of delta where the dimension jumps.
 
-    Fraction-free elimination keeps all entries polynomial in delta; the
-    pivots are minors of the system, so every specialization where the rank
-    drops is a root of some pivot.  The candidate set is the base-field roots
-    of the pivots together with {-1, 0, 1/2, 1}, each confirmed pointwise.
+    Fraction-free elimination keeps all entries polynomial in delta.  Its
+    last pivot is an r x r minor of the pencil, r the generic rank, on the
+    chosen rows and pivot columns; wherever that minor is nonzero the rank
+    is r again.  So every special delta is a base-field root of the last
+    pivot, and each root is confirmed by a pointwise solve.
     """
     F = alg.field
     if isinstance(F, QuotientRing):
@@ -356,13 +355,8 @@ def solve_parametric(alg: Algebra) -> ParametricResult:
         dense.append(r)
     rank, pivots = fraction_free_pivots(F, dense, ncols)
     generic = ncols - rank
-    candidates = set()
-    for piv in pivots:
-        candidates.update(base_field_roots(F, piv))
-    half = F.div(F.one(), F.from_int(2))
-    candidates.update([F.from_int(-1), F.zero(), half, F.one()])
     specials = []
-    for cand in sorted(candidates):
+    for cand in base_field_roots(F, pivots[-1]) if pivots else []:
         d = solve_delta_derivations(alg, cand).dim
         if d > generic:
             specials.append((cand, d))

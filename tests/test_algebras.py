@@ -19,7 +19,6 @@ from deltader.algebras import (
     make_derivation_algebra,
     make_divided_powers,
     make_elduque4,
-    make_form_envelope,
     make_grassmann_envelope,
     make_osp12,
     make_semidirect,
@@ -181,23 +180,15 @@ def test_grassmann_monomials():
     assert grassmann_monomials(3, 1) == [(0,), (1,), (2,), (0, 1, 2)]
 
 
-def test_form_envelope():
-    osp = make_osp12(PrimeField(7))
-    mat = make_form_envelope(osp, 3)
-    env = make_grassmann_envelope(osp, 3)
-    withform = Algebra(
-        env.field, env.dim, env.basis, env.products,
-        flavor="lie", form=mat, meta=env.meta,
-    )
-    rep = validate_form(withform)
-    assert rep.ok
-
-
 def test_storage_conventions_enforced():
     with pytest.raises(AlgebraError):
         Algebra(Q, 2, ["a", "b"], {(1, 0): {0: Fraction(1)}})  # lie needs i<j
     with pytest.raises(AlgebraError):
         Algebra(Q, 2, ["a", "b"], {(0, 0): {0: Fraction(1)}})  # diagonal in lie
+    with pytest.raises(AlgebraError, match=r"index 7 outside range\(2\)"):
+        Algebra(Q, 2, ["a", "b"], {(0, 1): {7: Fraction(1)}})
+    with pytest.raises(AlgebraError, match=r"index 5 outside range\(2\)"):
+        Algebra(Q, 2, ["a", "b"], {(0, 5): {1: Fraction(1)}})
     with pytest.raises(GradingMissing):
         Algebra(Q, 2, ["a", "b"], {}, flavor="super")
     with pytest.raises(AlgebraError):

@@ -71,15 +71,33 @@ def test_invalid_algebra_rejected(tmp_path, capsys):
     assert "jacobi" in err
 
 
-@pytest.mark.parametrize("key", ["field", "dim", "basis"])
+@pytest.mark.parametrize("key", ["field", "dim", "basis", "i", "j", "terms"])
 def test_missing_key_named(tmp_path, capsys, key):
-    data = {"field": {"kind": "Q"}, "dim": 1, "flavor": "lie", "basis": ["a"]}
-    del data[key]
+    entry = {"i": 0, "j": 1, "terms": [[0, "1"]]}
+    data = {"field": {"kind": "Q"}, "dim": 2, "flavor": "lie", "basis": ["a", "b"], "products": [entry]}
+    where = "products[0]: " if key in entry else ""
+    del (entry if key in entry else data)[key]
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(data))
     code, _, err = run(capsys, "validate", str(path))
     assert code == 2
-    assert err == f"error: {path}: missing key {key!r}\n"
+    assert err == f"error: {path}: {where}missing key {key!r}\n"
+
+
+@pytest.mark.parametrize("command", [["validate"], ["solve", "--delta", "1"]], ids=["validate", "solve"])
+@pytest.mark.parametrize(
+    "entry,bad",
+    [({"i": 0, "j": 1, "terms": [[7, "1"]]}, 7), ({"i": 0, "j": 5, "terms": [[1, "1"]]}, 5)],
+    ids=["term", "pair"],
+)
+def test_out_of_range_index_rejected(tmp_path, capsys, command, entry, bad):
+    data = {"field": {"kind": "Q"}, "dim": 2, "flavor": "lie", "basis": ["a", "b"], "products": [entry]}
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, command[0], str(path), *command[1:])
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {path}: product e_0 e_{entry['j']}: index {bad} outside range(2)\n"
 
 
 GOLDEN = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "golden")
@@ -106,6 +124,27 @@ def test_make_and_solve_match_golden(tmp_path, capsys, name, make_args):
     assert code == 0
     assert out.encode() == golden(f"{name}.solve.stdout")
     assert half.read_bytes() == golden(f"{name}.solve.out.json")
+
+
+@pytest.mark.parametrize(
+    "name,make_args,derivs",
+    [(n, a, d) for (n, a), d in zip(GOLDEN_MAKE, [[1], [1], [6, 7], [1]])],
+    ids=[n for n, _ in GOLDEN_MAKE],
+)
+def test_grade_and_report_match_golden(tmp_path, capsys, name, make_args, derivs):
+    from deltader.cli import load_algebra
+
+    made = tmp_path / f"{name}.json"
+    assert run(capsys, "make", *make_args, "--out", str(made))[0] == 0
+    maps = tmp_path / f"{name}.maps.json"
+    alg = load_algebra(str(made))
+    maps.write_text(json.dumps({"maps": [alg.ad(i).to_json() for i in derivs]}))
+    code, out, _ = run(capsys, "grade", str(made), str(maps), "--delta", "1")
+    assert code == 0
+    assert out.encode() == golden(f"{name}.grade.stdout")
+    code, out, _ = run(capsys, "report", str(made))
+    assert code == 0
+    assert out.encode() == golden(f"{name}.report.stdout")
 
 
 def test_parametric_out_matches_golden(tmp_path, capsys):

@@ -11,7 +11,6 @@ from deltader.fields import (
     PrimeField,
     QuotientRing,
     Rationals,
-    adjoin_parameter,
     field_from_json,
     field_to_json,
     parse_scalar,
@@ -68,11 +67,23 @@ def test_quotient_ring_noninvertible_witness():
     assert exc.value.witness is not None
 
 
+# irreducible moduli of degree d + 1: t^(d+1) - 2 over Q (Eisenstein at 2);
+# over GF(p) the first ones of the form t^(d+1) + a t + b (Rabin's test)
+IRREDUCIBLE = {
+    (5, 1): [2, 0, 1], (5, 2): [1, 1, 0, 1], (5, 3): [2, 0, 0, 0, 1],
+    (13, 1): [2, 0, 1], (13, 2): [2, 0, 0, 1], (13, 3): [2, 0, 0, 0, 1],
+}
+
+
 @pytest.mark.parametrize("base", [Rationals(), PrimeField(5), PrimeField(13)])
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_adjoin_parameter(base, d):
-    ext = adjoin_parameter(base, d)
-    # the extension is a field containing >= d+1 linearly independent powers of t
+    if isinstance(base, Rationals):
+        modulus = [-2] + [0] * d + [1]
+    else:
+        modulus = IRREDUCIBLE[(base.p, d)]
+    ext = QuotientRing(base, modulus)
+    # K[t]/(f) is a field containing >= d+1 linearly independent powers of t
     t = ext.t
     acc = ext.one()
     rng = random.Random(7)

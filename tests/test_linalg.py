@@ -1,7 +1,7 @@
 import random
 from fractions import Fraction
 
-from deltader.fields import PrimeField, Rationals
+from deltader.fields import PrimeField, Rationals, poly_mul
 from deltader.linalg import (
     SpanSolver,
     base_field_roots,
@@ -99,6 +99,34 @@ def test_charpoly_and_roots():
     assert cp == [Fraction(-6), Fraction(11), Fraction(-6), Fraction(1)]
     roots = base_field_roots(F, cp)
     assert sorted(roots) == [Fraction(1), Fraction(2), Fraction(3)]
+
+
+def product(F, factors):
+    f = [F.one()]
+    for g in factors:
+        f = poly_mul(F, f, [Fraction(c) for c in g])
+    return f
+
+
+def test_rational_roots_large_coefficients():
+    # (5x - 6)(2x - 1)^2 (x^2 + 2^80 + 1): an 80-bit constant term, a double
+    # root and an irreducible quadratic
+    F = Rationals()
+    f = product(F, [[-6, 5], [-1, 2], [-1, 2], [2**80 + 1, 0, 1]])
+    assert base_field_roots(F, f) == [Fraction(1, 2), Fraction(6, 5)]
+
+
+def test_rational_roots_seeded_products():
+    F = Rationals()
+    rng = random.Random(20261018)
+    for _ in range(40):
+        roots = [Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**4)) for _ in range(rng.randint(0, 5))]
+        factors = [[-r.numerator, r.denominator] for r in roots for _ in range(rng.randint(1, 2))]
+        # x^2 - 2 and x^2 + 1 + a have no rational root
+        factors.append(rng.choice([[-2, 0, 1], [1 + rng.randint(0, 2**40), 0, 1]]))
+        scale = Fraction(rng.choice([-1, 1]) * rng.randint(1, 99), rng.randint(1, 99))
+        f = [c * scale for c in product(F, factors)]
+        assert base_field_roots(F, f) == sorted(set(roots))
 
 
 def test_charpoly_gfp():
