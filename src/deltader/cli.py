@@ -108,23 +108,33 @@ def load_algebra(path: str):
 
 def load_maps(path: str, alg):
     """Read linear maps from a solution-space JSON ({"basis": [...]}) or a
-    plain {"maps": [[row strings]]} file."""
+    plain {"maps": [[row strings]]} file; each map is a dim x dim matrix."""
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
-    raw = data.get("basis", data.get("maps"))
-    if raw is None:
-        raise ValueError(f"{path}: expected a 'basis' or 'maps' key")
+    raw = data.get("basis", data.get("maps")) if isinstance(data, dict) else None
+    if not isinstance(raw, list):
+        raise ValueError(f"{path}: expected a JSON object with a 'basis' or 'maps' list")
     F = alg.field
+    n = alg.dim
     maps = []
-    for mat in raw:
-        if len(mat) != alg.dim:
-            raise ValueError(f"{path}: map size does not match the algebra")
+    for idx, mat in enumerate(raw):
+        if not isinstance(mat, list) or len(mat) != n or any(
+            not isinstance(row, list) or len(row) != n for row in mat
+        ):
+            raise ValueError(f"{path}: map {idx} is not a {n} x {n} matrix")
         rows = [[parse_scalar(F, c) for c in row] for row in mat]
         maps.append(LinearMap(F, rows))
     return maps
 
 
+_MAKE_REQUIRES = {"zassenhaus": ["p"], "divided-powers": ["p"], "abelian": ["dim"],
+                  "witt": ["support"], "current": ["left", "right"]}
+
+
 def cmd_make(args) -> int:
+    for opt in _MAKE_REQUIRES.get(args.kind, ()):
+        if getattr(args, opt) is None:
+            raise ValueError(f"make {args.kind} requires --{opt}")
     if args.kind == "zassenhaus":
         alg = make_zassenhaus(args.p, args.n)
     elif args.kind == "divided-powers":

@@ -565,4 +565,9 @@ def parse_scalar(field: Field, text):
         raise ValueError(f"decimal literals are rejected, use exact fractions: {text!r}")
     if isinstance(text, float):
         raise ValueError(f"float scalars are rejected, use exact fractions: {text!r}")
-    return field.coerce(text)
+    try:
+        return field.coerce(text)
+    except ZeroDivisionError as exc:
+        raise ValueError(f"zero denominator in scalar literal {text!r}") from exc
+    except TypeError as exc:
+        raise ValueError(f"not a scalar literal: {text!r}") from exc

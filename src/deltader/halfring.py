@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from .algebras import Algebra
 from .fields import Field, PrimeField, Rationals
-from .linalg import SpanSolver, kernel_of_map, rref_dense
+from .linalg import SpanSolver, kernel_of_map
 from .linmap import LinearMap
 from .solver import SolutionSpace, is_delta_derivation
 
@@ -132,24 +132,14 @@ def build_composition_ring(space: SolutionSpace) -> CompositionRing:
     return CompositionRing(space.algebra, basis, table, unit)
 
 
-def _mult_operator(ring: CompositionRing, u: list) -> list[list]:
-    """Matrix of v -> uv in the ring basis (rows are images of basis elements)."""
-    F = ring.field
-    rows = []
-    for b in range(ring.dim):
-        eb = [F.zero()] * ring.dim
-        eb[b] = F.one()
-        rows.append(ring.mul(u, eb))
-    return rows
-
-
 def nilradical(ring: CompositionRing) -> list[list]:
     """Basis of the set of nilpotent elements of a commutative ring.
 
     Over GF(p) the p-th power map u -> u^p is linear; iterating it until the
     accumulated exponent reaches the ring dimension gives a linear map whose
     kernel is exactly the nilpotent elements.  Over the rationals the
-    nilradical is the kernel of the trace form (a, b) -> trace(R_{ab}).
+    nilradical is the kernel of the trace form (a, b) -> trace(R_{ab}),
+    read off the vector of traces of the basis multiplications.
     """
     F = ring.field
     d = ring.dim
@@ -168,24 +158,10 @@ def nilradical(ring: CompositionRing) -> list[list]:
             total *= p
         return kernel_of_map(acc.rows, F)
     if isinstance(F, Rationals):
-        eqs = []
-        for b in range(d):
-            eb = [F.zero()] * d
-            eb[b] = F.one()
-            row = {}
-            for a in range(d):
-                ea = [F.zero()] * d
-                ea[a] = F.one()
-                mat = _mult_operator(ring, ring.mul(ea, eb))
-                tr = F.zero()
-                for k in range(d):
-                    tr = F.add(tr, mat[k][k])
-                if not F.is_zero(tr):
-                    row[a] = tr
-            eqs.append(row)
-        from .linalg import sparse_nullspace
-
-        return sparse_nullspace(eqs, d, F)
+        # trace(R_u) is linear in u, and R_{e_c} has diagonal table[c][b][b]
+        tr = [sum(ring.table[c][b][b] for b in range(d)) for c in range(d)]
+        form = [[sum(x * t for x, t in zip(row, tr)) for row in rows] for rows in ring.table]
+        return kernel_of_map(form, F)
     raise ValueError("nilradical computation needs a rational or prime field")
 
 

@@ -17,18 +17,19 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass
-from itertools import combinations_with_replacement, permutations
+from functools import lru_cache
 
 from .algebras import (
     Algebra,
     GradingMissing,
     algebra_from_json,
     form_rank,
+    index_tuples,
     make_grassmann_envelope,
     validate,
     validate_form,
 )
-from .linalg import SpanSolver, rref_dense, same_span
+from .linalg import SpanSolver, _sub_multiple, rref_dense, same_span
 from .solver import (
     solve_centroid,
     solve_delta_derivations,
@@ -36,25 +37,16 @@ from .solver import (
     solve_superderivations,
 )
 
-def _perm_sign(perm) -> int:
-    sign = 1
-    for a in range(len(perm)):
-        for b in range(a + 1, len(perm)):
-            if perm[a] > perm[b]:
-                sign = -sign
-    return sign
-
-
-def _super_sign(perm, parities) -> int:
-    """sign(sigma) times the Koszul factor for the given argument parities."""
-    sign = 1
-    for a in range(len(perm)):
-        for b in range(a + 1, len(perm)):
-            if perm[a] > perm[b]:
-                sign = -sign
-                if parities[perm[a]] and parities[perm[b]]:
-                    sign = -sign
-    return sign
+@lru_cache(maxsize=None)
+def _koszul_steps(arg_par: tuple) -> list:
+    """(S, p, negate) for each extension of a bitmask S of applied argument
+    positions by a position p outside it, every S before its extensions."""
+    return [
+        (S, p, sum(1 + arg_par[s] * arg_par[p] for s in range(p + 1, 4) if S >> s & 1) % 2)
+        for S in range(15)
+        for p in range(4)
+        if not S >> p & 1
+    ]
 
 
 @dataclass
@@ -81,13 +73,17 @@ def _is_ideal(alg: Algebra, vectors: list) -> bool:
 def compute_s4(alg: Algebra, law: str = "ordinary") -> IdealBasis:
     """Span of all evaluations of the degree-5 standard (super)identity.
 
-    Alternation lets the ordinary case enumerate strictly increasing
-    argument 4-tuples only; in the super case repeated entries survive for
-    odd arguments, so non-decreasing tuples with repeats confined to odd
-    positions are used.  When the algebra carries Grassmann-support
-    metadata, 5-tuples with overlapping supports are skipped (their nested
-    brackets vanish identically), and enumeration stops early once the span
-    saturates the whole algebra.
+    One enumeration serves both laws: the arguments run over
+    :func:`index_tuples` of the grading for the super law and of zero
+    parities for the ordinary one.  On a Grassmann envelope, branches whose
+    supports overlap are pruned during the enumeration and a y whose support
+    meets theirs is skipped: those nested products vanish.  The enumeration
+    stops once the span is the whole algebra.
+
+    The signed sum over S4 is built over the set S of argument positions
+    already applied: appending p after S contributes -1 for each s in S with
+    s > p, and a further -1 when x_s and x_p are both odd, which is the
+    Koszul sign above; 32 extensions over the 16 subsets give the 24 terms.
     """
     F = alg.field
     n = alg.dim
@@ -95,91 +91,32 @@ def compute_s4(alg: Algebra, law: str = "ordinary") -> IdealBasis:
         raise GradingMissing("the super identity needs a grading")
     if law not in ("ordinary", "super"):
         raise ValueError(f"unknown law {law!r}")
-    supports = alg.meta.get("supports")
-    span = SpanSolver(F)
+    par = alg.grading if law == "super" else [0] * n
+    supports = alg.meta.get("supports") or [frozenset()] * n
+    right = [[alg.product(i, j) for j in range(n)] for i in range(n)]
 
-    if law == "ordinary":
-        arg_tuples = combinations_iter(n)
-    else:
-        arg_tuples = []
-        for t in combinations_with_replacement(range(n), 4):
-            ok = True
-            for a in range(3):
-                if t[a] == t[a + 1] and alg.grading[t[a]] == 0:
-                    ok = False
-                    break
-            if ok:
-                arg_tuples.append(t)
-
-    def nested(y: int, args) -> dict | None:
-        vec = {y: F.one()}
-        for j in args:
-            nxt: dict = {}
-            for i, c in vec.items():
-                for k, w in alg.product(i, j).items():
-                    val = F.add(nxt.get(k, F.zero()), F.mul(c, w))
-                    if F.is_zero(val):
-                        nxt.pop(k, None)
-                    else:
-                        nxt[k] = val
-            if not nxt:
-                return None
-            vec = nxt
-        return vec
-
-    perms = list(permutations(range(4)))
-    done = False
-    for t in arg_tuples:
-        if done:
-            break
-        if supports is not None:
-            tuple_union = set()
-            total = 0
-            for i in t:
-                tuple_union |= supports[i]
-                total += len(supports[i])
-            if len(tuple_union) != total:
-                continue
-        parities = (
-            tuple(alg.grading[i] for i in t) if law == "super" else (0, 0, 0, 0)
-        )
-        signs = [
-            _super_sign(p, parities) if law == "super" else _perm_sign(p)
-            for p in perms
-        ]
-        for y in range(n):
-            if supports is not None and (supports[y] & tuple_union):
-                continue
-            acc: dict = {}
-            for perm, sg in zip(perms, signs):
-                vec = nested(y, (t[s] for s in perm))
-                if vec is None:
+    def evaluations():
+        for t, union in index_tuples(par, 4, supports):
+            steps = _koszul_steps(tuple(par[i] for i in t))
+            for y in range(n):
+                if supports[y] & union:
                     continue
-                for k, c in vec.items():
-                    val = acc.get(k, F.zero())
-                    val = F.sub(val, c) if sg < 0 else F.add(val, c)
-                    if F.is_zero(val):
-                        acc.pop(k, None)
-                    else:
-                        acc[k] = val
-            if acc:
-                dense = [F.zero()] * n
-                for k, c in acc.items():
-                    dense[k] = c
-                span.add(dense)
-                if span.dim == n:
-                    done = True
-                    break
+                acc = [{} for _ in range(16)]
+                acc[0][y] = F.one()
+                for S, p, negate in steps:
+                    for i, c in acc[S].items():
+                        coef = c if negate else F.neg(c)  # _sub_multiple subtracts
+                        _sub_multiple(acc[S | 1 << p], coef, right[i][t[p]], -1, F)
+                if acc[15]:
+                    yield acc[15]
+
+    span = SpanSolver(F)
+    for vec in evaluations():
+        span.add([vec.get(k, F.zero()) for k in range(n)])
+        if span.dim == n:
+            break
     vectors = span.basis()
     return IdealBasis(alg, vectors, _is_ideal(alg, vectors))
-
-
-def combinations_iter(n: int):
-    for a in range(n):
-        for b in range(a + 1, n):
-            for c in range(b + 1, n):
-                for d in range(c + 1, n):
-                    yield (a, b, c, d)
 
 
 def check_standard_identity(alg: Algebra, law: str = "ordinary") -> bool:

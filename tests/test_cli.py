@@ -100,6 +100,52 @@ def test_out_of_range_index_rejected(tmp_path, capsys, command, entry, bad):
     assert err == f"error: {path}: product e_0 e_{entry['j']}: index {bad} outside range(2)\n"
 
 
+BAD_MAPS = {
+    "list": [[["0"] * 5] * 5],
+    "maps_not_list": {"maps": {"0": [["0"] * 5] * 5}},
+    "maps_5x3": {"maps": [[["0"] * 3] * 5]},
+    "maps_null_entry": {"maps": [[[None] * 5] * 5]},
+}
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["make", "zassenhaus"], "make zassenhaus requires --p"),
+        (["make", "divided-powers"], "make divided-powers requires --p"),
+        (["make", "abelian"], "make abelian requires --dim"),
+        (["make", "witt"], "make witt requires --support"),
+        (["make", "current"], "make current requires --left"),
+        (["make", "current", "--left", "{alg}"], "make current requires --right"),
+        (["solve", "{alg}", "--delta", "1/0"], "zero denominator in scalar literal '1/0'"),
+        (["grade", "{alg}", "{maps_5x3}", "--delta", "1/0"], "zero denominator in scalar literal '1/0'"),
+        (["grade", "{alg}", "{list}", "--delta", "1"], "expected a JSON object with a 'basis' or 'maps' list"),
+        (["grade", "{alg}", "{maps_not_list}", "--delta", "1"], "expected a JSON object with a 'basis' or 'maps' list"),
+        (["grade", "{alg}", "{maps_5x3}", "--delta", "1"], "map 0 is not a 5 x 5 matrix"),
+        (["grade", "{alg}", "{maps_null_entry}", "--delta", "1"], "not a scalar literal: None"),
+    ],
+    ids=[
+        "zassenhaus-no-p", "divided-powers-no-p", "abelian-no-dim", "witt-no-support",
+        "current-no-left", "current-no-right", "solve-zero-denominator", "grade-zero-denominator",
+        "maps-json-list", "maps-not-list", "maps-5x3", "maps-null-entry",
+    ],
+)
+def test_input_error_exit_2(tmp_path, capsys, argv, message):
+    alg = tmp_path / "w11.json"
+    assert run(capsys, "make", "zassenhaus", "--p", "5", "--out", str(alg))[0] == 0
+    files = {"alg": str(alg)}
+    for name, obj in BAD_MAPS.items():
+        files[name] = str(tmp_path / f"{name}.json")
+        (tmp_path / f"{name}.json").write_text(json.dumps(obj))
+    argv = [a.format(**files) if a.startswith("{") else a for a in argv]
+    if argv[0] == "make":
+        argv += ["--out", str(tmp_path / "out.json")]
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and message in err and err.count("\n") == 1
+
+
 GOLDEN = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "golden")
 GOLDEN_MAKE = [
     ("W11_GF5", ["zassenhaus", "--p", "5", "--n", "1"]),

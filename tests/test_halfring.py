@@ -2,7 +2,13 @@ from fractions import Fraction
 
 import pytest
 
-from deltader.algebras import make_special_linear, make_witt_type, make_zassenhaus
+from deltader.algebras import (
+    Algebra,
+    make_current,
+    make_special_linear,
+    make_witt_type,
+    make_zassenhaus,
+)
 from deltader.fields import PrimeField, Rationals
 from deltader.halfring import (
     build_composition_ring,
@@ -60,6 +66,27 @@ def test_sl2_ring_is_field():
     assert not find_zero_divisors(ring)
     rep = locality_report(ring)
     assert rep["nilradical_dim"] == 0
+
+
+def truncated_polynomials(k):
+    """Q[t]/(t^k) as a commutative associative algebra on 1, t, ..., t^(k-1)."""
+    products = {(i, j): {i + j: Fraction(1)} for i in range(k) for j in range(i, k) if i + j < k}
+    return Algebra(Q, k, [f"t{i}" for i in range(k)], products, flavor="assoc")
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_current_algebra_half_ring_over_q(k):
+    # sl2 (x) Q[t]/(t^k): the half-derivations are the multiplications by
+    # Q[t]/(t^k), a local ring with nilradical (t) of dim k - 1, and its
+    # nilpotent half-derivations are divisors of zero
+    alg = make_current(make_special_linear(2, Q), truncated_polynomials(k))
+    ring = build_composition_ring(half_space(alg))
+    rep = locality_report(ring)
+    assert (ring.dim, rep["nilradical_dim"], rep["is_local"]) == (k, k - 1, True)
+    assert all(ring.is_nilpotent(v) for v in nilradical(ring))
+    pairs = find_zero_divisors(ring)
+    assert pairs
+    assert all(ring.is_zero(ring.mul(u, v)) for u, v in pairs)
 
 
 def test_zero_divisors_verified():

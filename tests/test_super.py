@@ -142,7 +142,8 @@ def test_fixture_loading_and_env_override(tmp_path, monkeypatch):
     # env var override redirects the fixture directory
     src = os.path.join(fixture_dir(), "osp12_gf7.json")
     dst = tmp_path / "osp12_gf7.json"
-    dst.write_text(open(src).read())
+    with open(src, encoding="utf-8") as fh:
+        dst.write_text(fh.read())
     monkeypatch.setenv("DELTA_DER_FIXTURES", str(tmp_path))
     assert fixture_dir() == str(tmp_path)
     assert load_fixture("osp12_gf7.json").dim == 5
@@ -152,7 +153,8 @@ def test_fixture_corruption_detected(tmp_path, monkeypatch):
     import json
 
     src = os.path.join(fixture_dir(), "osp12_gf7.json")
-    data = json.load(open(src))
+    with open(src, encoding="utf-8") as fh:
+        data = json.load(fh)
     prod = data["products"][0]
     prod["terms"][0][1] = str((int(prod["terms"][0][1]) + 1) % 7)
     bad = tmp_path / "osp12_gf7.json"
