@@ -262,9 +262,13 @@ def validate(alg: Algebra, law: str | None = None) -> ValidationReport:
     :func:`index_tuples` summing (-1)^{|a||c|} (e_a e_b) e_c over the cyclic
     shifts of each triple, with zero parities for the ordinary law; a
     skipped triple (repeated even index) sums to zero by the storage rule.
+    The "jacobi" law of a "super" algebra is rejected: its triples with a
+    repeated odd index would be skipped although they need not sum to zero.
     """
     if law is None:
         law = _FLAVOR_LAW[alg.flavor]
+    if law == "jacobi" and alg.flavor == "super":
+        raise FlavorMismatch("a super algebra satisfies super_jacobi, not the jacobi law")
     F = alg.field
     n = alg.dim
     violations = []

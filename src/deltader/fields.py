@@ -569,5 +569,7 @@ def parse_scalar(field: Field, text):
         return field.coerce(text)
     except ZeroDivisionError as exc:
         raise ValueError(f"zero denominator in scalar literal {text!r}") from exc
+    except DivisionByZero as exc:
+        raise ValueError(f"scalar literal {text!r} has a denominator that is zero in {field!r}") from exc
     except TypeError as exc:
         raise ValueError(f"not a scalar literal: {text!r}") from exc

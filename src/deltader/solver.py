@@ -26,8 +26,12 @@ The super variants add the constraints that make the map homogeneous.  The
 parametric solver treats delta as an indeterminate: its system is the
 pencil A + delta B, with A the law at delta = 0 and B the law at delta = 1
 minus A.  It finds the generic solution dimension together with the
-special values of delta where it jumps; these are all roots of the last
-fraction-free pivot, a maximal nonvanishing minor of the pencil.
+special values of delta where it jumps.  The pencil is eliminated one
+block at a time, a block being a connected component of its row/column
+incidence graph (for a graded algebra such as W(1, n), each block lies
+inside one degree shift of D).  Ranks add over the blocks at every delta,
+so the special values are all among the roots of the blocks' last
+fraction-free pivots, each a maximal nonvanishing minor of its block.
 """
 
 from __future__ import annotations
@@ -330,33 +334,66 @@ class ParametricResult:
         }
 
 
+def _blocks(rows: list[dict]) -> list[list[dict]]:
+    """The rows grouped by connected component of the incidence graph in
+    which a row meets every column it has a nonzero entry in."""
+    parent = {c: c for row in rows for c in row}
+
+    def find(c):
+        while parent[c] != c:
+            parent[c] = parent[parent[c]]
+            c = parent[c]
+        return c
+
+    for row in rows:
+        first, *rest = row
+        for c in rest:
+            parent[find(c)] = find(first)
+    blocks: dict = {}
+    for row in rows:
+        blocks.setdefault(find(next(iter(row))), []).append(row)
+    return list(blocks.values())
+
+
 def solve_parametric(alg: Algebra) -> ParametricResult:
     """Generic nullspace dimension of the delta-derivation system over K[delta],
     plus the special base-field values of delta where the dimension jumps.
 
-    Fraction-free elimination keeps all entries polynomial in delta.  Its
-    last pivot is an r x r minor of the pencil, r the generic rank, on the
-    chosen rows and pivot columns; wherever that minor is nonzero the rank
-    is r again.  So every special delta is a base-field root of the last
-    pivot, and each root is confirmed by a pointwise solve.
+    The pencil splits into blocks: the connected components of its
+    row/column incidence graph.  At every delta, generic or in the base
+    field, the rank of the pencil is the sum of the ranks of its blocks.
+    Fraction-free elimination of one block keeps all entries polynomial in
+    delta; its last pivot is an r x r minor of the block, r the block's
+    generic rank, so the block's rank drops only at a root of that pivot.
+    Every special delta is therefore a base-field root of some block's last
+    pivot, and each such root is confirmed by a pointwise solve.
     """
     F = alg.field
     if isinstance(F, QuotientRing):
         raise ValueError("parametric solving needs a rational or prime base field")
-    n = alg.dim
-    ncols = n * n
-    # the pencil A + delta B: A is the law at delta = 0, B the law at 1 minus A
-    dense = []
+    # the pencil A + delta B, as sparse rows {column: polynomial}: A is the
+    # law at delta = 0, B the law at 1 minus A
+    pencil = []
     for a_row, ab_row in zip(_law_rows(alg, F.zero(), F.zero()), _law_rows(alg, F.one(), F.one())):
-        r = [[] for _ in range(ncols)]
+        row = {}
         for c in a_row.keys() | ab_row.keys():
             a = a_row.get(c, F.zero())
-            r[c] = poly_trim(F, [a, F.sub(ab_row.get(c, F.zero()), a)])
-        dense.append(r)
-    rank, pivots = fraction_free_pivots(F, dense, ncols)
-    generic = ncols - rank
+            row[c] = poly_trim(F, [a, F.sub(ab_row.get(c, F.zero()), a)])
+        if row:
+            pencil.append(row)
+    rank, candidates = 0, set()
+    for block in _blocks(pencil):
+        index = {c: k for k, c in enumerate(sorted({c for row in block for c in row}))}
+        dense = [[[] for _ in index] for _ in block]
+        for dense_row, row in zip(dense, block):
+            for c, f in row.items():
+                dense_row[index[c]] = f
+        block_rank, pivots = fraction_free_pivots(F, dense, len(index))
+        rank += block_rank
+        candidates.update(base_field_roots(F, pivots[-1]))
+    generic = alg.dim * alg.dim - rank
     specials = []
-    for cand in base_field_roots(F, pivots[-1]) if pivots else []:
+    for cand in sorted(candidates):
         d = solve_delta_derivations(alg, cand).dim
         if d > generic:
             specials.append((cand, d))

@@ -119,6 +119,7 @@ BAD_MAPS = {
         (["make", "current", "--left", "{alg}"], "make current requires --right"),
         (["solve", "{alg}", "--delta", "1/0"], "zero denominator in scalar literal '1/0'"),
         (["grade", "{alg}", "{maps_5x3}", "--delta", "1/0"], "zero denominator in scalar literal '1/0'"),
+        (["solve", "{alg}", "--delta", "1/5"], "scalar literal '1/5' has a denominator that is zero in GF(5)"),
         (["grade", "{alg}", "{list}", "--delta", "1"], "expected a JSON object with a 'basis' or 'maps' list"),
         (["grade", "{alg}", "{maps_not_list}", "--delta", "1"], "expected a JSON object with a 'basis' or 'maps' list"),
         (["grade", "{alg}", "{maps_5x3}", "--delta", "1"], "map 0 is not a 5 x 5 matrix"),
@@ -127,6 +128,7 @@ BAD_MAPS = {
     ids=[
         "zassenhaus-no-p", "divided-powers-no-p", "abelian-no-dim", "witt-no-support",
         "current-no-left", "current-no-right", "solve-zero-denominator", "grade-zero-denominator",
+        "solve-denominator-divisible-by-p",
         "maps-json-list", "maps-not-list", "maps-5x3", "maps-null-entry",
     ],
 )

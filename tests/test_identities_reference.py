@@ -13,10 +13,12 @@ known Lie (super)algebras are drawn with hypothesis.
 from fractions import Fraction
 from itertools import combinations_with_replacement, permutations, product
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from deltader.algebras import (
     Algebra,
+    FlavorMismatch,
     index_tuples,
     make_grassmann_envelope,
     make_osp12,
@@ -201,6 +203,16 @@ def test_validate_perturbed_matches_all_triples(name, data):
     expected = reference_violations(bent, rep.law)
     assert rep.ok == (not expected)
     assert dict(rep.violations) == expected
+
+
+def test_jacobi_law_rejected_on_super_algebras():
+    # the ordinary Jacobi sum fails on triples with a repeated odd index,
+    # which the sorted triples of a super algebra never visit
+    osp = load_fixture("osp12_gf7.json")
+    assert {(1, 3, 3), (1, 4, 4), (2, 3, 3)} <= set(reference_violations(osp, "jacobi"))
+    with pytest.raises(FlavorMismatch, match="super_jacobi"):
+        validate(osp, "jacobi")
+    assert validate(osp, "super_jacobi").ok
 
 
 @SETTINGS

@@ -1,11 +1,17 @@
 """The benchmark tracer (perfbench/tracing.py) wraps package attributes it
-looks up by name; every one of them must exist, or the traced pass breaks."""
+looks up by name; every one of them must exist, or the traced pass breaks.
+Its hooks must also accept the calls the package makes, which a traced
+pass of the parametric workload exercises end to end."""
 
 import importlib
 import importlib.util
+import json
 import os
+import subprocess
+import sys
 
-PATH = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "tracing.py")
+ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
+PATH = os.path.join(ROOT, "perfbench", "tracing.py")
 
 
 def load_tracing():
@@ -32,3 +38,11 @@ def test_tracer_targets_resolve():
         if not callable(getattr(span_solver, meth, None))
     ]
     assert missing == []
+
+
+def test_traced_parametric_pass_is_correct():
+    argv = ["perfbench/run.py", "--workload", "parametric", "--seed", "1", "--seconds", "20", "--trace", "1"]
+    proc = subprocess.run([sys.executable, *argv], cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    summary = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert (summary["correct"], summary["failed"]) == (True, 0)
