@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from itertools import combinations
 
-from .fields import Field, field_from_json, field_to_json
+from .fields import DivisionByZero, Field, field_from_json, field_to_json
 from .linalg import SpanSolver, rref_dense, sparse_nullspace, sparse_rank
 from .linmap import LinearMap
 
@@ -102,7 +102,9 @@ class Algebra:
         form: list[list] | None = None,
         meta: dict | None = None,
     ):
-        if dim < 1 or len(basis) != dim:
+        if dim < 1:
+            raise AlgebraError(f"dimension {dim} < 1: zero-dimensional algebras are not supported")
+        if len(basis) != dim:
             raise AlgebraError("dimension / basis mismatch")
         if flavor not in ("lie", "assoc", "super"):
             raise AlgebraError(f"unknown flavor {flavor!r}")
@@ -687,6 +689,8 @@ def _dot(F: Field, u, v):
 
 def make_special_linear(nmat: int, field: Field) -> Algebra:
     """sl(n) over the field, basis E_ij (i != j) then H_k = E_kk - E_{k+1,k+1}."""
+    if nmat < 2:
+        raise AlgebraError(f"sl({nmat}) is zero-dimensional: n must be at least 2")
     F = field
     pairs = [(i, j) for i in range(nmat) for j in range(nmat) if i != j]
     dim = nmat * nmat - 1
@@ -867,18 +871,34 @@ def algebra_to_json(alg: Algebra) -> dict:
     return data
 
 
+def _integer(value, what: str) -> int:
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise AlgebraError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def _scalar(field: Field, value, where: str):
+    try:
+        return field.coerce(value)
+    except (ValueError, TypeError, ZeroDivisionError, DivisionByZero) as exc:
+        raise AlgebraError(f"{where}: invalid scalar {value!r}") from exc
+
+
 def algebra_from_json(data: dict) -> Algebra:
     F = field_from_json(data["field"])
     products = {}
-    for entry in data.get("products", []):
-        i, j = int(entry["i"]), int(entry["j"])
-        products[(i, j)] = {int(k): F.coerce(v) for k, v in entry["terms"]}
+    for idx, entry in enumerate(data.get("products", [])):
+        where = f"products[{idx}]"
+        i, j = (_integer(entry[key], f"{where}: {key!r}") for key in ("i", "j"))
+        products[(i, j)] = {
+            _integer(k, f"{where}: term index"): _scalar(F, v, where) for k, v in entry["terms"]
+        }
     form = None
     if data.get("form") is not None:
-        form = [[F.coerce(v) for v in row] for row in data["form"]]
+        form = [[_scalar(F, v, "form") for v in row] for row in data["form"]]
     return Algebra(
         F,
-        int(data["dim"]),
+        _integer(data["dim"], "'dim'"),
         data["basis"],
         products,
         flavor=data.get("flavor", "lie"),

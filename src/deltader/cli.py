@@ -84,9 +84,16 @@ def parse_field(spec: str):
     raise InvalidField(f"unknown field spec {spec!r} (use Q or gf<p>)")
 
 
-def load_algebra(path: str):
+def read_json(path: str):
     with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: invalid JSON: {exc}") from exc
+
+
+def load_algebra(path: str):
+    data = read_json(path)
     for key in ("field", "dim", "basis"):
         if not isinstance(data, dict) or key not in data:
             raise AlgebraError(f"{path}: missing key {key!r}")
@@ -109,8 +116,7 @@ def load_algebra(path: str):
 def load_maps(path: str, alg):
     """Read linear maps from a solution-space JSON ({"basis": [...]}) or a
     plain {"maps": [[row strings]]} file; each map is a dim x dim matrix."""
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+    data = read_json(path)
     raw = data.get("basis", data.get("maps")) if isinstance(data, dict) else None
     if not isinstance(raw, list):
         raise ValueError(f"{path}: expected a JSON object with a 'basis' or 'maps' list")
@@ -166,6 +172,8 @@ def cmd_solve(args) -> int:
     alg = load_algebra(args.algebra)
     F = alg.field
     if args.parametric:
+        if args.delta is not None:
+            raise ValueError("--delta cannot be combined with --parametric, which treats delta as a parameter")
         result = solve_parametric(alg)
         print(f"generic dim = {result.generic_dim}")
         specials = ", ".join(
@@ -316,7 +324,6 @@ def main(argv=None) -> int:
         InvalidField,
         ValueError,
         OSError,
-        json.JSONDecodeError,
         KeyError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)

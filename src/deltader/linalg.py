@@ -6,6 +6,12 @@ field: rows are dicts {column: coefficient}.  The resulting reduced row
 space is canonical (independent of insertion order), which makes nullspace
 bases reproducible byte-for-byte.
 
+Nullspaces over Q are computed modulo word-size primes on that same RREF,
+then lifted: the residues are combined by the Chinese remainder theorem,
+turned back into fractions by rational reconstruction, and every basis
+vector is checked exactly against every row before it is returned.  This
+avoids the coefficient growth of fraction arithmetic in the pivot rows.
+
 For linear systems with a polynomial parameter we use one-step fraction-free
 (Bareiss) elimination with column pivoting: entries stay polynomials, no
 division by parameter-dependent quantities ever happens, and the last pivot
@@ -22,6 +28,7 @@ from .fields import (
     Field,
     PrimeField,
     Rationals,
+    _is_prime,
     poly_deg,
     poly_divmod,
     poly_eval,
@@ -88,7 +95,13 @@ def sparse_rref(rows, field: Field) -> dict[int, dict]:
 
 
 def sparse_nullspace(rows, ncols: int, field: Field) -> list[list]:
-    """Canonical nullspace basis (dense vectors) of a sparse homogeneous system."""
+    """Canonical nullspace basis (dense vectors) of a sparse homogeneous system.
+
+    The basis has one vector v_c per free column c of the RREF, with
+    v_c[c] = 1 and v_c zero on the other free columns.  Over Q it is found
+    modulo primes; see ``_rational_nullspace``."""
+    if isinstance(field, Rationals):
+        return _rational_nullspace(rows, ncols)
     F = field
     pivots = sparse_rref(rows, field)
     free = [c for c in range(ncols) if c not in pivots]
@@ -101,6 +114,117 @@ def sparse_nullspace(rows, ncols: int, field: Field) -> list[list]:
                 v[p] = F.neg(row[c])
         basis.append(v)
     return basis
+
+
+_PRIME_FIELDS: list[PrimeField] = []  # GF(p) for the primes found so far
+
+
+def _prime_fields():
+    """GF(p) for the primes p < 2**31, largest first."""
+    k = 0
+    while True:
+        if k == len(_PRIME_FIELDS):
+            n = (_PRIME_FIELDS[-1].p if _PRIME_FIELDS else 2**31) - 1
+            while not _is_prime(n):
+                n -= 1
+            _PRIME_FIELDS.append(PrimeField(n))
+        yield _PRIME_FIELDS[k]
+        k += 1
+
+
+def _rational_reconstruction(u: int, m: int):
+    """The fraction a/b with a = b*u (mod m) and |a|, b <= sqrt(m/2), or
+    None if there is none (Wang, 1981): the extended Euclidean algorithm on
+    (m, u), stopped at the first remainder within the bound."""
+    bound = math.isqrt(m // 2)
+    r0, r1, t0, t1 = m, u, 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
+    if abs(t1) > bound or math.gcd(r1, t1) != 1:
+        return None
+    return Fraction(r1, t1)
+
+
+def _annihilates(by_col: list[list], vec: dict) -> bool:
+    """Whether the rational vector {col: value} solves every integer row,
+    given the rows by column as (row index, value) lists."""
+    den = math.lcm(*(v.denominator for v in vec.values()))
+    sums: dict[int, int] = {}
+    for j, v in vec.items():
+        w = v.numerator * (den // v.denominator)
+        for i, a in by_col[j]:
+            sums[i] = sums.get(i, 0) + a * w
+    return not any(sums.values())
+
+
+def _rational_nullspace(rows, ncols: int) -> list[list]:
+    """``sparse_nullspace`` over Q, from the RREF modulo primes p < 2**31.
+
+    The rows are scaled to integers.  For p = p1 > p2 > ... the RREF over
+    GF(p) is computed; a prime is kept only if its pivot columns equal the
+    best list seen so far, where a higher rank wins and, at equal rank, the
+    lexicographically earlier list.  The entries -RREF[r][c] of the kept
+    primes are combined by CRT, rationally reconstructed, and each vector
+    v_c (1 at the free column c, the reconstructed entries at the pivot
+    rows r) is checked exactly against every integer row.  If all pass,
+    the basis is returned; otherwise the next prime is taken.
+
+    Why the answer is exact and equals the RREF basis over Q: for an
+    integer matrix rank_Q >= rank_p, so n - rank_p independent verified
+    kernel vectors (independent by their 1 at distinct free columns) are
+    the whole kernel, and rank_p = rank_Q.  Each v_c is supported on pivot
+    columns before c and on c itself, so column c depends on earlier
+    columns over Q and is free over Q as well: the free columns are exactly
+    those of the RREF over Q, and a kernel vector is determined by its free
+    coordinates, so each v_c equals the vector the Q RREF gives.
+
+    The loop terminates: only finitely many primes divide a pivot minor of
+    the Q RREF, every other prime has its pivot list (which no prime can
+    beat) and reduces its entries exactly, and the CRT modulus grows with
+    each prime kept until it exceeds twice the square of their sizes.
+    """
+    ints, by_col = [], [[] for _ in range(ncols)]
+    for row in rows:
+        den = math.lcm(*(v.denominator for v in row.values()))
+        row = {c: v.numerator * (den // v.denominator) for c, v in row.items() if v}
+        for c, v in row.items():
+            by_col[c].append((len(ints), v))
+        ints.append(row)
+    best, modulus, residues = None, 1, {}
+    for F in _prime_fields():
+        p = F.p
+        pivots = sparse_rref([{c: v % p for c, v in row.items()} for row in ints], F)
+        key = (-len(pivots), sorted(pivots))
+        if best is None or key < best:
+            best, modulus = key, 1
+            residues = {c: {} for c in range(ncols) if c not in pivots}
+        elif key > best:
+            continue  # p divides a pivot minor: its rank or pivots are off
+        # residues[c][r] = -RREF[r][c] modulo the product of the kept primes
+        lift = pow(modulus, -1, p)
+        for r, prow in pivots.items():
+            for c in prow:
+                if c != r:
+                    residues[c].setdefault(r, 0)
+        for c, vec in residues.items():
+            for r, x in vec.items():
+                vec[r] = x + modulus * ((-pivots[r].get(c, 0) - x) * lift % p)
+        modulus *= p
+        basis = []
+        for c, vec in residues.items():
+            v = {r: _rational_reconstruction(x, modulus) for r, x in vec.items()}
+            if None in v.values():
+                break
+            v[c] = Fraction(1)
+            if not _annihilates(by_col, v):
+                break
+            dense = [Fraction(0)] * ncols
+            for j, x in v.items():
+                dense[j] = x
+            basis.append(dense)
+        else:
+            return basis
 
 
 def sparse_rank(rows, field: Field) -> int:

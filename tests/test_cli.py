@@ -100,6 +100,81 @@ def test_out_of_range_index_rejected(tmp_path, capsys, command, entry, bad):
     assert err == f"error: {path}: product e_0 e_{entry['j']}: index {bad} outside range(2)\n"
 
 
+SL2 = {
+    "field": {"kind": "Q"}, "dim": 3, "flavor": "lie", "basis": ["e", "f", "h"],
+    "products": [
+        {"i": 0, "j": 1, "terms": [[2, "1"]]},
+        {"i": 0, "j": 2, "terms": [[0, "-2"]]},
+        {"i": 1, "j": 2, "terms": [[1, "2"]]},
+    ],
+}
+
+
+@pytest.mark.parametrize("command", [["validate"], ["solve", "--delta", "1"]], ids=["validate", "solve"])
+@pytest.mark.parametrize(
+    "change,message",
+    [
+        ("[", "invalid JSON: Expecting value: line 1 column 2 (char 1)"),
+        ({"products": 1, "term": [0, "x"]}, "products[1]: invalid scalar 'x'"),
+        ({"products": 2, "term": [1, "1/0"]}, "products[2]: invalid scalar '1/0'"),
+        ({"products": 0, "term": [2, 0.5]}, "products[0]: invalid scalar 0.5"),
+        ({"dim": "3"}, "'dim' must be an integer, got '3'"),
+        ({"dim": 3.0}, "'dim' must be an integer, got 3.0"),
+        ({"dim": True}, "'dim' must be an integer, got True"),
+        ({"products": 1, "i": 0.7}, "products[1]: 'i' must be an integer, got 0.7"),
+        ({"products": 2, "j": "2"}, "products[2]: 'j' must be an integer, got '2'"),
+        ({"products": 0, "term": ["2", "1"]}, "products[0]: term index must be an integer, got '2'"),
+    ],
+    ids=[
+        "json", "scalar", "zero-denominator", "float-scalar", "dim-string", "dim-float", "dim-bool",
+        "float-index", "string-index", "string-term-index",
+    ],
+)
+def test_bad_algebra_file_named(tmp_path, capsys, command, change, message):
+    """A malformed algebra file is an input error naming the file, and for
+    a product term also the product."""
+    data = json.loads(json.dumps(SL2))
+    if isinstance(change, str):
+        text = change
+    else:
+        change = dict(change)
+        if "products" in change:
+            entry = data["products"][change.pop("products")]
+            if "term" in change:
+                entry["terms"] = [change.pop("term")]
+            entry.update(change)
+        else:
+            data.update(change)
+        text = json.dumps(data)
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    code, out, err = run(capsys, command[0], str(path), *command[1:])
+    assert (code, out) == (2, "")
+    assert err == f"error: {path}: {message}\n"
+
+
+def test_sl2_file_is_valid(tmp_path, capsys):
+    path = tmp_path / "sl2.json"
+    path.write_text(json.dumps(SL2))
+    assert run(capsys, "solve", str(path), "--delta", "1") == (0, "dim = 3\n", "")
+
+
+def test_python_m_runs_the_cli(tmp_path):
+    import subprocess
+    import sys
+
+    import deltader
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(deltader.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = tmp_path / "sl2.json"
+    argv = [sys.executable, "-m", "deltader", "make", "sl", "--n", "2", "--out", str(out)]
+    proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, f"wrote {out} (dim = 3)\n", "")
+    proc = subprocess.run(argv[:3] + ["solve", str(out)], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2 and proc.stderr == "error: --delta is required unless --parametric is given\n"
+
+
 BAD_MAPS = {
     "list": [[["0"] * 5] * 5],
     "maps_not_list": {"maps": {"0": [["0"] * 5] * 5}},
@@ -124,12 +199,18 @@ BAD_MAPS = {
         (["grade", "{alg}", "{maps_not_list}", "--delta", "1"], "expected a JSON object with a 'basis' or 'maps' list"),
         (["grade", "{alg}", "{maps_5x3}", "--delta", "1"], "map 0 is not a 5 x 5 matrix"),
         (["grade", "{alg}", "{maps_null_entry}", "--delta", "1"], "not a scalar literal: None"),
+        (["grade", "{alg}", "{not_json}", "--delta", "1"], "not_json.json: invalid JSON: Expecting property name"),
+        (["make", "sl", "--n", "1"], "sl(1) is zero-dimensional: n must be at least 2"),
+        (["make", "sl", "--n", "0"], "sl(0) is zero-dimensional: n must be at least 2"),
+        (["make", "abelian", "--dim", "0"], "dimension 0 < 1: zero-dimensional algebras are not supported"),
+        (["solve", "{alg}", "--parametric", "--delta", "1"], "--delta cannot be combined with --parametric"),
     ],
     ids=[
         "zassenhaus-no-p", "divided-powers-no-p", "abelian-no-dim", "witt-no-support",
         "current-no-left", "current-no-right", "solve-zero-denominator", "grade-zero-denominator",
         "solve-denominator-divisible-by-p",
-        "maps-json-list", "maps-not-list", "maps-5x3", "maps-null-entry",
+        "maps-json-list", "maps-not-list", "maps-5x3", "maps-null-entry", "maps-invalid-json",
+        "sl1", "sl0", "abelian-dim-0", "parametric-with-delta",
     ],
 )
 def test_input_error_exit_2(tmp_path, capsys, argv, message):
@@ -139,6 +220,8 @@ def test_input_error_exit_2(tmp_path, capsys, argv, message):
     for name, obj in BAD_MAPS.items():
         files[name] = str(tmp_path / f"{name}.json")
         (tmp_path / f"{name}.json").write_text(json.dumps(obj))
+    files["not_json"] = str(tmp_path / "not_json.json")
+    (tmp_path / "not_json.json").write_text("{\n")
     argv = [a.format(**files) if a.startswith("{") else a for a in argv]
     if argv[0] == "make":
         argv += ["--out", str(tmp_path / "out.json")]

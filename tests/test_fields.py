@@ -11,10 +11,25 @@ from deltader.fields import (
     PrimeField,
     QuotientRing,
     Rationals,
+    _is_prime,
     field_from_json,
     field_to_json,
     parse_scalar,
 )
+
+
+def test_is_prime_matches_trial_division():
+    def trial(n):
+        return n >= 2 and all(n % d for d in range(2, int(n**0.5) + 1))
+
+    assert [n for n in range(-3, 30000) if _is_prime(n)] == [n for n in range(-3, 30000) if trial(n)]
+    # Carmichael numbers and strong pseudoprimes to the first 1 to 9 prime bases
+    for n in (561, 41041, 2047, 1373653, 25326001, 3215031751, 2152302898747,
+              3474749660383, 341550071728321, 3825123056546413051):
+        assert not _is_prime(n), n
+    for p in (2**31 - 1, 2147483629, 2**61 - 1):
+        assert _is_prime(p), p
+    assert not _is_prime((2**31 - 1) * 2147483629)
 
 
 FIELDS = [

@@ -1,0 +1,151 @@
+"""Nullspaces over Q from word-size primes against fraction arithmetic.
+
+``sparse_nullspace`` over Q eliminates modulo primes p < 2**31, lifts the
+RREF entries by CRT and rational reconstruction, and checks each basis
+vector exactly against every row.  The reference here is the canonical
+basis read off the RREF over Q in ``Fraction`` arithmetic from
+``sparse_rref``; the two must be equal, not merely span the same space.
+The hand-made systems defeat the first prime p1: one is rank-deficient
+mod p1, one moves its pivot column mod p1, and some need many primes.
+"""
+
+import itertools
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from deltader import linalg
+from deltader.fields import Rationals
+from deltader.linalg import dense_nullspace, kernel_of_map, sparse_nullspace, sparse_rref
+
+Q = Rationals()
+P1 = 2**31 - 1  # the largest prime below 2**31, tried first
+CEILING = 200  # primes; no system below needs more than 20 of them
+
+
+def fraction_nullspace(rows, ncols):
+    pivots = sparse_rref(rows, Q)
+    basis = []
+    for c in range(ncols):
+        if c in pivots:
+            continue
+        v = [Fraction(0)] * ncols
+        v[c] = Fraction(1)
+        for r, row in pivots.items():
+            if c in row:
+                v[r] = -row[c]
+        basis.append(v)
+    return basis
+
+
+def count_primes(monkeypatch):
+    """The primes of the eliminations ``sparse_nullspace`` makes, one each;
+    past CEILING the lift has failed to converge, so the test fails
+    instead of hanging."""
+    used = []
+
+    def counting(rows, field):
+        used.append(field.p)
+        if len(used) > CEILING:
+            raise AssertionError(f"no exact basis after {CEILING} primes")
+        return sparse_rref(rows, field)
+
+    monkeypatch.setattr(linalg, "sparse_rref", counting)
+    return used
+
+
+@pytest.fixture
+def primes_used(monkeypatch):
+    return count_primes(monkeypatch)
+
+
+def rows_of(*dense):
+    return [{c: Fraction(v) for c, v in enumerate(row) if v} for row in dense]
+
+
+def test_primes_are_the_largest_below_2_31():
+    got = [F.p for F in itertools.islice(linalg._prime_fields(), 4)]
+    assert got == [P1, 2147483629, 2147483587, 2147483579]
+
+
+def test_rank_deficient_mod_first_prime(primes_used):
+    # rank 2 over Q, rank 1 mod p1: p1's wider kernel must be discarded
+    rows = rows_of([1, 1, 0], [1, 1 + P1, 0])
+    assert sparse_nullspace(rows, 3, Q) == fraction_nullspace(rows, 3) == [[0, 0, 1]]
+    assert primes_used[0] == P1 and len(primes_used) == 2
+
+
+def test_full_rank_over_q_rank_deficient_mod_first_prime(primes_used):
+    rows = rows_of([1, 1], [1, 1 + P1])
+    assert sparse_nullspace(rows, 2, Q) == fraction_nullspace(rows, 2) == []
+
+
+def test_pivot_column_moves_mod_first_prime(primes_used):
+    # over Q the pivot is column 0 and the kernel (-1/p1, 1); mod p1 the
+    # pivot is column 1 and the kernel e0, which fails the exact check
+    rows = rows_of([P1, 1])
+    assert sparse_nullspace(rows, 2, Q) == fraction_nullspace(rows, 2) == [[Fraction(-1, P1), 1]]
+    assert primes_used[0] == P1 and len(primes_used) > 2
+    rows = rows_of([P1, 1, 0, 3], [0, 0, P1, 1])
+    assert sparse_nullspace(rows, 4, Q) == fraction_nullspace(rows, 4)
+
+
+def test_unlucky_prime_after_a_lucky_one(primes_used):
+    # p1 fixes the pivot list; p2 moves the pivot and must not be combined
+    p2 = 2147483629
+    rows = rows_of([p2, 1, 1], [0, 0, 2])
+    assert sparse_nullspace(rows, 3, Q) == fraction_nullspace(rows, 3) == [[Fraction(-1, p2), 1, 0]]
+    assert primes_used[:2] == [P1, p2] and len(primes_used) > 3
+
+
+def test_entries_of_80_bits(primes_used):
+    big = 2**80
+    rows = [
+        {0: Fraction(big + 1), 1: Fraction(3**50, 7), 3: Fraction(-1)},
+        {1: Fraction(big - 1, big + 3), 2: Fraction(5)},
+        {0: Fraction(1, big), 2: Fraction(big * 3 + 1), 3: Fraction(2)},
+    ]
+    basis = sparse_nullspace(rows, 5, Q)
+    assert basis == fraction_nullspace(rows, 5)
+    assert len(primes_used) > 3
+    assert max(abs(x.numerator) for v in basis for x in v) > 2**100
+
+
+def test_degenerate_systems(primes_used):
+    identity = [[Fraction(int(i == j)) for j in range(3)] for i in range(3)]
+    assert sparse_nullspace([], 3, Q) == identity
+    assert sparse_nullspace([{}, {1: Fraction(0)}], 3, Q) == identity
+    assert sparse_nullspace([], 0, Q) == sparse_nullspace([{}], 0, Q) == []
+    assert dense_nullspace([[Fraction(0)] * 3] * 2, Q) == identity
+    assert kernel_of_map([], Q) == []
+
+
+# numerators and denominators, small and of 64 to 80 bits, and p1 itself
+NUMERATORS = st.one_of(
+    st.integers(-4, 4), st.integers(-(2**80), 2**80), st.sampled_from([P1, -P1, 2 * P1, 2**64 + 13])
+)
+DENOMINATORS = st.sampled_from([1, 1, 1, 2, 3, 7, P1, 2**64 + 13, 3**50])
+
+
+@st.composite
+def rational_systems(draw):
+    ncols = draw(st.integers(1, 7))
+    rows = []
+    for _ in range(draw(st.integers(0, 7))):
+        cols = draw(st.lists(st.integers(0, ncols - 1), unique=True, max_size=4))
+        rows.append({c: Fraction(draw(NUMERATORS), draw(DENOMINATORS)) for c in cols})
+    # a row that repeats a combination of the others keeps the rank low
+    if len(rows) >= 2 and draw(st.booleans()):
+        a, b = draw(st.sampled_from([(1, 1), (2, -3), (P1, 1)]))
+        rows.append({c: a * rows[0].get(c, 0) + b * rows[1].get(c, 0) for c in rows[0].keys() | rows[1].keys()})
+    return rows, ncols
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(rational_systems())
+def test_random_systems_match_fraction_elimination(system):
+    rows, ncols = system
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        count_primes(monkeypatch)
+        assert sparse_nullspace(rows, ncols, Q) == fraction_nullspace(rows, ncols)

@@ -1,0 +1,136 @@
+"""Property tests of the pointwise solvers beyond hand-picked algebras.
+
+* On random sparse anticommutative algebras the canonical basis of Der_delta
+  equals the one of the dense oracle in ``conftest``.  Both are the basis
+  indexed by the free columns of the same kernel in the same coordinates
+  (D(e_i) = sum_k v[i n + k] e_k), so they must agree exactly, which also
+  compares the spans without the package's elimination.  Over Q the
+  structure constants include fractions and integers of 64 to 80 bits, so
+  the nullspace needs several primes.
+* The dimensions of Der_delta (delta = 1/2, 1, -1), of the centroid and of
+  the quasiderivations do not change under a random invertible change of
+  basis.  A rebased system is one dense block over Q or GF(7).
+"""
+
+import functools
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from deltader.algebras import Algebra, make_special_linear, make_witt_type, make_zassenhaus, validate
+from deltader.fields import PrimeField, Rationals
+from deltader.solver import solve_centroid, solve_delta_derivations, solve_quasiderivations
+
+from conftest import oracle_delta_derivations
+
+Q = Rationals()
+GF7 = PrimeField(7)
+
+Q_CONSTANTS = st.one_of(
+    st.integers(-3, 3).filter(bool),
+    st.builds(Fraction, st.integers(-5, 5).filter(bool), st.sampled_from([2, 3, 7])),
+    st.builds(lambda s, e, d: Fraction(s * (2**e + 1), d),
+              st.sampled_from([-1, 1]), st.integers(64, 80), st.sampled_from([1, 3, 2**64 + 13])),
+)
+
+
+@st.composite
+def sparse_algebras(draw, F):
+    """A sparse anticommutative algebra of dim 3-6 over F, with a delta of F."""
+    n = draw(st.integers(3, 6))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    coeffs = Q_CONSTANTS if F == Q else st.integers(1, F.p - 1)
+    products = {}
+    for pair in draw(st.lists(st.sampled_from(pairs), unique=True, min_size=1, max_size=2 * n)):
+        terms = draw(st.dictionaries(st.integers(0, n - 1), coeffs, min_size=1, max_size=2))
+        products[pair] = {k: F.coerce(c) for k, c in terms.items()}
+    if F == Q:
+        delta = draw(st.sampled_from([Fraction(-1), Fraction(0), Fraction(1, 2), Fraction(1), Fraction(2, 3)]))
+    else:
+        delta = draw(st.integers(0, F.p - 1))
+    return Algebra(F, n, [f"e{i}" for i in range(n)], products), F.coerce(delta)
+
+
+@pytest.mark.parametrize("F", [Q, PrimeField(5), GF7], ids=repr)
+@settings(derandomize=True, deadline=None, max_examples=25)
+@given(data=st.data())
+def test_delta_derivations_match_dense_oracle(F, data):
+    alg, delta = data.draw(sparse_algebras(F))
+    basis = [m.flat() for m in solve_delta_derivations(alg, delta).basis]
+    assert basis == oracle_delta_derivations(alg, delta)
+
+
+ALGEBRAS = {
+    "sl2/Q": lambda: make_special_linear(2, Q),
+    "sl2/GF7": lambda: make_special_linear(2, GF7),
+    "sl3/Q": lambda: make_special_linear(3, Q),
+    "sl3/GF7": lambda: make_special_linear(3, GF7),
+    "W11/GF7": lambda: make_zassenhaus(7, 1),
+    "wittZ5/Q": lambda: make_witt_type(Q, range(5), modulus=5),
+    "wittZ5/GF7": lambda: make_witt_type(GF7, range(5), modulus=5),
+}
+
+
+def dims(alg):
+    F = alg.field
+    der = [solve_delta_derivations(alg, F.coerce(d)).dim for d in (Fraction(1, 2), 1, -1)]
+    return der, solve_centroid(alg).dim, solve_quasiderivations(alg).dim
+
+
+@functools.cache
+def standard(name):
+    alg = ALGEBRAS[name]()
+    return alg, (validate(alg).ok, dims(alg))
+
+
+def change_basis(alg, ops, scales):
+    """``alg`` in the basis f_a = sum_i P[a][i] e_i, where P is the product
+    of the row operations ``ops`` (row i += t row j) and the row scalings
+    ``scales``; P^-1 is built alongside from the inverse operations."""
+    F = alg.field
+    n = alg.dim
+    P = [alg.unit_vector(i) for i in range(n)]
+    Pinv = [alg.unit_vector(i) for i in range(n)]
+    for i, j, t in ops:
+        # P <- (I + t E_ij) P and P^-1 <- P^-1 (I - t E_ij)
+        P[i] = [F.add(a, F.mul(t, b)) for a, b in zip(P[i], P[j])]
+        for row in Pinv:
+            row[j] = F.sub(row[j], F.mul(t, row[i]))
+    for i, s in enumerate(scales):
+        P[i] = [F.mul(s, a) for a in P[i]]
+        for row in Pinv:
+            row[i] = F.div(row[i], s)
+    products = {}
+    for a in range(n):
+        for b in range(a + 1, n):
+            v = alg.bracket(P[a], P[b])
+            terms = {}
+            for c in range(n):
+                s = F.zero()
+                for k in range(n):
+                    s = F.add(s, F.mul(v[k], Pinv[k][c]))
+                terms[c] = s
+            products[(a, b)] = terms
+    return Algebra(F, n, [f"f{i}" for i in range(n)], products)
+
+
+@st.composite
+def rebased(draw, name):
+    alg, expected = standard(name)
+    F, n = alg.field, alg.dim
+    units = [Fraction(1), Fraction(-1), Fraction(2), Fraction(-1, 2), Fraction(3)] if F == Q else range(1, 7)
+    unit = st.sampled_from([F.coerce(u) for u in units])
+    index = st.integers(0, n - 1)
+    ops = draw(st.lists(st.tuples(index, index, unit).filter(lambda o: o[0] != o[1]), min_size=n, max_size=2 * n))
+    scales = draw(st.lists(unit, min_size=n, max_size=n))
+    return change_basis(alg, ops, scales), expected
+
+
+@pytest.mark.parametrize("name", list(ALGEBRAS))
+@settings(derandomize=True, deadline=None, max_examples=3)
+@given(data=st.data())
+def test_dimensions_invariant_under_change_of_basis(name, data):
+    alg, expected = data.draw(rebased(name))
+    # Witt Z/5 over GF(7) is anticommutative but not Lie, in any basis
+    assert (validate(alg).ok, dims(alg)) == expected
