@@ -885,23 +885,37 @@ def _scalar(field: Field, value, where: str):
 
 
 def algebra_from_json(data: dict) -> Algebra:
-    F = field_from_json(data["field"])
+    spec = data["field"]
+    try:
+        F = field_from_json(spec)
+    except KeyError as exc:
+        raise AlgebraError(f"'field': missing key {exc}") from exc
+    except ValueError as exc:
+        raise AlgebraError(f"'field': {exc}") from exc
+    basis = data["basis"]
+    if not isinstance(basis, list) or not all(isinstance(b, str) for b in basis):
+        raise AlgebraError(f"'basis' must be a list of names, got {basis!r}")
     products = {}
     for idx, entry in enumerate(data.get("products", [])):
         where = f"products[{idx}]"
         i, j = (_integer(entry[key], f"{where}: {key!r}") for key in ("i", "j"))
-        products[(i, j)] = {
-            _integer(k, f"{where}: term index"): _scalar(F, v, where) for k, v in entry["terms"]
-        }
-    form = None
-    if data.get("form") is not None:
-        form = [[_scalar(F, v, "form") for v in row] for row in data["form"]]
+        terms = entry["terms"]
+        if not isinstance(terms, list) or not all(isinstance(t, list) and len(t) == 2 for t in terms):
+            raise AlgebraError(f"{where}: 'terms' must be a list of [index, scalar] pairs, got {terms!r}")
+        products[(i, j)] = {_integer(k, f"{where}: term index"): _scalar(F, v, where) for k, v in terms}
+    form, grading = data.get("form"), data.get("grading")
+    if form is not None:
+        if not isinstance(form, list) or not all(isinstance(row, list) for row in form):
+            raise AlgebraError(f"'form' must be a list of rows, got {form!r}")
+        form = [[_scalar(F, v, "form") for v in row] for row in form]
+    if grading is not None and not isinstance(grading, list):
+        raise AlgebraError(f"'grading' must be a list of parities, got {grading!r}")
     return Algebra(
         F,
         _integer(data["dim"], "'dim'"),
-        data["basis"],
+        basis,
         products,
         flavor=data.get("flavor", "lie"),
-        grading=data.get("grading"),
+        grading=grading,
         form=form,
     )

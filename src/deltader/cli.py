@@ -97,6 +97,8 @@ def load_algebra(path: str):
     for key in ("field", "dim", "basis"):
         if not isinstance(data, dict) or key not in data:
             raise AlgebraError(f"{path}: missing key {key!r}")
+    if not isinstance(data.get("products", []), list):
+        raise AlgebraError(f"{path}: 'products' must be a list")
     for idx, entry in enumerate(data.get("products", [])):
         for key in ("i", "j", "terms"):
             if not isinstance(entry, dict) or key not in entry:
@@ -155,6 +157,11 @@ def cmd_make(args) -> int:
         alg = make_osp12(parse_field(args.field))
     elif args.kind == "witt":
         field = parse_field(args.field)
+        if args.modulus and field.char != args.modulus:
+            raise ValueError(
+                f"Witt Z/{args.modulus} is Lie only in characteristic {args.modulus}, "
+                f"not over {args.field}"
+            )
         support = [int(s) for s in args.support.split(",")]
         alg = make_witt_type(field, support, modulus=args.modulus)
     elif args.kind == "current":

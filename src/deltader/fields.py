@@ -569,14 +569,21 @@ def field_to_json(field: Field) -> dict:
 
 
 def field_from_json(data: dict) -> Field:
+    if not isinstance(data, dict):
+        raise InvalidField(f'expected an object such as {{"kind": "Q"}}, got {data!r}')
     kind = data.get("kind")
     if kind == "Q":
         return Rationals()
     if kind == "GFp":
-        return PrimeField(int(data["p"]))
+        p = data["p"]
+        if not isinstance(p, int) or isinstance(p, bool):
+            raise InvalidField(f"p must be an integer, got {p!r}")
+        return PrimeField(p)
     if kind == "quot":
-        base = field_from_json(data["base"])
-        return QuotientRing(base, [base.coerce(c) for c in data["modulus"]])
+        base, modulus = field_from_json(data["base"]), data["modulus"]
+        if not isinstance(modulus, list):
+            raise InvalidField(f"modulus must be a list of coefficients, got {modulus!r}")
+        return QuotientRing(base, [base.coerce(c) for c in modulus])
     raise InvalidField(f"unknown field kind {kind!r}")
 
 

@@ -30,8 +30,14 @@ special values of delta where it jumps.  The pencil is eliminated one
 block at a time, a block being a connected component of its row/column
 incidence graph (for a graded algebra such as W(1, n), each block lies
 inside one degree shift of D).  Ranks add over the blocks at every delta,
-so the special values are all among the roots of the blocks' last
-fraction-free pivots, each a maximal nonvanishing minor of its block.
+so the special values are the points where some block's rank drops below
+its generic rank r.  Over GF(p) a block with more than three rows and
+columns is eliminated at each of the p field values.  Some r x r minor is
+a nonzero polynomial of degree at most r, which cannot vanish on all of
+GF(p) when r < p; so the largest of the p ranks is r when it reaches
+u = min(rows, columns), or when u < p.  Otherwise, and always over Q, the
+special values are among the base-field roots of the block's last
+fraction-free pivot, a maximal nonvanishing minor.
 """
 
 from __future__ import annotations
@@ -39,13 +45,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebras import Algebra, AlgebraError, GradingMissing, InvalidAction, ModuleAction
-from .fields import Field, FieldElement, QuotientRing, poly_trim
+from .fields import Field, FieldElement, PrimeField, QuotientRing, poly_eval, poly_trim
 from .linalg import (
     SpanSolver,
     base_field_roots,
     fraction_free_pivots,
     rref_dense,
     sparse_nullspace,
+    sparse_rref,
 )
 from .linmap import LinearMap
 
@@ -355,18 +362,53 @@ def _blocks(rows: list[dict]) -> list[list[dict]]:
     return list(blocks.values())
 
 
+def _block_spectrum(F: Field, block: list[dict]) -> tuple[int, list]:
+    """Generic rank of one pencil block and the base-field delta at which
+    its rank may drop.
+
+    Over GF(p), unless u = min(rows, columns) is at most 3, the block is
+    eliminated at each of the p field values.  No pointwise rank exceeds the
+    generic rank r <= u; if the largest is u, or u < p (see the module
+    docstring), it is r, and the candidates are exactly the points where the
+    rank is below it.  Otherwise, and always over Q, they are the base-field
+    roots of the last fraction-free pivot.
+    """
+    index = {c: k for k, c in enumerate(sorted({c for row in block for c in row}))}
+    u = min(len(index), len(block))
+    # at most three fraction-free steps with pivots of degree at most three
+    # cost less than p pointwise eliminations
+    if isinstance(F, PrimeField) and u > 3:
+        ranks = [
+            len(sparse_rref(({c: poly_eval(F, f, d) for c, f in row.items()} for row in block), F))
+            for d in range(F.p)
+        ]
+        top = max(ranks)
+        if top == u or u < F.p:
+            return top, [d for d, r in enumerate(ranks) if r < top]
+    dense = [[[] for _ in index] for _ in block]
+    for dense_row, row in zip(dense, block):
+        for c, f in row.items():
+            dense_row[index[c]] = f
+    rank, pivots = fraction_free_pivots(F, dense, len(index))
+    return rank, base_field_roots(F, pivots[-1])
+
+
 def solve_parametric(alg: Algebra) -> ParametricResult:
     """Generic nullspace dimension of the delta-derivation system over K[delta],
     plus the special base-field values of delta where the dimension jumps.
 
     The pencil splits into blocks: the connected components of its
     row/column incidence graph.  At every delta, generic or in the base
-    field, the rank of the pencil is the sum of the ranks of its blocks.
-    Fraction-free elimination of one block keeps all entries polynomial in
-    delta; its last pivot is an r x r minor of the block, r the block's
-    generic rank, so the block's rank drops only at a root of that pivot.
-    Every special delta is therefore a base-field root of some block's last
-    pivot, and each such root is confirmed by a pointwise solve.
+    field, the rank of the pencil is the sum of the ranks of its blocks, so
+    every special delta is a point where some block's rank drops.  Over
+    GF(p) a rank sweep of a block with more than three rows and columns
+    over the p field values finds its generic rank and those points
+    whenever the degree bound settles it: an r x r minor has degree at
+    most r, and a nonzero polynomial of degree below p does not vanish on
+    all of GF(p).  Otherwise fraction-free elimination keeps all entries
+    polynomial in delta; its last pivot is an r x r minor of the block, r
+    the block's generic rank, so the rank drops only at a root of that
+    pivot.  Each candidate is confirmed by a pointwise solve.
     """
     F = alg.field
     if isinstance(F, QuotientRing):
@@ -383,14 +425,9 @@ def solve_parametric(alg: Algebra) -> ParametricResult:
             pencil.append(row)
     rank, candidates = 0, set()
     for block in _blocks(pencil):
-        index = {c: k for k, c in enumerate(sorted({c for row in block for c in row}))}
-        dense = [[[] for _ in index] for _ in block]
-        for dense_row, row in zip(dense, block):
-            for c, f in row.items():
-                dense_row[index[c]] = f
-        block_rank, pivots = fraction_free_pivots(F, dense, len(index))
+        block_rank, block_candidates = _block_spectrum(F, block)
         rank += block_rank
-        candidates.update(base_field_roots(F, pivots[-1]))
+        candidates.update(block_candidates)
     generic = alg.dim * alg.dim - rank
     specials = []
     for cand in sorted(candidates):

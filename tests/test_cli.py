@@ -181,6 +181,16 @@ BAD_MAPS = {
     "maps_5x3": {"maps": [[["0"] * 3] * 5]},
     "maps_null_entry": {"maps": [[[None] * 5] * 5]},
 }
+BAD_ALGEBRAS = {
+    "field_string": dict(SL2, field="Q"),
+    "basis_string": dict(SL2, basis="efh"),
+    "term_single": dict(SL2, products=[{"i": 0, "j": 1, "terms": [[2]]}]),
+    "products_object": dict(SL2, products={"0": []}),
+    "p_float": dict(SL2, field={"kind": "GFp", "p": 7.9}),
+    "modulus_string": dict(SL2, field={"kind": "quot", "base": {"kind": "Q"}, "modulus": "201"}),
+    "form_number": dict(SL2, form=5),
+    "grading_number": dict(SL2, grading=5),
+}
 
 
 @pytest.mark.parametrize(
@@ -204,6 +214,20 @@ BAD_MAPS = {
         (["make", "sl", "--n", "0"], "sl(0) is zero-dimensional: n must be at least 2"),
         (["make", "abelian", "--dim", "0"], "dimension 0 < 1: zero-dimensional algebras are not supported"),
         (["solve", "{alg}", "--parametric", "--delta", "1"], "--delta cannot be combined with --parametric"),
+        (["make", "witt", "--support", "0,1,2,3,4", "--modulus", "5", "--field", "Q"],
+         "Witt Z/5 is Lie only in characteristic 5, not over Q"),
+        (["make", "witt", "--support", "0,1,2,3,4,5,6", "--modulus", "7", "--field", "gf5"],
+         "Witt Z/7 is Lie only in characteristic 7, not over gf5"),
+        (["validate", "{field_string}"], """field_string.json: 'field': expected an object such as {"kind": "Q"}, got 'Q'"""),
+        (["validate", "{basis_string}"], "basis_string.json: 'basis' must be a list of names, got 'efh'"),
+        (["solve", "{term_single}", "--delta", "1"],
+         "term_single.json: products[0]: 'terms' must be a list of [index, scalar] pairs, got [[2]]"),
+        (["validate", "{products_object}"], "products_object.json: 'products' must be a list"),
+        (["validate", "{p_float}"], "p_float.json: 'field': p must be an integer, got 7.9"),
+        (["validate", "{modulus_string}"],
+         "modulus_string.json: 'field': modulus must be a list of coefficients, got '201'"),
+        (["validate", "{form_number}"], "form_number.json: 'form' must be a list of rows, got 5"),
+        (["validate", "{grading_number}"], "grading_number.json: 'grading' must be a list of parities, got 5"),
     ],
     ids=[
         "zassenhaus-no-p", "divided-powers-no-p", "abelian-no-dim", "witt-no-support",
@@ -211,13 +235,15 @@ BAD_MAPS = {
         "solve-denominator-divisible-by-p",
         "maps-json-list", "maps-not-list", "maps-5x3", "maps-null-entry", "maps-invalid-json",
         "sl1", "sl0", "abelian-dim-0", "parametric-with-delta",
+        "witt-Z5-over-Q", "witt-Z7-over-GF5", "field-string", "basis-string", "term-single", "products-object",
+        "p-float", "modulus-string", "form-number", "grading-number",
     ],
 )
 def test_input_error_exit_2(tmp_path, capsys, argv, message):
     alg = tmp_path / "w11.json"
     assert run(capsys, "make", "zassenhaus", "--p", "5", "--out", str(alg))[0] == 0
     files = {"alg": str(alg)}
-    for name, obj in BAD_MAPS.items():
+    for name, obj in {**BAD_MAPS, **BAD_ALGEBRAS}.items():
         files[name] = str(tmp_path / f"{name}.json")
         (tmp_path / f"{name}.json").write_text(json.dumps(obj))
     files["not_json"] = str(tmp_path / "not_json.json")
@@ -229,6 +255,13 @@ def test_input_error_exit_2(tmp_path, capsys, argv, message):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and message in err and err.count("\n") == 1
+
+
+def test_make_witt_in_its_characteristic_validates(tmp_path, capsys):
+    path = str(tmp_path / "witt5.json")
+    argv = ["make", "witt", "--support", "0,1,2,3,4", "--modulus", "5", "--field", "gf5", "--out", path]
+    assert run(capsys, *argv) == (0, f"wrote {path} (dim = 5)\n", "")
+    assert run(capsys, "validate", path) == (0, "ok: dim = 5, flavor = lie\n", "")
 
 
 GOLDEN = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "golden")

@@ -1,19 +1,22 @@
 """The block-by-block parametric solver against the monolithic reference.
 
 ``solve_parametric`` eliminates each connected block of the delta-pencil on
-its own and takes its candidate delta from the roots of every block's last
-pivot.  The reference here is the plain monolithic algorithm: the whole
-pencil A + delta B densified to n^2(n-1)/2 x n^2, one fraction-free
-elimination, the base-field roots of its last pivot, and a pointwise solve
-at each root.  Both must give the same ``ParametricResult`` on the algebras
-of the parametric benchmark workload and on random sparse anticommutative
-algebras drawn with hypothesis.
+its own: over GF(p) by a rank sweep of the p field values where the degree
+bound settles the generic rank, otherwise from the roots of the block's
+last fraction-free pivot.  The reference here is the plain monolithic
+algorithm: the whole pencil A + delta B densified to n^2(n-1)/2 x n^2, one
+fraction-free elimination, the base-field roots of its last pivot, and a
+pointwise solve at each root.  Both must give the same ``ParametricResult``
+on the algebras of the parametric benchmark workload and on random sparse
+anticommutative algebras drawn with hypothesis.  The per-block sweep is
+also checked against fraction-free elimination and a dense Gauss-Jordan
+rank at every field point.
 """
 
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from deltader.algebras import (
     Algebra,
@@ -23,9 +26,17 @@ from deltader.algebras import (
     make_witt_type,
     make_zassenhaus,
 )
-from deltader.fields import PrimeField, Rationals, poly_trim
+from deltader.fields import PrimeField, Rationals, poly_eval, poly_trim
 from deltader.linalg import base_field_roots, fraction_free_pivots
-from deltader.solver import ParametricResult, _law_rows, solve_delta_derivations, solve_parametric
+from deltader.solver import (
+    ParametricResult,
+    _block_spectrum,
+    _law_rows,
+    solve_delta_derivations,
+    solve_parametric,
+)
+
+from conftest import dense_gauss_nullspace
 
 Q = Rationals()
 
@@ -106,6 +117,7 @@ PINNED = {
     "W12/GF5": (lambda: make_zassenhaus(5, 2), 0, [(1, 26), (3, 25)]),
     "sl4/Q": (lambda: make_special_linear(4, Q), 0, [(Fraction(1, 2), 1), (1, 15)]),
     "W11/GF11": (lambda: make_zassenhaus(11, 1), 0, [(1, 11), (6, 11)]),
+    "W12/GF7": (lambda: make_zassenhaus(7, 2), 0, [(1, 50), (4, 49)]),
 }
 
 
@@ -118,3 +130,56 @@ def test_parametric_pinned(name):
     for d, dim in specials:
         assert solve_delta_derivations(alg, d).dim == dim
     assert solve_delta_derivations(alg, 2).dim == generic
+
+
+def pointwise_rank(F, block, ncols, d):
+    """Rank of a pencil block at delta = d, by textbook Gauss-Jordan."""
+    rows = [[poly_eval(F, row.get(c, []), d) for c in range(ncols)] for row in block]
+    return ncols - len(dense_gauss_nullspace(F, rows, ncols))
+
+
+@st.composite
+def pencil_blocks(draw):
+    """Sparse rows {column: [a, b]} of a pencil a + delta b over GF(5) or
+    GF(7), with at least four rows and columns so that the sweep runs."""
+    F = draw(st.sampled_from([PrimeField(5), PrimeField(7)]))
+    ncols = draw(st.integers(4, 7))
+    entry = st.tuples(st.integers(0, F.p - 1), st.integers(0, F.p - 1)).filter(any)
+    block = [
+        {c: poly_trim(F, list(ab)) for c, ab in row.items()}
+        for row in draw(st.lists(
+            st.dictionaries(st.integers(0, ncols - 1), entry, min_size=1, max_size=3),
+            min_size=4, max_size=9,
+        ))
+    ]
+    assume(len({c for row in block for c in row}) >= 4)
+    return F, block, ncols
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(pencil_blocks())
+def test_block_sweep_matches_bareiss(drawn):
+    """The block's generic rank is the Bareiss rank, and its candidates hold
+    every point where the rank drops and lie among the roots of the last
+    fraction-free pivot, so both give the same confirmed special delta."""
+    F, block, ncols = drawn
+    rank, candidates = _block_spectrum(F, block)
+    dense = [[row.get(c, []) for c in range(ncols)] for row in block]
+    bareiss_rank, pivots = fraction_free_pivots(F, dense, ncols)
+    roots = base_field_roots(F, pivots[-1])
+    assert rank == bareiss_rank
+    drops = [d for d in range(F.p) if pointwise_rank(F, block, ncols, d) < rank]
+    assert set(drops) <= set(candidates) <= set(roots)
+
+
+def test_block_rank_below_every_field_point_needs_bareiss():
+    """diag(delta - a) for a = 0..4 over GF(5), joined by a unit
+    superdiagonal, has determinant delta^5 - delta: generic rank 5, but
+    rank 4 at each of the five field points, so no sweep can see rank 5."""
+    F = PrimeField(5)
+    block = [{i: [F.neg(i), 1]} for i in range(5)]
+    for i in range(4):
+        block[i][i + 1] = [1]
+    assert all(pointwise_rank(F, block, 5, d) == 4 for d in range(5))
+    rank, candidates = _block_spectrum(F, block)
+    assert (rank, sorted(candidates)) == (5, [0, 1, 2, 3, 4])
