@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from itertools import combinations
 
-from .fields import DivisionByZero, Field, field_from_json, field_to_json
+from .fields import Field, field_from_json, field_to_json, parse_scalar
 from .linalg import SpanSolver, rref_dense, sparse_nullspace, sparse_rank
 from .linmap import LinearMap
 
@@ -146,11 +146,6 @@ class Algebra:
                     raise AlgebraError(
                         f"product e_{i} e_{j} violates the grading at e_{k}"
                     )
-
-    def parity(self, i: int) -> int:
-        if self.grading is None:
-            raise GradingMissing("algebra is not graded")
-        return self.grading[i]
 
     def product(self, i: int, j: int) -> dict:
         """e_i e_j as {k: coeff}, synthesizing the storage sign rule."""
@@ -528,43 +523,45 @@ def make_divided_powers(p: int, n: int) -> Algebra:
     return Algebra(F, N, [f"x^{i}" for i in range(N)], products, flavor="assoc")
 
 
+def _tensor_products(L: Algebra, basis: list, second, square: list) -> dict:
+    """Structure constants of a tensor product with L.
+
+    ``basis`` lists the basis vectors x_i (x) a as pairs (i, a);
+    [x_i (x) a, x_j (x) b] = [x_i, x_j] (x) second(a, b), where ``second``
+    returns {c: scalar} and x_k (x) c is looked up in ``basis``.  Products
+    are taken for positions p < q, and for p = q where ``square[p]``.
+    """
+    F = L.field
+    index = {b: p for p, b in enumerate(basis)}
+    products = {}
+    for p, (i, a) in enumerate(basis):
+        for q in range(p if square[p] else p + 1, len(basis)):
+            j, b = basis[q]
+            ab = second(a, b)
+            if not ab:
+                continue
+            terms = {}
+            for k, x in L.product(i, j).items():
+                for c, y in ab.items():
+                    key = index[k, c]
+                    terms[key] = F.add(terms.get(key, F.zero()), F.mul(x, y))
+            if terms:
+                products[p, q] = terms
+    return products
+
+
 def make_current(L: Algebra, A: Algebra) -> Algebra:
     """Current algebra L (x) A: [x (x) a, y (x) b] = [x, y] (x) ab."""
     if L.flavor not in ("lie", "super") or A.flavor != "assoc":
         raise FlavorMismatch("need (anti)commutative L and associative commutative A")
     if L.field != A.field:
         raise FlavorMismatch("tensor factors must share the field")
-    F = L.field
-    nL, nA = L.dim, A.dim
-    dim = nL * nA
-
-    def idx(i, a):
-        return i * nA + a
-
-    grading = None
-    if L.grading is not None:
-        grading = [L.grading[p // nA] for p in range(dim)]
-    products = {}
-    for p1 in range(dim):
-        i, a = divmod(p1, nA)
-        lo = p1 if L.flavor == "super" else p1 + 1
-        for p2 in range(lo, dim):
-            j, b = divmod(p2, nA)
-            if p1 == p2 and not (grading and grading[p1]):
-                continue
-            terms = {}
-            lp = L.product(i, j)
-            ap = A.product(a, b)
-            for k, c1 in lp.items():
-                for c, c2 in ap.items():
-                    key = idx(k, c)
-                    v = F.mul(c1, c2)
-                    terms[key] = F.add(terms.get(key, F.zero()), v)
-            terms = {k: v for k, v in terms.items() if not F.is_zero(v)}
-            if terms:
-                products[(p1, p2)] = terms
-    names = [f"{L.basis[p // nA]}*{A.basis[p % nA]}" for p in range(dim)]
-    return Algebra(F, dim, names, products, flavor=L.flavor, grading=grading)
+    basis = [(i, a) for i in range(L.dim) for a in range(A.dim)]
+    grading = None if L.grading is None else [L.grading[i] for i, _ in basis]
+    square = [L.flavor == "super" and L.grading[i] == 1 for i, _ in basis]
+    products = _tensor_products(L, basis, A.product, square)
+    names = [f"{L.basis[i]}*{A.basis[a]}" for i, a in basis]
+    return Algebra(L.field, len(basis), names, products, flavor=L.flavor, grading=grading)
 
 
 def make_semidirect(L: Algebra, M: ModuleAction) -> Algebra:
@@ -597,31 +594,17 @@ def make_deformed_zassenhaus(p: int, n: int) -> Algebra:
     W = make_zassenhaus(p, 1)
     O = make_divided_powers(p, n - 1)
     cur = make_current(W, O)
-    F = cur.field
     nO = O.dim
     top = (p - 1) * nO  # index of e_{p-2} (x) x^0
-    products = {k: dict(v) for k, v in cur.products.items()}
-    # e_{-1} (x) x^a has global index a (e_{-1} is the first W basis vector)
+    # e_{-1} (x) x^a has global index a (e_{-1} is the first W basis vector).
+    # [e_{-1}, e_{-1}] = 0, so a pair of these carries only the cocycle
+    # x^a d(x^b) - x^b d(x^a) with d(x^i) = x^{i-1}, which lies in O only
+    # while a + b - 1 < nO.
     for a in range(nO):
-        for b in range(a + 1, nO):
-            # a d(b) - b d(a) with d(x^i) = x^{i-1}
-            val = 0
-            tgt = a + b - 1
-            if tgt < nO:
-                val = (binom_mod_p(a + b - 1, b - 1, p) if b >= 1 else 0) - (
-                    binom_mod_p(a + b - 1, a - 1, p) if a >= 1 else 0
-                )
-                val %= p
-            if val and tgt < nO:
-                key = (a, b)
-                terms = products.setdefault(key, {})
-                tk = top + tgt
-                terms[tk] = F.add(terms.get(tk, F.zero()), F.from_int(val))
-                if F.is_zero(terms[tk]):
-                    del terms[tk]
-                if not terms:
-                    del products[key]
-    alg = Algebra(F, cur.dim, cur.basis, products)
+        for b in range(a + 1, min(nO, nO - a + 1)):
+            val = binom_mod_p(a + b - 1, b - 1, p) - binom_mod_p(a + b - 1, a - 1, p)
+            cur.products[a, b] = {top + a + b - 1: cur.field.from_int(val)}
+    alg = Algebra(cur.field, cur.dim, cur.basis, cur.products)
     rep = validate(alg, "jacobi")
     if not rep.ok:
         raise AlgebraError(f"deformation broke Jacobi at {rep.violations[0][0]}")
@@ -632,29 +615,18 @@ def make_derivation_algebra(A: Algebra, partial: LinearMap) -> Algebra:
     """The Lie algebra A d of derivations a.d with [a d, b d] = (a d(b) - b d(a)) d."""
     if A.flavor != "assoc":
         raise FlavorMismatch("A must be associative commutative")
+    from .solver import is_delta_derivation  # solver imports this module
+
+    if not is_delta_derivation(A, partial, 1):
+        raise NotADerivation("the map fails the Leibniz rule")
     F = A.field
     n = A.dim
-    for i in range(n):
-        for j in range(n):
-            lhs = partial.apply(A.product_vec(i, j))
-            di = partial.apply(A.unit_vector(i))
-            dj = partial.apply(A.unit_vector(j))
-            rhs = A.bracket(di, A.unit_vector(j))
-            t = A.bracket(A.unit_vector(i), dj)
-            rhs = [F.add(x, y) for x, y in zip(rhs, t)]
-            if any(not F.eq(x, y) for x, y in zip(lhs, rhs)):
-                raise NotADerivation(f"Leibniz fails on (x_{i}, x_{j})")
+    d = partial.rows
     products = {}
     for i in range(n):
         for j in range(i + 1, n):
-            dj = partial.apply(A.unit_vector(j))
-            di = partial.apply(A.unit_vector(i))
-            vec = A.bracket(A.unit_vector(i), dj)
-            t = A.bracket(A.unit_vector(j), di)
-            vec = [F.sub(x, y) for x, y in zip(vec, t)]
-            terms = {k: c for k, c in enumerate(vec) if not F.is_zero(c)}
-            if terms:
-                products[(i, j)] = terms
+            vec = zip(A.bracket(A.unit_vector(i), d[j]), A.bracket(A.unit_vector(j), d[i]))
+            products[i, j] = {k: F.sub(x, y) for k, (x, y) in enumerate(vec)}
     alg = Algebra(F, n, [f"{A.basis[i]}.d" for i in range(n)], products)
     rep = validate(alg, "jacobi")
     if not rep.ok:
@@ -669,66 +641,43 @@ def make_elduque4(field: Field) -> Algebra:
     return Algebra(field, 4, ["a", "u", "v", "w"], products)
 
 
-def _mat_mul(F: Field, A, B):
-    n = len(A)
-    return [
-        [
-            _dot(F, [A[i][k] for k in range(n)], [B[k][j] for k in range(n)])
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
-
-
-def _dot(F: Field, u, v):
-    s = F.zero()
-    for a, b in zip(u, v):
-        s = F.add(s, F.mul(a, b))
-    return s
-
-
 def make_special_linear(nmat: int, field: Field) -> Algebra:
-    """sl(n) over the field, basis E_ij (i != j) then H_k = E_kk - E_{k+1,k+1}."""
+    """sl(n) over the field, basis E_ij (i != j) then H_k = E_kk - E_{k+1,k+1}.
+
+    Basis matrices are sparse {(row, col): c} and products follow the
+    matrix-unit rule E_ij E_kl = [j = k] E_il, so each commutator costs O(1).
+    A commutator is traceless; its H-coordinates are the partial sums
+    m_00 + ... + m_kk of its diagonal.
+    """
     if nmat < 2:
         raise AlgebraError(f"sl({nmat}) is zero-dimensional: n must be at least 2")
     F = field
+    one, zero = F.one(), F.zero()
     pairs = [(i, j) for i in range(nmat) for j in range(nmat) if i != j]
-    dim = nmat * nmat - 1
-
-    def emat(i, j):
-        m = [[F.zero()] * nmat for _ in range(nmat)]
-        m[i][j] = F.one()
-        return m
-
-    mats = [emat(i, j) for (i, j) in pairs]
-    for k in range(nmat - 1):
-        m = [[F.zero()] * nmat for _ in range(nmat)]
-        m[k][k] = F.one()
-        m[k + 1][k + 1] = F.neg(F.one())
-        mats.append(m)
+    index = {ij: a for a, ij in enumerate(pairs)}
+    mats = [{ij: one} for ij in pairs]
+    mats += [{(k, k): one, (k + 1, k + 1): F.neg(one)} for k in range(nmat - 1)]
     names = [f"E{i}{j}" for (i, j) in pairs] + [f"H{k}" for k in range(nmat - 1)]
 
-    def decompose(m):
-        coeffs = [F.zero()] * dim
-        for idx, (i, j) in enumerate(pairs):
-            coeffs[idx] = m[i][j]
-        acc = F.zero()
-        for k in range(nmat - 1):
-            acc = F.add(acc, m[k][k])
-            coeffs[len(pairs) + k] = acc
-        return coeffs
+    def commutator(X, Y) -> dict:
+        m = {}
+        for P, Q, sign in ((X, Y, one), (Y, X, F.neg(one))):
+            for (i, k), x in P.items():
+                for (l, j), y in Q.items():
+                    if k == l:
+                        m[i, j] = F.add(m.get((i, j), zero), F.mul(sign, F.mul(x, y)))
+        return m
 
     products = {}
-    for a in range(dim):
-        for b in range(a + 1, dim):
-            ab = _mat_mul(F, mats[a], mats[b])
-            ba = _mat_mul(F, mats[b], mats[a])
-            comm = [[F.sub(x, y) for x, y in zip(r1, r2)] for r1, r2 in zip(ab, ba)]
-            coeffs = decompose(comm)
-            terms = {k: c for k, c in enumerate(coeffs) if not F.is_zero(c)}
-            if terms:
-                products[(a, b)] = terms
-    return Algebra(F, dim, names, products)
+    for a, b in combinations(range(len(mats)), 2):
+        m = commutator(mats[a], mats[b])
+        terms = {index[ij]: c for ij, c in sorted(m.items()) if ij[0] != ij[1]}
+        acc = zero
+        for k in range(nmat - 1):
+            acc = F.add(acc, m.get((k, k), zero))
+            terms[len(pairs) + k] = acc
+        products[a, b] = terms
+    return Algebra(F, len(mats), names, products)
 
 
 def make_osp12(field: Field) -> Algebra:
@@ -808,34 +757,15 @@ def make_grassmann_envelope(L: Algebra, m: int) -> Algebra:
         raise AlgebraError("need at least one Grassmann generator")
     F = L.field
     mono = {0: grassmann_monomials(m, 0), 1: grassmann_monomials(m, 1)}
-    basis = []  # (L index, monomial)
-    for i in range(L.dim):
-        for g in mono[L.grading[i]]:
-            basis.append((i, g))
-    index = {b: p for p, b in enumerate(basis)}
+    basis = [(i, g) for i in range(L.dim) for g in mono[L.grading[i]]]
+    signs = {sign: F.from_int(sign) for sign in (1, -1)}
+
+    def signed_product(g, h):
+        gh = grassmann_mul(g, h)
+        return {} if gh is None else {gh[1]: signs[gh[0]]}
+
     dim = len(basis)
-    products = {}
-    for p1 in range(dim):
-        i, g = basis[p1]
-        for p2 in range(p1 + 1, dim):
-            j, h = basis[p2]
-            gh = grassmann_mul(g, h)
-            if gh is None:
-                continue
-            sign, mono_out = gh
-            lp = L.product(i, j)
-            if not lp:
-                continue
-            terms = {}
-            for k, c in lp.items():
-                key = index.get((k, mono_out))
-                if key is None:
-                    continue  # parity-mismatched target cannot occur for graded L
-                v = F.mul(c, F.from_int(sign))
-                terms[key] = F.add(terms.get(key, F.zero()), v)
-            terms = {k: v for k, v in terms.items() if not F.is_zero(v)}
-            if terms:
-                products[(p1, p2)] = terms
+    products = _tensor_products(L, basis, signed_product, [False] * dim)
     names = [
         L.basis[i] + ("(x)1" if not g else "(x)g" + "g".join(str(t) for t in g))
         for i, g in basis
@@ -879,15 +809,26 @@ def _integer(value, what: str) -> int:
 
 def _scalar(field: Field, value, where: str):
     try:
-        return field.coerce(value)
-    except (ValueError, TypeError, ZeroDivisionError, DivisionByZero) as exc:
+        return parse_scalar(field, value)
+    except ValueError as exc:
         raise AlgebraError(f"{where}: invalid scalar {value!r}") from exc
 
 
 def algebra_from_json(data: dict) -> Algebra:
-    spec = data["field"]
+    """Read an algebra from its interchange form; every malformed input
+    raises :class:`AlgebraError` naming the key or product at fault."""
+    for key in ("field", "dim", "basis"):
+        if not isinstance(data, dict) or key not in data:
+            raise AlgebraError(f"missing key {key!r}")
+    entries = data.get("products", [])
+    if not isinstance(entries, list):
+        raise AlgebraError("'products' must be a list")
+    for idx, entry in enumerate(entries):
+        for key in ("i", "j", "terms"):
+            if not isinstance(entry, dict) or key not in entry:
+                raise AlgebraError(f"products[{idx}]: missing key {key!r}")
     try:
-        F = field_from_json(spec)
+        F = field_from_json(data["field"])
     except KeyError as exc:
         raise AlgebraError(f"'field': missing key {exc}") from exc
     except ValueError as exc:
@@ -896,7 +837,7 @@ def algebra_from_json(data: dict) -> Algebra:
     if not isinstance(basis, list) or not all(isinstance(b, str) for b in basis):
         raise AlgebraError(f"'basis' must be a list of names, got {basis!r}")
     products = {}
-    for idx, entry in enumerate(data.get("products", [])):
+    for idx, entry in enumerate(entries):
         where = f"products[{idx}]"
         i, j = (_integer(entry[key], f"{where}: {key!r}") for key in ("i", "j"))
         terms = entry["terms"]

@@ -94,15 +94,6 @@ def read_json(path: str):
 
 def load_algebra(path: str):
     data = read_json(path)
-    for key in ("field", "dim", "basis"):
-        if not isinstance(data, dict) or key not in data:
-            raise AlgebraError(f"{path}: missing key {key!r}")
-    if not isinstance(data.get("products", []), list):
-        raise AlgebraError(f"{path}: 'products' must be a list")
-    for idx, entry in enumerate(data.get("products", [])):
-        for key in ("i", "j", "terms"):
-            if not isinstance(entry, dict) or key not in entry:
-                raise AlgebraError(f"{path}: products[{idx}]: missing key {key!r}")
     try:
         alg = algebra_from_json(data)
     except AlgebraError as exc:

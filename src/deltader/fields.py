@@ -27,6 +27,7 @@ roots in K are the only candidates for special delta.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from typing import Iterable
 
@@ -111,9 +112,6 @@ class Field:
 
     def eq(self, a, b) -> bool:
         return self.is_zero(self.sub(a, b))
-
-    def element(self, value) -> "FieldElement":
-        return FieldElement(self, self.coerce(value))
 
     def coerce(self, value):
         """Turn an int, string, Fraction or payload into a canonical payload."""
@@ -583,21 +581,30 @@ def field_from_json(data: dict) -> Field:
         base, modulus = field_from_json(data["base"]), data["modulus"]
         if not isinstance(modulus, list):
             raise InvalidField(f"modulus must be a list of coefficients, got {modulus!r}")
-        return QuotientRing(base, [base.coerce(c) for c in modulus])
+        return QuotientRing(base, [parse_scalar(base, c) for c in modulus])
     raise InvalidField(f"unknown field kind {kind!r}")
 
 
+# decimal or exponent notation, which Fraction would read as an exact value
+_DECIMAL = re.compile(r"\s*[+-]?(\d+\.\d*|\.\d+|\d+(?=[eE]))([eE][+-]?\d+)?\s*")
+
+
 def parse_scalar(field: Field, text):
-    """Parse an exact scalar literal ("3", "-5/7", coefficient list)."""
-    if isinstance(text, str) and any(ch in text for ch in ".eE"):
-        raise ValueError(f"decimal literals are rejected, use exact fractions: {text!r}")
-    if isinstance(text, float):
-        raise ValueError(f"float scalars are rejected, use exact fractions: {text!r}")
+    """Parse an exact scalar literal: an integer, a fraction such as "-5/7",
+    or over a quotient ring a coefficient list of them.  Booleans, floats and
+    decimal or exponent notation ("0.5", "1e2") are rejected."""
+    for item in text if isinstance(text, list) else [text]:
+        if isinstance(item, bool):
+            raise ValueError(f"not a scalar literal: {text!r}")
+        if isinstance(item, float):
+            raise ValueError(f"float scalars are rejected, use exact fractions: {text!r}")
+        if isinstance(item, str) and _DECIMAL.fullmatch(item):
+            raise ValueError(f"decimal literals are rejected, use exact fractions: {text!r}")
     try:
         return field.coerce(text)
     except ZeroDivisionError as exc:
         raise ValueError(f"zero denominator in scalar literal {text!r}") from exc
     except DivisionByZero as exc:
         raise ValueError(f"scalar literal {text!r} has a denominator that is zero in {field!r}") from exc
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:
         raise ValueError(f"not a scalar literal: {text!r}") from exc

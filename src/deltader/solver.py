@@ -85,15 +85,16 @@ def _equation_pairs(alg: Algebra):
     """Basis pairs whose defining equation is assembled.
 
     For anticommutative algebras the (j, i) equation is the negative of the
-    (i, j) one, so i < j suffices; graded and associative flavors get all
-    ordered pairs (plus the odd diagonal) since reversal is not a global sign.
+    (i, j) one and e_i e_i = 0, so i < j suffices.  Graded and associative
+    flavors get all ordered pairs, since reversal is not a global sign, plus
+    the diagonal where a square may be nonzero: every (i, i) for "assoc"
+    (x_i x_i need not vanish), the odd ones for "super".
     """
     n = alg.dim
     if alg.flavor == "lie":
         return [(i, j) for i in range(n) for j in range(i + 1, n)]
     pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
-    if alg.flavor == "super":
-        pairs += [(i, i) for i in range(n) if alg.grading[i]]
+    pairs += [(i, i) for i in range(n) if alg.flavor == "assoc" or alg.grading[i]]
     return pairs
 
 

@@ -222,3 +222,23 @@ def test_abelian_center():
     ab = make_abelian(Q, 3)
     assert len(ab.center()) == 3
     assert len(ab.commutant()) == 0
+
+
+@pytest.mark.parametrize(
+    "change,message",
+    [
+        ({"drop": "dim"}, "missing key 'dim'"),
+        ({"products": {"0": []}}, "'products' must be a list"),
+        ({"products": [{"i": 0, "j": 1}]}, "products[0]: missing key 'terms'"),
+        ({"products": [{"i": 0, "j": 1, "terms": [[1, "0.5"]]}]}, "products[0]: invalid scalar '0.5'"),
+    ],
+    ids=["dim", "products-object", "terms", "decimal-term"],
+)
+def test_algebra_from_json_rejects_malformed_input(change, message):
+    """The library loader, not only the CLI, names what is wrong."""
+    data = {"field": {"kind": "Q"}, "dim": 2, "flavor": "lie", "basis": ["a", "b"], "products": []}
+    data.pop(change.pop("drop", None), None)
+    data.update(change)
+    with pytest.raises(AlgebraError) as exc:
+        algebra_from_json(data)
+    assert str(exc.value) == message

@@ -190,6 +190,10 @@ BAD_ALGEBRAS = {
     "modulus_string": dict(SL2, field={"kind": "quot", "base": {"kind": "Q"}, "modulus": "201"}),
     "form_number": dict(SL2, form=5),
     "grading_number": dict(SL2, grading=5),
+    "term_decimal": dict(SL2, products=[{"i": 0, "j": 1, "terms": [[2, "0.5"]]}]),
+    "term_bool": dict(SL2, products=[{"i": 0, "j": 1, "terms": [[2, True]]}]),
+    "form_exponent": dict(SL2, form=[["1e2", "0", "0"], ["0", "0", "0"], ["0", "0", "0"]]),
+    "modulus_decimal": dict(SL2, field={"kind": "quot", "base": {"kind": "Q"}, "modulus": ["0.5", "1"]}),
 }
 
 
@@ -228,6 +232,12 @@ BAD_ALGEBRAS = {
          "modulus_string.json: 'field': modulus must be a list of coefficients, got '201'"),
         (["validate", "{form_number}"], "form_number.json: 'form' must be a list of rows, got 5"),
         (["validate", "{grading_number}"], "grading_number.json: 'grading' must be a list of parities, got 5"),
+        (["validate", "{term_decimal}"], "term_decimal.json: products[0]: invalid scalar '0.5'"),
+        (["validate", "{term_bool}"], "term_bool.json: products[0]: invalid scalar True"),
+        (["validate", "{form_exponent}"], "form_exponent.json: form: invalid scalar '1e2'"),
+        (["validate", "{modulus_decimal}"],
+         "modulus_decimal.json: 'field': decimal literals are rejected, use exact fractions: '0.5'"),
+        (["solve", "{alg}", "--delta", "true"], "not a scalar literal: 'true'"),
     ],
     ids=[
         "zassenhaus-no-p", "divided-powers-no-p", "abelian-no-dim", "witt-no-support",
@@ -237,6 +247,7 @@ BAD_ALGEBRAS = {
         "sl1", "sl0", "abelian-dim-0", "parametric-with-delta",
         "witt-Z5-over-Q", "witt-Z7-over-GF5", "field-string", "basis-string", "term-single", "products-object",
         "p-float", "modulus-string", "form-number", "grading-number",
+        "term-decimal", "term-bool", "form-exponent", "modulus-decimal", "delta-true",
     ],
 )
 def test_input_error_exit_2(tmp_path, capsys, argv, message):

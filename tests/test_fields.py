@@ -129,6 +129,18 @@ def test_parse_scalar_exact():
             parse_scalar(Q, bad)
 
 
+def test_parse_scalar_grammar():
+    """Decimal and exponent notation is recognised by its form; booleans and
+    other words are not scalars at all."""
+    Q = Rationals()
+    for bad in ("0.5", "1e2", ".5", "3.", "-2E-3", ["1", "0.5"]):
+        with pytest.raises(ValueError, match="decimal literals are rejected"):
+            parse_scalar(Q, bad)
+    for bad in (True, False, "true", "1e", "abc", None):
+        with pytest.raises(ValueError, match="not a scalar literal"):
+            parse_scalar(Q, bad)
+
+
 def test_field_element_wrapper():
     Q = Rationals()
     a = FieldElement(Q, Fraction(1, 2))

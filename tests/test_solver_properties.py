@@ -7,6 +7,9 @@
   compares the spans without the package's elimination.  Over Q the
   structure constants include fractions and integers of 64 to 80 bits, so
   the nullspace needs several primes.
+* The same holds on commutative associative algebras, where the squares
+  x_i x_i enter the law, and their quasiderivations satisfy it on every
+  ordered pair.
 * The dimensions of Der_delta (delta = 1/2, 1, -1), of the centroid and of
   the quasiderivations do not change under a random invertible change of
   basis.  A rebased system is one dense block over Q or GF(7).
@@ -18,7 +21,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from deltader.algebras import Algebra, make_special_linear, make_witt_type, make_zassenhaus, validate
+from deltader.algebras import (
+    Algebra,
+    make_divided_powers,
+    make_special_linear,
+    make_witt_type,
+    make_zassenhaus,
+    validate,
+)
 from deltader.fields import PrimeField, Rationals
 from deltader.solver import solve_centroid, solve_delta_derivations, solve_quasiderivations
 
@@ -59,6 +69,44 @@ def test_delta_derivations_match_dense_oracle(F, data):
     alg, delta = data.draw(sparse_algebras(F))
     basis = [m.flat() for m in solve_delta_derivations(alg, delta).basis]
     assert basis == oracle_delta_derivations(alg, delta)
+
+
+def truncated_polynomials(F, k):
+    """F[x]/(x^k) in the basis 1, x, ..., x^(k-1)."""
+    products = {(i, j): {i + j: F.one()} for i in range(k) for j in range(i, k - i)}
+    return Algebra(F, k, [f"x^{i}" for i in range(k)], products, flavor="assoc")
+
+
+COMMUTATIVE = {
+    "O1(1)/GF5": lambda: make_divided_powers(5, 1),
+    "O1(1)/GF7": lambda: make_divided_powers(7, 1),
+    "Q[x]/(x^4)": lambda: truncated_polynomials(Q, 4),
+}
+
+
+@pytest.mark.parametrize("delta", [1, 2, 3, Fraction(1, 2)], ids=str)
+@pytest.mark.parametrize("name", list(COMMUTATIVE))
+def test_commutative_associative_match_dense_oracle(name, delta):
+    alg = COMMUTATIVE[name]()
+    delta = alg.field.coerce(delta)
+    basis = [m.flat() for m in solve_delta_derivations(alg, delta).basis]
+    assert basis == oracle_delta_derivations(alg, delta)
+
+
+@pytest.mark.parametrize("name,dim", [("O1(1)/GF5", 10), ("O1(1)/GF7", 14)])
+def test_commutative_quasiderivations_satisfy_the_law(name, dim):
+    """F(x_i x_j) = D(x_i) x_j + x_i D(x_j) on all ordered pairs, squares included."""
+    alg = COMMUTATIVE[name]()
+    F = alg.field
+    space = solve_quasiderivations(alg)
+    assert space.dim == dim
+    for D, Fm in space.basis:
+        for i in range(alg.dim):
+            for j in range(alg.dim):
+                lhs = Fm.apply(alg.product_vec(i, j))
+                t1 = alg.bracket(D.rows[i], alg.unit_vector(j))
+                t2 = alg.bracket(alg.unit_vector(i), D.rows[j])
+                assert lhs == [F.add(a, b) for a, b in zip(t1, t2)]
 
 
 ALGEBRAS = {
