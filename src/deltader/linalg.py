@@ -6,6 +6,13 @@ field: rows are dicts {column: coefficient}.  The resulting reduced row
 space is canonical (independent of insertion order), which makes nullspace
 bases reproducible byte-for-byte.
 
+Such systems also fall apart into many small blocks, the connected
+components of the row/column incidence graph, and nullspaces are found one
+block at a time.  No block shares a column with another, so the RREFs of
+the blocks, taken together, form an RREF of the whole system, and by
+uniqueness the RREF: the basis is the one a single elimination would give,
+while each new pivot clears its column only from the pivots of its block.
+
 Nullspaces over Q are computed modulo word-size primes on that same RREF,
 then lifted: the residues are combined by the Chinese remainder theorem,
 turned back into fractions by rational reconstruction, and every basis
@@ -94,26 +101,58 @@ def sparse_rref(rows, field: Field) -> dict[int, dict]:
     return pivots
 
 
+def _blocks(rows) -> list[list[dict]]:
+    """The nonempty rows grouped by connected component of the incidence
+    graph in which a row meets every column it has an entry in, each block
+    in the order of its first row and keeping the order of its rows."""
+    rows = [row for row in rows if row]
+    parent = {c: c for row in rows for c in row}
+
+    def find(c):
+        while parent[c] != c:
+            parent[c] = parent[parent[c]]
+            c = parent[c]
+        return c
+
+    for row in rows:
+        cols = iter(row)
+        r = find(next(cols))
+        for c in cols:
+            if parent[c] != r:
+                s = find(c)
+                if s != r:
+                    parent[s] = r
+    blocks: dict = {}
+    for row in rows:
+        blocks.setdefault(find(next(iter(row))), []).append(row)
+    return list(blocks.values())
+
+
 def sparse_nullspace(rows, ncols: int, field: Field) -> list[list]:
     """Canonical nullspace basis (dense vectors) of a sparse homogeneous system.
 
     The basis has one vector v_c per free column c of the RREF, with
-    v_c[c] = 1 and v_c zero on the other free columns.  Over Q it is found
-    modulo primes; see ``_rational_nullspace``."""
+    v_c[c] = 1 and v_c zero on the other free columns.  Each block of the
+    system (see ``_blocks``) is eliminated on its own; the union of the
+    block RREFs is the RREF of the system, since no two blocks share a
+    column, so the basis is the same as from one elimination of all rows.
+    Columns in no row are free.  Over Q it is found modulo primes; see
+    ``_rational_nullspace``."""
     if isinstance(field, Rationals):
         return _rational_nullspace(rows, ncols)
     F = field
-    pivots = sparse_rref(rows, field)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for c in free:
-        v = [F.zero()] * ncols
+    pivots = {}
+    for block in _blocks(rows):
+        pivots.update(sparse_rref(block, F))
+    basis = {c: [F.zero()] * ncols for c in range(ncols) if c not in pivots}
+    for c, v in basis.items():
         v[c] = F.one()
-        for p, row in pivots.items():
-            if c in row:
-                v[p] = F.neg(row[c])
-        basis.append(v)
-    return basis
+    # a pivot row's other columns are all free
+    for p, row in pivots.items():
+        for c, x in row.items():
+            if c != p:
+                basis[c][p] = F.neg(x)
+    return list(basis.values())
 
 
 _PRIME_FIELDS: list[PrimeField] = []  # GF(p) for the primes found so far
@@ -161,10 +200,11 @@ def _annihilates(by_col: list[list], vec: dict) -> bool:
 def _rational_nullspace(rows, ncols: int) -> list[list]:
     """``sparse_nullspace`` over Q, from the RREF modulo primes p < 2**31.
 
-    The rows are scaled to integers.  For p = p1 > p2 > ... the RREF over
-    GF(p) is computed; a prime is kept only if its pivot columns equal the
-    best list seen so far, where a higher rank wins and, at equal rank, the
-    lexicographically earlier list.  The entries -RREF[r][c] of the kept
+    The rows are scaled to integers and split into blocks once.  For
+    p = p1 > p2 > ... the RREF over GF(p) is computed block by block (see
+    ``sparse_nullspace``); a prime is kept only if its pivot columns equal
+    the best list seen so far, where a higher rank wins and, at equal rank,
+    the lexicographically earlier list.  The entries -RREF[r][c] of the kept
     primes are combined by CRT, rationally reconstructed, and each vector
     v_c (1 at the free column c, the reconstructed entries at the pivot
     rows r) is checked exactly against every integer row.  If all pass,
@@ -191,10 +231,13 @@ def _rational_nullspace(rows, ncols: int) -> list[list]:
         for c, v in row.items():
             by_col[c].append((len(ints), v))
         ints.append(row)
+    blocks = _blocks(ints)
     best, modulus, residues = None, 1, {}
     for F in _prime_fields():
         p = F.p
-        pivots = sparse_rref([{c: v % p for c, v in row.items()} for row in ints], F)
+        pivots = {}
+        for block in blocks:
+            pivots.update(sparse_rref([{c: v % p for c, v in row.items()} for row in block], F))
         key = (-len(pivots), sorted(pivots))
         if best is None or key < best:
             best, modulus = key, 1

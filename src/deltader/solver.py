@@ -22,22 +22,26 @@ choose the coefficients:
 - module-valued delta-derivations D: L -> M: X = D, a = b = delta, with
   e_i v the action on M and v e_j = -(e_j v).
 
-The super variants add the constraints that make the map homogeneous.  The
+The super variants add the constraints that make the map homogeneous.
+
+Every system, pointwise or parametric, is eliminated one block at a time,
+a block being a connected component of its row/column incidence graph
+(for a graded algebra such as W(1, n), each block lies inside one degree
+shift of D; current algebras and Grassmann envelopes split into hundreds
+of blocks).  A pointwise solve gets the same canonical basis as from one
+elimination of the whole system (see ``linalg.sparse_nullspace``).  The
 parametric solver treats delta as an indeterminate: its system is the
 pencil A + delta B, with A the law at delta = 0 and B the law at delta = 1
 minus A.  It finds the generic solution dimension together with the
-special values of delta where it jumps.  The pencil is eliminated one
-block at a time, a block being a connected component of its row/column
-incidence graph (for a graded algebra such as W(1, n), each block lies
-inside one degree shift of D).  Ranks add over the blocks at every delta,
-so the special values are the points where some block's rank drops below
-its generic rank r.  Over GF(p) a block with more than three rows and
-columns is eliminated at each of the p field values.  Some r x r minor is
-a nonzero polynomial of degree at most r, which cannot vanish on all of
-GF(p) when r < p; so the largest of the p ranks is r when it reaches
-u = min(rows, columns), or when u < p.  Otherwise, and always over Q, the
-special values are among the base-field roots of the block's last
-fraction-free pivot, a maximal nonvanishing minor.
+special values of delta where it jumps.  Ranks add over the blocks at
+every delta, so the special values are the points where some block's rank
+drops below its generic rank r.  Over GF(p) a block with more than three
+rows and columns is eliminated at each of the p field values.  Some r x r
+minor is a nonzero polynomial of degree at most r, which cannot vanish on
+all of GF(p) when r < p; so the largest of the p ranks is r when it
+reaches u = min(rows, columns), or when u < p.  Otherwise, and always
+over Q, the special values are among the base-field roots of the block's
+last fraction-free pivot, a maximal nonvanishing minor.
 """
 
 from __future__ import annotations
@@ -45,9 +49,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebras import Algebra, AlgebraError, GradingMissing, InvalidAction, ModuleAction
-from .fields import Field, FieldElement, PrimeField, QuotientRing, poly_eval, poly_trim
+from .fields import Field, FieldElement, PrimeField, QuotientRing, poly_trim
 from .linalg import (
     SpanSolver,
+    _blocks,
     base_field_roots,
     fraction_free_pivots,
     rref_dense,
@@ -342,27 +347,6 @@ class ParametricResult:
         }
 
 
-def _blocks(rows: list[dict]) -> list[list[dict]]:
-    """The rows grouped by connected component of the incidence graph in
-    which a row meets every column it has a nonzero entry in."""
-    parent = {c: c for row in rows for c in row}
-
-    def find(c):
-        while parent[c] != c:
-            parent[c] = parent[parent[c]]
-            c = parent[c]
-        return c
-
-    for row in rows:
-        first, *rest = row
-        for c in rest:
-            parent[find(c)] = find(first)
-    blocks: dict = {}
-    for row in rows:
-        blocks.setdefault(find(next(iter(row))), []).append(row)
-    return list(blocks.values())
-
-
 def _block_spectrum(F: Field, block: list[dict]) -> tuple[int, list]:
     """Generic rank of one pencil block and the base-field delta at which
     its rank may drop.
@@ -379,10 +363,14 @@ def _block_spectrum(F: Field, block: list[dict]) -> tuple[int, list]:
     # at most three fraction-free steps with pivots of degree at most three
     # cost less than p pointwise eliminations
     if isinstance(F, PrimeField) and u > 3:
-        ranks = [
-            len(sparse_rref(({c: poly_eval(F, f, d) for c, f in row.items()} for row in block), F))
-            for d in range(F.p)
-        ]
+        ranks = []
+        for d in range(F.p):
+            # the entries are [a] or [a, b], that is a + b delta
+            at_d = (
+                {c: F.add(f[0], F.mul(f[1], d)) if len(f) > 1 else f[0] for c, f in row.items()}
+                for row in block
+            )
+            ranks.append(len(sparse_rref(at_d, F)))
         top = max(ranks)
         if top == u or u < F.p:
             return top, [d for d, r in enumerate(ranks) if r < top]
@@ -422,8 +410,7 @@ def solve_parametric(alg: Algebra) -> ParametricResult:
         for c in a_row.keys() | ab_row.keys():
             a = a_row.get(c, F.zero())
             row[c] = poly_trim(F, [a, F.sub(ab_row.get(c, F.zero()), a)])
-        if row:
-            pencil.append(row)
+        pencil.append(row)
     rank, candidates = 0, set()
     for block in _blocks(pencil):
         block_rank, block_candidates = _block_spectrum(F, block)

@@ -1,6 +1,11 @@
 import random
 from fractions import Fraction
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from deltader import solver
+from deltader.algebras import make_grassmann_envelope, make_special_linear
 from deltader.fields import PrimeField, Rationals, poly_mul
 from deltader.linalg import (
     SpanSolver,
@@ -11,8 +16,11 @@ from deltader.linalg import (
     kernel_of_map,
     rref_dense,
     same_span,
+    sparse_nullspace,
     sparse_rank,
+    sparse_rref,
 )
+from deltader.superstd import load_fixture
 
 from conftest import dense_gauss_nullspace
 
@@ -160,3 +168,75 @@ def test_fraction_free_pivots_parametric():
     for piv in pivots:
         roots.update(base_field_roots(F, piv))
     assert {Fraction(1), Fraction(-1)} <= roots
+
+
+# ---------------------------------------------------------------------------
+# block-by-block nullspaces
+
+BLOCK_FIELDS = {
+    "GF5": (PrimeField(5), list(range(5))),
+    "GF7": (PrimeField(7), list(range(7))),
+    "Q": (Rationals(), [Fraction(v) for v in (0, 1, -1, 2, Fraction(1, 2), Fraction(-3, 7))]),
+}
+
+
+@st.composite
+def block_diagonal_systems(draw):
+    """A block-diagonal sparse system with shuffled rows and columns: blocks
+    of 1 x 1 to 4 x 4 (a drawn entry may be absent or an explicit zero),
+    empty rows, and columns in no row."""
+    F, values = BLOCK_FIELDS[draw(st.sampled_from(sorted(BLOCK_FIELDS)))]
+    shapes = draw(st.lists(st.tuples(st.integers(1, 4), st.integers(1, 4)), max_size=4))
+    spare = draw(st.integers(0, 3))
+    ncols = sum(k for _, k in shapes) + spare
+    order = draw(st.permutations(range(ncols)))
+    rows, start = [], 0
+    for nrows, k in shapes:
+        cols = order[start : start + k]
+        start += k
+        for _ in range(nrows):
+            entries = [draw(st.sampled_from(values + [None])) for _ in cols]
+            rows.append({c: v for c, v in zip(cols, entries) if v is not None})
+    rows += [{} for _ in range(draw(st.integers(0, 2)))]
+    return F, draw(st.permutations(rows)), ncols
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(block_diagonal_systems())
+def test_block_nullspace_matches_textbook_gauss(system):
+    F, rows, ncols = system
+    dense = [[row.get(c, F.zero()) for c in range(ncols)] for row in rows]
+    assert sparse_nullspace(rows, ncols, F) == dense_gauss_nullspace(F, dense, ncols)
+
+
+def unsplit_nullspace(rows, ncols, field):
+    """The canonical nullspace basis from one RREF of all rows, in the
+    field's own arithmetic (fractions over Q)."""
+    pivots = sparse_rref(rows, field)
+    basis = []
+    for c in range(ncols):
+        if c in pivots:
+            continue
+        v = [field.zero()] * ncols
+        v[c] = field.one()
+        for r, row in pivots.items():
+            if c in row:
+                v[r] = field.neg(row[c])
+        basis.append(v)
+    return basis
+
+
+@pytest.mark.parametrize("name", ["env4(osp12/GF7)", "sl4/Q"])
+def test_block_solves_match_one_elimination(name, monkeypatch):
+    if name == "sl4/Q":
+        alg, half = make_special_linear(4, Rationals()), Fraction(1, 2)
+    else:
+        alg, half = make_grassmann_envelope(load_fixture("osp12_gf7.json"), 4), 4
+    solves = [
+        lambda: solver.solve_delta_derivations(alg, half),
+        lambda: solver.solve_centroid(alg),
+        lambda: solver.solve_quasiderivations(alg),
+    ]
+    got = [solve().to_json() for solve in solves]
+    monkeypatch.setattr(solver, "sparse_nullspace", unsplit_nullspace)
+    assert got == [solve().to_json() for solve in solves]
