@@ -22,7 +22,7 @@ from dataclasses import dataclass, field as dc_field
 from itertools import combinations
 
 from .fields import Field, field_from_json, field_to_json, parse_scalar
-from .linalg import SpanSolver, rref_dense, sparse_nullspace, sparse_rank
+from .linalg import rref_dense, sparse_nullspace, sparse_rank
 from .linmap import LinearMap
 
 

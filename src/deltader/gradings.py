@@ -1,17 +1,23 @@
 """Root-space decompositions induced by commuting delta-derivations.
 
 Given a set of pairwise commuting delta-derivations, the algebra decomposes
-into joint generalized eigenspaces L_lambda.  Products of root spaces obey
-[L_lambda, L_mu] <= L_(delta(lambda+mu)), so the roots carry the partial
-operation lambda o mu = delta(lambda + mu), defined on pairs whose product
-space is nonzero.  For delta outside {0, 1} this operation is frequently
-impossible to embed into a semigroup; the checkers here certify that by
-exhibiting associativity contradictions on defined triples.
+into joint generalized eigenspaces L_lambda, refined one map at a time: the
+characteristic polynomial of the map's restriction M to each piece found so
+far must split over the base field (else NonSplitting), and each of its roots
+lambda cuts out the new piece ker (M - lambda)^s, s the dimension of the piece.
+
+Products of root spaces obey [L_lambda, L_mu] <= L_(delta(lambda+mu)), so the
+roots carry the partial operation lambda o mu = delta(lambda + mu), defined
+on pairs whose product space is nonzero.  For delta outside {0, 1} this
+operation is frequently impossible to embed into a semigroup; the checkers
+here certify that by exhibiting associativity contradictions on defined
+triples.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
 from .algebras import Algebra, AlgebraError, NotADerivation
 from .linalg import SpanSolver, base_field_roots, charpoly, kernel_of_map, rref_dense
@@ -57,23 +63,27 @@ class RootDecomposition:
                 return idx
         return None
 
+    def sum_index(self, a: int, b: int):
+        """Index of the root delta(lambda_a + lambda_b), or None if it is
+        not a root."""
+        F = self.algebra.field
+        return self.root_index(
+            tuple(F.mul(self.delta, F.add(x, y)) for x, y in zip(self.roots[a], self.roots[b]))
+        )
+
     def circ(self, a: int, b: int):
         """lambda_a o lambda_b = delta(lambda_a + lambda_b) as a root index,
         or None when the pair is undefined ([L_a, L_b] = 0)."""
-        if (a, b) not in self.defined:
-            return None
+        return self.sum_index(a, b) if (a, b) in self.defined else None
+
+    def root_json(self, idx: int) -> list:
         F = self.algebra.field
-        target = tuple(
-            F.mul(self.delta, F.add(x, y))
-            for x, y in zip(self.roots[a], self.roots[b])
-        )
-        return self.root_index(target)
+        return [F.fmt(x) for x in self.roots[idx]]
 
     def to_json(self) -> dict:
-        F = self.algebra.field
         return {
-            "delta": F.fmt(self.delta),
-            "roots": [[F.fmt(c) for c in r] for r in self.roots],
+            "delta": self.algebra.field.fmt(self.delta),
+            "roots": [self.root_json(i) for i in range(len(self.roots))],
             "dims": [len(s) for s in self.spaces],
             "defined": sorted([a, b] for (a, b) in self.defined),
             "complete": self.complete,
@@ -100,7 +110,6 @@ def root_decompose(alg: Algebra, D_set: list[LinearMap], delta) -> RootDecomposi
     delta-derivations, with the product inclusion
     [L_lambda, L_mu] <= L_(delta(lambda+mu)) verified on every defined pair."""
     F = alg.field
-    n = alg.dim
     delta = _payload(F, delta)
     for a, Da in enumerate(D_set):
         if not is_delta_derivation(alg, Da, delta):
@@ -109,83 +118,49 @@ def root_decompose(alg: Algebra, D_set: list[LinearMap], delta) -> RootDecomposi
             if Da.compose(D_set[b]) != D_set[b].compose(Da):
                 raise NonCommuting(f"maps {a} and {b} do not commute")
 
-    # start from the whole space and refine by one derivation at a time
-    pieces = [((), [alg.unit_vector(i) for i in range(n)])]
+    # pieces are (root so far, map whose rows are a basis of the piece)
+    pieces = [((), LinearMap.identity(F, alg.dim))]
     for D in D_set:
         refined = []
-        for (root, vecs) in pieces:
-            span = SpanSolver(F, vecs)
-            # restriction of D to the invariant subspace spanned by vecs
-            mat = []
-            for v in vecs:
-                img = D.apply(v)
-                coords = span.coordinates(img)
-                if coords is None:
-                    raise NonCommuting(
-                        "subspace is not invariant; the maps do not commute"
-                    )
-                mat.append(coords)
+        for root, basis in pieces:
+            span = SpanSolver(F, basis.rows)
+            # restriction of D to the invariant subspace spanned by the basis
+            mat = [span.coordinates(D.apply(v)) for v in basis.rows]
+            if None in mat:
+                raise NonCommuting("subspace is not invariant; the maps do not commute")
             cp = charpoly(F, mat)
-            roots = base_field_roots(F, cp)
-            mult, residual = _poly_splits(F, cp, roots)
+            mult, residual = _poly_splits(F, cp, base_field_roots(F, cp))
             if poly_deg(residual) > 0:
                 raise NonSplitting(
-                    "characteristic polynomial does not split over the field",
-                    factor=residual,
+                    "characteristic polynomial does not split over the field", factor=residual
                 )
-            s = len(vecs)
+            M = LinearMap(F, mat)
+            identity = LinearMap.identity(F, M.nrows)
             for lam in sorted(mult):
-                shifted = [
-                    [F.sub(mat[i][j], delta_ij(F, i, j, lam)) for j in range(s)]
-                    for i in range(s)
-                ]
-                power = LinearMap(F, shifted).power(s)
-                kern = kernel_of_map(power.rows, F)
-                lifted = []
-                for k in kern:
-                    vec = [F.zero()] * n
-                    for c, v in zip(k, vecs):
-                        if not F.is_zero(c):
-                            for t in range(n):
-                                vec[t] = F.add(vec[t], F.mul(c, v[t]))
-                    lifted.append(vec)
-                refined.append((root + (lam,), rref_dense(lifted, F)))
+                kern = kernel_of_map(M.add(identity.scale(F.neg(lam))).power(M.nrows).rows, F)
+                lifted = LinearMap(F, kern).compose(basis)
+                refined.append((root + (lam,), LinearMap(F, rref_dense(lifted.rows, F))))
         pieces = refined
 
-    roots = [r for (r, _) in pieces]
-    spaces = [s for (_, s) in pieces]
-
+    dec = RootDecomposition(
+        alg, delta, list(D_set), [r for r, _ in pieces], [b.rows for _, b in pieces], set()
+    )
     # verify product inclusions and record the defined mask
-    spans = [SpanSolver(F, s) for s in spaces]
-    defined = set()
-    for a in range(len(roots)):
-        for b in range(len(roots)):
-            nonzero = False
-            target = tuple(
-                F.mul(delta, F.add(x, y)) for x, y in zip(roots[a], roots[b])
-            )
-            tgt_idx = None
-            for idx, r in enumerate(roots):
-                if all(F.eq(x, y) for x, y in zip(r, target)):
-                    tgt_idx = idx
-                    break
-            for u in spaces[a]:
-                for v in spaces[b]:
-                    w = alg.bracket(u, v)
-                    if all(F.is_zero(c) for c in w):
-                        continue
-                    nonzero = True
-                    if tgt_idx is None or not spans[tgt_idx].contains(w):
-                        raise AlgebraError(
-                            "product of root spaces escapes the expected root space"
-                        )
-            if nonzero:
-                defined.add((a, b))
-    return RootDecomposition(alg, delta, list(D_set), roots, spaces, defined)
+    spans = [SpanSolver(F, s) for s in dec.spaces]
+    for a, b in product(range(len(dec.roots)), repeat=2):
+        target = dec.sum_index(a, b)
+        for u, v in product(dec.spaces[a], dec.spaces[b]):
+            w = alg.bracket(u, v)
+            if _is_zero(F, w):
+                continue
+            if target is None or not spans[target].contains(w):
+                raise AlgebraError("product of root spaces escapes the expected root space")
+            dec.defined.add((a, b))
+    return dec
 
 
-def delta_ij(field, i, j, lam):
-    return lam if i == j else field.zero()
+def _is_zero(field, v: list) -> bool:
+    return all(field.is_zero(c) for c in v)
 
 
 @dataclass
@@ -208,62 +183,41 @@ def check_semigroup(dec: RootDecomposition) -> SemigroupVerdict:
     which is not a proof of embeddability.
     """
     F = dec.algebra.field
-    k = len(dec.roots)
-    for a in range(k):
-        for b in range(k):
-            ab = dec.circ(a, b)
-            if ab is None:
-                continue
-            for c in range(k):
-                bc = dec.circ(b, c)
-                if bc is None:
-                    continue
-                left = dec.circ(ab, c)
-                right = dec.circ(a, bc)
-                if left is None or right is None:
-                    continue
-                if left != right:
-                    fmt = lambda idx: [F.fmt(x) for x in dec.roots[idx]]
-                    return SemigroupVerdict(
-                        True,
-                        {
-                            "triple": [fmt(a), fmt(b), fmt(c)],
-                            "left": fmt(left),
-                            "right": fmt(right),
-                        },
-                    )
-    one = F.one()
-    if not F.eq(dec.delta, F.zero()) and not F.eq(dec.delta, one):
-        wit = check_prop_root1(dec)
-        if wit["condition_i_witness"] or wit["condition_ii_witness"]:
+    fmt = dec.root_json
+    idx = range(len(dec.roots))
+    circ = {(a, b): dec.circ(a, b) for a, b in product(idx, repeat=2)}
+    for a, b, c in product(idx, repeat=3):
+        ab, bc = circ[a, b], circ[b, c]
+        if ab is None or bc is None:
+            continue
+        left, right = circ[ab, c], circ[a, bc]
+        if left is not None and right is not None and left != right:
             return SemigroupVerdict(
                 True,
-                {
-                    "triple_product": wit["condition_i_witness"]
-                    or wit["condition_ii_witness"]
-                },
+                {"triple": [fmt(a), fmt(b), fmt(c)], "left": fmt(left), "right": fmt(right)},
             )
+    if not F.eq(dec.delta, F.zero()) and not F.eq(dec.delta, F.one()):
+        wit = check_prop_root1(dec)
+        triple = wit["condition_i_witness"] or wit["condition_ii_witness"]
+        if triple:
+            return SemigroupVerdict(True, {"triple_product": triple})
     return SemigroupVerdict(False, None)
 
 
 def _triple_product_nonzero(dec: RootDecomposition, a: int, b: int, c: int) -> bool:
     alg = dec.algebra
     F = alg.field
-    for u in dec.spaces[a]:
-        for v in dec.spaces[b]:
-            w = alg.bracket(u, v)
-            if all(F.is_zero(x) for x in w):
-                continue
-            for z in dec.spaces[c]:
-                t = alg.bracket(w, z)
-                if any(not F.is_zero(x) for x in t):
-                    return True
+    for u, v in product(dec.spaces[a], dec.spaces[b]):
+        w = alg.bracket(u, v)
+        if not _is_zero(F, w) and any(not _is_zero(F, alg.bracket(w, z)) for z in dec.spaces[c]):
+            return True
     return False
 
 
 def check_prop_root1(dec: RootDecomposition) -> dict:
     """Witnesses for the two sufficient non-semigroup conditions
-    (delta outside {0, 1}):
+    (delta outside {0, 1}), each the first in lexicographic order of root
+    indices:
 
     (i)  three pairwise distinct roots with [[L_lambda, L_mu], L_eta] != 0;
     (ii) two distinct roots with [[L_lambda, L_lambda], L_mu] != 0.
@@ -271,22 +225,18 @@ def check_prop_root1(dec: RootDecomposition) -> dict:
     F = dec.algebra.field
     if F.eq(dec.delta, F.zero()) or F.eq(dec.delta, F.one()):
         raise BadDelta("the criterion applies only for delta outside {0, 1}")
-    k = len(dec.roots)
-    fmt = lambda idx: [F.fmt(x) for x in dec.roots[idx]]
-    wit_i = None
-    wit_ii = None
-    for a in range(k):
-        for b in range(k):
-            if a == b:
-                continue
-            if wit_ii is None and _triple_product_nonzero(dec, a, a, b):
-                wit_ii = [fmt(a), fmt(a), fmt(b)]
-            for c in range(k):
-                if c in (a, b) or wit_i is not None:
-                    continue
-                if _triple_product_nonzero(dec, a, b, c):
-                    wit_i = [fmt(a), fmt(b), fmt(c)]
-    return {"condition_i_witness": wit_i, "condition_ii_witness": wit_ii}
+
+    def first(triples):
+        for t in triples:
+            if _triple_product_nonzero(dec, *t):
+                return [dec.root_json(r) for r in t]
+        return None
+
+    idx = range(len(dec.roots))
+    return {
+        "condition_i_witness": first(t for t in product(idx, repeat=3) if len(set(t)) == 3),
+        "condition_ii_witness": first((a, a, b) for a, b in product(idx, repeat=2) if a != b),
+    }
 
 
 def check_root_sum(field, roots: list, delta) -> dict:

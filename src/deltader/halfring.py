@@ -13,7 +13,7 @@ from .algebras import Algebra
 from .fields import Field, PrimeField, Rationals
 from .linalg import SpanSolver, kernel_of_map
 from .linmap import LinearMap
-from .solver import SolutionSpace, is_delta_derivation
+from .solver import SolutionSpace, is_delta_derivation, solve_delta_derivations
 
 
 class NotClosedRing(ValueError):
@@ -145,12 +145,7 @@ def nilradical(ring: CompositionRing) -> list[list]:
     d = ring.dim
     if isinstance(F, PrimeField):
         p = F.p
-        rows = []
-        for a in range(d):
-            ea = [F.zero()] * d
-            ea[a] = F.one()
-            rows.append(ring.power(ea, p))
-        frob = LinearMap(F, rows)
+        frob = LinearMap(F, [ring.power(ea, p) for ea in LinearMap.identity(F, d).rows])
         total = p
         acc = frob
         while total < d:
@@ -193,18 +188,13 @@ def find_zero_divisors(ring: CompositionRing) -> list:
     certificate pair is also extracted from the nilradical (a nilpotent u of
     index k gives the pair (u^(k-1), u)).
     """
-    F = ring.field
-    out = []
-    for a in range(ring.dim):
-        ea = [F.zero()] * ring.dim
-        ea[a] = F.one()
-        if ring.is_zero(ea):
-            continue
-        for b in range(ring.dim):
-            eb = [F.zero()] * ring.dim
-            eb[b] = F.one()
-            if ring.is_zero(ring.table[a][b]):
-                out.append((ea, eb))
+    e = LinearMap.identity(ring.field, ring.dim).rows
+    out = [
+        (e[a], e[b])
+        for a in range(ring.dim)
+        for b in range(ring.dim)
+        if ring.is_zero(ring.table[a][b])
+    ]
     if ring.dim <= 6 and ring.is_commutative():
         for u in nilradical(ring):
             if ring.is_zero(u):
@@ -261,8 +251,6 @@ def witt_half_basis(alg: Algebra) -> list[LinearMap]:
 
 def half_ring_report(alg: Algebra) -> dict:
     """Aggregate JSON-ready report on the half-derivation composition ring."""
-    from .solver import solve_delta_derivations
-
     F = alg.field
     half = F.div(F.one(), F.from_int(2))
     space = solve_delta_derivations(alg, half)

@@ -159,14 +159,14 @@ def envelope_subspace(env: Algebra, vectors: list, min_degree: int = 0) -> list:
 
 
 def verify_kernel_containment(space, ideal: IdealBasis) -> bool:
-    """True iff every basis map of the solution space kills every ideal vector."""
+    """True iff every basis map of the solution space (the D part of a
+    quasiderivation pair (D, D')) kills every ideal vector."""
     F = ideal.algebra.field
     for m in space.basis:
-        maps = m if isinstance(m, tuple) else (m,)
-        for mm in maps[:1]:
-            for v in ideal.basis:
-                if any(not F.is_zero(c) for c in mm.apply(v)):
-                    return False
+        D = m[0] if isinstance(m, tuple) else m
+        for v in ideal.basis:
+            if any(not F.is_zero(c) for c in D.apply(v)):
+                return False
     return True
 
 

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from deltader.algebras import (
+    Algebra,
     NotADerivation,
     make_abelian,
     make_elduque4,
@@ -110,6 +111,33 @@ def test_prop_root1_witnesses():
     assert rep["condition_i_witness"] is None
     assert rep["condition_ii_witness"] is None
     assert check_semigroup(dec).verdict == "NonSemigroup"
+
+
+@pytest.mark.parametrize(
+    "diagonal, witnesses",
+    [
+        # roots 1, 2, 6, 3, 18 on e1..e5: [[e1, e2], e4] = e5, three distinct roots
+        ([1, 2, 6, 3, 18], {"condition_i_witness": [[1], [2], [3]], "condition_ii_witness": None}),
+        # roots 1, 1, 4, 3, 14: [[L_1, L_1], L_3] contains [[e1, e2], e4] = e5
+        ([1, 1, 4, 3, 14], {"condition_i_witness": None, "condition_ii_witness": [[1], [1], [3]]}),
+    ],
+)
+def test_prop_root1_triple_product(diagonal, witnesses):
+    # anticommutative, not Lie: [e1,e2] = e3, [e3,e4] = e5; a diagonal map
+    # is a 2-derivation when d3 = 2(d1 + d2) and d5 = 2(d3 + d4)
+    one = Q.one()
+    alg = Algebra(Q, 5, ["e1", "e2", "e3", "e4", "e5"], {(0, 1): {2: one}, (2, 3): {4: one}})
+    rows = LinearMap.zero(Q, 5).rows
+    for i, d in enumerate(diagonal):
+        rows[i][i] = Q.from_int(d)
+    D = LinearMap(Q, rows)
+    dec = root_decompose(alg, [D], Fraction(2))
+    assert check_prop_root1(dec) == witnesses
+    verdict = check_semigroup(dec)
+    assert verdict.verdict == "NonSemigroup"
+    assert verdict.witness == {
+        "triple_product": witnesses["condition_i_witness"] or witnesses["condition_ii_witness"]
+    }
 
 
 def test_prop_root1_bad_delta():
