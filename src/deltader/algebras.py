@@ -22,7 +22,15 @@ from dataclasses import dataclass, field as dc_field
 from itertools import combinations
 
 from .fields import Field, field_from_json, field_to_json, parse_scalar
-from .linalg import rref_dense, sparse_nullspace, sparse_rank
+from .linalg import (
+    _acc,
+    _row_value,
+    dense_to_sparse,
+    kernel_of_map,
+    rref_dense,
+    sparse_nullspace,
+    sparse_rank,
+)
 from .linmap import LinearMap
 
 
@@ -200,19 +208,11 @@ class Algebra:
         return rref_dense(vecs, self.field)
 
     def center(self) -> list[list]:
-        """{v : v e_i = 0 for all i} (two-sided by (anti)commutativity)."""
-        F = self.field
-        eqs = []
-        for i in range(self.dim):
-            for l in range(self.dim):
-                eq = {}
-                for j in range(self.dim):
-                    c = self.product(j, i).get(l)
-                    if c is not None and not F.is_zero(c):
-                        eq[j] = c
-                if eq:
-                    eqs.append(eq)
-        return sparse_nullspace(eqs, self.dim, F)
+        """{v : v e_i = 0 for all i} (two-sided by (anti)commutativity): the
+        kernel of the map sending e_j to (e_j e_0, ..., e_j e_(n-1))."""
+        n = self.dim
+        rows = [[c for i in range(n) for c in self.product_vec(j, i)] for j in range(n)]
+        return kernel_of_map(rows, self.field)
 
     def __repr__(self):
         return f"Algebra({self.flavor}, dim={self.dim}, field={self.field!r})"
@@ -305,85 +305,64 @@ def validate(alg: Algebra, law: str | None = None) -> ValidationReport:
     raise AlgebraError(f"unknown law {law!r}")
 
 
-def validate_form(alg: Algebra) -> ValidationReport:
-    """(Super)symmetry and invariance ((ab, c) = (a, bc)) of the attached form."""
-    if alg.form is None:
-        raise FormMissing("no bilinear form attached")
+def _form_rows(alg: Algebra):
+    """Labelled rows, in the unknowns B_ij (column i*n + j), of the laws of
+    a (super)symmetric invariant bilinear form B:
+
+    - (i, j): B_ij = (-1)^(deg e_i deg e_j) B_ji, and B_ij = 0 when e_i and
+      e_j have different parities;
+    - (i, j, k): (e_i e_j, e_k) = (e_i, e_j e_k).
+
+    Rows that vanish identically are left out."""
     F = alg.field
     n = alg.dim
-    B = alg.form
-    violations = []
+    graded = alg.grading is not None
     for i in range(n):
         for j in range(n):
-            expected = B[j][i]
-            if alg.grading is not None and alg.grading[i] and alg.grading[j]:
-                expected = F.neg(expected)
-            if not F.eq(B[i][j], expected):
-                violations.append(((i, j), [F.sub(B[i][j], expected)]))
-            if (
-                alg.grading is not None
-                and alg.grading[i] != alg.grading[j]
-                and not F.is_zero(B[i][j])
-            ):
-                violations.append(((i, j), [B[i][j]]))
+            odd = graded and alg.grading[i] and alg.grading[j]
+            row = {i * n + j: F.one()}
+            _acc(row, j * n + i, F.one() if odd else F.neg(F.one()), F)
+            if row:
+                yield (i, j), row
+            if graded and alg.grading[i] != alg.grading[j]:
+                yield (i, j), {i * n + j: F.one()}
     for i in range(n):
         for j in range(n):
             for k in range(n):
-                lhs = F.zero()
+                row = {}
                 for m, c in alg.product(i, j).items():
-                    lhs = F.add(lhs, F.mul(c, B[m][k]))
-                rhs = F.zero()
+                    _acc(row, m * n + k, c, F)
                 for m, c in alg.product(j, k).items():
-                    rhs = F.add(rhs, F.mul(c, B[i][m]))
-                if not F.eq(lhs, rhs):
-                    violations.append(((i, j, k), [F.sub(lhs, rhs)]))
+                    _acc(row, i * n + m, F.neg(c), F)
+                if row:
+                    yield (i, j, k), row
+
+
+def validate_form(alg: Algebra) -> ValidationReport:
+    """(Super)symmetry and invariance ((ab, c) = (a, bc)) of the attached form:
+    every row of ``_form_rows`` that does not vanish at it, with its value."""
+    if alg.form is None:
+        raise FormMissing("no bilinear form attached")
+    F = alg.field
+    flat = [c for row in alg.form for c in row]
+    violations = []
+    for label, row in _form_rows(alg):
+        value = _row_value(row, flat, F)
+        if not F.is_zero(value):
+            violations.append((label, [value]))
     return ValidationReport("form", violations)
 
 
 def form_rank(alg: Algebra) -> int:
     if alg.form is None:
         raise FormMissing("no bilinear form attached")
-    rows = [
-        {j: v for j, v in enumerate(row) if not alg.field.is_zero(v)}
-        for row in alg.form
-    ]
-    return sparse_rank(rows, alg.field)
+    return sparse_rank(dense_to_sparse(alg.form, alg.field), alg.field)
 
 
 def invariant_forms(alg: Algebra) -> list[list[list]]:
     """Basis of (super)symmetric invariant bilinear forms, as n x n matrices."""
-    F = alg.field
     n = alg.dim
-    eqs = []
-
-    def var(i, j):
-        return i * n + j
-
-    for i in range(n):
-        for j in range(n):
-            eq = {var(i, j): F.one()}
-            sgn = F.neg(F.one())
-            if alg.grading is not None and alg.grading[i] and alg.grading[j]:
-                sgn = F.one()
-            prev = eq.get(var(j, i), F.zero())
-            eq[var(j, i)] = F.add(prev, sgn)
-            eq = {c: v for c, v in eq.items() if not F.is_zero(v)}
-            if eq:
-                eqs.append(eq)
-            if alg.grading is not None and alg.grading[i] != alg.grading[j]:
-                eqs.append({var(i, j): F.one()})
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                eq: dict = {}
-                for m, c in alg.product(i, j).items():
-                    eq[var(m, k)] = F.add(eq.get(var(m, k), F.zero()), c)
-                for m, c in alg.product(j, k).items():
-                    eq[var(i, m)] = F.sub(eq.get(var(i, m), F.zero()), c)
-                eq = {c: v for c, v in eq.items() if not F.is_zero(v)}
-                if eq:
-                    eqs.append(eq)
-    sols = sparse_nullspace(eqs, n * n, F)
+    sols = sparse_nullspace([row for _, row in _form_rows(alg)], n * n, alg.field)
     return [[sol[i * n : (i + 1) * n] for i in range(n)] for sol in sols]
 
 

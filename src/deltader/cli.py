@@ -166,7 +166,14 @@ def cmd_make(args) -> int:
     return 0
 
 
+_SOLVE_TAKES = {"der": ["delta", "parametric"], "centroid": [], "quasider": [],
+               "superder": ["delta", "parity"]}
+
+
 def cmd_solve(args) -> int:
+    for opt in ("parametric", "delta", "parity"):
+        if getattr(args, opt) is not None and opt not in _SOLVE_TAKES[args.kind]:
+            raise ValueError(f"--kind {args.kind} does not take --{opt}")
     alg = load_algebra(args.algebra)
     F = alg.field
     if args.parametric:
@@ -276,8 +283,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve = sub.add_parser("solve", help="solve a derivation-type linear system")
     p_solve.add_argument("algebra")
     p_solve.add_argument("--delta", help="exact scalar literal, e.g. 1/2")
+    # None unless given, like the other options checked against _SOLVE_TAKES
     p_solve.add_argument(
-        "--parametric", action="store_true", help="treat delta as a parameter"
+        "--parametric", action="store_true", default=None, help="treat delta as a parameter"
     )
     p_solve.add_argument(
         "--kind",

@@ -4,7 +4,9 @@ Given a set of pairwise commuting delta-derivations, the algebra decomposes
 into joint generalized eigenspaces L_lambda, refined one map at a time: the
 characteristic polynomial of the map's restriction M to each piece found so
 far must split over the base field (else NonSplitting), and each of its roots
-lambda cuts out the new piece ker (M - lambda)^s, s the dimension of the piece.
+lambda cuts out the new piece ker (M - lambda)^m, m the multiplicity of lambda
+as a root of that polynomial (the generalized eigenspace of lambda has
+dimension m, so (M - lambda)^m already vanishes on it).
 
 Products of root spaces obey [L_lambda, L_mu] <= L_(delta(lambda+mu)), so the
 roots carry the partial operation lambda o mu = delta(lambda + mu), defined
@@ -137,7 +139,8 @@ def root_decompose(alg: Algebra, D_set: list[LinearMap], delta) -> RootDecomposi
             M = LinearMap(F, mat)
             identity = LinearMap.identity(F, M.nrows)
             for lam in sorted(mult):
-                kern = kernel_of_map(M.add(identity.scale(F.neg(lam))).power(M.nrows).rows, F)
+                shifted = M.add(identity.scale(F.neg(lam)))
+                kern = kernel_of_map(shifted.power(mult[lam]).rows, F)
                 lifted = LinearMap(F, kern).compose(basis)
                 refined.append((root + (lam,), LinearMap(F, rref_dense(lifted.rows, F))))
         pieces = refined

@@ -50,6 +50,15 @@ from .fields import (
 # sparse RREF and nullspaces
 
 
+def _acc(row: dict, col: int, val, field: Field) -> None:
+    """row[col] += val, keeping zeros out of the sparse row."""
+    nv = field.add(row.get(col, field.zero()), val)
+    if field.is_zero(nv):
+        row.pop(col, None)
+    else:
+        row[col] = nv
+
+
 def _sub_multiple(dst: dict, coef, src: dict, skip: int, F: Field) -> None:
     """dst -= coef * src, over the columns of src other than ``skip``."""
     for j, v in src.items():
@@ -270,11 +279,20 @@ def _rational_nullspace(rows, ncols: int) -> list[list]:
             return basis
 
 
+def _row_value(row: dict, vec: list, F: Field):
+    """The value of the sparse row {col: coeff} at the dense vector vec."""
+    value = F.zero()
+    for c, a in row.items():
+        if not F.is_zero(vec[c]):
+            value = F.add(value, F.mul(a, vec[c]))
+    return value
+
+
 def sparse_rank(rows, field: Field) -> int:
     return len(sparse_rref(rows, field))
 
 
-def dense_to_sparse(matrix: list[list], field: Field) -> list[dict]:
+def dense_to_sparse(matrix, field: Field) -> list[dict]:
     return [
         {j: v for j, v in enumerate(row) if not field.is_zero(v)} for row in matrix
     ]
@@ -289,15 +307,9 @@ def dense_nullspace(matrix: list[list], field: Field) -> list[list]:
 
 def kernel_of_map(rows: list[list], field: Field) -> list[list]:
     """Basis of {v : v @ rows = 0}; ``rows[i]`` is the image of e_i."""
-    nrows = len(rows)
-    if nrows == 0:
+    if not rows:
         return []
-    ncols = len(rows[0])
-    eqs = []
-    for j in range(ncols):
-        eq = {i: rows[i][j] for i in range(nrows) if not field.is_zero(rows[i][j])}
-        eqs.append(eq)
-    return sparse_nullspace(eqs, nrows, field)
+    return sparse_nullspace(dense_to_sparse(zip(*rows), field), len(rows), field)
 
 
 # ---------------------------------------------------------------------------
@@ -361,30 +373,28 @@ class SpanSolver:
 
     def basis(self) -> list[list]:
         """Canonical (RREF) basis of the span, as dense vectors."""
-        F = self.field
-        out = []
-        for p in sorted(self._pivots):
-            v = [F.zero()] * self.ncols
-            for j, c in self._pivots[p].items():
-                if j < self.ncols:
-                    v[j] = c
-            out.append(v)
-        return out
+        return _dense_pivot_rows(self._pivots, self.ncols, self.field)
+
+
+def _dense_pivot_rows(pivots: dict[int, dict], ncols: int, F: Field) -> list[list]:
+    """The pivot rows in pivot order as dense vectors of length ncols;
+    entries in later columns (such as SpanSolver's tags) are dropped."""
+    out = []
+    for p in sorted(pivots):
+        v = [F.zero()] * ncols
+        for j, c in pivots[p].items():
+            if j < ncols:
+                v[j] = c
+        out.append(v)
+    return out
 
 
 def rref_dense(vectors: list[list], field: Field) -> list[list]:
     """Canonical (RREF) basis of the span of the given dense vectors."""
     if not vectors:
         return []
-    ncols = len(vectors[0])
     pivots = sparse_rref(dense_to_sparse(vectors, field), field)
-    out = []
-    for p in sorted(pivots):
-        v = [field.zero()] * ncols
-        for j, c in pivots[p].items():
-            v[j] = c
-        out.append(v)
-    return out
+    return _dense_pivot_rows(pivots, len(vectors[0]), field)
 
 
 def same_span(a: list[list], b: list[list], field: Field) -> bool:

@@ -23,6 +23,8 @@ choose the coefficients:
   e_i v the action on M and v e_j = -(e_j v).
 
 The super variants add the constraints that make the map homogeneous.
+``is_delta_derivation`` does not restate the law: it evaluates these same
+rows at the entries of the given map.
 
 Every system, pointwise or parametric, is eliminated one block at a time,
 a block being a connected component of its row/column incidence graph
@@ -52,7 +54,9 @@ from .algebras import Algebra, AlgebraError, GradingMissing, InvalidAction, Modu
 from .fields import Field, FieldElement, PrimeField, QuotientRing, poly_trim
 from .linalg import (
     SpanSolver,
+    _acc,
     _blocks,
+    _row_value,
     base_field_roots,
     fraction_free_pivots,
     rref_dense,
@@ -76,14 +80,6 @@ def _payload(field: Field, value):
             raise ValueError("scalar from a different field")
         return value.payload
     return field.coerce(value)
-
-
-def _acc(row: dict, col: int, val, field: Field):
-    nv = field.add(row.get(col, field.zero()), val)
-    if field.is_zero(nv):
-        row.pop(col, None)
-    else:
-        row[col] = nv
 
 
 def _equation_pairs(alg: Algebra):
@@ -312,23 +308,16 @@ def solve_quasiderivations(alg: Algebra) -> SolutionSpace:
 
 
 def is_delta_derivation(alg: Algebra, D: LinearMap, delta, parity=None) -> bool:
-    """Direct check of D(xy) = delta (D(x) y) + delta (x D(y)) on all basis
-    pairs (with the super sign when a parity is given)."""
+    """Whether D(xy) = delta (D(x) y) + delta (x D(y)) on all basis pairs
+    (with the super sign when a parity is given).
+
+    The check evaluates at D the rows that the solver assembles for this
+    law, so checking and solving share one encoding of it."""
     F = alg.field
-    n = alg.dim
     delta = _payload(F, delta)
-    for i in range(n):
-        for j in range(n):
-            lhs = D.apply(alg.product_vec(i, j))
-            t1 = alg.bracket(D.rows[i], alg.unit_vector(j))
-            t2 = alg.bracket(alg.unit_vector(i), D.rows[j])
-            sgn = delta
-            if parity is not None and parity and alg.grading[i]:
-                sgn = F.neg(delta)
-            rhs = [F.add(F.mul(delta, a), F.mul(sgn, b)) for a, b in zip(t1, t2)]
-            if any(not F.eq(a, b) for a, b in zip(lhs, rhs)):
-                return False
-    return True
+    flat = D.flat()
+    rows = _law_rows(alg, delta, delta, parity or 0)
+    return all(F.is_zero(_row_value(row, flat, F)) for row in rows)
 
 
 # ---------------------------------------------------------------------------
@@ -442,13 +431,13 @@ def lift_grassmann(env: Algebra, D: LinearMap, g: tuple = ()) -> LinearMap:
     g = tuple(sorted(g))
     q = len(g) % 2
     F = env.field
-    for i in range(L.dim):
-        for j in range(L.dim):
-            if not F.is_zero(D.rows[i][j]) and L.grading[j] != (L.grading[i] + q) % 2:
-                raise ParityMismatch(
-                    f"map sends parity {L.grading[i]} to parity {L.grading[j]}, "
-                    f"but the monomial has parity {q}"
-                )
+    for row in _parity_constraints(L, q):
+        i, j = divmod(next(iter(row)), L.dim)
+        if not F.is_zero(D.rows[i][j]):
+            raise ParityMismatch(
+                f"map sends parity {L.grading[i]} to parity {L.grading[j]}, "
+                f"but the monomial has parity {q}"
+            )
     index = {b: p for p, b in enumerate(basis)}
     rows = []
     for (i, h) in basis:

@@ -218,6 +218,16 @@ BAD_ALGEBRAS = {
         (["make", "sl", "--n", "0"], "sl(0) is zero-dimensional: n must be at least 2"),
         (["make", "abelian", "--dim", "0"], "dimension 0 < 1: zero-dimensional algebras are not supported"),
         (["solve", "{alg}", "--parametric", "--delta", "1"], "--delta cannot be combined with --parametric"),
+        (["solve", "{alg}", "--parametric", "--kind", "superder", "--parity", "1"],
+         "--kind superder does not take --parametric"),
+        (["solve", "{alg}", "--parametric", "--kind", "centroid"], "--kind centroid does not take --parametric"),
+        (["solve", "{alg}", "--parametric", "--kind", "quasider"], "--kind quasider does not take --parametric"),
+        (["solve", "{alg}", "--delta", "1", "--parity", "0"], "--kind der does not take --parity"),
+        (["solve", "{alg}", "--parametric", "--parity", "1"], "--kind der does not take --parity"),
+        (["solve", "{alg}", "--kind", "centroid", "--parity", "1"], "--kind centroid does not take --parity"),
+        (["solve", "{alg}", "--kind", "quasider", "--parity", "0"], "--kind quasider does not take --parity"),
+        (["solve", "{alg}", "--kind", "centroid", "--delta", "1"], "--kind centroid does not take --delta"),
+        (["solve", "{alg}", "--kind", "quasider", "--delta", "1/2"], "--kind quasider does not take --delta"),
         (["make", "witt", "--support", "0,1,2,3,4", "--modulus", "5", "--field", "Q"],
          "Witt Z/5 is Lie only in characteristic 5, not over Q"),
         (["make", "witt", "--support", "0,1,2,3,4,5,6", "--modulus", "7", "--field", "gf5"],
@@ -245,6 +255,8 @@ BAD_ALGEBRAS = {
         "solve-denominator-divisible-by-p",
         "maps-json-list", "maps-not-list", "maps-5x3", "maps-null-entry", "maps-invalid-json",
         "sl1", "sl0", "abelian-dim-0", "parametric-with-delta",
+        "parametric-superder", "parametric-centroid", "parametric-quasider", "parity-der",
+        "parity-parametric", "parity-centroid", "parity-quasider", "delta-centroid", "delta-quasider",
         "witt-Z5-over-Q", "witt-Z7-over-GF5", "field-string", "basis-string", "term-single", "products-object",
         "p-float", "modulus-string", "form-number", "grading-number",
         "term-decimal", "term-bool", "form-exponent", "modulus-decimal", "delta-true",
