@@ -47,7 +47,6 @@ from .algebras import (
 from .linmap import LinearMap
 from .solver import (
     SolutionSpace,
-    assemble_system,
     solve_delta_derivations,
     solve_module_valued,
     solve_centroid,

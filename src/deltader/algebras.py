@@ -270,20 +270,20 @@ def validate(alg: Algebra, law: str | None = None) -> ValidationReport:
     n = alg.dim
     violations = []
 
-    def add_to(d: list, x, terms: dict) -> None:
+    def add_to(d: dict, x, terms: dict) -> None:
         for l, y in terms.items():
-            d[l] = F.add(d[l], F.mul(x, y))
+            d[l] = F.add(d[l], F.mul(x, y)) if l in d else F.mul(x, y)
 
-    def check(triple, d: list) -> None:
-        if any(not F.is_zero(v) for v in d):
-            violations.append((triple, d))
+    def check(triple, d: dict) -> None:
+        if any(not F.is_zero(v) for v in d.values()):
+            violations.append((triple, [d.get(l, F.zero()) for l in range(n)]))
 
     if law in ("jacobi", "super_jacobi"):
         if law == "super_jacobi" and alg.grading is None:
             raise GradingMissing("super-Jacobi requires a grading")
         par = alg.grading if law == "super_jacobi" else [0] * n
         for i, j, k in index_tuples(par, 3):
-            d = [F.zero()] * n
+            d = {}
             for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
                 for m, x in alg.product(a, b).items():
                     add_to(d, F.neg(x) if par[a] and par[c] else x, alg.product(m, c))
@@ -294,7 +294,7 @@ def validate(alg: Algebra, law: str | None = None) -> ValidationReport:
         for i in range(n):
             for j in range(n):
                 for k in range(n):
-                    d = [F.zero()] * n
+                    d = {}
                     for m, x in alg.product(i, j).items():
                         add_to(d, x, alg.product(m, k))
                     for m, x in alg.product(j, k).items():

@@ -10,13 +10,16 @@ the homogeneous row
 
     sum_k C_ij^k x_kl  -  a sum_k C_kj^l d_ik  -  b (-1)^(q deg e_i) sum_k C_ik^l d_jk  =  0
 
-in the unknowns d_kl (column k*n + l, 0-based) and x_kl.  The solvers
-choose the coefficients:
+in the unknowns d_kl (column k*n + l, 0-based) and x_kl.  ``_law_rows``
+assembles it once for a list of (a, b) pairs and keeps only the rows that
+do not vanish.  The solvers choose the coefficients:
 
 - delta-derivations: X = D, a = b = delta, q = 0; for an anticommutative
-  algebra of dimension n this is n^2 (n-1)/2 equations in n^2 unknowns;
+  algebra of dimension n this is n^2 (n-1)/2 equations in n^2 unknowns,
+  of which the empty ones are dropped;
 - delta-superderivations: X = D, a = b = delta, q = the parity of D;
-- the centroid: X = D, once with (a, b) = (1, 0) and once with (0, 1);
+- the centroid: X = D, with the laws (a, b) = (1, 0) and (0, 1), whose
+  rows follow each other pair by pair;
 - the supercentroid: as the centroid, with q = the parity of the map;
 - quasiderivation pairs (D, F): X = F in columns n^2 .. 2n^2 - 1, a = b = 1;
 - module-valued delta-derivations D: L -> M: X = D, a = b = delta, with
@@ -33,15 +36,15 @@ shift of D; current algebras and Grassmann envelopes split into hundreds
 of blocks).  A pointwise solve gets the same canonical basis as from one
 elimination of the whole system (see ``linalg.sparse_nullspace``).  The
 parametric solver treats delta as an indeterminate: its system is the
-pencil A + delta B, with A the law at delta = 0 and B the law at delta = 1
-minus A.  It finds the generic solution dimension together with the
-special values of delta where it jumps.  Ranks add over the blocks at
-every delta, so the special values are the points where some block's rank
-drops below its generic rank r.  Over GF(p) a block with more than three
-rows and columns is eliminated at each of the p field values.  Some r x r
-minor is a nonzero polynomial of degree at most r, which cannot vanish on
-all of GF(p) when r < p; so the largest of the p ranks is r when it
-reaches u = min(rows, columns), or when u < p.  Otherwise, and always
+pencil A + delta B, read off one assembly of the quasiderivation law, the
+x part giving A and the d part B.  It finds the generic solution dimension
+together with the special values of delta where it jumps.  Ranks add over
+the blocks at every delta, so the special values are the points where some
+block's rank drops below its generic rank r.  Over GF(p) a block with more
+than three rows and columns is eliminated at each of the p field values.
+Some r x r minor is a nonzero polynomial of degree at most r, which cannot
+vanish on all of GF(p) when r < p; so the largest of the p ranks is r when
+it reaches u = min(rows, columns), or when u < p.  Otherwise, and always
 over Q, the special values are among the base-field roots of the block's
 last fraction-free pivot, a maximal nonvanishing minor.
 """
@@ -51,7 +54,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebras import Algebra, AlgebraError, GradingMissing, InvalidAction, ModuleAction
-from .fields import Field, FieldElement, PrimeField, QuotientRing, poly_trim
+from .fields import Field, FieldElement, PrimeField, QuotientRing
 from .linalg import (
     SpanSolver,
     _acc,
@@ -100,64 +103,56 @@ def _equation_pairs(alg: Algebra):
 
 
 def _law_rows(
-    alg: Algebra, a, b, parity: int = 0, x_offset: int = 0, module: ModuleAction | None = None
+    alg: Algebra, laws, parity: int = 0, x_offset: int = 0, module: ModuleAction | None = None
 ) -> list[dict]:
-    """Rows of X(e_i e_j) = a D(e_i) e_j + b (-1)^(parity deg e_i) e_i D(e_j).
+    """Nonzero rows of X(e_i e_j) = a D(e_i) e_j + b (-1)^(parity deg e_i) e_i D(e_j),
+    one law for each (a, b) in ``laws``.
 
     D maps into the algebra, or into ``module`` when one is given; with m
     the dimension of the target, d_kl sits in column k*m + l and x_kl in
-    column x_offset + k*m + l.  Each equation pair yields m rows whatever
-    a and b are, so the rows for two coefficient choices correspond.
+    column x_offset + k*m + l.  For each equation pair the rows of each law
+    follow in turn, by target coordinate l; a row that vanishes is left out.
+    (With the centroid's two laws, elimination on dense structure constants
+    fills in less in this order than with one law's rows after the other's.)
+    With x_offset = n^2 and laws [(1, 1)], column n^2 + c of a row holds
+    the part of the delta-derivation row that does not scale with delta and
+    column c the part that does: ``solve_parametric`` reads its pencil so.
     """
     F = alg.field
     n = alg.dim
     table = [[alg.product(i, j) for j in range(n)] for i in range(n)]
+    # the terms (l, k, c) of e_k e_j = ... + c e_l + ... by j, and of e_i e_k by i
     if module is None:
-        m, left, right = n, table, table
+        m = n
+        right = [[(l, k, c) for k in range(n) for l, c in table[k][j].items()] for j in range(n)]
+        left = [[(l, k, c) for k in range(n) for l, c in table[i][k].items()] for i in range(n)]
     else:
         m = module.mdim
-        left = [[module.act(i, k) for k in range(m)] for i in range(n)]
         right = [
-            [{l: F.neg(c) for l, c in module.act(j, k).items()} for j in range(n)]
-            for k in range(m)
+            [(l, k, F.neg(c)) for k in range(m) for l, c in module.act(j, k).items()]
+            for j in range(n)
         ]
-    neg_a, neg_b = F.neg(a), F.neg(b)
+        left = [
+            [(l, k, c) for k in range(m) for l, c in module.act(i, k).items()] for i in range(n)
+        ]
+    laws = [(F.neg(a), b, F.neg(b)) for a, b in laws]
     out = []
     for (i, j) in _equation_pairs(alg):
-        rows = [dict() for _ in range(m)]
-        for k, c in table[i][j].items():
-            for l in range(m):
-                _acc(rows[l], x_offset + k * m + l, c, F)
-        if not F.is_zero(a):
-            for k in range(m):
-                for l, c in right[k][j].items():
+        product = table[i][j]
+        for neg_a, b, neg_b in laws:
+            rows = [{} for _ in range(m)]
+            for k, c in product.items():
+                for l in range(m):
+                    rows[l][x_offset + k * m + l] = c
+            if not F.is_zero(neg_a):
+                for l, k, c in right[j]:
                     _acc(rows[l], i * m + k, F.mul(neg_a, c), F)
-        if not F.is_zero(b):
-            cb = b if parity and alg.grading[i] else neg_b
-            for k in range(m):
-                for l, c in left[i][k].items():
+            if not F.is_zero(b):
+                cb = b if parity and alg.grading[i] else neg_b
+                for l, k, c in left[i]:
                     _acc(rows[l], j * m + k, F.mul(cb, c), F)
-        out.extend(rows)
+            out.extend(filter(None, rows))
     return out
-
-
-@dataclass
-class LinearSystem:
-    rows: list
-    nrows: int
-    ncols: int
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return (self.nrows, self.ncols)
-
-
-def assemble_system(alg: Algebra, delta) -> LinearSystem:
-    """The sparse equation rows of the delta-derivation system; for an
-    anticommutative algebra of dimension n the shape is n^2(n-1)/2 x n^2."""
-    delta = _payload(alg.field, delta)
-    rows = _law_rows(alg, delta, delta)
-    return LinearSystem(rows, len(rows), alg.dim * alg.dim)
 
 
 def _maps(alg: Algebra, rows: list[dict], m: int) -> list[LinearMap]:
@@ -194,10 +189,6 @@ class SolutionSpace:
             )
         return self._span.contains(self._flat(item))
 
-    def coordinates(self, item):
-        self.contains(item)  # populate span
-        return self._span.coordinates(self._flat(item))
-
     def d_component(self) -> list[LinearMap]:
         """For quasiderivation pairs: canonical basis of the D-projections."""
         if self.kind != "quasider":
@@ -227,7 +218,8 @@ class SolutionSpace:
 
 def solve_delta_derivations(alg: Algebra, delta) -> SolutionSpace:
     delta = _payload(alg.field, delta)
-    return SolutionSpace(alg, "delta_der", delta, _maps(alg, _law_rows(alg, delta, delta), alg.dim))
+    rows = _law_rows(alg, [(delta, delta)])
+    return SolutionSpace(alg, "delta_der", delta, _maps(alg, rows, alg.dim))
 
 
 def solve_module_valued(alg: Algebra, M: ModuleAction, delta) -> SolutionSpace:
@@ -237,24 +229,15 @@ def solve_module_valued(alg: Algebra, M: ModuleAction, delta) -> SolutionSpace:
     if not rep.ok:
         raise InvalidAction(f"action fails the bracket law on {rep.violations[0][0]}")
     delta = _payload(alg.field, delta)
-    rows = _law_rows(alg, delta, delta, module=M)
+    rows = _law_rows(alg, [(delta, delta)], module=M)
     return SolutionSpace(alg, "module_valued", delta, _maps(alg, rows, M.mdim))
-
-
-def _centroid_rows(alg: Algebra, parity: int = 0) -> list[dict]:
-    """chi(ab) = chi(a)b and chi(ab) = (-1)^(parity deg a) a chi(b).
-
-    The two laws' rows of each equation pair are kept together: on dense
-    structure constants elimination fills in less in that order."""
-    one, zero = alg.field.one(), alg.field.zero()
-    left, right = _law_rows(alg, one, zero), _law_rows(alg, zero, one, parity)
-    n = alg.dim
-    return [row for k in range(0, len(left), n) for row in left[k : k + n] + right[k : k + n]]
 
 
 def solve_centroid(alg: Algebra) -> SolutionSpace:
     """Maps commuting with all multiplications: chi(ab) = chi(a)b = a chi(b)."""
-    return SolutionSpace(alg, "centroid", None, _maps(alg, _centroid_rows(alg), alg.dim))
+    one, zero = alg.field.one(), alg.field.zero()
+    rows = _law_rows(alg, [(one, zero), (zero, one)])
+    return SolutionSpace(alg, "centroid", None, _maps(alg, rows, alg.dim))
 
 
 def _parity_constraints(alg: Algebra, parity: int) -> list[dict]:
@@ -276,7 +259,7 @@ def solve_superderivations(alg: Algebra, delta, parity: int) -> SolutionSpace:
     if parity not in (0, 1):
         raise ValueError("parity must be 0 or 1")
     delta = _payload(alg.field, delta)
-    rows = _law_rows(alg, delta, delta, parity) + _parity_constraints(alg, parity)
+    rows = _law_rows(alg, [(delta, delta)], parity) + _parity_constraints(alg, parity)
     return SolutionSpace(alg, "super_der", delta, _maps(alg, rows, alg.dim), parity=parity)
 
 
@@ -289,7 +272,8 @@ def solve_supercentroid(alg: Algebra, parity: int | None = None) -> SolutionSpac
         even = solve_supercentroid(alg, 0)
         odd = solve_supercentroid(alg, 1)
         return SolutionSpace(alg, "supercentroid", None, even.basis + odd.basis)
-    rows = _centroid_rows(alg, parity) + _parity_constraints(alg, parity)
+    one, zero = alg.field.one(), alg.field.zero()
+    rows = _law_rows(alg, [(one, zero), (zero, one)], parity) + _parity_constraints(alg, parity)
     return SolutionSpace(alg, "supercentroid", None, _maps(alg, rows, alg.dim), parity=parity)
 
 
@@ -299,7 +283,7 @@ def solve_quasiderivations(alg: Algebra) -> SolutionSpace:
     F = alg.field
     n = alg.dim
     nn = n * n
-    rows = _law_rows(alg, F.one(), F.one(), x_offset=nn)
+    rows = _law_rows(alg, [(F.one(), F.one())], x_offset=nn)
     basis = [
         (LinearMap.from_flat(F, v[:nn], n, n), LinearMap.from_flat(F, v[nn:], n, n))
         for v in sparse_nullspace(rows, 2 * nn, F)
@@ -316,7 +300,7 @@ def is_delta_derivation(alg: Algebra, D: LinearMap, delta, parity=None) -> bool:
     F = alg.field
     delta = _payload(F, delta)
     flat = D.flat()
-    rows = _law_rows(alg, delta, delta, parity or 0)
+    rows = _law_rows(alg, [(delta, delta)], parity or 0)
     return all(F.is_zero(_row_value(row, flat, F)) for row in rows)
 
 
@@ -391,21 +375,21 @@ def solve_parametric(alg: Algebra) -> ParametricResult:
     F = alg.field
     if isinstance(F, QuotientRing):
         raise ValueError("parametric solving needs a rational or prime base field")
-    # the pencil A + delta B, as sparse rows {column: polynomial}: A is the
-    # law at delta = 0, B the law at 1 minus A
+    # the pencil A + delta B as sparse rows {column: [a] or [a, b]}, read off
+    # one quasiderivation-layout assembly: column nn + c gives A, column c B
+    nn = alg.dim * alg.dim
     pencil = []
-    for a_row, ab_row in zip(_law_rows(alg, F.zero(), F.zero()), _law_rows(alg, F.one(), F.one())):
-        row = {}
-        for c in a_row.keys() | ab_row.keys():
-            a = a_row.get(c, F.zero())
-            row[c] = poly_trim(F, [a, F.sub(ab_row.get(c, F.zero()), a)])
-        pencil.append(row)
+    for row in _law_rows(alg, [(F.one(), F.one())], x_offset=nn):
+        const = {c - nn: v for c, v in row.items() if c >= nn}
+        entries = {c: [v] for c, v in const.items()}
+        entries.update({c: [const.get(c, F.zero()), v] for c, v in row.items() if c < nn})
+        pencil.append(entries)
     rank, candidates = 0, set()
     for block in _blocks(pencil):
         block_rank, block_candidates = _block_spectrum(F, block)
         rank += block_rank
         candidates.update(block_candidates)
-    generic = alg.dim * alg.dim - rank
+    generic = nn - rank
     specials = []
     for cand in sorted(candidates):
         d = solve_delta_derivations(alg, cand).dim

@@ -4,13 +4,13 @@
 its own: over GF(p) by a rank sweep of the p field values where the degree
 bound settles the generic rank, otherwise from the roots of the block's
 last fraction-free pivot.  The reference here is the plain monolithic
-algorithm: the whole pencil A + delta B densified to n^2(n-1)/2 x n^2, one
-fraction-free elimination, the base-field roots of its last pivot, and a
-pointwise solve at each root.  Both must give the same ``ParametricResult``
-on the algebras of the parametric benchmark workload and on random sparse
-anticommutative algebras drawn with hypothesis.  The per-block sweep is
-also checked against fraction-free elimination and a dense Gauss-Jordan
-rank at every field point.
+algorithm: the whole pencil A + delta B, built from the structure constants
+and densified, one fraction-free elimination, the base-field roots of its
+last pivot, and a pointwise solve at each root.  Both must give the same
+``ParametricResult`` on the algebras of the parametric benchmark workload
+and on random sparse anticommutative algebras drawn with hypothesis.  The
+per-block sweep is also checked against fraction-free elimination and a
+dense Gauss-Jordan rank at every field point.
 """
 
 from fractions import Fraction
@@ -31,7 +31,6 @@ from deltader.linalg import base_field_roots, fraction_free_pivots
 from deltader.solver import (
     ParametricResult,
     _block_spectrum,
-    _law_rows,
     solve_delta_derivations,
     solve_parametric,
 )
@@ -42,16 +41,34 @@ Q = Rationals()
 
 
 def monolithic_parametric(alg):
-    """The whole pencil, densified, through one Bareiss elimination."""
+    """The whole pencil, densified, through one Bareiss elimination.
+
+    The pencil is built here from the structure constants: row (i, j, l) is
+
+        sum_k C_ij^k d_kl  -  delta (sum_k C_kj^l d_ik + sum_k C_ik^l d_jk)
+
+    over every ordered basis pair (i, j), or only i < j for a Lie algebra,
+    whose (j, i) rows are the (i, j) rows negated and whose (i, i) rows
+    vanish.  Any such full set of pairs has the same rank at every delta,
+    generic or special, so every special delta is a root of the last pivot,
+    a maximal nonvanishing minor, and the result does not depend on which
+    pairs the package assembles."""
     F = alg.field
-    ncols = alg.dim * alg.dim
+    n = alg.dim
+    ncols = n * n
     dense = []
-    for a_row, ab_row in zip(_law_rows(alg, F.zero(), F.zero()), _law_rows(alg, F.one(), F.one())):
-        r = [[] for _ in range(ncols)]
-        for c in a_row.keys() | ab_row.keys():
-            a = a_row.get(c, F.zero())
-            r[c] = poly_trim(F, [a, F.sub(ab_row.get(c, F.zero()), a)])
-        dense.append(r)
+    for i in range(n):
+        for j in range(i + 1 if alg.flavor == "lie" else 0, n):
+            rows = [[[F.zero(), F.zero()] for _ in range(ncols)] for _ in range(n)]
+            for k, c in alg.product(i, j).items():
+                for l in range(n):
+                    rows[l][k * n + l][0] = F.add(rows[l][k * n + l][0], c)
+            for k in range(n):
+                for l, c in alg.product(k, j).items():
+                    rows[l][i * n + k][1] = F.sub(rows[l][i * n + k][1], c)
+                for l, c in alg.product(i, k).items():
+                    rows[l][j * n + k][1] = F.sub(rows[l][j * n + k][1], c)
+            dense.extend([poly_trim(F, entry) for entry in row] for row in rows)
     rank, pivots = fraction_free_pivots(F, dense, ncols)
     generic = ncols - rank
     specials = []

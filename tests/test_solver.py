@@ -20,7 +20,7 @@ from deltader.linalg import SpanSolver, same_span
 from deltader.linmap import LinearMap
 from deltader.solver import (
     ParityMismatch,
-    assemble_system,
+    _equation_pairs,
     exp_quasiautomorphism,
     is_delta_derivation,
     lift_grassmann,
@@ -216,9 +216,8 @@ def test_parametric_pointwise_consistency():
 
 def test_system_shape():
     alg = make_witt_type(Q, [-1, 0, 1])
-    sys_ = assemble_system(alg, Fraction(1, 2))
     n = alg.dim
-    assert sys_.shape == (n * n * (n - 1) // 2, n * n)
+    assert len(_equation_pairs(alg)) * n == n * n * (n - 1) // 2
 
 
 def test_abelian_everything_is_a_derivation():
