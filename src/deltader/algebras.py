@@ -18,10 +18,11 @@ represent.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field as dc_field
 from itertools import combinations
 
-from .fields import Field, field_from_json, field_to_json, parse_scalar
+from .fields import Field, Rationals, field_from_json, field_to_json, parse_scalar
 from .linalg import (
     _acc,
     _row_value,
@@ -216,6 +217,30 @@ class Algebra:
 
     def __repr__(self):
         return f"Algebra({self.flavor}, dim={self.dim}, field={self.field!r})"
+
+
+def _support_degrees(alg: Algebra) -> list[tuple]:
+    """An integer degree tuple w_k for each basis index k, with
+    w_k = w_i + w_j whenever c_ij^k != 0 (w_k = 2 w_i on the diagonal).
+
+    The coordinates are a basis of the nullspace over Q of those relations,
+    each scaled to integers: the torsion-free part of the universal grading
+    read off the support of the structure constants (Patera and Zassenhaus,
+    "On Lie gradings I", 1989).  Every product of homogeneous vectors is
+    homogeneous of the summed degree.  An algebra with no such grading gets
+    the empty tuple everywhere: a single component."""
+    relations = set()
+    for (i, j), terms in alg.products.items():
+        for k in terms:
+            row = {k: 1}
+            row[i] = row.get(i, 0) - 1
+            row[j] = row.get(j, 0) - 1
+            relations.add(tuple(sorted((c, a) for c, a in row.items() if a)))
+    scaled = []
+    for v in sparse_nullspace([dict(r) for r in relations], alg.dim, Rationals()):
+        den = math.lcm(*(x.denominator for x in v))
+        scaled.append([int(x * den) for x in v])
+    return [tuple(v[k] for v in scaled) for k in range(alg.dim)]
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,15 @@ odd arguments contributes an extra -1 (so transposing two odd arguments
 leaves the term invariant overall).  This sign convention is pinned down by
 the envelope equality s4(G(L)) = G(s4(L)), which fails under any other
 choice.
+
+s4(L) is computed one homogeneous component at a time.  The support of the
+structure constants grades the basis by integer degrees (w_k = w_i + w_j
+whenever c_ij^k != 0), so each evaluation on basis vectors is homogeneous
+and its degree is known before it is evaluated: evaluations into a degree
+no basis vector has, or into a component already spanned, are skipped.
+Each component keeps its own sparse echelon rows; their columns are
+disjoint, so together they are the canonical RREF of s4(L).  The
+enumeration stops once every component is full.
 """
 
 from __future__ import annotations
@@ -22,6 +31,7 @@ from functools import lru_cache
 from .algebras import (
     Algebra,
     GradingMissing,
+    _support_degrees,
     algebra_from_json,
     form_rank,
     index_tuples,
@@ -29,7 +39,15 @@ from .algebras import (
     validate,
     validate_form,
 )
-from .linalg import SpanSolver, _sub_multiple, rref_dense, same_span
+from .linalg import (
+    SpanSolver,
+    _add_pivot,
+    _dense_pivot_rows,
+    _eliminate,
+    _sub_multiple,
+    rref_dense,
+    same_span,
+)
 from .solver import (
     solve_centroid,
     solve_delta_derivations,
@@ -60,13 +78,32 @@ class IdealBasis:
         return len(self.basis)
 
 
-def _is_ideal(alg: Algebra, vectors: list) -> bool:
-    span = SpanSolver(alg.field, vectors)
-    for v in vectors:
-        for i in range(alg.dim):
-            w = alg.bracket(v, alg.unit_vector(i))
-            if not span.contains(w):
-                return False
+def _packed_degrees(degrees: list[tuple], terms: int) -> list[int]:
+    """Each degree tuple as one integer sum of w_c * B**c.  Packing is
+    additive, so the packed degrees grade the algebra for any B; with B
+    above twice the largest coordinate sum of ``terms`` degrees it also
+    tells apart any two sums of at most ``terms`` degrees, so the
+    components stay as fine as those of the tuples."""
+    B = 2 * terms * max((abs(x) for w in degrees for x in w), default=0) + 1
+    return [sum(x * B**c for c, x in enumerate(w)) for w in degrees]
+
+
+def _is_ideal(F, right: list, degree: list, components: dict) -> bool:
+    """Whether every pivot row times every e_i reduces to zero against the
+    component of its degree.  The product is homogeneous, so no other
+    component can reduce it; a nonzero product whose degree has no pivots
+    lies outside the span."""
+    n = len(degree)
+    for d, pivots in components.items():
+        for row in pivots.values():
+            for i in range(n):
+                w: dict = {}
+                for k, c in row.items():
+                    _sub_multiple(w, F.neg(c), right[k][i], -1, F)  # w += c e_k e_i
+                if w:
+                    _eliminate(w, components.get(d + degree[i], {}), F)
+                    if w:
+                        return False
     return True
 
 
@@ -76,9 +113,21 @@ def compute_s4(alg: Algebra, law: str = "ordinary") -> IdealBasis:
     One enumeration serves both laws: the arguments run over
     :func:`index_tuples` of the grading for the super law and of zero
     parities for the ordinary one.  On a Grassmann envelope, branches whose
-    supports overlap are pruned during the enumeration and a y whose support
-    meets theirs is skipped: those nested products vanish.  The enumeration
-    stops once the span is the whole algebra.
+    supports overlap are pruned during the enumeration; a y whose support
+    meets theirs needs no check, as the value's degree would count a
+    generator twice, and no basis vector has such a degree.
+
+    The span is built one homogeneous component at a time.  Every nonzero
+    structure constant c_ij^k respects the degrees of
+    ``algebras._support_degrees`` (w_k = w_i + w_j), so the value of s4 on
+    basis vectors y, t1..t4 is homogeneous of degree w_y + w_t1 + ... +
+    w_t4.  A pair (y, t) is skipped when no basis vector has that degree or
+    when that component is already spanned; otherwise its value is reduced
+    against the sparse echelon pivots of its own component.  The components
+    have disjoint columns, so the union of their RREFs is an RREF of the
+    span and, by uniqueness, its canonical one (as for the blocks of
+    ``linalg.sparse_nullspace``).  The enumeration stops once every
+    component is full, that is once the span is the whole algebra.
 
     The signed sum over S4 is built over the set S of argument positions
     already applied: appending p after S contributes -1 for each s in S with
@@ -93,30 +142,40 @@ def compute_s4(alg: Algebra, law: str = "ordinary") -> IdealBasis:
         raise ValueError(f"unknown law {law!r}")
     par = alg.grading if law == "super" else [0] * n
     supports = alg.meta.get("supports") or [frozenset()] * n
+    degree = _packed_degrees(_support_degrees(alg), 5)
     right = [[alg.product(i, j) for j in range(n)] for i in range(n)]
+    by_degree: dict[int, list] = {}
+    for y, d in enumerate(degree):
+        by_degree.setdefault(d, []).append(y)
+    components = {d: {} for d in by_degree}  # degree -> sparse pivot rows
+    unspanned = set(by_degree)
 
-    def evaluations():
-        for t, union in index_tuples(par, 4, supports):
-            steps = _koszul_steps(tuple(par[i] for i in t))
-            for y in range(n):
-                if supports[y] & union:
-                    continue
-                acc = [{} for _ in range(16)]
-                acc[0][y] = F.one()
-                for S, p, negate in steps:
-                    for i, c in acc[S].items():
-                        coef = c if negate else F.neg(c)  # _sub_multiple subtracts
-                        _sub_multiple(acc[S | 1 << p], coef, right[i][t[p]], -1, F)
-                if acc[15]:
-                    yield acc[15]
+    def evaluate(y, t, steps) -> dict:
+        acc = [{} for _ in range(16)]
+        acc[0][y] = F.one()
+        for S, p, negate in steps:
+            for i, c in acc[S].items():
+                coef = c if negate else F.neg(c)  # _sub_multiple subtracts
+                _sub_multiple(acc[S | 1 << p], coef, right[i][t[p]], -1, F)
+        return acc[15]
 
-    span = SpanSolver(F)
-    for vec in evaluations():
-        span.add([vec.get(k, F.zero()) for k in range(n)])
-        if span.dim == n:
+    for t, _ in index_tuples(par, 4, supports):
+        if not unspanned:
             break
-    vectors = span.basis()
-    return IdealBasis(alg, vectors, _is_ideal(alg, vectors))
+        dt = degree[t[0]] + degree[t[1]] + degree[t[2]] + degree[t[3]]
+        steps = _koszul_steps(tuple(par[i] for i in t))
+        for d in list(unspanned):
+            pivots = components[d]
+            for y in by_degree.get(d - dt, ()):
+                row = evaluate(y, t, steps)
+                _eliminate(row, pivots, F)
+                if row:
+                    _add_pivot(row, pivots, F)
+                    if len(pivots) == len(by_degree[d]):
+                        unspanned.remove(d)
+                        break
+    everything = {p: row for pivots in components.values() for p, row in pivots.items()}
+    return IdealBasis(alg, _dense_pivot_rows(everything, n, F), _is_ideal(F, right, degree, components))
 
 
 def check_standard_identity(alg: Algebra, law: str = "ordinary") -> bool:

@@ -52,19 +52,18 @@ def elementary_map(field, n, k, l):
     return LinearMap(field, rows)
 
 
-def derivation_defect(alg, D, delta):
+def derivation_defect(alg, D, delta, units, products):
     """Concatenated defect D([e_i,e_j]) - delta([D e_i, e_j] + [e_i, D e_j])
-    over all ordered pairs (i, j)."""
+    over all ordered pairs (i, j), given the unit vectors and the products
+    ``products[i][j] = bracket(e_i, e_j)``."""
     F = alg.field
+    images = [D.apply(e) for e in units]
     out = []
-    for i in range(alg.dim):
-        ei = alg.unit_vector(i)
-        for j in range(alg.dim):
-            ej = alg.unit_vector(j)
-            br = alg.bracket(ei, ej)
-            lhs = D.apply(br)
-            t1 = alg.bracket(D.apply(ei), ej)
-            t2 = alg.bracket(ei, D.apply(ej))
+    for i, ei in enumerate(units):
+        for j, ej in enumerate(units):
+            lhs = D.apply(products[i][j])
+            t1 = alg.bracket(images[i], ej)
+            t2 = alg.bracket(ei, images[j])
             for a, b, c in zip(lhs, t1, t2):
                 out.append(F.sub(a, F.mul(delta, F.add(b, c))))
     return out
@@ -75,10 +74,12 @@ def oracle_delta_derivations(alg, delta):
     elementary matrices.  Returns a list of flat n^2 coefficient vectors."""
     F = alg.field
     n = alg.dim
+    units = [alg.unit_vector(i) for i in range(n)]
+    products = [[alg.bracket(ei, ej) for ej in units] for ei in units]
     cols = []
     for k in range(n):
         for l in range(n):
-            cols.append(derivation_defect(alg, elementary_map(F, n, k, l), delta))
+            cols.append(derivation_defect(alg, elementary_map(F, n, k, l), delta, units, products))
     # transpose: equations are rows
     nrows = len(cols[0])
     rows = [[cols[c][r] for c in range(n * n)] for r in range(nrows)]

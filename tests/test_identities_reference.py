@@ -8,8 +8,16 @@ permutations with an explicit Koszul sign per permutation, and the
 (super-)Jacobi sum evaluated on every ordered triple.  Random sparse graded
 algebras over GF(7) and Q, their Grassmann envelopes and perturbed copies of
 known Lie (super)algebras are drawn with hypothesis.
+
+``compute_s4`` also skips every evaluation whose degree, under the grading
+``_support_degrees`` reads off the structure constants, has no basis vector
+or an already spanned component.  That grading is checked against every
+nonzero structure constant, and s4 against the reference on known algebras
+with real root gradings and on a dense change of basis, whose grading has
+rank 0.
 """
 
+import random
 from fractions import Fraction
 from itertools import combinations_with_replacement, permutations, product
 
@@ -19,6 +27,7 @@ from hypothesis import given, settings, strategies as st
 from deltader.algebras import (
     Algebra,
     FlavorMismatch,
+    _support_degrees,
     index_tuples,
     make_grassmann_envelope,
     make_osp12,
@@ -232,3 +241,79 @@ def test_index_tuples_is_the_filtered_product(parities, k, data):
         if sum(len(supports[i]) for i in t) == len(frozenset().union(*(supports[i] for i in t)))
     ]
     assert list(index_tuples(parities, k, supports)) == pruned
+
+
+def rebased_sl3(seed: int = 1):
+    """sl3/Q in the basis f_a = sum_i P[a][i] e_i for the seeded dense
+    unimodular P = S1 M S2 of the rebased benchmark workload: M[i][j] =
+    min(i, j) + 1, whose inverse is tridiagonal, and S1, S2 signed
+    permutations.  The products are dense, so their support carries no
+    grading."""
+    sl3 = make_special_linear(3, Rationals())
+    F, n = sl3.field, sl3.dim
+    rng = random.Random(seed)
+    p1, p2 = rng.sample(range(n), n), rng.sample(range(n), n)
+    s1, s2 = [rng.choice((-1, 1)) for _ in range(n)], [rng.choice((-1, 1)) for _ in range(n)]
+    M = [[min(i, j) + 1 for j in range(n)] for i in range(n)]
+    Minv = [[2 if i == j < n - 1 else 1 if i == j else -1 if abs(i - j) == 1 else 0
+             for j in range(n)] for i in range(n)]
+    P = [[F.coerce(s1[i] * M[p1[i]][p2[j]] * s2[j]) for j in range(n)] for i in range(n)]
+    Pinv = [[F.coerce(s2[j] * Minv[p2[j]][p1[i]] * s1[i]) for i in range(n)] for j in range(n)]
+    products = {}
+    for a in range(n):
+        for b in range(a + 1, n):
+            v = sl3.bracket(P[a], P[b])
+            products[(a, b)] = {c: sum(v[k] * Pinv[k][c] for k in range(n)) for c in range(n)}
+    return Algebra(F, n, [f"f{i}" for i in range(n)], products)
+
+
+def test_rebased_sl3_is_a_change_of_basis():
+    assert validate(rebased_sl3()).ok
+
+
+def assert_degrees_respect_products(alg):
+    w = _support_degrees(alg)
+    assert len(w) == alg.dim and len({len(d) for d in w}) == 1
+    for (i, j), terms in alg.products.items():
+        for k in terms:
+            assert w[k] == tuple(a + b for a, b in zip(w[i], w[j])), (i, j, k)
+
+
+@SETTINGS
+@given(graded_algebras())
+def test_support_degrees_respect_random_products(alg):
+    assert_degrees_respect_products(alg)
+
+
+@pytest.mark.parametrize("name", sorted(KNOWN))
+def test_support_degrees_respect_known_products(name):
+    assert_degrees_respect_products(KNOWN[name]())
+
+
+@pytest.mark.parametrize("make, rank", [
+    (lambda: make_special_linear(2, Rationals()), 1),
+    (lambda: make_special_linear(3, Rationals()), 2),
+    (lambda: make_special_linear(4, Rationals()), 3),
+    (lambda: make_grassmann_envelope(load_fixture("osp12_gf7.json"), 1), 2),
+    (lambda: make_grassmann_envelope(load_fixture("osp12_gf7.json"), 2), 3),
+    (lambda: make_grassmann_envelope(load_fixture("osp12_gf7.json"), 5), 6),
+    (rebased_sl3, 0),
+], ids=["sl2/Q", "sl3/Q", "sl4/Q", "G1(osp12/GF7)", "G2(osp12/GF7)", "G5(osp12/GF7)", "rebased sl3/Q"])
+def test_support_degrees_rank(make, rank):
+    alg = make()
+    assert {len(d) for d in _support_degrees(alg)} == {rank}
+
+
+@pytest.mark.parametrize("name, law", [
+    (name, law) for name in sorted(KNOWN) for law in ("ordinary", "super")
+    if law == "ordinary" or KNOWN[name]().grading is not None
+])
+def test_s4_known_matches_permutation_sum(name, law):
+    alg = KNOWN[name]()
+    assert s4_result(alg, law) == reference_s4(alg, law)
+
+
+def test_s4_rebased_matches_permutation_sum():
+    # a single homogeneous component: the grading has rank 0
+    alg = rebased_sl3()
+    assert s4_result(alg, "ordinary") == reference_s4(alg, "ordinary")

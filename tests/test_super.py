@@ -9,6 +9,7 @@ from deltader.algebras import (
     make_osp12,
     make_semidirect,
     make_special_linear,
+    make_zassenhaus,
     ModuleAction,
     Algebra,
     validate,
@@ -89,6 +90,21 @@ def test_envelope_functoriality_m5():
     assert rep["s4_dim"] == 5
     assert rep["match_positive_degree"]
     assert rep["contained"]
+
+
+def test_s4_envelope_m6_pinned():
+    # 160-dimensional; the support grading has rank 7, one coordinate per
+    # Grassmann generator plus the root degree of osp(1|2)
+    osp = load_fixture("osp12_gf7.json")
+    env = make_grassmann_envelope(osp, 6)
+    s4 = compute_s4(env)
+    assert (s4.dim, s4.is_ideal) == (157, True)
+    assert s4.basis == envelope_subspace(env, compute_s4(osp, "super").basis, min_degree=1)
+
+
+def test_s4_witt_12_gf5_vanishes():
+    s4 = compute_s4(make_zassenhaus(5, 2))
+    assert (s4.dim, s4.is_ideal) == (0, True)
 
 
 def test_lifted_kernel_decomposition():
