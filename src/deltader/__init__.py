@@ -16,7 +16,6 @@ from .fields import (
     Rationals,
     PrimeField,
     QuotientRing,
-    FieldElement,
     field_from_json,
     field_to_json,
 )

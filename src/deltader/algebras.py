@@ -496,6 +496,8 @@ def make_zassenhaus(p: int, n: int) -> Algebra:
     i = -1 .. p^n - 2, with [e_i, e_j] = (C(i+j+1, j) - C(i+j+1, i)) e_{i+j}."""
     from .fields import PrimeField
 
+    if n < 1:
+        raise AlgebraError(f"W_1({n}) needs height n >= 1")
     F = PrimeField(p)
     N = p**n
     products = {}
@@ -514,6 +516,8 @@ def make_divided_powers(p: int, n: int) -> Algebra:
     """Divided powers algebra O_1(n): x^i x^j = C(i+j, j) x^{i+j}, dim p^n."""
     from .fields import PrimeField
 
+    if n < 1:
+        raise AlgebraError(f"O_1({n}) needs height n >= 1")
     F = PrimeField(p)
     N = p**n
     products = {}

@@ -1,10 +1,13 @@
 """Command-line front end.
 
-Subcommands: make, solve, grade, report, validate.  All scalars are exact
-strings ("-1", "3/7"); decimal literals are rejected.  Output JSON is
-canonical: sorted keys, two-space indent, LF newlines.  Exit codes: 0 on
-success, 2 on input/validation errors, 3 on mathematical precondition
-failures (non-closure, non-splitting, nilpotency too deep, ...).
+Subcommands: make, solve, grade, report, validate.  Each construction of
+``make`` and each ``--kind`` of ``solve`` is named once, in the table MAKE
+or SOLVE; its entry lists the options it requires and accepts, and any
+other option is refused.  All scalars are exact strings ("-1", "3/7");
+decimal literals are rejected.  Output JSON is canonical: sorted keys,
+two-space indent, LF newlines.  Exit codes: 0 on success, 2 on
+input/validation errors, 3 on mathematical precondition failures
+(non-closure, non-splitting, nilpotency too deep, ...).
 """
 
 from __future__ import annotations
@@ -12,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from typing import Callable, NamedTuple
 
 from .algebras import (
     AlgebraError,
@@ -44,6 +48,7 @@ from .halfring import NotClosedRing, half_ring_report
 from .linmap import LinearMap
 from .solver import (
     NilpotencyTooDeep,
+    ParametricResult,
     solve_centroid,
     solve_delta_derivations,
     solve_parametric,
@@ -126,85 +131,103 @@ def load_maps(path: str, alg):
     return maps
 
 
-_MAKE_REQUIRES = {"zassenhaus": ["p"], "divided-powers": ["p"], "abelian": ["dim"],
-                  "witt": ["support"], "current": ["left", "right"]}
+class Entry(NamedTuple):
+    """One choice of a table-driven subcommand: the options it requires, the
+    other options it accepts with their defaults, and its runner."""
+
+    run: Callable
+    requires: tuple = ()
+    accepts: dict = {}
+
+
+def _select(table: dict, label: str, args) -> Entry:
+    """The entry for ``args.kind``, once every option it does not take has
+    been refused, every one it requires found, and its defaults filled in."""
+    entry = table[args.kind]
+    for opt in args.options:
+        if getattr(args, opt) is not None and opt not in entry.requires and opt not in entry.accepts:
+            raise ValueError(f"{label} does not take --{opt}")
+    for opt in entry.requires:
+        if getattr(args, opt) is None:
+            raise ValueError(f"{label} requires --{opt}")
+    for opt, default in entry.accepts.items():
+        if getattr(args, opt) is None:
+            setattr(args, opt, default)
+    return entry
+
+
+def _make_witt(args):
+    field = parse_field(args.field)
+    if args.modulus and field.char != args.modulus:
+        raise ValueError(
+            f"Witt Z/{args.modulus} is Lie only in characteristic {args.modulus}, "
+            f"not over {args.field}"
+        )
+    support = [int(s) for s in args.support.split(",")]
+    return make_witt_type(field, support, modulus=args.modulus)
+
+
+MAKE = {
+    "zassenhaus": Entry(lambda a: make_zassenhaus(a.p, a.n), ("p",), {"n": 1}),
+    "divided-powers": Entry(lambda a: make_divided_powers(a.p, a.n), ("p",), {"n": 1}),
+    "elduque4": Entry(lambda a: make_elduque4(parse_field(a.field)), (), {"field": "Q"}),
+    "abelian": Entry(lambda a: make_abelian(parse_field(a.field), a.dim), ("dim",), {"field": "Q"}),
+    "sl": Entry(lambda a: make_special_linear(a.n, parse_field(a.field)), (), {"n": 1, "field": "Q"}),
+    "osp12": Entry(lambda a: make_osp12(parse_field(a.field)), (), {"field": "Q"}),
+    "witt": Entry(_make_witt, ("support",), {"field": "Q", "modulus": None}),
+    "current": Entry(lambda a: make_current(load_algebra(a.left), load_algebra(a.right)), ("left", "right")),
+}
 
 
 def cmd_make(args) -> int:
-    for opt in _MAKE_REQUIRES.get(args.kind, ()):
-        if getattr(args, opt) is None:
-            raise ValueError(f"make {args.kind} requires --{opt}")
-    if args.kind == "zassenhaus":
-        alg = make_zassenhaus(args.p, args.n)
-    elif args.kind == "divided-powers":
-        alg = make_divided_powers(args.p, args.n)
-    elif args.kind == "elduque4":
-        alg = make_elduque4(parse_field(args.field))
-    elif args.kind == "abelian":
-        alg = make_abelian(parse_field(args.field), args.dim)
-    elif args.kind == "sl":
-        alg = make_special_linear(args.n, parse_field(args.field))
-    elif args.kind == "osp12":
-        alg = make_osp12(parse_field(args.field))
-    elif args.kind == "witt":
-        field = parse_field(args.field)
-        if args.modulus and field.char != args.modulus:
-            raise ValueError(
-                f"Witt Z/{args.modulus} is Lie only in characteristic {args.modulus}, "
-                f"not over {args.field}"
-            )
-        support = [int(s) for s in args.support.split(",")]
-        alg = make_witt_type(field, support, modulus=args.modulus)
-    elif args.kind == "current":
-        left = load_algebra(args.left)
-        right = load_algebra(args.right)
-        alg = make_current(left, right)
-    else:  # pragma: no cover - argparse restricts choices
-        raise ValueError(f"unknown construction {args.kind!r}")
+    alg = _select(MAKE, f"make {args.kind}", args).run(args)
     write_json(args.out, algebra_to_json(alg))
     print(f"wrote {args.out} (dim = {alg.dim})")
     return 0
 
 
-_SOLVE_TAKES = {"der": ["delta", "parametric"], "centroid": [], "quasider": [],
-               "superder": ["delta", "parity"]}
+def _solve_der(alg, args):
+    if not args.parametric:
+        if args.delta is None:
+            raise ValueError("--delta is required unless --parametric is given")
+        return solve_delta_derivations(alg, args.delta)
+    if args.delta is not None:
+        raise ValueError("--delta cannot be combined with --parametric, which treats delta as a parameter")
+    return solve_parametric(alg)
+
+
+# each runner returns a SolutionSpace or, for --parametric, a ParametricResult
+SOLVE = {
+    "der": Entry(_solve_der, (), {"delta": None, "parametric": None}),
+    "centroid": Entry(lambda alg, a: solve_centroid(alg)),
+    "quasider": Entry(lambda alg, a: solve_quasiderivations(alg)),
+    "superder": Entry(lambda alg, a: solve_superderivations(alg, a.delta, a.parity), ("delta", "parity")),
+}
 
 
 def cmd_solve(args) -> int:
-    for opt in ("parametric", "delta", "parity"):
-        if getattr(args, opt) is not None and opt not in _SOLVE_TAKES[args.kind]:
-            raise ValueError(f"--kind {args.kind} does not take --{opt}")
+    entry = _select(SOLVE, f"--kind {args.kind}", args)
     alg = load_algebra(args.algebra)
     F = alg.field
-    if args.parametric:
-        if args.delta is not None:
-            raise ValueError("--delta cannot be combined with --parametric, which treats delta as a parameter")
-        result = solve_parametric(alg)
+    result = entry.run(alg, args)
+    if isinstance(result, ParametricResult):
+        specials = ", ".join(f"{F.fmt(d)} (dim {dim})" for d, dim in result.specials)
         print(f"generic dim = {result.generic_dim}")
-        specials = ", ".join(
-            f"{F.fmt(d)} (dim {dim})" for d, dim in result.specials
-        )
         print(f"specials: {specials if specials else 'none'}")
-        if args.out:
-            write_json(args.out, result.to_json(F))
-        return 0
-    if args.kind == "centroid":
-        space = solve_centroid(alg)
-    elif args.kind == "quasider":
-        space = solve_quasiderivations(alg)
+        data = result.to_json(F)
     else:
-        if args.delta is None:
-            raise ValueError("--delta is required unless --parametric is given")
-        delta = parse_scalar(F, args.delta)
-        if args.kind == "der":
-            space = solve_delta_derivations(alg, delta)
-        else:  # superder
-            if args.parity is None:
-                raise ValueError("--parity is required for --kind superder")
-            space = solve_superderivations(alg, delta, args.parity)
-    print(f"dim = {space.dim}")
+        print(f"dim = {result.dim}")
+        data = result.to_json()
     if args.out:
-        write_json(args.out, space.to_json())
+        write_json(args.out, data)
+    return 0
+
+
+def _emit(report: dict, out: str | None) -> int:
+    """Write a report to ``out`` when given, then to stdout."""
+    if out:
+        write_json(out, report)
+    sys.stdout.write(canonical_json(report))
     return 0
 
 
@@ -212,14 +235,9 @@ def cmd_grade(args) -> int:
     alg = load_algebra(args.algebra)
     delta = parse_scalar(alg.field, args.delta)
     maps = load_maps(args.derivations, alg)
-    dec = root_decompose(alg, maps, delta)
-    report = grading_report(dec)
+    report = grading_report(root_decompose(alg, maps, delta))
     report["semigroup_verdict"] = report["verdict"]
-    out = canonical_json(report)
-    if args.out:
-        write_json(args.out, report)
-    sys.stdout.write(out)
-    return 0
+    return _emit(report, args.out)
 
 
 def cmd_report(args) -> int:
@@ -233,17 +251,19 @@ def cmd_report(args) -> int:
     report["s4_dim"] = s4.dim
     report["s4_is_ideal"] = s4.is_ideal
     report["desk_check"] = desk_check_theorems(alg)
-    out = canonical_json(report)
-    if args.out:
-        write_json(args.out, report)
-    sys.stdout.write(out)
-    return 0
+    return _emit(report, args.out)
 
 
 def cmd_validate(args) -> int:
     alg = load_algebra(args.algebra)
     print(f"ok: dim = {alg.dim}, flavor = {alg.flavor}")
     return 0
+
+
+def _options(parser) -> list[str]:
+    """The options a table entry may require, accept or refuse: every one of
+    the subcommand's options but --kind and --out, left None unless given."""
+    return [a.dest for a in parser._actions if a.option_strings and a.dest not in ("help", "kind", "out")]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -254,23 +274,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_make = sub.add_parser("make", help="construct an algebra and write its JSON")
-    p_make.add_argument(
-        "kind",
-        choices=[
-            "zassenhaus",
-            "divided-powers",
-            "elduque4",
-            "abelian",
-            "sl",
-            "osp12",
-            "witt",
-            "current",
-        ],
-    )
+    p_make.add_argument("kind", choices=list(MAKE))
     p_make.add_argument("--p", type=int, help="characteristic")
-    p_make.add_argument("--n", type=int, default=1, help="height / matrix size")
+    p_make.add_argument("--n", type=int, help="height / matrix size")
     p_make.add_argument("--dim", type=int, help="dimension (abelian)")
-    p_make.add_argument("--field", default="Q", help="Q or gf<p>")
+    p_make.add_argument("--field", help="Q or gf<p>")
     p_make.add_argument("--support", help="comma-separated root set (witt)")
     p_make.add_argument(
         "--modulus", type=int, help="reduce witt root sums modulo this integer"
@@ -278,23 +286,19 @@ def build_parser() -> argparse.ArgumentParser:
     p_make.add_argument("--left", help="algebra file (current)")
     p_make.add_argument("--right", help="commutative algebra file (current)")
     p_make.add_argument("--out", required=True)
-    p_make.set_defaults(func=cmd_make)
+    p_make.set_defaults(func=cmd_make, options=_options(p_make))
 
     p_solve = sub.add_parser("solve", help="solve a derivation-type linear system")
     p_solve.add_argument("algebra")
     p_solve.add_argument("--delta", help="exact scalar literal, e.g. 1/2")
-    # None unless given, like the other options checked against _SOLVE_TAKES
+    # None unless given, like every option a table entry may refuse
     p_solve.add_argument(
         "--parametric", action="store_true", default=None, help="treat delta as a parameter"
     )
-    p_solve.add_argument(
-        "--kind",
-        choices=["der", "centroid", "quasider", "superder"],
-        default="der",
-    )
+    p_solve.add_argument("--kind", choices=list(SOLVE), default="der")
     p_solve.add_argument("--parity", type=int, choices=[0, 1])
     p_solve.add_argument("--out")
-    p_solve.set_defaults(func=cmd_solve)
+    p_solve.set_defaults(func=cmd_solve, options=_options(p_solve))
 
     p_grade = sub.add_parser("grade", help="root-space decomposition report")
     p_grade.add_argument("algebra")

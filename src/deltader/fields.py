@@ -10,9 +10,10 @@ Three kinds of coefficient domains are supported:
   kind ``quot``).
 
 Field objects operate on *raw payloads* (``Fraction``, ``int`` in [0, p),
-or a tuple of base payloads of length deg f) so that inner loops stay cheap;
-:class:`FieldElement` is a thin operator-overloading wrapper around
-(field, payload) for use at API boundaries.
+or a tuple of base payloads of length deg f) so that inner loops stay cheap.
+Every scalar from outside -- a CLI flag, a JSON file, an argument of a
+library call -- enters through :func:`parse_scalar`, one grammar of exact
+literals that also passes payloads through.
 
 Division in a quotient ring checks invertibility; a zero divisor raises
 :class:`NonInvertible` carrying the gcd witness, so a reducible modulus is
@@ -493,72 +494,6 @@ class QuotientRing(Field):
 
 
 # ---------------------------------------------------------------------------
-# element wrapper
-
-
-class FieldElement:
-    """Immutable (field, payload) pair with operator overloading."""
-
-    __slots__ = ("field", "payload")
-
-    def __init__(self, field: Field, payload):
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "payload", payload)
-
-    def __setattr__(self, *args):
-        raise AttributeError("FieldElement is immutable")
-
-    def _co(self, other):
-        if isinstance(other, FieldElement):
-            if other.field != self.field:
-                raise FieldError("elements of different fields")
-            return other.payload
-        return self.field.coerce(other)
-
-    def __add__(self, other):
-        return FieldElement(self.field, self.field.add(self.payload, self._co(other)))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return FieldElement(self.field, self.field.sub(self.payload, self._co(other)))
-
-    def __rsub__(self, other):
-        return FieldElement(self.field, self.field.sub(self._co(other), self.payload))
-
-    def __mul__(self, other):
-        return FieldElement(self.field, self.field.mul(self.payload, self._co(other)))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return FieldElement(self.field, self.field.div(self.payload, self._co(other)))
-
-    def __rtruediv__(self, other):
-        return FieldElement(self.field, self.field.div(self._co(other), self.payload))
-
-    def __neg__(self):
-        return FieldElement(self.field, self.field.neg(self.payload))
-
-    def __eq__(self, other):
-        if isinstance(other, FieldElement):
-            return self.field == other.field and self.field.eq(self.payload, other.payload)
-        try:
-            return self.field.eq(self.payload, self._co(other))
-        except TypeError:
-            return NotImplemented
-
-    def __hash__(self):
-        return hash((self.field, repr(self.payload)))
-
-    def __bool__(self):
-        return not self.field.is_zero(self.payload)
-
-    def __repr__(self):
-        return f"{self.field.fmt(self.payload)}"
-
-
-# ---------------------------------------------------------------------------
 # JSON interchange
 
 
@@ -591,9 +526,10 @@ _DECIMAL = re.compile(r"\s*[+-]?(\d+\.\d*|\.\d+|\d+(?=[eE]))([eE][+-]?\d+)?\s*")
 
 def parse_scalar(field: Field, text):
     """Parse an exact scalar literal: an integer, a fraction such as "-5/7",
-    or over a quotient ring a coefficient list of them.  Booleans, floats and
-    decimal or exponent notation ("0.5", "1e2") are rejected."""
-    for item in text if isinstance(text, list) else [text]:
+    or over a quotient ring a coefficient list of them or a payload tuple.
+    Booleans, floats and decimal or exponent notation ("0.5", "1e2") are
+    rejected, also inside a list or tuple."""
+    for item in text if isinstance(text, (list, tuple)) else [text]:
         if isinstance(item, bool):
             raise ValueError(f"not a scalar literal: {text!r}")
         if isinstance(item, float):

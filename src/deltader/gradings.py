@@ -24,8 +24,8 @@ from itertools import product
 from .algebras import Algebra, AlgebraError, NotADerivation
 from .linalg import SpanSolver, base_field_roots, charpoly, kernel_of_map, rref_dense
 from .linmap import LinearMap
-from .solver import _payload, is_delta_derivation
-from .fields import poly_deg, poly_divmod, poly_trim
+from .solver import is_delta_derivation
+from .fields import QuotientRing, parse_scalar, poly_deg, poly_divmod, poly_trim
 
 
 class NonCommuting(AlgebraError):
@@ -112,7 +112,9 @@ def root_decompose(alg: Algebra, D_set: list[LinearMap], delta) -> RootDecomposi
     delta-derivations, with the product inclusion
     [L_lambda, L_mu] <= L_(delta(lambda+mu)) verified on every defined pair."""
     F = alg.field
-    delta = _payload(F, delta)
+    if isinstance(F, QuotientRing):
+        raise ValueError("root decomposition needs a rational or prime base field")
+    delta = parse_scalar(F, delta)
     for a, Da in enumerate(D_set):
         if not is_delta_derivation(alg, Da, delta):
             raise NotADerivation(f"map {a} is not a delta-derivation for this delta")
@@ -246,10 +248,10 @@ def check_root_sum(field, roots: list, delta) -> dict:
     """For every root eta, is there a pair lambda, mu in the root list with
     eta = delta (lambda + mu)?  A violation shows that no perfect algebra
     realizes this root set for this delta."""
-    delta = _payload(field, delta)
+    delta = parse_scalar(field, delta)
     if field.is_zero(delta):
         raise BadDelta("delta must be nonzero")
-    roots = [_payload(field, r) for r in roots]
+    roots = [parse_scalar(field, r) for r in roots]
     violations = []
     for eta in roots:
         ok = any(

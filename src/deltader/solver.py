@@ -54,7 +54,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebras import Algebra, AlgebraError, GradingMissing, InvalidAction, ModuleAction
-from .fields import Field, FieldElement, PrimeField, QuotientRing
+from .fields import Field, PrimeField, QuotientRing, parse_scalar
 from .linalg import (
     SpanSolver,
     _acc,
@@ -75,14 +75,6 @@ class NilpotencyTooDeep(ArithmeticError):
 
 class ParityMismatch(AlgebraError):
     pass
-
-
-def _payload(field: Field, value):
-    if isinstance(value, FieldElement):
-        if value.field != field:
-            raise ValueError("scalar from a different field")
-        return value.payload
-    return field.coerce(value)
 
 
 def _equation_pairs(alg: Algebra):
@@ -217,7 +209,7 @@ class SolutionSpace:
 
 
 def solve_delta_derivations(alg: Algebra, delta) -> SolutionSpace:
-    delta = _payload(alg.field, delta)
+    delta = parse_scalar(alg.field, delta)
     rows = _law_rows(alg, [(delta, delta)])
     return SolutionSpace(alg, "delta_der", delta, _maps(alg, rows, alg.dim))
 
@@ -228,7 +220,7 @@ def solve_module_valued(alg: Algebra, M: ModuleAction, delta) -> SolutionSpace:
     rep = M.validate()
     if not rep.ok:
         raise InvalidAction(f"action fails the bracket law on {rep.violations[0][0]}")
-    delta = _payload(alg.field, delta)
+    delta = parse_scalar(alg.field, delta)
     rows = _law_rows(alg, [(delta, delta)], module=M)
     return SolutionSpace(alg, "module_valued", delta, _maps(alg, rows, M.mdim))
 
@@ -258,7 +250,7 @@ def solve_superderivations(alg: Algebra, delta, parity: int) -> SolutionSpace:
         raise GradingMissing("superderivations need a graded algebra")
     if parity not in (0, 1):
         raise ValueError("parity must be 0 or 1")
-    delta = _payload(alg.field, delta)
+    delta = parse_scalar(alg.field, delta)
     rows = _law_rows(alg, [(delta, delta)], parity) + _parity_constraints(alg, parity)
     return SolutionSpace(alg, "super_der", delta, _maps(alg, rows, alg.dim), parity=parity)
 
@@ -298,7 +290,7 @@ def is_delta_derivation(alg: Algebra, D: LinearMap, delta, parity=None) -> bool:
     The check evaluates at D the rows that the solver assembles for this
     law, so checking and solving share one encoding of it."""
     F = alg.field
-    delta = _payload(F, delta)
+    delta = parse_scalar(F, delta)
     flat = D.flat()
     rows = _law_rows(alg, [(delta, delta)], parity or 0)
     return all(F.is_zero(_row_value(row, flat, F)) for row in rows)
@@ -485,7 +477,7 @@ def exp_quasiautomorphism(
     if F_map is None:
         if delta is None:
             raise ValueError("a delta-derivation exponential needs delta")
-        delta = _payload(F, delta)
+        delta = parse_scalar(F, delta)
         idx = _check_index(F, D, n + 1)
         phi = _exp_nilpotent(F, D.scale(delta), idx)
         psi = _exp_nilpotent(F, D, idx)

@@ -80,10 +80,18 @@ def oracle_delta_derivations(alg, delta):
     for k in range(n):
         for l in range(n):
             cols.append(derivation_defect(alg, elementary_map(F, n, k, l), delta, units, products))
-    # transpose: equations are rows
-    nrows = len(cols[0])
-    rows = [[cols[c][r] for c in range(n * n)] for r in range(nrows)]
-    return dense_gauss_nullspace(F, rows, n * n)
+    # transpose: equations are rows.  Zero rows add nothing, and neither does
+    # a row that is a multiple of another (for an anticommutative algebra the
+    # (j, i) equations are the negatives of the (i, j) ones), so each row is
+    # scaled to lead with 1 and only the first of equal rows kept.
+    rows = {}
+    for r in range(len(cols[0])):
+        row = [cols[c][r] for c in range(n * n)]
+        lead = next((x for x in row if not F.is_zero(x)), None)
+        if lead is not None:
+            inv = F.inv(lead)
+            rows.setdefault(tuple(F.mul(inv, x) for x in row))
+    return dense_gauss_nullspace(F, list(rows), n * n)
 
 
 def spans_equal(field, vecs_a, vecs_b):

@@ -195,6 +195,11 @@ BAD_ALGEBRAS = {
     "form_exponent": dict(SL2, form=[["1e2", "0", "0"], ["0", "0", "0"], ["0", "0", "0"]]),
     "modulus_decimal": dict(SL2, field={"kind": "quot", "base": {"kind": "Q"}, "modulus": ["0.5", "1"]}),
 }
+# valid files, for commands that cannot use them
+VALID_FILES = {
+    "sl2_quot": dict(SL2, field={"kind": "quot", "base": {"kind": "Q"}, "modulus": ["-2", "0", "1"]}),
+    "sl2_ad_h": {"maps": [[["-2", "0", "0"], ["0", "2", "0"], ["0", "0", "0"]]]},
+}
 
 
 @pytest.mark.parametrize(
@@ -248,6 +253,22 @@ BAD_ALGEBRAS = {
         (["validate", "{modulus_decimal}"],
          "modulus_decimal.json: 'field': decimal literals are rejected, use exact fractions: '0.5'"),
         (["solve", "{alg}", "--delta", "true"], "not a scalar literal: 'true'"),
+        (["grade", "{sl2_quot}", "{sl2_ad_h}", "--delta", "1"],
+         "root decomposition needs a rational or prime base field"),
+        (["make", "zassenhaus", "--p", "5", "--n", "-1"], "W_1(-1) needs height n >= 1"),
+        (["make", "zassenhaus", "--p", "5", "--n", "0"], "W_1(0) needs height n >= 1"),
+        (["make", "divided-powers", "--p", "5", "--n", "-1"], "O_1(-1) needs height n >= 1"),
+        (["make", "zassenhaus", "--p", "5", "--field", "gf7"], "make zassenhaus does not take --field"),
+        (["make", "divided-powers", "--p", "5", "--dim", "3"], "make divided-powers does not take --dim"),
+        (["make", "elduque4", "--n", "2"], "make elduque4 does not take --n"),
+        (["make", "abelian", "--dim", "2", "--p", "5"], "make abelian does not take --p"),
+        (["make", "sl", "--n", "2", "--support", "0,1"], "make sl does not take --support"),
+        (["make", "osp12", "--modulus", "5"], "make osp12 does not take --modulus"),
+        (["make", "witt", "--support", "0,1", "--left", "{alg}"], "make witt does not take --left"),
+        (["make", "current", "--left", "{alg}", "--right", "{alg}", "--field", "gf5"],
+         "make current does not take --field"),
+        (["solve", "{alg}", "--kind", "superder", "--delta", "1"], "--kind superder requires --parity"),
+        (["solve", "{alg}", "--kind", "superder", "--parity", "1"], "--kind superder requires --delta"),
     ],
     ids=[
         "zassenhaus-no-p", "divided-powers-no-p", "abelian-no-dim", "witt-no-support",
@@ -260,13 +281,16 @@ BAD_ALGEBRAS = {
         "witt-Z5-over-Q", "witt-Z7-over-GF5", "field-string", "basis-string", "term-single", "products-object",
         "p-float", "modulus-string", "form-number", "grading-number",
         "term-decimal", "term-bool", "form-exponent", "modulus-decimal", "delta-true",
+        "grade-quot-field", "zassenhaus-n-negative", "zassenhaus-n-0", "divided-powers-n-negative",
+        "zassenhaus-field", "divided-powers-dim", "elduque4-n", "abelian-p", "sl-support", "osp12-modulus",
+        "witt-left", "current-field", "superder-no-parity", "superder-no-delta",
     ],
 )
 def test_input_error_exit_2(tmp_path, capsys, argv, message):
     alg = tmp_path / "w11.json"
     assert run(capsys, "make", "zassenhaus", "--p", "5", "--out", str(alg))[0] == 0
     files = {"alg": str(alg)}
-    for name, obj in {**BAD_MAPS, **BAD_ALGEBRAS}.items():
+    for name, obj in {**BAD_MAPS, **BAD_ALGEBRAS, **VALID_FILES}.items():
         files[name] = str(tmp_path / f"{name}.json")
         (tmp_path / f"{name}.json").write_text(json.dumps(obj))
     files["not_json"] = str(tmp_path / "not_json.json")
@@ -435,6 +459,28 @@ def test_make_current(tmp_path, capsys):
     code, out, _ = run(capsys, "make", "current", "--left", w11, "--right", dp, "--out", cur)
     assert code == 0
     assert "dim = 25" in out
+
+
+def test_solve_centroid_and_quasider_out(tmp_path, capsys):
+    path = tmp_path / "sl2.json"
+    path.write_text(json.dumps(SL2))
+    for kind, dim in [("centroid", 1), ("quasider", 9)]:
+        out = tmp_path / f"{kind}.json"
+        assert run(capsys, "solve", str(path), "--kind", kind, "--out", str(out)) == (0, f"dim = {dim}\n", "")
+        data = json.loads(out.read_text())
+        assert (data["kind"], data["dim"], len(data["basis"])) == (kind, dim, dim)
+
+
+def test_grade_and_report_out_match_stdout(tmp_path, capsys):
+    path = tmp_path / "sl2.json"
+    path.write_text(json.dumps(SL2))
+    maps = tmp_path / "ad_h.json"
+    maps.write_text(json.dumps(VALID_FILES["sl2_ad_h"]))
+    for argv in (["grade", str(path), str(maps), "--delta", "1"], ["report", str(path)]):
+        out = tmp_path / f"{argv[0]}.json"
+        code, text, err = run(capsys, *argv, "--out", str(out))
+        assert (code, err) == (0, "")
+        assert out.read_bytes() == text.encode()
 
 
 def test_superder_requires_parity(tmp_path, capsys):

@@ -5,7 +5,6 @@ import pytest
 
 from deltader.fields import (
     DivisionByZero,
-    FieldElement,
     InvalidField,
     NonInvertible,
     PrimeField,
@@ -139,13 +138,9 @@ def test_parse_scalar_grammar():
     for bad in (True, False, "true", "1e", "abc", None):
         with pytest.raises(ValueError, match="not a scalar literal"):
             parse_scalar(Q, bad)
-
-
-def test_field_element_wrapper():
-    Q = Rationals()
-    a = FieldElement(Q, Fraction(1, 2))
-    b = FieldElement(Q, Fraction(3))
-    assert (a + b).payload == Fraction(7, 2)
-    assert (a * b).payload == Fraction(3, 2)
-    assert (-a).payload == Fraction(-1, 2)
-    assert (a / b).payload == Fraction(1, 6)
+    QT = QuotientRing(Q, [Fraction(-2), Fraction(0), Fraction(1)])
+    assert parse_scalar(QT, (Fraction(1, 2), Fraction(3))) == (Fraction(1, 2), Fraction(3))
+    with pytest.raises(ValueError, match="decimal literals are rejected"):
+        parse_scalar(QT, ("0.5", "0"))
+    with pytest.raises(ValueError, match="not a scalar literal"):
+        parse_scalar(QT, (True, 0))

@@ -11,7 +11,7 @@ from deltader.algebras import (
     make_witt_type,
     make_zassenhaus,
 )
-from deltader.fields import PrimeField, Rationals
+from deltader.fields import PrimeField, QuotientRing, Rationals
 from deltader.gradings import (
     BadDelta,
     NonSplitting,
@@ -69,6 +69,13 @@ def test_non_splitting_over_q():
     with pytest.raises(NonSplitting) as exc:
         root_decompose(alg, [D], Fraction(-1))
     assert exc.value.factor is not None
+
+
+def test_quotient_ring_field_rejected():
+    QT = QuotientRing(Q, [Fraction(-2), Fraction(0), Fraction(1)])  # Q[t]/(t^2 - 2)
+    sl2 = make_special_linear(2, QT)
+    with pytest.raises(ValueError, match="rational or prime base field"):
+        root_decompose(sl2, [sl2.ad(2)], 1)
 
 
 def test_elduque_grading_gf5():

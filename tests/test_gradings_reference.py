@@ -23,7 +23,7 @@ from deltader.algebras import (
     make_zassenhaus,
 )
 from deltader.cli import canonical_json
-from deltader.fields import PrimeField, Rationals, poly_deg
+from deltader.fields import PrimeField, Rationals, parse_scalar, poly_deg
 from deltader.gradings import (
     NonCommuting,
     NonSplitting,
@@ -33,7 +33,7 @@ from deltader.gradings import (
 )
 from deltader.linalg import SpanSolver, base_field_roots, charpoly, kernel_of_map, rref_dense
 from deltader.linmap import LinearMap
-from deltader.solver import _payload, is_delta_derivation
+from deltader.solver import is_delta_derivation
 
 Q = Rationals()
 GF5, GF7, GF13 = PrimeField(5), PrimeField(7), PrimeField(13)
@@ -46,7 +46,7 @@ def ref_root_decompose(alg, D_set, delta):
     """(roots, spaces, defined) by the loop-based refinement."""
     F = alg.field
     n = alg.dim
-    delta = _payload(F, delta)
+    delta = parse_scalar(F, delta)
     for a, Da in enumerate(D_set):
         if not is_delta_derivation(alg, Da, delta):
             raise NotADerivation(f"map {a} is not a delta-derivation for this delta")
@@ -117,7 +117,7 @@ def ref_root_decompose(alg, D_set, delta):
 def ref_report(alg, delta, roots, spaces, defined):
     """The grading report of a decomposition, by nested loops."""
     F = alg.field
-    delta = _payload(F, delta)
+    delta = parse_scalar(F, delta)
     k = len(roots)
     fmt = lambda idx: [F.fmt(x) for x in roots[idx]]
 

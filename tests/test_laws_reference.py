@@ -30,12 +30,11 @@ from deltader.algebras import (
     make_zassenhaus,
     validate_form,
 )
-from deltader.fields import PrimeField, QuotientRing, Rationals
+from deltader.fields import PrimeField, QuotientRing, Rationals, parse_scalar
 from deltader.linalg import sparse_nullspace
 from deltader.linmap import LinearMap
 from deltader.solver import (
     ParityMismatch,
-    _payload,
     is_delta_derivation,
     lift_grassmann,
     solve_centroid,
@@ -55,7 +54,7 @@ QT = QuotientRing(Q, [Fraction(-2), Fraction(0), Fraction(1)])  # Q[t]/(t^2 - 2)
 def ref_is_delta_derivation(alg, D, delta, parity=None):
     F = alg.field
     n = alg.dim
-    delta = _payload(F, delta)
+    delta = parse_scalar(F, delta)
     for i in range(n):
         for j in range(n):
             lhs = D.apply(alg.product_vec(i, j))

@@ -16,6 +16,7 @@ from deltader.algebras import (
     make_grassmann_envelope,
 )
 from deltader.fields import PrimeField, Rationals
+from deltader.gradings import check_root_sum, root_decompose
 from deltader.linalg import SpanSolver, same_span
 from deltader.linmap import LinearMap
 from deltader.solver import (
@@ -262,3 +263,27 @@ def test_solution_space_json():
     assert data["kind"] == "delta_der"
     assert data["dim"] == 1
     assert len(data["basis"]) == 1
+
+
+def scalar_calls():
+    """Library entry points that take a scalar, each as a function of it."""
+    sl2 = make_special_linear(2, Q)
+    zero = LinearMap(Q, [[Q.zero()] * 3 for _ in range(3)])
+    return {
+        "solve_delta_derivations": lambda d: solve_delta_derivations(sl2, d).dim,
+        "is_delta_derivation": lambda d: is_delta_derivation(sl2, sl2.ad(2), d),
+        "root_decompose": lambda d: root_decompose(sl2, [zero], d).to_json(),
+        "check_root_sum": lambda d: check_root_sum(Q, [Fraction(0), Fraction(1)], d),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(scalar_calls()))
+def test_library_scalars_follow_the_literal_grammar(name):
+    """Library calls read scalars as flags and files do: exact integers,
+    fractions and their string literals; no booleans, floats or decimals."""
+    call = scalar_calls()[name]
+    for bad in (True, 0.5, "0.5", "1e0"):
+        with pytest.raises(ValueError):
+            call(bad)
+    assert call(Fraction(1, 2)) == call("1/2")
+    assert call(1) == call(Fraction(1))
