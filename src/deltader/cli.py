@@ -172,7 +172,7 @@ MAKE = {
     "divided-powers": Entry(lambda a: make_divided_powers(a.p, a.n), ("p",), {"n": 1}),
     "elduque4": Entry(lambda a: make_elduque4(parse_field(a.field)), (), {"field": "Q"}),
     "abelian": Entry(lambda a: make_abelian(parse_field(a.field), a.dim), ("dim",), {"field": "Q"}),
-    "sl": Entry(lambda a: make_special_linear(a.n, parse_field(a.field)), (), {"n": 1, "field": "Q"}),
+    "sl": Entry(lambda a: make_special_linear(a.n, parse_field(a.field)), ("n",), {"field": "Q"}),
     "osp12": Entry(lambda a: make_osp12(parse_field(a.field)), (), {"field": "Q"}),
     "witt": Entry(_make_witt, ("support",), {"field": "Q", "modulus": None}),
     "current": Entry(lambda a: make_current(load_algebra(a.left), load_algebra(a.right)), ("left", "right")),

@@ -44,9 +44,17 @@ block's rank drops below its generic rank r.  Over GF(p) a block with more
 than three rows and columns is eliminated at each of the p field values.
 Some r x r minor is a nonzero polynomial of degree at most r, which cannot
 vanish on all of GF(p) when r < p; so the largest of the p ranks is r when
-it reaches u = min(rows, columns), or when u < p.  Otherwise, and always
-over Q, the special values are among the base-field roots of the block's
-last fraction-free pivot, a maximal nonvanishing minor.
+it reaches u = min(rows, columns), or when u < p.  Over Q a block with
+more rows than columns is eliminated at delta = 0, 1, 2, ...: r is the
+first rank to reach u, or else the largest rank of the first u + 1
+points, since an r x r minor that does not vanish identically has at most
+r <= u roots.  The rows and pivot columns of an elimination of rank r
+give an r x r submatrix that is nonsingular there; its determinant, found
+by fraction-free elimination of that square alone, is a nonzero r x r
+minor and so vanishes wherever the block's rank drops, and of its roots
+only those where the block's own rank is below r are kept.  Otherwise
+the special values are among the base-field roots of the block's last
+fraction-free pivot, a maximal nonvanishing minor.
 """
 
 from __future__ import annotations
@@ -58,7 +66,9 @@ from .fields import Field, PrimeField, QuotientRing, parse_scalar
 from .linalg import (
     SpanSolver,
     _acc,
+    _add_pivot,
     _blocks,
+    _eliminate,
     _row_value,
     base_field_roots,
     fraction_free_pivots,
@@ -312,6 +322,31 @@ class ParametricResult:
         }
 
 
+def _rows_at(F: Field, block: list[dict], d):
+    """The pencil rows of a block at delta = d; the entries are [a] or
+    [a, b], that is a + b delta."""
+    return (
+        {c: F.add(f[0], F.mul(f[1], d)) if len(f) > 1 else f[0] for c, f in row.items()}
+        for row in block
+    )
+
+
+def _pivots_at(F: Field, block: list[dict], d) -> tuple[list[int], list[int]]:
+    """The rows of a block that become pivots when it is eliminated at
+    delta = d, in order, and their pivot columns, sorted.  The square
+    submatrix on them is invertible at d, since the elimination turns those
+    rows into the identity on those columns."""
+    pivots: dict[int, dict] = {}
+    chosen = []
+    for k, row in enumerate(_rows_at(F, block, d)):
+        row = {c: v for c, v in row.items() if not F.is_zero(v)}
+        _eliminate(row, pivots, F)
+        if row:
+            _add_pivot(row, pivots, F)
+            chosen.append(k)
+    return chosen, sorted(pivots)
+
+
 def _block_spectrum(F: Field, block: list[dict]) -> tuple[int, list]:
     """Generic rank of one pencil block and the base-field delta at which
     its rank may drop.
@@ -320,25 +355,47 @@ def _block_spectrum(F: Field, block: list[dict]) -> tuple[int, list]:
     eliminated at each of the p field values.  No pointwise rank exceeds the
     generic rank r <= u; if the largest is u, or u < p (see the module
     docstring), it is r, and the candidates are exactly the points where the
-    rank is below it.  Otherwise, and always over Q, they are the base-field
-    roots of the last fraction-free pivot.
+    rank is below it.  Otherwise they are the base-field roots of the last
+    fraction-free pivot.
+
+    Over Q a block with more rows than columns is eliminated at delta = 0,
+    1, 2, ..., its rows taken in order of how many entries depend on delta,
+    until some rank reaches u, or else at u + 1 points, the largest of whose
+    ranks is then r.  The rows and pivot columns of an elimination of rank
+    r span an r x r submatrix whose determinant does not vanish there; as
+    a nonzero r x r minor, it vanishes wherever the block's rank drops
+    below r.  Fraction-free elimination runs on that square only, and of
+    the roots of its last pivot, the determinant, the candidates are those
+    where the block's own rank is below r: the minor may have roots where
+    some other r x r minor does not vanish.  Other Q blocks go through
+    fraction-free elimination whole.
     """
     index = {c: k for k, c in enumerate(sorted({c for row in block for c in row}))}
     u = min(len(index), len(block))
     # at most three fraction-free steps with pivots of degree at most three
     # cost less than p pointwise eliminations
     if isinstance(F, PrimeField) and u > 3:
-        ranks = []
-        for d in range(F.p):
-            # the entries are [a] or [a, b], that is a + b delta
-            at_d = (
-                {c: F.add(f[0], F.mul(f[1], d)) if len(f) > 1 else f[0] for c, f in row.items()}
-                for row in block
-            )
-            ranks.append(len(sparse_rref(at_d, F)))
+        ranks = [len(sparse_rref(_rows_at(F, block, d), F)) for d in range(F.p)]
         top = max(ranks)
         if top == u or u < F.p:
             return top, [d for d, r in enumerate(ranks) if r < top]
+    if not isinstance(F, PrimeField) and len(block) > len(index):
+        # rows with fewer delta terms first: the square then takes as many
+        # of them as it can, which keeps the degrees of Bareiss low
+        block = sorted(block, key=lambda row: sum(len(f) > 1 for f in row.values()))
+        best = [], []
+        for d in range(u + 1):
+            rows, cols = _pivots_at(F, block, d)
+            if len(rows) > len(best[0]):
+                best = rows, cols
+            if len(rows) == u:
+                break
+        rows, cols = best
+        r = len(rows)
+        square = [[block[i].get(c, []) for c in cols] for i in rows]
+        _, pivots = fraction_free_pivots(F, square, r)
+        roots = base_field_roots(F, pivots[-1])
+        return r, [d for d in roots if len(sparse_rref(_rows_at(F, block, d), F)) < r]
     dense = [[[] for _ in index] for _ in block]
     for dense_row, row in zip(dense, block):
         for c, f in row.items():
@@ -359,10 +416,16 @@ def solve_parametric(alg: Algebra) -> ParametricResult:
     over the p field values finds its generic rank and those points
     whenever the degree bound settles it: an r x r minor has degree at
     most r, and a nonzero polynomial of degree below p does not vanish on
-    all of GF(p).  Otherwise fraction-free elimination keeps all entries
-    polynomial in delta; its last pivot is an r x r minor of the block, r
-    the block's generic rank, so the rank drops only at a root of that
-    pivot.  Each candidate is confirmed by a pointwise solve.
+    all of GF(p).  Over Q a block with more rows than columns is squared:
+    pointwise eliminations at delta = 0, 1, ..., u (u = min(rows,
+    columns)), stopped early once a rank reaches u, give the generic rank r
+    as their largest rank, and the rows and pivot columns of one of rank r
+    a nonsingular r x r submatrix there.  Otherwise fraction-free
+    elimination runs on the whole block.  Either way it keeps all entries
+    polynomial in delta, and its last pivot is a nonzero r x r minor of the
+    block, so the rank drops only at a root of that pivot; for a squared
+    block only the roots where the block's own rank is below r are kept.
+    Each candidate is confirmed by a pointwise solve.
     """
     F = alg.field
     if isinstance(F, QuotientRing):

@@ -2,13 +2,12 @@
 
 The oracle deliberately avoids the package's sparse elimination and its
 structure-constant index manipulation: it evaluates the defining law of a
-derivation-type map on elementary matrices via ``bracket``/``apply`` and
-runs a plain dense Gaussian elimination written here.
+derivation-type map on elementary matrices, from the products of basis
+vectors given by ``bracket`` and the one nonzero image of each such map,
+and runs a plain dense Gaussian elimination written here.
 """
 
 from __future__ import annotations
-
-from deltader.linmap import LinearMap
 
 
 def dense_gauss_nullspace(field, rows, ncols):
@@ -28,11 +27,15 @@ def dense_gauss_nullspace(field, rows, ncols):
             continue
         mat[r], mat[pr] = mat[pr], mat[r]
         inv = F.inv(mat[r][c])
-        mat[r] = [F.mul(inv, x) for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and not F.is_zero(mat[i][c]):
-                f = mat[i][c]
-                mat[i] = [F.sub(x, F.mul(f, y)) for x, y in zip(mat[i], mat[r])]
+        prow = mat[r] = [F.mul(inv, x) for x in mat[r]]
+        # subtracting a multiple of the pivot row changes only the columns
+        # where the pivot row is nonzero
+        support = [j for j, y in enumerate(prow) if not F.is_zero(y)]
+        for i, row in enumerate(mat):
+            if i != r and not F.is_zero(row[c]):
+                f = row[c]
+                for j in support:
+                    row[j] = F.sub(row[j], F.mul(f, prow[j]))
         pivots.append(c)
         r += 1
     free = [c for c in range(ncols) if c not in pivots]
@@ -46,27 +49,29 @@ def dense_gauss_nullspace(field, rows, ncols):
     return basis
 
 
-def elementary_map(field, n, k, l):
-    rows = [[field.zero()] * n for _ in range(n)]
-    rows[k][l] = field.one()
-    return LinearMap(field, rows)
-
-
-def derivation_defect(alg, D, delta, units, products):
-    """Concatenated defect D([e_i,e_j]) - delta([D e_i, e_j] + [e_i, D e_j])
-    over all ordered pairs (i, j), given the unit vectors and the products
-    ``products[i][j] = bracket(e_i, e_j)``."""
+def elementary_defect(alg, k, l, delta, products):
+    """Defect D(e_i e_j) - delta (D(e_i) e_j + e_i D(e_j)) of the elementary
+    map D = E_kl over all ordered pairs (i, j), given the products
+    ``products[i][j] = bracket(e_i, e_j)``, as {n^2 i + n j + m: coordinate m}
+    with zeros left out.  The one nonzero image of D is D(e_k) = e_l, so
+    D(e_i e_j) is the e_k-coefficient of e_i e_j times e_l, D(e_i) e_j is
+    e_l e_j when i = k, and e_i D(e_j) is e_i e_l when j = k."""
     F = alg.field
-    images = [D.apply(e) for e in units]
-    out = []
-    for i, ei in enumerate(units):
-        for j, ej in enumerate(units):
-            lhs = D.apply(products[i][j])
-            t1 = alg.bracket(images[i], ej)
-            t2 = alg.bracket(ei, images[j])
-            for a, b, c in zip(lhs, t1, t2):
-                out.append(F.sub(a, F.mul(delta, F.add(b, c))))
-    return out
+    n = alg.dim
+    out = {}
+
+    def add(pos, val):
+        if not F.is_zero(val):
+            out[pos] = F.add(out.get(pos, F.zero()), val)
+
+    for i in range(n):
+        for j in range(n):
+            add((i * n + j) * n + l, products[i][j][k])
+    for x in range(n):
+        for m in range(n):
+            add((k * n + x) * n + m, F.neg(F.mul(delta, products[l][x][m])))
+            add((x * n + k) * n + m, F.neg(F.mul(delta, products[x][l][m])))
+    return {pos: v for pos, v in out.items() if not F.is_zero(v)}
 
 
 def oracle_delta_derivations(alg, delta):
@@ -76,21 +81,24 @@ def oracle_delta_derivations(alg, delta):
     n = alg.dim
     units = [alg.unit_vector(i) for i in range(n)]
     products = [[alg.bracket(ei, ej) for ej in units] for ei in units]
-    cols = []
+    # transpose: equations are rows, E_kl is column k n + l
+    equations = {}
     for k in range(n):
         for l in range(n):
-            cols.append(derivation_defect(alg, elementary_map(F, n, k, l), delta, units, products))
-    # transpose: equations are rows.  Zero rows add nothing, and neither does
-    # a row that is a multiple of another (for an anticommutative algebra the
-    # (j, i) equations are the negatives of the (i, j) ones), so each row is
-    # scaled to lead with 1 and only the first of equal rows kept.
+            for r, v in elementary_defect(alg, k, l, delta, products).items():
+                equations.setdefault(r, {})[k * n + l] = v
+    # Zero rows add nothing, and neither does a row that is a multiple of
+    # another (for an anticommutative algebra the (j, i) equations are the
+    # negatives of the (i, j) ones), so each row is scaled to lead with 1
+    # and only the first of equal rows kept.
     rows = {}
-    for r in range(len(cols[0])):
-        row = [cols[c][r] for c in range(n * n)]
-        lead = next((x for x in row if not F.is_zero(x)), None)
-        if lead is not None:
-            inv = F.inv(lead)
-            rows.setdefault(tuple(F.mul(inv, x) for x in row))
+    for r in sorted(equations):
+        eq = equations[r]
+        inv = F.inv(eq[min(eq)])
+        row = [F.zero()] * (n * n)
+        for c, v in eq.items():
+            row[c] = F.mul(inv, v)
+        rows.setdefault(tuple(row))
     return dense_gauss_nullspace(F, list(rows), n * n)
 
 

@@ -221,6 +221,7 @@ VALID_FILES = {
         (["grade", "{alg}", "{not_json}", "--delta", "1"], "not_json.json: invalid JSON: Expecting property name"),
         (["make", "sl", "--n", "1"], "sl(1) is zero-dimensional: n must be at least 2"),
         (["make", "sl", "--n", "0"], "sl(0) is zero-dimensional: n must be at least 2"),
+        (["make", "sl"], "make sl requires --n"),
         (["make", "abelian", "--dim", "0"], "dimension 0 < 1: zero-dimensional algebras are not supported"),
         (["solve", "{alg}", "--parametric", "--delta", "1"], "--delta cannot be combined with --parametric"),
         (["solve", "{alg}", "--parametric", "--kind", "superder", "--parity", "1"],
@@ -275,7 +276,7 @@ VALID_FILES = {
         "current-no-left", "current-no-right", "solve-zero-denominator", "grade-zero-denominator",
         "solve-denominator-divisible-by-p",
         "maps-json-list", "maps-not-list", "maps-5x3", "maps-null-entry", "maps-invalid-json",
-        "sl1", "sl0", "abelian-dim-0", "parametric-with-delta",
+        "sl1", "sl0", "sl-no-n", "abelian-dim-0", "parametric-with-delta",
         "parametric-superder", "parametric-centroid", "parametric-quasider", "parity-der",
         "parity-parametric", "parity-centroid", "parity-quasider", "delta-centroid", "delta-quasider",
         "witt-Z5-over-Q", "witt-Z7-over-GF5", "field-string", "basis-string", "term-single", "products-object",

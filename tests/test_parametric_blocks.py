@@ -2,15 +2,19 @@
 
 ``solve_parametric`` eliminates each connected block of the delta-pencil on
 its own: over GF(p) by a rank sweep of the p field values where the degree
-bound settles the generic rank, otherwise from the roots of the block's
-last fraction-free pivot.  The reference here is the plain monolithic
-algorithm: the whole pencil A + delta B, built from the structure constants
-and densified, one fraction-free elimination, the base-field roots of its
-last pivot, and a pointwise solve at each root.  Both must give the same
+bound settles the generic rank; over Q, for a block with more rows than
+columns, from the roots of the determinant of one square submatrix that a
+pointwise elimination found nonsingular, kept where the block's own rank
+drops; otherwise from the roots of the block's last fraction-free pivot.
+The reference here is the plain monolithic algorithm: the whole pencil
+A + delta B, built from the structure constants and densified, one
+fraction-free elimination, the base-field roots of its last pivot, and a
+pointwise solve at each root.  Both must give the same
 ``ParametricResult`` on the algebras of the parametric benchmark workload
 and on random sparse anticommutative algebras drawn with hypothesis.  The
 per-block sweep is also checked against fraction-free elimination and a
-dense Gauss-Jordan rank at every field point.
+dense Gauss-Jordan rank at every field point, and the squared Q path
+against fraction-free elimination of the whole block.
 """
 
 from fractions import Fraction
@@ -135,6 +139,7 @@ PINNED = {
     "sl4/Q": (lambda: make_special_linear(4, Q), 0, [(Fraction(1, 2), 1), (1, 15)]),
     "W11/GF11": (lambda: make_zassenhaus(11, 1), 0, [(1, 11), (6, 11)]),
     "W12/GF7": (lambda: make_zassenhaus(7, 2), 0, [(1, 50), (4, 49)]),
+    "sl5/Q": (lambda: make_special_linear(5, Q), 0, [(Fraction(1, 2), 1), (1, 24)]),
 }
 
 
@@ -200,3 +205,51 @@ def test_block_rank_below_every_field_point_needs_bareiss():
     assert all(pointwise_rank(F, block, 5, d) == 4 for d in range(5))
     rank, candidates = _block_spectrum(F, block)
     assert (rank, sorted(candidates)) == (5, [0, 1, 2, 3, 4])
+
+
+@st.composite
+def tall_rational_blocks(draw):
+    """Sparse rows {column: [a] or [a, b]} of a pencil a + delta b over Q,
+    with more rows than columns, so that the squared path runs."""
+    ncols = draw(st.integers(2, 6))
+    entry = st.tuples(
+        st.integers(-3, 3), st.integers(-2, 2), st.sampled_from([1, 2])
+    ).filter(lambda t: t[0] or t[1])
+    block = [
+        {c: poly_trim(Q, [Fraction(a, den), Fraction(b, den)]) for c, (a, b, den) in row.items()}
+        for row in draw(st.lists(
+            st.dictionaries(st.integers(0, ncols - 1), entry, min_size=1, max_size=3),
+            min_size=3, max_size=10,
+        ))
+    ]
+    assume(len(block) > len({c for row in block for c in row}))
+    return block, ncols
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(tall_rational_blocks())
+def test_squared_block_matches_whole_bareiss(drawn):
+    """The rank of the squared Q path is the Bareiss rank of the whole
+    block, and its candidates are exactly the roots of the whole block's
+    last pivot at which the block's rank drops."""
+    block, ncols = drawn
+    rank, candidates = _block_spectrum(Q, block)
+    dense = [[row.get(c, []) for c in range(ncols)] for row in block]
+    bareiss_rank, pivots = fraction_free_pivots(Q, dense, ncols)
+    assert rank == bareiss_rank
+    drops = [d for d in base_field_roots(Q, pivots[-1]) if pointwise_rank(Q, block, ncols, d) < rank]
+    assert candidates == drops
+
+
+def test_tall_block_rank_below_generic_at_first_points():
+    """diag(delta - a) for a = 0..4 over Q, joined by a unit superdiagonal,
+    with its first two rows repeated: rank 4 at delta = 0, 1, 2, 3, 4, so
+    only the sixth point, delta = 5, shows the generic rank 5."""
+    u = 5
+    block = [{i: [Fraction(-i), Fraction(1)]} for i in range(u)]
+    for i in range(u - 1):
+        block[i][i + 1] = [Fraction(1)]
+    block += [dict(row) for row in block[:2]]
+    assert [pointwise_rank(Q, block, u, d) for d in range(u + 1)] == [4, 4, 4, 4, 4, 5]
+    rank, candidates = _block_spectrum(Q, block)
+    assert (rank, candidates) == (u, list(range(u)))
