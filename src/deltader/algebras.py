@@ -406,40 +406,22 @@ class ModuleAction:
             for (i, j), terms in action.items()
         }
 
-    def act(self, i: int, j: int) -> dict:
-        return self.action.get((i, j), {})
-
-    def act_vec(self, i: int, m: list) -> list:
-        F = self.algebra.field
-        out = [F.zero()] * self.mdim
-        for j, c in enumerate(m):
-            if F.is_zero(c):
-                continue
-            for k, a in self.act(i, j).items():
-                out[k] = F.add(out[k], F.mul(c, a))
-        return out
-
     def validate(self) -> ValidationReport:
-        """[x,y].m = x.(y.m) - y.(x.m) on all basis triples."""
-        alg = self.algebra
-        F = alg.field
-        violations = []
-        for i in range(alg.dim):
-            for j in range(alg.dim):
-                for m in range(self.mdim):
-                    em = [F.zero()] * self.mdim
-                    em[m] = F.one()
-                    lhs = [F.zero()] * self.mdim
-                    for k, c in alg.product(i, j).items():
-                        for l, a in self.act(k, m).items():
-                            lhs[l] = F.add(lhs[l], F.mul(c, a))
-                    rhs = self.act_vec(i, self.act_vec(j, em))
-                    t = self.act_vec(j, self.act_vec(i, em))
-                    rhs = [F.sub(x, y) for x, y in zip(rhs, t)]
-                    d = [F.sub(x, y) for x, y in zip(lhs, rhs)]
-                    if any(not F.is_zero(x) for x in d):
-                        violations.append(((i, j, m), d))
-        return ValidationReport("module", violations)
+        """The module law [x_i, x_j].m_k = x_i.(x_j.m_k) - x_j.(x_i.m_k).
+
+        It is the Jacobi identity of the semidirect sum S = L + M (see
+        :func:`make_semidirect`) on the triples (e_i, e_j, m_k), i < j, whose
+        cyclic sum is the defect [x_i, x_j].m_k - x_i.(x_j.m_k) + x_j.(x_i.m_k)
+        in M.  Only those triples are reported: one with two or three entries
+        in M sums to zero, since [M, M] = 0, and one inside L is the Jacobi
+        identity of L.  A violation is labelled (i, j, k), its defect given in
+        the coordinates of M.  The algebra must be of flavor "lie".
+        """
+        n = self.algebra.dim
+        rep = validate(_semidirect(self.algebra, self), "jacobi")
+        return ValidationReport(
+            "module", [((i, j, k - n), d[n:]) for (i, j, k), d in rep.violations if j < n <= k]
+        )
 
     @classmethod
     def adjoint(cls, alg: Algebra) -> "ModuleAction":
@@ -572,26 +554,37 @@ def make_current(L: Algebra, A: Algebra) -> Algebra:
     return Algebra(L.field, len(basis), names, products, flavor=L.flavor, grading=grading)
 
 
+def _semidirect(L: Algebra, M: ModuleAction) -> Algebra:
+    """L + M with [x, m] = x.m and [M, M] = 0, the action unchecked; the
+    basis of L comes first, then m_k at index dim L + k."""
+    if L.flavor != "lie":
+        raise FlavorMismatch("semidirect sums are implemented for flavor 'lie'")
+    n = L.dim
+    products = dict(L.products)
+    for i in range(n):
+        for j in range(M.mdim):
+            terms = M.action.get((i, j))
+            if terms:
+                products[(i, n + j)] = {n + k: v for k, v in terms.items()}
+    names = L.basis + [f"m{j}" for j in range(M.mdim)]
+    return Algebra(L.field, n + M.mdim, names, products)
+
+
 def make_semidirect(L: Algebra, M: ModuleAction) -> Algebra:
-    """Semidirect sum L + M with [x, m] = x.m and [M, M] = 0."""
+    """Semidirect sum L + M with [x, m] = x.m and [M, M] = 0.
+
+    The action is checked by :meth:`ModuleAction.validate`, which is the
+    Jacobi identity of this sum on the triples (e_i, e_j, m_k).  A
+    delta-derivation D: L -> M, D(xy) = delta x.D(y) - delta y.D(x), is a
+    delta-derivation of this sum with D(M) = 0 and D(L) inside M, which is
+    how ``solver.solve_module_valued`` finds them.  With the adjoint module
+    the sum is the current algebra L (x) K[t]/(t^2)."""
     if M.algebra is not L:
         raise InvalidAction("module action is attached to a different algebra")
     rep = M.validate()
     if not rep.ok:
         raise InvalidAction(f"action fails the bracket law on {rep.violations[0][0]}")
-    if L.flavor != "lie":
-        raise FlavorMismatch("semidirect sums are implemented for flavor 'lie'")
-    n, m = L.dim, M.mdim
-    products = {}
-    for (i, j), terms in L.products.items():
-        products[(i, j)] = dict(terms)
-    for i in range(n):
-        for j in range(m):
-            terms = {n + k: v for k, v in M.act(i, j).items()}
-            if terms:
-                products[(i, n + j)] = terms
-    names = L.basis + [f"m{j}" for j in range(m)]
-    return Algebra(L.field, n + m, names, products)
+    return _semidirect(L, M)
 
 
 def make_deformed_zassenhaus(p: int, n: int) -> Algebra:

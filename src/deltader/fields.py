@@ -62,21 +62,14 @@ _MR_LIMIT = 318665857834031151167461  # the least strong pseudoprime to all of t
 
 
 def _is_prime(n: int) -> bool:
-    """Primality by strong probable-prime tests to the first twelve prime
-    bases, which is exact below 3.18e23 (Sorenson and Webster, 2017), and
-    by trial division from there on."""
+    """Primality of n < _MR_LIMIT by strong probable-prime tests to the first
+    twelve prime bases, which is exact below that bound (Sorenson and
+    Webster, 2017); above it a pseudoprime would pass."""
     if n < 2:
         return False
     for q in _MR_BASES:
         if n % q == 0:
             return n == q
-    if n >= _MR_LIMIT:
-        d = 41
-        while d * d <= n:
-            if n % d == 0:
-                return False
-            d += 2
-        return True
     d, s = n - 1, 0
     while d % 2 == 0:
         d, s = d // 2, s + 1
@@ -195,6 +188,8 @@ class Rationals(Field):
 
 class PrimeField(Field):
     def __init__(self, p: int):
+        if p >= _MR_LIMIT:
+            raise InvalidField(f"p = {p} is too large: primality is decided only below {_MR_LIMIT}")
         if not _is_prime(p):
             raise InvalidField(f"{p} is not prime")
         if p in (2, 3):

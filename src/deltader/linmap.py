@@ -98,18 +98,6 @@ class LinearMap:
         F = self.field
         return all(F.is_zero(c) for row in self.rows for c in row)
 
-    def nilpotency_index(self, limit: int | None = None) -> int | None:
-        """Least k with self^k = 0, or None if not nilpotent within limit."""
-        if self.nrows != self.ncols:
-            raise ValueError("nilpotency of a non-square map")
-        limit = self.nrows + 1 if limit is None else limit
-        acc = LinearMap.identity(self.field, self.nrows)
-        for k in range(1, limit + 1):
-            acc = acc.compose(self)
-            if acc.is_zero():
-                return k
-        return None
-
     def __eq__(self, other):
         if not isinstance(other, LinearMap):
             return NotImplemented

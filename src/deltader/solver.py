@@ -22,8 +22,14 @@ do not vanish.  The solvers choose the coefficients:
   rows follow each other pair by pair;
 - the supercentroid: as the centroid, with q = the parity of the map;
 - quasiderivation pairs (D, F): X = F in columns n^2 .. 2n^2 - 1, a = b = 1;
-- module-valued delta-derivations D: L -> M: X = D, a = b = delta, with
-  e_i v the action on M and v e_j = -(e_j v).
+- module-valued delta-derivations D: L -> M, D(xy) = delta x.D(y) -
+  delta y.D(x): the delta-derivations of the semidirect sum S = L + M,
+  plus unit rows that pin every entry of D but the d_(k, n+l), k < n, to
+  zero, so that D(M) = 0 and D(L) lies in M.  On a pair from L the law of
+  S is the module law, and on a pair with an entry in M both sides vanish.
+  The free entries keep the order of the n x m map (k*m + l), and a
+  pinned entry is the pivot of its own unit row, so the canonical basis is
+  that of the module law on its own.
 
 The super variants add the constraints that make the map homogeneous.
 ``is_delta_derivation`` does not restate the law: it evaluates these same
@@ -61,7 +67,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebras import Algebra, AlgebraError, GradingMissing, InvalidAction, ModuleAction
+from .algebras import Algebra, AlgebraError, GradingMissing, ModuleAction, make_semidirect
 from .fields import Field, PrimeField, QuotientRing, parse_scalar
 from .linalg import (
     SpanSolver,
@@ -104,64 +110,54 @@ def _equation_pairs(alg: Algebra):
     return pairs
 
 
-def _law_rows(
-    alg: Algebra, laws, parity: int = 0, x_offset: int = 0, module: ModuleAction | None = None
-) -> list[dict]:
+def _law_rows(alg: Algebra, laws, parity: int = 0, x_offset: int = 0) -> list[dict]:
     """Nonzero rows of X(e_i e_j) = a D(e_i) e_j + b (-1)^(parity deg e_i) e_i D(e_j),
     one law for each (a, b) in ``laws``.
 
-    D maps into the algebra, or into ``module`` when one is given; with m
-    the dimension of the target, d_kl sits in column k*m + l and x_kl in
-    column x_offset + k*m + l.  For each equation pair the rows of each law
-    follow in turn, by target coordinate l; a row that vanishes is left out.
-    (With the centroid's two laws, elimination on dense structure constants
-    fills in less in this order than with one law's rows after the other's.)
-    With x_offset = n^2 and laws [(1, 1)], column n^2 + c of a row holds
-    the part of the delta-derivation row that does not scale with delta and
-    column c the part that does: ``solve_parametric`` reads its pencil so.
+    D and X map the algebra into itself: d_kl sits in column k*n + l and x_kl
+    in column x_offset + k*n + l.  For each equation pair the rows of each
+    law follow in turn, by target coordinate l; a row that vanishes is left
+    out.  (With the centroid's two laws, elimination on dense structure
+    constants fills in less in this order than with one law's rows after the
+    other's.)  With x_offset = n^2 and laws [(1, 1)], column n^2 + c of a row
+    holds the part of the delta-derivation row that does not scale with
+    delta and column c the part that does: ``solve_parametric`` reads its
+    pencil so.  A module-valued law D(xy) = delta x.D(y) - delta y.D(x),
+    D: L -> M, needs no layout of its own: it is this law on the semidirect
+    sum L + M, with unit rows pinning D(M) = 0 and D(L) inside M, whose
+    pivots are never free columns (see ``solve_module_valued``).
     """
     F = alg.field
     n = alg.dim
     table = [[alg.product(i, j) for j in range(n)] for i in range(n)]
     # the terms (l, k, c) of e_k e_j = ... + c e_l + ... by j, and of e_i e_k by i
-    if module is None:
-        m = n
-        right = [[(l, k, c) for k in range(n) for l, c in table[k][j].items()] for j in range(n)]
-        left = [[(l, k, c) for k in range(n) for l, c in table[i][k].items()] for i in range(n)]
-    else:
-        m = module.mdim
-        right = [
-            [(l, k, F.neg(c)) for k in range(m) for l, c in module.act(j, k).items()]
-            for j in range(n)
-        ]
-        left = [
-            [(l, k, c) for k in range(m) for l, c in module.act(i, k).items()] for i in range(n)
-        ]
+    right = [[(l, k, c) for k in range(n) for l, c in table[k][j].items()] for j in range(n)]
+    left = [[(l, k, c) for k in range(n) for l, c in table[i][k].items()] for i in range(n)]
     laws = [(F.neg(a), b, F.neg(b)) for a, b in laws]
     out = []
     for (i, j) in _equation_pairs(alg):
         product = table[i][j]
         for neg_a, b, neg_b in laws:
-            rows = [{} for _ in range(m)]
+            rows = [{} for _ in range(n)]
             for k, c in product.items():
-                for l in range(m):
-                    rows[l][x_offset + k * m + l] = c
+                for l in range(n):
+                    rows[l][x_offset + k * n + l] = c
             if not F.is_zero(neg_a):
                 for l, k, c in right[j]:
-                    _acc(rows[l], i * m + k, F.mul(neg_a, c), F)
+                    _acc(rows[l], i * n + k, F.mul(neg_a, c), F)
             if not F.is_zero(b):
                 cb = b if parity and alg.grading[i] else neg_b
                 for l, k, c in left[i]:
-                    _acc(rows[l], j * m + k, F.mul(cb, c), F)
+                    _acc(rows[l], j * n + k, F.mul(cb, c), F)
             out.extend(filter(None, rows))
     return out
 
 
-def _maps(alg: Algebra, rows: list[dict], m: int) -> list[LinearMap]:
-    """Canonical basis of the maps L -> (m-dimensional target) solving rows."""
+def _maps(alg: Algebra, rows: list[dict]) -> list[LinearMap]:
+    """Canonical basis of the maps of the algebra into itself solving rows."""
     F = alg.field
     n = alg.dim
-    return [LinearMap.from_flat(F, v, n, m) for v in sparse_nullspace(rows, n * m, F)]
+    return [LinearMap.from_flat(F, v, n, n) for v in sparse_nullspace(rows, n * n, F)]
 
 
 class SolutionSpace:
@@ -221,25 +217,39 @@ class SolutionSpace:
 def solve_delta_derivations(alg: Algebra, delta) -> SolutionSpace:
     delta = parse_scalar(alg.field, delta)
     rows = _law_rows(alg, [(delta, delta)])
-    return SolutionSpace(alg, "delta_der", delta, _maps(alg, rows, alg.dim))
+    return SolutionSpace(alg, "delta_der", delta, _maps(alg, rows))
 
 
 def solve_module_valued(alg: Algebra, M: ModuleAction, delta) -> SolutionSpace:
     """Delta-derivations D: L -> M, i.e. D(xy) = delta x.D(y) - delta y.D(x)
-    for the left action of the algebra on the module."""
-    rep = M.validate()
-    if not rep.ok:
-        raise InvalidAction(f"action fails the bracket law on {rep.violations[0][0]}")
-    delta = parse_scalar(alg.field, delta)
-    rows = _law_rows(alg, [(delta, delta)], module=M)
-    return SolutionSpace(alg, "module_valued", delta, _maps(alg, rows, M.mdim))
+    for the left action of a Lie algebra on the module.
+
+    These are the delta-derivations of the semidirect sum S = L + M that
+    vanish on M and map L into M: on a pair from L the law of S is the law
+    above, and on a pair with an entry in M both sides vanish, since
+    D(M) = 0 and [M, M] = 0.  The rows of S are solved with one unit row
+    for each entry of D but the d_(k, n+l), k < n, which pins it to zero.
+    Those entries keep their order (k*m + l in the n x m map), and a pinned
+    entry is the pivot of its unit row, never a free column; so the
+    canonical basis is the one of the n x m system on its own.
+    """
+    S = make_semidirect(alg, M)
+    F = alg.field
+    delta = parse_scalar(F, delta)
+    n, s = alg.dim, S.dim
+    pinned = [{c: F.one()} for c in range(s * s) if c >= n * s or c % s < n]
+    basis = [
+        LinearMap(F, [v[k * s + n : (k + 1) * s] for k in range(n)])
+        for v in sparse_nullspace(_law_rows(S, [(delta, delta)]) + pinned, s * s, F)
+    ]
+    return SolutionSpace(alg, "module_valued", delta, basis)
 
 
 def solve_centroid(alg: Algebra) -> SolutionSpace:
     """Maps commuting with all multiplications: chi(ab) = chi(a)b = a chi(b)."""
     one, zero = alg.field.one(), alg.field.zero()
     rows = _law_rows(alg, [(one, zero), (zero, one)])
-    return SolutionSpace(alg, "centroid", None, _maps(alg, rows, alg.dim))
+    return SolutionSpace(alg, "centroid", None, _maps(alg, rows))
 
 
 def _parity_constraints(alg: Algebra, parity: int) -> list[dict]:
@@ -262,7 +272,7 @@ def solve_superderivations(alg: Algebra, delta, parity: int) -> SolutionSpace:
         raise ValueError("parity must be 0 or 1")
     delta = parse_scalar(alg.field, delta)
     rows = _law_rows(alg, [(delta, delta)], parity) + _parity_constraints(alg, parity)
-    return SolutionSpace(alg, "super_der", delta, _maps(alg, rows, alg.dim), parity=parity)
+    return SolutionSpace(alg, "super_der", delta, _maps(alg, rows), parity=parity)
 
 
 def solve_supercentroid(alg: Algebra, parity: int | None = None) -> SolutionSpace:
@@ -276,7 +286,7 @@ def solve_supercentroid(alg: Algebra, parity: int | None = None) -> SolutionSpac
         return SolutionSpace(alg, "supercentroid", None, even.basis + odd.basis)
     one, zero = alg.field.one(), alg.field.zero()
     rows = _law_rows(alg, [(one, zero), (zero, one)], parity) + _parity_constraints(alg, parity)
-    return SolutionSpace(alg, "supercentroid", None, _maps(alg, rows, alg.dim), parity=parity)
+    return SolutionSpace(alg, "supercentroid", None, _maps(alg, rows), parity=parity)
 
 
 def solve_quasiderivations(alg: Algebra) -> SolutionSpace:
@@ -503,26 +513,30 @@ class ExpResult:
     verified: bool
 
 
-def _exp_nilpotent(field: Field, M: LinearMap, index: int) -> LinearMap:
-    acc = LinearMap.identity(field, M.nrows)
-    term = LinearMap.identity(field, M.nrows)
-    fact = field.one()
-    for k in range(1, index):
-        term = term.compose(M)
-        fact = field.mul(fact, field.from_int(k))
-        acc = acc.add(term.scale(field.inv(fact)))
-    return acc
-
-
-def _check_index(field: Field, M: LinearMap, limit: int) -> int:
-    idx = M.nilpotency_index(limit)
-    if idx is None:
-        raise NilpotencyTooDeep("map is not nilpotent")
+def _nilpotent_powers(field: Field, M: LinearMap) -> list[LinearMap]:
+    """[I, M, M^2, ..., M^(k-1)] for the nilpotency index k of M, which must
+    be less than the characteristic (any index in char 0)."""
+    powers = [LinearMap.identity(field, M.nrows)]
+    while not powers[-1].is_zero():
+        if len(powers) > M.nrows:
+            raise NilpotencyTooDeep("map is not nilpotent")
+        powers.append(powers[-1].compose(M))
+    idx = len(powers) - 1
     if field.char and idx >= field.char:
         raise NilpotencyTooDeep(
             f"nilpotency index {idx} is not less than the characteristic {field.char}"
         )
-    return idx
+    return powers[:-1]
+
+
+def _exp(field: Field, powers: list[LinearMap], c) -> LinearMap:
+    """exp(c M) = sum_k c^k M^k / k!, read off the powers of a nilpotent M."""
+    acc = powers[0]
+    coeff = field.one()
+    for k, term in enumerate(powers[1:], 1):
+        coeff = field.div(field.mul(coeff, c), field.from_int(k))
+        acc = acc.add(term.scale(coeff))
+    return acc
 
 
 def exp_quasiautomorphism(
@@ -541,22 +555,15 @@ def exp_quasiautomorphism(
         if delta is None:
             raise ValueError("a delta-derivation exponential needs delta")
         delta = parse_scalar(F, delta)
-        idx = _check_index(F, D, n + 1)
-        phi = _exp_nilpotent(F, D.scale(delta), idx)
-        psi = _exp_nilpotent(F, D, idx)
+        powers = _nilpotent_powers(F, D)
+        phi, psi = _exp(F, powers, delta), _exp(F, powers, F.one())
     else:
-        idx_d = _check_index(F, D, n + 1)
-        idx_f = _check_index(F, F_map, n + 1)
-        phi = _exp_nilpotent(F, D, idx_d)
-        psi = _exp_nilpotent(F, F_map, idx_f)
-    ok = True
-    for i in range(n):
-        for j in range(n):
-            lhs = psi.apply(alg.product_vec(i, j))
-            rhs = alg.bracket(phi.rows[i], phi.rows[j])
-            if any(not F.eq(a, b) for a, b in zip(lhs, rhs)):
-                ok = False
-                break
-        if not ok:
-            break
+        phi = _exp(F, _nilpotent_powers(F, D), F.one())
+        psi = _exp(F, _nilpotent_powers(F, F_map), F.one())
+    ok = all(
+        F.eq(a, b)
+        for i in range(n)
+        for j in range(n)
+        for a, b in zip(psi.apply(alg.product_vec(i, j)), alg.bracket(phi.rows[i], phi.rows[j]))
+    )
     return ExpResult(phi, psi, ok)

@@ -380,7 +380,7 @@ def test_exp_quasiautomorphism():
     assert res.verified
     # D itself has nilpotency index 5 = char, so 1/4! is the last usable
     # factorial and exp(D) cannot be formed
-    with pytest.raises(NilpotencyTooDeep):
+    with pytest.raises(NilpotencyTooDeep, match="^nilpotency index 5 is not less than the characteristic 5$"):
         exp_quasiautomorphism(alg, D, half_of(F))
 
 

@@ -194,6 +194,7 @@ BAD_ALGEBRAS = {
     "term_bool": dict(SL2, products=[{"i": 0, "j": 1, "terms": [[2, True]]}]),
     "form_exponent": dict(SL2, form=[["1e2", "0", "0"], ["0", "0", "0"], ["0", "0", "0"]]),
     "modulus_decimal": dict(SL2, field={"kind": "quot", "base": {"kind": "Q"}, "modulus": ["0.5", "1"]}),
+    "p_mersenne89": dict(SL2, field={"kind": "GFp", "p": 2**89 - 1}),
 }
 # valid files, for commands that cannot use them
 VALID_FILES = {
@@ -270,6 +271,12 @@ VALID_FILES = {
          "make current does not take --field"),
         (["solve", "{alg}", "--kind", "superder", "--delta", "1"], "--kind superder requires --parity"),
         (["solve", "{alg}", "--kind", "superder", "--parity", "1"], "--kind superder requires --delta"),
+        (["solve", "{alg}"], "--delta is required unless --parametric is given"),
+        (["validate", "{p_mersenne89}"],
+         "p_mersenne89.json: 'field': p = 618970019642690137449562111 is too large: "
+         "primality is decided only below 318665857834031151167461"),
+        (["make", "abelian", "--dim", "1", "--field", "gf618970019642690137449562111"],
+         "p = 618970019642690137449562111 is too large: primality is decided only below 318665857834031151167461"),
     ],
     ids=[
         "zassenhaus-no-p", "divided-powers-no-p", "abelian-no-dim", "witt-no-support",
@@ -284,7 +291,8 @@ VALID_FILES = {
         "term-decimal", "term-bool", "form-exponent", "modulus-decimal", "delta-true",
         "grade-quot-field", "zassenhaus-n-negative", "zassenhaus-n-0", "divided-powers-n-negative",
         "zassenhaus-field", "divided-powers-dim", "elduque4-n", "abelian-p", "sl-support", "osp12-modulus",
-        "witt-left", "current-field", "superder-no-parity", "superder-no-delta",
+        "witt-left", "current-field", "superder-no-parity", "superder-no-delta", "solve-no-delta",
+        "p-beyond-bound-file", "p-beyond-bound-flag",
     ],
 )
 def test_input_error_exit_2(tmp_path, capsys, argv, message):
@@ -446,6 +454,31 @@ def test_report_abelian_hypotheses(tmp_path, capsys):
     assert code == 0
     rep = json.loads(out)
     assert rep["desk_check"]["hypotheses_met"] is False
+
+
+HEISENBERG = {
+    "field": {"kind": "Q"}, "dim": 3, "flavor": "lie", "basis": ["x", "y", "z"],
+    "products": [{"i": 0, "j": 1, "terms": [[2, "1"]]}],
+}
+
+
+def test_report_heisenberg_ring_not_closed(tmp_path, capsys):
+    path = tmp_path / "heis.json"
+    path.write_text(json.dumps(HEISENBERG))
+    code, out, err = run(capsys, "report", str(path))
+    assert (code, err) == (0, "")
+    rep = json.loads(out)
+    assert rep["half_ring"] == {"closed": False, "half_derivations_dim": 6, "witness": [0, 2]}
+    assert rep["desk_check"]["hypotheses_met"] is False
+
+
+def test_report_quotient_ring_half_ring_error(tmp_path, capsys):
+    path = tmp_path / "sl2_quot.json"
+    path.write_text(json.dumps(VALID_FILES["sl2_quot"]))
+    code, out, err = run(capsys, "report", str(path))
+    assert (code, err) == (0, "")
+    rep = json.loads(out)
+    assert rep["half_ring"] == {"error": "nilradical computation needs a rational or prime field"}
 
 
 def test_make_current(tmp_path, capsys):

@@ -10,6 +10,7 @@ from deltader.fields import (
     PrimeField,
     QuotientRing,
     Rationals,
+    _MR_LIMIT,
     _is_prime,
     field_from_json,
     field_to_json,
@@ -70,6 +71,14 @@ def test_char_2_and_3_rejected():
         PrimeField(3)
     with pytest.raises(InvalidField):
         PrimeField(6)
+
+
+@pytest.mark.parametrize("p", [2**89 - 1, _MR_LIMIT, 2**127 - 1])
+def test_prime_beyond_the_primality_bound_rejected(p):
+    # each of these once ran trial division up to sqrt(p), which never ended
+    with pytest.raises(InvalidField, match=f"primality is decided only below {_MR_LIMIT}"):
+        PrimeField(p)
+    assert PrimeField(2**61 - 1).p == 2**61 - 1
 
 
 def test_quotient_ring_noninvertible_witness():

@@ -15,6 +15,7 @@ from deltader.algebras import (
     make_abelian,
     make_elduque4,
     make_osp12,
+    make_semidirect,
     make_special_linear,
     make_zassenhaus,
 )
@@ -70,7 +71,10 @@ def test_no_row_is_empty(name):
     assemblies += [_law_rows(alg, [(one, zero), (zero, one)], q) for q in parities]
     for delta in (zero, one, two, F.div(one, two)):
         assemblies += [_law_rows(alg, [(delta, delta)], q) for q in parities]
-        assemblies.append(_law_rows(alg, [(delta, delta)], module=ModuleAction.adjoint(alg)))
+        if alg.flavor == "lie":
+            # module-valued laws are assembled on the semidirect sum
+            S = make_semidirect(alg, ModuleAction.adjoint(alg))
+            assemblies.append(_law_rows(S, [(delta, delta)]))
     for rows in assemblies:
         assert all(rows)
         assert all(not F.is_zero(v) for row in rows for v in row.values())

@@ -251,8 +251,25 @@ def test_exp_on_nilpotent_derivation():
 def test_exp_rejects_non_nilpotent():
     sl2 = make_special_linear(2, Q)
     H = sl2.ad(2)  # semisimple, not nilpotent
-    with pytest.raises(NilpotencyTooDeep):
+    with pytest.raises(NilpotencyTooDeep, match="^map is not nilpotent$"):
         exp_quasiautomorphism(sl2, H, Fraction(1))
+    with pytest.raises(NilpotencyTooDeep, match="^map is not nilpotent$"):
+        exp_quasiautomorphism(sl2, sl2.ad(0), F_map=H)
+
+
+def test_exp_of_quasiderivation_pairs():
+    sl2 = make_special_linear(2, Q)
+    E = sl2.ad(0)
+    # (ad E, ad E) is a quasiderivation pair; exp(ad E) = I + ad E + (ad E)^2 / 2
+    res = exp_quasiautomorphism(sl2, E, F_map=E)
+    assert res.verified
+    assert res.phi == res.psi
+    assert res.phi == LinearMap.identity(Q, 3).add(E).add(E.compose(E).scale(Fraction(1, 2)))
+    # exp(ad E) is an automorphism, so psi = exp(0) = I fails psi(xy) = phi(x) phi(y)
+    zero = LinearMap.zero(Q, 3)
+    res = exp_quasiautomorphism(sl2, E, F_map=zero)
+    assert not res.verified
+    assert res.psi == LinearMap.identity(Q, 3)
 
 
 def test_solution_space_json():
