@@ -276,6 +276,24 @@ def index_tuples(parities, k: int, supports=None):
     return extend((), 0, empty)
 
 
+def _add_scaled(F: Field, d: dict, x, terms: dict) -> None:
+    """d += x * terms, for sparse vectors {coordinate: value}."""
+    for l, y in terms.items():
+        d[l] = F.add(d[l], F.mul(x, y)) if l in d else F.mul(x, y)
+
+
+def _cyclic_sum(alg: Algebra, par, triple) -> dict:
+    """The Jacobi sum of (-1)^{|a||c|} (e_a e_b) e_c over the cyclic shifts
+    (a, b, c) of the triple, as a sparse vector; ``par`` holds the parities."""
+    F = alg.field
+    i, j, k = triple
+    d = {}
+    for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+        for m, x in alg.product(a, b).items():
+            _add_scaled(F, d, F.neg(x) if par[a] and par[c] else x, alg.product(m, c))
+    return d
+
+
 def validate(alg: Algebra, law: str | None = None) -> ValidationReport:
     """Check a defining law; report every violating basis triple with its defect.
 
@@ -295,10 +313,6 @@ def validate(alg: Algebra, law: str | None = None) -> ValidationReport:
     n = alg.dim
     violations = []
 
-    def add_to(d: dict, x, terms: dict) -> None:
-        for l, y in terms.items():
-            d[l] = F.add(d[l], F.mul(x, y)) if l in d else F.mul(x, y)
-
     def check(triple, d: dict) -> None:
         if any(not F.is_zero(v) for v in d.values()):
             violations.append((triple, [d.get(l, F.zero()) for l in range(n)]))
@@ -307,12 +321,8 @@ def validate(alg: Algebra, law: str | None = None) -> ValidationReport:
         if law == "super_jacobi" and alg.grading is None:
             raise GradingMissing("super-Jacobi requires a grading")
         par = alg.grading if law == "super_jacobi" else [0] * n
-        for i, j, k in index_tuples(par, 3):
-            d = {}
-            for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-                for m, x in alg.product(a, b).items():
-                    add_to(d, F.neg(x) if par[a] and par[c] else x, alg.product(m, c))
-            check((i, j, k), d)
+        for triple in index_tuples(par, 3):
+            check(triple, _cyclic_sum(alg, par, triple))
         return ValidationReport(law, violations)
 
     if law == "assoc":
@@ -321,9 +331,9 @@ def validate(alg: Algebra, law: str | None = None) -> ValidationReport:
                 for k in range(n):
                     d = {}
                     for m, x in alg.product(i, j).items():
-                        add_to(d, x, alg.product(m, k))
+                        _add_scaled(F, d, x, alg.product(m, k))
                     for m, x in alg.product(j, k).items():
-                        add_to(d, F.neg(x), alg.product(i, m))
+                        _add_scaled(F, d, F.neg(x), alg.product(i, m))
                     check((i, j, k), d)
         return ValidationReport(law, violations)
 
@@ -412,16 +422,13 @@ class ModuleAction:
         It is the Jacobi identity of the semidirect sum S = L + M (see
         :func:`make_semidirect`) on the triples (e_i, e_j, m_k), i < j, whose
         cyclic sum is the defect [x_i, x_j].m_k - x_i.(x_j.m_k) + x_j.(x_i.m_k)
-        in M.  Only those triples are reported: one with two or three entries
-        in M sums to zero, since [M, M] = 0, and one inside L is the Jacobi
-        identity of L.  A violation is labelled (i, j, k), its defect given in
+        in M.  Only those triples are evaluated: one with two or three
+        entries in M sums to zero, since [M, M] = 0, and one inside L is the
+        Jacobi identity of L.  A violation is labelled (i, j, k), its defect given in
         the coordinates of M.  The algebra must be of flavor "lie".
         """
-        n = self.algebra.dim
-        rep = validate(_semidirect(self.algebra, self), "jacobi")
-        return ValidationReport(
-            "module", [((i, j, k - n), d[n:]) for (i, j, k), d in rep.violations if j < n <= k]
-        )
+        L = self.algebra
+        return ValidationReport("module", _module_violations(L, _semidirect(L, self)))
 
     @classmethod
     def adjoint(cls, alg: Algebra) -> "ModuleAction":
@@ -570,10 +577,27 @@ def _semidirect(L: Algebra, M: ModuleAction) -> Algebra:
     return Algebra(L.field, n + M.mdim, names, products)
 
 
+def _module_violations(L: Algebra, S: Algebra) -> list:
+    """The triples (e_i, e_j, m_k), i < j, of the semidirect sum S = L + M
+    whose Jacobi sum does not vanish, labelled (i, j, k), each with its
+    defect in the coordinates of M (see :meth:`ModuleAction.validate`)."""
+    F = L.field
+    n = L.dim
+    zeros = [0] * S.dim
+    violations = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k in range(n, S.dim):
+                d = _cyclic_sum(S, zeros, (i, j, k))
+                if any(not F.is_zero(v) for v in d.values()):
+                    violations.append(((i, j, k - n), [d.get(l, F.zero()) for l in range(n, S.dim)]))
+    return violations
+
+
 def make_semidirect(L: Algebra, M: ModuleAction) -> Algebra:
     """Semidirect sum L + M with [x, m] = x.m and [M, M] = 0.
 
-    The action is checked by :meth:`ModuleAction.validate`, which is the
+    The action is checked as in :meth:`ModuleAction.validate`, by the
     Jacobi identity of this sum on the triples (e_i, e_j, m_k).  A
     delta-derivation D: L -> M, D(xy) = delta x.D(y) - delta y.D(x), is a
     delta-derivation of this sum with D(M) = 0 and D(L) inside M, which is
@@ -581,10 +605,11 @@ def make_semidirect(L: Algebra, M: ModuleAction) -> Algebra:
     the sum is the current algebra L (x) K[t]/(t^2)."""
     if M.algebra is not L:
         raise InvalidAction("module action is attached to a different algebra")
-    rep = M.validate()
-    if not rep.ok:
-        raise InvalidAction(f"action fails the bracket law on {rep.violations[0][0]}")
-    return _semidirect(L, M)
+    S = _semidirect(L, M)
+    violations = _module_violations(L, S)
+    if violations:
+        raise InvalidAction(f"action fails the bracket law on {violations[0][0]}")
+    return S
 
 
 def make_deformed_zassenhaus(p: int, n: int) -> Algebra:

@@ -93,6 +93,20 @@ def _add_pivot(row: dict, pivots: dict[int, dict], F: Field) -> None:
     pivots[p] = row
 
 
+def _rref(rows, F: Field) -> tuple[dict[int, dict], list[int]]:
+    """``sparse_rref`` of the rows, and the indices of the input rows that
+    became pivots, in order: each is independent of the rows before it."""
+    pivots: dict[int, dict] = {}
+    chosen = []
+    for k, row in enumerate(rows):
+        row = {c: v for c, v in row.items() if not F.is_zero(v)}
+        _eliminate(row, pivots, F)
+        if row:
+            _add_pivot(row, pivots, F)
+            chosen.append(k)
+    return pivots, chosen
+
+
 def sparse_rref(rows, field: Field) -> dict[int, dict]:
     """Reduced row echelon form of a sparse system.
 
@@ -100,14 +114,7 @@ def sparse_rref(rows, field: Field) -> dict[int, dict]:
     {pivot_col: row} where each stored row has coefficient 1 at its pivot
     column and contains no other pivot column.
     """
-    F = field
-    pivots: dict[int, dict] = {}
-    for row in rows:
-        row = {c: v for c, v in row.items() if not F.is_zero(v)}
-        _eliminate(row, pivots, F)
-        if row:
-            _add_pivot(row, pivots, F)
-    return pivots
+    return _rref(rows, field)[0]
 
 
 def _blocks(rows) -> list[list[dict]]:

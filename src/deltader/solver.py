@@ -23,13 +23,9 @@ do not vanish.  The solvers choose the coefficients:
 - the supercentroid: as the centroid, with q = the parity of the map;
 - quasiderivation pairs (D, F): X = F in columns n^2 .. 2n^2 - 1, a = b = 1;
 - module-valued delta-derivations D: L -> M, D(xy) = delta x.D(y) -
-  delta y.D(x): the delta-derivations of the semidirect sum S = L + M,
-  plus unit rows that pin every entry of D but the d_(k, n+l), k < n, to
-  zero, so that D(M) = 0 and D(L) lies in M.  On a pair from L the law of
-  S is the module law, and on a pair with an entry in M both sides vanish.
-  The free entries keep the order of the n x m map (k*m + l), and a
-  pinned entry is the pivot of its own unit row, so the canonical basis is
-  that of the module law on its own.
+  delta y.D(x): the delta-derivations of the semidirect sum S = L + M
+  that vanish on M and map L into M, read off its rows on the entries
+  d_(k, n+l), k < n, renumbered k*m + l.
 
 The super variants add the constraints that make the map homogeneous.
 ``is_delta_derivation`` does not restate the law: it evaluates these same
@@ -41,26 +37,10 @@ a block being a connected component of its row/column incidence graph
 shift of D; current algebras and Grassmann envelopes split into hundreds
 of blocks).  A pointwise solve gets the same canonical basis as from one
 elimination of the whole system (see ``linalg.sparse_nullspace``).  The
-parametric solver treats delta as an indeterminate: its system is the
-pencil A + delta B, read off one assembly of the quasiderivation law, the
-x part giving A and the d part B.  It finds the generic solution dimension
-together with the special values of delta where it jumps.  Ranks add over
-the blocks at every delta, so the special values are the points where some
-block's rank drops below its generic rank r.  Over GF(p) a block with more
-than three rows and columns is eliminated at each of the p field values.
-Some r x r minor is a nonzero polynomial of degree at most r, which cannot
-vanish on all of GF(p) when r < p; so the largest of the p ranks is r when
-it reaches u = min(rows, columns), or when u < p.  Over Q a block with
-more rows than columns is eliminated at delta = 0, 1, 2, ...: r is the
-first rank to reach u, or else the largest rank of the first u + 1
-points, since an r x r minor that does not vanish identically has at most
-r <= u roots.  The rows and pivot columns of an elimination of rank r
-give an r x r submatrix that is nonsingular there; its determinant, found
-by fraction-free elimination of that square alone, is a nonzero r x r
-minor and so vanishes wherever the block's rank drops, and of its roots
-only those where the block's own rank is below r are kept.  Otherwise
-the special values are among the base-field roots of the block's last
-fraction-free pivot, a maximal nonvanishing minor.
+parametric solver treats delta as an indeterminate and finds the generic
+solution dimension together with the special values of delta where it
+jumps, from the points where some block's rank drops; the method is set
+out in ``solve_parametric``.
 """
 
 from __future__ import annotations
@@ -72,15 +52,13 @@ from .fields import Field, PrimeField, QuotientRing, parse_scalar
 from .linalg import (
     SpanSolver,
     _acc,
-    _add_pivot,
     _blocks,
-    _eliminate,
     _row_value,
+    _rref,
     base_field_roots,
     fraction_free_pivots,
     rref_dense,
     sparse_nullspace,
-    sparse_rref,
 )
 from .linmap import LinearMap
 
@@ -124,8 +102,8 @@ def _law_rows(alg: Algebra, laws, parity: int = 0, x_offset: int = 0) -> list[di
     delta and column c the part that does: ``solve_parametric`` reads its
     pencil so.  A module-valued law D(xy) = delta x.D(y) - delta y.D(x),
     D: L -> M, needs no layout of its own: it is this law on the semidirect
-    sum L + M, with unit rows pinning D(M) = 0 and D(L) inside M, whose
-    pivots are never free columns (see ``solve_module_valued``).
+    sum L + M, restricted to the entries of D that map L into M (see
+    ``solve_module_valued``).
     """
     F = alg.field
     n = alg.dim
@@ -227,21 +205,20 @@ def solve_module_valued(alg: Algebra, M: ModuleAction, delta) -> SolutionSpace:
     These are the delta-derivations of the semidirect sum S = L + M that
     vanish on M and map L into M: on a pair from L the law of S is the law
     above, and on a pair with an entry in M both sides vanish, since
-    D(M) = 0 and [M, M] = 0.  The rows of S are solved with one unit row
-    for each entry of D but the d_(k, n+l), k < n, which pins it to zero.
-    Those entries keep their order (k*m + l in the n x m map), and a pinned
-    entry is the pivot of its unit row, never a free column; so the
-    canonical basis is the one of the n x m system on its own.
+    D(M) = 0 and [M, M] = 0.  The rows of S are solved in the entries
+    d_(k, n+l), k < n, alone, renumbered k*m + l as in the n x m map; every
+    other entry is zero and drops out of the rows.
     """
     S = make_semidirect(alg, M)
     F = alg.field
     delta = parse_scalar(F, delta)
-    n, s = alg.dim, S.dim
-    pinned = [{c: F.one()} for c in range(s * s) if c >= n * s or c % s < n]
-    basis = [
-        LinearMap(F, [v[k * s + n : (k + 1) * s] for k in range(n)])
-        for v in sparse_nullspace(_law_rows(S, [(delta, delta)]) + pinned, s * s, F)
+    n, m, s = alg.dim, M.mdim, S.dim
+    # d_(k, n+l) is column k*s + n + l of S, and k*m + l here
+    rows = [
+        {c // s * m + c % s - n: v for c, v in row.items() if c < n * s and c % s >= n}
+        for row in _law_rows(S, [(delta, delta)])
     ]
+    basis = [LinearMap.from_flat(F, v, n, m) for v in sparse_nullspace(rows, n * m, F)]
     return SolutionSpace(alg, "module_valued", delta, basis)
 
 
@@ -332,63 +309,33 @@ class ParametricResult:
         }
 
 
-def _rows_at(F: Field, block: list[dict], d):
-    """The pencil rows of a block at delta = d; the entries are [a] or
-    [a, b], that is a + b delta."""
-    return (
-        {c: F.add(f[0], F.mul(f[1], d)) if len(f) > 1 else f[0] for c, f in row.items()}
-        for row in block
-    )
-
-
 def _pivots_at(F: Field, block: list[dict], d) -> tuple[list[int], list[int]]:
-    """The rows of a block that become pivots when it is eliminated at
-    delta = d, in order, and their pivot columns, sorted.  The square
-    submatrix on them is invertible at d, since the elimination turns those
-    rows into the identity on those columns."""
-    pivots: dict[int, dict] = {}
-    chosen = []
-    for k, row in enumerate(_rows_at(F, block, d)):
-        row = {c: v for c, v in row.items() if not F.is_zero(v)}
-        _eliminate(row, pivots, F)
-        if row:
-            _add_pivot(row, pivots, F)
-            chosen.append(k)
-    return chosen, sorted(pivots)
+    """The rows of a pencil block (entries [a] or [a, b], that is a + b
+    delta) that become pivots when it is eliminated at delta = d, in order,
+    and their pivot columns, sorted: the rank at d is their number.  The
+    square submatrix on them is invertible at d, since the elimination
+    turns those rows into the identity on those columns."""
+    pivots, rows = _rref(
+        ({c: F.add(f[0], F.mul(f[1], d)) if len(f) > 1 else f[0] for c, f in row.items()}
+         for row in block),
+        F,
+    )
+    return rows, sorted(pivots)
 
 
-def _block_spectrum(F: Field, block: list[dict]) -> tuple[int, list]:
-    """Generic rank of one pencil block and the base-field delta at which
-    its rank may drop.
-
-    Over GF(p), unless u = min(rows, columns) is at most 3, the block is
-    eliminated at each of the p field values.  No pointwise rank exceeds the
-    generic rank r <= u; if the largest is u, or u < p (see the module
-    docstring), it is r, and the candidates are exactly the points where the
-    rank is below it.  Otherwise they are the base-field roots of the last
-    fraction-free pivot.
-
-    Over Q a block with more rows than columns is eliminated at delta = 0,
-    1, 2, ..., its rows taken in order of how many entries depend on delta,
-    until some rank reaches u, or else at u + 1 points, the largest of whose
-    ranks is then r.  The rows and pivot columns of an elimination of rank
-    r span an r x r submatrix whose determinant does not vanish there; as
-    a nonzero r x r minor, it vanishes wherever the block's rank drops
-    below r.  Fraction-free elimination runs on that square only, and of
-    the roots of its last pivot, the determinant, the candidates are those
-    where the block's own rank is below r: the minor may have roots where
-    some other r x r minor does not vanish.  Other Q blocks go through
-    fraction-free elimination whole.
-    """
+def _block_spectrum(F: Field, block: list[dict]) -> tuple[int, dict]:
+    """Generic rank r of one pencil block and {d: rank at d} for the
+    base-field delta at which its rank is below r, found as set out in
+    ``solve_parametric``."""
     index = {c: k for k, c in enumerate(sorted({c for row in block for c in row}))}
     u = min(len(index), len(block))
     # at most three fraction-free steps with pivots of degree at most three
     # cost less than p pointwise eliminations
     if isinstance(F, PrimeField) and u > 3:
-        ranks = [len(sparse_rref(_rows_at(F, block, d), F)) for d in range(F.p)]
-        top = max(ranks)
+        ranks = {d: len(_pivots_at(F, block, d)[0]) for d in range(F.p)}
+        top = max(ranks.values())
         if top == u or u < F.p:
-            return top, [d for d, r in enumerate(ranks) if r < top]
+            return top, {d: k for d, k in ranks.items() if k < top}
     if not isinstance(F, PrimeField) and len(block) > len(index):
         # rows with fewer delta terms first: the square then takes as many
         # of them as it can, which keeps the degrees of Bareiss low
@@ -401,41 +348,50 @@ def _block_spectrum(F: Field, block: list[dict]) -> tuple[int, list]:
             if len(rows) == u:
                 break
         rows, cols = best
-        r = len(rows)
         square = [[block[i].get(c, []) for c in cols] for i in rows]
-        _, pivots = fraction_free_pivots(F, square, r)
-        roots = base_field_roots(F, pivots[-1])
-        return r, [d for d in roots if len(sparse_rref(_rows_at(F, block, d), F)) < r]
-    dense = [[[] for _ in index] for _ in block]
-    for dense_row, row in zip(dense, block):
-        for c, f in row.items():
-            dense_row[index[c]] = f
-    rank, pivots = fraction_free_pivots(F, dense, len(index))
-    return rank, base_field_roots(F, pivots[-1])
+        r, pivots = fraction_free_pivots(F, square, len(rows))
+    else:
+        dense = [[[] for _ in index] for _ in block]
+        for dense_row, row in zip(dense, block):
+            for c, f in row.items():
+                dense_row[index[c]] = f
+        r, pivots = fraction_free_pivots(F, dense, len(index))
+    ranks = {d: len(_pivots_at(F, block, d)[0]) for d in base_field_roots(F, pivots[-1])}
+    return r, {d: k for d, k in ranks.items() if k < r}
 
 
 def solve_parametric(alg: Algebra) -> ParametricResult:
     """Generic nullspace dimension of the delta-derivation system over K[delta],
     plus the special base-field values of delta where the dimension jumps.
 
-    The pencil splits into blocks: the connected components of its
-    row/column incidence graph.  At every delta, generic or in the base
-    field, the rank of the pencil is the sum of the ranks of its blocks, so
-    every special delta is a point where some block's rank drops.  Over
-    GF(p) a rank sweep of a block with more than three rows and columns
-    over the p field values finds its generic rank and those points
-    whenever the degree bound settles it: an r x r minor has degree at
-    most r, and a nonzero polynomial of degree below p does not vanish on
-    all of GF(p).  Over Q a block with more rows than columns is squared:
-    pointwise eliminations at delta = 0, 1, ..., u (u = min(rows,
-    columns)), stopped early once a rank reaches u, give the generic rank r
-    as their largest rank, and the rows and pivot columns of one of rank r
-    a nonsingular r x r submatrix there.  Otherwise fraction-free
-    elimination runs on the whole block.  Either way it keeps all entries
-    polynomial in delta, and its last pivot is a nonzero r x r minor of the
-    block, so the rank drops only at a root of that pivot; for a squared
-    block only the roots where the block's own rank is below r are kept.
-    Each candidate is confirmed by a pointwise solve.
+    The system is the pencil A + delta B, read off one assembly of the
+    quasiderivation law (the x part gives A, the d part B).  At every delta
+    its rank is the sum of the ranks of its blocks, the connected
+    components of its row/column incidence graph, and no block's rank
+    exceeds its generic rank r.  So the dimension at d is the generic one
+    plus the sum over the blocks of r minus the block's rank at d, and
+    ``_block_spectrum`` gives the r of each block and the points where its
+    rank drops, with the rank there:
+
+    - over GF(p), a block with more than three rows and columns is ranked
+      at the p field values.  An r x r minor has degree at most r, and a
+      nonzero polynomial of degree below p does not vanish on all of GF(p),
+      so the largest rank is r if it reaches u = min(rows, columns) or if
+      u < p, and the drops are the points below it;
+    - over Q, a block with more rows than columns is ranked at delta = 0,
+      1, ..., until a rank reaches u or u + 1 points are done; the largest
+      rank is r, since a nonzero r x r minor has at most r <= u roots.  The
+      rows and pivot columns of an elimination of rank r give an r x r
+      submatrix, nonsingular there, whose determinant fraction-free
+      elimination finds;
+    - any other block, and a GF(p) block the sweep does not settle, goes
+      through fraction-free elimination whole.
+
+    Fraction-free elimination keeps all entries polynomial in delta, and
+    its last pivot is a nonzero r x r minor.  The block's rank can drop only
+    at its roots (found exactly, by Sturm bisection over Q), and the block
+    is ranked at each of them, since the minor may vanish where another
+    r x r minor does not.
     """
     F = alg.field
     if isinstance(F, QuotientRing):
@@ -449,18 +405,14 @@ def solve_parametric(alg: Algebra) -> ParametricResult:
         entries = {c: [v] for c, v in const.items()}
         entries.update({c: [const.get(c, F.zero()), v] for c, v in row.items() if c < nn})
         pencil.append(entries)
-    rank, candidates = 0, set()
+    rank, jumps = 0, {}
     for block in _blocks(pencil):
-        block_rank, block_candidates = _block_spectrum(F, block)
+        block_rank, drops = _block_spectrum(F, block)
         rank += block_rank
-        candidates.update(block_candidates)
+        for d, k in drops.items():
+            jumps[d] = jumps.get(d, 0) + block_rank - k
     generic = nn - rank
-    specials = []
-    for cand in sorted(candidates):
-        d = solve_delta_derivations(alg, cand).dim
-        if d > generic:
-            specials.append((cand, d))
-    return ParametricResult(generic, specials)
+    return ParametricResult(generic, [(d, generic + jumps[d]) for d in sorted(jumps)])
 
 
 # ---------------------------------------------------------------------------
