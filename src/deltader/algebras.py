@@ -19,10 +19,12 @@ represent.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field as dc_field
+from fractions import Fraction
 from itertools import combinations
 
-from .fields import Field, Rationals, field_from_json, field_to_json, parse_scalar
+from .fields import Field, PrimeField, Rationals, field_from_json, field_to_json, parse_scalar
 from .linalg import (
     _acc,
     _row_value,
@@ -276,68 +278,134 @@ def index_tuples(parities, k: int, supports=None):
     return extend((), 0, empty)
 
 
-def _add_scaled(F: Field, d: dict, x, terms: dict) -> None:
-    """d += x * terms, for sparse vectors {coordinate: value}."""
-    for l, y in terms.items():
-        d[l] = F.add(d[l], F.mul(x, y)) if l in d else F.mul(x, y)
-
-
-def _cyclic_sum(alg: Algebra, par, triple) -> dict:
-    """The Jacobi sum of (-1)^{|a||c|} (e_a e_b) e_c over the cyclic shifts
-    (a, b, c) of the triple, as a sparse vector; ``par`` holds the parities."""
+def _lowered(alg: Algebra):
+    """``(rows, cols, makers, add, mul, neg, finish)`` for the products
+    e_a e_b = sum of c e_k != 0 of every ordered pair, signs synthesized and
+    constants lowered as set out in :func:`validate`: ``rows[a]`` holds
+    (b, terms), ``cols[b]`` (a, terms) and ``makers[k]`` (a, b, c), each by
+    descending a or b, with terms the (k, c).  ``finish`` reads a sum of
+    products of two lowered constants, taken with ``add``, ``mul`` and
+    ``neg``, as a field scalar."""
     F = alg.field
-    i, j, k = triple
-    d = {}
-    for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-        for m, x in alg.product(a, b).items():
-            _add_scaled(F, d, F.neg(x) if par[a] and par[c] else x, alg.product(m, c))
-    return d
+    lower, finish = (lambda c: c), (lambda s: s)
+    ops = operator.add, operator.mul, operator.neg
+    if isinstance(F, PrimeField):
+        finish = lambda s: s % F.p
+    elif isinstance(F, Rationals):
+        D = math.lcm(*(c.denominator for terms in alg.products.values() for c in terms.values()))
+        D2, zero = D * D, F.zero()
+        lower = lambda c: c.numerator * (D // c.denominator)
+        finish = lambda s: Fraction(s, D2) if s else zero
+    else:
+        ops = F.add, F.mul, F.neg
+    n = alg.dim
+    rows, cols, makers = [[] for _ in range(n)], [[] for _ in range(n)], [[] for _ in range(n)]
+    pairs = sorted({(a, b) for i, j in alg.products for a, b in ((i, j), (j, i))}, reverse=True)
+    for a, b in pairs:
+        terms = [(k, lower(c)) for k, c in alg.product(a, b).items()]
+        if terms:
+            rows[a].append((b, terms))
+            cols[b].append((a, terms))
+            for k, c in terms:
+                makers[k].append((a, b, c))
+    return rows, cols, makers, *ops, finish
+
+
+def _path_sums(alg: Algebra, law: str, par, last: int = 0):
+    """Yield (triple, defect) for every basis triple at which ``law`` fails,
+    in lexicographic order; see :func:`validate`.  Jacobi triples whose
+    last index is below ``last`` are left out."""
+    F = alg.field
+    n = alg.dim
+    zero = F.zero()
+    rows, cols, makers, add, mul, neg, finish = _lowered(alg)
+    after = [i if par[i] else i + 1 for i in range(n)]  # least index after i in a triple
+    acc = {}
+
+    def put(key, x, terms):
+        d = acc.get(key)
+        if d is None:
+            d = acc[key] = {}
+        for l, y in terms:
+            d[l] = add(d[l], mul(x, y)) if l in d else mul(x, y)
+
+    for i in range(n):
+        acc = {}
+        if law == "assoc":
+            for b, ab in rows[i]:  # + (e_i e_b) e_c
+                for m, x in ab:
+                    for c, mc in rows[m]:
+                        put((b, c), x, mc)
+            for m, im in rows[i]:  # - e_i (e_a e_b)
+                for a, b, x in makers[m]:
+                    put((a, b), neg(x), im)
+        else:
+            # the cyclic shifts (i, j, k), (j, k, i), (k, i, j) of i <= j <= k
+            si = after[i]
+            for b, ib in rows[i]:  # (e_i e_b) e_c, b <= c
+                if b < si:
+                    break
+                least = max(after[b], last)
+                for m, x in ib:
+                    for c, mc in rows[m]:
+                        if c < least:
+                            break
+                        put((b, c), neg(x) if par[i] and par[c] else x, mc)
+            for m, mi in cols[i]:  # (e_a e_b) e_i, a <= b
+                for a, b, x in makers[m]:
+                    if a < si:
+                        break
+                    if b >= max(after[a], last):
+                        put((a, b), neg(x) if par[a] and par[i] else x, mi)
+            for a, ai in cols[i]:  # (e_a e_i) e_c, c <= a
+                if a < max(si, last):
+                    break
+                for m, x in ai:
+                    for c, mc in rows[m]:
+                        if c < si:
+                            break
+                        if a >= after[c]:
+                            put((c, a), neg(x) if par[a] and par[c] else x, mc)
+        for key in sorted(acc):
+            defect = {l: finish(s) for l, s in acc[key].items()}
+            if any(not F.is_zero(v) for v in defect.values()):
+                yield (i, *key), [defect.get(l, zero) for l in range(n)]
 
 
 def validate(alg: Algebra, law: str | None = None) -> ValidationReport:
     """Check a defining law; report every violating basis triple with its defect.
 
     Laws: "jacobi", "super_jacobi", "assoc"; by default the law of the
-    algebra's flavor.  Both Jacobi laws are one loop over
-    :func:`index_tuples` summing (-1)^{|a||c|} (e_a e_b) e_c over the cyclic
-    shifts of each triple, with zero parities for the ordinary law; a
+    algebra's flavor.  A Jacobi defect is the sum of (-1)^{|a||c|}
+    (e_a e_b) e_c over the cyclic shifts (a, b, c) of a triple i <= j <= k
+    of :func:`index_tuples`, with zero parities for the ordinary law; a
     skipped triple (repeated even index) sums to zero by the storage rule.
-    The "jacobi" law of a "super" algebra is rejected: its triples with a
-    repeated odd index would be skipped although they need not sum to zero.
+    An "assoc" defect is (e_i e_j) e_k - e_i (e_j e_k) on every ordered
+    triple.  The "jacobi" law of a "super" algebra is rejected: its triples
+    with a repeated odd index would be skipped although they need not sum
+    to zero.
+
+    Only the nonzero product paths e_a e_b -> e_m, e_m e_c are walked,
+    those of one leading index i at a time.  A path adds to its sorted
+    triple once for every cyclic shift of that triple equal to (a, b, c),
+    so (i, i, i) with i odd counts its one path three times and an odd
+    permutation of distinct indices counts not at all.  The constants are
+    lowered once per call (see ``_lowered``): over GF(p) each defect
+    coordinate is a sum of products of residues, reduced mod p once; over
+    Q the constants are scaled by D, the lcm of their denominators, so a
+    defect coordinate is the integer sum s read as s / D^2; quotient-ring
+    scalars are summed with the ring's own operations in the same loop.
     """
     if law is None:
         law = _FLAVOR_LAW[alg.flavor]
+    if law not in ("jacobi", "super_jacobi", "assoc"):
+        raise AlgebraError(f"unknown law {law!r}")
     if law == "jacobi" and alg.flavor == "super":
         raise FlavorMismatch("a super algebra satisfies super_jacobi, not the jacobi law")
-    F = alg.field
-    n = alg.dim
-    violations = []
-
-    def check(triple, d: dict) -> None:
-        if any(not F.is_zero(v) for v in d.values()):
-            violations.append((triple, [d.get(l, F.zero()) for l in range(n)]))
-
-    if law in ("jacobi", "super_jacobi"):
-        if law == "super_jacobi" and alg.grading is None:
-            raise GradingMissing("super-Jacobi requires a grading")
-        par = alg.grading if law == "super_jacobi" else [0] * n
-        for triple in index_tuples(par, 3):
-            check(triple, _cyclic_sum(alg, par, triple))
-        return ValidationReport(law, violations)
-
-    if law == "assoc":
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    d = {}
-                    for m, x in alg.product(i, j).items():
-                        _add_scaled(F, d, x, alg.product(m, k))
-                    for m, x in alg.product(j, k).items():
-                        _add_scaled(F, d, F.neg(x), alg.product(i, m))
-                    check((i, j, k), d)
-        return ValidationReport(law, violations)
-
-    raise AlgebraError(f"unknown law {law!r}")
+    if law == "super_jacobi" and alg.grading is None:
+        raise GradingMissing("super-Jacobi requires a grading")
+    par = alg.grading if law == "super_jacobi" else [0] * alg.dim
+    return ValidationReport(law, list(_path_sums(alg, law, par)))
 
 
 def _form_rows(alg: Algebra):
@@ -422,10 +490,11 @@ class ModuleAction:
         It is the Jacobi identity of the semidirect sum S = L + M (see
         :func:`make_semidirect`) on the triples (e_i, e_j, m_k), i < j, whose
         cyclic sum is the defect [x_i, x_j].m_k - x_i.(x_j.m_k) + x_j.(x_i.m_k)
-        in M.  Only those triples are evaluated: one with two or three
-        entries in M sums to zero, since [M, M] = 0, and one inside L is the
-        Jacobi identity of L.  A violation is labelled (i, j, k), its defect given in
-        the coordinates of M.  The algebra must be of flavor "lie".
+        in M.  Only those triples are evaluated, by the path walk of
+        :func:`validate`: one with two or three entries in M has no nonzero
+        product path, since [M, M] = 0, and one inside L is the Jacobi
+        identity of L.  A violation is labelled (i, j, k), its defect given
+        in the coordinates of M.  The algebra must be of flavor "lie".
         """
         L = self.algebra
         return ValidationReport("module", _module_violations(L, _semidirect(L, self)))
@@ -483,8 +552,6 @@ def make_witt_type(field: Field, support, modulus: int | None = None) -> Algebra
 def make_zassenhaus(p: int, n: int) -> Algebra:
     """Zassenhaus algebra W_1(n) over GF(p) in the divided-power basis e_i,
     i = -1 .. p^n - 2, with [e_i, e_j] = (C(i+j+1, j) - C(i+j+1, i)) e_{i+j}."""
-    from .fields import PrimeField
-
     if n < 1:
         raise AlgebraError(f"W_1({n}) needs height n >= 1")
     F = PrimeField(p)
@@ -503,8 +570,6 @@ def make_zassenhaus(p: int, n: int) -> Algebra:
 
 def make_divided_powers(p: int, n: int) -> Algebra:
     """Divided powers algebra O_1(n): x^i x^j = C(i+j, j) x^{i+j}, dim p^n."""
-    from .fields import PrimeField
-
     if n < 1:
         raise AlgebraError(f"O_1({n}) needs height n >= 1")
     F = PrimeField(p)
@@ -580,25 +645,21 @@ def _semidirect(L: Algebra, M: ModuleAction) -> Algebra:
 def _module_violations(L: Algebra, S: Algebra) -> list:
     """The triples (e_i, e_j, m_k), i < j, of the semidirect sum S = L + M
     whose Jacobi sum does not vanish, labelled (i, j, k), each with its
-    defect in the coordinates of M (see :meth:`ModuleAction.validate`)."""
-    F = L.field
+    defect in the coordinates of M (see :meth:`ModuleAction.validate`): the
+    Jacobi triples of S whose last index lies in M."""
     n = L.dim
-    zeros = [0] * S.dim
-    violations = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(n, S.dim):
-                d = _cyclic_sum(S, zeros, (i, j, k))
-                if any(not F.is_zero(v) for v in d.values()):
-                    violations.append(((i, j, k - n), [d.get(l, F.zero()) for l in range(n, S.dim)]))
-    return violations
+    return [
+        ((i, j, k - n), defect[n:])
+        for (i, j, k), defect in _path_sums(S, "jacobi", [0] * S.dim, last=n)
+    ]
 
 
 def make_semidirect(L: Algebra, M: ModuleAction) -> Algebra:
     """Semidirect sum L + M with [x, m] = x.m and [M, M] = 0.
 
     The action is checked as in :meth:`ModuleAction.validate`, by the
-    Jacobi identity of this sum on the triples (e_i, e_j, m_k).  A
+    Jacobi identity of this sum on the triples (e_i, e_j, m_k), walked as
+    in :func:`validate`.  A
     delta-derivation D: L -> M, D(xy) = delta x.D(y) - delta y.D(x), is a
     delta-derivation of this sum with D(M) = 0 and D(L) inside M, which is
     how ``solver.solve_module_valued`` finds them.  With the adjoint module

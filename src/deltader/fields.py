@@ -134,12 +134,12 @@ class Rationals(Field):
     def inv(self, a):
         if a == 0:
             raise DivisionByZero("1/0 in Q")
-        return 1 / a
+        return Fraction(1, a)
 
     def div(self, a, b):
         if b == 0:
             raise DivisionByZero("division by zero in Q")
-        return a / b
+        return Fraction(a, b)
 
     def zero(self):
         return Fraction(0)

@@ -64,6 +64,21 @@ def test_division_by_zero(F):
         F.inv(F.zero())
 
 
+def test_rational_inverse_and_quotient_of_ints_are_fractions():
+    # plain ints divide to floats in Python; Q must stay exact
+    Q = Rationals()
+    for value, expected in [
+        (Q.inv(2), Fraction(1, 2)),
+        (Q.div(1, 2), Fraction(1, 2)),
+        (Q.div(-6, 4), Fraction(-3, 2)),
+        (Q.inv(Fraction(-2, 3)), Fraction(-3, 2)),
+        (Q.div(Fraction(1, 2), 3), Fraction(1, 6)),
+    ]:
+        assert type(value) is Fraction and value == expected
+    with pytest.raises(DivisionByZero):
+        Q.div(1, 0)
+
+
 def test_char_2_and_3_rejected():
     with pytest.raises(InvalidField):
         PrimeField(2)

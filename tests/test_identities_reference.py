@@ -19,6 +19,7 @@ rank 0.
 
 import random
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations_with_replacement, permutations, product
 
 import pytest
@@ -29,13 +30,14 @@ from deltader.algebras import (
     FlavorMismatch,
     _support_degrees,
     index_tuples,
+    make_divided_powers,
     make_grassmann_envelope,
     make_osp12,
     make_special_linear,
     make_zassenhaus,
     validate,
 )
-from deltader.fields import PrimeField, Rationals
+from deltader.fields import PrimeField, QuotientRing, Rationals
 from deltader.linalg import rref_dense
 from deltader.superstd import compute_s4, load_fixture
 
@@ -182,6 +184,7 @@ def test_validate_matches_all_triples(alg):
     expected = reference_violations(alg, law)
     assert rep.ok == (not expected)
     assert dict(rep.violations) == expected
+    assert rep.violations == sorted(expected.items())
 
 
 KNOWN = {
@@ -191,27 +194,102 @@ KNOWN = {
     "osp12/Q": lambda: make_osp12(Rationals()),
     "osp12/GF7": lambda: load_fixture("osp12_gf7.json"),
     "G2(osp12/GF7)": lambda: make_grassmann_envelope(load_fixture("osp12_gf7.json"), 2),
+    "rebased sl3/Q": lambda: rebased(make_special_linear(3, Rationals()), scale=True),
+    "rebased W11/GF7": lambda: rebased(make_zassenhaus(7, 1)),
 }
+
+
+def perturbed(alg, data, scalars=None, min_size=0):
+    """A copy of ``alg`` with up to two drawn scalars (by default 1 to 6)
+    added to structure constants that its storage rule and grading allow."""
+    F = alg.field
+    par = alg.grading or [0] * alg.dim
+    products = {key: dict(terms) for key, terms in alg.products.items()}
+    pairs = [
+        (i, j) for i in range(alg.dim) for j in range(i, alg.dim)
+        if i < j or alg.flavor == "assoc" or (alg.flavor == "super" and par[i])
+    ]
+    if scalars is None:
+        scalars = st.integers(1, 6).map(F.from_int)
+    for i, j in data.draw(st.lists(st.sampled_from(pairs), unique=True, min_size=min_size, max_size=2)):
+        k = data.draw(st.sampled_from([k for k in range(alg.dim) if par[k] == (par[i] + par[j]) % 2]))
+        terms = products.setdefault((i, j), {})
+        terms[k] = F.add(terms.get(k, F.zero()), data.draw(scalars))
+    return Algebra(F, alg.dim, alg.basis, products, flavor=alg.flavor, grading=alg.grading)
 
 
 @SETTINGS
 @given(st.sampled_from(sorted(KNOWN)), st.data())
 def test_validate_perturbed_matches_all_triples(name, data):
     alg = KNOWN[name]()
-    F = alg.field
-    par = alg.grading or [0] * alg.dim
-    products = {key: dict(terms) for key, terms in alg.products.items()}
-    pairs = [(i, j) for i in range(alg.dim) for j in range(i, alg.dim) if i < j or (alg.flavor == "super" and par[i])]
-    for i, j in data.draw(st.lists(st.sampled_from(pairs), unique=True, max_size=2)):
-        k = data.draw(st.sampled_from([k for k in range(alg.dim) if par[k] == (par[i] + par[j]) % 2]))
-        terms = products.setdefault((i, j), {})
-        terms[k] = F.add(terms.get(k, F.zero()), F.from_int(data.draw(st.integers(1, 6))))
-    bent = Algebra(F, alg.dim, alg.basis, products, flavor=alg.flavor, grading=alg.grading)
+    bent = perturbed(alg, data)
     assert validate(alg).ok
     rep = validate(bent)
     expected = reference_violations(bent, rep.law)
     assert rep.ok == (not expected)
     assert dict(rep.violations) == expected
+    assert rep.violations == sorted(expected.items())
+
+
+def reference_assoc(alg):
+    """[(i, j, k), defect] for every ordered triple, in lexicographic order,
+    at which (e_i e_j) e_k - e_i (e_j e_k) is nonzero, by dense products."""
+    F = alg.field
+    out = []
+    for i, j, k in product(range(alg.dim), repeat=3):
+        left = alg.bracket(alg.product_vec(i, j), alg.unit_vector(k))
+        right = alg.bracket(alg.unit_vector(i), alg.product_vec(j, k))
+        defect = [F.sub(x, y) for x, y in zip(left, right)]
+        if any(not F.is_zero(x) for x in defect):
+            out.append(((i, j, k), defect))
+    return out
+
+
+def truncated_polynomials(k: int) -> Algebra:
+    """Q[t]/(t^k): t^i t^j = t^(i+j) while i + j < k."""
+    products = {(i, j): {i + j: Fraction(1)} for i in range(k) for j in range(i, k) if i + j < k}
+    return Algebra(Rationals(), k, [f"t^{i}" for i in range(k)], products, flavor="assoc")
+
+
+ASSOCIATIVE = {
+    "Q[t]/(t^3)": lambda: truncated_polynomials(3),
+    "Q[t]/(t^5)": lambda: truncated_polynomials(5),
+    "O1(1)/GF5": lambda: make_divided_powers(5, 1),
+}
+
+
+@SETTINGS
+@given(st.sampled_from(sorted(ASSOCIATIVE)), st.data())
+def test_assoc_matches_all_ordered_triples(name, data):
+    alg = ASSOCIATIVE[name]()
+    rep = validate(alg)
+    assert rep.law == "assoc" and rep.ok and reference_assoc(alg) == []
+    bent = perturbed(alg, data)
+    assert validate(bent, "assoc").violations == reference_assoc(bent)
+
+
+QT = QuotientRing(Rationals(), [Fraction(-2), Fraction(0), Fraction(1)])  # Q[t]/(t^2 - 2)
+
+
+@settings(derandomize=True, deadline=None, max_examples=20)
+@given(st.data())
+def test_validate_over_quotient_ring_matches_all_triples(data):
+    sl2 = make_special_linear(2, QT)
+    assert validate(sl2).ok
+    scalars = st.sampled_from([QT.t, QT.add(QT.one(), QT.t), QT.coerce([Fraction(1, 2), Fraction(-3)])])
+    bent = perturbed(sl2, data, scalars, min_size=1)
+    assert validate(bent).violations == sorted(reference_violations(bent, "jacobi").items())
+
+
+def test_quotient_ring_defect_is_not_an_integer():
+    # [E01, H] = (t - 2) E01 leaves the Jacobi sum -t H on (E01, E10, H)
+    sl2 = make_special_linear(2, QT)
+    products = {key: dict(terms) for key, terms in sl2.products.items()}
+    products[(0, 2)][0] = QT.add(products[(0, 2)][0], QT.t)
+    bent = Algebra(QT, 3, sl2.basis, products)
+    rep = validate(bent)
+    assert rep.violations == sorted(reference_violations(bent, "jacobi").items())
+    assert rep.violations == [((0, 1, 2), [QT.zero(), QT.zero(), QT.neg(QT.t)])]
 
 
 def test_jacobi_law_rejected_on_super_algebras():
@@ -243,32 +321,42 @@ def test_index_tuples_is_the_filtered_product(parities, k, data):
     assert list(index_tuples(parities, k, supports)) == pruned
 
 
-def rebased_sl3(seed: int = 1):
-    """sl3/Q in the basis f_a = sum_i P[a][i] e_i for the seeded dense
-    unimodular P = S1 M S2 of the rebased benchmark workload: M[i][j] =
-    min(i, j) + 1, whose inverse is tridiagonal, and S1, S2 signed
-    permutations.  The products are dense, so their support carries no
-    grading."""
-    sl3 = make_special_linear(3, Rationals())
-    F, n = sl3.field, sl3.dim
+def rebased(alg, seed: int = 1, scale: bool = False):
+    """The Lie algebra ``alg`` in the basis f_a = d_a sum_i P[a][i] e_i for
+    the seeded dense unimodular P = S1 M S2 of the rebased benchmark
+    workload: M[i][j] = min(i, j) + 1, whose inverse is tridiagonal, and S1,
+    S2 signed permutations.  With ``scale``, d = (2, 1/2, 1, ..., 1), so the
+    constants carry denominators; otherwise d = 1.  The products are dense,
+    so their support carries no grading."""
+    F, n = alg.field, alg.dim
     rng = random.Random(seed)
     p1, p2 = rng.sample(range(n), n), rng.sample(range(n), n)
     s1, s2 = [rng.choice((-1, 1)) for _ in range(n)], [rng.choice((-1, 1)) for _ in range(n)]
+    d = [Fraction(2), Fraction(1, 2)] + [Fraction(1)] * (n - 2) if scale else [Fraction(1)] * n
     M = [[min(i, j) + 1 for j in range(n)] for i in range(n)]
     Minv = [[2 if i == j < n - 1 else 1 if i == j else -1 if abs(i - j) == 1 else 0
              for j in range(n)] for i in range(n)]
-    P = [[F.coerce(s1[i] * M[p1[i]][p2[j]] * s2[j]) for j in range(n)] for i in range(n)]
-    Pinv = [[F.coerce(s2[j] * Minv[p2[j]][p1[i]] * s1[i]) for i in range(n)] for j in range(n)]
+    P = [[F.coerce(d[i] * s1[i] * M[p1[i]][p2[j]] * s2[j]) for j in range(n)] for i in range(n)]
+    Pinv = [[F.coerce(s2[j] * Minv[p2[j]][p1[i]] * s1[i] / d[i]) for i in range(n)] for j in range(n)]
     products = {}
     for a in range(n):
         for b in range(a + 1, n):
-            v = sl3.bracket(P[a], P[b])
-            products[(a, b)] = {c: sum(v[k] * Pinv[k][c] for k in range(n)) for c in range(n)}
+            v = alg.bracket(P[a], P[b])
+            products[(a, b)] = {
+                c: reduce(F.add, (F.mul(v[k], Pinv[k][c]) for k in range(n))) for c in range(n)
+            }
     return Algebra(F, n, [f"f{i}" for i in range(n)], products)
+
+
+def rebased_sl3():
+    return rebased(make_special_linear(3, Rationals()))
 
 
 def test_rebased_sl3_is_a_change_of_basis():
     assert validate(rebased_sl3()).ok
+    scaled = KNOWN["rebased sl3/Q"]()
+    assert any(c.denominator > 1 for terms in scaled.products.values() for c in terms.values())
+    assert validate(scaled).ok
 
 
 def assert_degrees_respect_products(alg):
@@ -306,7 +394,8 @@ def test_support_degrees_rank(make, rank):
 
 @pytest.mark.parametrize("name, law", [
     (name, law) for name in sorted(KNOWN) for law in ("ordinary", "super")
-    if law == "ordinary" or KNOWN[name]().grading is not None
+    # a dense sl3 is checked once, by test_s4_rebased_matches_permutation_sum
+    if name != "rebased sl3/Q" and (law == "ordinary" or KNOWN[name]().grading is not None)
 ])
 def test_s4_known_matches_permutation_sum(name, law):
     alg = KNOWN[name]()

@@ -215,6 +215,12 @@ def test_spurious_root_of_last_pivot_is_not_a_drop(F):
     assert _block_spectrum(F, [{0: [zero, one], 1: [one]}]) == (1, {})
 
 
+def test_block_spectrum_takes_plain_int_entries_over_q():
+    # Rationals.inv of a plain int used to give a float, which failed in
+    # linalg._primitive
+    assert _block_spectrum(Q, [{0: [0, 1], 1: [1]}]) == (1, {})
+
+
 @st.composite
 def tall_rational_blocks(draw):
     """Sparse rows {column: [a] or [a, b]} of a pencil a + delta b over Q,
