@@ -107,6 +107,10 @@ class Field:
     def eq(self, a, b) -> bool:
         return self.is_zero(self.sub(a, b))
 
+    def is_unit(self, a) -> bool:
+        """Whether a is invertible: in a field, whether it is nonzero."""
+        return not self.is_zero(a)
+
     def coerce(self, value):
         """Turn an int, string, Fraction or payload into a canonical payload."""
         raise NotImplementedError
@@ -428,6 +432,10 @@ class QuotientRing(Field):
         if poly_deg(d) != 0:
             raise NonInvertible("element not coprime to the modulus", witness=d)
         return self._pad(poly_mod(self.base, u, self.modulus))
+
+    def is_unit(self, a) -> bool:
+        fa = self.lift(a)
+        return bool(fa) and poly_deg(poly_gcd(self.base, fa, self.modulus)) == 0
 
     def zero(self):
         return tuple([self.base.zero()] * self.deg)

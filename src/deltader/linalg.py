@@ -6,9 +6,11 @@ field: rows are dicts {column: coefficient}.  The resulting reduced row
 space is canonical (independent of insertion order), which makes nullspace
 bases reproducible byte-for-byte.
 
-Such systems also fall apart into many small blocks, the connected
-components of the row/column incidence graph, and nullspaces are found one
-block at a time.  No block shares a column with another, so the RREFs of
+Most rows of these systems have a single entry, which forces one unknown
+to zero; those unknowns are pinned before any elimination (see
+``sparse_nullspace``).  The rest falls apart into many small blocks, the
+connected components of the row/column incidence graph, and nullspaces are
+found one block at a time.  No block shares a column with another, so the RREFs of
 the blocks, taken together, form an RREF of the whole system, and by
 uniqueness the RREF: the basis is the one a single elimination would give,
 while each new pivot clears its column only from the pivots of its block.
@@ -144,23 +146,89 @@ def _blocks(rows) -> list[list[dict]]:
     return list(blocks.values())
 
 
+def _pin(rows, F: Field) -> tuple[set, list[dict]]:
+    """The columns that one-entry rows force to zero, and the other rows
+    without those columns (singleton elimination; see ``sparse_nullspace``).
+
+    A row whose only nonzero entry a is in column c says a x_c = 0, so
+    x_c = 0 when a is a unit, and pinning c may leave another row with one
+    such entry, which pins its column in turn.  A zero divisor a (in a
+    ``QuotientRing`` with a reducible modulus) pins nothing: its row is
+    kept, for elimination to report.  Rows with several entries are indexed
+    by column, with a live count of their nonzero entries in unpinned
+    columns, so the cascade costs O(nnz).  The rows returned are those that
+    pin nothing and keep a live entry: unchanged if every entry is live,
+    else without their zeros and pinned columns.  With no column pinned,
+    every row is returned unchanged but the empty ones and those whose one
+    entry is zero."""
+    pinned, several = set(), []
+    for row in rows:
+        if len(row) == 1:
+            for c, v in row.items():
+                if F.is_unit(v):
+                    pinned.add(c)
+                elif not F.is_zero(v):
+                    several.append(row)
+        elif row:
+            several.append(row)
+    if not pinned:
+        return pinned, several
+    by_col: dict[int, list[int]] = {}
+    live, todo = [], []
+    for i, row in enumerate(several):
+        n = 0
+        for c, v in row.items():
+            if c not in pinned and not F.is_zero(v):
+                by_col.setdefault(c, []).append(i)
+                n += 1
+        live.append(n)
+        if n == 1:
+            todo.append(i)
+    while todo:
+        i = todo.pop()
+        if live[i] != 1:
+            continue  # its last live column was pinned by another row
+        c = next(c for c, v in several[i].items() if c not in pinned and not F.is_zero(v))
+        if not F.is_unit(several[i][c]):
+            continue
+        pinned.add(c)
+        for j in by_col[c]:
+            live[j] -= 1
+            if live[j] == 1:
+                todo.append(j)
+    rest = []
+    for row, n in zip(several, live):
+        if n == len(row):
+            rest.append(row)
+        elif n:
+            rest.append({c: v for c, v in row.items() if c not in pinned and not F.is_zero(v)})
+    return pinned, rest
+
+
 def sparse_nullspace(rows, ncols: int, field: Field) -> list[list]:
     """Canonical nullspace basis (dense vectors) of a sparse homogeneous system.
 
     The basis has one vector v_c per free column c of the RREF, with
-    v_c[c] = 1 and v_c zero on the other free columns.  Each block of the
-    system (see ``_blocks``) is eliminated on its own; the union of the
-    block RREFs is the RREF of the system, since no two blocks share a
-    column, so the basis is the same as from one elimination of all rows.
-    Columns in no row are free.  Over Q it is found modulo primes; see
-    ``_rational_nullspace``."""
+    v_c[c] = 1 and v_c zero on the other free columns.
+
+    First the unknowns that rows with one entry, a unit, force to zero are
+    pinned, along with those the cascade of rows left with one such entry
+    forces (see ``_pin``).  Each pinned column c is a pivot whose RREF row is e_c, and
+    every other RREF row is zero at c, so the pinned columns together with
+    the RREF of the other rows, pinned columns removed, are the RREF of
+    the system.  Then each block of those rows (see ``_blocks``) is
+    eliminated on its own; the union of the block RREFs is their RREF,
+    since no two blocks share a column.  So the basis is the same as from
+    one elimination of all rows.  Columns in no row are free.  Over Q it
+    is found modulo primes; see ``_rational_nullspace``."""
     if isinstance(field, Rationals):
         return _rational_nullspace(rows, ncols)
     F = field
+    pinned, rows = _pin(rows, F)
     pivots = {}
     for block in _blocks(rows):
         pivots.update(sparse_rref(block, F))
-    basis = {c: [F.zero()] * ncols for c in range(ncols) if c not in pivots}
+    basis = {c: [F.zero()] * ncols for c in range(ncols) if c not in pivots and c not in pinned}
     for c, v in basis.items():
         v[c] = F.one()
     # a pivot row's other columns are all free
@@ -216,20 +284,28 @@ def _annihilates(by_col: list[list], vec: dict) -> bool:
 def _rational_nullspace(rows, ncols: int) -> list[list]:
     """``sparse_nullspace`` over Q, from the RREF modulo primes p < 2**31.
 
-    The rows are scaled to integers and split into blocks once.  For
-    p = p1 > p2 > ... the RREF over GF(p) is computed block by block (see
-    ``sparse_nullspace``); a prime is kept only if its pivot columns equal
-    the best list seen so far, where a higher rank wins and, at equal rank,
-    the lexicographically earlier list.  The entries -RREF[r][c] of the kept
-    primes are combined by CRT, rationally reconstructed, and each vector
-    v_c (1 at the free column c, the reconstructed entries at the pivot
-    rows r) is checked exactly against every integer row.  If all pass,
-    the basis is returned; otherwise the next prime is taken.
+    The columns forced to zero are pinned on the exact rows first (see
+    ``sparse_nullspace``), so a coefficient divisible by some p still pins
+    its column.  Only the rest of the rows, pinned columns removed, are
+    scaled to integers and split into blocks, once.  For p = p1 > p2 > ...
+    their RREF over GF(p) is computed block by block; a prime is kept only
+    if its pivot columns equal the best list seen so far, where a higher
+    rank wins and, at equal rank, the lexicographically earlier list.  The
+    entries -RREF[r][c] of the kept primes are combined by CRT, rationally
+    reconstructed, and each vector v_c (1 at the free column c, the
+    reconstructed entries at the pivot rows r, 0 at the pinned columns) is
+    checked exactly against every integer row.  If all pass, the basis is
+    returned; otherwise the next prime is taken.
 
-    Why the answer is exact and equals the RREF basis over Q: for an
-    integer matrix rank_Q >= rank_p, so n - rank_p independent verified
-    kernel vectors (independent by their 1 at distinct free columns) are
-    the whole kernel, and rank_p = rank_Q.  Each v_c is supported on pivot
+    Why the answer is exact and equals the RREF basis over Q: every v_c is
+    zero at the pinned columns, so it vanishes on each row all of whose
+    entries are pinned, and on each other row once it solves that row with
+    the pinned columns removed, which is what is checked.  The rank of all
+    rows is rank_Q(all) = |pinned| + rank_Q(rest), for the rest of the rows
+    so reduced.  For an integer matrix rank_Q >= rank_p, so
+    n - |pinned| - rank_p(rest) independent verified kernel vectors
+    (independent by their 1 at distinct free columns) are the whole
+    kernel, and rank_p(rest) = rank_Q(rest).  Each v_c is supported on pivot
     columns before c and on c itself, so column c depends on earlier
     columns over Q and is free over Q as well: the free columns are exactly
     those of the RREF over Q, and a kernel vector is determined by its free
@@ -240,8 +316,9 @@ def _rational_nullspace(rows, ncols: int) -> list[list]:
     beat) and reduces its entries exactly, and the CRT modulus grows with
     each prime kept until it exceeds twice the square of their sizes.
     """
+    pinned, rest = _pin(rows, Rationals())
     ints, by_col = [], [[] for _ in range(ncols)]
-    for row in rows:
+    for row in rest:
         den = math.lcm(*(v.denominator for v in row.values()))
         row = {c: v.numerator * (den // v.denominator) for c, v in row.items() if v}
         for c, v in row.items():
@@ -257,7 +334,7 @@ def _rational_nullspace(rows, ncols: int) -> list[list]:
         key = (-len(pivots), sorted(pivots))
         if best is None or key < best:
             best, modulus = key, 1
-            residues = {c: {} for c in range(ncols) if c not in pivots}
+            residues = {c: {} for c in range(ncols) if c not in pivots and c not in pinned}
         elif key > best:
             continue  # p divides a pivot minor: its rank or pivots are off
         # residues[c][r] = -RREF[r][c] modulo the product of the kept primes

@@ -103,6 +103,10 @@ def test_quotient_ring_noninvertible_witness():
     with pytest.raises(NonInvertible) as exc:
         R.inv(bad)
     assert exc.value.witness is not None
+    assert not R.is_unit(bad) and not R.is_unit(R.zero())
+    assert not R.is_unit(R.coerce([Fraction(1), Fraction(1)]))  # t + 1
+    assert R.is_unit(R.coerce([Fraction(2), Fraction(1)]))  # t + 2, prime to t - 1 and t + 1
+    assert R.is_unit(R.t) and not PrimeField(5).is_unit(0) and Rationals().is_unit(Fraction(-1, 3))
 
 
 # irreducible moduli of degree d + 1: t^(d+1) - 2 over Q (Eisenstein at 2);

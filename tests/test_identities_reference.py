@@ -67,15 +67,20 @@ def reference_s4(alg, law):
     par = alg.grading if law == "super" else [0] * n
     supports = alg.meta.get("supports")
 
+    memo = {}
+
     def nested(y, args):
-        vec = {y: F.one()}
-        for j in args:
+        """(...((y a1) a2) ...) ak for the tuple args, from the memoised
+        value of its prefix: the permutations of a tuple share prefixes."""
+        if not args:
+            return {y: F.one()}
+        if (y, args) not in memo:
             nxt = {}
-            for i, c in vec.items():
-                for k, w in alg.product(i, j).items():
+            for i, c in nested(y, args[:-1]).items():
+                for k, w in alg.product(i, args[-1]).items():
                     nxt[k] = F.add(nxt.get(k, F.zero()), F.mul(c, w))
-            vec = {k: c for k, c in nxt.items() if not F.is_zero(c)}
-        return vec
+            memo[y, args] = {k: c for k, c in nxt.items() if not F.is_zero(c)}
+        return memo[y, args]
 
     vectors = []
     for t in combinations_with_replacement(range(n), 4):
@@ -92,7 +97,7 @@ def reference_s4(alg, law):
             acc = [F.zero()] * n
             for perm in permutations(range(4)):
                 sign = koszul_sign(perm, [par[i] for i in t])
-                for k, c in nested(y, [t[s] for s in perm]).items():
+                for k, c in nested(y, tuple(t[s] for s in perm)).items():
                     acc[k] = F.add(acc[k], c) if sign > 0 else F.sub(acc[k], c)
             vectors.append(acc)
     basis = rref_dense(vectors, F)

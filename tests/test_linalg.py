@@ -4,9 +4,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from deltader import solver
-from deltader.algebras import make_grassmann_envelope, make_special_linear
-from deltader.fields import PrimeField, Rationals, poly_mul
+from deltader import linalg, solver
+from deltader.algebras import make_grassmann_envelope, make_special_linear, make_zassenhaus
+from deltader.fields import NonInvertible, PrimeField, QuotientRing, Rationals, poly_mul
 from deltader.linalg import (
     SpanSolver,
     base_field_roots,
@@ -226,10 +226,12 @@ def unsplit_nullspace(rows, ncols, field):
     return basis
 
 
-@pytest.mark.parametrize("name", ["env4(osp12/GF7)", "sl4/Q"])
+@pytest.mark.parametrize("name", ["env4(osp12/GF7)", "sl4/Q", "W12/GF5"])
 def test_block_solves_match_one_elimination(name, monkeypatch):
     if name == "sl4/Q":
         alg, half = make_special_linear(4, Rationals()), Fraction(1, 2)
+    elif name == "W12/GF5":
+        alg, half = make_zassenhaus(5, 2), 3
     else:
         alg, half = make_grassmann_envelope(load_fixture("osp12_gf7.json"), 4), 4
     solves = [
@@ -240,3 +242,79 @@ def test_block_solves_match_one_elimination(name, monkeypatch):
     got = [solve().to_json() for solve in solves]
     monkeypatch.setattr(solver, "sparse_nullspace", unsplit_nullspace)
     assert got == [solve().to_json() for solve in solves]
+
+
+@st.composite
+def singleton_cascades(draw):
+    """A system that one-entry rows mostly solve, with shuffled rows: unit
+    rows pin columns of depth 0, and a row for each column of depth 1 to 3
+    has its other entries in columns of lower depth, so it is left with one
+    entry once those are pinned.  Any entry but the one at the column it
+    pins may be an explicit zero.  Some rows are empty, and an unrelated
+    block of rows on the other columns may also meet pinned columns."""
+    F, values = BLOCK_FIELDS[draw(st.sampled_from(sorted(BLOCK_FIELDS)))]
+    nonzero = [v for v in values if not F.is_zero(v)]
+    ncols = draw(st.integers(1, 10))
+    order = draw(st.permutations(range(ncols)))
+    layers, start = [], 0
+    for k in draw(st.lists(st.integers(1, 3), max_size=4)):
+        layer = order[start : start + k]
+        if layer:
+            layers.append(layer)
+            start += len(layer)
+    rows = []
+    for d, layer in enumerate(layers):
+        lower = [c for lay in layers[:d] for c in lay]
+        for col in layer:
+            row = {col: draw(st.sampled_from(nonzero))}
+            if d:
+                for c in draw(st.lists(st.sampled_from(lower), min_size=1, max_size=3, unique=True)):
+                    row[c] = draw(st.sampled_from(values))
+            elif draw(st.booleans()):
+                row.setdefault(draw(st.sampled_from(order)), F.zero())
+            rows.append(row)
+    pinned, free = order[:start], order[start:]
+    for _ in range(draw(st.integers(0, 4)) if free else 0):
+        cols = draw(st.lists(st.sampled_from(free + pinned), min_size=1, max_size=4, unique=True))
+        rows.append({c: draw(st.sampled_from(values)) for c in cols})
+    rows += [{} for _ in range(draw(st.integers(0, 2)))]
+    return F, draw(st.permutations(rows)), ncols
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(singleton_cascades())
+def test_pinned_nullspace_matches_one_elimination(system):
+    F, rows, ncols = system
+    dense = [[row.get(c, F.zero()) for c in range(ncols)] for row in rows]
+    basis = sparse_nullspace(rows, ncols, F)
+    assert basis == unsplit_nullspace(rows, ncols, F)
+    assert basis == dense_gauss_nullspace(F, dense, ncols)
+
+
+P1, P2 = 2**31 - 1, 2147483629  # the first two primes of the lift over Q
+
+
+@pytest.mark.parametrize("coef", [P1, P1 * P2, Fraction(-P2, P1)])
+def test_coefficient_divisible_by_lift_prime_pins_its_column(coef):
+    Q = Rationals()
+    rows = [{0: Fraction(coef)}, {0: Fraction(5), 1: Fraction(-1, 3)}, {1: Fraction(2), 2: Fraction(7)}]
+    assert linalg._pin(rows, Q)[0] == {0, 1, 2}
+    assert sparse_nullspace(rows, 4, Q) == [[0, 0, 0, 1]]
+    assert sparse_nullspace(rows[:1], 2, Q) == unsplit_nullspace(rows[:1], 2, Q) == [[0, 1]]
+
+
+T2 = QuotientRing(Rationals(), [0, 0, 1])  # Q[t]/(t^2), where t is a zero divisor
+ONE_PLUS_T = T2.add(T2.one(), T2.t)
+
+
+@pytest.mark.parametrize("rows", [[{0: T2.t}], [{1: T2.one()}, {0: T2.t, 1: ONE_PLUS_T}]])
+def test_zero_divisor_left_with_one_entry_is_reported(rows):
+    assert linalg._pin(rows, T2)[0] == {c for row in rows[:-1] for c in row}
+    with pytest.raises(NonInvertible):
+        sparse_nullspace(rows, 2, T2)
+
+
+def test_unit_of_quotient_ring_pins_its_column():
+    rows = [{0: ONE_PLUS_T}, {0: T2.t, 1: T2.one()}]
+    assert linalg._pin(rows, T2)[0] == {0, 1}
+    assert sparse_nullspace(rows, 3, T2) == unsplit_nullspace(rows, 3, T2) == [[T2.zero(), T2.zero(), T2.one()]]
