@@ -15,11 +15,13 @@ the blocks, taken together, form an RREF of the whole system, and by
 uniqueness the RREF: the basis is the one a single elimination would give,
 while each new pivot clears its column only from the pivots of its block.
 
-Nullspaces over Q are computed modulo word-size primes on that same RREF,
-then lifted: the residues are combined by the Chinese remainder theorem,
-turned back into fractions by rational reconstruction, and every basis
-vector is checked exactly against every row before it is returned.  This
-avoids the coefficient growth of fraction arithmetic in the pivot rows.
+Over Q the pipeline is the same; only the RREF of each block is computed
+modulo word-size primes and then lifted: the residues are combined by the
+Chinese remainder theorem, turned back into fractions by rational
+reconstruction, and every kernel vector is checked exactly against every
+row of its block before the block's RREF is returned.  A block takes only
+the primes it needs.  This avoids the coefficient growth of fraction
+arithmetic in the pivot rows.
 
 For linear systems with a polynomial parameter we use one-step fraction-free
 (Bareiss) elimination with column pivoting: entries stay polynomials, no
@@ -219,15 +221,13 @@ def sparse_nullspace(rows, ncols: int, field: Field) -> list[list]:
     the system.  Then each block of those rows (see ``_blocks``) is
     eliminated on its own; the union of the block RREFs is their RREF,
     since no two blocks share a column.  So the basis is the same as from
-    one elimination of all rows.  Columns in no row are free.  Over Q it
-    is found modulo primes; see ``_rational_nullspace``."""
-    if isinstance(field, Rationals):
-        return _rational_nullspace(rows, ncols)
+    one elimination of all rows.  Columns in no row are free.  Over Q the
+    RREF of a block is found modulo primes; see ``_rational_rref``."""
     F = field
     pinned, rows = _pin(rows, F)
     pivots = {}
     for block in _blocks(rows):
-        pivots.update(sparse_rref(block, F))
+        pivots.update(_rational_rref(block) if isinstance(F, Rationals) else sparse_rref(block, F))
     basis = {c: [F.zero()] * ncols for c in range(ncols) if c not in pivots and c not in pinned}
     for c, v in basis.items():
         v[c] = F.one()
@@ -269,7 +269,7 @@ def _rational_reconstruction(u: int, m: int):
     return Fraction(r1, t1)
 
 
-def _annihilates(by_col: list[list], vec: dict) -> bool:
+def _annihilates(by_col: dict[int, list], vec: dict) -> bool:
     """Whether the rational vector {col: value} solves every integer row,
     given the rows by column as (row index, value) lists."""
     den = math.lcm(*(v.denominator for v in vec.values()))
@@ -281,60 +281,50 @@ def _annihilates(by_col: list[list], vec: dict) -> bool:
     return not any(sums.values())
 
 
-def _rational_nullspace(rows, ncols: int) -> list[list]:
-    """``sparse_nullspace`` over Q, from the RREF modulo primes p < 2**31.
+def _rational_rref(block: list[dict]) -> dict[int, dict]:
+    """``sparse_rref`` of one block over Q, from its RREF modulo primes p < 2**31.
 
-    The columns forced to zero are pinned on the exact rows first (see
-    ``sparse_nullspace``), so a coefficient divisible by some p still pins
-    its column.  Only the rest of the rows, pinned columns removed, are
-    scaled to integers and split into blocks, once.  For p = p1 > p2 > ...
-    their RREF over GF(p) is computed block by block; a prime is kept only
-    if its pivot columns equal the best list seen so far, where a higher
-    rank wins and, at equal rank, the lexicographically earlier list.  The
-    entries -RREF[r][c] of the kept primes are combined by CRT, rationally
-    reconstructed, and each vector v_c (1 at the free column c, the
-    reconstructed entries at the pivot rows r, 0 at the pinned columns) is
-    checked exactly against every integer row.  If all pass, the basis is
-    returned; otherwise the next prime is taken.
+    The rows are scaled to integers.  For p = p1 > p2 > ... their RREF over
+    GF(p) is computed; a prime is kept only if its pivot columns equal the
+    best list seen so far, where a higher rank wins and, at equal rank, the
+    lexicographically earlier list.  The entries -RREF[r][c] of the kept
+    primes are combined by CRT, rationally reconstructed, and each vector
+    v_c (1 at the free column c, the reconstructed entries at the pivot
+    rows r) is checked exactly against every integer row.  If all pass, the
+    RREF with entries -v_c[r] is returned; otherwise the next prime is
+    taken.
 
-    Why the answer is exact and equals the RREF basis over Q: every v_c is
-    zero at the pinned columns, so it vanishes on each row all of whose
-    entries are pinned, and on each other row once it solves that row with
-    the pinned columns removed, which is what is checked.  The rank of all
-    rows is rank_Q(all) = |pinned| + rank_Q(rest), for the rest of the rows
-    so reduced.  For an integer matrix rank_Q >= rank_p, so
-    n - |pinned| - rank_p(rest) independent verified kernel vectors
+    Why the answer is exact and equals the RREF over Q: let n be the number
+    of columns with a nonzero entry in the block.  For an integer matrix
+    rank_Q >= rank_p, so n - rank_p independent verified kernel vectors
     (independent by their 1 at distinct free columns) are the whole
-    kernel, and rank_p(rest) = rank_Q(rest).  Each v_c is supported on pivot
-    columns before c and on c itself, so column c depends on earlier
-    columns over Q and is free over Q as well: the free columns are exactly
-    those of the RREF over Q, and a kernel vector is determined by its free
-    coordinates, so each v_c equals the vector the Q RREF gives.
+    kernel, and rank_p = rank_Q.  Each v_c is supported on pivot columns
+    before c and on c itself, so column c depends on earlier columns over
+    Q and is free over Q as well: the free columns are exactly those of the
+    RREF over Q, and a kernel vector is determined by its free coordinates,
+    so each v_c equals the vector the Q RREF gives, and the RREF returned
+    is the RREF over Q.
 
     The loop terminates: only finitely many primes divide a pivot minor of
     the Q RREF, every other prime has its pivot list (which no prime can
     beat) and reduces its entries exactly, and the CRT modulus grows with
     each prime kept until it exceeds twice the square of their sizes.
     """
-    pinned, rest = _pin(rows, Rationals())
-    ints, by_col = [], [[] for _ in range(ncols)]
-    for row in rest:
+    ints, by_col = [], {}
+    for row in block:
         den = math.lcm(*(v.denominator for v in row.values()))
         row = {c: v.numerator * (den // v.denominator) for c, v in row.items() if v}
         for c, v in row.items():
-            by_col[c].append((len(ints), v))
+            by_col.setdefault(c, []).append((len(ints), v))
         ints.append(row)
-    blocks = _blocks(ints)
     best, modulus, residues = None, 1, {}
     for F in _prime_fields():
         p = F.p
-        pivots = {}
-        for block in blocks:
-            pivots.update(sparse_rref([{c: v % p for c, v in row.items()} for row in block], F))
+        pivots = sparse_rref([{c: v % p for c, v in row.items()} for row in ints], F)
         key = (-len(pivots), sorted(pivots))
         if best is None or key < best:
             best, modulus = key, 1
-            residues = {c: {} for c in range(ncols) if c not in pivots and c not in pinned}
+            residues = {c: {} for c in by_col if c not in pivots}
         elif key > best:
             continue  # p divides a pivot minor: its rank or pivots are off
         # residues[c][r] = -RREF[r][c] modulo the product of the kept primes
@@ -347,20 +337,15 @@ def _rational_nullspace(rows, ncols: int) -> list[list]:
             for r, x in vec.items():
                 vec[r] = x + modulus * ((-pivots[r].get(c, 0) - x) * lift % p)
         modulus *= p
-        basis = []
+        rref = {r: {r: Fraction(1)} for r in pivots}
         for c, vec in residues.items():
             v = {r: _rational_reconstruction(x, modulus) for r, x in vec.items()}
-            if None in v.values():
+            if None in v.values() or not _annihilates(by_col, {**v, c: Fraction(1)}):
                 break
-            v[c] = Fraction(1)
-            if not _annihilates(by_col, v):
-                break
-            dense = [Fraction(0)] * ncols
-            for j, x in v.items():
-                dense[j] = x
-            basis.append(dense)
+            for r, x in v.items():
+                rref[r][c] = -x
         else:
-            return basis
+            return rref
 
 
 def _row_value(row: dict, vec: list, F: Field):

@@ -1,12 +1,15 @@
 """Nullspaces over Q from word-size primes against fraction arithmetic.
 
-``sparse_nullspace`` over Q eliminates modulo primes p < 2**31, lifts the
-RREF entries by CRT and rational reconstruction, and checks each basis
-vector exactly against every row.  The reference here is the canonical
-basis read off the RREF over Q in ``Fraction`` arithmetic from
-``sparse_rref``; the two must be equal, not merely span the same space.
-The hand-made systems defeat the first prime p1: one is rank-deficient
-mod p1, one moves its pivot column mod p1, and some need many primes.
+``sparse_nullspace`` over Q pins and splits the system into blocks as over
+any field; the RREF of each block is computed modulo primes p < 2**31,
+its entries are lifted by CRT and rational reconstruction, and each
+kernel vector is checked exactly against every row of the block.  The
+reference here is the canonical basis read off the RREF over Q in
+``Fraction`` arithmetic from ``sparse_rref``; the two must be equal, not
+merely span the same space.  The hand-made systems defeat the first prime
+p1: one is rank-deficient mod p1, one moves its pivot column mod p1, some
+need many primes, and one joins such a block to a block that p1 lifts.
+Where sympy is installed, its ``Matrix.nullspace`` is a second reference.
 """
 
 import itertools
@@ -40,9 +43,9 @@ def fraction_nullspace(rows, ncols):
 
 
 def count_primes(monkeypatch):
-    """The primes of the eliminations ``sparse_nullspace`` makes, one each;
-    past CEILING the lift has failed to converge, so the test fails
-    instead of hanging."""
+    """The primes of the eliminations ``sparse_nullspace`` makes, one per
+    block and prime; past CEILING the lift has failed to converge, so the
+    test fails instead of hanging."""
     used = []
 
     def counting(rows, field):
@@ -91,6 +94,18 @@ def test_pivot_column_moves_mod_first_prime(primes_used):
     assert sparse_nullspace(rows, 4, Q) == fraction_nullspace(rows, 4)
 
 
+def test_each_block_takes_only_the_primes_it_needs(primes_used):
+    # the block [P1, 1] needs several primes; the block [1, 2] beside it
+    # is lifted with p1 alone and is not eliminated again
+    alone = rows_of([P1, 1])
+    assert sparse_nullspace(alone, 2, Q) == fraction_nullspace(alone, 2)
+    needed = len(primes_used)
+    primes_used.clear()
+    rows = rows_of([P1, 1, 0, 0], [0, 0, 1, 2])
+    assert sparse_nullspace(rows, 4, Q) == fraction_nullspace(rows, 4)
+    assert len(primes_used) == needed + 1
+
+
 def test_unlucky_prime_after_a_lucky_one(primes_used):
     # p1 fixes the pivot list; p2 moves the pivot and must not be combined
     p2 = 2147483629
@@ -129,7 +144,7 @@ DENOMINATORS = st.sampled_from([1, 1, 1, 2, 3, 7, P1, 2**64 + 13, 3**50])
 
 
 @st.composite
-def rational_systems(draw):
+def one_system(draw):
     ncols = draw(st.integers(1, 7))
     rows = []
     for _ in range(draw(st.integers(0, 7))):
@@ -142,6 +157,18 @@ def rational_systems(draw):
     return rows, ncols
 
 
+@st.composite
+def rational_systems(draw):
+    rows, ncols = draw(one_system())
+    # a direct sum on disjoint columns: its blocks may need different
+    # numbers of primes
+    if draw(st.booleans()):
+        more, extra = draw(one_system())
+        rows += [{ncols + c: v for c, v in row.items()} for row in more]
+        ncols += extra
+    return rows, ncols
+
+
 @settings(derandomize=True, deadline=None, max_examples=150)
 @given(rational_systems())
 def test_random_systems_match_fraction_elimination(system):
@@ -149,3 +176,17 @@ def test_random_systems_match_fraction_elimination(system):
     with pytest.MonkeyPatch.context() as monkeypatch:
         count_primes(monkeypatch)
         assert sparse_nullspace(rows, ncols, Q) == fraction_nullspace(rows, ncols)
+
+
+def test_random_systems_match_sympy():
+    sympy = pytest.importorskip("sympy")
+
+    @settings(derandomize=True, deadline=None, max_examples=150)
+    @given(rational_systems())
+    def check(system):
+        rows, ncols = system
+        entries = [sympy.Rational(x.numerator, x.denominator) for row in rows for x in (row.get(c, 0) for c in range(ncols))]
+        kernel = sympy.Matrix(len(rows), ncols, entries).nullspace()
+        assert sparse_nullspace(rows, ncols, Q) == [[Fraction(int(x.p), int(x.q)) for x in v] for v in kernel]
+
+    check()
