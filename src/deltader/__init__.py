@@ -79,7 +79,6 @@ from .gradings import (
 from .superstd import (
     IdealBasis,
     compute_s4,
-    check_standard_identity,
     verify_kernel_containment,
     desk_check_theorems,
 )

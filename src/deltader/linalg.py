@@ -23,8 +23,10 @@ row of its block before the block's RREF is returned.  A block takes only
 the primes it needs.  This avoids the coefficient growth of fraction
 arithmetic in the pivot rows.
 
-For linear systems with a polynomial parameter we use one-step fraction-free
-(Bareiss) elimination with column pivoting: entries stay polynomials, no
+A pencil A + delta B is pinned and split the same way, with a nonzero
+constant as the unit (see ``solver.solve_parametric``).  Its blocks go
+through one-step fraction-free (Bareiss) elimination with column pivoting
+unless a sweep over GF(p) settles them: entries stay polynomials, no
 division by parameter-dependent quantities ever happens, and the last pivot
 is a maximal nonvanishing minor, so the rank can drop only at its roots.
 Rational roots are isolated exactly by Sturm bisection.
@@ -122,10 +124,9 @@ def sparse_rref(rows, field: Field) -> dict[int, dict]:
 
 
 def _blocks(rows) -> list[list[dict]]:
-    """The nonempty rows grouped by connected component of the incidence
-    graph in which a row meets every column it has an entry in, each block
-    in the order of its first row and keeping the order of its rows."""
-    rows = [row for row in rows if row]
+    """The rows left by ``_pin``, grouped by connected component of the
+    incidence graph in which a row meets every column it has an entry in,
+    each block in the order of its first row and keeping its rows' order."""
     parent = {c: c for row in rows for c in row}
 
     def find(c):
@@ -148,28 +149,27 @@ def _blocks(rows) -> list[list[dict]]:
     return list(blocks.values())
 
 
-def _pin(rows, F: Field) -> tuple[set, list[dict]]:
+def _pin(rows, is_unit) -> tuple[set, list[dict]]:
     """The columns that one-entry rows force to zero, and the other rows
     without those columns (singleton elimination; see ``sparse_nullspace``).
 
-    A row whose only nonzero entry a is in column c says a x_c = 0, so
-    x_c = 0 when a is a unit, and pinning c may leave another row with one
-    such entry, which pins its column in turn.  A zero divisor a (in a
-    ``QuotientRing`` with a reducible modulus) pins nothing: its row is
-    kept, for elimination to report.  Rows with several entries are indexed
-    by column, with a live count of their nonzero entries in unpinned
-    columns, so the cascade costs O(nnz).  The rows returned are those that
-    pin nothing and keep a live entry: unchanged if every entry is live,
-    else without their zeros and pinned columns.  With no column pinned,
-    every row is returned unchanged but the empty ones and those whose one
-    entry is zero."""
+    A row whose only entry a is in column c says a x_c = 0, so x_c = 0 when
+    ``is_unit(a)``, and pinning c may leave another row with one entry,
+    which pins its column in turn.  Any other entry pins nothing; its row
+    is kept for elimination to report a zero divisor (in a ``QuotientRing``
+    with a reducible modulus), drop an explicit zero, or rank a pencil
+    entry a + b delta (see ``solver.solve_parametric``).  Rows with several
+    entries are indexed by column, with a live count of their entries in
+    unpinned columns, so the cascade costs O(nnz).  The rows returned are
+    those that pin nothing and keep a live entry: unchanged if every entry
+    is live, else without their pinned columns."""
     pinned, several = set(), []
     for row in rows:
         if len(row) == 1:
             for c, v in row.items():
-                if F.is_unit(v):
+                if is_unit(v):
                     pinned.add(c)
-                elif not F.is_zero(v):
+                else:
                     several.append(row)
         elif row:
             several.append(row)
@@ -179,8 +179,8 @@ def _pin(rows, F: Field) -> tuple[set, list[dict]]:
     live, todo = [], []
     for i, row in enumerate(several):
         n = 0
-        for c, v in row.items():
-            if c not in pinned and not F.is_zero(v):
+        for c in row:
+            if c not in pinned:
                 by_col.setdefault(c, []).append(i)
                 n += 1
         live.append(n)
@@ -190,8 +190,8 @@ def _pin(rows, F: Field) -> tuple[set, list[dict]]:
         i = todo.pop()
         if live[i] != 1:
             continue  # its last live column was pinned by another row
-        c = next(c for c, v in several[i].items() if c not in pinned and not F.is_zero(v))
-        if not F.is_unit(several[i][c]):
+        c = next(c for c in several[i] if c not in pinned)
+        if not is_unit(several[i][c]):
             continue
         pinned.add(c)
         for j in by_col[c]:
@@ -203,7 +203,7 @@ def _pin(rows, F: Field) -> tuple[set, list[dict]]:
         if n == len(row):
             rest.append(row)
         elif n:
-            rest.append({c: v for c, v in row.items() if c not in pinned and not F.is_zero(v)})
+            rest.append({c: v for c, v in row.items() if c not in pinned})
     return pinned, rest
 
 
@@ -224,7 +224,7 @@ def sparse_nullspace(rows, ncols: int, field: Field) -> list[list]:
     one elimination of all rows.  Columns in no row are free.  Over Q the
     RREF of a block is found modulo primes; see ``_rational_rref``."""
     F = field
-    pinned, rows = _pin(rows, F)
+    pinned, rows = _pin(rows, F.is_unit)
     pivots = {}
     for block in _blocks(rows):
         pivots.update(_rational_rref(block) if isinstance(F, Rationals) else sparse_rref(block, F))

@@ -31,16 +31,16 @@ The super variants add the constraints that make the map homogeneous.
 ``is_delta_derivation`` does not restate the law: it evaluates these same
 rows at the entries of the given map.
 
-Every system, pointwise or parametric, is eliminated one block at a time,
-a block being a connected component of its row/column incidence graph
-(for a graded algebra such as W(1, n), each block lies inside one degree
-shift of D; current algebras and Grassmann envelopes split into hundreds
-of blocks).  A pointwise solve gets the same canonical basis as from one
-elimination of the whole system (see ``linalg.sparse_nullspace``).  The
-parametric solver treats delta as an indeterminate and finds the generic
-solution dimension together with the special values of delta where it
-jumps, from the points where some block's rank drops; the method is set
-out in ``solve_parametric``.
+Every system, pointwise or parametric, is pinned (see ``linalg._pin``),
+then eliminated one block at a time, a block being a connected component
+of its row/column incidence graph (for a graded algebra such as W(1, n),
+each block lies inside one degree shift of D; current algebras and
+Grassmann envelopes split into hundreds of blocks).  A pointwise solve
+gets the same canonical basis as from one elimination of the whole system
+(see ``linalg.sparse_nullspace``).  The parametric solver treats delta as
+an indeterminate and finds the generic solution dimension together with
+the special values of delta where it jumps, from the points where some
+block's rank drops; the method is set out in ``solve_parametric``.
 """
 
 from __future__ import annotations
@@ -53,6 +53,7 @@ from .linalg import (
     SpanSolver,
     _acc,
     _blocks,
+    _pin,
     _row_value,
     _rref,
     base_field_roots,
@@ -360,18 +361,28 @@ def _block_spectrum(F: Field, block: list[dict]) -> tuple[int, dict]:
     return r, {d: k for d, k in ranks.items() if k < r}
 
 
+def _pencil_spectrum(F: Field, pencil: list[dict]) -> tuple[int, dict]:
+    """``_block_spectrum`` of a whole pencil, from its pinned columns and
+    the spectra of the blocks of the rows left (see ``solve_parametric``)."""
+    pinned, rows = _pin(pencil, lambda f: len(f) == 1)
+    spectra = [_block_spectrum(F, block) for block in _blocks(rows)]
+    drops = {d for _, ranks in spectra for d in ranks}
+    ranks_at = {d: len(pinned) + sum(ranks.get(d, r) for r, ranks in spectra) for d in drops}
+    return len(pinned) + sum(r for r, _ in spectra), ranks_at
+
+
 def solve_parametric(alg: Algebra) -> ParametricResult:
     """Generic nullspace dimension of the delta-derivation system over K[delta],
     plus the special base-field values of delta where the dimension jumps.
 
     The system is the pencil A + delta B, read off one assembly of the
-    quasiderivation law (the x part gives A, the d part B).  At every delta
-    its rank is the sum of the ranks of its blocks, the connected
-    components of its row/column incidence graph, and no block's rank
-    exceeds its generic rank r.  So the dimension at d is the generic one
-    plus the sum over the blocks of r minus the block's rank at d, and
-    ``_block_spectrum`` gives the r of each block and the points where its
-    rank drops, with the rank there:
+    quasiderivation law (the x part gives A, the d part B), and pinned
+    with a nonzero constant [a] as the unit: a row [a] forces its unknown
+    to zero at every delta, but a one-entry row a + b delta pins nothing,
+    as its rank drops at delta = -a/b.  At every delta the rank is then the number
+    of pinned columns plus the sum of the ranks of the blocks of the rows
+    left, none above its generic rank r, and ``_block_spectrum`` gives the
+    r of each block and the points where its rank drops, with the rank there:
 
     - over GF(p), a block with more than three rows and columns is ranked
       at the p field values.  An r x r minor has degree at most r, and a
@@ -405,14 +416,8 @@ def solve_parametric(alg: Algebra) -> ParametricResult:
         entries = {c: [v] for c, v in const.items()}
         entries.update({c: [const.get(c, F.zero()), v] for c, v in row.items() if c < nn})
         pencil.append(entries)
-    rank, jumps = 0, {}
-    for block in _blocks(pencil):
-        block_rank, drops = _block_spectrum(F, block)
-        rank += block_rank
-        for d, k in drops.items():
-            jumps[d] = jumps.get(d, 0) + block_rank - k
-    generic = nn - rank
-    return ParametricResult(generic, [(d, generic + jumps[d]) for d in sorted(jumps)])
+    rank, ranks = _pencil_spectrum(F, pencil)
+    return ParametricResult(nn - rank, [(d, nn - k) for d, k in sorted(ranks.items())])
 
 
 # ---------------------------------------------------------------------------

@@ -178,10 +178,6 @@ def compute_s4(alg: Algebra, law: str = "ordinary") -> IdealBasis:
     return IdealBasis(alg, _dense_pivot_rows(everything, n, F), _is_ideal(F, right, degree, components))
 
 
-def check_standard_identity(alg: Algebra, law: str = "ordinary") -> bool:
-    return compute_s4(alg, law).dim == 0
-
-
 def envelope_subspace(env: Algebra, vectors: list, min_degree: int = 0) -> list:
     """The subspace of a Grassmann envelope spanned by v (x) g over the given
     homogeneous vectors v of the source algebra and all matching monomials g

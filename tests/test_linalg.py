@@ -298,7 +298,7 @@ P1, P2 = 2**31 - 1, 2147483629  # the first two primes of the lift over Q
 def test_coefficient_divisible_by_lift_prime_pins_its_column(coef):
     Q = Rationals()
     rows = [{0: Fraction(coef)}, {0: Fraction(5), 1: Fraction(-1, 3)}, {1: Fraction(2), 2: Fraction(7)}]
-    assert linalg._pin(rows, Q)[0] == {0, 1, 2}
+    assert linalg._pin(rows, Q.is_unit)[0] == {0, 1, 2}
     assert sparse_nullspace(rows, 4, Q) == [[0, 0, 0, 1]]
     assert sparse_nullspace(rows[:1], 2, Q) == unsplit_nullspace(rows[:1], 2, Q) == [[0, 1]]
 
@@ -309,12 +309,12 @@ ONE_PLUS_T = T2.add(T2.one(), T2.t)
 
 @pytest.mark.parametrize("rows", [[{0: T2.t}], [{1: T2.one()}, {0: T2.t, 1: ONE_PLUS_T}]])
 def test_zero_divisor_left_with_one_entry_is_reported(rows):
-    assert linalg._pin(rows, T2)[0] == {c for row in rows[:-1] for c in row}
+    assert linalg._pin(rows, T2.is_unit)[0] == {c for row in rows[:-1] for c in row}
     with pytest.raises(NonInvertible):
         sparse_nullspace(rows, 2, T2)
 
 
 def test_unit_of_quotient_ring_pins_its_column():
     rows = [{0: ONE_PLUS_T}, {0: T2.t, 1: T2.one()}]
-    assert linalg._pin(rows, T2)[0] == {0, 1}
+    assert linalg._pin(rows, T2.is_unit)[0] == {0, 1}
     assert sparse_nullspace(rows, 3, T2) == unsplit_nullspace(rows, 3, T2) == [[T2.zero(), T2.zero(), T2.one()]]

@@ -11,8 +11,9 @@ Both must give the same ``ParametricResult`` on the algebras of the
 parametric benchmark workload and on random sparse anticommutative algebras
 drawn with hypothesis.  The per-block sweep is also checked against
 fraction-free elimination and a dense Gauss-Jordan rank at every field
-point, and the squared Q path against fraction-free elimination of the
-whole block.
+point, the squared Q path against fraction-free elimination of the
+whole block, and the pinned pencil against the spectrum of the whole
+unpinned pencil.
 """
 
 from fractions import Fraction
@@ -33,6 +34,7 @@ from deltader.linalg import base_field_roots, fraction_free_pivots
 from deltader.solver import (
     ParametricResult,
     _block_spectrum,
+    _pencil_spectrum,
     solve_delta_derivations,
     solve_parametric,
 )
@@ -139,6 +141,15 @@ PINNED = {
     "W12/GF7": (lambda: make_zassenhaus(7, 2), 0, [(1, 50), (4, 49)]),
     "sl5/Q": (lambda: make_special_linear(5, Q), 0, [(Fraction(1, 2), 1), (1, 24)]),
 }
+
+
+@pytest.mark.parametrize("p, m", [(5, 1), (7, 1), (11, 1), (13, 1), (5, 2), (7, 2)])
+def test_zassenhaus_spectrum_in_closed_form(p, m):
+    """W(1, m) over GF(p) has no delta-derivations at a generic delta; the
+    derivations have dim p^m + m - 1, the 1/2-derivations dim p^m, and no
+    other delta is special."""
+    res = solve_parametric(make_zassenhaus(p, m))
+    assert (res.generic_dim, res.specials) == (0, [(1, p**m + m - 1), ((p + 1) // 2, p**m)])
 
 
 @pytest.mark.parametrize("name", list(PINNED))
@@ -267,3 +278,62 @@ def test_tall_block_rank_below_generic_at_first_points():
     assert [pointwise_rank(Q, block, u, d) for d in range(u + 1)] == [4, 4, 4, 4, 4, 5]
     rank, candidates = _block_spectrum(Q, block)
     assert (rank, sorted(candidates)) == (u, list(range(u)))
+
+
+@st.composite
+def cascading_pencils(draw):
+    """Shuffled sparse rows {column: [a] or [a, b]} of a pencil a + delta b
+    over GF(5), GF(7) or Q, as the assembly gives them: a != 0 in [a] and
+    b != 0 in [a, b].  A row for each column of depth 0 to 3 has an entry
+    there and its other entries in columns of lower depth, so it is left
+    with that one entry once those are pinned.  The entry is a constant
+    [a], which pins, or a + b delta or b delta, which must not, since its
+    rank drops at delta = -a/b.  An unrelated block of rows on the other
+    columns may also meet the cascade's columns."""
+    F = draw(st.sampled_from([PrimeField(5), PrimeField(7), Q]))
+    if isinstance(F, PrimeField):
+        scalars = st.integers(1, F.p - 1)
+    else:
+        scalars = st.builds(Fraction, st.integers(-3, 3).filter(bool), st.sampled_from([1, 2]))
+    entries = st.one_of(
+        st.builds(lambda a: [a], scalars),
+        st.builds(lambda a, b: [a, b], scalars, scalars),
+        st.builds(lambda b: [F.zero(), b], scalars),
+    )
+    ncols = draw(st.integers(1, 9))
+    order = draw(st.permutations(range(ncols)))
+    layers, start = [], 0
+    for k in draw(st.lists(st.integers(1, 3), max_size=4)):
+        layer = order[start : start + k]
+        if layer:
+            layers.append(layer)
+            start += len(layer)
+    rows = []
+    for d, layer in enumerate(layers):
+        lower = [c for lay in layers[:d] for c in lay]
+        for col in layer:
+            row = {col: draw(entries)}
+            if d:
+                for c in draw(st.lists(st.sampled_from(lower), min_size=1, max_size=2, unique=True)):
+                    row[c] = draw(entries)
+            rows.append(row)
+    cascade, free = order[:start], order[start:]
+    for _ in range(draw(st.integers(0, 4)) if free else 0):
+        cols = draw(st.lists(st.sampled_from(free), min_size=1, max_size=3, unique=True))
+        cols += draw(st.lists(st.sampled_from(cascade), max_size=1)) if cascade else []
+        rows.append({c: draw(entries) for c in cols})
+    assume(rows)
+    return F, draw(st.permutations(rows)), ncols
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(cascading_pencils())
+def test_pinned_pencil_matches_unpinned_spectrum(drawn):
+    """Pinning the constant one-entry rows, then adding up the spectra of
+    the blocks left, gives the spectrum of the whole pencil unpinned, and
+    over GF(p) the rank at every field point."""
+    F, pencil, ncols = drawn
+    rank, ranks = _pencil_spectrum(F, pencil)
+    assert (rank, ranks) == _block_spectrum(F, pencil)
+    if isinstance(F, PrimeField):
+        assert all(pointwise_rank(F, pencil, ncols, d) == ranks.get(d, rank) for d in range(F.p))
