@@ -16,12 +16,10 @@ uniqueness the RREF: the basis is the one a single elimination would give,
 while each new pivot clears its column only from the pivots of its block.
 
 Over Q the pipeline is the same; only the RREF of each block is computed
-modulo word-size primes and then lifted: the residues are combined by the
-Chinese remainder theorem, turned back into fractions by rational
-reconstruction, and every kernel vector is checked exactly against every
-row of its block before the block's RREF is returned.  A block takes only
-the primes it needs.  This avoids the coefficient growth of fraction
-arithmetic in the pivot rows.
+by fraction-free Gauss-Jordan elimination of its rows scaled to integers:
+every division is exact, and the entries stay minors of the block, so the
+pivot rows avoid the gcd work and coefficient growth of fraction
+arithmetic.  One division by the last pivot minor gives the RREF over Q.
 
 A pencil A + delta B is pinned and split the same way, with a nonzero
 constant as the unit (see ``solver.solve_parametric``).  Its blocks go
@@ -41,7 +39,6 @@ from .fields import (
     Field,
     PrimeField,
     Rationals,
-    _is_prime,
     poly_deg,
     poly_divmod,
     poly_eval,
@@ -222,7 +219,8 @@ def sparse_nullspace(rows, ncols: int, field: Field) -> list[list]:
     eliminated on its own; the union of the block RREFs is their RREF,
     since no two blocks share a column.  So the basis is the same as from
     one elimination of all rows.  Columns in no row are free.  Over Q the
-    RREF of a block is found modulo primes; see ``_rational_rref``."""
+    RREF of a block comes from elimination in integers; see
+    ``_rational_rref``."""
     F = field
     pinned, rows = _pin(rows, F.is_unit)
     pivots = {}
@@ -239,113 +237,45 @@ def sparse_nullspace(rows, ncols: int, field: Field) -> list[list]:
     return list(basis.values())
 
 
-_PRIME_FIELDS: list[PrimeField] = []  # GF(p) for the primes found so far
-
-
-def _prime_fields():
-    """GF(p) for the primes p < 2**31, largest first."""
-    k = 0
-    while True:
-        if k == len(_PRIME_FIELDS):
-            n = (_PRIME_FIELDS[-1].p if _PRIME_FIELDS else 2**31) - 1
-            while not _is_prime(n):
-                n -= 1
-            _PRIME_FIELDS.append(PrimeField(n))
-        yield _PRIME_FIELDS[k]
-        k += 1
-
-
-def _rational_reconstruction(u: int, m: int):
-    """The fraction a/b with a = b*u (mod m) and |a|, b <= sqrt(m/2), or
-    None if there is none (Wang, 1981): the extended Euclidean algorithm on
-    (m, u), stopped at the first remainder within the bound."""
-    bound = math.isqrt(m // 2)
-    r0, r1, t0, t1 = m, u, 0, 1
-    while r1 > bound:
-        q = r0 // r1
-        r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
-    if abs(t1) > bound or math.gcd(r1, t1) != 1:
-        return None
-    return Fraction(r1, t1)
-
-
-def _annihilates(by_col: dict[int, list], vec: dict) -> bool:
-    """Whether the rational vector {col: value} solves every integer row,
-    given the rows by column as (row index, value) lists."""
-    den = math.lcm(*(v.denominator for v in vec.values()))
-    sums: dict[int, int] = {}
-    for j, v in vec.items():
-        w = v.numerator * (den // v.denominator)
-        for i, a in by_col[j]:
-            sums[i] = sums.get(i, 0) + a * w
-    return not any(sums.values())
-
-
 def _rational_rref(block: list[dict]) -> dict[int, dict]:
-    """``sparse_rref`` of one block over Q, from its RREF modulo primes p < 2**31.
+    """``sparse_rref`` of one block over Q, by fraction-free Gauss-Jordan
+    elimination of its rows scaled to integers (Bareiss, 1968).
 
-    The rows are scaled to integers.  For p = p1 > p2 > ... their RREF over
-    GF(p) is computed; a prime is kept only if its pivot columns equal the
-    best list seen so far, where a higher rank wins and, at equal rank, the
-    lexicographically earlier list.  The entries -RREF[r][c] of the kept
-    primes are combined by CRT, rationally reconstructed, and each vector
-    v_c (1 at the free column c, the reconstructed entries at the pivot
-    rows r) is checked exactly against every integer row.  If all pass, the
-    RREF with entries -v_c[r] is returned; otherwise the next prime is
-    taken.
-
-    Why the answer is exact and equals the RREF over Q: let n be the number
-    of columns with a nonzero entry in the block.  For an integer matrix
-    rank_Q >= rank_p, so n - rank_p independent verified kernel vectors
-    (independent by their 1 at distinct free columns) are the whole
-    kernel, and rank_p = rank_Q.  Each v_c is supported on pivot columns
-    before c and on c itself, so column c depends on earlier columns over
-    Q and is free over Q as well: the free columns are exactly those of the
-    RREF over Q, and a kernel vector is determined by its free coordinates,
-    so each v_c equals the vector the Q RREF gives, and the RREF returned
-    is the RREF over Q.
-
-    The loop terminates: only finitely many primes divide a pivot minor of
-    the Q RREF, every other prime has its pivot list (which no prime can
-    beat) and reduces its entries exactly, and the CRT modulus grows with
-    each prime kept until it exceeds twice the square of their sizes.
+    Every stored row is D times its row of the RREF so far, where D is the
+    pivot minor of the rows stored: D at its pivot, 0 at the other pivots,
+    and minors of the integer rows elsewhere.  A new row r reduces to
+    r' = D r - sum_p r[p] P_p, D times its reduction by that RREF, so its
+    entries are minors too.  If r' is nonzero its least column c becomes a
+    pivot, as in ``_rref``, with minor D' = r'[c], and every stored row P
+    becomes (D' P - P[c] r') / D, exactly by Sylvester's identity (even
+    where P[c] = 0).  The pivots are those of ``_rref``, so dividing by the
+    last D gives the RREF over Q.
     """
-    ints, by_col = [], {}
+    pivots: dict[int, dict] = {}
+    d = 1
     for row in block:
         den = math.lcm(*(v.denominator for v in row.values()))
         row = {c: v.numerator * (den // v.denominator) for c, v in row.items() if v}
-        for c, v in row.items():
-            by_col.setdefault(c, []).append((len(ints), v))
-        ints.append(row)
-    best, modulus, residues = None, 1, {}
-    for F in _prime_fields():
-        p = F.p
-        pivots = sparse_rref([{c: v % p for c, v in row.items()} for row in ints], F)
-        key = (-len(pivots), sorted(pivots))
-        if best is None or key < best:
-            best, modulus = key, 1
-            residues = {c: {} for c in by_col if c not in pivots}
-        elif key > best:
-            continue  # p divides a pivot minor: its rank or pivots are off
-        # residues[c][r] = -RREF[r][c] modulo the product of the kept primes
-        lift = pow(modulus, -1, p)
-        for r, prow in pivots.items():
-            for c in prow:
-                if c != r:
-                    residues[c].setdefault(r, 0)
-        for c, vec in residues.items():
-            for r, x in vec.items():
-                vec[r] = x + modulus * ((-pivots[r].get(c, 0) - x) * lift % p)
-        modulus *= p
-        rref = {r: {r: Fraction(1)} for r in pivots}
-        for c, vec in residues.items():
-            v = {r: _rational_reconstruction(x, modulus) for r, x in vec.items()}
-            if None in v.values() or not _annihilates(by_col, {**v, c: Fraction(1)}):
-                break
-            for r, x in v.items():
-                rref[r][c] = -x
-        else:
-            return rref
+        new = {c: d * v for c, v in row.items()}
+        for p, a in row.items():
+            if p in pivots:
+                for c, x in pivots[p].items():
+                    new[c] = new.get(c, 0) - a * x
+        new = {c: v for c, v in new.items() if v}
+        if not new:
+            continue
+        q = min(new)
+        e = new[q]
+        for p, prow in pivots.items():
+            a = prow.get(q, 0)
+            prow = {c: e * x for c, x in prow.items()}
+            if a:
+                for c, x in new.items():
+                    prow[c] = prow.get(c, 0) - a * x
+            pivots[p] = {c: x // d for c, x in prow.items() if x}
+        pivots[q] = new
+        d = e
+    return {p: {c: Fraction(x, d) for c, x in prow.items()} for p, prow in pivots.items()}
 
 
 def _row_value(row: dict, vec: list, F: Field):

@@ -12,6 +12,14 @@ so that
 Gamma(L) is read off ``solve_centroid`` and Der(A) off
 ``solve_delta_derivations(A, 1)``; the test checks the hypotheses on each
 case before it compares the two sides.
+
+At delta = 1/2 the formula says that the half-derivations of L (x) A are
+Der_1/2(L) (x) A, and they compose as a ring of dimension
+dim A * dim Der_1/2(L).  On every family below it is commutative and
+local.  Each A here is local, so once dim A >= 2 it has a nilpotent t != 0,
+and x (x) a -> x (x) ta is a nilpotent half-derivation, a divisor of zero:
+the paper's negative answer to a question of Filippov.  For A = K the
+ring of sl2 is K itself, with none.
 """
 
 from fractions import Fraction
@@ -27,6 +35,7 @@ from deltader.algebras import (
     make_zassenhaus,
 )
 from deltader.fields import PrimeField, Rationals
+from deltader.halfring import build_composition_ring, find_zero_divisors, locality_report
 from deltader.solver import solve_centroid, solve_delta_derivations
 
 Q, GF5, GF7 = Rationals(), PrimeField(5), PrimeField(7)
@@ -81,3 +90,19 @@ def test_current_algebra_delta_derivation_dimension(left, right, delta):
     if delta == 1:
         expected += solve_centroid(L).dim * solve_delta_derivations(A, 1).dim
     assert solve_delta_derivations(make_current(L, A), delta).dim == expected
+
+
+FAMILIES = list(dict.fromkeys((left, right) for left, right, _ in CASES))
+
+
+@pytest.mark.parametrize("left,right", FAMILIES, ids=[f"{l}x{r}" for l, r in FAMILIES])
+def test_current_algebra_half_ring_has_zero_divisors(left, right):
+    L, A = build(left), build(right)
+    check_hypotheses(L, A)
+    ring = build_composition_ring(solve_delta_derivations(make_current(L, A), HALF))
+    assert ring.dim == A.dim * solve_delta_derivations(L, HALF).dim
+    assert ring.is_commutative() and locality_report(ring)["is_local"]
+    pairs = find_zero_divisors(ring)
+    assert bool(pairs) == (A.dim >= 2)
+    for u, v in pairs:
+        assert not ring.is_zero(u) and not ring.is_zero(v) and ring.is_zero(ring.mul(u, v))

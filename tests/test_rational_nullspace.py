@@ -1,18 +1,18 @@
-"""Nullspaces over Q from word-size primes against fraction arithmetic.
+"""Nullspaces over Q by integer elimination against fraction arithmetic.
 
 ``sparse_nullspace`` over Q pins and splits the system into blocks as over
-any field; the RREF of each block is computed modulo primes p < 2**31,
-its entries are lifted by CRT and rational reconstruction, and each
-kernel vector is checked exactly against every row of the block.  The
-reference here is the canonical basis read off the RREF over Q in
-``Fraction`` arithmetic from ``sparse_rref``; the two must be equal, not
-merely span the same space.  The hand-made systems defeat the first prime
-p1: one is rank-deficient mod p1, one moves its pivot column mod p1, some
-need many primes, and one joins such a block to a block that p1 lifts.
-Where sympy is installed, its ``Matrix.nullspace`` is a second reference.
+any field; the RREF of each block comes from ``linalg._rational_rref``,
+fraction-free Gauss-Jordan elimination of the block's rows scaled to
+integers.  The reference here is the canonical basis read off the RREF over
+Q in ``Fraction`` arithmetic from ``sparse_rref``; the two must be equal,
+not merely span the same space.  The hand-made systems are rank-deficient
+or move a pivot modulo a large prime, or have entries of 80 bits; the
+drawn ones add large numerators and denominators, dependent rows, explicit
+zeros, empty rows and direct sums of blocks.  ``_rational_rref`` is also
+compared with ``linalg._rref`` directly on drawn dense blocks.  Where sympy
+is installed, its ``Matrix.nullspace`` is a second reference.
 """
 
-import itertools
 from fractions import Fraction
 
 import pytest
@@ -23,8 +23,7 @@ from deltader.fields import Rationals
 from deltader.linalg import dense_nullspace, kernel_of_map, sparse_nullspace, sparse_rref
 
 Q = Rationals()
-P1 = 2**31 - 1  # the largest prime below 2**31, tried first
-CEILING = 200  # primes; no system below needs more than 20 of them
+P1 = 2**31 - 1  # the largest prime below 2**31
 
 
 def fraction_nullspace(rows, ncols):
@@ -42,79 +41,51 @@ def fraction_nullspace(rows, ncols):
     return basis
 
 
-def count_primes(monkeypatch):
-    """The primes of the eliminations ``sparse_nullspace`` makes, one per
-    block and prime; past CEILING the lift has failed to converge, so the
-    test fails instead of hanging."""
-    used = []
-
-    def counting(rows, field):
-        used.append(field.p)
-        if len(used) > CEILING:
-            raise AssertionError(f"no exact basis after {CEILING} primes")
-        return sparse_rref(rows, field)
-
-    monkeypatch.setattr(linalg, "sparse_rref", counting)
-    return used
-
-
-@pytest.fixture
-def primes_used(monkeypatch):
-    return count_primes(monkeypatch)
-
-
 def rows_of(*dense):
     return [{c: Fraction(v) for c, v in enumerate(row) if v} for row in dense]
 
 
-def test_primes_are_the_largest_below_2_31():
-    got = [F.p for F in itertools.islice(linalg._prime_fields(), 4)]
-    assert got == [P1, 2147483629, 2147483587, 2147483579]
+# Systems that are singular, or move a pivot, modulo the large primes p1 and
+# p2: an elimination that reduced modulo a prime would go wrong on them.
 
 
-def test_rank_deficient_mod_first_prime(primes_used):
-    # rank 2 over Q, rank 1 mod p1: p1's wider kernel must be discarded
+def test_rank_deficient_mod_first_prime():
+    # rank 2 over Q, rank 1 mod p1
     rows = rows_of([1, 1, 0], [1, 1 + P1, 0])
     assert sparse_nullspace(rows, 3, Q) == fraction_nullspace(rows, 3) == [[0, 0, 1]]
-    assert primes_used[0] == P1 and len(primes_used) == 2
 
 
-def test_full_rank_over_q_rank_deficient_mod_first_prime(primes_used):
+def test_full_rank_over_q_rank_deficient_mod_first_prime():
     rows = rows_of([1, 1], [1, 1 + P1])
     assert sparse_nullspace(rows, 2, Q) == fraction_nullspace(rows, 2) == []
 
 
-def test_pivot_column_moves_mod_first_prime(primes_used):
+def test_pivot_column_moves_mod_first_prime():
     # over Q the pivot is column 0 and the kernel (-1/p1, 1); mod p1 the
-    # pivot is column 1 and the kernel e0, which fails the exact check
+    # pivot is column 1 and the kernel e0
     rows = rows_of([P1, 1])
     assert sparse_nullspace(rows, 2, Q) == fraction_nullspace(rows, 2) == [[Fraction(-1, P1), 1]]
-    assert primes_used[0] == P1 and len(primes_used) > 2
     rows = rows_of([P1, 1, 0, 3], [0, 0, P1, 1])
     assert sparse_nullspace(rows, 4, Q) == fraction_nullspace(rows, 4)
 
 
-def test_each_block_takes_only_the_primes_it_needs(primes_used):
-    # the block [P1, 1] needs several primes; the block [1, 2] beside it
-    # is lifted with p1 alone and is not eliminated again
-    alone = rows_of([P1, 1])
-    assert sparse_nullspace(alone, 2, Q) == fraction_nullspace(alone, 2)
-    needed = len(primes_used)
-    primes_used.clear()
+def test_two_block_system():
+    # the block [P1, 1] beside the block [1, 2], each eliminated on its own
     rows = rows_of([P1, 1, 0, 0], [0, 0, 1, 2])
-    assert sparse_nullspace(rows, 4, Q) == fraction_nullspace(rows, 4)
-    assert len(primes_used) == needed + 1
+    assert sparse_nullspace(rows, 4, Q) == fraction_nullspace(rows, 4) == [
+        [Fraction(-1, P1), 1, 0, 0],
+        [0, 0, -2, 1],
+    ]
 
 
-def test_unlucky_prime_after_a_lucky_one(primes_used):
-    # p1 fixes the pivot list; p2 moves the pivot and must not be combined
+def test_unlucky_prime_after_a_lucky_one():
+    # p1 fixes the pivot list; p2 moves the pivot
     p2 = 2147483629
     rows = rows_of([p2, 1, 1], [0, 0, 2])
     assert sparse_nullspace(rows, 3, Q) == fraction_nullspace(rows, 3) == [[Fraction(-1, p2), 1, 0]]
-    assert primes_used[:2] == [P1, p2] and len(primes_used) > 3
 
 
-def test_entries_of_80_bits(primes_used):
+def test_entries_of_80_bits():
     big = 2**80
     rows = [
         {0: Fraction(big + 1), 1: Fraction(3**50, 7), 3: Fraction(-1)},
@@ -123,11 +94,10 @@ def test_entries_of_80_bits(primes_used):
     ]
     basis = sparse_nullspace(rows, 5, Q)
     assert basis == fraction_nullspace(rows, 5)
-    assert len(primes_used) > 3
     assert max(abs(x.numerator) for v in basis for x in v) > 2**100
 
 
-def test_degenerate_systems(primes_used):
+def test_degenerate_systems():
     identity = [[Fraction(int(i == j)) for j in range(3)] for i in range(3)]
     assert sparse_nullspace([], 3, Q) == identity
     assert sparse_nullspace([{}, {1: Fraction(0)}], 3, Q) == identity
@@ -160,8 +130,7 @@ def one_system(draw):
 @st.composite
 def rational_systems(draw):
     rows, ncols = draw(one_system())
-    # a direct sum on disjoint columns: its blocks may need different
-    # numbers of primes
+    # a direct sum on disjoint columns, eliminated block by block
     if draw(st.booleans()):
         more, extra = draw(one_system())
         rows += [{ncols + c: v for c, v in row.items()} for row in more]
@@ -173,9 +142,29 @@ def rational_systems(draw):
 @given(rational_systems())
 def test_random_systems_match_fraction_elimination(system):
     rows, ncols = system
-    with pytest.MonkeyPatch.context() as monkeypatch:
-        count_primes(monkeypatch)
-        assert sparse_nullspace(rows, ncols, Q) == fraction_nullspace(rows, ncols)
+    assert sparse_nullspace(rows, ncols, Q) == fraction_nullspace(rows, ncols)
+
+
+@st.composite
+def dense_blocks(draw):
+    """Up to 10 x 12, with explicit zero entries and empty rows, and a last
+    row that may repeat a combination of the first two."""
+    ncols = draw(st.integers(1, 12))
+    entry = st.one_of(st.just(None), st.just(0), st.builds(Fraction, NUMERATORS, DENOMINATORS))
+    rows = []
+    for _ in range(draw(st.integers(0, 10))):
+        values = draw(st.lists(entry, min_size=ncols, max_size=ncols))
+        rows.append({c: Fraction(v) for c, v in enumerate(values) if v is not None})
+    if len(rows) >= 2 and draw(st.booleans()):
+        a, b = draw(st.sampled_from([(1, 1), (2, -3), (Fraction(1, 3**50), P1)]))
+        rows.append({c: Fraction(a * rows[0].get(c, 0) + b * rows[1].get(c, 0)) for c in range(ncols)})
+    return rows
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(dense_blocks())
+def test_integer_rref_matches_fraction_rref(rows):
+    assert linalg._rational_rref(rows) == linalg._rref(rows, Q)[0]
 
 
 def test_random_systems_match_sympy():
