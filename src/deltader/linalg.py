@@ -15,6 +15,15 @@ the blocks, taken together, form an RREF of the whole system, and by
 uniqueness the RREF: the basis is the one a single elimination would give,
 while each new pivot clears its column only from the pivots of its block.
 
+The elimination step, ``_sub_multiple``, is one loop that every sparse
+RREF, ``SpanSolver`` and ``superstd`` share: it scales each new pivot row
+and clears pivot columns from incoming and stored rows.  Its arithmetic
+is chosen once per call (see ``_arith``): Python's operators on plain
+ints over GF(p), each sum reduced mod p as it is made, on ``Fraction``
+over Q, and the ring's own methods over a quotient ring.  Every entry is
+the one the field's methods give, so the RREF and every basis are
+unchanged; what is gone is a method dispatch for every scalar.
+
 Over Q the pipeline is the same; only the RREF of each block is computed
 by fraction-free Gauss-Jordan elimination of its rows scaled to integers:
 every division is exact, and the entries stay minors of the block, so the
@@ -62,50 +71,106 @@ def _acc(row: dict, col: int, val, field: Field) -> None:
         row[col] = nv
 
 
-def _sub_multiple(dst: dict, coef, src: dict, skip: int, F: Field) -> None:
-    """dst -= coef * src, over the columns of src other than ``skip``."""
+class _Residue:
+    """A ``QuotientRing`` payload as a multiplier of the elimination step:
+    ``r * v`` is a ``_Residue`` again, and ``u - r`` the payload, or 0 where
+    it vanishes, each from the ring's own methods, so that the step's one
+    loop runs over the ring as written and tests its sums like numbers."""
+
+    __slots__ = ("ring", "x")
+
+    def __init__(self, ring, x):
+        self.ring, self.x = ring, x
+
+    def __mul__(self, v):
+        return _Residue(self.ring, self.ring.mul(self.x, v))
+
+    def __rsub__(self, u):
+        x = self.ring.sub(u, self.x)
+        return 0 if self.ring.is_zero(x) else x
+
+
+class _Arith:
+    """The arithmetic of the elimination step over a field (see ``_arith``):
+    ``lower`` turns a multiplier into a number the loop's operators take
+    (None: the payload already is one), ``p`` is the modulus each sum is
+    reduced by (0: none)."""
+
+    __slots__ = ("lower", "zero", "p", "field")
+
+    def __init__(self, lower, zero, p: int, field: Field):
+        self.lower, self.zero, self.p, self.field = lower, zero, p, field
+
+
+def _arith(F: Field) -> _Arith:
+    """The arithmetic of the elimination step over F, chosen once per call
+    as ``algebras._lowered`` does.  The step's loop uses Python's operators
+    on the entries: plain ints over GF(p), each sum reduced mod p as it is
+    made; ``Fraction`` operators over Q; and over a ``QuotientRing`` a
+    ``_Residue`` multiplier, whose operators are the ring's own methods.
+    Every entry comes out as the field's methods would give it."""
+    if isinstance(F, PrimeField):
+        return _Arith(None, 0, F.p, F)
+    if isinstance(F, Rationals):
+        return _Arith(None, F.zero(), 0, F)
+    return _Arith(lambda a: _Residue(F, a), F.zero(), 0, F)
+
+
+def _sub_multiple(dst: dict, coef, src: dict, skip, ar: _Arith) -> None:
+    """dst -= coef * src, over the columns of src other than ``skip``: the one
+    loop of the elimination step, in the arithmetic ``ar`` of ``_arith``."""
+    zero, p = ar.zero, ar.p
+    a = ar.lower(coef) if ar.lower else coef
+    get = dst.get
     for j, v in src.items():
-        if j == skip:
-            continue
-        nv = F.sub(dst.get(j, F.zero()), F.mul(coef, v))
-        if F.is_zero(nv):
-            dst.pop(j, None)
-        else:
-            dst[j] = nv
+        if j != skip:
+            x = get(j, zero) - a * v
+            if p:
+                x %= p
+            if x:
+                dst[j] = x
+            else:
+                dst.pop(j, None)
 
 
-def _eliminate(row: dict, pivots: dict[int, dict], F: Field) -> None:
+def _eliminate(row: dict, pivots: dict[int, dict], ar: _Arith) -> None:
     """Reduce a sparse row in place by the stored pivot rows.
 
     Stored rows contain no other pivot column, so one pass over the pivot
     columns present in the row suffices."""
     for c in [c for c in row if c in pivots]:
-        _sub_multiple(row, row.pop(c), pivots[c], c, F)
+        _sub_multiple(row, row.pop(c), pivots[c], c, ar)
 
 
-def _add_pivot(row: dict, pivots: dict[int, dict], F: Field) -> None:
+def _add_pivot(row: dict, pivots: dict[int, dict], ar: _Arith) -> None:
     """Store a reduced nonzero row, scaled to 1 at its least column, and
     clear that column from the rows stored before it."""
     p = min(row)
-    inv = F.inv(row[p])
-    row = {j: F.mul(inv, v) for j, v in row.items()}
-    row[p] = F.one()
+    F = ar.field
+    scaled: dict = {}
+    _sub_multiple(scaled, F.inv(F.neg(row[p])), row, None, ar)  # 0 - (-row / row[p])
     for prow in pivots.values():
         if p in prow:
-            _sub_multiple(prow, prow.pop(p), row, p, F)
-    pivots[p] = row
+            _sub_multiple(prow, prow.pop(p), scaled, p, ar)
+    pivots[p] = scaled
 
 
 def _rref(rows, F: Field) -> tuple[dict[int, dict], list[int]]:
     """``sparse_rref`` of the rows, and the indices of the input rows that
-    became pivots, in order: each is independent of the rows before it."""
+    became pivots, in order: each is independent of the rows before it.
+    Over GF(p) the entries may be any ints; they are reduced mod p."""
+    ar = _arith(F)
+    p = ar.p
     pivots: dict[int, dict] = {}
     chosen = []
     for k, row in enumerate(rows):
-        row = {c: v for c, v in row.items() if not F.is_zero(v)}
-        _eliminate(row, pivots, F)
+        if p:
+            row = {c: y for c, v in row.items() if (y := v % p)}
+        else:
+            row = {c: v for c, v in row.items() if not F.is_zero(v)}
+        _eliminate(row, pivots, ar)
         if row:
-            _add_pivot(row, pivots, F)
+            _add_pivot(row, pivots, ar)
             chosen.append(k)
     return pivots, chosen
 
@@ -326,6 +391,7 @@ class SpanSolver:
 
     def __init__(self, field: Field, vectors: list[list] | None = None):
         self.field = field
+        self._ar = _arith(field)
         self.ncols = None
         self.nvecs = 0
         self._pivots: dict[int, dict] = {}
@@ -342,7 +408,7 @@ class SpanSolver:
         if self.ncols is None:
             self.ncols = len(v)
         row = {j: c for j, c in enumerate(v) if not F.is_zero(c)}
-        _eliminate(row, self._pivots, F)
+        _eliminate(row, self._pivots, self._ar)
         return row, not row or min(row) >= self.ncols
 
     def add(self, v: list) -> bool:
@@ -353,7 +419,7 @@ class SpanSolver:
         if inside:
             return False
         row[self.ncols + idx] = self.field.one()
-        _add_pivot(row, self._pivots, self.field)
+        _add_pivot(row, self._pivots, self._ar)
         return True
 
     def contains(self, v: list) -> bool:

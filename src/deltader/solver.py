@@ -51,7 +51,6 @@ from .algebras import Algebra, AlgebraError, GradingMissing, ModuleAction, make_
 from .fields import Field, PrimeField, QuotientRing, parse_scalar
 from .linalg import (
     SpanSolver,
-    _acc,
     _blocks,
     _pin,
     _row_value,
@@ -105,29 +104,58 @@ def _law_rows(alg: Algebra, laws, parity: int = 0, x_offset: int = 0) -> list[di
     D: L -> M, needs no layout of its own: it is this law on the semidirect
     sum L + M, restricted to the entries of D that map L into M (see
     ``solve_module_valued``).
+
+    Each law's coefficient is multiplied into the structure constants once
+    for each j (the terms of D(e_i) e_j) and once for each i (those of
+    e_i D(e_j)), not once per equation pair.  A term is added to an entry
+    only where it meets one already in its row, and a row is cleared of
+    zeros only when such a sum cancelled.  So the rows, their order and
+    their values, with their types, are those of adding every term scalar
+    by scalar.
     """
     F = alg.field
     n = alg.dim
     table = [[alg.product(i, j) for j in range(n)] for i in range(n)]
-    # the terms (l, k, c) of e_k e_j = ... + c e_l + ... by j, and of e_i e_k by i
-    right = [[(l, k, c) for k in range(n) for l, c in table[k][j].items()] for j in range(n)]
-    left = [[(l, k, c) for k in range(n) for l, c in table[i][k].items()] for i in range(n)]
-    laws = [(F.neg(a), b, F.neg(b)) for a, b in laws]
+
+    def scaled(coef, products):
+        """The terms c e_l of the products e_k e_j (or e_i e_k), listed by k,
+        as (l, k, coef * c), leaving out the zero multiples."""
+        if F.is_zero(coef):
+            return []
+        return [
+            (l, k, v)
+            for k, prod in enumerate(products)
+            for l, c in prod.items()
+            if not F.is_zero(v := F.mul(coef, c))
+        ]
+
+    # -a D(e_i) e_j by j and -b (-1)^(parity deg e_i) e_i D(e_j) by i, each
+    # law's coefficient multiplied in once
+    columns = list(zip(*table))
+    right = [[scaled(F.neg(a), column) for column in columns] for a, _ in laws]
+    left = [
+        [scaled(b if parity and alg.grading[i] else F.neg(b), table[i]) for i in range(n)]
+        for _, b in laws
+    ]
     out = []
     for (i, j) in _equation_pairs(alg):
-        product = table[i][j]
-        for neg_a, b, neg_b in laws:
+        product = table[i][j].items()
+        for law in range(len(laws)):
             rows = [{} for _ in range(n)]
-            for k, c in product.items():
+            for k, c in product:
                 for l in range(n):
                     rows[l][x_offset + k * n + l] = c
-            if not F.is_zero(neg_a):
-                for l, k, c in right[j]:
-                    _acc(rows[l], i * n + k, F.mul(neg_a, c), F)
-            if not F.is_zero(b):
-                cb = b if parity and alg.grading[i] else neg_b
-                for l, k, c in left[i]:
-                    _acc(rows[l], j * n + k, F.mul(cb, c), F)
+            cancelled = []
+            for base, terms in ((i * n, right[law][j]), (j * n, left[law][i])):
+                for l, k, v in terms:
+                    row, col = rows[l], base + k
+                    if col in row:
+                        v = F.add(row[col], v)
+                        if F.is_zero(v):
+                            cancelled.append(l)
+                    row[col] = v
+            for l in cancelled:
+                rows[l] = {c: v for c, v in rows[l].items() if not F.is_zero(v)}
             out.extend(filter(None, rows))
     return out
 
@@ -315,10 +343,10 @@ def _pivots_at(F: Field, block: list[dict], d) -> tuple[list[int], list[int]]:
     delta) that become pivots when it is eliminated at delta = d, in order,
     and their pivot columns, sorted: the rank at d is their number.  The
     square submatrix on them is invertible at d, since the elimination
-    turns those rows into the identity on those columns."""
+    turns those rows into the identity on those columns.  Over GF(p) the
+    entries are evaluated as plain ints, which ``_rref`` reduces."""
     pivots, rows = _rref(
-        ({c: F.add(f[0], F.mul(f[1], d)) if len(f) > 1 else f[0] for c, f in row.items()}
-         for row in block),
+        ({c: f[0] + f[1] * d if len(f) > 1 else f[0] for c, f in row.items()} for row in block),
         F,
     )
     return rows, sorted(pivots)

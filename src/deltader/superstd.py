@@ -42,6 +42,7 @@ from .algebras import (
 from .linalg import (
     SpanSolver,
     _add_pivot,
+    _arith,
     _dense_pivot_rows,
     _eliminate,
     _sub_multiple,
@@ -94,14 +95,15 @@ def _is_ideal(F, right: list, degree: list, components: dict) -> bool:
     component can reduce it; a nonzero product whose degree has no pivots
     lies outside the span."""
     n = len(degree)
+    ar = _arith(F)
     for d, pivots in components.items():
         for row in pivots.values():
             for i in range(n):
                 w: dict = {}
                 for k, c in row.items():
-                    _sub_multiple(w, F.neg(c), right[k][i], -1, F)  # w += c e_k e_i
+                    _sub_multiple(w, F.neg(c), right[k][i], -1, ar)  # w += c e_k e_i
                 if w:
-                    _eliminate(w, components.get(d + degree[i], {}), F)
+                    _eliminate(w, components.get(d + degree[i], {}), ar)
                     if w:
                         return False
     return True
@@ -135,6 +137,7 @@ def compute_s4(alg: Algebra, law: str = "ordinary") -> IdealBasis:
     Koszul sign above; 32 extensions over the 16 subsets give the 24 terms.
     """
     F = alg.field
+    ar = _arith(F)
     n = alg.dim
     if law == "super" and alg.grading is None:
         raise GradingMissing("the super identity needs a grading")
@@ -156,7 +159,7 @@ def compute_s4(alg: Algebra, law: str = "ordinary") -> IdealBasis:
         for S, p, negate in steps:
             for i, c in acc[S].items():
                 coef = c if negate else F.neg(c)  # _sub_multiple subtracts
-                _sub_multiple(acc[S | 1 << p], coef, right[i][t[p]], -1, F)
+                _sub_multiple(acc[S | 1 << p], coef, right[i][t[p]], -1, ar)
         return acc[15]
 
     for t, _ in index_tuples(par, 4, supports):
@@ -168,9 +171,9 @@ def compute_s4(alg: Algebra, law: str = "ordinary") -> IdealBasis:
             pivots = components[d]
             for y in by_degree.get(d - dt, ()):
                 row = evaluate(y, t, steps)
-                _eliminate(row, pivots, F)
+                _eliminate(row, pivots, ar)
                 if row:
-                    _add_pivot(row, pivots, F)
+                    _add_pivot(row, pivots, ar)
                     if len(pivots) == len(by_degree[d]):
                         unspanned.remove(d)
                         break

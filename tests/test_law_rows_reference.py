@@ -1,0 +1,146 @@
+"""The assembler ``solver._law_rows`` against plain reference code.
+
+The reference builds, for every equation pair and law, all n rows, the x
+part first, and adds every right and left term into them one scalar at a
+time, multiplying the law's coefficient into each structure constant and
+dropping an entry as soon as a sum is zero.  The package multiplies each
+coefficient in once per j or i and adds only where two terms meet.  Both
+must give the same list of rows: same order, same entries, and values of
+the same type.  The cases cover a column where the two sides cancel
+(2 - 2 delta on sl2 at delta = 1), the super sign, the quasiderivation and
+centroid layouts, the diagonal pairs of an associative algebra, a
+semidirect sum, a quotient ring, and a zero divisor whose multiples vanish.
+"""
+
+from fractions import Fraction
+
+import pytest
+
+from deltader.algebras import (
+    Algebra,
+    ModuleAction,
+    make_divided_powers,
+    make_osp12,
+    make_semidirect,
+    make_special_linear,
+    make_zassenhaus,
+)
+from deltader.fields import PrimeField, QuotientRing, Rationals
+from deltader.solver import _equation_pairs, _law_rows
+
+Q = Rationals()
+SQRT2 = QuotientRing(Q, [-2, 0, 1])  # Q[t]/(t^2 - 2)
+T2 = QuotientRing(Q, [0, 0, 1])  # Q[t]/(t^2): t is a zero divisor
+
+
+def ref_law_rows(alg, laws, parity=0, x_offset=0):
+    F = alg.field
+    n = alg.dim
+
+    def acc(row, col, val):
+        nv = F.add(row.get(col, F.zero()), val)
+        if F.is_zero(nv):
+            row.pop(col, None)
+        else:
+            row[col] = nv
+
+    out = []
+    for i, j in _equation_pairs(alg):
+        for a, b in laws:
+            rows = [{} for _ in range(n)]
+            for k, c in alg.product(i, j).items():
+                for l in range(n):
+                    rows[l][x_offset + k * n + l] = c
+            # - a D(e_i) e_j: D(e_i) = sum_k d_ik e_k
+            for k in range(n):
+                for l, c in alg.product(k, j).items():
+                    acc(rows[l], i * n + k, F.mul(F.neg(a), c))
+            # - b (-1)^(parity deg e_i) e_i D(e_j)
+            sign_b = b if parity and alg.grading[i] else F.neg(b)
+            for k in range(n):
+                for l, c in alg.product(i, k).items():
+                    acc(rows[l], j * n + k, F.mul(sign_b, c))
+            out.extend(row for row in rows if row)
+    return out
+
+
+def typed(rows):
+    return [{c: (type(v), v) for c, v in row.items()} for row in rows]
+
+
+def heisenberg_t2():
+    """e0 e1 = t e2 over Q[t]/(t^2): with delta = t every multiple t * t of
+    a structure constant vanishes."""
+    return Algebra(T2, 3, ["x", "y", "z"], {(0, 1): {2: T2.t}})
+
+
+def sl3_adjoint():
+    sl3 = make_special_linear(3, Q)
+    return make_semidirect(sl3, ModuleAction.adjoint(sl3))
+
+
+ALGEBRAS = {
+    "sl2/Q": lambda: make_special_linear(2, Q),
+    "osp12/GF7": lambda: make_osp12(PrimeField(7)),
+    "W11/GF5": lambda: make_zassenhaus(5, 1),
+    "O1/GF5": lambda: make_divided_powers(5, 1),
+    "sl3+ad/Q": sl3_adjoint,
+    "sl2/Q[t]/(t^2-2)": lambda: make_special_linear(2, SQRT2),
+    "heis/Q[t]/(t^2)": heisenberg_t2,
+}
+
+# (algebra, delta or the layout, parity)
+CASES = [
+    ("sl2/Q", 1, 0),
+    ("sl2/Q", Fraction(1, 2), 0),
+    ("sl2/Q", "quasi", 0),
+    ("sl2/Q", "centroid", 0),
+    ("osp12/GF7", 1, 1),
+    ("osp12/GF7", 4, 1),
+    ("osp12/GF7", 4, 0),
+    ("osp12/GF7", "centroid", 1),
+    ("osp12/GF7", "quasi", 1),
+    ("W11/GF5", 3, 0),
+    ("W11/GF5", "quasi", 0),
+    ("O1/GF5", 1, 0),
+    ("O1/GF5", "centroid", 0),
+    ("sl3+ad/Q", Fraction(1, 2), 0),
+    ("sl3+ad/Q", 1, 0),
+    ("sl2/Q[t]/(t^2-2)", 1, 0),
+    ("sl2/Q[t]/(t^2-2)", "t", 0),
+    ("sl2/Q[t]/(t^2-2)", "centroid", 0),
+    ("heis/Q[t]/(t^2)", "t", 0),
+    ("heis/Q[t]/(t^2)", "quasi", 0),
+]
+
+
+@pytest.mark.parametrize("name,delta,parity", CASES, ids=[f"{a}-{d}-q{q}" for a, d, q in CASES])
+def test_law_rows_match_reference(name, delta, parity):
+    alg = ALGEBRAS[name]()
+    F = alg.field
+    one, zero = F.one(), F.zero()
+    kwargs = {}
+    if delta == "centroid":
+        laws = [(one, zero), (zero, one)]
+    elif delta == "quasi":
+        laws, kwargs = [(one, one)], {"x_offset": alg.dim**2}
+    else:
+        d = F.t if delta == "t" else F.coerce(delta)
+        laws = [(d, d)]
+    got = _law_rows(alg, laws, parity, **kwargs)
+    assert typed(got) == typed(ref_law_rows(alg, laws, parity, **kwargs))
+
+
+def test_cancelling_column_is_dropped():
+    """On sl2 = <e, f, h>, [e, h] = -2e, so the row of the pair (e, h) at
+    the e coordinate holds -2 d_ee from D([e, h]) and 2 delta d_ee from
+    -delta [D(e), h]: at delta = 1 column e n + e cancels and must be left
+    out, and so must f n + f in the row of (f, h)."""
+    alg = ALGEBRAS["sl2/Q"]()
+    n = alg.dim
+    one = _law_rows(alg, [(Q.one(), Q.one())])
+    third = _law_rows(alg, [(Fraction(1, 3), Fraction(1, 3))])
+    assert len(one) == len(third)
+    cancelled = [b.keys() - a.keys() for a, b in zip(one, third)]
+    assert sorted(c for cols in cancelled for c in cols) == [0 * n + 0, 1 * n + 1]
+    assert all(v != 0 for row in one for v in row.values())

@@ -12,6 +12,7 @@ from deltader.linalg import (
     base_field_roots,
     charpoly,
     dense_nullspace,
+    dense_to_sparse,
     fraction_free_pivots,
     kernel_of_map,
     rref_dense,
@@ -318,3 +319,104 @@ def test_unit_of_quotient_ring_pins_its_column():
     rows = [{0: ONE_PLUS_T}, {0: T2.t, 1: T2.one()}]
     assert linalg._pin(rows, T2.is_unit)[0] == {0, 1}
     assert sparse_nullspace(rows, 3, T2) == unsplit_nullspace(rows, 3, T2) == [[T2.zero(), T2.zero(), T2.one()]]
+
+
+# ---------------------------------------------------------------------------
+# the elimination step: sparse_rref (through sparse_nullspace) and SpanSolver
+# against the dense textbook elimination of conftest
+
+STEP_FIELDS = {
+    "GF5": PrimeField(5),
+    "GF7": PrimeField(7),
+    "GF(2^31-1)": PrimeField(2**31 - 1),
+    "Q": Rationals(),
+}
+Q_VALUES = [Fraction(v) for v in (0, 1, -1, 2, Fraction(1, 2), Fraction(-3, 7), Fraction(10**12 + 1, 3))]
+
+
+def combination(F, coeffs, vecs):
+    out = [F.zero()] * len(vecs[0])
+    for c, v in zip(coeffs, vecs):
+        out = [F.add(x, F.mul(c, y)) for x, y in zip(out, v)]
+    return out
+
+
+@st.composite
+def step_systems(draw):
+    """Dense vectors over GF(5), GF(7), GF(2^31 - 1) or Q: drawn ones,
+    copies of some of them and combinations of them (which reduce to
+    zero), shuffled, and their sparse rows, in which a drawn entry may be
+    absent or an explicit zero."""
+    F = STEP_FIELDS[draw(st.sampled_from(sorted(STEP_FIELDS)))]
+    if isinstance(F, PrimeField):
+        scalar = st.sampled_from([0, 1, F.p - 1]) | st.integers(0, F.p - 1)
+    else:
+        scalar = st.sampled_from(Q_VALUES)
+    ncols = draw(st.integers(1, 7))
+    vecs = draw(st.lists(st.lists(scalar, min_size=ncols, max_size=ncols), min_size=1, max_size=6))
+    vecs += [vecs[i] for i in draw(st.lists(st.integers(0, len(vecs) - 1), max_size=3))]
+    for _ in range(draw(st.integers(0, 3))):
+        vecs.append(combination(F, draw(st.lists(scalar, min_size=len(vecs), max_size=len(vecs))), vecs))
+    vecs = draw(st.permutations(vecs))
+    rows = [
+        {c: x for c, x in enumerate(v) if not F.is_zero(x) or draw(st.booleans())}
+        for v in vecs
+    ]
+    targets = [combination(F, draw(st.lists(scalar, min_size=len(vecs), max_size=len(vecs))), vecs)]
+    targets.append(draw(st.lists(scalar, min_size=ncols, max_size=ncols)))
+    return F, vecs, rows, targets
+
+
+def columns(vecs, ncols):
+    """The matrix whose columns are the vectors, as a list of rows."""
+    return [[v[r] for v in vecs] for r in range(ncols)]
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(step_systems())
+def test_elimination_step_matches_textbook_gauss(system):
+    F, vecs, rows, targets = system
+    ncols = len(vecs[0])
+    null = dense_gauss_nullspace(F, vecs, ncols)
+    assert sparse_nullspace(rows, ncols, F) == null
+    # the RREF, read off the textbook basis: the vector of free column c has
+    # 1 at c, and at each pivot p < c minus the entry of row p at c
+    free = [max(c for c, x in enumerate(v) if not F.is_zero(x)) for v in null]
+    rref = {p: {p: F.one()} for p in range(ncols) if p not in free}
+    for c, v in zip(free, null):
+        for p, row in rref.items():
+            if not F.is_zero(v[p]):
+                row[c] = F.neg(v[p])
+    assert sparse_rref(rows, F) == rref
+    # the vectors that enlarge the span are independent, as many as the rank
+    span = SpanSolver(F)
+    added = [span.add(v) for v in vecs]
+    indep = [v for v, a in zip(vecs, added) if a]
+    rank = len(vecs) - len(dense_gauss_nullspace(F, columns(vecs, ncols), len(vecs)))
+    assert span.dim == len(indep) == rank
+    if indep:
+        assert dense_gauss_nullspace(F, columns(indep, ncols), len(indep)) == []
+    for w in vecs + targets:
+        null = dense_gauss_nullspace(F, columns(indep + [w], ncols), len(indep) + 1)
+        coords = span.coordinates(w)
+        if not null:
+            assert coords is None
+            continue
+        # the independent columns are pivots and w the free one: w = -sum x_i v_i
+        x = iter(null[0])
+        expected = [F.neg(next(x)) if a else F.zero() for a in added]
+        assert coords == expected
+
+
+@pytest.mark.parametrize(
+    "vectors",
+    [[[T2.t, T2.one()]], [[T2.one(), T2.one()], [T2.one(), ONE_PLUS_T]]],
+    ids=["pivot-t", "reduces-to-t"],
+)
+def test_zero_divisor_pivot_raises(vectors):
+    """Over Q[t]/(t^2) a row whose least entry is t (at once, or once the row
+    before is subtracted) has no unit to scale its pivot by."""
+    with pytest.raises(NonInvertible):
+        sparse_rref(dense_to_sparse(vectors, T2), T2)
+    with pytest.raises(NonInvertible):
+        SpanSolver(T2, vectors)

@@ -35,6 +35,7 @@ from deltader.solver import (
     ParametricResult,
     _block_spectrum,
     _pencil_spectrum,
+    _pivots_at,
     solve_delta_derivations,
     solve_parametric,
 )
@@ -224,6 +225,26 @@ def test_spurious_root_of_last_pivot_is_not_a_drop(F):
     row keeps rank 1 there, so no delta is special."""
     zero, one = F.zero(), F.one()
     assert _block_spectrum(F, [{0: [zero, one], 1: [one]}]) == (1, {})
+
+
+def test_sweep_reduces_entries_that_vanish_mod_p():
+    """The sweep evaluates a + b delta as a plain int: at delta = 2 the
+    entry 3 + 2 delta of the first row is 7, zero in GF(7), and at delta = 6
+    the entry 6 + 6 delta of the last row is 42.  Such an entry must be
+    reduced away before elimination: left in, it would be taken as its
+    row's pivot and its multiple of 7 inverted, or counted in the rank."""
+    F = PrimeField(7)
+    block = [
+        {0: [3, 2], 1: [1]},
+        {1: [1, 1], 2: [2]},
+        {2: [0, 1], 3: [1]},
+        {3: [6, 6], 0: [1]},
+    ]
+    assert _pivots_at(F, block[:1], 2) == ([0], [1])
+    assert _pivots_at(F, [{3: [6, 6]}, {3: [1]}], 6) == ([1], [3])
+    ranks = {d: pointwise_rank(F, block, 4, d) for d in range(F.p)}
+    rank, drops = _block_spectrum(F, block)
+    assert (rank, drops) == (4, {d: k for d, k in ranks.items() if k < 4})
 
 
 def test_block_spectrum_takes_plain_int_entries_over_q():
