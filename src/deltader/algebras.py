@@ -26,7 +26,6 @@ from itertools import combinations
 
 from .fields import Field, PrimeField, Rationals, field_from_json, field_to_json, parse_scalar
 from .linalg import (
-    _acc,
     _row_value,
     dense_to_sparse,
     kernel_of_map,
@@ -125,6 +124,8 @@ class Algebra:
             len(grading) != dim or any(g not in (0, 1) for g in grading)
         ):
             raise AlgebraError("grading must be a 0/1 vector of length dim")
+        if form is not None and (len(form) != dim or any(len(row) != dim for row in form)):
+            raise AlgebraError(f"'form' must be {dim} x {dim}, got rows of lengths {[len(row) for row in form]}")
         self.field = field
         self.dim = dim
         self.basis = list(basis)
@@ -424,7 +425,9 @@ def _form_rows(alg: Algebra):
         for j in range(n):
             odd = graded and alg.grading[i] and alg.grading[j]
             row = {i * n + j: F.one()}
-            _acc(row, j * n + i, F.one() if odd else F.neg(F.one()), F)
+            x = F.add(row.pop(j * n + i, F.zero()), F.one() if odd else F.neg(F.one()))
+            if not F.is_zero(x):
+                row[j * n + i] = x
             if row:
                 yield (i, j), row
             if graded and alg.grading[i] != alg.grading[j]:
@@ -432,11 +435,11 @@ def _form_rows(alg: Algebra):
     for i in range(n):
         for j in range(n):
             for k in range(n):
-                row = {}
-                for m, c in alg.product(i, j).items():
-                    _acc(row, m * n + k, c, F)
+                row = {m * n + k: c for m, c in alg.product(i, j).items()}
                 for m, c in alg.product(j, k).items():
-                    _acc(row, i * n + m, F.neg(c), F)
+                    x = F.sub(row.pop(i * n + m, F.zero()), c)
+                    if not F.is_zero(x):
+                        row[i * n + m] = x
                 if row:
                     yield (i, j, k), row
 

@@ -1,34 +1,34 @@
 """Exact linear algebra: sparse reduced echelon forms and fraction-free elimination.
 
 The solver's systems are large but very sparse (a handful of nonzeros per
-row), so the workhorse here is an incremental sparse RREF over an exact
-field: rows are dicts {column: coefficient}.  The resulting reduced row
-space is canonical (independent of insertion order), which makes nullspace
-bases reproducible byte-for-byte.
+row): rows are dicts {column: coefficient}.  Every batch echelon form comes
+from one pipeline, ``sparse_rref``, the same over every field:
 
-Most rows of these systems have a single entry, which forces one unknown
-to zero; those unknowns are pinned before any elimination (see
-``sparse_nullspace``).  The rest falls apart into many small blocks, the
-connected components of the row/column incidence graph, and nullspaces are
-found one block at a time.  No block shares a column with another, so the RREFs of
-the blocks, taken together, form an RREF of the whole system, and by
-uniqueness the RREF: the basis is the one a single elimination would give,
-while each new pivot clears its column only from the pivots of its block.
+- pin: most rows of these systems have a single entry, which forces one
+  unknown to zero; those unknowns, and the ones that rows left with one
+  entry force in turn, are pinned before any elimination (``_pin``);
+- split: the other rows fall apart into many small blocks, the connected
+  components of the row/column incidence graph (``_blocks``);
+- eliminate each block on its own (``_rref``).
 
-The elimination step, ``_sub_multiple``, is one loop that every sparse
-RREF, ``SpanSolver`` and ``superstd`` share: it scales each new pivot row
-and clears pivot columns from incoming and stored rows.  Its arithmetic
-is chosen once per call (see ``_arith``): Python's operators on plain
-ints over GF(p), each sum reduced mod p as it is made, on ``Fraction``
-over Q, and the ring's own methods over a quotient ring.  Every entry is
-the one the field's methods give, so the RREF and every basis are
-unchanged; what is gone is a method dispatch for every scalar.
+No block shares a column with another or with a pinned unknown, so the
+pinned pivots and the block RREFs together are the RREF of the whole
+system, the one a single elimination would give (see ``sparse_rref``).  It
+is canonical, independent of insertion order, so the nullspace basis that
+``sparse_nullspace`` reads off it is reproducible byte-for-byte.
 
-Over Q the pipeline is the same; only the RREF of each block is computed
-by fraction-free Gauss-Jordan elimination of its rows scaled to integers:
-every division is exact, and the entries stay minors of the block, so the
-pivot rows avoid the gcd work and coefficient growth of fraction
-arithmetic.  One division by the last pivot minor gives the RREF over Q.
+``_rref`` is the only batch elimination.  Over Q it eliminates the rows
+scaled to integers by fraction-free Gauss-Jordan elimination: every
+division is exact, and the entries stay minors of the block, so the pivot
+rows avoid the gcd work and coefficient growth of fraction arithmetic.
+One division by the last pivot minor gives the RREF over Q.  Over GF(p)
+and over quotient rings it runs the elimination step, ``_sub_multiple``,
+one loop that ``SpanSolver`` and ``superstd`` share for their incremental
+insertions: it scales each new pivot row and clears pivot columns from
+incoming and stored rows.  Its arithmetic is chosen once per call (see
+``_arith``): Python's operators on plain ints over GF(p), each sum reduced
+mod p as it is made, on ``Fraction`` over Q, and the ring's own methods
+over a quotient ring.  Every entry is the one the field's methods give.
 
 A pencil A + delta B is pinned and split the same way, with a nonzero
 constant as the unit (see ``solver.solve_parametric``).  Its blocks go
@@ -60,15 +60,6 @@ from .fields import (
 
 # ---------------------------------------------------------------------------
 # sparse RREF and nullspaces
-
-
-def _acc(row: dict, col: int, val, field: Field) -> None:
-    """row[col] += val, keeping zeros out of the sparse row."""
-    nv = field.add(row.get(col, field.zero()), val)
-    if field.is_zero(nv):
-        row.pop(col, None)
-    else:
-        row[col] = nv
 
 
 class _Residue:
@@ -156,13 +147,53 @@ def _add_pivot(row: dict, pivots: dict[int, dict], ar: _Arith) -> None:
 
 
 def _rref(rows, F: Field) -> tuple[dict[int, dict], list[int]]:
-    """``sparse_rref`` of the rows, and the indices of the input rows that
-    became pivots, in order: each is independent of the rows before it.
-    Over GF(p) the entries may be any ints; they are reduced mod p."""
-    ar = _arith(F)
-    p = ar.p
+    """The RREF of the rows, in the form of ``sparse_rref`` but from one
+    elimination with no pinning and no split, and the indices of the input
+    rows that became pivots, in order: each is independent of the rows
+    before it.  Over GF(p) the entries may be any ints; they are reduced
+    mod p.  A new row, reduced by the pivot rows so far, becomes a pivot at
+    its least column if it is not zero.
+
+    Over Q the rows are scaled to integers and eliminated fraction-free
+    (Gauss-Jordan after Bareiss, 1968).  Every stored row is D times its row
+    of the RREF so far, where D is the pivot minor of the rows stored: D at
+    its pivot, 0 at the other pivots, and minors of the integer rows
+    elsewhere.  A new row r reduces to r' = D r - sum_p r[p] P_p, D times
+    its reduction by that RREF, so its entries are minors too.  If r' is
+    nonzero its least column c becomes a pivot with minor D' = r'[c], and
+    every stored row P becomes (D' P - P[c] r') / D, exactly by Sylvester's
+    identity (even where P[c] = 0).  Dividing by the last D gives the RREF.
+    """
     pivots: dict[int, dict] = {}
     chosen = []
+    if isinstance(F, Rationals):
+        d = 1
+        for k, row in enumerate(rows):
+            den = math.lcm(*(v.denominator for v in row.values()))
+            row = {c: v.numerator * (den // v.denominator) for c, v in row.items() if v}
+            new = {c: d * v for c, v in row.items()}
+            for p, a in row.items():
+                if p in pivots:
+                    for c, x in pivots[p].items():
+                        new[c] = new.get(c, 0) - a * x
+            new = {c: v for c, v in new.items() if v}
+            if not new:
+                continue
+            q = min(new)
+            e = new[q]
+            for p, prow in pivots.items():
+                a = prow.get(q, 0)
+                prow = {c: e * x for c, x in prow.items()}
+                if a:
+                    for c, x in new.items():
+                        prow[c] = prow.get(c, 0) - a * x
+                pivots[p] = {c: x // d for c, x in prow.items() if x}
+            pivots[q] = new
+            d = e
+            chosen.append(k)
+        return {p: {c: Fraction(x, d) for c, x in prow.items()} for p, prow in pivots.items()}, chosen
+    ar = _arith(F)
+    p = ar.p
     for k, row in enumerate(rows):
         if p:
             row = {c: y for c, v in row.items() if (y := v % p)}
@@ -178,11 +209,27 @@ def _rref(rows, F: Field) -> tuple[dict[int, dict], list[int]]:
 def sparse_rref(rows, field: Field) -> dict[int, dict]:
     """Reduced row echelon form of a sparse system.
 
-    ``rows`` is an iterable of dicts {col: coeff} (zeros absent).  Returns
-    {pivot_col: row} where each stored row has coefficient 1 at its pivot
-    column and contains no other pivot column.
+    ``rows`` is an iterable of dicts {col: coeff} of field elements (zeros
+    absent, or explicit).  Returns {pivot_col: row} where each stored row
+    has coefficient 1 at its pivot column and contains no other pivot
+    column.
+
+    First the unknowns that rows with one entry, a unit, force to zero are
+    pinned, along with those the cascade of rows left with one such entry
+    forces (see ``_pin``).  Each pinned column c is a pivot whose RREF row
+    is e_c, and every other RREF row is zero at c, so the pinned columns
+    together with the RREF of the other rows, pinned columns removed, are
+    the RREF of the system.  Then each block of those rows (see
+    ``_blocks``) is eliminated on its own by ``_rref``; the union of the
+    block RREFs is their RREF, since no two blocks share a column.  So the
+    RREF is the one that a single elimination of all rows gives.
     """
-    return _rref(rows, field)[0]
+    pinned, rows = _pin(rows, field.is_unit)
+    one = field.one()
+    pivots = {c: {c: one} for c in pinned}
+    for block in _blocks(rows):
+        pivots.update(_rref(block, field)[0])
+    return pivots
 
 
 def _blocks(rows) -> list[list[dict]]:
@@ -213,7 +260,7 @@ def _blocks(rows) -> list[list[dict]]:
 
 def _pin(rows, is_unit) -> tuple[set, list[dict]]:
     """The columns that one-entry rows force to zero, and the other rows
-    without those columns (singleton elimination; see ``sparse_nullspace``).
+    without those columns (singleton elimination; see ``sparse_rref``).
 
     A row whose only entry a is in column c says a x_c = 0, so x_c = 0 when
     ``is_unit(a)``, and pinning c may leave another row with one entry,
@@ -270,77 +317,24 @@ def _pin(rows, is_unit) -> tuple[set, list[dict]]:
 
 
 def sparse_nullspace(rows, ncols: int, field: Field) -> list[list]:
-    """Canonical nullspace basis (dense vectors) of a sparse homogeneous system.
+    """Canonical nullspace basis (dense vectors) of a sparse homogeneous
+    system, read off its ``sparse_rref``.
 
     The basis has one vector v_c per free column c of the RREF, with
-    v_c[c] = 1 and v_c zero on the other free columns.
-
-    First the unknowns that rows with one entry, a unit, force to zero are
-    pinned, along with those the cascade of rows left with one such entry
-    forces (see ``_pin``).  Each pinned column c is a pivot whose RREF row is e_c, and
-    every other RREF row is zero at c, so the pinned columns together with
-    the RREF of the other rows, pinned columns removed, are the RREF of
-    the system.  Then each block of those rows (see ``_blocks``) is
-    eliminated on its own; the union of the block RREFs is their RREF,
-    since no two blocks share a column.  So the basis is the same as from
-    one elimination of all rows.  Columns in no row are free.  Over Q the
-    RREF of a block comes from elimination in integers; see
-    ``_rational_rref``."""
+    v_c[c] = 1 and v_c zero on the other free columns; columns in no row
+    are free.  So the basis is the same however the rows are ordered."""
     F = field
-    pinned, rows = _pin(rows, F.is_unit)
-    pivots = {}
-    for block in _blocks(rows):
-        pivots.update(_rational_rref(block) if isinstance(F, Rationals) else sparse_rref(block, F))
-    basis = {c: [F.zero()] * ncols for c in range(ncols) if c not in pivots and c not in pinned}
+    pivots = sparse_rref(rows, F)
+    basis = {c: [F.zero()] * ncols for c in range(ncols) if c not in pivots}
     for c, v in basis.items():
         v[c] = F.one()
-    # a pivot row's other columns are all free
+    # a pivot row's other columns are all free; a one-entry row has none
     for p, row in pivots.items():
-        for c, x in row.items():
-            if c != p:
-                basis[c][p] = F.neg(x)
+        if len(row) > 1:
+            for c, x in row.items():
+                if c != p:
+                    basis[c][p] = F.neg(x)
     return list(basis.values())
-
-
-def _rational_rref(block: list[dict]) -> dict[int, dict]:
-    """``sparse_rref`` of one block over Q, by fraction-free Gauss-Jordan
-    elimination of its rows scaled to integers (Bareiss, 1968).
-
-    Every stored row is D times its row of the RREF so far, where D is the
-    pivot minor of the rows stored: D at its pivot, 0 at the other pivots,
-    and minors of the integer rows elsewhere.  A new row r reduces to
-    r' = D r - sum_p r[p] P_p, D times its reduction by that RREF, so its
-    entries are minors too.  If r' is nonzero its least column c becomes a
-    pivot, as in ``_rref``, with minor D' = r'[c], and every stored row P
-    becomes (D' P - P[c] r') / D, exactly by Sylvester's identity (even
-    where P[c] = 0).  The pivots are those of ``_rref``, so dividing by the
-    last D gives the RREF over Q.
-    """
-    pivots: dict[int, dict] = {}
-    d = 1
-    for row in block:
-        den = math.lcm(*(v.denominator for v in row.values()))
-        row = {c: v.numerator * (den // v.denominator) for c, v in row.items() if v}
-        new = {c: d * v for c, v in row.items()}
-        for p, a in row.items():
-            if p in pivots:
-                for c, x in pivots[p].items():
-                    new[c] = new.get(c, 0) - a * x
-        new = {c: v for c, v in new.items() if v}
-        if not new:
-            continue
-        q = min(new)
-        e = new[q]
-        for p, prow in pivots.items():
-            a = prow.get(q, 0)
-            prow = {c: e * x for c, x in prow.items()}
-            if a:
-                for c, x in new.items():
-                    prow[c] = prow.get(c, 0) - a * x
-            pivots[p] = {c: x // d for c, x in prow.items() if x}
-        pivots[q] = new
-        d = e
-    return {p: {c: Fraction(x, d) for c, x in prow.items()} for p, prow in pivots.items()}
 
 
 def _row_value(row: dict, vec: list, F: Field):

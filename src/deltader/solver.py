@@ -37,7 +37,7 @@ of its row/column incidence graph (for a graded algebra such as W(1, n),
 each block lies inside one degree shift of D; current algebras and
 Grassmann envelopes split into hundreds of blocks).  A pointwise solve
 gets the same canonical basis as from one elimination of the whole system
-(see ``linalg.sparse_nullspace``).  The parametric solver treats delta as
+(see ``linalg.sparse_rref``).  The parametric solver treats delta as
 an indeterminate and finds the generic solution dimension together with
 the special values of delta where it jumps, from the points where some
 block's rank drops; the method is set out in ``solve_parametric``.
@@ -343,8 +343,11 @@ def _pivots_at(F: Field, block: list[dict], d) -> tuple[list[int], list[int]]:
     delta) that become pivots when it is eliminated at delta = d, in order,
     and their pivot columns, sorted: the rank at d is their number.  The
     square submatrix on them is invertible at d, since the elimination
-    turns those rows into the identity on those columns.  Over GF(p) the
-    entries are evaluated as plain ints, which ``_rref`` reduces."""
+    turns those rows into the identity on those columns.  The block is
+    already pinned and split, so it goes to ``linalg._rref`` directly, the
+    one batch elimination, which reports the rows it chose: over Q in
+    integers, and over GF(p) on the entries evaluated as plain ints, which
+    ``_rref`` reduces."""
     pivots, rows = _rref(
         ({c: f[0] + f[1] * d if len(f) > 1 else f[0] for c, f in row.items()} for row in block),
         F,

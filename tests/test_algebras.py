@@ -231,8 +231,10 @@ def test_abelian_center():
         ({"products": {"0": []}}, "'products' must be a list"),
         ({"products": [{"i": 0, "j": 1}]}, "products[0]: missing key 'terms'"),
         ({"products": [{"i": 0, "j": 1, "terms": [[1, "0.5"]]}]}, "products[0]: invalid scalar '0.5'"),
+        ({"form": [["1"]]}, "'form' must be 2 x 2, got rows of lengths [1]"),
+        ({"form": [["1", "0"], ["1"]]}, "'form' must be 2 x 2, got rows of lengths [2, 1]"),
     ],
-    ids=["dim", "products-object", "terms", "decimal-term"],
+    ids=["dim", "products-object", "terms", "decimal-term", "form-1x1", "form-ragged"],
 )
 def test_algebra_from_json_rejects_malformed_input(change, message):
     """The library loader, not only the CLI, names what is wrong."""

@@ -189,6 +189,8 @@ BAD_ALGEBRAS = {
     "p_float": dict(SL2, field={"kind": "GFp", "p": 7.9}),
     "modulus_string": dict(SL2, field={"kind": "quot", "base": {"kind": "Q"}, "modulus": "201"}),
     "form_number": dict(SL2, form=5),
+    "form_1x1": dict(SL2, form=[["1"]]),
+    "form_ragged": dict(SL2, form=[["1", "0", "0"], ["0", "1"], ["0", "0", "1"]]),
     "grading_number": dict(SL2, grading=5),
     "term_decimal": dict(SL2, products=[{"i": 0, "j": 1, "terms": [[2, "0.5"]]}]),
     "term_bool": dict(SL2, products=[{"i": 0, "j": 1, "terms": [[2, True]]}]),
@@ -248,6 +250,8 @@ VALID_FILES = {
         (["validate", "{modulus_string}"],
          "modulus_string.json: 'field': modulus must be a list of coefficients, got '201'"),
         (["validate", "{form_number}"], "form_number.json: 'form' must be a list of rows, got 5"),
+        (["validate", "{form_1x1}"], "form_1x1.json: 'form' must be 3 x 3, got rows of lengths [1]"),
+        (["validate", "{form_ragged}"], "form_ragged.json: 'form' must be 3 x 3, got rows of lengths [3, 2, 3]"),
         (["validate", "{grading_number}"], "grading_number.json: 'grading' must be a list of parities, got 5"),
         (["validate", "{term_decimal}"], "term_decimal.json: products[0]: invalid scalar '0.5'"),
         (["validate", "{term_bool}"], "term_bool.json: products[0]: invalid scalar True"),
@@ -287,7 +291,7 @@ VALID_FILES = {
         "parametric-superder", "parametric-centroid", "parametric-quasider", "parity-der",
         "parity-parametric", "parity-centroid", "parity-quasider", "delta-centroid", "delta-quasider",
         "witt-Z5-over-Q", "witt-Z7-over-GF5", "field-string", "basis-string", "term-single", "products-object",
-        "p-float", "modulus-string", "form-number", "grading-number",
+        "p-float", "modulus-string", "form-number", "form-1x1", "form-ragged", "grading-number",
         "term-decimal", "term-bool", "form-exponent", "modulus-decimal", "delta-true",
         "grade-quot-field", "zassenhaus-n-negative", "zassenhaus-n-0", "divided-powers-n-negative",
         "zassenhaus-field", "divided-powers-dim", "elduque4-n", "abelian-p", "sl-support", "osp12-modulus",

@@ -211,9 +211,9 @@ def test_block_nullspace_matches_textbook_gauss(system):
 
 
 def unsplit_nullspace(rows, ncols, field):
-    """The canonical nullspace basis from one RREF of all rows, in the
-    field's own arithmetic (fractions over Q)."""
-    pivots = sparse_rref(rows, field)
+    """The canonical nullspace basis from one RREF of all rows, with no
+    pinning and no split (``linalg._rref``)."""
+    pivots = linalg._rref(rows, field)[0]
     basis = []
     for c in range(ncols):
         if c in pivots:
@@ -342,21 +342,44 @@ def combination(F, coeffs, vecs):
 
 
 @st.composite
-def step_systems(draw):
-    """Dense vectors over GF(5), GF(7), GF(2^31 - 1) or Q: drawn ones,
-    copies of some of them and combinations of them (which reduce to
-    zero), shuffled, and their sparse rows, in which a drawn entry may be
-    absent or an explicit zero."""
-    F = STEP_FIELDS[draw(st.sampled_from(sorted(STEP_FIELDS)))]
-    if isinstance(F, PrimeField):
-        scalar = st.sampled_from([0, 1, F.p - 1]) | st.integers(0, F.p - 1)
-    else:
-        scalar = st.sampled_from(Q_VALUES)
+def step_vectors(draw, F, scalar):
+    """Drawn dense vectors, copies of some of them and combinations of them
+    (which reduce to zero)."""
     ncols = draw(st.integers(1, 7))
     vecs = draw(st.lists(st.lists(scalar, min_size=ncols, max_size=ncols), min_size=1, max_size=6))
     vecs += [vecs[i] for i in draw(st.lists(st.integers(0, len(vecs) - 1), max_size=3))]
     for _ in range(draw(st.integers(0, 3))):
         vecs.append(combination(F, draw(st.lists(scalar, min_size=len(vecs), max_size=len(vecs))), vecs))
+    return vecs
+
+
+@st.composite
+def step_systems(draw):
+    """Dense vectors over GF(5), GF(7), GF(2^31 - 1) or Q: those of
+    ``step_vectors``, or a direct sum of two such sets on disjoint
+    columns, with a cascade of vectors that pin their columns (a one-entry
+    vector, then vectors left with one entry once the columns before them
+    are pinned), shuffled, and their sparse rows, in which a drawn entry
+    may be absent or an explicit zero."""
+    F = STEP_FIELDS[draw(st.sampled_from(sorted(STEP_FIELDS)))]
+    if isinstance(F, PrimeField):
+        scalar = st.sampled_from([0, 1, F.p - 1]) | st.integers(0, F.p - 1)
+    else:
+        scalar = st.sampled_from(Q_VALUES)
+    vecs = draw(step_vectors(F, scalar))
+    if draw(st.booleans()):
+        more = draw(step_vectors(F, scalar))
+        n, m = len(vecs[0]), len(more[0])
+        vecs = [v + [F.zero()] * m for v in vecs] + [[F.zero()] * n + w for w in more]
+    ncols = len(vecs[0])
+    pinned = []
+    for c in draw(st.lists(st.integers(0, ncols - 1), unique=True, max_size=3)):
+        v = [F.zero()] * ncols
+        for j in pinned:
+            v[j] = draw(scalar)
+        v[c] = draw(scalar.filter(lambda x: not F.is_zero(x)))
+        vecs.append(v)
+        pinned.append(c)
     vecs = draw(st.permutations(vecs))
     rows = [
         {c: x for c, x in enumerate(v) if not F.is_zero(x) or draw(st.booleans())}

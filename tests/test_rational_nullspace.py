@@ -1,16 +1,19 @@
 """Nullspaces over Q by integer elimination against fraction arithmetic.
 
-``sparse_nullspace`` over Q pins and splits the system into blocks as over
-any field; the RREF of each block comes from ``linalg._rational_rref``,
-fraction-free Gauss-Jordan elimination of the block's rows scaled to
-integers.  The reference here is the canonical basis read off the RREF over
-Q in ``Fraction`` arithmetic from ``sparse_rref``; the two must be equal,
-not merely span the same space.  The hand-made systems are rank-deficient
-or move a pivot modulo a large prime, or have entries of 80 bits; the
-drawn ones add large numerators and denominators, dependent rows, explicit
-zeros, empty rows and direct sums of blocks.  ``_rational_rref`` is also
-compared with ``linalg._rref`` directly on drawn dense blocks.  Where sympy
-is installed, its ``Matrix.nullspace`` is a second reference.
+``sparse_rref`` over Q pins and splits the system into blocks as over any
+field; ``linalg._rref`` eliminates each block by fraction-free
+Gauss-Jordan elimination of its rows scaled to integers, and
+``sparse_nullspace`` reads its basis off that RREF.  The reference
+nullspace here is the textbook dense Gauss-Jordan elimination of
+``conftest`` in ``Fraction`` arithmetic; the two bases must be equal, not
+merely span the same space.  The hand-made systems are rank-deficient or
+move a pivot modulo a large prime, or have entries of 80 bits; the drawn
+ones add large numerators and denominators, dependent rows, explicit
+zeros, empty rows and direct sums of blocks.  ``_rref`` over Q is also
+compared, RREF and chosen rows, with the incremental field step
+(``_eliminate`` and ``_add_pivot`` in ``Fraction`` arithmetic) on drawn
+dense blocks.  Where sympy is installed, its ``Matrix.nullspace`` is a
+second reference.
 """
 
 from fractions import Fraction
@@ -20,25 +23,31 @@ from hypothesis import given, settings, strategies as st
 
 from deltader import linalg
 from deltader.fields import Rationals
-from deltader.linalg import dense_nullspace, kernel_of_map, sparse_nullspace, sparse_rref
+from deltader.linalg import dense_nullspace, kernel_of_map, sparse_nullspace
+
+from conftest import dense_gauss_nullspace
 
 Q = Rationals()
 P1 = 2**31 - 1  # the largest prime below 2**31
 
 
 def fraction_nullspace(rows, ncols):
-    pivots = sparse_rref(rows, Q)
-    basis = []
-    for c in range(ncols):
-        if c in pivots:
-            continue
-        v = [Fraction(0)] * ncols
-        v[c] = Fraction(1)
-        for r, row in pivots.items():
-            if c in row:
-                v[r] = -row[c]
-        basis.append(v)
-    return basis
+    dense = [[row.get(c, Fraction(0)) for c in range(ncols)] for row in rows]
+    return dense_gauss_nullspace(Q, dense, ncols)
+
+
+def fraction_rref(rows):
+    """The RREF of the rows and the indices of the rows that became pivots,
+    from the incremental field step in ``Fraction`` arithmetic."""
+    ar = linalg._arith(Q)
+    pivots, chosen = {}, []
+    for k, row in enumerate(rows):
+        row = {c: v for c, v in row.items() if v}
+        linalg._eliminate(row, pivots, ar)
+        if row:
+            linalg._add_pivot(row, pivots, ar)
+            chosen.append(k)
+    return pivots, chosen
 
 
 def rows_of(*dense):
@@ -164,7 +173,7 @@ def dense_blocks(draw):
 @settings(derandomize=True, deadline=None, max_examples=200)
 @given(dense_blocks())
 def test_integer_rref_matches_fraction_rref(rows):
-    assert linalg._rational_rref(rows) == linalg._rref(rows, Q)[0]
+    assert linalg._rref(rows, Q) == fraction_rref(rows)
 
 
 def test_random_systems_match_sympy():
