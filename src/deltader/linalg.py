@@ -31,12 +31,16 @@ mod p as it is made, on ``Fraction`` over Q, and the ring's own methods
 over a quotient ring.  Every entry is the one the field's methods give.
 
 A pencil A + delta B is pinned and split the same way, with a nonzero
-constant as the unit (see ``solver.solve_parametric``).  Its blocks go
-through one-step fraction-free (Bareiss) elimination with column pivoting
-unless a sweep over GF(p) settles them: entries stay polynomials, no
-division by parameter-dependent quantities ever happens, and the last pivot
-is a maximal nonvanishing minor, so the rank can drop only at its roots.
-Rational roots are isolated exactly by Sturm bisection.
+constant as the unit (see ``solver.solve_parametric``).  The rank of a
+block can drop only at the roots of a maximal nonvanishing minor.  Over Q
+that minor is the determinant of a nonsingular square of the block, found
+in integers by ``_pencil_det``: evaluated at k + 1 integer points and
+interpolated exactly; ``charpoly`` over Q takes det(xI - M) the same way.
+Over GF(p) a block that a sweep over the field does not settle, and
+``charpoly``, go through one-step fraction-free (Bareiss) elimination over
+GF(p)[delta] (``fraction_free_pivots``), whose last pivot is such a minor.
+Rational roots are isolated exactly by Sturm bisection on integer
+polynomials.
 """
 
 from __future__ import annotations
@@ -51,7 +55,6 @@ from .fields import (
     poly_deg,
     poly_divmod,
     poly_eval,
-    poly_gcd,
     poly_mul,
     poly_sub,
     poly_trim,
@@ -514,13 +517,21 @@ def fraction_free_pivots(
 
 
 def charpoly(field: Field, matrix: list[list]) -> list:
-    """Characteristic polynomial det(xI - M), coefficient list low-degree-first."""
+    """Characteristic polynomial det(xI - M), coefficient list low-degree-first.
+
+    xI - M is the pencil -M + x I.  Over Q its determinant comes from
+    ``_pencil_det``, in integers; over GF(p) from the last Bareiss pivot,
+    since with n >= p there are too few field points to interpolate.
+    """
     n = len(matrix)
     if n == 0:
         return [field.one()]
     rows = [[poly_trim(field, [field.neg(c)]) for c in row] for row in matrix]
     for i in range(n):
         rows[i][i] = poly_trim(field, [field.neg(matrix[i][i]), field.one()])
+    if isinstance(field, Rationals):
+        det = _pencil_det(rows)
+        return [Fraction(c, det[-1]) for c in det]
     # xI - M has full rank over K[x], so the last Bareiss pivot is its
     # determinant up to the sign of the row permutation
     _, pivots = fraction_free_pivots(field, rows, n)
@@ -530,19 +541,109 @@ def charpoly(field: Field, matrix: list[list]) -> list:
 
 
 # ---------------------------------------------------------------------------
+# integer determinants of pencils over Q
+
+
+def _int_det(m: list[list[int]]) -> int:
+    """Determinant of a square integer matrix (consumed) by fraction-free
+    (Bareiss) elimination: every division is exact, and each row swap
+    flips the sign."""
+    n = len(m)
+    sign, prev = 1, 1
+    for k in range(n):
+        i = next((i for i in range(k, n) if m[i][k]), None)
+        if i is None:
+            return 0
+        if i != k:
+            m[k], m[i] = m[i], m[k]
+            sign = -sign
+        top = m[k][k + 1 :]
+        p = m[k][k]
+        for i in range(k + 1, n):
+            row, a = m[i], m[i][k]
+            if a:
+                row[k + 1 :] = [(p * x - a * y) // prev for x, y in zip(row[k + 1 :], top)]
+            else:
+                row[k + 1 :] = [p * x // prev for x in row[k + 1 :]]
+        prev = p
+    return sign * prev
+
+
+def _pencil_det(square: list[list[list]]) -> list[int]:
+    """det(A + tB) times a positive constant, as integer coefficients
+    low-degree-first ([] if it vanishes), for a square of pencil entries
+    [], [a] or [a, b], that is a + b t, over Q.
+
+    Each row is scaled once, by the lcm of the denominators of its entries,
+    to integers.  The determinant then has degree at most k, the number of
+    rows with a t term, so its integer values at t = 0..k, from ``_int_det``,
+    determine it: with D^j the j-th forward difference of those values at
+    t = 0, k! det(t) = sum_j D^j (k! / j!) t (t - 1) ... (t - j + 1), all
+    in integers (Newton interpolation).
+    """
+    rows, k = [], 0
+    for row in square:
+        den = math.lcm(*(c.denominator for f in row for c in f))
+        a = [f[0].numerator * (den // f[0].denominator) if f else 0 for f in row]
+        b = [f[1].numerator * (den // f[1].denominator) if len(f) > 1 else 0 for f in row]
+        k += any(b)
+        rows.append((a, b))
+    values = [_int_det([[x + t * y for x, y in zip(a, b)] for a, b in rows]) for t in range(k + 1)]
+    diffs = []
+    for _ in range(k + 1):
+        diffs.append(values[0])
+        values = [y - x for x, y in zip(values, values[1:])]
+    # Horner's scheme in the falling factorials: c_j + (t - j)(c_(j+1) + ...)
+    det, scale = [diffs[k]], 1
+    for j in range(k - 1, -1, -1):
+        scale *= j + 1
+        det = [x - j * y for x, y in zip([0] + det, det + [0])]
+        det[0] += diffs[j] * scale
+    while det and not det[-1]:
+        det.pop()
+    return det
+
+
+# ---------------------------------------------------------------------------
 # root finding in the base field
 
 
 def _primitive(f: list) -> list[int]:
     """f times a positive rational: coprime integer coefficients, same signs."""
     den = math.lcm(*(c.denominator for c in f))
-    ints = [int(c * den) for c in f]
+    ints = [c.numerator * (den // c.denominator) for c in f]
     g = math.gcd(*ints)
     return [c // g for c in ints]
 
 
 def _derivative(f: list) -> list:
     return [k * c for k, c in enumerate(f)][1:]
+
+
+def _prem(f: list[int], g: list[int]) -> tuple[list[int], int]:
+    """(r, s): the pseudo-remainder r = lc(g)^s f - q g of integer
+    polynomials, deg r < deg g, with s the number of steps taken.  So r is
+    lc(g)^s times the remainder of f by g over Q."""
+    r, lc, s = list(f), g[-1], 0
+    while len(r) >= len(g):
+        c, shift = r[-1], len(r) - len(g)
+        r = [lc * x for x in r]
+        for i, y in enumerate(g):
+            r[shift + i] -= c * y
+        s += 1
+        while r and not r[-1]:
+            r.pop()
+    return r, s
+
+
+def _exact_quo(f: list[int], g: list[int]) -> list[int]:
+    """f / g for integer polynomials where the quotient is integral."""
+    r, q = list(f), [0] * (len(f) - len(g) + 1)
+    for shift in range(len(q) - 1, -1, -1):
+        c = q[shift] = r[shift + len(g) - 1] // g[-1]
+        for i, y in enumerate(g):
+            r[shift + i] -= c * y
+    return q
 
 
 def _sign_at(f: list[int], y: int, q: int) -> int:
@@ -555,20 +656,29 @@ def _sign_at(f: list[int], y: int, q: int) -> int:
 
 
 def _rational_roots(f: list) -> list:
-    """Distinct rational roots of f over Q by Sturm bisection.
+    """Distinct rational roots of f over Q by Sturm bisection, in integers.
 
-    On the primitive squarefree part, every rational root x satisfies
-    lead * x = y for an integer y, so the Sturm counts of roots in (a/lead,
-    b/lead] are bisected over integer a < b down to b - a = 1, where the
-    only candidate left is y = b.
+    The squarefree part is f over gcd(f, f'), taken by the primitive
+    pseudo-remainder sequence and an exact division.  Each Sturm step is
+    the primitive pseudo-remainder times the sign of lc^steps, that is
+    minus the remainder over Q times a positive number, so the chain is
+    the classical one made primitive.  On the primitive squarefree part,
+    every rational root x satisfies lead * x = y for an integer y, so the
+    Sturm counts of roots in (a/lead, b/lead] are bisected over integer
+    a < b down to b - a = 1, where the only candidate left is y = b.
     """
-    Q = Rationals()
-    f = _primitive(poly_divmod(Q, f, poly_gcd(Q, f, _derivative(f)))[0])
+    f = _primitive(f)
+    g, h = f, _primitive(_derivative(f))
+    while h:
+        r = _prem(g, h)[0]
+        g, h = h, _primitive(r) if r else []
+    f = _exact_quo(f, g)
     lead = abs(f[-1])
     seq = [f, _primitive(_derivative(f))]
     while len(seq[-1]) > 1:
-        rem = poly_divmod(Q, [Fraction(c) for c in seq[-2]], [Fraction(c) for c in seq[-1]])[1]
-        seq.append(_primitive([-c for c in rem]))
+        rem, steps = _prem(seq[-2], seq[-1])
+        sign = -1 if seq[-1][-1] < 0 and steps % 2 else 1
+        seq.append([-sign * c for c in _primitive(rem)])
 
     def variations(y: int) -> int:
         signs = [s for s in (_sign_at(g, y, lead) for g in seq) if s]

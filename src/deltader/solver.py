@@ -52,6 +52,7 @@ from .fields import Field, PrimeField, QuotientRing, parse_scalar
 from .linalg import (
     SpanSolver,
     _blocks,
+    _pencil_det,
     _pin,
     _row_value,
     _rref,
@@ -358,19 +359,14 @@ def _pivots_at(F: Field, block: list[dict], d) -> tuple[list[int], list[int]]:
 def _block_spectrum(F: Field, block: list[dict]) -> tuple[int, dict]:
     """Generic rank r of one pencil block and {d: rank at d} for the
     base-field delta at which its rank is below r, found as set out in
-    ``solve_parametric``."""
+    ``solve_parametric``: over Q from the integer determinant of an r x r
+    square of the block, over GF(p) by a sweep or by fraction-free
+    elimination of the whole block."""
     index = {c: k for k, c in enumerate(sorted({c for row in block for c in row}))}
     u = min(len(index), len(block))
-    # at most three fraction-free steps with pivots of degree at most three
-    # cost less than p pointwise eliminations
-    if isinstance(F, PrimeField) and u > 3:
-        ranks = {d: len(_pivots_at(F, block, d)[0]) for d in range(F.p)}
-        top = max(ranks.values())
-        if top == u or u < F.p:
-            return top, {d: k for d, k in ranks.items() if k < top}
-    if not isinstance(F, PrimeField) and len(block) > len(index):
+    if not isinstance(F, PrimeField):
         # rows with fewer delta terms first: the square then takes as many
-        # of them as it can, which keeps the degrees of Bareiss low
+        # of them as it can, which lowers the degree of its determinant
         block = sorted(block, key=lambda row: sum(len(f) > 1 for f in row.values()))
         best = [], []
         for d in range(u + 1):
@@ -380,15 +376,22 @@ def _block_spectrum(F: Field, block: list[dict]) -> tuple[int, dict]:
             if len(rows) == u:
                 break
         rows, cols = best
-        square = [[block[i].get(c, []) for c in cols] for i in rows]
-        r, pivots = fraction_free_pivots(F, square, len(rows))
+        r, det = len(rows), _pencil_det([[block[i].get(c, []) for c in cols] for i in rows])
     else:
+        # at most three fraction-free steps with pivots of degree at most
+        # three cost less than p pointwise eliminations
+        if u > 3:
+            ranks = {d: len(_pivots_at(F, block, d)[0]) for d in range(F.p)}
+            top = max(ranks.values())
+            if top == u or u < F.p:
+                return top, {d: k for d, k in ranks.items() if k < top}
         dense = [[[] for _ in index] for _ in block]
         for dense_row, row in zip(dense, block):
             for c, f in row.items():
                 dense_row[index[c]] = f
         r, pivots = fraction_free_pivots(F, dense, len(index))
-    ranks = {d: len(_pivots_at(F, block, d)[0]) for d in base_field_roots(F, pivots[-1])}
+        det = pivots[-1]
+    ranks = {d: len(_pivots_at(F, block, d)[0]) for d in base_field_roots(F, det)}
     return r, {d: k for d, k in ranks.items() if k < r}
 
 
@@ -415,25 +418,27 @@ def solve_parametric(alg: Algebra) -> ParametricResult:
     left, none above its generic rank r, and ``_block_spectrum`` gives the
     r of each block and the points where its rank drops, with the rank there:
 
+    - over Q, a block is ranked at delta = 0, 1, ..., until a rank reaches
+      u = min(rows, columns) or u + 1 points are done; the largest rank is
+      r, since a nonzero r x r minor has at most r <= u roots.  The rows and
+      pivot columns of an elimination of rank r give an r x r square,
+      nonsingular there.  Its determinant, a polynomial of degree at most k
+      in delta, k the number of its rows with a delta term, comes from
+      integer determinants at delta = 0..k by exact interpolation
+      (``linalg._pencil_det``);
     - over GF(p), a block with more than three rows and columns is ranked
       at the p field values.  An r x r minor has degree at most r, and a
       nonzero polynomial of degree below p does not vanish on all of GF(p),
-      so the largest rank is r if it reaches u = min(rows, columns) or if
-      u < p, and the drops are the points below it;
-    - over Q, a block with more rows than columns is ranked at delta = 0,
-      1, ..., until a rank reaches u or u + 1 points are done; the largest
-      rank is r, since a nonzero r x r minor has at most r <= u roots.  The
-      rows and pivot columns of an elimination of rank r give an r x r
-      submatrix, nonsingular there, whose determinant fraction-free
-      elimination finds;
-    - any other block, and a GF(p) block the sweep does not settle, goes
-      through fraction-free elimination whole.
+      so the largest rank is r if it reaches u or if u < p, and the drops
+      are the points below it;
+    - any other GF(p) block, and one the sweep does not settle, goes
+      through fraction-free elimination whole, whose last pivot is a
+      nonzero r x r minor; entries stay polynomial in delta, and no
+      division by a delta-dependent quantity happens.
 
-    Fraction-free elimination keeps all entries polynomial in delta, and
-    its last pivot is a nonzero r x r minor.  The block's rank can drop only
-    at its roots (found exactly, by Sturm bisection over Q), and the block
-    is ranked at each of them, since the minor may vanish where another
-    r x r minor does not.
+    The block's rank can drop only at the roots of that r x r minor (found
+    exactly, by Sturm bisection over Q), and the block is ranked at each of
+    them, since the minor may vanish where another r x r minor does not.
     """
     F = alg.field
     if isinstance(F, QuotientRing):

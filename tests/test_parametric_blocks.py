@@ -12,8 +12,10 @@ parametric benchmark workload and on random sparse anticommutative algebras
 drawn with hypothesis.  The per-block sweep is also checked against
 fraction-free elimination and a dense Gauss-Jordan rank at every field
 point, the squared Q path against fraction-free elimination of the
-whole block, and the pinned pencil against the spectrum of the whole
-unpinned pencil.
+whole block on tall, square and wide blocks, and the pinned pencil against
+the spectrum of the whole unpinned pencil.  Where sympy is installed, its
+``Matrix.rank`` of the pencil at each special delta and at one generic
+delta is a second reference over Q.
 """
 
 from fractions import Fraction
@@ -45,19 +47,17 @@ from conftest import dense_gauss_nullspace
 Q = Rationals()
 
 
-def monolithic_parametric(alg):
-    """The whole pencil, densified, through one Bareiss elimination.
-
-    The pencil is built here from the structure constants: row (i, j, l) is
+def structure_pencil(alg):
+    """The whole pencil, dense, with entries [], [a] or [a, b] for a + delta b,
+    built from the structure constants: row (i, j, l) is
 
         sum_k C_ij^k d_kl  -  delta (sum_k C_kj^l d_ik + sum_k C_ik^l d_jk)
 
     over every ordered basis pair (i, j), or only i < j for a Lie algebra,
     whose (j, i) rows are the (i, j) rows negated and whose (i, i) rows
     vanish.  Any such full set of pairs has the same rank at every delta,
-    generic or special, so every special delta is a root of the last pivot,
-    a maximal nonvanishing minor, and the result does not depend on which
-    pairs the package assembles."""
+    generic or special, so the rank does not depend on which pairs the
+    package assembles."""
     F = alg.field
     n = alg.dim
     ncols = n * n
@@ -74,7 +74,16 @@ def monolithic_parametric(alg):
                 for l, c in alg.product(i, k).items():
                     rows[l][j * n + k][1] = F.sub(rows[l][j * n + k][1], c)
             dense.extend([poly_trim(F, entry) for entry in row] for row in rows)
-    rank, pivots = fraction_free_pivots(F, dense, ncols)
+    return dense
+
+
+def monolithic_parametric(alg):
+    """The whole ``structure_pencil`` through one Bareiss elimination.  Every
+    special delta is a root of its last pivot, a maximal nonvanishing minor,
+    and is confirmed by a pointwise solve."""
+    F = alg.field
+    ncols = alg.dim * alg.dim
+    rank, pivots = fraction_free_pivots(F, structure_pencil(alg), ncols)
     generic = ncols - rank
     specials = []
     for cand in base_field_roots(F, pivots[-1]) if pivots else []:
@@ -162,6 +171,20 @@ def test_parametric_pinned(name):
     for d, dim in specials:
         assert solve_delta_derivations(alg, d).dim == dim
     assert solve_delta_derivations(alg, 2).dim == generic
+
+
+@pytest.mark.parametrize("name", ["sl2/Q", "elduque4/Q", "osp12/Q", "sl3/Q", "wittZ5/Q"])
+def test_q_spectrum_matches_sympy_rank(name):
+    """n^2 minus sympy's rank of ``structure_pencil`` at delta is the
+    dimension at each special delta and at the generic delta 7/13."""
+    sympy = pytest.importorskip("sympy")
+    alg = WORKLOAD[name]()
+    res = solve_parametric(alg)
+    pencil = structure_pencil(alg)
+    for d, dim in res.specials + [(Fraction(7, 13), res.generic_dim)]:
+        values = [[poly_eval(Q, f, d) for f in row] for row in pencil]
+        matrix = sympy.Matrix([[sympy.Rational(v.numerator, v.denominator) for v in row] for row in values])
+        assert alg.dim**2 - matrix.rank() == dim
 
 
 def pointwise_rank(F, block, ncols, d):
@@ -278,6 +301,39 @@ def test_squared_block_matches_whole_bareiss(drawn):
     """The rank of the squared Q path is the Bareiss rank of the whole
     block, and its candidates are exactly the roots of the whole block's
     last pivot at which the block's rank drops."""
+    block, ncols = drawn
+    rank, candidates = _block_spectrum(Q, block)
+    dense = [[row.get(c, []) for c in range(ncols)] for row in block]
+    bareiss_rank, pivots = fraction_free_pivots(Q, dense, ncols)
+    assert rank == bareiss_rank
+    drops = [d for d in base_field_roots(Q, pivots[-1]) if pointwise_rank(Q, block, ncols, d) < rank]
+    assert sorted(candidates) == drops
+
+
+@st.composite
+def square_or_wide_rational_blocks(draw):
+    """Sparse rows {column: [a] or [a, b]} of a pencil a + delta b over Q,
+    with no more rows than columns, which the squared path takes too."""
+    ncols = draw(st.integers(1, 7))
+    entry = st.tuples(
+        st.integers(-9, 9), st.integers(-5, 5), st.sampled_from([1, 2, 3, 7])
+    ).filter(lambda t: t[0] or t[1])
+    block = [
+        {c: poly_trim(Q, [Fraction(a, den), Fraction(b, den)]) for c, (a, b, den) in row.items()}
+        for row in draw(st.lists(
+            st.dictionaries(st.integers(0, ncols - 1), entry, min_size=1, max_size=4),
+            min_size=1, max_size=ncols,
+        ))
+    ]
+    assume(len(block) <= len({c for row in block for c in row}))
+    return block, ncols
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(square_or_wide_rational_blocks())
+def test_square_and_wide_blocks_match_whole_bareiss(drawn):
+    """As ``test_squared_block_matches_whole_bareiss``, on blocks with no
+    more rows than columns."""
     block, ncols = drawn
     rank, candidates = _block_spectrum(Q, block)
     dense = [[row.get(c, []) for c in range(ncols)] for row in block]

@@ -1,0 +1,181 @@
+"""Integer determinants of Q pencils, the integer root search and charpoly.
+
+Over Q, ``solver._block_spectrum`` and ``linalg.charpoly`` take the
+determinant of a square pencil A + t B from ``linalg._pencil_det``: integer
+values at t = 0..k, interpolated exactly.  The reference here is one-step
+fraction-free (Bareiss) elimination over Q[t] of the same square, whose last
+pivot is the determinant up to sign where the square is nonsingular; the
+positive constant is checked against an exact ``Fraction`` determinant at a
+rational point.  ``base_field_roots`` over Q runs its squarefree part and its
+Sturm chain on integer pseudo-remainders; it is checked on polynomials built
+from known linear factors.  Over Q neither the parametric solver nor
+``charpoly`` reaches Bareiss.
+"""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from deltader import linalg, solver
+from deltader.algebras import make_elduque4, make_osp12, make_special_linear, make_witt_type
+from deltader.fields import Rationals, poly_eval, poly_mul, poly_trim
+from deltader.linalg import _pencil_det, base_field_roots, charpoly, fraction_free_pivots
+from deltader.solver import solve_parametric
+
+Q = Rationals()
+
+
+def fraction_det(matrix):
+    """Determinant of a square Fraction matrix by Gaussian elimination."""
+    m = [list(row) for row in matrix]
+    n, det = len(m), Fraction(1)
+    for k in range(n):
+        i = next((i for i in range(k, n) if m[i][k]), None)
+        if i is None:
+            return Fraction(0)
+        if i != k:
+            m[k], m[i] = m[i], m[k]
+            det = -det
+        det *= m[k][k]
+        for i in range(k + 1, n):
+            f = m[i][k] / m[k][k]
+            m[i] = [x - f * y for x, y in zip(m[i], m[k])]
+    return det
+
+
+def monic(f):
+    return [Fraction(c) / f[-1] for c in f]
+
+
+big = st.builds(
+    Fraction,
+    st.integers(-(2**40), 2**40),
+    st.one_of(st.just(1), st.integers(1, 10**6)),
+)
+
+
+@st.composite
+def q_squares(draw):
+    """A square of pencil entries [], [a] or [a, b] over Q, with r = 1..7:
+    numerators up to 2^40 and denominators up to 10^6, some rows with no
+    t term or none at all (k = 0), and singular squares with one row a
+    multiple of another."""
+    r = draw(st.integers(1, 7))
+    constant = draw(st.booleans())
+    nonzero = big.filter(bool)
+    entry = st.one_of(
+        st.just([]),
+        st.builds(lambda a: [a], nonzero),
+        st.builds(lambda a, b: [a, b], big, nonzero),
+    )
+    if constant:
+        entry = st.one_of(st.just([]), st.builds(lambda a: [a], nonzero))
+    square = [[draw(entry) for _ in range(r)] for _ in range(r)]
+    if r > 1 and draw(st.booleans()):
+        i, j = draw(st.permutations(range(r)))[:2]
+        c = draw(nonzero)
+        square[i] = [[c * x for x in f] for f in square[j]]
+    return square
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(q_squares())
+@example([[[Fraction(1, 2), Fraction(1, 2)], [1]], [[1], [Fraction(1, 3), 1]]])
+@example([[[0, 1], [1]], [[1], [0, 1]]])
+def test_pencil_det_matches_last_bareiss_pivot(square):
+    """``_pencil_det`` is the last Bareiss pivot up to a constant, [] where
+    the square is singular over Q[t], and that constant is positive."""
+    r = len(square)
+    det = _pencil_det(square)
+    assert all(isinstance(c, int) for c in det)
+    rank, pivots = fraction_free_pivots(Q, square, r)
+    if rank < r:
+        assert det == []
+        return
+    assert monic(det) == monic(pivots[-1])
+    k = sum(any(len(f) > 1 and f[1] for f in row) for row in square)
+    assert len(det) - 1 <= k
+    for t in (Fraction(1, 3), Fraction(-7, 2)):
+        exact = fraction_det([[poly_eval(Q, f, t) for f in row] for row in square])
+        value = poly_eval(Q, det, t)
+        assert (value > 0) == (exact > 0) and (value == 0) == (exact == 0)
+
+
+def from_factors(factors, scale):
+    f = [Fraction(scale)]
+    for g in factors:
+        f = poly_mul(Q, f, [Fraction(c) for c in g])
+    return f
+
+
+rationals = st.builds(Fraction, st.integers(-(10**6), 10**6), st.integers(1, 10**4))
+
+
+@st.composite
+def rational_polys(draw):
+    """(f, its distinct rational roots): linear factors with multiplicity 1
+    to 3, maybe a root at 0, maybe an irreducible quadratic x^2 + c with c
+    up to 2^80, and a leading coefficient of either sign."""
+    roots = draw(st.lists(rationals, max_size=4, unique=True))
+    if draw(st.booleans()):
+        roots = roots + [Fraction(0)] if 0 not in roots else roots
+    factors = [[-x.numerator, x.denominator] for x in roots for _ in range(draw(st.integers(1, 3)))]
+    if draw(st.booleans()):
+        factors.append([draw(st.integers(1, 2**80)), 0, 1])
+    if not factors:
+        factors.append([draw(st.integers(1, 2**80)), 0, 1])
+    scale = draw(st.builds(Fraction, st.integers(1, 99), st.integers(1, 99)))
+    if draw(st.booleans()):
+        scale = -scale
+    return from_factors(factors, scale), sorted(roots)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(rational_polys())
+# -x (x - 2) (x + 2): its first Sturm pseudo-remainder takes one step by a
+# divisor with a negative leading coefficient
+@example((from_factors([[0, 1], [-2, 1], [2, 1]], -1), [Fraction(-2), Fraction(0), Fraction(2)]))
+def test_rational_roots_of_drawn_products(drawn):
+    f, roots = drawn
+    assert base_field_roots(Q, f) == roots
+
+
+@st.composite
+def q_matrices(draw):
+    n = draw(st.integers(1, 8))
+    value = st.one_of(
+        st.just(Fraction(0)),
+        st.builds(Fraction, st.integers(-(2**20), 2**20), st.integers(1, 100)),
+    )
+    return [[draw(value) for _ in range(n)] for _ in range(n)]
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(q_matrices())
+def test_charpoly_is_monic_last_bareiss_pivot(matrix):
+    n = len(matrix)
+    rows = [
+        [poly_trim(Q, [-c, Fraction(i == j)]) for j, c in enumerate(row)]
+        for i, row in enumerate(matrix)
+    ]
+    rank, pivots = fraction_free_pivots(Q, rows, n)
+    assert rank == n
+    assert charpoly(Q, matrix) == monic(pivots[-1])
+
+
+def test_q_spectra_and_charpoly_never_reach_bareiss(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("fraction_free_pivots called over Q")
+
+    monkeypatch.setattr(linalg, "fraction_free_pivots", refuse)
+    monkeypatch.setattr(solver, "fraction_free_pivots", refuse)
+    for alg in (
+        make_special_linear(2, Q),
+        make_special_linear(3, Q),
+        make_elduque4(Q),
+        make_osp12(Q),
+        make_witt_type(Q, range(5), modulus=5),
+    ):
+        solve_parametric(alg)
+    assert charpoly(Q, [[Fraction(1), Fraction(2)], [Fraction(3), Fraction(4)]]) == [-2, -5, 1]
