@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 import operator
+from bisect import bisect_left
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from itertools import combinations
@@ -254,29 +255,33 @@ _FLAVOR_LAW = {"lie": "jacobi", "super": "super_jacobi", "assoc": "assoc"}
 
 
 def index_tuples(parities, k: int, supports=None):
-    """The non-decreasing k-tuples of indices into ``parities`` in which only
-    odd indices repeat, in lexicographic order.
+    """The non-decreasing k-tuples (k >= 1) of indices into ``parities`` in
+    which only odd indices repeat, in lexicographic order.
 
     A (super)alternating identity vanishes on a repeated even argument and
     takes the value of the sorted tuple, up to sign, on any other; an
     ordinary algebra is the case of zero parities (strictly increasing
-    tuples).  Given Grassmann ``supports`` (a frozenset per index), a branch
-    is pruned as soon as a new index's support meets the union so far, and
-    the items are ``(tuple, union)``.
+    tuples).  Given Grassmann ``supports`` (an int bitmask of generators per
+    index), only indices whose support misses the union so far extend a
+    prefix, and the items are ``(tuple, union)``.  Those indices are listed
+    once per union, when it first occurs.
     """
     n = len(parities)
-    empty = frozenset()
+    masks = supports or [0] * n
+    free: dict[int, list] = {}  # union -> the indices whose support misses it
 
     def extend(prefix, start, union):
-        if len(prefix) == k:
-            yield prefix if supports is None else (prefix, union)
-            return
-        for i in range(start, n):
-            support = empty if supports is None else supports[i]
-            if not support & union:
-                yield from extend(prefix + (i,), i if parities[i] else i + 1, union | support)
+        idx = free.get(union)
+        if idx is None:
+            idx = free[union] = [i for i in range(n) if not masks[i] & union]
+        for i in idx[bisect_left(idx, start):]:
+            t = prefix + (i,)
+            if len(t) == k:
+                yield t if supports is None else (t, union | masks[i])
+            else:
+                yield from extend(t, i if parities[i] else i + 1, union | masks[i])
 
-    return extend((), 0, empty)
+    return extend((), 0, 0)
 
 
 def _lowered(alg: Algebra):
@@ -529,9 +534,12 @@ def make_witt_type(field: Field, support, modulus: int | None = None) -> Algebra
     """Witt-type algebra W_R: [e_a, e_b] = (b - a) e_{a+b}.
 
     ``support`` is a finite list of integers (group elements); with
-    ``modulus`` given, elements are residues and sums wrap mod ``modulus``.
+    ``modulus`` given (at least 2), elements are residues and sums wrap
+    mod ``modulus``.
     Requires 0 in R and closure of R under sums of distinct elements.
     """
+    if modulus is not None and modulus < 2:
+        raise AlgebraError(f"Witt modulus must be at least 2, got {modulus}")
     R = sorted({(a % modulus) if modulus else a for a in support})
     if 0 not in R:
         raise NotClosed("0 must belong to the support set")

@@ -158,12 +158,20 @@ def _select(table: dict, label: str, args) -> Entry:
 
 def _make_witt(args):
     field = parse_field(args.field)
-    if args.modulus and field.char != args.modulus:
-        raise ValueError(
-            f"Witt Z/{args.modulus} is Lie only in characteristic {args.modulus}, "
-            f"not over {args.field}"
-        )
-    support = [int(s) for s in args.support.split(",")]
+    if args.modulus is not None:
+        if args.modulus < 2:
+            raise ValueError(f"--modulus must be at least 2, got {args.modulus}")
+        if field.char != args.modulus:
+            raise ValueError(
+                f"Witt Z/{args.modulus} is Lie only in characteristic {args.modulus}, "
+                f"not over {args.field}"
+            )
+    support = []
+    for s in args.support.split(","):
+        try:
+            support.append(int(s))
+        except ValueError:
+            raise ValueError(f"--support entry {s!r} is not an integer") from None
     return make_witt_type(field, support, modulus=args.modulus)
 
 

@@ -52,6 +52,13 @@ def test_witt_type_jacobi_and_closure():
         make_witt_type(Q, [1, 2, 3])  # 0 missing
 
 
+@pytest.mark.parametrize("modulus", [0, 1, -3])
+def test_witt_type_rejects_modulus_below_2(modulus):
+    # a modulus of 0 is not read as "no modulus", which would build W over Z
+    with pytest.raises(AlgebraError, match=f"modulus must be at least 2, got {modulus}"):
+        make_witt_type(PrimeField(5), [0, 1, 2], modulus=modulus)
+
+
 def test_divided_powers_assoc():
     alg = make_divided_powers(5, 1)
     assert alg.dim == 5

@@ -241,6 +241,12 @@ VALID_FILES = {
          "Witt Z/5 is Lie only in characteristic 5, not over Q"),
         (["make", "witt", "--support", "0,1,2,3,4,5,6", "--modulus", "7", "--field", "gf5"],
          "Witt Z/7 is Lie only in characteristic 7, not over gf5"),
+        (["make", "witt", "--support=-1,0,1", "--modulus", "0"], "--modulus must be at least 2, got 0"),
+        (["make", "witt", "--support", "0,1,2", "--modulus", "-3", "--field", "gf5"],
+         "--modulus must be at least 2, got -3"),
+        (["make", "witt", "--support", "0", "--modulus", "1"], "--modulus must be at least 2, got 1"),
+        (["make", "witt", "--support", "1,,2"], "--support entry '' is not an integer"),
+        (["make", "witt", "--support", "a"], "--support entry 'a' is not an integer"),
         (["validate", "{field_string}"], """field_string.json: 'field': expected an object such as {"kind": "Q"}, got 'Q'"""),
         (["validate", "{basis_string}"], "basis_string.json: 'basis' must be a list of names, got 'efh'"),
         (["solve", "{term_single}", "--delta", "1"],
@@ -290,7 +296,9 @@ VALID_FILES = {
         "sl1", "sl0", "sl-no-n", "abelian-dim-0", "parametric-with-delta",
         "parametric-superder", "parametric-centroid", "parametric-quasider", "parity-der",
         "parity-parametric", "parity-centroid", "parity-quasider", "delta-centroid", "delta-quasider",
-        "witt-Z5-over-Q", "witt-Z7-over-GF5", "field-string", "basis-string", "term-single", "products-object",
+        "witt-Z5-over-Q", "witt-Z7-over-GF5", "witt-modulus-0", "witt-modulus-negative",
+        "witt-modulus-1", "witt-support-empty-entry", "witt-support-not-integer",
+        "field-string", "basis-string", "term-single", "products-object",
         "p-float", "modulus-string", "form-number", "form-1x1", "form-ragged", "grading-number",
         "term-decimal", "term-bool", "form-exponent", "modulus-decimal", "delta-true",
         "grade-quot-field", "zassenhaus-n-negative", "zassenhaus-n-0", "divided-powers-n-negative",

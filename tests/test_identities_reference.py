@@ -15,6 +15,11 @@ or an already spanned component.  That grading is checked against every
 nonzero structure constant, and s4 against the reference on known algebras
 with real root gradings and on a dense change of basis, whose grading has
 rank 0.
+
+``compute_s4`` meets the argument tuples in a seeded spread order, so it
+is also checked to commute with permutations of the basis (and of the
+Grassmann supports of an envelope): only its speed may depend on the
+order of the basis.
 """
 
 import random
@@ -320,10 +325,11 @@ def test_index_tuples_is_the_filtered_product(parities, k, data):
         st.sets(st.integers(0, 3), max_size=2), min_size=n, max_size=n,
     ))]
     pruned = [
-        (t, frozenset().union(*(supports[i] for i in t))) for t in expected
+        (t, sum(1 << g for g in frozenset().union(*(supports[i] for i in t)))) for t in expected
         if sum(len(supports[i]) for i in t) == len(frozenset().union(*(supports[i] for i in t)))
     ]
-    assert list(index_tuples(parities, k, supports)) == pruned
+    masks = [sum(1 << g for g in s) for s in supports]
+    assert list(index_tuples(parities, k, masks)) == pruned
 
 
 def rebased(alg, seed: int = 1, scale: bool = False):
@@ -411,3 +417,55 @@ def test_s4_rebased_matches_permutation_sum():
     # a single homogeneous component: the grading has rank 0
     alg = rebased_sl3()
     assert s4_result(alg, "ordinary") == reference_s4(alg, "ordinary")
+
+
+def permuted(alg, perm):
+    """``alg`` in the basis e'_a = e_perm[a], its grading and Grassmann
+    supports carried along."""
+    n = alg.dim
+    inv = {k: a for a, k in enumerate(perm)}
+    products = {}
+    for a in range(n):
+        for b in range(a if alg.flavor == "super" else a + 1, n):
+            terms = {inv[k]: c for k, c in alg.product(perm[a], perm[b]).items()}
+            if terms:
+                products[(a, b)] = terms
+    grading = None if alg.grading is None else [alg.grading[k] for k in perm]
+    meta = {"supports": [alg.meta["supports"][k] for k in perm]} if "supports" in alg.meta else None
+    return Algebra(alg.field, n, [alg.basis[k] for k in perm], products, alg.flavor, grading, meta=meta)
+
+
+def assert_s4_commutes_with(alg, law, perm):
+    """s4 of the permuted algebra is the permuted s4: the order in which
+    ``compute_s4`` meets the argument tuples changes only its speed."""
+    basis, is_ideal = s4_result(alg, law)
+    moved = rref_dense([[v[k] for k in perm] for v in basis], alg.field)
+    assert s4_result(permuted(alg, perm), law) == (moved, is_ideal)
+
+
+@SETTINGS
+@given(graded_algebras(), st.data())
+def test_s4_of_permuted_basis_is_permuted_s4(alg, data):
+    assert_s4_commutes_with(alg, "ordinary", data.draw(st.permutations(range(alg.dim))))
+
+
+@SETTINGS
+@given(graded_algebras("super"), st.data())
+def test_super_s4_of_permuted_basis_is_permuted_s4(alg, data):
+    assert_s4_commutes_with(alg, "super", data.draw(st.permutations(range(alg.dim))))
+
+
+@pytest.mark.parametrize("make, law", [
+    (lambda: make_grassmann_envelope(load_fixture("osp12_gf7.json"), 2), "ordinary"),
+    (lambda: make_grassmann_envelope(load_fixture("osp12_gf7.json"), 3), "ordinary"),
+    (lambda: make_grassmann_envelope(load_fixture("osp12_gf7.json"), 5), "ordinary"),
+    (lambda: make_special_linear(3, Rationals()), "ordinary"),
+    (lambda: make_zassenhaus(7, 1), "ordinary"),
+    (lambda: load_fixture("osp12_gf7.json"), "super"),
+    (lambda: make_osp12(Rationals()), "super"),
+], ids=["G2(osp12/GF7)", "G3(osp12/GF7)", "G5(osp12/GF7)", "sl3/Q", "W11/GF7", "osp12/GF7 super",
+        "osp12/Q super"])
+@pytest.mark.parametrize("seed", [1, 2])
+def test_s4_of_permuted_known_basis(make, law, seed):
+    alg = make()
+    assert_s4_commutes_with(alg, law, random.Random(seed).sample(range(alg.dim), alg.dim))

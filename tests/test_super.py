@@ -101,6 +101,15 @@ def test_s4_envelope_m6_pinned():
     assert s4.basis == envelope_subspace(env, compute_s4(osp, "super").basis, min_degree=1)
 
 
+def test_s4_envelope_m7_pinned():
+    # 320-dimensional: s4 misses only the three vectors x (x) 1 of L_0
+    osp = load_fixture("osp12_gf7.json")
+    env = make_grassmann_envelope(osp, 7)
+    s4 = compute_s4(env)
+    assert (s4.dim, s4.is_ideal) == (317, True)
+    assert s4.basis == envelope_subspace(env, compute_s4(osp, "super").basis, min_degree=1)
+
+
 def test_s4_witt_12_gf5_vanishes():
     s4 = compute_s4(make_zassenhaus(5, 2))
     assert (s4.dim, s4.is_ideal) == (0, True)
