@@ -232,7 +232,17 @@ def _support_degrees(alg: Algebra) -> list[tuple]:
     read off the support of the structure constants (Patera and Zassenhaus,
     "On Lie gradings I", 1989).  Every product of homogeneous vectors is
     homogeneous of the summed degree.  An algebra with no such grading gets
-    the empty tuple everywhere: a single component."""
+    the empty tuple everywhere: a single component.
+
+    A Grassmann envelope's degrees are read off its basis instead: x (x) g
+    has the degree of x in the source, followed by the 0/1 indicator of
+    each generator in g.  (x (x) g)(y (x) h) is zero unless g and h are
+    disjoint, when the indicators add, so this too grades the envelope."""
+    envelope = alg.meta.get("envelope_basis")
+    if envelope is not None:
+        w = _support_degrees(alg.meta["envelope_source"])
+        m = 1 + max((t for _, g in envelope for t in g), default=-1)
+        return [w[i] + tuple(int(t in g) for t in range(m)) for i, g in envelope]
     relations = set()
     for (i, j), terms in alg.products.items():
         for k in terms:

@@ -9,13 +9,18 @@ from one pipeline, ``sparse_rref``, the same over every field:
   entry force in turn, are pinned before any elimination (``_pin``);
 - split: the other rows fall apart into many small blocks, the connected
   components of the row/column incidence graph (``_blocks``);
+- order: over a field, each block's rows by descending least column, then
+  fewer entries first (``_fill_key``), so that a new pivot column seldom
+  meets a stored row and a new pivot row is short: little fill;
 - eliminate each block on its own (``_rref``).
 
 No block shares a column with another or with a pinned unknown, so the
 pinned pivots and the block RREFs together are the RREF of the whole
 system, the one a single elimination would give (see ``sparse_rref``).  It
-is canonical, independent of insertion order, so the nullspace basis that
-``sparse_nullspace`` reads off it is reproducible byte-for-byte.
+is canonical, independent of insertion order, so the row order changes
+only the work, and the nullspace basis that ``sparse_nullspace`` reads off
+it is reproducible byte-for-byte.  Over a quotient ring the rows keep their
+input order: there the order decides whether a zero-divisor pivot is met.
 
 ``_rref`` is the only batch elimination.  Over Q it eliminates the rows
 scaled to integers by fraction-free Gauss-Jordan elimination: every
@@ -165,7 +170,9 @@ def _rref(rows, F: Field) -> tuple[dict[int, dict], list[int]]:
     its reduction by that RREF, so its entries are minors too.  If r' is
     nonzero its least column c becomes a pivot with minor D' = r'[c], and
     every stored row P becomes (D' P - P[c] r') / D, exactly by Sylvester's
-    identity (even where P[c] = 0).  Dividing by the last D gives the RREF.
+    identity.  Where P[c] = 0 that is D' P / D, taken entry by entry in one
+    pass: each quotient is exact and, D' and P's entries being nonzero, not
+    zero.  Dividing by the last D gives the RREF.
     """
     pivots: dict[int, dict] = {}
     chosen = []
@@ -186,11 +193,13 @@ def _rref(rows, F: Field) -> tuple[dict[int, dict], list[int]]:
             e = new[q]
             for p, prow in pivots.items():
                 a = prow.get(q, 0)
-                prow = {c: e * x for c, x in prow.items()}
                 if a:
+                    prow = {c: e * x for c, x in prow.items()}
                     for c, x in new.items():
                         prow[c] = prow.get(c, 0) - a * x
-                pivots[p] = {c: x // d for c, x in prow.items() if x}
+                    pivots[p] = {c: x // d for c, x in prow.items() if x}
+                else:
+                    pivots[p] = {c: e * x // d for c, x in prow.items()}
             pivots[q] = new
             d = e
             chosen.append(k)
@@ -226,13 +235,37 @@ def sparse_rref(rows, field: Field) -> dict[int, dict]:
     ``_blocks``) is eliminated on its own by ``_rref``; the union of the
     block RREFs is their RREF, since no two blocks share a column.  So the
     RREF is the one that a single elimination of all rows gives.
+
+    Over a field (GF(p) or Q) each block enters ``_rref`` in the order of
+    ``_fill_key``: by descending least column, then fewer entries first,
+    to limit fill (Markowitz, "The elimination form of the inverse and its
+    application to linear programming", 1957, chooses the elimination
+    order for the same end).  ``_rref`` clears each new pivot column from
+    every stored row with an entry there, and that clearing is what fills
+    the stored rows.  A stored row's entries all lie at or right of its
+    pivot, so when rows arrive by descending least column a new pivot
+    mostly lies left of every stored row, and there is nothing to clear;
+    short rows first make sparse pivot rows.  The RREF over a field is
+    canonical, so the order cannot change it.  Over a ``QuotientRing`` the
+    block keeps the input order: whether elimination meets a zero-divisor
+    pivot, and so raises ``NonInvertible``, depends on the order of its
+    rows.
     """
     pinned, rows = _pin(rows, field.is_unit)
     one = field.one()
     pivots = {c: {c: one} for c in pinned}
+    reorder = isinstance(field, (PrimeField, Rationals))
     for block in _blocks(rows):
+        if reorder:
+            block.sort(key=_fill_key)
         pivots.update(_rref(block, field)[0])
     return pivots
+
+
+def _fill_key(row: dict) -> tuple[int, int]:
+    """The sort key of a block's rows over a field (see ``sparse_rref``):
+    descending least column, then fewer entries; ties keep their order."""
+    return -min(row), len(row)
 
 
 def _blocks(rows) -> list[list[dict]]:

@@ -1,4 +1,5 @@
-"""Shared helpers: an independent dense nullspace oracle.
+"""Shared helpers: an independent dense nullspace oracle, and a seeded dense
+change of basis.
 
 The oracle deliberately avoids the package's sparse elimination and its
 structure-constant index manipulation: it evaluates the defining law of a
@@ -8,6 +9,10 @@ and runs a plain dense Gaussian elimination written here.
 """
 
 from __future__ import annotations
+
+import random
+from fractions import Fraction
+from functools import reduce
 
 
 def dense_gauss_nullspace(field, rows, ncols):
@@ -106,3 +111,32 @@ def spans_equal(field, vecs_a, vecs_b):
     from deltader.linalg import same_span
 
     return same_span(list(vecs_a), list(vecs_b), field)
+
+
+def rebased(alg, seed: int = 1, scale: bool = False):
+    """The Lie algebra ``alg`` in the basis f_a = d_a sum_i P[a][i] e_i for
+    the seeded dense unimodular P = S1 M S2 of the rebased benchmark
+    workload: M[i][j] = min(i, j) + 1, whose inverse is tridiagonal, and S1,
+    S2 signed permutations.  With ``scale``, d = (2, 1/2, 1, ..., 1), so the
+    constants carry denominators; otherwise d = 1.  The products are dense,
+    so their support carries no grading."""
+    from deltader.algebras import Algebra
+
+    F, n = alg.field, alg.dim
+    rng = random.Random(seed)
+    p1, p2 = rng.sample(range(n), n), rng.sample(range(n), n)
+    s1, s2 = [rng.choice((-1, 1)) for _ in range(n)], [rng.choice((-1, 1)) for _ in range(n)]
+    d = [Fraction(2), Fraction(1, 2)] + [Fraction(1)] * (n - 2) if scale else [Fraction(1)] * n
+    M = [[min(i, j) + 1 for j in range(n)] for i in range(n)]
+    Minv = [[2 if i == j < n - 1 else 1 if i == j else -1 if abs(i - j) == 1 else 0
+             for j in range(n)] for i in range(n)]
+    P = [[F.coerce(d[i] * s1[i] * M[p1[i]][p2[j]] * s2[j]) for j in range(n)] for i in range(n)]
+    Pinv = [[F.coerce(s2[j] * Minv[p2[j]][p1[i]] * s1[i] / d[i]) for i in range(n)] for j in range(n)]
+    products = {}
+    for a in range(n):
+        for b in range(a + 1, n):
+            v = alg.bracket(P[a], P[b])
+            products[(a, b)] = {
+                c: reduce(F.add, (F.mul(v[k], Pinv[k][c]) for k in range(n))) for c in range(n)
+            }
+    return Algebra(F, n, [f"f{i}" for i in range(n)], products)

@@ -332,6 +332,16 @@ def test_make_witt_in_its_characteristic_validates(tmp_path, capsys):
     assert run(capsys, "validate", path) == (0, "ok: dim = 5, flavor = lie\n", "")
 
 
+def test_make_witt_takes_a_separate_negative_support(tmp_path, capsys):
+    """``--support -1,0,1`` (two arguments) writes what ``--support=-1,0,1`` does."""
+    joined, separate = str(tmp_path / "joined.json"), str(tmp_path / "separate.json")
+    assert run(capsys, "make", "witt", "--support=-1,0,1", "--field", "Q", "--out", joined)[0] == 0
+    assert run(capsys, "make", "witt", "--support", "-1,0,1", "--field", "Q", "--out", separate) == (
+        0, f"wrote {separate} (dim = 3)\n", "")
+    with open(joined, "rb") as a, open(separate, "rb") as b:
+        assert a.read() == b.read()
+
+
 GOLDEN = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "golden")
 GOLDEN_MAKE = [
     ("W11_GF5", ["zassenhaus", "--p", "5", "--n", "1"]),

@@ -10,11 +10,12 @@ algebras over GF(7) and Q, their Grassmann envelopes and perturbed copies of
 known Lie (super)algebras are drawn with hypothesis.
 
 ``compute_s4`` also skips every evaluation whose degree, under the grading
-``_support_degrees`` reads off the structure constants, has no basis vector
-or an already spanned component.  That grading is checked against every
-nonzero structure constant, and s4 against the reference on known algebras
-with real root gradings and on a dense change of basis, whose grading has
-rank 0.
+``_support_degrees`` reads off the structure constants (off the basis, on a
+Grassmann envelope), has no basis vector or an already spanned component.
+That grading is checked against every nonzero structure constant, an
+envelope's against the one its structure constants give, and s4 against
+the reference on known algebras with real root gradings and on a dense
+change of basis, whose grading has rank 0.
 
 ``compute_s4`` meets the argument tuples in a seeded spread order, so it
 is also checked to commute with permutations of the basis (and of the
@@ -24,7 +25,6 @@ order of the basis.
 
 import random
 from fractions import Fraction
-from functools import reduce
 from itertools import combinations_with_replacement, permutations, product
 
 import pytest
@@ -45,6 +45,8 @@ from deltader.algebras import (
 from deltader.fields import PrimeField, QuotientRing, Rationals
 from deltader.linalg import rref_dense
 from deltader.superstd import compute_s4, load_fixture
+
+from conftest import rebased
 
 FIELDS = [PrimeField(7), Rationals()]
 SETTINGS = settings(derandomize=True, deadline=None, max_examples=40)
@@ -332,33 +334,6 @@ def test_index_tuples_is_the_filtered_product(parities, k, data):
     assert list(index_tuples(parities, k, masks)) == pruned
 
 
-def rebased(alg, seed: int = 1, scale: bool = False):
-    """The Lie algebra ``alg`` in the basis f_a = d_a sum_i P[a][i] e_i for
-    the seeded dense unimodular P = S1 M S2 of the rebased benchmark
-    workload: M[i][j] = min(i, j) + 1, whose inverse is tridiagonal, and S1,
-    S2 signed permutations.  With ``scale``, d = (2, 1/2, 1, ..., 1), so the
-    constants carry denominators; otherwise d = 1.  The products are dense,
-    so their support carries no grading."""
-    F, n = alg.field, alg.dim
-    rng = random.Random(seed)
-    p1, p2 = rng.sample(range(n), n), rng.sample(range(n), n)
-    s1, s2 = [rng.choice((-1, 1)) for _ in range(n)], [rng.choice((-1, 1)) for _ in range(n)]
-    d = [Fraction(2), Fraction(1, 2)] + [Fraction(1)] * (n - 2) if scale else [Fraction(1)] * n
-    M = [[min(i, j) + 1 for j in range(n)] for i in range(n)]
-    Minv = [[2 if i == j < n - 1 else 1 if i == j else -1 if abs(i - j) == 1 else 0
-             for j in range(n)] for i in range(n)]
-    P = [[F.coerce(d[i] * s1[i] * M[p1[i]][p2[j]] * s2[j]) for j in range(n)] for i in range(n)]
-    Pinv = [[F.coerce(s2[j] * Minv[p2[j]][p1[i]] * s1[i] / d[i]) for i in range(n)] for j in range(n)]
-    products = {}
-    for a in range(n):
-        for b in range(a + 1, n):
-            v = alg.bracket(P[a], P[b])
-            products[(a, b)] = {
-                c: reduce(F.add, (F.mul(v[k], Pinv[k][c]) for k in range(n))) for c in range(n)
-            }
-    return Algebra(F, n, [f"f{i}" for i in range(n)], products)
-
-
 def rebased_sl3():
     return rebased(make_special_linear(3, Rationals()))
 
@@ -401,6 +376,27 @@ def test_support_degrees_respect_known_products(name):
 def test_support_degrees_rank(make, rank):
     alg = make()
     assert {len(d) for d in _support_degrees(alg)} == {rank}
+
+
+def components(degrees) -> list:
+    """The partition of the basis indices by degree."""
+    parts: dict = {}
+    for k, w in enumerate(degrees):
+        parts.setdefault(w, []).append(k)
+    return sorted(parts.values())
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+def test_envelope_degrees_read_off_the_basis(m):
+    """An envelope's degrees, read off its basis, split it into the same
+    components as the nullspace of its structure constants' relations (the
+    same algebra without the envelope's basis in its meta), and s4 is the
+    same under either."""
+    env = make_grassmann_envelope(load_fixture("osp12_gf7.json"), m)
+    bare = Algebra(env.field, env.dim, env.basis, env.products, env.flavor, env.grading,
+                   meta={"supports": env.meta["supports"]})
+    assert components(_support_degrees(env)) == components(_support_degrees(bare))
+    assert s4_result(env, "ordinary") == s4_result(bare, "ordinary")
 
 
 @pytest.mark.parametrize("name, law", [

@@ -23,7 +23,7 @@ from deltader.linalg import (
 )
 from deltader.superstd import load_fixture
 
-from conftest import dense_gauss_nullspace
+from conftest import dense_gauss_nullspace, rebased
 
 
 def random_matrix(F, rng, nrows, ncols):
@@ -227,14 +227,20 @@ def unsplit_nullspace(rows, ncols, field):
     return basis
 
 
-@pytest.mark.parametrize("name", ["env4(osp12/GF7)", "sl4/Q", "W12/GF5"])
+BLOCK_SOLVES = {
+    "env4(osp12/GF7)": (lambda: make_grassmann_envelope(load_fixture("osp12_gf7.json"), 4), 4),
+    "sl4/Q": (lambda: make_special_linear(4, Rationals()), Fraction(1, 2)),
+    "W12/GF5": (lambda: make_zassenhaus(5, 2), 3),
+    # a dense basis: each system is one block, whose rows sparse_rref reorders
+    "rebased sl3/GF7": (lambda: rebased(make_special_linear(3, PrimeField(7))), 4),
+    "rebased W11/GF7": (lambda: rebased(make_zassenhaus(7, 1)), 4),
+}
+
+
+@pytest.mark.parametrize("name", list(BLOCK_SOLVES))
 def test_block_solves_match_one_elimination(name, monkeypatch):
-    if name == "sl4/Q":
-        alg, half = make_special_linear(4, Rationals()), Fraction(1, 2)
-    elif name == "W12/GF5":
-        alg, half = make_zassenhaus(5, 2), 3
-    else:
-        alg, half = make_grassmann_envelope(load_fixture("osp12_gf7.json"), 4), 4
+    make, half = BLOCK_SOLVES[name]
+    alg = make()
     solves = [
         lambda: solver.solve_delta_derivations(alg, half),
         lambda: solver.solve_centroid(alg),
@@ -243,6 +249,34 @@ def test_block_solves_match_one_elimination(name, monkeypatch):
     got = [solve().to_json() for solve in solves]
     monkeypatch.setattr(solver, "sparse_nullspace", unsplit_nullspace)
     assert got == [solve().to_json() for solve in solves]
+
+
+@st.composite
+def dense_redundant_systems(draw):
+    """A dense system over GF(7) or Q with more rows than columns and rank
+    below the column count: every row is a combination of a few drawn rows."""
+    F, values = BLOCK_FIELDS[draw(st.sampled_from(["GF7", "Q"]))]
+    ncols = draw(st.integers(2, 9))
+    base = [[draw(st.sampled_from(values)) for _ in range(ncols)] for _ in range(draw(st.integers(1, ncols - 1)))]
+    rows = []
+    for _ in range(draw(st.integers(ncols + 1, 2 * ncols + 2))):
+        coefs = [draw(st.sampled_from(values)) for _ in base]
+        dense = [F.zero()] * ncols
+        for a, b in zip(coefs, base):
+            dense = [F.add(x, F.mul(a, y)) for x, y in zip(dense, b)]
+        rows.append({c: v for c, v in enumerate(dense) if not F.is_zero(v)})
+    return F, rows, draw(st.permutations(range(len(rows))))
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(dense_redundant_systems())
+def test_row_order_leaves_the_rref_unchanged(system):
+    """``sparse_rref`` reorders each block's rows over a field; its RREF is
+    the one elimination in the given order, or in any other, gives."""
+    F, rows, perm = system
+    rref = sparse_rref(rows, F)
+    assert rref == linalg._rref(rows, F)[0]
+    assert rref == linalg._rref([rows[i] for i in perm], F)[0]
 
 
 @st.composite
@@ -443,3 +477,15 @@ def test_zero_divisor_pivot_raises(vectors):
         sparse_rref(dense_to_sparse(vectors, T2), T2)
     with pytest.raises(NonInvertible):
         SpanSolver(T2, vectors)
+
+
+def test_quotient_ring_rows_keep_their_order():
+    """In ``_fill_key`` order these rows solve: {0: 1, 1: 1} comes first and
+    leaves the other row 1 - t, a unit, at column 1.  Over a quotient ring
+    ``sparse_rref`` keeps the given order, which meets t at column 0."""
+    rows = [{0: T2.t, 1: T2.one(), 2: T2.one()}, {0: T2.one(), 1: T2.one()}]
+    assert len(linalg._rref(sorted(rows, key=linalg._fill_key), T2)[0]) == 2
+    with pytest.raises(NonInvertible):
+        sparse_rref(rows, T2)
+    with pytest.raises(NonInvertible):
+        sparse_nullspace(rows, 3, T2)
