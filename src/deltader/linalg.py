@@ -22,10 +22,12 @@ only the work, and the nullspace basis that ``sparse_nullspace`` reads off
 it is reproducible byte-for-byte.  Over a quotient ring the rows keep their
 input order: there the order decides whether a zero-divisor pivot is met.
 
-``_rref`` is the only batch elimination.  Over Q it eliminates the rows
-scaled to integers by fraction-free Gauss-Jordan elimination: every
-division is exact, and the entries stay minors of the block, so the pivot
-rows avoid the gcd work and coefficient growth of fraction arithmetic.
+``_rref`` is the only batch elimination.  Over Q it scales the rows to
+integers and eliminates them by fraction-free Gauss-Jordan elimination
+(``_int_rref``, which the parametric solver also runs on its integer
+rows): every division is exact, and the entries stay minors of the
+block, so the pivot rows avoid the gcd work and coefficient growth of
+fraction arithmetic.
 One division by the last pivot minor gives the RREF over Q.  Over GF(p)
 and over quotient rings it runs the elimination step, ``_sub_multiple``,
 one loop that ``SpanSolver`` and ``superstd`` share for their incremental
@@ -37,15 +39,19 @@ over a quotient ring.  Every entry is the one the field's methods give.
 
 A pencil A + delta B is pinned and split the same way, with a nonzero
 constant as the unit (see ``solver.solve_parametric``).  The rank of a
-block can drop only at the roots of a maximal nonvanishing minor.  Over Q
-that minor is the determinant of a nonsingular square of the block, found
-in integers by ``_pencil_det``: evaluated at k + 1 integer points and
-interpolated exactly; ``charpoly`` over Q takes det(xI - M) the same way.
-Over GF(p) a block that a sweep over the field does not settle, and
-``charpoly``, go through one-step fraction-free (Bareiss) elimination over
-GF(p)[delta] (``fraction_free_pivots``), whose last pivot is such a minor.
-Rational roots are isolated exactly by Sturm bisection on integer
-polynomials.
+block can drop only at the roots of a maximal nonvanishing minor.  Over Q,
+and over GF(p) for a block with u > 3 and p > u + 1 (u the least of its
+numbers of rows and columns), that minor is the determinant of a
+nonsingular square of the block, found in integers by ``_pencil_det``:
+evaluated at k + 1 integer points and interpolated exactly, over GF(p)
+then reduced mod p, which leaves it the determinant times a unit since
+k <= u < p.
+``charpoly`` over Q takes det(xI - M) the same way.  Over GF(p) the
+blocks with u <= 3, those with p <= u + 1 that a sweep over the whole
+field does not settle, and ``charpoly`` go through one-step
+fraction-free (Bareiss) elimination over GF(p)[delta]
+(``fraction_free_pivots``), whose last pivot is such a minor.  Rational
+roots are isolated exactly by Sturm bisection on integer polynomials.
 """
 
 from __future__ import annotations
@@ -160,50 +166,19 @@ def _rref(rows, F: Field) -> tuple[dict[int, dict], list[int]]:
     rows that became pivots, in order: each is independent of the rows
     before it.  Over GF(p) the entries may be any ints; they are reduced
     mod p.  A new row, reduced by the pivot rows so far, becomes a pivot at
-    its least column if it is not zero.
-
-    Over Q the rows are scaled to integers and eliminated fraction-free
-    (Gauss-Jordan after Bareiss, 1968).  Every stored row is D times its row
-    of the RREF so far, where D is the pivot minor of the rows stored: D at
-    its pivot, 0 at the other pivots, and minors of the integer rows
-    elsewhere.  A new row r reduces to r' = D r - sum_p r[p] P_p, D times
-    its reduction by that RREF, so its entries are minors too.  If r' is
-    nonzero its least column c becomes a pivot with minor D' = r'[c], and
-    every stored row P becomes (D' P - P[c] r') / D, exactly by Sylvester's
-    identity.  Where P[c] = 0 that is D' P / D, taken entry by entry in one
-    pass: each quotient is exact and, D' and P's entries being nonzero, not
-    zero.  Dividing by the last D gives the RREF.
+    its least column if it is not zero.  Over Q each row is scaled to
+    integers, by the lcm of its denominators, and the rows go through
+    ``_int_rref``; one division by its last pivot minor gives the RREF.
     """
+    if isinstance(F, Rationals):
+        ints = []
+        for row in rows:
+            den = math.lcm(*(v.denominator for v in row.values()))
+            ints.append({c: v.numerator * (den // v.denominator) for c, v in row.items() if v})
+        pivots, d, chosen = _int_rref(ints)
+        return {p: {c: Fraction(x, d) for c, x in prow.items()} for p, prow in pivots.items()}, chosen
     pivots: dict[int, dict] = {}
     chosen = []
-    if isinstance(F, Rationals):
-        d = 1
-        for k, row in enumerate(rows):
-            den = math.lcm(*(v.denominator for v in row.values()))
-            row = {c: v.numerator * (den // v.denominator) for c, v in row.items() if v}
-            new = {c: d * v for c, v in row.items()}
-            for p, a in row.items():
-                if p in pivots:
-                    for c, x in pivots[p].items():
-                        new[c] = new.get(c, 0) - a * x
-            new = {c: v for c, v in new.items() if v}
-            if not new:
-                continue
-            q = min(new)
-            e = new[q]
-            for p, prow in pivots.items():
-                a = prow.get(q, 0)
-                if a:
-                    prow = {c: e * x for c, x in prow.items()}
-                    for c, x in new.items():
-                        prow[c] = prow.get(c, 0) - a * x
-                    pivots[p] = {c: x // d for c, x in prow.items() if x}
-                else:
-                    pivots[p] = {c: e * x // d for c, x in prow.items()}
-            pivots[q] = new
-            d = e
-            chosen.append(k)
-        return {p: {c: Fraction(x, d) for c, x in prow.items()} for p, prow in pivots.items()}, chosen
     ar = _arith(F)
     p = ar.p
     for k, row in enumerate(rows):
@@ -216,6 +191,51 @@ def _rref(rows, F: Field) -> tuple[dict[int, dict], list[int]]:
             _add_pivot(row, pivots, ar)
             chosen.append(k)
     return pivots, chosen
+
+
+def _int_rref(rows) -> tuple[dict[int, dict], int, list[int]]:
+    """Fraction-free Gauss-Jordan elimination of integer rows (after
+    Bareiss, 1968): the pivot rows, D times the RREF, where D is the last
+    pivot minor, then D, then the indices of the rows that became pivots,
+    as ``_rref`` gives them.  Zero entries may be present.
+
+    Every stored row is D times its row of the RREF so far, where D is the
+    pivot minor of the rows stored: D at its pivot, 0 at the other pivots,
+    and minors of the integer rows elsewhere.  A new row r reduces to
+    r' = D r - sum_p r[p] P_p, D times its reduction by that RREF, so its
+    entries are minors too.  If r' is nonzero its least column c becomes a
+    pivot with minor D' = r'[c], and every stored row P becomes
+    (D' P - P[c] r') / D, exactly by Sylvester's identity.  Where P[c] = 0
+    that is D' P / D, taken entry by entry in one pass: each quotient is
+    exact and, D' and P's entries being nonzero, not zero.
+    """
+    pivots: dict[int, dict] = {}
+    chosen = []
+    d = 1
+    for k, row in enumerate(rows):
+        new = {c: d * v for c, v in row.items()}
+        for p, a in row.items():
+            if p in pivots:
+                for c, x in pivots[p].items():
+                    new[c] = new.get(c, 0) - a * x
+        new = {c: v for c, v in new.items() if v}
+        if not new:
+            continue
+        q = min(new)
+        e = new[q]
+        for p, prow in pivots.items():
+            a = prow.get(q, 0)
+            if a:
+                prow = {c: e * x for c, x in prow.items()}
+                for c, x in new.items():
+                    prow[c] = prow.get(c, 0) - a * x
+                pivots[p] = {c: x // d for c, x in prow.items() if x}
+            else:
+                pivots[p] = {c: e * x // d for c, x in prow.items()}
+        pivots[q] = new
+        d = e
+        chosen.append(k)
+    return pivots, d, chosen
 
 
 def sparse_rref(rows, field: Field) -> dict[int, dict]:
@@ -574,7 +594,7 @@ def charpoly(field: Field, matrix: list[list]) -> list:
 
 
 # ---------------------------------------------------------------------------
-# integer determinants of pencils over Q
+# integer determinants of pencils over Q and GF(p)
 
 
 def _int_det(m: list[list[int]]) -> int:
@@ -602,10 +622,18 @@ def _int_det(m: list[list[int]]) -> int:
     return sign * prev
 
 
+def _integer_entries(entries) -> list[list[int]]:
+    """Pencil entries (coefficient lists over Q, or plain ints) times the
+    lcm of all their denominators: integers in the same ratios."""
+    entries = list(entries)
+    den = math.lcm(*(c.denominator for f in entries for c in f))
+    return [[c.numerator * (den // c.denominator) for c in f] for f in entries]
+
+
 def _pencil_det(square: list[list[list]]) -> list[int]:
     """det(A + tB) times a positive constant, as integer coefficients
     low-degree-first ([] if it vanishes), for a square of pencil entries
-    [], [a] or [a, b], that is a + b t, over Q.
+    [], [a] or [a, b], that is a + b t, over Q or as plain ints.
 
     Each row is scaled once, by the lcm of the denominators of its entries,
     to integers.  The determinant then has degree at most k, the number of
@@ -613,12 +641,19 @@ def _pencil_det(square: list[list[list]]) -> list[int]:
     determine it: with D^j the j-th forward difference of those values at
     t = 0, k! det(t) = sum_j D^j (k! / j!) t (t - 1) ... (t - j + 1), all
     in integers (Newton interpolation).
+
+    Over GF(p) the square's entries are the ints of their residues, and the
+    integer determinant reduced mod p is the one over GF(p).  So the
+    coefficients reduced mod p are those of k! det(t) over GF(p), and for
+    k < p that is det(t) times a unit, with the same roots: k! is then a
+    product of units mod p.  ``solver._block_spectrum`` squares a GF(p) block only
+    where k <= u < p, u the least of its numbers of rows and columns.
     """
     rows, k = [], 0
     for row in square:
-        den = math.lcm(*(c.denominator for f in row for c in f))
-        a = [f[0].numerator * (den // f[0].denominator) if f else 0 for f in row]
-        b = [f[1].numerator * (den // f[1].denominator) if len(f) > 1 else 0 for f in row]
+        ints = _integer_entries(row)
+        a = [f[0] if f else 0 for f in ints]
+        b = [f[1] if len(f) > 1 else 0 for f in ints]
         k += any(b)
         rows.append((a, b))
     values = [_int_det([[x + t * y for x, y in zip(a, b)] for a, b in rows]) for t in range(k + 1)]

@@ -40,7 +40,15 @@ gets the same canonical basis as from one elimination of the whole system
 (see ``linalg.sparse_rref``).  The parametric solver treats delta as
 an indeterminate and finds the generic solution dimension together with
 the special values of delta where it jumps, from the points where some
-block's rank drops; the method is set out in ``solve_parametric``.
+block's rank drops.  Let u be the least of a block's numbers of rows and
+columns.  Over Q, and over GF(p) where u > 3 and p > u + 1, the block is
+squared: a few pointwise eliminations in ints find r rows and columns on
+which it has its generic rank r, and the block is ranked again only at the
+roots of that square's determinant, interpolated from integer
+determinants.  Over GF(p) a block with u > 3 and p <= u + 1 is ranked at
+every field point instead, and one with u <= 3 goes through fraction-free
+elimination over GF(p)[delta]; the method is set out in
+``solve_parametric``.
 """
 
 from __future__ import annotations
@@ -52,6 +60,8 @@ from .fields import Field, PrimeField, QuotientRing, parse_scalar
 from .linalg import (
     SpanSolver,
     _blocks,
+    _int_rref,
+    _integer_entries,
     _pencil_det,
     _pin,
     _row_value,
@@ -341,45 +351,40 @@ class ParametricResult:
 
 def _pivots_at(F: Field, block: list[dict], d) -> tuple[list[int], list[int]]:
     """The rows of a pencil block (entries [a] or [a, b], that is a + b
-    delta) that become pivots when it is eliminated at delta = d, in order,
-    and their pivot columns, sorted: the rank at d is their number.  The
-    square submatrix on them is invertible at d, since the elimination
-    turns those rows into the identity on those columns.  The block is
-    already pinned and split, so it goes to ``linalg._rref`` directly, the
-    one batch elimination, which reports the rows it chose: over Q in
-    integers, and over GF(p) on the entries evaluated as plain ints, which
-    ``_rref`` reduces."""
-    pivots, rows = _rref(
-        ({c: f[0] + f[1] * d if len(f) > 1 else f[0] for c, f in row.items()} for row in block),
-        F,
-    )
-    return rows, sorted(pivots)
+    delta, integers over Q) that become pivots when it is eliminated at
+    delta = d, in order, and their pivot columns, sorted: the rank at d is
+    their number.  The square submatrix on them is invertible at d, since
+    the elimination turns those rows into the identity on those columns.
+    With d = s/t in lowest terms each row is evaluated as t a + s b, t
+    times its value at d, in ints.  The block is already pinned and split,
+    so it goes straight to the one batch elimination, which reports the
+    rows it chose: ``linalg._rref`` over GF(p), which reduces the ints mod
+    p, and over Q its integer elimination ``linalg._int_rref``."""
+    s, t = d.numerator, d.denominator
+    rows = ({c: t * f[0] + s * f[1] if len(f) > 1 else t * f[0] for c, f in row.items()} for row in block)
+    if isinstance(F, PrimeField):
+        pivots, chosen = _rref(rows, F)
+    else:
+        pivots, _, chosen = _int_rref(rows)
+    return chosen, sorted(pivots)
 
 
 def _block_spectrum(F: Field, block: list[dict]) -> tuple[int, dict]:
     """Generic rank r of one pencil block and {d: rank at d} for the
     base-field delta at which its rank is below r, found as set out in
-    ``solve_parametric``: over Q from the integer determinant of an r x r
-    square of the block, over GF(p) by a sweep or by fraction-free
-    elimination of the whole block."""
+    ``solve_parametric``.  With u the least of the numbers of rows and
+    columns: over Q, and over GF(p) where u > 3 and p > u + 1, from the
+    determinant of an r x r square of the block, its rows ranked in ints;
+    over GF(p) where u > 3 and p <= u + 1 by a sweep of the whole field; by
+    fraction-free elimination of the whole block where u <= 3 or the sweep
+    does not settle it."""
     index = {c: k for k, c in enumerate(sorted({c for row in block for c in row}))}
     u = min(len(index), len(block))
-    if not isinstance(F, PrimeField):
-        # rows with fewer delta terms first: the square then takes as many
-        # of them as it can, which lowers the degree of its determinant
-        block = sorted(block, key=lambda row: sum(len(f) > 1 for f in row.values()))
-        best = [], []
-        for d in range(u + 1):
-            rows, cols = _pivots_at(F, block, d)
-            if len(rows) > len(best[0]):
-                best = rows, cols
-            if len(rows) == u:
-                break
-        rows, cols = best
-        r, det = len(rows), _pencil_det([[block[i].get(c, []) for c in cols] for i in rows])
-    else:
+    prime = isinstance(F, PrimeField)
+    if prime and (u <= 3 or F.p <= u + 1):
+        # the sweep visits no more points than the square's search would;
         # at most three fraction-free steps with pivots of degree at most
-        # three cost less than p pointwise eliminations
+        # three cost less than the square's eliminations and interpolation
         if u > 3:
             ranks = {d: len(_pivots_at(F, block, d)[0]) for d in range(F.p)}
             top = max(ranks.values())
@@ -391,6 +396,24 @@ def _block_spectrum(F: Field, block: list[dict]) -> tuple[int, dict]:
                 dense_row[index[c]] = f
         r, pivots = fraction_free_pivots(F, dense, len(index))
         det = pivots[-1]
+    else:
+        # rows in integers, with fewer delta terms first: the square then
+        # takes as many of them as it can, which lowers the degree of its
+        # determinant
+        if not prime:
+            block = [dict(zip(row, _integer_entries(row.values()))) for row in block]
+        block = sorted(block, key=lambda row: sum(len(f) > 1 for f in row.values()))
+        best = [], []
+        for d in range(u + 1):
+            rows, cols = _pivots_at(F, block, d)
+            if len(rows) > len(best[0]):
+                best = rows, cols
+            if len(rows) == u:
+                break
+        rows, cols = best
+        r, det = len(rows), _pencil_det([[block[i].get(c, []) for c in cols] for i in rows])
+        if prime:
+            det = [c % F.p for c in det]
     ranks = {d: len(_pivots_at(F, block, d)[0]) for d in base_field_roots(F, det)}
     return r, {d: k for d, k in ranks.items() if k < r}
 
@@ -418,27 +441,37 @@ def solve_parametric(alg: Algebra) -> ParametricResult:
     left, none above its generic rank r, and ``_block_spectrum`` gives the
     r of each block and the points where its rank drops, with the rank there:
 
-    - over Q, a block is ranked at delta = 0, 1, ..., until a rank reaches
-      u = min(rows, columns) or u + 1 points are done; the largest rank is
-      r, since a nonzero r x r minor has at most r <= u roots.  The rows and
-      pivot columns of an elimination of rank r give an r x r square,
-      nonsingular there.  Its determinant, a polynomial of degree at most k
-      in delta, k the number of its rows with a delta term, comes from
-      integer determinants at delta = 0..k by exact interpolation
-      (``linalg._pencil_det``);
-    - over GF(p), a block with more than three rows and columns is ranked
-      at the p field values.  An r x r minor has degree at most r, and a
-      nonzero polynomial of degree below p does not vanish on all of GF(p),
-      so the largest rank is r if it reaches u or if u < p, and the drops
-      are the points below it;
-    - any other GF(p) block, and one the sweep does not settle, goes
-      through fraction-free elimination whole, whose last pivot is a
-      nonzero r x r minor; entries stay polynomial in delta, and no
-      division by a delta-dependent quantity happens.
+    - over Q, and over GF(p) where u > 3 and p > u + 1, u = min(rows,
+      columns), a block is squared.  It is ranked at delta = 0, 1, ...,
+      until a rank reaches u or u + 1 points are done; the largest rank is
+      r, since a nonzero r x r minor has at most r <= u roots, and the
+      u + 1 < p points are distinct in GF(p) too.  The rows and pivot
+      columns of an elimination of rank r give an r x r square, nonsingular
+      there.  Its determinant, a polynomial of degree at most k in delta,
+      k the number of its rows with a delta term, comes from integer
+      determinants at delta = 0..k by exact interpolation
+      (``linalg._pencil_det``).  Over GF(p) they are taken on the ints of
+      the residues, and the result reduced mod p is k! det(delta) over
+      GF(p): a nonzero multiple of det, since k <= u < p makes k! a product
+      of units.  The block is ranked in ints: over Q its rows are scaled to
+      integers once, and at delta = s/t a row a + b delta is ranked as
+      t a + s b;
+    - over GF(p) where p <= u + 1 and u > 3, a block is ranked at the p
+      field values, no more points than the square's search could take.
+      A nonzero polynomial of degree below p does not vanish on all of
+      GF(p), so the largest rank is r if it reaches u or if u < p, and the
+      drops are the points below it;
+    - any other GF(p) block, one with u <= 3 or one the sweep does not
+      settle, goes through fraction-free elimination whole, whose last
+      pivot is a nonzero r x r minor; entries stay polynomial in delta,
+      and no division by a delta-dependent quantity happens.  For u <= 3
+      that is at most three steps with pivots of degree at most three,
+      cheaper than the square's eliminations and interpolation.
 
     The block's rank can drop only at the roots of that r x r minor (found
-    exactly, by Sturm bisection over Q), and the block is ranked at each of
-    them, since the minor may vanish where another r x r minor does not.
+    exactly, by Sturm bisection over Q and by evaluation at every point of
+    GF(p)), and the block is ranked at each of them, since the minor may
+    vanish where another r x r minor does not.
     """
     F = alg.field
     if isinstance(F, QuotientRing):

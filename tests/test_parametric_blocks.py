@@ -9,11 +9,13 @@ structure constants and densified, one fraction-free elimination, the
 base-field roots of its last pivot, and a pointwise solve at each root.
 Both must give the same ``ParametricResult`` on the algebras of the
 parametric benchmark workload and on random sparse anticommutative algebras
-drawn with hypothesis.  The per-block sweep is also checked against
-fraction-free elimination and a dense Gauss-Jordan rank at every field
-point, the squared Q path against fraction-free elimination of the
-whole block on tall, square and wide blocks, and the pinned pencil against
-the spectrum of the whole unpinned pencil.  Where sympy is installed, its
+drawn with hypothesis.  The per-block sweep and the squared GF(p) path
+are also checked against fraction-free elimination and a dense
+Gauss-Jordan rank at every field point, the squared Q path against
+fraction-free elimination of the whole block on tall, square and wide
+blocks, and the pinned pencil against the spectrum of the whole unpinned
+pencil.  The spectra of sl_n over large prime fields are those over Q read
+mod p, found from a few points of each block.  Where sympy is installed, its
 ``Matrix.rank`` of the pencil at each special delta and at one generic
 delta is a second reference over Q.
 """
@@ -173,6 +175,59 @@ def test_parametric_pinned(name):
     assert solve_delta_derivations(alg, 2).dim == generic
 
 
+@pytest.mark.parametrize("n, p, specials", [
+    (2, 10007, [(1, 3), (5004, 1), (10006, 5)]),
+    (3, 1009, [(1, 8), (505, 1)]),
+    (4, 101, [(1, 15), (51, 1)]),
+])
+def test_gf_spectrum_of_sl_is_its_q_spectrum_mod_p(n, p, specials):
+    """sl_n over a large prime field has the special delta of sl_n over Q,
+    read mod p: -1 as p - 1, 1/2 as (p + 1)/2 and 1 as 1."""
+    F = PrimeField(p)
+    rational = solve_parametric(make_special_linear(n, Q))
+    res = solve_parametric(make_special_linear(n, F))
+    assert res.generic_dim == rational.generic_dim
+    assert res.specials == sorted((F.coerce(d), dim) for d, dim in rational.specials) == specials
+
+
+def test_squared_gf_blocks_are_ranked_at_few_points(monkeypatch):
+    """On sl3 over GF(1009) no block is ranked at more than u + 1 points
+    to find its square, u the least of its numbers of rows and columns,
+    plus one point for each root of the square's determinant: the blocks
+    are not swept over the field."""
+    import deltader.solver as solver
+
+    spectrum, pivots_at, roots = solver._block_spectrum, solver._pivots_at, solver.base_field_roots
+    blocks, current = [], []
+
+    def counted_spectrum(F, block):
+        u = min(len(block), len({c for row in block for c in row}))
+        current.append({"u": u, "points": 0, "roots": 0})
+        blocks.append(current[-1])
+        try:
+            return spectrum(F, block)
+        finally:
+            current.pop()
+
+    def counted_pivots_at(F, block, d):
+        current[-1]["points"] += 1
+        return pivots_at(F, block, d)
+
+    def counted_roots(F, f):
+        found = roots(F, f)
+        current[-1]["roots"] += len(found)
+        return found
+
+    monkeypatch.setattr(solver, "_block_spectrum", counted_spectrum)
+    monkeypatch.setattr(solver, "_pivots_at", counted_pivots_at)
+    monkeypatch.setattr(solver, "base_field_roots", counted_roots)
+    res = solve_parametric(make_special_linear(3, PrimeField(1009)))
+    assert res.specials == [(1, 8), (505, 1)]
+    assert any(b["u"] > 3 for b in blocks)
+    for b in blocks:
+        assert b["points"] <= b["u"] + 1 + b["roots"], b
+
+
 @pytest.mark.parametrize("name", ["sl2/Q", "elduque4/Q", "osp12/Q", "sl3/Q", "wittZ5/Q"])
 def test_q_spectrum_matches_sympy_rank(name):
     """n^2 minus sympy's rank of ``structure_pencil`` at delta is the
@@ -240,6 +295,61 @@ def test_block_rank_below_every_field_point_needs_bareiss():
     assert all(pointwise_rank(F, block, 5, d) == 4 for d in range(5))
     rank, candidates = _block_spectrum(F, block)
     assert (rank, sorted(candidates)) == (5, [0, 1, 2, 3, 4])
+
+
+@st.composite
+def squared_gf_blocks(draw):
+    """Sparse rows {column: [a, b]} of a pencil a + delta b over GF(11),
+    GF(13) or GF(101), with 4-8 columns and 4-14 rows, so that u, the least
+    of the numbers of rows and columns, is above three and below p - 1:
+    the block is squared, and it is often tall.  Small coefficients are
+    favoured, so that entries vanish at delta = 0 and ranks drop."""
+    F = draw(st.sampled_from([PrimeField(11), PrimeField(13), PrimeField(101)]))
+    ncols = draw(st.integers(4, 8))
+    coef = st.one_of(st.sampled_from([0, 1, F.p - 1]), st.integers(0, F.p - 1))
+    entry = st.tuples(coef, coef).filter(any)
+    block = [
+        {c: poly_trim(F, list(ab)) for c, ab in row.items()}
+        for row in draw(st.lists(
+            st.dictionaries(st.integers(0, ncols - 1), entry, min_size=1, max_size=3),
+            min_size=4, max_size=14,
+        ))
+    ]
+    assume(len({c for row in block for c in row}) >= 4)
+    return F, block, ncols
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(squared_gf_blocks())
+def test_squared_gf_block_matches_bareiss(drawn):
+    """As ``test_block_sweep_matches_bareiss``, on blocks that are squared
+    rather than swept: the generic rank is the Bareiss rank, and the drops
+    are exactly the points of GF(p) where the rank falls below it."""
+    F, block, ncols = drawn
+    rank, candidates = _block_spectrum(F, block)
+    dense = [[row.get(c, []) for c in range(ncols)] for row in block]
+    bareiss_rank, pivots = fraction_free_pivots(F, dense, ncols)
+    assert rank == bareiss_rank
+    ranks = {d: pointwise_rank(F, block, ncols, d) for d in range(F.p)}
+    drops = {d: k for d, k in ranks.items() if k < rank}
+    assert candidates == drops
+    assert set(drops) <= set(base_field_roots(F, pivots[-1]))
+
+
+def test_squared_q_block_drops_only_at_one_half():
+    """[[delta, 1/3, 0], [3/2, 1, 1/7], [0, 0, 1/5]] has determinant
+    (delta - 1/2) / 5.  Its rows have the denominators 3, 14 and 5, and at
+    delta = 1/2 each is ranked as t a + s b with s/t = 1/2: the constant
+    entries must be scaled by t too, or the first two rows, proportional
+    there, would not be."""
+    third, half = Fraction(1, 3), Fraction(1, 2)
+    block = [
+        {0: [Fraction(0), Fraction(1)], 1: [third]},
+        {0: [Fraction(3, 2)], 1: [Fraction(1)], 2: [Fraction(1, 7)]},
+        {2: [Fraction(1, 5)]},
+    ]
+    assert pointwise_rank(Q, block, 3, half) == 2
+    assert _block_spectrum(Q, block) == (3, {half: 2})
 
 
 @pytest.mark.parametrize("F", [Q, PrimeField(7)], ids=["Q", "GF7"])
