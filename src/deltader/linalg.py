@@ -30,12 +30,14 @@ block, so the pivot rows avoid the gcd work and coefficient growth of
 fraction arithmetic.
 One division by the last pivot minor gives the RREF over Q.  Over GF(p)
 and over quotient rings it runs the elimination step, ``_sub_multiple``,
-one loop that ``SpanSolver`` and ``superstd`` share for their incremental
-insertions: it scales each new pivot row and clears pivot columns from
-incoming and stored rows.  Its arithmetic is chosen once per call (see
+one loop that ``superstd`` shares for its incremental insertions: it
+scales each new pivot row and clears pivot columns from incoming and
+stored rows.  Its arithmetic is chosen once per call (see
 ``_arith``): Python's operators on plain ints over GF(p), each sum reduced
 mod p as it is made, on ``Fraction`` over Q, and the ring's own methods
 over a quotient ring.  Every entry is the one the field's methods give.
+``SpanSolver`` runs no elimination: it reads coordinates off the identity
+columns of a basis that is already reduced.
 
 A pencil A + delta B is pinned and split the same way, with a nonzero
 constant as the unit (see ``solver.solve_parametric``).  The rank of a
@@ -57,6 +59,7 @@ roots are isolated exactly by Sturm bisection on integer polynomials.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from fractions import Fraction
 
 from .fields import (
@@ -427,79 +430,64 @@ def kernel_of_map(rows: list[list], field: Field) -> list[list]:
 
 
 # ---------------------------------------------------------------------------
-# span bookkeeping
+# coordinates in reduced bases
 
 
 class SpanSolver:
-    """Span of the inserted vectors, kept in sparse reduced echelon form.
-
-    A stored row also carries, in column ncols + i, its coefficient on the
-    i-th inserted vector, so reducing a vector of the span leaves minus its
-    coordinates there.  Only independent vectors are stored, so these tag
-    parts have at most ``dim`` entries.
+    """Coordinates in a reduced basis: one in which every vector has a
+    column where it is 1 and every other vector is 0.  These are the pivot
+    columns of an RREF (``rref_dense``) and the free columns of a
+    ``sparse_nullspace`` basis.  The coordinates of v are its entries at
+    those columns, and v lies in the span exactly when the combination
+    they give is v: one pass over the basis, with no elimination.
     """
 
     def __init__(self, field: Field, vectors: list[list] | None = None):
         self.field = field
-        self._ar = _arith(field)
-        self.ncols = None
-        self.nvecs = 0
-        self._pivots: dict[int, dict] = {}
-        for v in vectors or []:
-            self.add(v)
+        self._rows: list[dict] = []
+        self._columns: list[int] = []
+        rows = [{j: c for j, c in enumerate(v) if not field.is_zero(c)} for v in vectors or []]
+        hits = Counter(j for row in rows for j in row)
+        one = field.one()
+        for i, row in enumerate(rows):
+            column = next((j for j, c in row.items() if hits[j] == 1 and field.eq(c, one)), None)
+            if column is None:
+                raise ValueError(f"vector {i} has no column where it is 1 and the others are 0")
+            self.add(row, column)
 
     @property
     def dim(self) -> int:
-        return len(self._pivots)
+        return len(self._rows)
 
-    def _reduce(self, v: list) -> tuple[dict, bool]:
-        """The reduced sparse row of v and whether v lies in the span."""
-        F = self.field
-        if self.ncols is None:
-            self.ncols = len(v)
-        row = {j: c for j, c in enumerate(v) if not F.is_zero(c)}
-        _eliminate(row, self._pivots, self._ar)
-        return row, not row or min(row) >= self.ncols
-
-    def add(self, v: list) -> bool:
-        """Insert a vector; True if it enlarged the span."""
-        row, inside = self._reduce(v)
-        idx = self.nvecs
-        self.nvecs += 1
-        if inside:
-            return False
-        row[self.ncols + idx] = self.field.one()
-        _add_pivot(row, self._pivots, self._ar)
+    def add(self, row: dict, column: int) -> bool:
+        """Append a basis vector, as a sparse row, with its identity column."""
+        self._rows.append(row)
+        self._columns.append(column)
         return True
 
     def contains(self, v: list) -> bool:
-        return self._reduce(v)[1]
+        return self.coordinates(v) is not None
 
     def coordinates(self, v: list):
-        """Coefficients over the *inserted* vectors, or None if v not in span."""
+        """Coefficients of v over the basis, or None if v is not in its span."""
         F = self.field
-        row, inside = self._reduce(v)
-        if not inside:
-            return None
-        coords = [F.zero()] * self.nvecs
-        for j, c in row.items():
-            coords[j - self.ncols] = F.neg(c)
-        return coords
-
-    def basis(self) -> list[list]:
-        """Canonical (RREF) basis of the span, as dense vectors."""
-        return _dense_pivot_rows(self._pivots, self.ncols, self.field)
+        zero = F.zero()
+        coords = [v[c] for c in self._columns]
+        rest = {j: c for j, c in enumerate(v) if not F.is_zero(c)}
+        for a, row in zip(coords, self._rows):
+            if not F.is_zero(a):
+                for j, x in row.items():
+                    rest[j] = F.sub(rest.get(j, zero), F.mul(a, x))
+        return coords if all(F.is_zero(x) for x in rest.values()) else None
 
 
 def _dense_pivot_rows(pivots: dict[int, dict], ncols: int, F: Field) -> list[list]:
-    """The pivot rows in pivot order as dense vectors of length ncols;
-    entries in later columns (such as SpanSolver's tags) are dropped."""
+    """The pivot rows in pivot order as dense vectors of length ncols."""
     out = []
     for p in sorted(pivots):
         v = [F.zero()] * ncols
         for j, c in pivots[p].items():
-            if j < ncols:
-                v[j] = c
+            v[j] = c
         out.append(v)
     return out
 

@@ -1,5 +1,5 @@
-"""Shared helpers: an independent dense nullspace oracle, and a seeded dense
-change of basis.
+"""Shared helpers: an independent dense nullspace oracle, coordinates read
+off it, and a seeded dense change of basis.
 
 The oracle deliberately avoids the package's sparse elimination and its
 structure-constant index manipulation: it evaluates the defining law of a
@@ -52,6 +52,21 @@ def dense_gauss_nullspace(field, rows, ncols):
             v[pc] = F.neg(mat[pr][fc])
         basis.append(v)
     return basis
+
+
+def gauss_coordinates(field, basis, v):
+    """Coefficients of v over the independent vectors ``basis``, or None if
+    v is not in their span, from the textbook nullspace of the matrix whose
+    columns are the basis vectors and then v: a relation exists exactly when
+    v is in the span, and it is then the one nullspace vector, 1 at v."""
+    F = field
+    k = len(basis)
+    null = dense_gauss_nullspace(F, [[b[r] for b in basis] + [x] for r, x in enumerate(v)], k + 1)
+    if not null:
+        return None
+    (relation,) = null
+    assert F.eq(relation[k], F.one())
+    return [F.neg(x) for x in relation[:k]]
 
 
 def elementary_defect(alg, k, l, delta, products):

@@ -2,10 +2,11 @@
 
 The reference below is the earlier, loop-based decomposition: it shifts the
 restricted matrix by lambda entry by entry, lifts kernel coordinates with a
-triple loop and finds product targets with its own root lookup, and its
-report re-implements the semigroup and triple-product searches as nested
-loops.  The package must give the same roots, spaces, defined pairs and
-canonical report bytes on every input, and raise the same errors.
+triple loop, reads coordinates and span membership off the textbook
+elimination of conftest, and finds product targets with its own root
+lookup; its report re-implements the semigroup and triple-product searches
+as nested loops.  The package must give the same roots, spaces, defined
+pairs and canonical report bytes on every input, and raise the same errors.
 """
 
 from fractions import Fraction
@@ -31,9 +32,11 @@ from deltader.gradings import (
     grading_report,
     root_decompose,
 )
-from deltader.linalg import SpanSolver, base_field_roots, charpoly, kernel_of_map, rref_dense
+from deltader.linalg import base_field_roots, charpoly, kernel_of_map, rref_dense
 from deltader.linmap import LinearMap
 from deltader.solver import is_delta_derivation
+
+from conftest import gauss_coordinates
 
 Q = Rationals()
 GF5, GF7, GF13 = PrimeField(5), PrimeField(7), PrimeField(13)
@@ -58,10 +61,9 @@ def ref_root_decompose(alg, D_set, delta):
     for D in D_set:
         refined = []
         for root, vecs in pieces:
-            span = SpanSolver(F, vecs)
             mat = []
             for v in vecs:
-                coords = span.coordinates(D.apply(v))
+                coords = gauss_coordinates(F, vecs, D.apply(v))
                 if coords is None:
                     raise NonCommuting("subspace is not invariant; the maps do not commute")
                 mat.append(coords)
@@ -91,7 +93,6 @@ def ref_root_decompose(alg, D_set, delta):
 
     roots = [r for r, _ in pieces]
     spaces = [s for _, s in pieces]
-    spans = [SpanSolver(F, s) for s in spaces]
     defined = set()
     for a in range(len(roots)):
         for b in range(len(roots)):
@@ -106,7 +107,7 @@ def ref_root_decompose(alg, D_set, delta):
                     w = alg.bracket(u, v)
                     if all(F.is_zero(c) for c in w):
                         continue
-                    if tgt_idx is None or not spans[tgt_idx].contains(w):
+                    if tgt_idx is None or gauss_coordinates(F, spaces[tgt_idx], w) is None:
                         raise AlgebraError(
                             "product of root spaces escapes the expected root space"
                         )

@@ -23,7 +23,7 @@ from deltader.linalg import (
 )
 from deltader.superstd import load_fixture
 
-from conftest import dense_gauss_nullspace, rebased
+from conftest import dense_gauss_nullspace, gauss_coordinates, rebased
 
 
 def random_matrix(F, rng, nrows, ncols):
@@ -62,25 +62,30 @@ def test_rank_nullity():
 
 
 def test_span_solver_coordinates():
+    """Over an RREF basis and a nullspace basis, a combination has the drawn
+    coefficients as its coordinates, and a vector outside the span has none."""
     F = Rationals()
     rng = random.Random(5)
     vecs = [[F.sample(rng) for _ in range(5)] for _ in range(3)]
-    span = SpanSolver(F, vecs)
-    # random combination is recovered exactly
     coeffs = [Fraction(2), Fraction(-1, 3), Fraction(7)]
-    target = [F.zero()] * 5
-    for c, v in zip(coeffs, vecs):
-        target = [F.add(t, F.mul(c, x)) for t, x in zip(target, v)]
-    got = span.coordinates(target)
-    assert got is not None
-    recon = [F.zero()] * 5
-    for c, v in zip(got, vecs):
-        recon = [F.add(t, F.mul(c, x)) for t, x in zip(recon, v)]
-    assert recon == target
-    # a dependent insertion changes neither the span nor its canonical basis
-    assert not span.add([F.add(a, b) for a, b in zip(vecs[0], vecs[1])])
-    assert span.dim == 3 and span.basis() == rref_dense(vecs, F)
-    assert span.coordinates(target) == got + [F.zero()]
+    for basis in (rref_dense(vecs, F), dense_nullspace(vecs, F)):
+        span = SpanSolver(F, basis)
+        assert span.dim == len(basis)
+        target = combination(F, coeffs[: len(basis)], basis)
+        assert span.coordinates(target) == coeffs[: len(basis)]
+        assert span.contains(target)
+        outside = [F.sample(rng) for _ in range(5)]
+        assert gauss_coordinates(F, basis, outside) is None
+        assert span.coordinates(outside) is None and not span.contains(outside)
+
+
+def test_span_solver_rejects_unreduced_basis():
+    """Each vector needs a column where it is 1 and every other vector 0."""
+    F = Rationals()
+    with pytest.raises(ValueError):
+        SpanSolver(F, [[F.one(), F.one()], [F.zero(), F.one()]])
+    with pytest.raises(ValueError):
+        SpanSolver(F, [[Fraction(2), F.zero()]])
 
 
 def test_rref_canonical():
@@ -356,8 +361,8 @@ def test_unit_of_quotient_ring_pins_its_column():
 
 
 # ---------------------------------------------------------------------------
-# the elimination step: sparse_rref (through sparse_nullspace) and SpanSolver
-# against the dense textbook elimination of conftest
+# the elimination step: sparse_rref (through sparse_nullspace), and SpanSolver
+# on its RREF, against the dense textbook elimination of conftest
 
 STEP_FIELDS = {
     "GF5": PrimeField(5),
@@ -445,24 +450,56 @@ def test_elimination_step_matches_textbook_gauss(system):
             if not F.is_zero(v[p]):
                 row[c] = F.neg(v[p])
     assert sparse_rref(rows, F) == rref
-    # the vectors that enlarge the span are independent, as many as the rank
-    span = SpanSolver(F)
-    added = [span.add(v) for v in vecs]
-    indep = [v for v, a in zip(vecs, added) if a]
+    # coordinates over the canonical basis of the vectors' span: None
+    # exactly when the textbook elimination puts w outside it
+    basis = rref_dense(vecs, F)
+    span = SpanSolver(F, basis)
     rank = len(vecs) - len(dense_gauss_nullspace(F, columns(vecs, ncols), len(vecs)))
-    assert span.dim == len(indep) == rank
-    if indep:
-        assert dense_gauss_nullspace(F, columns(indep, ncols), len(indep)) == []
+    assert span.dim == len(basis) == rank
     for w in vecs + targets:
-        null = dense_gauss_nullspace(F, columns(indep + [w], ncols), len(indep) + 1)
         coords = span.coordinates(w)
-        if not null:
-            assert coords is None
-            continue
-        # the independent columns are pivots and w the free one: w = -sum x_i v_i
-        x = iter(null[0])
-        expected = [F.neg(next(x)) if a else F.zero() for a in added]
-        assert coords == expected
+        assert coords == gauss_coordinates(F, basis, w)
+        if coords is not None:
+            assert combination(F, coords, basis) == w if basis else all(F.is_zero(x) for x in w)
+
+
+SQRT2 = QuotientRing(Rationals(), [-2, 0, 1])  # Q[t]/(t^2 - 2), a field
+SPAN_FIELDS = {"GF5": PrimeField(5), "GF7": PrimeField(7), "Q": Rationals(), "Q(sqrt 2)": SQRT2}
+
+
+@st.composite
+def reduced_spans(draw):
+    """A field, a reduced basis (the ``sparse_nullspace`` basis of drawn
+    rows, or the ``rref_dense`` basis of drawn vectors), drawn coefficients
+    and a drawn vector."""
+    F = SPAN_FIELDS[draw(st.sampled_from(sorted(SPAN_FIELDS)))]
+    if isinstance(F, PrimeField):
+        scalar = st.sampled_from([0, 1, F.p - 1]) | st.integers(0, F.p - 1)
+    elif isinstance(F, Rationals):
+        scalar = st.sampled_from(Q_VALUES)
+    else:
+        scalar = st.just(F.zero()) | st.tuples(st.sampled_from(Q_VALUES), st.sampled_from(Q_VALUES))
+    ncols = draw(st.integers(1, 6))
+    vecs = draw(st.lists(st.lists(scalar, min_size=ncols, max_size=ncols), max_size=5))
+    if draw(st.booleans()):
+        basis = sparse_nullspace(dense_to_sparse(vecs, F), ncols, F)
+    else:
+        basis = rref_dense(vecs, F)
+    coeffs = draw(st.lists(scalar, min_size=len(basis), max_size=len(basis)))
+    return F, basis, coeffs, draw(st.lists(scalar, min_size=ncols, max_size=ncols))
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(reduced_spans())
+def test_span_solver_reads_coordinates_off_reduced_bases(case):
+    """A drawn combination has the drawn coefficients as its coordinates; a
+    drawn vector has the textbook elimination's, or None exactly when that
+    puts it outside the span."""
+    F, basis, coeffs, other = case
+    span = SpanSolver(F, basis)
+    target = combination(F, coeffs, basis) if basis else [F.zero()] * len(other)
+    assert span.coordinates(target) == coeffs
+    assert span.coordinates(other) == gauss_coordinates(F, basis, other)
 
 
 @pytest.mark.parametrize(
@@ -475,8 +512,6 @@ def test_zero_divisor_pivot_raises(vectors):
     before is subtracted) has no unit to scale its pivot by."""
     with pytest.raises(NonInvertible):
         sparse_rref(dense_to_sparse(vectors, T2), T2)
-    with pytest.raises(NonInvertible):
-        SpanSolver(T2, vectors)
 
 
 def test_quotient_ring_rows_keep_their_order():
