@@ -329,15 +329,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _join_negative_support(argv: list[str]) -> list[str]:
-    """argv with ``--support V`` joined into ``--support=V`` where V starts
-    with a minus sign and a digit.  argparse reads a separate "-1,0,1" as
-    an option, since it is no plain negative number, and so finds
-    --support without its value."""
+def _join_negative_values(argv: list[str]) -> list[str]:
+    """argv with ``--support V`` and ``--delta V`` joined into
+    ``--support=V`` and ``--delta=V`` where V starts with a minus sign and
+    a digit.  argparse reads a separate "-1,0,1" or "-1/3" as an option,
+    since it is no plain negative number, and so finds the option without
+    its value."""
     out = []
     for a in argv:
-        if out and out[-1] == "--support" and a[:1] == "-" and a[1:2].isdigit():
-            out[-1] = "--support=" + a
+        if out and out[-1] in ("--support", "--delta") and a[:1] == "-" and a[1:2].isdigit():
+            out[-1] += "=" + a
         else:
             out.append(a)
     return out
@@ -345,7 +346,7 @@ def _join_negative_support(argv: list[str]) -> list[str]:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(_join_negative_support(sys.argv[1:] if argv is None else list(argv)))
+    args = parser.parse_args(_join_negative_values(sys.argv[1:] if argv is None else list(argv)))
     try:
         return args.func(args)
     except _MATH_ERRORS as exc:

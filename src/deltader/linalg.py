@@ -29,13 +29,21 @@ rows): every division is exact, and the entries stay minors of the
 block, so the pivot rows avoid the gcd work and coefficient growth of
 fraction arithmetic.
 One division by the last pivot minor gives the RREF over Q.  Over GF(p)
-and over quotient rings it runs the elimination step, ``_sub_multiple``,
-one loop that ``superstd`` shares for its incremental insertions: it
-scales each new pivot row and clears pivot columns from incoming and
-stored rows.  Its arithmetic is chosen once per call (see
-``_arith``): Python's operators on plain ints over GF(p), each sum reduced
-mod p as it is made, on ``Fraction`` over Q, and the ring's own methods
-over a quotient ring.  Every entry is the one the field's methods give.
+and over quotient rings the dict kernel (``_dict_rref``) runs the
+elimination step, ``_sub_multiple``, one loop that ``superstd`` shares for
+its incremental insertions: it scales each new pivot row and clears pivot
+columns from incoming and stored rows.  Its arithmetic is chosen once per
+call (see ``_arith``): Python's operators on plain ints over GF(p), each
+sum reduced mod p as it is made, on ``Fraction`` over Q, and the ring's
+own methods over a quotient ring.  Every entry is the one the field's
+methods give.  Over GF(p) a dense block, of m >= 16 columns with on
+average at least m/5 entries a row, goes instead to the packed kernel
+(``_packed_rref``), which runs the same elimination on rows packed into
+one int each, a 32-bit slot per column: a row operation is one big-int
+multiply-add, and a slot is reduced mod p only where it is read.  No slot
+exceeds p + m (m + 1) p^3, so the kernel runs only where that bound is
+below 2^32; past it, and on sparser blocks, where the packed rows cost
+more than the dict entries they replace, the dict kernel runs.
 ``SpanSolver`` runs no elimination: it reads coordinates off the identity
 columns of a basis that is already reduced.
 
@@ -59,6 +67,8 @@ roots are isolated exactly by Sturm bisection on integer polynomials.
 from __future__ import annotations
 
 import math
+import sys
+from array import array
 from collections import Counter
 from fractions import Fraction
 
@@ -172,6 +182,15 @@ def _rref(rows, F: Field) -> tuple[dict[int, dict], list[int]]:
     its least column if it is not zero.  Over Q each row is scaled to
     integers, by the lcm of its denominators, and the rows go through
     ``_int_rref``; one division by its last pivot minor gives the RREF.
+
+    Over GF(p) a dense block, one with m >= 16 columns and on average at
+    least m/5 entries a row, goes to ``_packed_rref``, which packs each
+    row into one int with a 32-bit slot per column, where the slots' bound
+    p + m (m + 1) p^3 is below 2^32 (see ``_packs``); any other block, and
+    every block over a quotient ring, goes to ``_dict_rref``.
+    Both run the same elimination in the same row order, so they return
+    the same pair.  On sparser blocks the packed rows cost more than the
+    few dict entries they replace.
     """
     if isinstance(F, Rationals):
         ints = []
@@ -180,6 +199,18 @@ def _rref(rows, F: Field) -> tuple[dict[int, dict], list[int]]:
             ints.append({c: v.numerator * (den // v.denominator) for c, v in row.items() if v})
         pivots, d, chosen = _int_rref(ints)
         return {p: {c: Fraction(x, d) for c, x in prow.items()} for p, prow in pivots.items()}, chosen
+    if isinstance(F, PrimeField):
+        rows = list(rows)
+        cols = set().union(*rows)
+        m = len(cols)
+        if m >= 16 and 5 * sum(map(len, rows)) >= m * len(rows) and _packs(F.p, m):
+            return _packed_rref(rows, sorted(cols), F.p)
+    return _dict_rref(rows, F)
+
+
+def _dict_rref(rows, F: Field) -> tuple[dict[int, dict], list[int]]:
+    """``_rref`` over GF(p) or a quotient ring on sparse dict rows: each
+    incoming row is reduced by the elimination step, entry by entry."""
     pivots: dict[int, dict] = {}
     chosen = []
     ar = _arith(F)
@@ -193,6 +224,86 @@ def _rref(rows, F: Field) -> tuple[dict[int, dict], list[int]]:
         if row:
             _add_pivot(row, pivots, ar)
             chosen.append(k)
+    return pivots, chosen
+
+
+# the typecode of the packed kernel's slots: 32-bit unsigned
+_SLOT = "I"
+
+
+def _packs(p: int, m: int) -> bool:
+    """Whether the slots of ``_packed_rref`` hold p + m (m + 1) p^3, the
+    bound on every slot, for a block of m columns over GF(p)."""
+    return p + m * (m + 1) * p**3 < 1 << 8 * array(_SLOT).itemsize
+
+
+def _packed_rref(rows: list[dict], cols: list[int], p: int) -> tuple[dict[int, dict], list[int]]:
+    """``_dict_rref`` over GF(p) for a dense block, on packed rows (after
+    Dumas, Fousse and Salvy, "Simultaneous modular reduction and Kronecker
+    substitution for small finite fields", 2011): each row is one int with
+    a 32-bit slot per column of ``cols``, so that adding a multiple of one
+    row to another is one big-int multiply-add.  The slots are reduced mod
+    p only where a value is read.
+
+    A stored row is congruent, slot by slot, to its pivot value e at its
+    pivot column, to 0 at every other pivot column, and to e times its row
+    of the RREF elsewhere.  An incoming row, its entries reduced mod p, is
+    reduced by adding y (-1/e) times the stored row at each pivot column
+    where it has y: the stored rows are 0 at the other pivots, so those y
+    are read once, off the row as it came.  The row is then 0 at every
+    pivot column, so its slots are unpacked once, and those of the other
+    columns reduced mod p in order until one is not 0: that is the zero
+    test and the least column j.  If it becomes a pivot row, all its slots
+    are reduced, below p, and packed again, and each stored row with b at
+    j gets b (-1/e) times it, b read with one shift and mask.  So a stored
+    slot grows by less than p^2 per new pivot and stays below m p^2, and
+    an incoming slot stays below p + m (m + 1) p^3, which ``_packs``
+    makes fit, so that no slot carries into the next.  At the end each
+    stored row is unpacked and scaled by 1/e, mod p.
+    """
+    size = array(_SLOT).itemsize
+    width, order = 8 * size, sys.byteorder
+    mask, nbytes = (1 << width) - 1, size * len(cols)
+    slot = {c: i for i, c in enumerate(cols)}
+    # the bit offset of slot i: int.from_bytes reads the array's items in
+    # the machine's byte order, so on a big-endian machine slot 0 is on top
+    shift = [width * i for i in range(len(cols))]
+    if order == "big":
+        shift.reverse()
+    stored: dict[int, int] = {}  # slot of each pivot -> its packed row
+    scale: dict[int, int] = {}  # slot of each pivot -> -1/e mod p
+    chosen = []
+    empty = [0] * len(cols)
+    free = list(range(len(cols)))  # the slots of non-pivot columns, in order
+    for k, row in enumerate(rows):
+        dense, hits = empty[:], []
+        for c, v in row.items():
+            i = slot[c]
+            y = dense[i] = v % p
+            if y and i in stored:
+                hits.append((i, y))
+        acc = int.from_bytes(array(_SLOT, dense).tobytes(), order)
+        for i, y in hits:
+            acc += y * scale[i] % p * stored[i]
+        slots = memoryview(acc.to_bytes(nbytes, order)).cast(_SLOT)
+        j = next((i for i in free if slots[i] % p), None)
+        if j is None:
+            continue
+        vals = [x % p for x in slots]
+        new = int.from_bytes(array(_SLOT, vals).tobytes(), order)
+        a = scale[j] = -pow(vals[j], -1, p) % p
+        for i, prow in stored.items():
+            b = (prow >> shift[j] & mask) % p
+            if b:
+                stored[i] = prow + b * a % p * new
+        stored[j] = new
+        free.remove(j)
+        chosen.append(k)
+    pivots = {}
+    for j, prow in stored.items():
+        inv = p - scale[j]
+        vals = memoryview(prow.to_bytes(nbytes, order)).cast(_SLOT)
+        pivots[cols[j]] = {cols[i]: y for i, x in enumerate(vals) if (y := x * inv % p)}
     return pivots, chosen
 
 

@@ -69,8 +69,8 @@ def gauss_coordinates(field, basis, v):
     return [F.neg(x) for x in relation[:k]]
 
 
-def elementary_defect(alg, k, l, delta, products):
-    """Defect D(e_i e_j) - delta (D(e_i) e_j + e_i D(e_j)) of the elementary
+def elementary_defect(alg, k, l, a, b, products):
+    """Defect D(e_i e_j) - a D(e_i) e_j - b e_i D(e_j) of the elementary
     map D = E_kl over all ordered pairs (i, j), given the products
     ``products[i][j] = bracket(e_i, e_j)``, as {n^2 i + n j + m: coordinate m}
     with zeros left out.  The one nonzero image of D is D(e_k) = e_l, so
@@ -89,24 +89,27 @@ def elementary_defect(alg, k, l, delta, products):
             add((i * n + j) * n + l, products[i][j][k])
     for x in range(n):
         for m in range(n):
-            add((k * n + x) * n + m, F.neg(F.mul(delta, products[l][x][m])))
-            add((x * n + k) * n + m, F.neg(F.mul(delta, products[x][l][m])))
+            add((k * n + x) * n + m, F.neg(F.mul(a, products[l][x][m])))
+            add((x * n + k) * n + m, F.neg(F.mul(b, products[x][l][m])))
     return {pos: v for pos, v in out.items() if not F.is_zero(v)}
 
 
-def oracle_delta_derivations(alg, delta):
-    """Independent computation of Der_delta: nullspace of the defect map on
+def oracle_law_maps(alg, laws):
+    """Independent computation of the maps D with D(xy) = a D(x)y + b xD(y)
+    for every (a, b) in ``laws``: the nullspace of the defect map on
     elementary matrices.  Returns a list of flat n^2 coefficient vectors."""
     F = alg.field
     n = alg.dim
     units = [alg.unit_vector(i) for i in range(n)]
     products = [[alg.bracket(ei, ej) for ej in units] for ei in units]
-    # transpose: equations are rows, E_kl is column k n + l
+    # transpose: equations are rows, E_kl is column k n + l; law t takes
+    # the rows from t n^3 on
     equations = {}
-    for k in range(n):
-        for l in range(n):
-            for r, v in elementary_defect(alg, k, l, delta, products).items():
-                equations.setdefault(r, {})[k * n + l] = v
+    for t, (a, b) in enumerate(laws):
+        for k in range(n):
+            for l in range(n):
+                for r, v in elementary_defect(alg, k, l, a, b, products).items():
+                    equations.setdefault(t * n**3 + r, {})[k * n + l] = v
     # Zero rows add nothing, and neither does a row that is a multiple of
     # another (for an anticommutative algebra the (j, i) equations are the
     # negatives of the (i, j) ones), so each row is scaled to lead with 1
@@ -120,6 +123,17 @@ def oracle_delta_derivations(alg, delta):
             row[c] = F.mul(inv, v)
         rows.setdefault(tuple(row))
     return dense_gauss_nullspace(F, list(rows), n * n)
+
+
+def oracle_delta_derivations(alg, delta):
+    """Der_delta from ``oracle_law_maps``: D(xy) = delta (D(x)y + xD(y))."""
+    return oracle_law_maps(alg, [(delta, delta)])
+
+
+def oracle_centroid(alg):
+    """The centroid from ``oracle_law_maps``: D(xy) = D(x)y = xD(y)."""
+    one, zero = alg.field.one(), alg.field.zero()
+    return oracle_law_maps(alg, [(one, zero), (zero, one)])
 
 
 def spans_equal(field, vecs_a, vecs_b):

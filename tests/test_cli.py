@@ -342,6 +342,28 @@ def test_make_witt_takes_a_separate_negative_support(tmp_path, capsys):
         assert a.read() == b.read()
 
 
+@pytest.mark.parametrize("command", ["solve", "grade"])
+def test_separate_negative_fraction_delta(tmp_path, capsys, command):
+    """``--delta -1/3`` (two arguments) runs as ``--delta=-1/3`` does: argparse
+    alone reads "-1/3", which is no plain negative number, as an option."""
+    if command == "solve":
+        alg = tmp_path / "sl2.json"
+        alg.write_text(json.dumps(SL2))
+        argv, delta = ["solve", str(alg)], "-1/3"
+    else:
+        alg = tmp_path / "ab.json"
+        assert run(capsys, "make", "abelian", "--dim", "2", "--field", "Q", "--out", str(alg))[0] == 0
+        maps = tmp_path / "diag.json"
+        maps.write_text(json.dumps({"maps": [[["1", "0"], ["0", "2"]]]}))
+        argv, delta = ["grade", str(alg), str(maps)], "-1/2"
+    joined, separate = tmp_path / "joined.json", tmp_path / "separate.json"
+    expected = run(capsys, *argv, f"--delta={delta}", "--out", str(joined))
+    assert expected[0] == 0 and expected[2] == ""
+    assert run(capsys, *argv, "--delta", delta, "--out", str(separate)) == expected
+    assert separate.read_bytes() == joined.read_bytes()
+    assert json.loads(joined.read_text())["delta"] == delta
+
+
 GOLDEN = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "golden")
 GOLDEN_MAKE = [
     ("W11_GF5", ["zassenhaus", "--p", "5", "--n", "1"]),
