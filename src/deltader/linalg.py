@@ -52,16 +52,15 @@ constant as the unit (see ``solver.solve_parametric``).  The rank of a
 block can drop only at the roots of a maximal nonvanishing minor.  Over Q,
 and over GF(p) for a block with u > 3 and p > u + 1 (u the least of its
 numbers of rows and columns), that minor is the determinant of a
-nonsingular square of the block, found in integers by ``_pencil_det``:
-evaluated at k + 1 integer points and interpolated exactly, over GF(p)
-then reduced mod p, which leaves it the determinant times a unit since
-k <= u < p.
-``charpoly`` over Q takes det(xI - M) the same way.  Over GF(p) the
-blocks with u <= 3, those with p <= u + 1 that a sweep over the whole
-field does not settle, and ``charpoly`` go through one-step
-fraction-free (Bareiss) elimination over GF(p)[delta]
-(``fraction_free_pivots``), whose last pivot is such a minor.  Rational
-roots are isolated exactly by Sturm bisection on integer polynomials.
+nonsingular square of the block, taken exactly by ``_pencil_det`` from
+integer determinants at k + 1 points; over GF(p) on the ints of the
+residues, and then reduced mod p.  ``charpoly`` takes det(xI - M) the same
+way over both fields, for any n.  The other GF(p) blocks, those with
+u <= 3 and those with p <= u + 1 that a sweep over the whole field does
+not settle, go through one-step fraction-free (Bareiss) elimination over
+GF(p)[delta] (``fraction_free_pivots``), whose last pivot is such a minor.
+Rational roots are isolated exactly by Sturm bisection on integer
+polynomials.
 """
 
 from __future__ import annotations
@@ -669,25 +668,22 @@ def fraction_free_pivots(
 
 
 def charpoly(field: Field, matrix: list[list]) -> list:
-    """Characteristic polynomial det(xI - M), coefficient list low-degree-first.
+    """Characteristic polynomial det(xI - M) over Q or GF(p), monic, as a
+    coefficient list low-degree-first.
 
-    xI - M is the pencil -M + x I.  Over Q its determinant comes from
-    ``_pencil_det``, in integers; over GF(p) from the last Bareiss pivot,
-    since with n >= p there are too few field points to interpolate.
+    xI - M is the pencil -M + x I.  Its rows are scaled to integers (over
+    GF(p) the residues already are), ``_pencil_det`` takes their
+    determinant exactly, and its coefficients are read in the field and
+    divided by the leading one, the product of the row scales: 1 over
+    GF(p).  Over GF(p) the ring map Z -> GF(p) takes the integer
+    determinant to the one over GF(p), for any n.
     """
-    n = len(matrix)
-    if n == 0:
-        return [field.one()]
-    rows = [[poly_trim(field, [field.neg(c)]) for c in row] for row in matrix]
-    for i in range(n):
-        rows[i][i] = poly_trim(field, [field.neg(matrix[i][i]), field.one()])
-    if isinstance(field, Rationals):
-        det = _pencil_det(rows)
-        return [Fraction(c, det[-1]) for c in det]
-    # xI - M has full rank over K[x], so the last Bareiss pivot is its
-    # determinant up to the sign of the row permutation
-    _, pivots = fraction_free_pivots(field, rows, n)
-    det = pivots[-1]
+    rows = []
+    for i, row in enumerate(matrix):
+        entries = [poly_trim(field, [field.neg(c)]) for c in row]
+        entries[i] = [field.neg(row[i]), field.one()]
+        rows.append(_integer_entries(entries))
+    det = [field.from_int(c) for c in _pencil_det(rows)]
     inv = field.inv(det[-1])
     return [field.mul(inv, c) for c in det]
 
@@ -729,30 +725,24 @@ def _integer_entries(entries) -> list[list[int]]:
     return [[c.numerator * (den // c.denominator) for c in f] for f in entries]
 
 
-def _pencil_det(square: list[list[list]]) -> list[int]:
-    """det(A + tB) times a positive constant, as integer coefficients
-    low-degree-first ([] if it vanishes), for a square of pencil entries
-    [], [a] or [a, b], that is a + b t, over Q or as plain ints.
+def _pencil_det(square: list[list[list[int]]]) -> list[int]:
+    """det(A + tB), as integer coefficients low-degree-first ([] if it
+    vanishes), for a square of integer pencil entries [], [a] or [a, b],
+    that is a + b t.
 
-    Each row is scaled once, by the lcm of the denominators of its entries,
-    to integers.  The determinant then has degree at most k, the number of
-    rows with a t term, so its integer values at t = 0..k, from ``_int_det``,
-    determine it: with D^j the j-th forward difference of those values at
-    t = 0, k! det(t) = sum_j D^j (k! / j!) t (t - 1) ... (t - j + 1), all
-    in integers (Newton interpolation).
-
-    Over GF(p) the square's entries are the ints of their residues, and the
-    integer determinant reduced mod p is the one over GF(p).  So the
-    coefficients reduced mod p are those of k! det(t) over GF(p), and for
-    k < p that is det(t) times a unit, with the same roots: k! is then a
-    product of units mod p.  ``solver._block_spectrum`` squares a GF(p) block only
-    where k <= u < p, u the least of its numbers of rows and columns.
+    The determinant has degree at most k, the number of rows with a t term,
+    so its integer values at t = 0..k, from ``_int_det``, determine it:
+    with D^j the j-th forward difference of those values at t = 0,
+    k! det(t) = sum_j D^j (k! / j!) t (t - 1) ... (t - j + 1), all in
+    integers (Newton interpolation), and one exact division by k! leaves
+    det(t).  Over GF(p) the entries are the ints of the residues, and the
+    ring map Z -> GF(p) takes this determinant, reduced mod p, to the one
+    over GF(p).
     """
     rows, k = [], 0
     for row in square:
-        ints = _integer_entries(row)
-        a = [f[0] if f else 0 for f in ints]
-        b = [f[1] if len(f) > 1 else 0 for f in ints]
+        a = [f[0] if f else 0 for f in row]
+        b = [f[1] if len(f) > 1 else 0 for f in row]
         k += any(b)
         rows.append((a, b))
     values = [_int_det([[x + t * y for x, y in zip(a, b)] for a, b in rows]) for t in range(k + 1)]
@@ -760,12 +750,14 @@ def _pencil_det(square: list[list[list]]) -> list[int]:
     for _ in range(k + 1):
         diffs.append(values[0])
         values = [y - x for x, y in zip(values, values[1:])]
-    # Horner's scheme in the falling factorials: c_j + (t - j)(c_(j+1) + ...)
+    # Horner's scheme in the falling factorials: c_j + (t - j)(c_(j+1) + ...),
+    # with c_j = D^j k! / j!, so that scale ends at k!
     det, scale = [diffs[k]], 1
     for j in range(k - 1, -1, -1):
         scale *= j + 1
         det = [x - j * y for x, y in zip([0] + det, det + [0])]
         det[0] += diffs[j] * scale
+    det = [x // scale for x in det]
     while det and not det[-1]:
         det.pop()
     return det

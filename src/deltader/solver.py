@@ -451,11 +451,9 @@ def solve_parametric(alg: Algebra) -> ParametricResult:
       k the number of its rows with a delta term, comes from integer
       determinants at delta = 0..k by exact interpolation
       (``linalg._pencil_det``).  Over GF(p) they are taken on the ints of
-      the residues, and the result reduced mod p is k! det(delta) over
-      GF(p): a nonzero multiple of det, since k <= u < p makes k! a product
-      of units.  The block is ranked in ints: over Q its rows are scaled to
-      integers once, and at delta = s/t a row a + b delta is ranked as
-      t a + s b;
+      the residues, and the result reduced mod p is det(delta) over GF(p).
+      The block is ranked in ints: over Q its rows are scaled to integers
+      once, and at delta = s/t a row a + b delta is ranked as t a + s b;
     - over GF(p) where p <= u + 1 and u > 3, a block is ranked at the p
       field values, no more points than the square's search could take.
       A nonzero polynomial of degree below p does not vanish on all of

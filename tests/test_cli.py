@@ -287,6 +287,7 @@ VALID_FILES = {
          "primality is decided only below 318665857834031151167461"),
         (["make", "abelian", "--dim", "1", "--field", "gf618970019642690137449562111"],
          "p = 618970019642690137449562111 is too large: primality is decided only below 318665857834031151167461"),
+        (["make", "sl", "--n", "2", "--field", "R"], "unknown field spec 'R' (use Q or gf<p>)"),
     ],
     ids=[
         "zassenhaus-no-p", "divided-powers-no-p", "abelian-no-dim", "witt-no-support",
@@ -304,7 +305,7 @@ VALID_FILES = {
         "grade-quot-field", "zassenhaus-n-negative", "zassenhaus-n-0", "divided-powers-n-negative",
         "zassenhaus-field", "divided-powers-dim", "elduque4-n", "abelian-p", "sl-support", "osp12-modulus",
         "witt-left", "current-field", "superder-no-parity", "superder-no-delta", "solve-no-delta",
-        "p-beyond-bound-file", "p-beyond-bound-flag",
+        "p-beyond-bound-file", "p-beyond-bound-flag", "field-unknown",
     ],
 )
 def test_input_error_exit_2(tmp_path, capsys, argv, message):

@@ -11,6 +11,7 @@ from deltader.algebras import (
 )
 from deltader.fields import PrimeField, Rationals
 from deltader.halfring import (
+    CompositionRing,
     build_composition_ring,
     find_zero_divisors,
     half_ring_report,
@@ -19,6 +20,7 @@ from deltader.halfring import (
     witt_half_basis,
 )
 from deltader.linalg import same_span
+from deltader.linmap import LinearMap
 from deltader.solver import solve_delta_derivations
 
 Q = Rationals()
@@ -40,6 +42,12 @@ def test_ring_multiplication_is_composition():
             prod_map = ring.as_map(ring.table[a][b])
             composed = ring.basis[b].compose(ring.basis[a])
             assert prod_map.rows == composed.rows
+    # u^0 is the identity map, which a ring without one cannot give
+    u = ring.table[0][0]
+    assert ring.as_map(ring.power(u, 0)).rows == LinearMap.identity(F, alg.dim).rows
+    bare = CompositionRing(alg, ring.basis, ring.table, None)
+    with pytest.raises(ValueError, match="no zeroth power"):
+        bare.power(u, 0)
 
 
 def test_ring_commutative_local_w11():

@@ -148,6 +148,8 @@ def test_charpoly_gfp():
     mat = [[F.coerce(2), F.zero()], [F.zero(), F.coerce(3)]]
     roots = base_field_roots(F, charpoly(F, mat))
     assert sorted(roots) == [2, 3]
+    # a 0 x 0 matrix has the empty determinant 1
+    assert charpoly(F, []) == [1]
 
 
 def test_kernel_of_map():

@@ -1,15 +1,17 @@
-"""Integer determinants of Q pencils, the integer root search and charpoly.
+"""Integer determinants of pencils, the integer root search and charpoly.
 
-Over Q, ``solver._block_spectrum`` and ``linalg.charpoly`` take the
-determinant of a square pencil A + t B from ``linalg._pencil_det``: integer
-values at t = 0..k, interpolated exactly.  The reference here is one-step
-fraction-free (Bareiss) elimination over Q[t] of the same square, whose last
-pivot is the determinant up to sign where the square is nonsingular; the
-positive constant is checked against an exact ``Fraction`` determinant at a
-rational point.  ``base_field_roots`` over Q runs its squarefree part and its
-Sturm chain on integer pseudo-remainders; it is checked on polynomials built
-from known linear factors.  Over Q neither the parametric solver nor
-``charpoly`` reaches Bareiss.
+``solver._block_spectrum`` and ``linalg.charpoly`` take the determinant of
+a square pencil A + t B, its rows scaled to integers, from
+``linalg._pencil_det``: integer values at t = 0..k, interpolated exactly.
+The reference here is one-step fraction-free (Bareiss) elimination over
+Q[t] or GF(p)[t] of the same square, whose last pivot is the determinant up
+to sign where the square is nonsingular; the determinant of the scaled rows
+is checked exactly against a ``Fraction`` determinant at rational points.
+``charpoly`` over GF(p) is checked for n >= p too, where k! is 0 mod p.
+``base_field_roots`` over Q runs its squarefree part and its Sturm chain on
+integer pseudo-remainders; it is checked on polynomials built from known
+linear factors.  Neither the parametric solver over Q nor ``charpoly`` over
+any field reaches Bareiss.
 """
 
 from fractions import Fraction
@@ -18,9 +20,21 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from deltader import linalg, solver
-from deltader.algebras import make_elduque4, make_osp12, make_special_linear, make_witt_type
-from deltader.fields import Rationals, poly_eval, poly_mul, poly_trim
-from deltader.linalg import _pencil_det, base_field_roots, charpoly, fraction_free_pivots
+from deltader.algebras import (
+    make_elduque4,
+    make_osp12,
+    make_special_linear,
+    make_witt_type,
+    make_zassenhaus,
+)
+from deltader.fields import PrimeField, Rationals, poly_eval, poly_mul, poly_trim
+from deltader.linalg import (
+    _integer_entries,
+    _pencil_det,
+    base_field_roots,
+    charpoly,
+    fraction_free_pivots,
+)
 from deltader.solver import solve_parametric
 
 Q = Rationals()
@@ -84,10 +98,12 @@ def q_squares(draw):
 @example([[[Fraction(1, 2), Fraction(1, 2)], [1]], [[1], [Fraction(1, 3), 1]]])
 @example([[[0, 1], [1]], [[1], [0, 1]]])
 def test_pencil_det_matches_last_bareiss_pivot(square):
-    """``_pencil_det`` is the last Bareiss pivot up to a constant, [] where
-    the square is singular over Q[t], and that constant is positive."""
+    """``_pencil_det`` of the square's rows scaled to integers is the last
+    Bareiss pivot up to a constant, [] where the square is singular over
+    Q[t], and the determinant of the scaled rows exactly."""
     r = len(square)
-    det = _pencil_det(square)
+    ints = [_integer_entries(row) for row in square]
+    det = _pencil_det(ints)
     assert all(isinstance(c, int) for c in det)
     rank, pivots = fraction_free_pivots(Q, square, r)
     if rank < r:
@@ -97,9 +113,8 @@ def test_pencil_det_matches_last_bareiss_pivot(square):
     k = sum(any(len(f) > 1 and f[1] for f in row) for row in square)
     assert len(det) - 1 <= k
     for t in (Fraction(1, 3), Fraction(-7, 2)):
-        exact = fraction_det([[poly_eval(Q, f, t) for f in row] for row in square])
-        value = poly_eval(Q, det, t)
-        assert (value > 0) == (exact > 0) and (value == 0) == (exact == 0)
+        exact = fraction_det([[poly_eval(Q, f, t) for f in row] for row in ints])
+        assert poly_eval(Q, det, t) == exact
 
 
 def from_factors(factors, scale):
@@ -151,22 +166,59 @@ def q_matrices(draw):
     return [[draw(value) for _ in range(n)] for _ in range(n)]
 
 
+def bareiss_charpoly(F, matrix):
+    """det(xI - M) made monic, from the last pivot of Bareiss elimination
+    of xI - M over F[x], where it has full rank."""
+    n = len(matrix)
+    rows = [
+        [poly_trim(F, [F.neg(c), F.from_int(i == j)]) for j, c in enumerate(row)]
+        for i, row in enumerate(matrix)
+    ]
+    rank, pivots = fraction_free_pivots(F, rows, n)
+    assert rank == n
+    inv = F.inv(pivots[-1][-1])
+    return [F.mul(inv, c) for c in pivots[-1]]
+
+
 @settings(derandomize=True, deadline=None, max_examples=60)
 @given(q_matrices())
 def test_charpoly_is_monic_last_bareiss_pivot(matrix):
-    n = len(matrix)
-    rows = [
-        [poly_trim(Q, [-c, Fraction(i == j)]) for j, c in enumerate(row)]
-        for i, row in enumerate(matrix)
-    ]
-    rank, pivots = fraction_free_pivots(Q, rows, n)
-    assert rank == n
-    assert charpoly(Q, matrix) == monic(pivots[-1])
+    assert charpoly(Q, matrix) == bareiss_charpoly(Q, matrix)
+
+
+@st.composite
+def gf_matrices(draw):
+    """(p, M): a square matrix over GF(p), p in {5, 7, 11}, of size n from 1
+    to p + 3, so that n >= p, where k! = 0 mod p, is drawn too; with zero
+    rows, repeated rows and scalar matrices, whose characteristic
+    polynomials have repeated roots."""
+    p = draw(st.sampled_from([5, 7, 11]))
+    n = draw(st.integers(1, p + 3))
+    kind = draw(st.sampled_from(["dense", "sparse", "scalar"]))
+    if kind == "scalar":
+        c = draw(st.integers(0, p - 1))
+        return p, [[c * (i == j) for j in range(n)] for i in range(n)]
+    value = st.integers(0, p - 1) if kind == "dense" else st.sampled_from([0, 0, 0, 1, p - 1])
+    matrix = [[draw(value) for _ in range(n)] for _ in range(n)]
+    if n > 1 and draw(st.booleans()):
+        i, j = draw(st.permutations(range(n)))[:2]
+        matrix[i] = list(matrix[j]) if draw(st.booleans()) else [0] * n
+    return p, matrix
+
+
+@settings(derandomize=True, deadline=None, max_examples=80)
+@given(gf_matrices())
+# n = 7 >= p = 5, where rows 5 and 6 repeat rows 0 and 1
+@example((5, [[(i * j + 1) % 5 for j in range(7)] for i in range(7)]))
+def test_gf_charpoly_is_monic_last_bareiss_pivot(drawn):
+    p, matrix = drawn
+    F = PrimeField(p)
+    assert charpoly(F, matrix) == bareiss_charpoly(F, matrix)
 
 
 def test_q_spectra_and_charpoly_never_reach_bareiss(monkeypatch):
     def refuse(*args):
-        raise AssertionError("fraction_free_pivots called over Q")
+        raise AssertionError("fraction_free_pivots called")
 
     monkeypatch.setattr(linalg, "fraction_free_pivots", refuse)
     monkeypatch.setattr(solver, "fraction_free_pivots", refuse)
@@ -179,3 +231,9 @@ def test_q_spectra_and_charpoly_never_reach_bareiss(monkeypatch):
     ):
         solve_parametric(alg)
     assert charpoly(Q, [[Fraction(1), Fraction(2)], [Fraction(3), Fraction(4)]]) == [-2, -5, 1]
+    # over GF(p) too, for n >= p: ad e_0 of W(1,2) over GF(5) acts with the
+    # roots 0..4, each five times, so its characteristic polynomial is
+    # (x^5 - x)^5 = x^25 - x^5
+    F = PrimeField(5)
+    assert charpoly(F, make_zassenhaus(5, 2).ad(1).rows) == [0] * 5 + [4] + [0] * 19 + [1]
+    assert charpoly(F, [[2, 1], [0, 3]]) == [1, 0, 1]

@@ -145,6 +145,10 @@ def test_quasiderivations_contain_derivations_and_centroid():
         span = SpanSolver(Q, [m.flat() for m in dspan])
         for m in list(der.basis) + list(cent.basis):
             assert span.contains(m.flat())
+        # (D, D) with D a derivation is a quasiderivation pair, (D, 0) is not
+        for m in der.basis:
+            assert qs.contains((m, m))
+            assert not qs.contains((m, m.scale(Q.zero())))
     # on sl3 the D-component is exactly derivations + centroid
     assert len(dspan) == der.dim + cent.dim == 9
 

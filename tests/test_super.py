@@ -73,6 +73,8 @@ def test_kernel_containment_lemma():
     assert space.dim > 0  # maps supported on the abelian summand
     s4 = compute_s4(ext)
     assert verify_kernel_containment(space, s4)
+    # the inner derivations of sl3 do not kill s4 = sl3
+    assert not verify_kernel_containment(solve_delta_derivations(ext, Fraction(1)), s4)
 
 
 def test_kernel_containment_vacuous_and_trivial():
@@ -128,6 +130,12 @@ def test_lifted_kernel_decomposition():
     ker_env = kernel_of_map(lifted.rows, F)
     ker_L = kernel_of_map(D.rows, F)
     expected = envelope_subspace(env, ker_L) if ker_L else []
+    # a zero vector adds nothing; a vector with an even and an odd entry
+    # is refused
+    assert envelope_subspace(env, [[F.zero()] * osp.dim] + ker_L) == expected
+    mixed = [F.one()] * osp.dim
+    with pytest.raises(ValueError, match="not homogeneous"):
+        envelope_subspace(env, [mixed])
     # rank counts: dim Ker(lift) >= dim of the lifted kernel subspace
     span = SpanSolver(F, ker_env)
     for v in expected:
