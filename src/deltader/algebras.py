@@ -272,9 +272,9 @@ def index_tuples(parities, k: int, supports=None):
     takes the value of the sorted tuple, up to sign, on any other; an
     ordinary algebra is the case of zero parities (strictly increasing
     tuples).  Given Grassmann ``supports`` (an int bitmask of generators per
-    index), only indices whose support misses the union so far extend a
-    prefix, and the items are ``(tuple, union)``.  Those indices are listed
-    once per union, when it first occurs.
+    index, zero for every index by default), only indices whose support
+    misses the union so far extend a prefix.  Those indices are listed once
+    per union, when it first occurs.
     """
     n = len(parities)
     masks = supports or [0] * n
@@ -287,7 +287,7 @@ def index_tuples(parities, k: int, supports=None):
         for i in idx[bisect_left(idx, start):]:
             t = prefix + (i,)
             if len(t) == k:
-                yield t if supports is None else (t, union | masks[i])
+                yield t
             else:
                 yield from extend(t, i if parities[i] else i + 1, union | masks[i])
 

@@ -3,11 +3,13 @@
 Subcommands: make, solve, grade, report, validate.  Each construction of
 ``make`` and each ``--kind`` of ``solve`` is named once, in the table MAKE
 or SOLVE; its entry lists the options it requires and accepts, and any
-other option is refused.  All scalars are exact strings ("-1", "3/7");
-decimal literals are rejected.  Output JSON is canonical: sorted keys,
-two-space indent, LF newlines.  Exit codes: 0 on success, 2 on
-input/validation errors, 3 on mathematical precondition failures
-(non-closure, non-splitting, nilpotency too deep, ...).
+other option is refused.  ``make`` works out the dimension its options ask
+for and refuses one above ``_MAKE_MAX_DIM`` before building anything.  All
+scalars are exact strings ("-1", "3/7"); decimal literals are rejected.
+Output JSON is canonical: sorted keys, two-space indent, LF newlines.
+Exit codes: 0 on success, 2 on input/validation errors, 3 on mathematical
+precondition failures (non-closure, non-splitting, nilpotency too deep,
+...).
 """
 
 from __future__ import annotations
@@ -133,11 +135,14 @@ def load_maps(path: str, alg):
 
 class Entry(NamedTuple):
     """One choice of a table-driven subcommand: the options it requires, the
-    other options it accepts with their defaults, and its runner."""
+    other options it accepts with their defaults, its runner and, for a
+    ``make`` construction whose size its options set, the dimension they
+    ask for, worked out before anything is built."""
 
     run: Callable
     requires: tuple = ()
     accepts: dict = {}
+    size: Callable | None = None
 
 
 def _select(table: dict, label: str, args) -> Entry:
@@ -156,7 +161,33 @@ def _select(table: dict, label: str, args) -> Entry:
     return entry
 
 
-def _make_witt(args):
+# ``make`` refuses an algebra above this dimension: the slowest at it,
+# sl(22) of dimension 483, takes 6 s and 300 MB to build on a 2-core x86
+# VM, and the time grows about as the square of the dimension.  The
+# library constructors take any size.
+_MAKE_MAX_DIM = 512
+
+
+def _too_large(args, dim) -> ValueError:
+    return ValueError(
+        f"make {args.kind} would build an algebra of dimension {dim}, above the bound {_MAKE_MAX_DIM}"
+    )
+
+
+def _power_dim(args) -> int:
+    """p^n, the dimension of a Zassenhaus or divided-power algebra (0 where
+    p < 2 or n < 1, which the constructor refuses).  A height above 64 puts
+    p^n above 2^64, so it is refused before p^n is formed."""
+    if args.p < 2 or args.n < 1:
+        return 0
+    if args.n > 64:
+        raise _too_large(args, f"{args.p}^{args.n}")
+    return args.p**args.n
+
+
+def _witt_support(args) -> set[int]:
+    """The elements of ``--support``, reduced mod ``--modulus`` when it is
+    given, once the modulus has been checked against the field."""
     field = parse_field(args.field)
     if args.modulus is not None:
         if args.modulus < 2:
@@ -166,29 +197,48 @@ def _make_witt(args):
                 f"Witt Z/{args.modulus} is Lie only in characteristic {args.modulus}, "
                 f"not over {args.field}"
             )
-    support = []
+    support = set()
     for s in args.support.split(","):
         try:
-            support.append(int(s))
+            support.add(int(s) % args.modulus if args.modulus else int(s))
         except ValueError:
             raise ValueError(f"--support entry {s!r} is not an integer") from None
-    return make_witt_type(field, support, modulus=args.modulus)
+    return support
+
+
+def _current_dim(args) -> int:
+    """dim L times dim A, with both factors loaded in place of their paths,
+    so that the build reads each once."""
+    args.left, args.right = load_algebra(args.left), load_algebra(args.right)
+    return args.left.dim * args.right.dim
 
 
 MAKE = {
-    "zassenhaus": Entry(lambda a: make_zassenhaus(a.p, a.n), ("p",), {"n": 1}),
-    "divided-powers": Entry(lambda a: make_divided_powers(a.p, a.n), ("p",), {"n": 1}),
+    "zassenhaus": Entry(lambda a: make_zassenhaus(a.p, a.n), ("p",), {"n": 1}, size=_power_dim),
+    "divided-powers": Entry(lambda a: make_divided_powers(a.p, a.n), ("p",), {"n": 1}, size=_power_dim),
     "elduque4": Entry(lambda a: make_elduque4(parse_field(a.field)), (), {"field": "Q"}),
-    "abelian": Entry(lambda a: make_abelian(parse_field(a.field), a.dim), ("dim",), {"field": "Q"}),
-    "sl": Entry(lambda a: make_special_linear(a.n, parse_field(a.field)), ("n",), {"field": "Q"}),
+    "abelian": Entry(
+        lambda a: make_abelian(parse_field(a.field), a.dim), ("dim",), {"field": "Q"}, size=lambda a: a.dim
+    ),
+    "sl": Entry(
+        lambda a: make_special_linear(a.n, parse_field(a.field)), ("n",), {"field": "Q"},
+        size=lambda a: a.n * a.n - 1 if a.n >= 2 else 0,
+    ),
     "osp12": Entry(lambda a: make_osp12(parse_field(a.field)), (), {"field": "Q"}),
-    "witt": Entry(_make_witt, ("support",), {"field": "Q", "modulus": None}),
-    "current": Entry(lambda a: make_current(load_algebra(a.left), load_algebra(a.right)), ("left", "right")),
+    "witt": Entry(
+        lambda a: make_witt_type(parse_field(a.field), _witt_support(a), modulus=a.modulus),
+        ("support",), {"field": "Q", "modulus": None},
+        size=lambda a: len(_witt_support(a)),
+    ),
+    "current": Entry(lambda a: make_current(a.left, a.right), ("left", "right"), size=_current_dim),
 }
 
 
 def cmd_make(args) -> int:
-    alg = _select(MAKE, f"make {args.kind}", args).run(args)
+    entry = _select(MAKE, f"make {args.kind}", args)
+    if entry.size and (dim := entry.size(args)) > _MAKE_MAX_DIM:
+        raise _too_large(args, dim)
+    alg = entry.run(args)
     write_json(args.out, algebra_to_json(alg))
     print(f"wrote {args.out} (dim = {alg.dim})")
     return 0

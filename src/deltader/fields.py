@@ -22,12 +22,8 @@ reported instead of giving wrong arithmetic.
 The polynomial helpers (coefficient lists, low degree first) serve the
 quotient rings, the root decompositions and the parametric solver.  That
 solver works over K[delta], never in a quotient ring: a block's rank can
-drop only at the roots in K of a maximal nonvanishing minor.  Over Q, and
-over GF(p) for most blocks, that minor is the determinant of a square of
-the block, taken from integer determinants (``linalg._pencil_det``); the
-other GF(p) blocks are ranked at every point of the field, or their minor
-is the last pivot of fraction-free elimination over GF(p)[delta]
-(``linalg.fraction_free_pivots``).
+drop only at the roots in K of a maximal nonvanishing minor, found by the
+routes set out in ``solver._block_spectrum``.
 """
 
 from __future__ import annotations

@@ -49,18 +49,14 @@ columns of a basis that is already reduced.
 
 A pencil A + delta B is pinned and split the same way, with a nonzero
 constant as the unit (see ``solver.solve_parametric``).  The rank of a
-block can drop only at the roots of a maximal nonvanishing minor.  Over Q,
-and over GF(p) for a block with u > 3 and p > u + 1 (u the least of its
-numbers of rows and columns), that minor is the determinant of a
-nonsingular square of the block, taken exactly by ``_pencil_det`` from
-integer determinants at k + 1 points; over GF(p) on the ints of the
-residues, and then reduced mod p.  ``charpoly`` takes det(xI - M) the same
-way over both fields, for any n.  The other GF(p) blocks, those with
-u <= 3 and those with p <= u + 1 that a sweep over the whole field does
-not settle, go through one-step fraction-free (Bareiss) elimination over
-GF(p)[delta] (``fraction_free_pivots``), whose last pivot is such a minor.
-Rational roots are isolated exactly by Sturm bisection on integer
-polynomials.
+block can drop only at the roots of a maximal nonvanishing minor: the
+determinant of a nonsingular square of the block, taken exactly by
+``_pencil_det`` from integer determinants, or the last pivot of one-step
+fraction-free (Bareiss) elimination over GF(p)[delta]
+(``fraction_free_pivots``); ``solver._block_spectrum`` sets out which
+block takes which.  ``charpoly`` takes det(xI - M) through ``_pencil_det``
+over Q and GF(p) alike, for any n.  Rational roots are isolated exactly by
+Sturm bisection on integer polynomials.
 """
 
 from __future__ import annotations

@@ -40,15 +40,9 @@ gets the same canonical basis as from one elimination of the whole system
 (see ``linalg.sparse_rref``).  The parametric solver treats delta as
 an indeterminate and finds the generic solution dimension together with
 the special values of delta where it jumps, from the points where some
-block's rank drops.  Let u be the least of a block's numbers of rows and
-columns.  Over Q, and over GF(p) where u > 3 and p > u + 1, the block is
-squared: a few pointwise eliminations in ints find r rows and columns on
-which it has its generic rank r, and the block is ranked again only at the
-roots of that square's determinant, interpolated from integer
-determinants.  Over GF(p) a block with u > 3 and p <= u + 1 is ranked at
-every field point instead, and one with u <= 3 goes through fraction-free
-elimination over GF(p)[delta]; the method is set out in
-``solve_parametric``.
+block's rank drops.  Each block is ranked at every field point, or through
+fraction-free elimination, or through the determinant of a square of it,
+by the rule set out in ``_block_spectrum``.
 """
 
 from __future__ import annotations
@@ -371,30 +365,54 @@ def _pivots_at(F: Field, block: list[dict], d) -> tuple[list[int], list[int]]:
 
 def _block_spectrum(F: Field, block: list[dict]) -> tuple[int, dict]:
     """Generic rank r of one pencil block and {d: rank at d} for the
-    base-field delta at which its rank is below r, found as set out in
-    ``solve_parametric``.  With u the least of the numbers of rows and
-    columns: over Q, and over GF(p) where u > 3 and p > u + 1, from the
-    determinant of an r x r square of the block, its rows ranked in ints;
-    over GF(p) where u > 3 and p <= u + 1 by a sweep of the whole field; by
-    fraction-free elimination of the whole block where u <= 3 or the sweep
-    does not settle it."""
-    index = {c: k for k, c in enumerate(sorted({c for row in block for c in row}))}
-    u = min(len(index), len(block))
+    base-field delta at which its rank is below r.
+
+    Let u be the least of the block's numbers of rows and columns.  Each
+    block takes one of three routes, by disjoint conditions:
+
+    - sweep, over GF(p) where u > 3 and p <= u + 1: the block is ranked at
+      all p field points, no more than the square's search below could
+      take.  A nonzero polynomial of degree below p does not vanish on all
+      of GF(p), so the largest rank is r if it reaches u or if u < p; else
+      r comes from fraction-free elimination, and in either case the drops
+      are the points ranked below r;
+    - Bareiss, over GF(p) where u <= 3: fraction-free elimination over
+      GF(p)[delta] (``linalg.fraction_free_pivots``), whose last pivot is a
+      nonzero r x r minor.  At most three steps with pivots of degree at
+      most three cost less than the square's eliminations and
+      interpolation;
+    - square, over Q, and over GF(p) where u > 3 and p > u + 1: the rows
+      are scaled to integers (over Q) and ranked at delta = 0, 1, ...,
+      until a rank reaches u or u + 1 points are done.  The largest rank is
+      r, since a nonzero r x r minor has at most r <= u roots, and the
+      u + 1 < p points are distinct in GF(p) too.  The rows and pivot
+      columns of an elimination of rank r give an r x r square, nonsingular
+      there, whose determinant, of degree at most k in delta, k the number
+      of its rows with a delta term, comes from integer determinants at
+      delta = 0..k by exact interpolation (``linalg._pencil_det``).  Over
+      GF(p) they are taken on the ints of the residues, and the result
+      reduced mod p is det(delta) over GF(p).
+
+    On the last two routes the rank can drop only at the roots of that
+    r x r minor (found exactly, by Sturm bisection over Q and by evaluation
+    at every point of GF(p)), and the block is ranked at each of them,
+    since the minor may vanish where another r x r minor does not.
+    """
+    columns = sorted({c for row in block for c in row})
+    u = min(len(columns), len(block))
     prime = isinstance(F, PrimeField)
-    if prime and (u <= 3 or F.p <= u + 1):
-        # the sweep visits no more points than the square's search would;
-        # at most three fraction-free steps with pivots of degree at most
-        # three cost less than the square's eliminations and interpolation
-        if u > 3:
-            ranks = {d: len(_pivots_at(F, block, d)[0]) for d in range(F.p)}
-            top = max(ranks.values())
-            if top == u or u < F.p:
-                return top, {d: k for d, k in ranks.items() if k < top}
-        dense = [[[] for _ in index] for _ in block]
-        for dense_row, row in zip(dense, block):
-            for c, f in row.items():
-                dense_row[index[c]] = f
-        r, pivots = fraction_free_pivots(F, dense, len(index))
+
+    def bareiss():
+        return fraction_free_pivots(F, [[row.get(c, []) for c in columns] for row in block], len(columns))
+
+    if prime and u > 3 and F.p <= u + 1:
+        ranks = {d: len(_pivots_at(F, block, d)[0]) for d in range(F.p)}
+        r = max(ranks.values())
+        if r < u and u >= F.p:
+            r = bareiss()[0]
+        return r, {d: k for d, k in ranks.items() if k < r}
+    if prime and u <= 3:
+        r, pivots = bareiss()
         det = pivots[-1]
     else:
         # rows in integers, with fewer delta terms first: the square then
@@ -439,37 +457,9 @@ def solve_parametric(alg: Algebra) -> ParametricResult:
     as its rank drops at delta = -a/b.  At every delta the rank is then the number
     of pinned columns plus the sum of the ranks of the blocks of the rows
     left, none above its generic rank r, and ``_block_spectrum`` gives the
-    r of each block and the points where its rank drops, with the rank there:
-
-    - over Q, and over GF(p) where u > 3 and p > u + 1, u = min(rows,
-      columns), a block is squared.  It is ranked at delta = 0, 1, ...,
-      until a rank reaches u or u + 1 points are done; the largest rank is
-      r, since a nonzero r x r minor has at most r <= u roots, and the
-      u + 1 < p points are distinct in GF(p) too.  The rows and pivot
-      columns of an elimination of rank r give an r x r square, nonsingular
-      there.  Its determinant, a polynomial of degree at most k in delta,
-      k the number of its rows with a delta term, comes from integer
-      determinants at delta = 0..k by exact interpolation
-      (``linalg._pencil_det``).  Over GF(p) they are taken on the ints of
-      the residues, and the result reduced mod p is det(delta) over GF(p).
-      The block is ranked in ints: over Q its rows are scaled to integers
-      once, and at delta = s/t a row a + b delta is ranked as t a + s b;
-    - over GF(p) where p <= u + 1 and u > 3, a block is ranked at the p
-      field values, no more points than the square's search could take.
-      A nonzero polynomial of degree below p does not vanish on all of
-      GF(p), so the largest rank is r if it reaches u or if u < p, and the
-      drops are the points below it;
-    - any other GF(p) block, one with u <= 3 or one the sweep does not
-      settle, goes through fraction-free elimination whole, whose last
-      pivot is a nonzero r x r minor; entries stay polynomial in delta,
-      and no division by a delta-dependent quantity happens.  For u <= 3
-      that is at most three steps with pivots of degree at most three,
-      cheaper than the square's eliminations and interpolation.
-
-    The block's rank can drop only at the roots of that r x r minor (found
-    exactly, by Sturm bisection over Q and by evaluation at every point of
-    GF(p)), and the block is ranked at each of them, since the minor may
-    vanish where another r x r minor does not.
+    r of each block and the points where its rank drops, with the rank
+    there, by one of three routes (sweep, Bareiss, square) that its
+    docstring sets out.
     """
     F = alg.field
     if isinstance(F, QuotientRing):

@@ -186,7 +186,7 @@ def compute_s4(alg: Algebra, law: str = "ordinary") -> IdealBasis:
                 _sub_multiple(acc[S | 1 << p], coef, right[i][t[p]], -1, ar)
         return acc[15]
 
-    for u, _ in index_tuples([par[i] for i in spread], 4, [masks[i] for i in spread]):
+    for u in index_tuples([par[i] for i in spread], 4, [masks[i] for i in spread]):
         if not unspanned:
             break
         t = (spread[u[0]], spread[u[1]], spread[u[2]], spread[u[3]])

@@ -202,6 +202,12 @@ BAD_ALGEBRAS = {
 VALID_FILES = {
     "sl2_quot": dict(SL2, field={"kind": "quot", "base": {"kind": "Q"}, "modulus": ["-2", "0", "1"]}),
     "sl2_ad_h": {"maps": [[["-2", "0", "0"], ["0", "2", "0"], ["0", "0", "0"]]]},
+    **{
+        f"abelian23_{flavor}": {
+            "field": {"kind": "Q"}, "dim": 23, "flavor": flavor, "basis": [f"e{i}" for i in range(23)], "products": [],
+        }
+        for flavor in ("lie", "assoc")
+    },
 }
 
 
@@ -224,6 +230,7 @@ VALID_FILES = {
         (["grade", "{alg}", "{not_json}", "--delta", "1"], "not_json.json: invalid JSON: Expecting property name"),
         (["make", "sl", "--n", "1"], "sl(1) is zero-dimensional: n must be at least 2"),
         (["make", "sl", "--n", "0"], "sl(0) is zero-dimensional: n must be at least 2"),
+        (["make", "sl", "--n", "-30"], "sl(-30) is zero-dimensional: n must be at least 2"),
         (["make", "sl"], "make sl requires --n"),
         (["make", "abelian", "--dim", "0"], "dimension 0 < 1: zero-dimensional algebras are not supported"),
         (["solve", "{alg}", "--parametric", "--delta", "1"], "--delta cannot be combined with --parametric"),
@@ -288,13 +295,29 @@ VALID_FILES = {
         (["make", "abelian", "--dim", "1", "--field", "gf618970019642690137449562111"],
          "p = 618970019642690137449562111 is too large: primality is decided only below 318665857834031151167461"),
         (["make", "sl", "--n", "2", "--field", "R"], "unknown field spec 'R' (use Q or gf<p>)"),
+        (["make", "zassenhaus", "--p", "5", "--n", "7"],
+         "make zassenhaus would build an algebra of dimension 78125, above the bound 512"),
+        (["make", "zassenhaus", "--p", "5", "--n", "1000000000000"],
+         "make zassenhaus would build an algebra of dimension 5^1000000000000, above the bound 512"),
+        (["make", "zassenhaus", "--p", "1000003"],
+         "make zassenhaus would build an algebra of dimension 1000003, above the bound 512"),
+        (["make", "divided-powers", "--p", "5", "--n", "4"],
+         "make divided-powers would build an algebra of dimension 625, above the bound 512"),
+        (["make", "abelian", "--dim", "1000000000000"],
+         "make abelian would build an algebra of dimension 1000000000000, above the bound 512"),
+        (["make", "sl", "--n", "1000000"], "make sl would build an algebra of dimension 999999999999, above the bound 512"),
+        (["make", "sl", "--n", "23"], "make sl would build an algebra of dimension 528, above the bound 512"),
+        (["make", "witt", "--support", ",".join(map(str, range(513))), "--modulus", "1021", "--field", "gf1021"],
+         "make witt would build an algebra of dimension 513, above the bound 512"),
+        (["make", "current", "--left", "{abelian23_lie}", "--right", "{abelian23_assoc}"],
+         "make current would build an algebra of dimension 529, above the bound 512"),
     ],
     ids=[
         "zassenhaus-no-p", "divided-powers-no-p", "abelian-no-dim", "witt-no-support",
         "current-no-left", "current-no-right", "solve-zero-denominator", "grade-zero-denominator",
         "solve-denominator-divisible-by-p",
         "maps-json-list", "maps-not-list", "maps-5x3", "maps-null-entry", "maps-invalid-json",
-        "sl1", "sl0", "sl-no-n", "abelian-dim-0", "parametric-with-delta",
+        "sl1", "sl0", "sl-negative", "sl-no-n", "abelian-dim-0", "parametric-with-delta",
         "parametric-superder", "parametric-centroid", "parametric-quasider", "parity-der",
         "parity-parametric", "parity-centroid", "parity-quasider", "delta-centroid", "delta-quasider",
         "witt-Z5-over-Q", "witt-Z7-over-GF5", "witt-modulus-0", "witt-modulus-negative",
@@ -306,6 +329,9 @@ VALID_FILES = {
         "zassenhaus-field", "divided-powers-dim", "elduque4-n", "abelian-p", "sl-support", "osp12-modulus",
         "witt-left", "current-field", "superder-no-parity", "superder-no-delta", "solve-no-delta",
         "p-beyond-bound-file", "p-beyond-bound-flag", "field-unknown",
+        "zassenhaus-above-size-bound", "zassenhaus-height-past-64", "zassenhaus-p-above-size-bound",
+        "divided-powers-above-size-bound", "abelian-above-size-bound", "sl-huge", "sl23", "witt-above-size-bound",
+        "current-above-size-bound",
     ],
 )
 def test_input_error_exit_2(tmp_path, capsys, argv, message):
@@ -324,6 +350,11 @@ def test_input_error_exit_2(tmp_path, capsys, argv, message):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and message in err and err.count("\n") == 1
+
+
+def test_make_builds_at_the_size_bound(tmp_path, capsys):
+    path = str(tmp_path / "abelian512.json")
+    assert run(capsys, "make", "abelian", "--dim", "512", "--out", path) == (0, f"wrote {path} (dim = 512)\n", "")
 
 
 def test_make_witt_in_its_characteristic_validates(tmp_path, capsys):

@@ -297,6 +297,59 @@ def test_block_rank_below_every_field_point_needs_bareiss():
     assert (rank, sorted(candidates)) == (5, [0, 1, 2, 3, 4])
 
 
+def diagonal_block(F, roots, chained=False):
+    """diag(delta - a) over the given a, joined by a unit superdiagonal if
+    ``chained``."""
+    block = [{i: [F.neg(F.from_int(a)), F.one()]} for i, a in enumerate(roots)]
+    if chained:
+        for i in range(len(roots) - 1):
+            block[i][i + 1] = [F.one()]
+    return block
+
+
+@pytest.mark.parametrize(
+    "F, block, spectrum, calls",
+    [
+        # swept, u = 4 and p = 5 <= u + 1: rank u at delta = 4 settles it
+        (PrimeField(5), diagonal_block(PrimeField(5), range(4)), (4, {0: 3, 1: 3, 2: 3, 3: 3}),
+         {"_pivots_at": 5, "_pencil_det": 0, "fraction_free_pivots": 0, "base_field_roots": 0}),
+        # swept, u = p = 5 and rank 4 at every point: one fraction-free
+        # elimination gives r = 5, and the drops are the swept ranks
+        (PrimeField(5), diagonal_block(PrimeField(5), range(5), chained=True), (5, {d: 4 for d in range(5)}),
+         {"_pivots_at": 5, "_pencil_det": 0, "fraction_free_pivots": 1, "base_field_roots": 0}),
+        # u = 3: fraction-free elimination, ranked only at the roots of its
+        # last pivot
+        (PrimeField(7), diagonal_block(PrimeField(7), range(3)), (3, {0: 2, 1: 2, 2: 2}),
+         {"_pivots_at": 3, "_pencil_det": 0, "fraction_free_pivots": 1, "base_field_roots": 1}),
+        # over Q: squared, with rank u first at delta = 4, then ranked at
+        # the four roots of the square's determinant
+        (Q, diagonal_block(Q, range(4)), (4, {0: 3, 1: 3, 2: 3, 3: 3}),
+         {"_pivots_at": 9, "_pencil_det": 1, "fraction_free_pivots": 0, "base_field_roots": 1}),
+    ],
+    ids=["sweep", "sweep-below-every-point", "bareiss", "square"],
+)
+def test_block_route_table(monkeypatch, F, block, spectrum, calls):
+    """Each block takes exactly one route of ``_block_spectrum``, read off
+    the calls it makes."""
+    import deltader.solver as solver
+
+    counts = dict.fromkeys(calls, 0)
+
+    def counted(name):
+        original = getattr(solver, name)
+
+        def call(*args):
+            counts[name] += 1
+            return original(*args)
+
+        return call
+
+    for name in calls:
+        monkeypatch.setattr(solver, name, counted(name))
+    assert _block_spectrum(F, block) == spectrum
+    assert counts == calls
+
+
 @st.composite
 def squared_gf_blocks(draw):
     """Sparse rows {column: [a, b]} of a pencil a + delta b over GF(11),
