@@ -483,7 +483,7 @@ def form_rank(alg: Algebra) -> int:
 def invariant_forms(alg: Algebra) -> list[list[list]]:
     """Basis of (super)symmetric invariant bilinear forms, as n x n matrices."""
     n = alg.dim
-    sols = sparse_nullspace([row for _, row in _form_rows(alg)], n * n, alg.field)
+    sols = sparse_nullspace((row for _, row in _form_rows(alg)), n * n, alg.field)
     return [[sol[i * n : (i + 1) * n] for i in range(n)] for sol in sols]
 
 

@@ -278,22 +278,13 @@ def poly_deg(f: list) -> int:
     return len(f) - 1
 
 
-def poly_add(base: Field, f: list, g: list) -> list:
-    n = max(len(f), len(g))
-    out = []
-    z = base.zero()
-    for i in range(n):
-        a = f[i] if i < len(f) else z
-        b = g[i] if i < len(g) else z
-        out.append(base.add(a, b))
-    return poly_trim(base, out)
-
-
-def poly_neg(base: Field, f: list) -> list:
-    return [base.neg(c) for c in f]
-
 def poly_sub(base: Field, f: list, g: list) -> list:
-    return poly_add(base, f, poly_neg(base, g))
+    z = base.zero()
+    out = [
+        base.sub(f[i] if i < len(f) else z, g[i] if i < len(g) else z)
+        for i in range(max(len(f), len(g)))
+    ]
+    return poly_trim(base, out)
 
 
 def poly_scale(base: Field, f: list, c) -> list:
@@ -332,19 +323,6 @@ def poly_divmod(base: Field, f: list, g: list) -> tuple[list, list]:
 
 def poly_mod(base: Field, f: list, g: list) -> list:
     return poly_divmod(base, f, g)[1]
-
-
-def poly_monic(base: Field, f: list) -> list:
-    if not f:
-        return f
-    return poly_scale(base, f, base.inv(f[-1]))
-
-
-def poly_gcd(base: Field, f: list, g: list) -> list:
-    f, g = list(f), list(g)
-    while g:
-        f, g = g, poly_mod(base, f, g)
-    return poly_monic(base, f)
 
 
 def poly_ext_gcd(base: Field, f: list, g: list) -> tuple[list, list, list]:
@@ -435,7 +413,7 @@ class QuotientRing(Field):
 
     def is_unit(self, a) -> bool:
         fa = self.lift(a)
-        return bool(fa) and poly_deg(poly_gcd(self.base, fa, self.modulus)) == 0
+        return bool(fa) and poly_deg(poly_ext_gcd(self.base, fa, self.modulus)[0]) == 0
 
     def zero(self):
         return tuple([self.base.zero()] * self.deg)

@@ -432,9 +432,12 @@ def _pin(rows, is_unit) -> tuple[set, list[dict]]:
     which pins its column in turn.  Any other entry pins nothing; its row
     is kept for elimination to report a zero divisor (in a ``QuotientRing``
     with a reducible modulus), drop an explicit zero, or rank a pencil
-    entry a + b delta (see ``solver.solve_parametric``).  Rows with several
-    entries are indexed by column, with a live count of their entries in
-    unpinned columns, so the cascade costs O(nnz).  The rows returned are
+    entry a + b delta (see ``solver.solve_parametric``).  ``rows`` is read
+    once, as a stream (the solvers store no system): a one-entry unit row
+    pins its column and is dropped as it arrives, so the only rows ever
+    held are the ones kept here.  Rows with several entries are indexed by
+    column, with a live count of their entries in unpinned columns, so the
+    cascade costs O(nnz).  The rows returned are
     those that pin nothing and keep a live entry: unchanged if every entry
     is live, else without their pinned columns."""
     pinned, several = set(), []

@@ -11,8 +11,8 @@ the homogeneous row
     sum_k C_ij^k x_kl  -  a sum_k C_kj^l d_ik  -  b (-1)^(q deg e_i) sum_k C_ik^l d_jk  =  0
 
 in the unknowns d_kl (column k*n + l, 0-based) and x_kl.  ``_law_rows``
-assembles it once for a list of (a, b) pairs and keeps only the rows that
-do not vanish.  The solvers choose the coefficients:
+assembles it once for a list of (a, b) pairs and yields, one at a time,
+the rows that do not vanish.  The solvers choose the coefficients:
 
 - delta-derivations: X = D, a = b = delta, q = 0; for an anticommutative
   algebra of dimension n this is n^2 (n-1)/2 equations in n^2 unknowns,
@@ -31,23 +31,27 @@ The super variants add the constraints that make the map homogeneous.
 ``is_delta_derivation`` does not restate the law: it evaluates these same
 rows at the entries of the given map.
 
-Every system, pointwise or parametric, is pinned (see ``linalg._pin``),
-then eliminated one block at a time, a block being a connected component
-of its row/column incidence graph (for a graded algebra such as W(1, n),
-each block lies inside one degree shift of D; current algebras and
-Grassmann envelopes split into hundreds of blocks).  A pointwise solve
-gets the same canonical basis as from one elimination of the whole system
-(see ``linalg.sparse_rref``).  The parametric solver treats delta as
-an indeterminate and finds the generic solution dimension together with
-the special values of delta where it jumps, from the points where some
-block's rank drops.  Each block is ranked at every field point, or through
-fraction-free elimination, or through the determinant of a square of it,
-by the rule set out in ``_block_spectrum``.
+Every system, pointwise or parametric, streams from the assembler to
+``linalg._pin`` and is stored nowhere on the way: ``_pin`` drops each row
+with one unit entry as it arrives (most rows of these systems) and holds
+only the others.  The rows left are eliminated one block at a time, a
+block being a connected component of their row/column incidence graph
+(for a graded algebra such as W(1, n), each block lies inside one degree
+shift of D; current algebras and Grassmann envelopes split into hundreds
+of blocks).  A pointwise solve gets the same canonical basis as from one
+elimination of the whole system (see ``linalg.sparse_rref``).  The
+parametric solver treats delta as an indeterminate and finds the generic
+solution dimension together with the special values of delta where it
+jumps, from the points where some block's rank drops.  Each block is
+ranked at every field point, or through fraction-free elimination, or
+through the determinant of a square of it, by the rule set out in
+``_block_spectrum``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 from .algebras import Algebra, AlgebraError, GradingMissing, ModuleAction, make_semidirect
 from .fields import Field, PrimeField, QuotientRing, parse_scalar
@@ -93,22 +97,24 @@ def _equation_pairs(alg: Algebra):
     return pairs
 
 
-def _law_rows(alg: Algebra, laws, parity: int = 0, x_offset: int = 0) -> list[dict]:
+def _law_rows(alg: Algebra, laws, parity: int = 0, x_offset: int = 0):
     """Nonzero rows of X(e_i e_j) = a D(e_i) e_j + b (-1)^(parity deg e_i) e_i D(e_j),
     one law for each (a, b) in ``laws``.
 
-    D and X map the algebra into itself: d_kl sits in column k*n + l and x_kl
-    in column x_offset + k*n + l.  For each equation pair the rows of each
-    law follow in turn, by target coordinate l; a row that vanishes is left
-    out.  (With the centroid's two laws, elimination on dense structure
-    constants fills in less in this order than with one law's rows after the
-    other's.)  With x_offset = n^2 and laws [(1, 1)], column n^2 + c of a row
-    holds the part of the delta-derivation row that does not scale with
-    delta and column c the part that does: ``solve_parametric`` reads its
-    pencil so.  A module-valued law D(xy) = delta x.D(y) - delta y.D(x),
-    D: L -> M, needs no layout of its own: it is this law on the semidirect
-    sum L + M, restricted to the entries of D that map L into M (see
-    ``solve_module_valued``).
+    The rows are yielded as they are made, and no list of them is built:
+    each solver hands the stream to ``linalg._pin``, the one place that
+    keeps a row.  D and X map the algebra into itself: d_kl sits in column
+    k*n + l and x_kl in column x_offset + k*n + l.  For each equation pair
+    the rows of each law follow in turn, by target coordinate l; a row that
+    vanishes is left out.  (With the centroid's two laws, elimination on
+    dense structure constants fills in less in this order than with one
+    law's rows after the other's.)  With x_offset = n^2 and laws [(1, 1)],
+    column n^2 + c of a row holds the part of the delta-derivation row that
+    does not scale with delta and column c the part that does:
+    ``solve_parametric`` reads its pencil so.  A module-valued law
+    D(xy) = delta x.D(y) - delta y.D(x), D: L -> M, needs no layout of its
+    own: it is this law on the semidirect sum L + M, restricted to the
+    entries of D that map L into M (see ``solve_module_valued``).
 
     Each law's coefficient is multiplied into the structure constants once
     for each j (the terms of D(e_i) e_j) and once for each i (those of
@@ -142,7 +148,6 @@ def _law_rows(alg: Algebra, laws, parity: int = 0, x_offset: int = 0) -> list[di
         [scaled(b if parity and alg.grading[i] else F.neg(b), table[i]) for i in range(n)]
         for _, b in laws
     ]
-    out = []
     for (i, j) in _equation_pairs(alg):
         product = table[i][j].items()
         for law in range(len(laws)):
@@ -161,11 +166,10 @@ def _law_rows(alg: Algebra, laws, parity: int = 0, x_offset: int = 0) -> list[di
                     row[col] = v
             for l in cancelled:
                 rows[l] = {c: v for c, v in rows[l].items() if not F.is_zero(v)}
-            out.extend(filter(None, rows))
-    return out
+            yield from filter(None, rows)
 
 
-def _maps(alg: Algebra, rows: list[dict]) -> list[LinearMap]:
+def _maps(alg: Algebra, rows) -> list[LinearMap]:
     """Canonical basis of the maps of the algebra into itself solving rows."""
     F = alg.field
     n = alg.dim
@@ -248,10 +252,10 @@ def solve_module_valued(alg: Algebra, M: ModuleAction, delta) -> SolutionSpace:
     delta = parse_scalar(F, delta)
     n, m, s = alg.dim, M.mdim, S.dim
     # d_(k, n+l) is column k*s + n + l of S, and k*m + l here
-    rows = [
+    rows = (
         {c // s * m + c % s - n: v for c, v in row.items() if c < n * s and c % s >= n}
         for row in _law_rows(S, [(delta, delta)])
-    ]
+    )
     basis = [LinearMap.from_flat(F, v, n, m) for v in sparse_nullspace(rows, n * m, F)]
     return SolutionSpace(alg, "module_valued", delta, basis)
 
@@ -263,15 +267,13 @@ def solve_centroid(alg: Algebra) -> SolutionSpace:
     return SolutionSpace(alg, "centroid", None, _maps(alg, rows))
 
 
-def _parity_constraints(alg: Algebra, parity: int) -> list[dict]:
+def _parity_constraints(alg: Algebra, parity: int):
     F = alg.field
     n = alg.dim
-    rows = []
     for i in range(n):
         for j in range(n):
             if alg.grading[j] != (alg.grading[i] + parity) % 2:
-                rows.append({i * n + j: F.one()})
-    return rows
+                yield {i * n + j: F.one()}
 
 
 def solve_superderivations(alg: Algebra, delta, parity: int) -> SolutionSpace:
@@ -282,7 +284,7 @@ def solve_superderivations(alg: Algebra, delta, parity: int) -> SolutionSpace:
     if parity not in (0, 1):
         raise ValueError("parity must be 0 or 1")
     delta = parse_scalar(alg.field, delta)
-    rows = _law_rows(alg, [(delta, delta)], parity) + _parity_constraints(alg, parity)
+    rows = chain(_law_rows(alg, [(delta, delta)], parity), _parity_constraints(alg, parity))
     return SolutionSpace(alg, "super_der", delta, _maps(alg, rows), parity=parity)
 
 
@@ -296,7 +298,7 @@ def solve_supercentroid(alg: Algebra, parity: int | None = None) -> SolutionSpac
         odd = solve_supercentroid(alg, 1)
         return SolutionSpace(alg, "supercentroid", None, even.basis + odd.basis)
     one, zero = alg.field.one(), alg.field.zero()
-    rows = _law_rows(alg, [(one, zero), (zero, one)], parity) + _parity_constraints(alg, parity)
+    rows = chain(_law_rows(alg, [(one, zero), (zero, one)], parity), _parity_constraints(alg, parity))
     return SolutionSpace(alg, "supercentroid", None, _maps(alg, rows), parity=parity)
 
 
@@ -436,7 +438,7 @@ def _block_spectrum(F: Field, block: list[dict]) -> tuple[int, dict]:
     return r, {d: k for d, k in ranks.items() if k < r}
 
 
-def _pencil_spectrum(F: Field, pencil: list[dict]) -> tuple[int, dict]:
+def _pencil_spectrum(F: Field, pencil) -> tuple[int, dict]:
     """``_block_spectrum`` of a whole pencil, from its pinned columns and
     the spectra of the blocks of the rows left (see ``solve_parametric``)."""
     pinned, rows = _pin(pencil, lambda f: len(f) == 1)
@@ -464,16 +466,18 @@ def solve_parametric(alg: Algebra) -> ParametricResult:
     F = alg.field
     if isinstance(F, QuotientRing):
         raise ValueError("parametric solving needs a rational or prime base field")
+    nn = alg.dim * alg.dim
+
     # the pencil A + delta B as sparse rows {column: [a] or [a, b]}, read off
     # one quasiderivation-layout assembly: column nn + c gives A, column c B
-    nn = alg.dim * alg.dim
-    pencil = []
-    for row in _law_rows(alg, [(F.one(), F.one())], x_offset=nn):
-        const = {c - nn: v for c, v in row.items() if c >= nn}
-        entries = {c: [v] for c, v in const.items()}
-        entries.update({c: [const.get(c, F.zero()), v] for c, v in row.items() if c < nn})
-        pencil.append(entries)
-    rank, ranks = _pencil_spectrum(F, pencil)
+    def pencil():
+        for row in _law_rows(alg, [(F.one(), F.one())], x_offset=nn):
+            const = {c - nn: v for c, v in row.items() if c >= nn}
+            entries = {c: [v] for c, v in const.items()}
+            entries.update({c: [const.get(c, F.zero()), v] for c, v in row.items() if c < nn})
+            yield entries
+
+    rank, ranks = _pencil_spectrum(F, pencil())
     return ParametricResult(nn - rank, [(d, nn - k) for d, k in sorted(ranks.items())])
 
 

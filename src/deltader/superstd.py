@@ -259,9 +259,6 @@ def verify_kernel_containment(space, ideal: IdealBasis) -> bool:
 
 
 def fixture_dir() -> str:
-    override = os.environ.get("DELTA_DER_FIXTURES")
-    if override:
-        return override
     return os.path.join(os.path.dirname(__file__), "fixtures")
 
 

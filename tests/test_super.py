@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from deltader import superstd
 from deltader.algebras import (
     make_abelian,
     make_grassmann_envelope,
@@ -167,18 +168,10 @@ def test_desk_check_abelian_flags_hypotheses():
     assert rep["hypotheses_met"] is False
 
 
-def test_fixture_loading_and_env_override(tmp_path, monkeypatch):
+def test_fixture_loading():
     alg = load_fixture("osp12_gf7.json")
     assert alg.dim == 5 and alg.flavor == "super"
     assert validate(alg, "super_jacobi").ok
-    # env var override redirects the fixture directory
-    src = os.path.join(fixture_dir(), "osp12_gf7.json")
-    dst = tmp_path / "osp12_gf7.json"
-    with open(src, encoding="utf-8") as fh:
-        dst.write_text(fh.read())
-    monkeypatch.setenv("DELTA_DER_FIXTURES", str(tmp_path))
-    assert fixture_dir() == str(tmp_path)
-    assert load_fixture("osp12_gf7.json").dim == 5
 
 
 def test_fixture_corruption_detected(tmp_path, monkeypatch):
@@ -191,7 +184,7 @@ def test_fixture_corruption_detected(tmp_path, monkeypatch):
     prod["terms"][0][1] = str((int(prod["terms"][0][1]) + 1) % 7)
     bad = tmp_path / "osp12_gf7.json"
     bad.write_text(json.dumps(data))
-    monkeypatch.setenv("DELTA_DER_FIXTURES", str(tmp_path))
+    monkeypatch.setattr(superstd, "fixture_dir", lambda: str(tmp_path))
     with pytest.raises(ValueError):
         load_fixture("osp12_gf7.json")
 
