@@ -94,6 +94,7 @@ class Field:
     """Base class for field descriptors; subclasses implement raw-payload ops."""
 
     char: int
+    p = 0  # the prime of a ``PrimeField``; 0 for every other field
 
     # subclasses: add, sub, mul, neg, div, inv, zero(), one(), from_int,
     # is_zero, eq, fmt, parse, to_json
@@ -128,6 +129,9 @@ class Rationals(Field):
 
     def add(self, a, b):
         return a + b
+
+    def sub(self, a, b):
+        return a - b
 
     def mul(self, a, b):
         return a * b

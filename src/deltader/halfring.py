@@ -56,14 +56,17 @@ class CompositionRing:
         return out
 
     def power(self, u: list, k: int) -> list:
-        F = self.field
+        """u^k by repeated squaring, O(log k) multiplications: composition
+        is associative, so any bracketing gives the same exact value."""
         if k == 0:
             if self.unit is None:
                 raise ValueError("ring without identity has no zeroth power")
             return list(self.unit)
         acc = list(u)
-        for _ in range(k - 1):
-            acc = self.mul(acc, u)
+        for bit in bin(k)[3:]:  # the bits of k below its leading 1
+            acc = self.mul(acc, acc)
+            if bit == "1":
+                acc = self.mul(acc, u)
         return acc
 
     def is_zero(self, u: list) -> bool:

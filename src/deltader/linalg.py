@@ -32,18 +32,18 @@ One division by the last pivot minor gives the RREF over Q.  Over GF(p)
 and over quotient rings the dict kernel (``_dict_rref``) runs the
 elimination step, ``_sub_multiple``, one loop that ``superstd`` shares for
 its incremental insertions: it scales each new pivot row and clears pivot
-columns from incoming and stored rows.  Its arithmetic is chosen once per
-call (see ``_arith``): Python's operators on plain ints over GF(p), each
-sum reduced mod p as it is made, on ``Fraction`` over Q, and the ring's
-own methods over a quotient ring.  Every entry is the one the field's
-methods give.  Over GF(p) a dense block, of m >= 16 columns with on
-average at least m/5 entries a row, goes instead to the packed kernel
-(``_packed_rref``), which runs the same elimination on rows packed into
-one int each, a 32-bit slot per column: a row operation is one big-int
-multiply-add, and a slot is reduced mod p only where it is read.  No slot
-exceeds p + m (m + 1) p^3, so the kernel runs only where that bound is
-below 2^32; past it, and on sparser blocks, where the packed rows cost
-more than the dict entries they replace, the dict kernel runs.
+columns from incoming and stored rows.  The step takes the field: over
+GF(p) it works on plain ints, each sum reduced mod p as it is made, and
+over every other field it calls the field's own methods.  Q reaches the
+step only in ``superstd``'s s4 insertions.  Over GF(p) a dense block, of
+m >= 16 columns with on average at least m/5 entries a row, goes instead
+to the packed kernel (``_packed_rref``), which runs the same elimination
+on rows packed into one int each, a 32-bit slot per column: a row
+operation is one big-int multiply-add, and a slot is reduced mod p only
+where it is read.  No slot exceeds p + m (m + 1) p^3, so the kernel runs
+only where that bound is below 2^32; past it, and on sparser blocks,
+where the packed rows cost more than the dict entries they replace, the
+dict kernel runs.
 ``SpanSolver`` runs no elimination: it reads coordinates off the identity
 columns of a basis that is already reduced.
 
@@ -84,87 +84,49 @@ from .fields import (
 # sparse RREF and nullspaces
 
 
-class _Residue:
-    """A ``QuotientRing`` payload as a multiplier of the elimination step:
-    ``r * v`` is a ``_Residue`` again, and ``u - r`` the payload, or 0 where
-    it vanishes, each from the ring's own methods, so that the step's one
-    loop runs over the ring as written and tests its sums like numbers."""
-
-    __slots__ = ("ring", "x")
-
-    def __init__(self, ring, x):
-        self.ring, self.x = ring, x
-
-    def __mul__(self, v):
-        return _Residue(self.ring, self.ring.mul(self.x, v))
-
-    def __rsub__(self, u):
-        x = self.ring.sub(u, self.x)
-        return 0 if self.ring.is_zero(x) else x
-
-
-class _Arith:
-    """The arithmetic of the elimination step over a field (see ``_arith``):
-    ``lower`` turns a multiplier into a number the loop's operators take
-    (None: the payload already is one), ``p`` is the modulus each sum is
-    reduced by (0: none)."""
-
-    __slots__ = ("lower", "zero", "p", "field")
-
-    def __init__(self, lower, zero, p: int, field: Field):
-        self.lower, self.zero, self.p, self.field = lower, zero, p, field
-
-
-def _arith(F: Field) -> _Arith:
-    """The arithmetic of the elimination step over F, chosen once per call
-    as ``algebras._lowered`` does.  The step's loop uses Python's operators
-    on the entries: plain ints over GF(p), each sum reduced mod p as it is
-    made; ``Fraction`` operators over Q; and over a ``QuotientRing`` a
-    ``_Residue`` multiplier, whose operators are the ring's own methods.
-    Every entry comes out as the field's methods would give it."""
-    if isinstance(F, PrimeField):
-        return _Arith(None, 0, F.p, F)
-    if isinstance(F, Rationals):
-        return _Arith(None, F.zero(), 0, F)
-    return _Arith(lambda a: _Residue(F, a), F.zero(), 0, F)
-
-
-def _sub_multiple(dst: dict, coef, src: dict, skip, ar: _Arith) -> None:
+def _sub_multiple(dst: dict, coef, src: dict, skip, F: Field) -> None:
     """dst -= coef * src, over the columns of src other than ``skip``: the one
-    loop of the elimination step, in the arithmetic ``ar`` of ``_arith``."""
-    zero, p = ar.zero, ar.p
-    a = ar.lower(coef) if ar.lower else coef
-    get = dst.get
+    loop of the elimination step.  Over GF(p) the entries are plain ints,
+    each sum reduced mod p as it is made; over any other field the loop
+    calls the field's own ``sub``, ``mul`` and ``is_zero``."""
+    get, p = dst.get, F.p
+    if p:
+        for j, v in src.items():
+            if j != skip:
+                x = (get(j, 0) - coef * v) % p
+                if x:
+                    dst[j] = x
+                else:
+                    dst.pop(j, None)
+        return
+    zero, sub, mul, is_zero = F.zero(), F.sub, F.mul, F.is_zero
     for j, v in src.items():
         if j != skip:
-            x = get(j, zero) - a * v
-            if p:
-                x %= p
-            if x:
-                dst[j] = x
-            else:
+            x = sub(get(j, zero), mul(coef, v))
+            if is_zero(x):
                 dst.pop(j, None)
+            else:
+                dst[j] = x
 
 
-def _eliminate(row: dict, pivots: dict[int, dict], ar: _Arith) -> None:
+def _eliminate(row: dict, pivots: dict[int, dict], F: Field) -> None:
     """Reduce a sparse row in place by the stored pivot rows.
 
     Stored rows contain no other pivot column, so one pass over the pivot
     columns present in the row suffices."""
     for c in [c for c in row if c in pivots]:
-        _sub_multiple(row, row.pop(c), pivots[c], c, ar)
+        _sub_multiple(row, row.pop(c), pivots[c], c, F)
 
 
-def _add_pivot(row: dict, pivots: dict[int, dict], ar: _Arith) -> None:
+def _add_pivot(row: dict, pivots: dict[int, dict], F: Field) -> None:
     """Store a reduced nonzero row, scaled to 1 at its least column, and
     clear that column from the rows stored before it."""
     p = min(row)
-    F = ar.field
     scaled: dict = {}
-    _sub_multiple(scaled, F.inv(F.neg(row[p])), row, None, ar)  # 0 - (-row / row[p])
+    _sub_multiple(scaled, F.inv(F.neg(row[p])), row, None, F)  # 0 - (-row / row[p])
     for prow in pivots.values():
         if p in prow:
-            _sub_multiple(prow, prow.pop(p), scaled, p, ar)
+            _sub_multiple(prow, prow.pop(p), scaled, p, F)
     pivots[p] = scaled
 
 
@@ -205,19 +167,19 @@ def _rref(rows, F: Field) -> tuple[dict[int, dict], list[int]]:
 
 def _dict_rref(rows, F: Field) -> tuple[dict[int, dict], list[int]]:
     """``_rref`` over GF(p) or a quotient ring on sparse dict rows: each
-    incoming row is reduced by the elimination step, entry by entry."""
+    incoming row, its zeros dropped, is reduced by the elimination step and
+    becomes a pivot row if it is not zero."""
     pivots: dict[int, dict] = {}
     chosen = []
-    ar = _arith(F)
-    p = ar.p
+    p = F.p
     for k, row in enumerate(rows):
         if p:
             row = {c: y for c, v in row.items() if (y := v % p)}
         else:
             row = {c: v for c, v in row.items() if not F.is_zero(v)}
-        _eliminate(row, pivots, ar)
+        _eliminate(row, pivots, F)
         if row:
-            _add_pivot(row, pivots, ar)
+            _add_pivot(row, pivots, F)
             chosen.append(k)
     return pivots, chosen
 

@@ -54,7 +54,6 @@ from .algebras import (
 from .linalg import (
     SpanSolver,
     _add_pivot,
-    _arith,
     _dense_pivot_rows,
     _eliminate,
     _sub_multiple,
@@ -107,15 +106,14 @@ def _is_ideal(F, right: list, degree: list, components: dict) -> bool:
     component can reduce it; a nonzero product whose degree has no pivots
     lies outside the span."""
     n = len(degree)
-    ar = _arith(F)
     for d, pivots in components.items():
         for row in pivots.values():
             for i in range(n):
                 w: dict = {}
                 for k, c in row.items():
-                    _sub_multiple(w, F.neg(c), right[k][i], -1, ar)  # w += c e_k e_i
+                    _sub_multiple(w, F.neg(c), right[k][i], -1, F)  # w += c e_k e_i
                 if w:
-                    _eliminate(w, components.get(d + degree[i], {}), ar)
+                    _eliminate(w, components.get(d + degree[i], {}), F)
                     if w:
                         return False
     return True
@@ -159,7 +157,6 @@ def compute_s4(alg: Algebra, law: str = "ordinary") -> IdealBasis:
     Koszul sign above; 32 extensions over the 16 subsets give the 24 terms.
     """
     F = alg.field
-    ar = _arith(F)
     n = alg.dim
     if law == "super" and alg.grading is None:
         raise GradingMissing("the super identity needs a grading")
@@ -183,7 +180,7 @@ def compute_s4(alg: Algebra, law: str = "ordinary") -> IdealBasis:
         for S, p, negate in _koszul_steps(tuple(par[i] for i in t)):
             for i, c in acc[S].items():
                 coef = c if negate else F.neg(c)  # _sub_multiple subtracts
-                _sub_multiple(acc[S | 1 << p], coef, right[i][t[p]], -1, ar)
+                _sub_multiple(acc[S | 1 << p], coef, right[i][t[p]], -1, F)
         return acc[15]
 
     for u in index_tuples([par[i] for i in spread], 4, [masks[i] for i in spread]):
@@ -198,9 +195,9 @@ def compute_s4(alg: Algebra, law: str = "ordinary") -> IdealBasis:
             if d in unspanned:
                 pivots = components[d]
                 row = evaluate(y, t)
-                _eliminate(row, pivots, ar)
+                _eliminate(row, pivots, F)
                 if row:
-                    _add_pivot(row, pivots, ar)
+                    _add_pivot(row, pivots, F)
                     if len(pivots) == len(by_degree[d]):
                         unspanned.remove(d)
     everything = {p: row for pivots in components.values() for p, row in pivots.items()}

@@ -48,6 +48,12 @@ def test_ring_multiplication_is_composition():
     bare = CompositionRing(alg, ring.basis, ring.table, None)
     with pytest.raises(ValueError, match="no zeroth power"):
         bare.power(u, 0)
+    # powers by squaring bracket the product otherwise, to the same value
+    for u in ring.table[1] + [[1, 2, 0, 3, 4]]:
+        acc = list(u)
+        for k in range(1, 13):
+            assert ring.power(u, k) == acc
+            acc = ring.mul(acc, u)
 
 
 def test_ring_commutative_local_w11():
@@ -138,3 +144,22 @@ def test_half_ring_report_shape():
     assert rep["half_derivations_dim"] == 5
     assert rep["nilradical_dim"] == 4
     assert rep["zero_divisor_witness"] is not None
+
+
+def test_power_squares_the_ring_over_a_large_prime(monkeypatch):
+    """Over GF(p) the nilradical raises each basis element to the p-th power.
+    By repeated squaring a report of sl2 over GF(10^9 + 7) makes O(log p)
+    ring multiplications, not p - 1 (about half an hour), and reads as the
+    report over GF(7): the half-derivations are the scalars either way."""
+    mul, calls = CompositionRing.mul, []
+
+    def counted(ring, u, v):
+        calls.append(None)
+        if len(calls) > 500:
+            raise AssertionError("more than 500 ring multiplications")
+        return mul(ring, u, v)
+
+    monkeypatch.setattr(CompositionRing, "mul", counted)
+    rep = half_ring_report(make_special_linear(2, PrimeField(10**9 + 7)))
+    assert rep == half_ring_report(make_special_linear(2, PrimeField(7)))
+    assert rep["closed"] and rep["is_local"] and rep["nilradical_dim"] == 0

@@ -39,13 +39,12 @@ def fraction_nullspace(rows, ncols):
 def fraction_rref(rows):
     """The RREF of the rows and the indices of the rows that became pivots,
     from the incremental field step in ``Fraction`` arithmetic."""
-    ar = linalg._arith(Q)
     pivots, chosen = {}, []
     for k, row in enumerate(rows):
         row = {c: v for c, v in row.items() if v}
-        linalg._eliminate(row, pivots, ar)
+        linalg._eliminate(row, pivots, Q)
         if row:
-            linalg._add_pivot(row, pivots, ar)
+            linalg._add_pivot(row, pivots, Q)
             chosen.append(k)
     return pivots, chosen
 
