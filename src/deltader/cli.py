@@ -300,15 +300,19 @@ def cmd_grade(args) -> int:
 
 def cmd_report(args) -> int:
     alg = load_algebra(args.algebra)
+    F = alg.field
     report: dict = {"dim": alg.dim, "flavor": alg.flavor}
+    # the half-derivations, solved once for both reports
+    half = None
     try:
-        report["half_ring"] = half_ring_report(alg)
+        half = solve_delta_derivations(alg, F.div(F.one(), F.from_int(2)))
+        report["half_ring"] = half_ring_report(alg, half)
     except (NotClosedRing, ValueError) as exc:
         report["half_ring"] = {"error": str(exc)}
     s4 = compute_s4(alg)
     report["s4_dim"] = s4.dim
     report["s4_is_ideal"] = s4.is_ideal
-    report["desk_check"] = desk_check_theorems(alg)
+    report["desk_check"] = desk_check_theorems(alg, half)
     return _emit(report, args.out)
 
 

@@ -163,8 +163,9 @@ def nilradical(ring: CompositionRing) -> list[list]:
     raise ValueError("nilradical computation needs a rational or prime field")
 
 
-def locality_report(ring: CompositionRing) -> dict:
-    """Commutativity, nilradical dimension, and locality of the ring.
+def locality_report(ring: CompositionRing, rad: list | None = None) -> dict:
+    """Commutativity, nilradical dimension, and locality of the ring, whose
+    nilradical ``rad`` is computed unless given.
 
     The ring is local exactly when its nilpotents form an ideal of
     codimension one (non-units of a finite-dimensional commutative algebra
@@ -174,7 +175,8 @@ def locality_report(ring: CompositionRing) -> dict:
     w = ring.commutativity_witness()
     if w is not None:
         raise NotCommutative(f"basis maps {w[0]} and {w[1]} do not commute", witness=w)
-    rad = nilradical(ring)
+    if rad is None:
+        rad = nilradical(ring)
     report = {
         "dim": ring.dim,
         "commutative": True,
@@ -184,12 +186,13 @@ def locality_report(ring: CompositionRing) -> dict:
     return report
 
 
-def find_zero_divisors(ring: CompositionRing) -> list:
+def find_zero_divisors(ring: CompositionRing, rad: list | None = None) -> list:
     """Pairs (u, v) of nonzero ring elements (coordinate vectors) with uv = 0.
 
     All basis pairs are checked; for rings of dimension at most 6 a
-    certificate pair is also extracted from the nilradical (a nilpotent u of
-    index k gives the pair (u^(k-1), u)).
+    certificate pair is also extracted from the nilradical ``rad``,
+    computed unless given (a nilpotent u of index k gives the pair
+    (u^(k-1), u)).
     """
     e = LinearMap.identity(ring.field, ring.dim).rows
     out = [
@@ -199,7 +202,7 @@ def find_zero_divisors(ring: CompositionRing) -> list:
         if ring.is_zero(ring.table[a][b])
     ]
     if ring.dim <= 6 and ring.is_commutative():
-        for u in nilradical(ring):
+        for u in nilradical(ring) if rad is None else rad:
             if ring.is_zero(u):
                 continue
             prev = list(u)
@@ -252,11 +255,13 @@ def witt_half_basis(alg: Algebra) -> list[LinearMap]:
     return out
 
 
-def half_ring_report(alg: Algebra) -> dict:
-    """Aggregate JSON-ready report on the half-derivation composition ring."""
+def half_ring_report(alg: Algebra, space: SolutionSpace | None = None) -> dict:
+    """Aggregate JSON-ready report on the half-derivation composition ring,
+    read off ``space``, the half-derivations of the algebra, which are
+    solved for unless given."""
     F = alg.field
-    half = F.div(F.one(), F.from_int(2))
-    space = solve_delta_derivations(alg, half)
+    if space is None:
+        space = solve_delta_derivations(alg, F.div(F.one(), F.from_int(2)))
     report: dict = {"half_derivations_dim": space.dim}
     try:
         ring = build_composition_ring(space)
@@ -268,10 +273,11 @@ def half_ring_report(alg: Algebra) -> dict:
     w = ring.commutativity_witness()
     report["commutative"] = w is None
     if w is None:
-        loc = locality_report(ring)
+        rad = nilradical(ring)
+        loc = locality_report(ring, rad)
         report["is_local"] = loc["is_local"]
         report["nilradical_dim"] = loc["nilradical_dim"]
-        zd = find_zero_divisors(ring)
+        zd = find_zero_divisors(ring, rad)
         report["zero_divisor_witness"] = (
             [[F.fmt(c) for c in zd[0][0]], [F.fmt(c) for c in zd[0][1]]] if zd else None
         )

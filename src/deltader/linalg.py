@@ -6,7 +6,12 @@ from one pipeline, ``sparse_rref``, the same over every field:
 
 - pin: most rows of these systems have a single entry, which forces one
   unknown to zero; those unknowns, and the ones that rows left with one
-  entry force in turn, are pinned before any elimination (``_pin``);
+  entry force in turn, are pinned before any elimination (``_pin``),
+  which holds no row whose unknowns are all pinned when it arrives.  A
+  pointwise solver's assembler hands a one-entry unit row to the pin set
+  as its column and never yields it (see ``solver._law_rows``), so the
+  cascade starts from the set; ``solve_parametric`` still reads the full
+  stream;
 - split: the other rows fall apart into many small blocks, the connected
   components of the row/column incidence graph (``_blocks``);
 - order: over a field, each block's rows by descending least column, then
@@ -309,13 +314,17 @@ def _int_rref(rows) -> tuple[dict[int, dict], int, list[int]]:
     return pivots, d, chosen
 
 
-def sparse_rref(rows, field: Field) -> dict[int, dict]:
+def sparse_rref(rows, field: Field, pinned: set | None = None) -> dict[int, dict]:
     """Reduced row echelon form of a sparse system.
 
     ``rows`` is an iterable of dicts {col: coeff} of field elements (zeros
     absent, or explicit).  Returns {pivot_col: row} where each stored row
     has coefficient 1 at its pivot column and contains no other pivot
-    column.
+    column.  ``pinned``, if given, is a set of columns known to be zero,
+    as if each were a row {c: 1}: the pin set that a pointwise solver's
+    assembler fills in place of yielding its one-entry unit rows.  It is
+    read once ``rows`` is, and emptied once its pivots are made, so that
+    it holds nothing while the caller reads the RREF.
 
     First the unknowns that rows with one entry, a unit, force to zero are
     pinned, along with those the cascade of rows left with one such entry
@@ -342,9 +351,10 @@ def sparse_rref(rows, field: Field) -> dict[int, dict]:
     pivot, and so raises ``NonInvertible``, depends on the order of its
     rows.
     """
-    pinned, rows = _pin(rows, field.is_unit)
+    pinned, rows = _pin(rows, field.is_unit, pinned)
     one = field.one()
     pivots = {c: {c: one} for c in pinned}
+    pinned.clear()
     reorder = isinstance(field, (PrimeField, Rationals))
     for block in _blocks(rows):
         if reorder:
@@ -385,7 +395,7 @@ def _blocks(rows) -> list[list[dict]]:
     return list(blocks.values())
 
 
-def _pin(rows, is_unit) -> tuple[set, list[dict]]:
+def _pin(rows, is_unit, pinned: set | None = None) -> tuple[set, list[dict]]:
     """The columns that one-entry rows force to zero, and the other rows
     without those columns (singleton elimination; see ``sparse_rref``).
 
@@ -396,13 +406,20 @@ def _pin(rows, is_unit) -> tuple[set, list[dict]]:
     with a reducible modulus), drop an explicit zero, or rank a pencil
     entry a + b delta (see ``solver.solve_parametric``).  ``rows`` is read
     once, as a stream (the solvers store no system): a one-entry unit row
-    pins its column and is dropped as it arrives, so the only rows ever
-    held are the ones kept here.  Rows with several entries are indexed by
-    column, with a live count of their entries in unpinned columns, so the
-    cascade costs O(nnz).  The rows returned are
-    those that pin nothing and keep a live entry: unchanged if every entry
-    is live, else without their pinned columns."""
-    pinned, several = set(), []
+    that still arrives pins its column and is dropped, and so is a row
+    whose columns are all pinned when it arrives, which says nothing more,
+    so the only rows ever held are those that may still be kept here.
+    ``pinned``, if given, is a set of columns already known to be zero,
+    which is added to and returned: in a pointwise solve the assembler
+    has put most one-entry unit rows in it as columns, never yielding
+    them, and the cascade starts from it once the stream is read.  The
+    pencil of ``solve_parametric`` passes none.  Rows with several entries
+    are indexed by column, with a live count of their entries in unpinned
+    columns, so the cascade costs O(nnz).  The rows returned are those
+    that pin nothing and keep a live entry: unchanged if every entry is
+    live, else without their pinned columns."""
+    pinned = set() if pinned is None else pinned
+    several = []
     for row in rows:
         if len(row) == 1:
             for c, v in row.items():
@@ -410,7 +427,7 @@ def _pin(rows, is_unit) -> tuple[set, list[dict]]:
                     pinned.add(c)
                 else:
                     several.append(row)
-        elif row:
+        elif row and not pinned.issuperset(row):
             several.append(row)
     if not pinned:
         return pinned, several
@@ -437,6 +454,7 @@ def _pin(rows, is_unit) -> tuple[set, list[dict]]:
             live[j] -= 1
             if live[j] == 1:
                 todo.append(j)
+    del by_col  # free the index before the rows returned are built
     rest = []
     for row, n in zip(several, live):
         if n == len(row):
@@ -446,15 +464,19 @@ def _pin(rows, is_unit) -> tuple[set, list[dict]]:
     return pinned, rest
 
 
-def sparse_nullspace(rows, ncols: int, field: Field) -> list[list]:
+def sparse_nullspace(rows, ncols: int, field: Field, pinned: set | None = None) -> list[list]:
     """Canonical nullspace basis (dense vectors) of a sparse homogeneous
     system, read off its ``sparse_rref``.
 
     The basis has one vector v_c per free column c of the RREF, with
     v_c[c] = 1 and v_c zero on the other free columns; columns in no row
-    are free.  So the basis is the same however the rows are ordered."""
+    and not in ``pinned`` are free.  ``pinned``, if given, is the pin set
+    of a pointwise solve, columns known to be zero, which its assembler
+    fills in place of yielding its one-entry unit rows; ``sparse_rref``
+    empties it.  So the basis is the same however the rows are ordered,
+    and whether a one-entry unit row came as a row or as a column."""
     F = field
-    pivots = sparse_rref(rows, F)
+    pivots = sparse_rref(rows, F, pinned)
     basis = {c: [F.zero()] * ncols for c in range(ncols) if c not in pivots}
     for c, v in basis.items():
         v[c] = F.one()

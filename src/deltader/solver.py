@@ -27,14 +27,22 @@ the rows that do not vanish.  The solvers choose the coefficients:
   that vanish on M and map L into M, read off its rows on the entries
   d_(k, n+l), k < n, renumbered k*m + l.
 
-The super variants add the constraints that make the map homogeneous.
+The super variants make the map homogeneous by starting the pin set
+below with the entries that would break its parity.
 ``is_delta_derivation`` does not restate the law: it evaluates these same
-rows at the entries of the given map.
+rows at the entries of the given map, and requires the map to vanish on
+the columns that the assembler pins instead of yielding their rows.
 
 Every system, pointwise or parametric, streams from the assembler to
-``linalg._pin`` and is stored nowhere on the way: ``_pin`` drops each row
-with one unit entry as it arrives (most rows of these systems) and holds
-only the others.  The rows left are eliminated one block at a time, a
+``linalg._pin`` and is stored nowhere on the way.  A pointwise solve also
+hands the assembler a pin set, the columns known to be zero: a row with
+one unit entry (most rows of these systems) reaches the set as its column
+and is never yielded, and where an equation pair's product is one unit
+term c e_k, the rows c x_kl of the targets l that no term reaches are
+never built at all.  ``_pin`` starts its cascade from the set and holds
+only the rows it cannot pin at once.  ``solve_parametric`` passes no set
+and reads the full stream, since a one-entry row a + b delta of its pencil
+pins nothing.  The rows left are eliminated one block at a time, a
 block being a connected component of their row/column incidence graph
 (for a graded algebra such as W(1, n), each block lies inside one degree
 shift of D; current algebras and Grassmann envelopes split into hundreds
@@ -51,10 +59,8 @@ through the determinant of a square of it, by the rule set out in
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
-
 from .algebras import Algebra, AlgebraError, GradingMissing, ModuleAction, make_semidirect
-from .fields import Field, PrimeField, QuotientRing, parse_scalar
+from .fields import Field, PrimeField, QuotientRing, Rationals, parse_scalar
 from .linalg import (
     SpanSolver,
     _blocks,
@@ -97,7 +103,7 @@ def _equation_pairs(alg: Algebra):
     return pairs
 
 
-def _law_rows(alg: Algebra, laws, parity: int = 0, x_offset: int = 0):
+def _law_rows(alg: Algebra, laws, parity: int = 0, x_offset: int = 0, pinned: set | None = None):
     """Nonzero rows of X(e_i e_j) = a D(e_i) e_j + b (-1)^(parity deg e_i) e_i D(e_j),
     one law for each (a, b) in ``laws``.
 
@@ -123,6 +129,15 @@ def _law_rows(alg: Algebra, laws, parity: int = 0, x_offset: int = 0):
     zeros only when such a sum cancelled.  So the rows, their order and
     their values, with their types, are those of adding every term scalar
     by scalar.
+
+    Given a set ``pinned``, the assembler hands it the one-entry rows whose
+    entry is a unit (``Field.is_unit``) as their columns, and yields only
+    the other rows, in the same order: a row of several entries is always
+    yielded, even where all its columns are pinned.  Where the product
+    e_i e_j is one term c e_k with c a unit, the row of a target l that no
+    term of the law reaches is c x_kl alone: its column x_offset + k*n + l
+    joins the set and the row is never built.  The set is complete once
+    the stream is read.  Without a set the stream is every nonzero row.
     """
     F = alg.field
     n = alg.dim
@@ -148,32 +163,64 @@ def _law_rows(alg: Algebra, laws, parity: int = 0, x_offset: int = 0):
         [scaled(b if parity and alg.grading[i] else F.neg(b), table[i]) for i in range(n)]
         for _, b in laws
     ]
+    # an entry is a nonzero multiple of a structure constant, or a sum that
+    # did not cancel, so over GF(p) and Q it is a unit
+    field = isinstance(F, (PrimeField, Rationals))
     for (i, j) in _equation_pairs(alg):
-        product = table[i][j].items()
+        product = table[i][j]
+        # with no product, or one term c e_k with c a unit, a row is made
+        # only for a target that some term reaches: the row of any other
+        # target is empty, or c x_kl alone, whose column is pinned
+        sparse = pinned is not None and (
+            not product or len(product) == 1 and (field or F.is_unit(*product.values()))
+        )
+        if sparse and product:
+            [(xk, xc)] = product.items()
+            x = x_offset + xk * n
         for law in range(len(laws)):
-            rows = [{} for _ in range(n)]
-            for k, c in product:
-                for l in range(n):
-                    rows[l][x_offset + k * n + l] = c
+            if sparse:
+                rows = [None] * n
+            else:
+                rows = [{} for _ in range(n)]
+                for k, c in product.items():
+                    for l in range(n):
+                        rows[l][x_offset + k * n + l] = c
             cancelled = []
             for base, terms in ((i * n, right[law][j]), (j * n, left[law][i])):
                 for l, k, v in terms:
                     row, col = rows[l], base + k
+                    if row is None:
+                        row = rows[l] = {x + l: xc} if product else {}
                     if col in row:
                         v = F.add(row[col], v)
                         if F.is_zero(v):
                             cancelled.append(l)
                     row[col] = v
+            if sparse and product:
+                pinned.update([x + l for l in range(n) if rows[l] is None])
             for l in cancelled:
                 rows[l] = {c: v for c, v in rows[l].items() if not F.is_zero(v)}
-            yield from filter(None, rows)
+            if pinned is None:
+                yield from filter(None, rows)
+                continue
+            for row in filter(None, rows):
+                if len(row) == 1 and (field or F.is_unit(*row.values())):
+                    # add, not update(row): mixed with add, update from a
+                    # dict grows the set in smaller steps and can leave it
+                    # twice as large
+                    pinned.add(*row)
+                else:
+                    yield row
 
 
-def _maps(alg: Algebra, rows) -> list[LinearMap]:
-    """Canonical basis of the maps of the algebra into itself solving rows."""
+def _maps(alg: Algebra, laws, parity: int = 0, pinned: set | None = None) -> list[LinearMap]:
+    """Canonical basis of the maps of the algebra into itself solving the
+    laws, with the entries in ``pinned`` (a fresh set if None) zero."""
     F = alg.field
     n = alg.dim
-    return [LinearMap.from_flat(F, v, n, n) for v in sparse_nullspace(rows, n * n, F)]
+    pinned = set() if pinned is None else pinned
+    rows = _law_rows(alg, laws, parity, pinned=pinned)
+    return [LinearMap.from_flat(F, v, n, n) for v in sparse_nullspace(rows, n * n, F, pinned)]
 
 
 class SolutionSpace:
@@ -232,8 +279,7 @@ class SolutionSpace:
 
 def solve_delta_derivations(alg: Algebra, delta) -> SolutionSpace:
     delta = parse_scalar(alg.field, delta)
-    rows = _law_rows(alg, [(delta, delta)])
-    return SolutionSpace(alg, "delta_der", delta, _maps(alg, rows))
+    return SolutionSpace(alg, "delta_der", delta, _maps(alg, [(delta, delta)]))
 
 
 def solve_module_valued(alg: Algebra, M: ModuleAction, delta) -> SolutionSpace:
@@ -251,29 +297,31 @@ def solve_module_valued(alg: Algebra, M: ModuleAction, delta) -> SolutionSpace:
     F = alg.field
     delta = parse_scalar(F, delta)
     n, m, s = alg.dim, M.mdim, S.dim
-    # d_(k, n+l) is column k*s + n + l of S, and k*m + l here
-    rows = (
-        {c // s * m + c % s - n: v for c, v in row.items() if c < n * s and c % s >= n}
-        for row in _law_rows(S, [(delta, delta)])
-    )
-    basis = [LinearMap.from_flat(F, v, n, m) for v in sparse_nullspace(rows, n * m, F)]
+    pinned = set()
+
+    def rows():
+        # d_(k, n+l) is column k*s + n + l of S, and k*m + l here; the pins
+        # of S are renumbered so once the stream is read
+        pins = set()
+        for row in _law_rows(S, [(delta, delta)], pinned=pins):
+            yield {c // s * m + c % s - n: v for c, v in row.items() if c < n * s and c % s >= n}
+        pinned.update(c // s * m + c % s - n for c in pins if c < n * s and c % s >= n)
+
+    basis = [LinearMap.from_flat(F, v, n, m) for v in sparse_nullspace(rows(), n * m, F, pinned)]
     return SolutionSpace(alg, "module_valued", delta, basis)
 
 
 def solve_centroid(alg: Algebra) -> SolutionSpace:
     """Maps commuting with all multiplications: chi(ab) = chi(a)b = a chi(b)."""
     one, zero = alg.field.one(), alg.field.zero()
-    rows = _law_rows(alg, [(one, zero), (zero, one)])
-    return SolutionSpace(alg, "centroid", None, _maps(alg, rows))
+    return SolutionSpace(alg, "centroid", None, _maps(alg, [(one, zero), (zero, one)]))
 
 
-def _parity_constraints(alg: Algebra, parity: int):
-    F = alg.field
+def _parity_columns(alg: Algebra, parity: int) -> set:
+    """The entries d_ij, in column i*n + j, that a map of the given parity
+    has zero: those sending e_i to a basis vector of the other parity."""
     n = alg.dim
-    for i in range(n):
-        for j in range(n):
-            if alg.grading[j] != (alg.grading[i] + parity) % 2:
-                yield {i * n + j: F.one()}
+    return {i * n + j for i in range(n) for j in range(n) if alg.grading[j] != (alg.grading[i] + parity) % 2}
 
 
 def solve_superderivations(alg: Algebra, delta, parity: int) -> SolutionSpace:
@@ -284,8 +332,8 @@ def solve_superderivations(alg: Algebra, delta, parity: int) -> SolutionSpace:
     if parity not in (0, 1):
         raise ValueError("parity must be 0 or 1")
     delta = parse_scalar(alg.field, delta)
-    rows = chain(_law_rows(alg, [(delta, delta)], parity), _parity_constraints(alg, parity))
-    return SolutionSpace(alg, "super_der", delta, _maps(alg, rows), parity=parity)
+    basis = _maps(alg, [(delta, delta)], parity, _parity_columns(alg, parity))
+    return SolutionSpace(alg, "super_der", delta, basis, parity=parity)
 
 
 def solve_supercentroid(alg: Algebra, parity: int | None = None) -> SolutionSpace:
@@ -298,8 +346,8 @@ def solve_supercentroid(alg: Algebra, parity: int | None = None) -> SolutionSpac
         odd = solve_supercentroid(alg, 1)
         return SolutionSpace(alg, "supercentroid", None, even.basis + odd.basis)
     one, zero = alg.field.one(), alg.field.zero()
-    rows = chain(_law_rows(alg, [(one, zero), (zero, one)], parity), _parity_constraints(alg, parity))
-    return SolutionSpace(alg, "supercentroid", None, _maps(alg, rows), parity=parity)
+    basis = _maps(alg, [(one, zero), (zero, one)], parity, _parity_columns(alg, parity))
+    return SolutionSpace(alg, "supercentroid", None, basis, parity=parity)
 
 
 def solve_quasiderivations(alg: Algebra) -> SolutionSpace:
@@ -308,10 +356,11 @@ def solve_quasiderivations(alg: Algebra) -> SolutionSpace:
     F = alg.field
     n = alg.dim
     nn = n * n
-    rows = _law_rows(alg, [(F.one(), F.one())], x_offset=nn)
+    pinned = set()
+    rows = _law_rows(alg, [(F.one(), F.one())], x_offset=nn, pinned=pinned)
     basis = [
         (LinearMap.from_flat(F, v[:nn], n, n), LinearMap.from_flat(F, v[nn:], n, n))
-        for v in sparse_nullspace(rows, 2 * nn, F)
+        for v in sparse_nullspace(rows, 2 * nn, F, pinned)
     ]
     return SolutionSpace(alg, "quasider", None, basis)
 
@@ -321,12 +370,15 @@ def is_delta_derivation(alg: Algebra, D: LinearMap, delta, parity=None) -> bool:
     (with the super sign when a parity is given).
 
     The check evaluates at D the rows that the solver assembles for this
-    law, so checking and solving share one encoding of it."""
+    law, and requires D to vanish at the entries that it pins instead of
+    building their rows, so checking and solving share one encoding of it."""
     F = alg.field
     delta = parse_scalar(F, delta)
     flat = D.flat()
-    rows = _law_rows(alg, [(delta, delta)], parity or 0)
-    return all(F.is_zero(_row_value(row, flat, F)) for row in rows)
+    pinned = set()
+    rows = _law_rows(alg, [(delta, delta)], parity or 0, pinned=pinned)
+    # the pin set is complete once every row has been read
+    return all(F.is_zero(_row_value(row, flat, F)) for row in rows) and all(F.is_zero(flat[c]) for c in pinned)
 
 
 # ---------------------------------------------------------------------------
@@ -498,8 +550,8 @@ def lift_grassmann(env: Algebra, D: LinearMap, g: tuple = ()) -> LinearMap:
     g = tuple(sorted(g))
     q = len(g) % 2
     F = env.field
-    for row in _parity_constraints(L, q):
-        i, j = divmod(next(iter(row)), L.dim)
+    for c in sorted(_parity_columns(L, q)):
+        i, j = divmod(c, L.dim)
         if not F.is_zero(D.rows[i][j]):
             raise ParityMismatch(
                 f"map sends parity {L.grading[i]} to parity {L.grading[j]}, "

@@ -61,6 +61,7 @@ from .linalg import (
     same_span,
 )
 from .solver import (
+    SolutionSpace,
     solve_centroid,
     solve_delta_derivations,
     solve_supercentroid,
@@ -284,12 +285,13 @@ def load_fixture(name: str) -> Algebra:
 # desk checks
 
 
-def desk_check_theorems(alg: Algebra) -> dict:
+def desk_check_theorems(alg: Algebra, half: SolutionSpace | None = None) -> dict:
     """Dimension report for the prediction that a simple (super)algebra has
     no delta-(super)derivations off {-1, 0, 1/2, 1}, and that with a
     nondegenerate invariant form the half-(super)derivations coincide with
     the (super)centroid.  Primeness is the caller's responsibility; the
-    report flags unmet hypotheses instead of asserting anything."""
+    report flags unmet hypotheses instead of asserting anything.  ``half``,
+    the half-derivations of the algebra, is solved for unless given."""
     F = alg.field
     n = alg.dim
     report: dict = {}
@@ -309,7 +311,10 @@ def desk_check_theorems(alg: Algebra) -> dict:
         "2": F.from_int(2),
         "1/3": F.div(F.one(), F.from_int(3)),
     }
-    spaces = {k: solve_delta_derivations(alg, v) for k, v in named.items()}
+    spaces = {
+        k: half if k == "1/2" and half is not None else solve_delta_derivations(alg, v)
+        for k, v in named.items()
+    }
     report["der_dims"] = {k: s.dim for k, s in spaces.items()}
     report["off_special_zero"] = (
         report["der_dims"]["2"] == 0 and report["der_dims"]["1/3"] == 0

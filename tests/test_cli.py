@@ -523,6 +523,35 @@ def test_report_command(tmp_path, capsys):
     assert rep["half_ring"]["zero_divisor_witness"] is not None
 
 
+def test_report_solves_half_once(tmp_path, capsys, monkeypatch):
+    """One report solves delta = 1/2 once, for the half-derivation ring and
+    the desk check, and takes the ring's nilradical once."""
+    from deltader import cli, halfring, superstd
+
+    path = str(tmp_path / "w11.json")
+    run(capsys, "make", "zassenhaus", "--p", "5", "--n", "1", "--out", path)
+    _, expected, _ = run(capsys, "report", path)
+    calls = []
+
+    def counted(module, name):
+        fn = getattr(module, name)
+
+        def wrapper(*args):
+            calls.append((name, args[1:]))
+            return fn(*args)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    for module in (cli, halfring, superstd):
+        counted(module, "solve_delta_derivations")
+    counted(halfring, "nilradical")
+    code, out, _ = run(capsys, "report", path)
+    assert (code, out) == (0, expected)
+    assert calls.count(("solve_delta_derivations", (3,))) == 1  # 1/2 in GF(5)
+    assert [c for c, _ in calls].count("nilradical") == 1
+    assert len(calls) == 7  # delta = -1, 0, 1/2, 1, 2, 1/3 and the nilradical
+
+
 def test_report_abelian_hypotheses(tmp_path, capsys):
     path = str(tmp_path / "ab2.json")
     run(capsys, "make", "abelian", "--dim", "2", "--field", "Q", "--out", path)

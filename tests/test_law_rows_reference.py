@@ -10,6 +10,9 @@ the same type.  The cases cover a column where the two sides cancel
 (2 - 2 delta on sl2 at delta = 1), the super sign, the quasiderivation and
 centroid layouts, the diagonal pairs of an associative algebra, a
 semidirect sum, a quotient ring, and a zero divisor whose multiples vanish.
+
+Given a pin set, the assembler must instead put the column of each of the
+reference's one-entry unit rows in the set and yield the other rows.
 """
 
 from fractions import Fraction
@@ -26,7 +29,8 @@ from deltader.algebras import (
     make_zassenhaus,
 )
 from deltader.fields import PrimeField, QuotientRing, Rationals
-from deltader.solver import _equation_pairs, _law_rows
+from deltader.linmap import LinearMap
+from deltader.solver import _equation_pairs, _law_rows, is_delta_derivation
 
 Q = Rationals()
 SQRT2 = QuotientRing(Q, [-2, 0, 1])  # Q[t]/(t^2 - 2)
@@ -144,3 +148,67 @@ def test_cancelling_column_is_dropped():
     cancelled = [b.keys() - a.keys() for a, b in zip(one, third)]
     assert sorted(c for cols in cancelled for c in cols) == [0 * n + 0, 1 * n + 1]
     assert all(v != 0 for row in one for v in row.values())
+
+
+def case_laws(alg, delta):
+    """The laws and layout of a case of ``CASES``."""
+    F = alg.field
+    one, zero = F.one(), F.zero()
+    if delta == "centroid":
+        return [(one, zero), (zero, one)], {}
+    if delta == "quasi":
+        return [(one, one)], {"x_offset": alg.dim**2}
+    d = F.t if delta == "t" else F.coerce(delta)
+    return [(d, d)], {}
+
+
+def is_unit_row(F, row):
+    return len(row) == 1 and F.is_unit(*row.values())
+
+
+@pytest.mark.parametrize("name,delta,parity", CASES, ids=[f"{a}-{d}-q{q}" for a, d, q in CASES])
+def test_pin_set_takes_the_one_entry_unit_rows(name, delta, parity):
+    """Given a pin set, the assembler puts in it the column of each of the
+    reference's rows with one entry, a unit, and yields the other rows in
+    the reference's order."""
+    alg = ALGEBRAS[name]()
+    F = alg.field
+    laws, kwargs = case_laws(alg, delta)
+    pinned = set()
+    got = list(_law_rows(alg, laws, parity, pinned=pinned, **kwargs))
+    ref = ref_law_rows(alg, laws, parity, **kwargs)
+    assert pinned == {c for row in ref if is_unit_row(F, row) for c in row}
+    assert typed(got) == typed([row for row in ref if not is_unit_row(F, row)])
+
+
+def test_one_entry_row_of_a_zero_divisor_stays_a_row():
+    """Over Q[t]/(t^2) the rows t x_2l of the pair (x, y) say nothing about
+    x_2l: they are yielded, and their columns are not pinned."""
+    alg = heisenberg_t2()
+    F = alg.field
+    pinned = set()
+    rows = list(_law_rows(alg, [(F.t, F.t)], pinned=pinned))
+    lone = [row for row in rows if len(row) == 1]
+    assert {c for row in lone for c in row} == {6, 7, 8}
+    assert all(v == F.t for row in lone for v in row.values())
+    assert not pinned & {6, 7, 8}
+
+
+@pytest.mark.parametrize("name,delta,parity", [("sl2/Q", Fraction(1, 2), 0), ("W11/GF5", 3, 0), ("osp12/GF7", 4, 1)])
+def test_map_at_a_pinned_column_is_no_delta_derivation(name, delta, parity):
+    """A map that is nonzero only at a column that the pin set holds, and
+    that no yielded row has, fails ``is_delta_derivation``: the check reads
+    the pins as well as the rows."""
+    alg = ALGEBRAS[name]()
+    F = alg.field
+    n = alg.dim
+    d = F.coerce(delta)
+    pinned = set()
+    rows = list(_law_rows(alg, [(d, d)], parity, pinned=pinned))
+    free = sorted(pinned - {c for row in rows for c in row})
+    assert free
+    for c in free[:3]:
+        flat = [F.zero()] * (n * n)
+        flat[c] = F.one()
+        D = LinearMap.from_flat(F, flat, n, n)
+        assert not is_delta_derivation(alg, D, d, parity or None)

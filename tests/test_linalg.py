@@ -1,4 +1,5 @@
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -217,9 +218,12 @@ def test_block_nullspace_matches_textbook_gauss(system):
     assert sparse_nullspace(rows, ncols, F) == dense_gauss_nullspace(F, dense, ncols)
 
 
-def unsplit_nullspace(rows, ncols, field):
+def unsplit_nullspace(rows, ncols, field, pinned=()):
     """The canonical nullspace basis from one RREF of all rows, with no
-    pinning and no split (``linalg._rref``)."""
+    pinning and no split (``linalg._rref``).  Each column of ``pinned``, a
+    set that the solver fills as its rows stream, adds a row {c: 1}."""
+    rows = list(rows)
+    rows += [{c: field.one()} for c in pinned]
     pivots = linalg._rref(rows, field)[0]
     basis = []
     for c in range(ncols):
@@ -331,6 +335,46 @@ def test_pinned_nullspace_matches_one_elimination(system):
     basis = sparse_nullspace(rows, ncols, F)
     assert basis == unsplit_nullspace(rows, ncols, F)
     assert basis == dense_gauss_nullspace(F, dense, ncols)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(singleton_cascades())
+def test_pin_set_gives_the_basis_of_its_rows(system):
+    """The one-entry unit rows handed to ``sparse_nullspace`` as a pin set
+    of their columns, as a pointwise solver's assembler does, give the
+    basis of the whole system, and the set is emptied once used."""
+    F, rows, ncols = system
+    unit = [len(row) == 1 and F.is_unit(*row.values()) for row in rows]
+    pinned = {c for row, u in zip(rows, unit) if u for c in row}
+    rest = [row for row, u in zip(rows, unit) if not u]
+    assert sparse_nullspace(rest, ncols, F, pinned) == unsplit_nullspace(rows, ncols, F)
+    assert not pinned
+
+
+def test_pin_lets_go_of_a_row_whose_columns_are_all_pinned():
+    """A row whose columns are all pinned when it reaches ``_pin`` says
+    nothing more: it is not held while the rest of the stream is read."""
+
+    class Row(dict):
+        pass
+
+    F = PrimeField(7)
+    held = []
+
+    def stream():
+        yield {0: 1}
+        yield {1: 3}
+        row = Row({0: 2, 1: 5})
+        ref = weakref.ref(row)
+        yield row
+        del row
+        yield {2: 1, 3: 1}
+        held.append(ref() is not None)
+        yield {3: 4, 4: 1}
+
+    pinned, rest = linalg._pin(stream(), F.is_unit)
+    assert held == [False]
+    assert pinned == {0, 1} and rest == [{2: 1, 3: 1}, {3: 4, 4: 1}]
 
 
 P1, P2 = 2**31 - 1, 2147483629  # the first two primes of the lift over Q
