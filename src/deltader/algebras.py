@@ -100,7 +100,14 @@ class ValidationReport:
 
 
 class Algebra:
-    """Finite-dimensional algebra over an exact field, sparse constants."""
+    """Finite-dimensional algebra over an exact field, sparse constants.
+
+    An algebra is not modified after construction.  The solvers rely on
+    that: they keep what they derive from the structure constants, the
+    product table (``_table``) and the part of each pointwise system that
+    the pairs with no product give (``solver._zero_part``), in a store on
+    the instance, ``_memo``, which is freed with it.
+    """
 
     def __init__(
         self,
@@ -134,6 +141,7 @@ class Algebra:
         self.grading = list(grading) if grading is not None else None
         self.form = form
         self.meta = meta or {}
+        self._memo: dict = {}
         self.products = {}
         for (i, j), terms in products.items():
             bad = [x for x in (i, j, *terms) if not 0 <= x < dim]
@@ -173,6 +181,16 @@ class Algebra:
         if self.flavor == "super" and self.grading[i] and self.grading[j]:
             return terms  # odd-odd products are symmetric
         return {k: F.neg(v) for k, v in terms.items()}
+
+    def _table(self) -> list[list[dict]]:
+        """Every product e_i e_j, as ``product`` gives it, at [i][j]: made
+        once and kept in the store.  Its dicts are shared, one empty dict
+        for every vanishing product among them, and must not be modified."""
+        table = self._memo.get("table")
+        if table is None:
+            n, empty = self.dim, {}
+            table = self._memo["table"] = [[self.product(i, j) or empty for j in range(n)] for i in range(n)]
+        return table
 
     def product_vec(self, i: int, j: int) -> list:
         v = [self.field.zero()] * self.dim
@@ -708,11 +726,12 @@ def make_deformed_zassenhaus(p: int, n: int) -> Algebra:
     # [e_{-1}, e_{-1}] = 0, so a pair of these carries only the cocycle
     # x^a d(x^b) - x^b d(x^a) with d(x^i) = x^{i-1}, which lies in O only
     # while a + b - 1 < nO.
+    products = dict(cur.products)
     for a in range(nO):
         for b in range(a + 1, min(nO, nO - a + 1)):
             val = binom_mod_p(a + b - 1, b - 1, p) - binom_mod_p(a + b - 1, a - 1, p)
-            cur.products[a, b] = {top + a + b - 1: cur.field.from_int(val)}
-    alg = Algebra(cur.field, cur.dim, cur.basis, cur.products)
+            products[a, b] = {top + a + b - 1: cur.field.from_int(val)}
+    alg = Algebra(cur.field, cur.dim, cur.basis, products)
     rep = validate(alg, "jacobi")
     if not rep.ok:
         raise AlgebraError(f"deformation broke Jacobi at {rep.violations[0][0]}")

@@ -405,10 +405,10 @@ def _pin(rows, is_unit, pinned: set | None = None) -> tuple[set, list[dict]]:
     is kept for elimination to report a zero divisor (in a ``QuotientRing``
     with a reducible modulus), drop an explicit zero, or rank a pencil
     entry a + b delta (see ``solver.solve_parametric``).  ``rows`` is read
-    once, as a stream (the solvers store no system): a one-entry unit row
-    that still arrives pins its column and is dropped, and so is a row
-    whose columns are all pinned when it arrives, which says nothing more,
-    so the only rows ever held are those that may still be kept here.
+    once, as a stream (the solvers store no system whole): a one-entry
+    unit row that still arrives pins its column and is dropped, and so is
+    a row whose columns are all pinned when it arrives, which says nothing
+    more, so the only rows ever held are those that may still be kept here.
     ``pinned``, if given, is a set of columns already known to be zero,
     which is added to and returned: in a pointwise solve the assembler
     has put most one-entry unit rows in it as columns, never yielding

@@ -34,8 +34,15 @@ class LinearMap:
         return m
 
     @classmethod
-    def from_flat(cls, field: Field, vec: list, nrows: int, ncols: int) -> "LinearMap":
-        return cls(field, [vec[i * ncols : (i + 1) * ncols] for i in range(nrows)])
+    def from_flat(cls, field: Field, vec: list, nrows: int, ncols: int, start: int = 0) -> "LinearMap":
+        """The map whose rows are vec[start:start + nrows * ncols], ncols
+        entries each.  The slices are fresh lists, so they are not copied
+        again."""
+        m = cls.__new__(cls)
+        m.field = field
+        m.rows = [vec[start + i * ncols : start + (i + 1) * ncols] for i in range(nrows)]
+        m.nrows, m.ncols = nrows, ncols if nrows else 0
+        return m
 
     def flat(self) -> list:
         return [c for row in self.rows for c in row]

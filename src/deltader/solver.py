@@ -34,14 +34,20 @@ rows at the entries of the given map, and requires the map to vanish on
 the columns that the assembler pins instead of yielding their rows.
 
 Every system, pointwise or parametric, streams from the assembler to
-``linalg._pin`` and is stored nowhere on the way.  A pointwise solve also
-hands the assembler a pin set, the columns known to be zero: a row with
-one unit entry (most rows of these systems) reaches the set as its column
-and is never yielded, and where an equation pair's product is one unit
-term c e_k, the rows c x_kl of the targets l that no term reaches are
-never built at all.  ``_pin`` starts its cascade from the set and holds
-only the rows it cannot pin at once.  ``solve_parametric`` passes no set
-and reads the full stream, since a one-entry row a + b delta of its pencil
+``linalg._pin``, which holds only the rows it cannot pin at once.  A
+pointwise solve also hands the assembler a pin set, the columns known to
+be zero: a row with one unit entry (most rows of these systems) reaches
+the set as its column and is never yielded, and where an equation pair's
+product is one unit term c e_k, the rows c x_kl of the targets l that no
+term reaches are never built at all.  ``_pin`` starts its cascade from
+the set.  One part of a pointwise system is kept, over GF(p) and Q: the
+rows of the pairs whose product is zero have no x entry and, up to a
+scalar, do not depend on delta, so ``_zero_part`` assembles and pins them
+once per parity and law list and keeps the pins and rows left in the
+algebra's store, beside its product table.  Every pointwise solve and
+check of the algebra starts from them and assembles only the pairs with
+a product (``_pointwise_rows``).  ``solve_parametric`` passes no set and
+reads the full stream, since a one-entry row a + b delta of its pencil
 pins nothing.  The rows left are eliminated one block at a time, a
 block being a connected component of their row/column incidence graph
 (for a graded algebra such as W(1, n), each block lies inside one degree
@@ -59,6 +65,8 @@ through the determinant of a square of it, by the rule set out in
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
+
 from .algebras import Algebra, AlgebraError, GradingMissing, ModuleAction, make_semidirect
 from .fields import Field, PrimeField, QuotientRing, Rationals, parse_scalar
 from .linalg import (
@@ -103,16 +111,45 @@ def _equation_pairs(alg: Algebra):
     return pairs
 
 
-def _law_rows(alg: Algebra, laws, parity: int = 0, x_offset: int = 0, pinned: set | None = None):
+def _law_terms(alg: Algebra, laws, parity: int = 0) -> tuple[list, list]:
+    """For each law (a, b), the terms of -a D(e_i) e_j listed by j and those
+    of -b (-1)^(parity deg e_i) e_i D(e_j) listed by i: for each index, the
+    terms c e_l of the products e_k e_j (or e_i e_k) as (l, k, coefficient
+    times c), with the zero multiples left out."""
+    F = alg.field
+    table = alg._table()
+
+    def scaled(coef, products):
+        if F.is_zero(coef):
+            return []
+        return [
+            (l, k, v)
+            for k, prod in enumerate(products)
+            for l, c in prod.items()
+            if not F.is_zero(v := F.mul(coef, c))
+        ]
+
+    right = [[scaled(F.neg(a), column) for column in zip(*table)] for a, _ in laws]
+    left = [
+        [scaled(b if parity and alg.grading[i] else F.neg(b), products) for i, products in enumerate(table)]
+        for _, b in laws
+    ]
+    return right, left
+
+
+def _law_rows(
+    alg: Algebra, laws, parity: int = 0, x_offset: int = 0, pinned: set | None = None, pairs=None, terms=None
+):
     """Nonzero rows of X(e_i e_j) = a D(e_i) e_j + b (-1)^(parity deg e_i) e_i D(e_j),
     one law for each (a, b) in ``laws``.
 
     The rows are yielded as they are made, and no list of them is built:
     each solver hands the stream to ``linalg._pin``, the one place that
-    keeps a row.  D and X map the algebra into itself: d_kl sits in column
-    k*n + l and x_kl in column x_offset + k*n + l.  For each equation pair
-    the rows of each law follow in turn, by target coordinate l; a row that
-    vanishes is left out.  (With the centroid's two laws, elimination on
+    keeps a row (``_zero_part`` keeps those it leaves).  D and X map the
+    algebra into itself: d_kl sits in column k*n + l and x_kl in column
+    x_offset + k*n + l.  For each equation pair the rows of each law
+    follow in turn, by target coordinate l; a row that vanishes is left
+    out.  (With the centroid's two laws, elimination on
     dense structure constants fills in less in this order than with one
     law's rows after the other's.)  With x_offset = n^2 and laws [(1, 1)],
     column n^2 + c of a row holds the part of the delta-derivation row that
@@ -124,11 +161,11 @@ def _law_rows(alg: Algebra, laws, parity: int = 0, x_offset: int = 0, pinned: se
 
     Each law's coefficient is multiplied into the structure constants once
     for each j (the terms of D(e_i) e_j) and once for each i (those of
-    e_i D(e_j)), not once per equation pair.  A term is added to an entry
-    only where it meets one already in its row, and a row is cleared of
-    zeros only when such a sum cancelled.  So the rows, their order and
-    their values, with their types, are those of adding every term scalar
-    by scalar.
+    e_i D(e_j)), not once per equation pair (``_law_terms``).  A term is
+    added to an entry only where it meets one already in its row, and a
+    row is cleared of zeros only when such a sum cancelled.  So the rows,
+    their order and their values, with their types, are those of adding
+    every term scalar by scalar.
 
     Given a set ``pinned``, the assembler hands it the one-entry rows whose
     entry is a unit (``Field.is_unit``) as their columns, and yields only
@@ -138,35 +175,21 @@ def _law_rows(alg: Algebra, laws, parity: int = 0, x_offset: int = 0, pinned: se
     term of the law reaches is c x_kl alone: its column x_offset + k*n + l
     joins the set and the row is never built.  The set is complete once
     the stream is read.  Without a set the stream is every nonzero row.
+
+    ``pairs``, if given, lists the equation pairs to assemble, in the order
+    of ``_equation_pairs``, in place of all of them: ``_zero_part`` passes
+    the pairs whose product is zero, ``_pointwise_rows`` the others.
+    ``terms``, if given, is ``_law_terms(alg, laws, parity)``, made once
+    for both assemblies of a first pointwise solve.
     """
     F = alg.field
     n = alg.dim
-    table = [[alg.product(i, j) for j in range(n)] for i in range(n)]
-
-    def scaled(coef, products):
-        """The terms c e_l of the products e_k e_j (or e_i e_k), listed by k,
-        as (l, k, coef * c), leaving out the zero multiples."""
-        if F.is_zero(coef):
-            return []
-        return [
-            (l, k, v)
-            for k, prod in enumerate(products)
-            for l, c in prod.items()
-            if not F.is_zero(v := F.mul(coef, c))
-        ]
-
-    # -a D(e_i) e_j by j and -b (-1)^(parity deg e_i) e_i D(e_j) by i, each
-    # law's coefficient multiplied in once
-    columns = list(zip(*table))
-    right = [[scaled(F.neg(a), column) for column in columns] for a, _ in laws]
-    left = [
-        [scaled(b if parity and alg.grading[i] else F.neg(b), table[i]) for i in range(n)]
-        for _, b in laws
-    ]
+    table = alg._table()
+    right, left = _law_terms(alg, laws, parity) if terms is None else terms
     # an entry is a nonzero multiple of a structure constant, or a sum that
     # did not cancel, so over GF(p) and Q it is a unit
     field = isinstance(F, (PrimeField, Rationals))
-    for (i, j) in _equation_pairs(alg):
+    for (i, j) in _equation_pairs(alg) if pairs is None else pairs:
         product = table[i][j]
         # with no product, or one term c e_k with c a unit, a row is made
         # only for a target that some term reaches: the row of any other
@@ -213,14 +236,87 @@ def _law_rows(alg: Algebra, laws, parity: int = 0, x_offset: int = 0, pinned: se
                     yield row
 
 
+def _zero_part(alg: Algebra, laws, parity: int, terms) -> tuple[frozenset, list[dict]]:
+    """The pins and rows that ``linalg._pin`` leaves of the rows of the
+    equation pairs with no product, for these laws over GF(p) or Q, kept in
+    the algebra's store; ``terms`` is ``_law_terms(alg, laws, parity)``.
+
+    With e_i e_j = 0 the law is a D(e_i) e_j + b (-1)^(parity deg e_i)
+    e_i D(e_j) = 0: no x entry, and a law scaled by a nonzero scalar has
+    the same rows up to that scalar.  So the part is kept under the law
+    list with every law scaled to a = 1 (b = 1 where a = 0, and a law with
+    a = b = 0, whose rows vanish, left out), for each parity.  The first
+    law list to reach it assembles it; its rows span those of every list
+    kept under the same key, at every delta, in both layouts, so they give
+    the same RREF and the same verdict on a map.
+    """
+    F = alg.field
+    key = []
+    for a, b in laws:
+        if not F.is_zero(a):
+            key.append((F.one(), F.div(b, a)))
+        elif not F.is_zero(b):
+            key.append((F.zero(), F.one()))
+    if not key:
+        return frozenset(), []
+    key = ("zero", parity, tuple(key))
+    part = alg._memo.get(key)
+    if part is None:
+        pairs = _split_pairs(alg)[1]
+        pins, rows = set(), []
+        if pairs:
+            rows = _law_rows(alg, laws, parity, pinned=pins, pairs=pairs, terms=terms)
+            pins, rows = _pin(rows, F.is_unit, pins)
+        part = alg._memo[key] = frozenset(pins), rows
+    return part
+
+
+def _split_pairs(alg: Algebra) -> tuple[list, list]:
+    """The equation pairs whose product is not zero and those whose product
+    is, each in the order of ``_equation_pairs``, kept in the algebra's
+    store."""
+    split = alg._memo.get("pairs")
+    if split is None:
+        table = alg._table()
+        split = alg._memo["pairs"] = [], []
+        for i, j in _equation_pairs(alg):
+            split[not table[i][j]].append((i, j))
+    return split
+
+
+def _pointwise_rows(alg: Algebra, laws, pinned: set, parity: int = 0, x_offset: int = 0):
+    """The rows of a pointwise system, and its pins added to ``pinned``:
+    over GF(p) and Q, the pins and rows of ``_zero_part`` and then those
+    that ``_law_rows`` assembles of the pairs with a product.  Pinned and
+    eliminated, they give the RREF of the full stream of ``_law_rows``,
+    which is canonical; a map satisfies the one where it satisfies the
+    other.  Over a quotient ring it is the full stream, whose order decides
+    whether a zero-divisor pivot is met (see ``linalg.sparse_rref``)."""
+    if not isinstance(alg.field, (PrimeField, Rationals)):
+        return _law_rows(alg, laws, parity, x_offset, pinned)
+    terms = _law_terms(alg, laws, parity)
+    pins, rows = _zero_part(alg, laws, parity, terms)
+    pinned.update(pins)
+    return chain(rows, _law_rows(alg, laws, parity, x_offset, pinned, _split_pairs(alg)[0], terms))
+
+
+def _drained(vectors: list):
+    """The vectors of the list in order, each dropped from it as it is
+    yielded: a dense basis made into maps is not held twice over, once as
+    vectors and once as the maps' rows."""
+    vectors.reverse()
+    while vectors:
+        yield vectors.pop()
+
+
 def _maps(alg: Algebra, laws, parity: int = 0, pinned: set | None = None) -> list[LinearMap]:
     """Canonical basis of the maps of the algebra into itself solving the
     laws, with the entries in ``pinned`` (a fresh set if None) zero."""
     F = alg.field
     n = alg.dim
     pinned = set() if pinned is None else pinned
-    rows = _law_rows(alg, laws, parity, pinned=pinned)
-    return [LinearMap.from_flat(F, v, n, n) for v in sparse_nullspace(rows, n * n, F, pinned)]
+    rows = _pointwise_rows(alg, laws, pinned, parity)
+    return [LinearMap.from_flat(F, v, n, n) for v in _drained(sparse_nullspace(rows, n * n, F, pinned))]
 
 
 class SolutionSpace:
@@ -307,7 +403,7 @@ def solve_module_valued(alg: Algebra, M: ModuleAction, delta) -> SolutionSpace:
             yield {c // s * m + c % s - n: v for c, v in row.items() if c < n * s and c % s >= n}
         pinned.update(c // s * m + c % s - n for c in pins if c < n * s and c % s >= n)
 
-    basis = [LinearMap.from_flat(F, v, n, m) for v in sparse_nullspace(rows(), n * m, F, pinned)]
+    basis = [LinearMap.from_flat(F, v, n, m) for v in _drained(sparse_nullspace(rows(), n * m, F, pinned))]
     return SolutionSpace(alg, "module_valued", delta, basis)
 
 
@@ -357,10 +453,10 @@ def solve_quasiderivations(alg: Algebra) -> SolutionSpace:
     n = alg.dim
     nn = n * n
     pinned = set()
-    rows = _law_rows(alg, [(F.one(), F.one())], x_offset=nn, pinned=pinned)
+    rows = _pointwise_rows(alg, [(F.one(), F.one())], pinned, x_offset=nn)
     basis = [
-        (LinearMap.from_flat(F, v[:nn], n, n), LinearMap.from_flat(F, v[nn:], n, n))
-        for v in sparse_nullspace(rows, 2 * nn, F, pinned)
+        (LinearMap.from_flat(F, v, n, n), LinearMap.from_flat(F, v, n, n, nn))
+        for v in _drained(sparse_nullspace(rows, 2 * nn, F, pinned))
     ]
     return SolutionSpace(alg, "quasider", None, basis)
 
@@ -376,7 +472,7 @@ def is_delta_derivation(alg: Algebra, D: LinearMap, delta, parity=None) -> bool:
     delta = parse_scalar(F, delta)
     flat = D.flat()
     pinned = set()
-    rows = _law_rows(alg, [(delta, delta)], parity or 0, pinned=pinned)
+    rows = _pointwise_rows(alg, [(delta, delta)], pinned, parity or 0)
     # the pin set is complete once every row has been read
     return all(F.is_zero(_row_value(row, flat, F)) for row in rows) and all(F.is_zero(flat[c]) for c in pinned)
 

@@ -166,7 +166,7 @@ def compute_s4(alg: Algebra, law: str = "ordinary") -> IdealBasis:
     par = alg.grading if law == "super" else [0] * n
     masks = [sum(1 << g for g in s) for s in alg.meta.get("supports") or [()] * n]
     degree = _packed_degrees(_support_degrees(alg), 5)
-    right = [[alg.product(i, j) for j in range(n)] for i in range(n)]
+    right = alg._table()
     by_degree: dict[int, list] = {}
     for y, d in enumerate(degree):
         by_degree.setdefault(d, []).append(y)

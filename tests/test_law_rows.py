@@ -7,14 +7,20 @@ be the pointwise delta-(super)derivation system row for row, once the rows
 that vanish at delta are dropped.  And no assembly, of any law, keeps a
 row that vanishes identically.  The rows stream from the assembler to
 ``linalg._pin``, which holds only the rows it cannot pin at once, so a
-solve never stores the whole system.
+solve never stores the whole system.  What an algebra keeps, the rows of
+its zero-product pairs, spares every later solve of it their assembly,
+is not used over a quotient ring, and is freed with the algebra.
 """
 
+import gc
 import tracemalloc
+import weakref
 
 import pytest
 
+from deltader import solver
 from deltader.algebras import (
+    Algebra,
     ModuleAction,
     make_abelian,
     make_elduque4,
@@ -23,7 +29,7 @@ from deltader.algebras import (
     make_special_linear,
     make_zassenhaus,
 )
-from deltader.fields import PrimeField, Rationals
+from deltader.fields import PrimeField, QuotientRing, Rationals
 from deltader.solver import _law_rows, solve_centroid
 
 Q = Rationals()
@@ -97,3 +103,98 @@ def test_centroid_system_is_not_stored():
         tracemalloc.stop()
     assert space.dim == 1
     assert peak < 10 * 2**20
+
+
+# --- the zero-product part, kept per algebra --------------------------------
+
+GF7 = PrimeField(7)
+REPEATS = {
+    "sl3/Q": (lambda: make_special_linear(3, Q), None),
+    "W11/GF5": (lambda: make_zassenhaus(5, 1), None),
+    "osp12/GF7": (lambda: make_osp12(GF7), 0),
+    "osp12/GF7-odd": (lambda: make_osp12(GF7), 1),
+}
+
+
+def spy_law_rows(monkeypatch):
+    """Record the pairs each assembly of ``_law_rows`` is asked for (None
+    for every equation pair)."""
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args[5] if len(args) > 5 else kwargs.get("pairs"))
+        return _law_rows(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "_law_rows", spy)
+    return calls
+
+
+def solve_at(alg, delta, parity):
+    delta = alg.field.div(alg.field.one(), alg.field.from_int(2)) if delta == "1/2" else alg.field.from_int(delta)
+    if parity is None:
+        return solver.solve_delta_derivations(alg, delta)
+    return solver.solve_superderivations(alg, delta, parity)
+
+
+@pytest.mark.parametrize("name", list(REPEATS))
+def test_repeat_solve_assembles_only_the_pairs_with_a_product(name, monkeypatch):
+    """After a delta = 1/2 solve, a delta = 2 solve of the same algebra, its
+    quasiderivations and the check of a map assemble no row of a pair whose
+    product is zero, and call ``Algebra.product`` no more."""
+    make, parity = REPEATS[name]
+    alg = make()
+    zero = [(i, j) for i, j in solver._equation_pairs(alg) if not alg.product(i, j)]
+    assert zero
+    solve_at(alg, "1/2", parity)
+    ad = alg.ad(1)
+    products = []
+    monkeypatch.setattr(Algebra, "product", lambda self, i, j: products.append((i, j)))
+    calls = spy_law_rows(monkeypatch)
+    two = solve_at(alg, 2, parity)
+    if parity is None:
+        solver.solve_quasiderivations(alg)
+    verdict = solver.is_delta_derivation(alg, ad, alg.field.one(), parity)
+    assert len(calls) == (3 if parity is None else 2) and not products
+    for pairs in calls:
+        assert pairs is not None and not set(pairs) & set(zero)
+    monkeypatch.undo()
+    fresh = make()
+    assert two.to_json() == solve_at(fresh, 2, parity).to_json()
+    assert verdict == solver.is_delta_derivation(fresh, fresh.ad(1), fresh.field.one(), parity)
+
+
+def test_quotient_ring_reads_the_full_stream(monkeypatch):
+    """Over a quotient ring the row order decides whether a zero-divisor
+    pivot is met, so every solve assembles every equation pair."""
+    R = QuotientRing(Q, [-2, 0, 1])  # Q[t]/(t^2 - 2)
+    alg = make_special_linear(2, R)
+    solver.solve_delta_derivations(alg, R.t)
+    calls = spy_law_rows(monkeypatch)
+    solver.solve_delta_derivations(alg, R.from_int(2))
+    solver.solve_centroid(alg)
+    assert calls == [None, None]
+
+
+def test_store_is_freed_with_the_algebra():
+    """Solves of every kind keep nothing of the algebra alive once it and
+    their results are dropped: the store lives on the instance."""
+    algs = [make_osp12(GF7), make_special_linear(2, Q)]
+    refs = [weakref.ref(alg) for alg in algs]
+    for alg in algs:
+        F = alg.field
+        half = F.div(F.one(), F.from_int(2))
+        space = solver.solve_delta_derivations(alg, half)
+        solver.is_delta_derivation(alg, space.basis[0], half)
+        solver.solve_delta_derivations(alg, F.zero())
+        solver.solve_centroid(alg)
+        solver.solve_quasiderivations(alg)
+        solver.solve_parametric(alg)
+        if alg.grading is not None:
+            for q in (0, 1):
+                solver.solve_superderivations(alg, half, q)
+            solver.solve_supercentroid(alg)
+        else:
+            solver.solve_module_valued(alg, ModuleAction.adjoint(alg), half)
+    del alg, algs, space
+    gc.collect()
+    assert [ref() for ref in refs] == [None, None]

@@ -13,6 +13,9 @@
 * The dimensions of Der_delta (delta = 1/2, 1, -1), of the centroid and of
   the quasiderivations do not change under a random invertible change of
   basis.  A rebased system is one dense block over Q or GF(7).
+* A drawn sequence of pointwise solves and checks on one algebra object,
+  which keeps the part of each system that the pairs with no product give,
+  answers each call as a freshly built copy of the algebra does.
 """
 
 import functools
@@ -23,14 +26,23 @@ from hypothesis import given, settings, strategies as st
 
 from deltader.algebras import (
     Algebra,
+    make_current,
     make_divided_powers,
+    make_osp12,
     make_special_linear,
     make_witt_type,
     make_zassenhaus,
     validate,
 )
 from deltader.fields import PrimeField, Rationals
-from deltader.solver import solve_centroid, solve_delta_derivations, solve_quasiderivations
+from deltader.solver import (
+    is_delta_derivation,
+    solve_centroid,
+    solve_delta_derivations,
+    solve_quasiderivations,
+    solve_supercentroid,
+    solve_superderivations,
+)
 
 from conftest import oracle_delta_derivations
 
@@ -182,3 +194,74 @@ def test_dimensions_invariant_under_change_of_basis(name, data):
     alg, expected = data.draw(rebased(name))
     # Witt Z/5 over GF(7) is anticommutative but not Lie, in any basis
     assert (validate(alg).ok, dims(alg)) == expected
+
+
+SEQUENCES = {
+    "sl2/Q": lambda: make_special_linear(2, Q),
+    "sl2/GF7": lambda: make_special_linear(2, GF7),
+    "osp12/Q": lambda: make_osp12(Q),
+    "osp12/GF7": lambda: make_osp12(GF7),
+    "W11/GF5": lambda: make_zassenhaus(5, 1),
+    "sl2xO1/GF5": lambda: make_current(make_special_linear(2, PrimeField(5)), make_divided_powers(5, 1)),
+}
+
+
+def fresh_copy(alg):
+    return Algebra(alg.field, alg.dim, alg.basis, alg.products, alg.flavor, alg.grading, alg.form, alg.meta)
+
+
+@st.composite
+def calls(draw, alg):
+    """A pointwise call (kind, delta, parity) on ``alg``: delta from the
+    field, 0, 1/2 and 1 (where the two sides of sl2's rows cancel) always
+    among the choices."""
+    F = alg.field
+    kinds = ["der", "centroid", "quasider", "check"]
+    if alg.grading is not None:
+        kinds += ["superder", "supercentroid"]
+    kind = draw(st.sampled_from(kinds))
+    extra = [Fraction(-1), Fraction(2), Fraction(1, 3), Fraction(-2, 3)] if F == Q else range(2, F.p)
+    pool = [F.zero(), F.div(F.one(), F.from_int(2)), F.one()] + [F.coerce(d) for d in extra]
+    delta = draw(st.sampled_from(pool))
+    graded = alg.grading is not None and kind in ("superder", "supercentroid", "check")
+    parity = draw(st.sampled_from([0, 1])) if graded else None
+    return kind, delta, parity
+
+
+def answer(alg, kind, delta, parity, maps):
+    """The canonical JSON of a solve, or the verdicts of ``is_delta_derivation``
+    on ``maps``."""
+    if kind == "der":
+        return solve_delta_derivations(alg, delta).to_json()
+    if kind == "superder":
+        return solve_superderivations(alg, delta, parity).to_json()
+    if kind == "centroid":
+        return solve_centroid(alg).to_json()
+    if kind == "supercentroid":
+        return solve_supercentroid(alg, parity).to_json()
+    if kind == "quasider":
+        return solve_quasiderivations(alg).to_json()
+    return [is_delta_derivation(alg, m, delta, parity) for m in maps]
+
+
+@pytest.mark.parametrize("name", list(SEQUENCES))
+@settings(derandomize=True, deadline=None, max_examples=12)
+@given(data=st.data())
+def test_solves_on_one_algebra_match_a_fresh_copy(name, data):
+    alg = SEQUENCES[name]()
+    for kind, delta, parity in data.draw(st.lists(calls(alg), min_size=2, max_size=8)):
+        maps = []
+        if kind == "check":
+            # basis maps of Der_delta, solved on another copy, and some ad e_i
+            maps = solve_delta_derivations(fresh_copy(alg), delta).basis[:2] + [alg.ad(i) for i in range(3)]
+        assert answer(alg, kind, delta, parity, maps) == answer(fresh_copy(alg), kind, delta, parity, maps)
+
+
+@settings(derandomize=True, deadline=None, max_examples=15)
+@given(data=st.data())
+def test_solves_on_one_random_algebra_match_a_fresh_copy(data):
+    F = data.draw(st.sampled_from([Q, GF7]))
+    alg, _ = data.draw(sparse_algebras(F))
+    for kind, delta, parity in data.draw(st.lists(calls(alg), min_size=2, max_size=6)):
+        maps = [alg.ad(i) for i in range(alg.dim)] if kind == "check" else []
+        assert answer(alg, kind, delta, parity, maps) == answer(fresh_copy(alg), kind, delta, parity, maps)
