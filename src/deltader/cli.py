@@ -6,15 +6,21 @@ or SOLVE; its entry lists the options it requires and accepts, and any
 other option is refused.  ``make`` works out the dimension its options ask
 for and refuses one above ``_MAKE_MAX_DIM`` before building anything.  All
 scalars are exact strings ("-1", "3/7"); decimal literals are rejected.
-Output JSON is canonical: sorted keys, two-space indent, LF newlines.
+Output JSON is canonical: sorted keys, two-space indent, LF newlines;
+``solve`` makes its JSON only for ``--out``.
 Exit codes: 0 on success, 2 on input/validation errors, 3 on mathematical
 precondition failures (non-closure, non-splitting, nilpotency too deep,
-...).
+...).  ``main`` returns every one of them, argparse's own included (2 for a
+usage error, 0 for ``--help``), and raises no ``SystemExit``.  The parser
+is built on the first call of ``main`` and serves every later call of the
+process; each call parses into a fresh namespace, so no call sees the
+options or defaults of another.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Callable, NamedTuple
@@ -272,12 +278,12 @@ def cmd_solve(args) -> int:
         specials = ", ".join(f"{F.fmt(d)} (dim {dim})" for d, dim in result.specials)
         print(f"generic dim = {result.generic_dim}")
         print(f"specials: {specials if specials else 'none'}")
-        data = result.to_json(F)
+        if args.out:
+            write_json(args.out, result.to_json(F))
     else:
         print(f"dim = {result.dim}")
-        data = result.to_json()
-    if args.out:
-        write_json(args.out, data)
+        if args.out:
+            write_json(args.out, result.to_json())
     return 0
 
 
@@ -328,7 +334,10 @@ def _options(parser) -> list[str]:
     return [a.dest for a in parser._actions if a.option_strings and a.dest not in ("help", "kind", "out")]
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built on the first call; every call
+    of ``main`` parses with it, so it is not to be modified."""
     parser = argparse.ArgumentParser(
         prog="deltader",
         description="Exact delta-derivation computations on structure-constant algebras.",
@@ -399,8 +408,10 @@ def _join_negative_values(argv: list[str]) -> list[str]:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(_join_negative_values(sys.argv[1:] if argv is None else list(argv)))
+    try:
+        args = build_parser().parse_args(_join_negative_values(sys.argv[1:] if argv is None else list(argv)))
+    except SystemExit as exc:  # a usage error (2) or --help (0)
+        return exc.code
     try:
         return args.func(args)
     except _MATH_ERRORS as exc:

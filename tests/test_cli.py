@@ -1,5 +1,6 @@
 import json
 import os
+import pathlib
 
 import pytest
 
@@ -173,6 +174,8 @@ def test_python_m_runs_the_cli(tmp_path):
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, f"wrote {out} (dim = 3)\n", "")
     proc = subprocess.run(argv[:3] + ["solve", str(out)], env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 2 and proc.stderr == "error: --delta is required unless --parametric is given\n"
+    proc = subprocess.run(argv[:3] + ["solve"], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2 and proc.stderr.endswith("error: the following arguments are required: algebra\n")
 
 
 BAD_MAPS = {
@@ -635,3 +638,130 @@ def test_superder_requires_parity(tmp_path, capsys):
     )
     assert code == 0
     assert "dim = 2" in out
+
+
+# calls in one process, in this order: each make after the first must not
+# see the defaults _select filled in for the one before it (elduque4 fills
+# --field, which zassenhaus refuses; zassenhaus fills --n, which abelian
+# refuses), and the der solve after superder must not see its --parity
+SEQUENCE = [
+    ["make", "elduque4", "--out", "{e4}"],
+    ["make", "zassenhaus", "--p", "5", "--out", "{w11}"],
+    ["make", "abelian", "--dim", "2", "--out", "{ab}"],
+    ["make", "zassenhaus", "--p", "5", "--field", "gf7", "--out", "{z}"],
+    ["make", "sl", "--n", "2", "--field", "Q", "--out", "{sl2}"],
+    ["make", "osp12", "--field", "gf7", "--out", "{osp}"],
+    ["validate", "{w11}"],
+    ["solve", "{w11}", "--delta", "1/2", "--out", "{half}"],
+    ["solve", "{sl2}", "--parametric", "--out", "{par}"],
+    ["solve", "{sl2}", "--kind", "centroid"],
+    ["solve", "{sl2}", "--kind", "quasider", "--out", "{quasi}"],
+    ["solve", "{osp}", "--kind", "superder", "--delta", "1", "--parity", "1"],
+    ["solve", "{osp}", "--delta", "1"],
+    ["solve", "{sl2}", "--kind", "centroid", "--parity", "0"],
+    ["grade", "{w11}", "{half}", "--delta", "1/2"],
+    ["report", "{w11}", "--out", "{report}"],
+    ["solve"],
+    ["bogus"],
+    ["make", "zassenhaus", "--p", "five", "--out", "{z}"],
+    ["--help"],
+    ["solve", "--help"],
+]
+
+
+def _run_sequence(tmp_path, capsys, before_each=None):
+    """(code, stdout, stderr, bytes of the --out file) of each call of
+    SEQUENCE, in order; ``before_each`` runs before every call."""
+    names = {a[1:-1] for argv in SEQUENCE for a in argv if a.startswith("{")}
+    files = {name: str(tmp_path / f"{name}.json") for name in names}
+    results = []
+    for argv in SEQUENCE:
+        argv = [a.format(**files) if a.startswith("{") else a for a in argv]
+        out = pathlib.Path(argv[argv.index("--out") + 1]) if "--out" in argv else None
+        if out:
+            out.unlink(missing_ok=True)
+        if before_each:
+            before_each()
+        code, text, err = run(capsys, *argv)
+        results.append((code, text, err, out.read_bytes() if out and out.exists() else None))
+    return results
+
+
+def test_parser_built_once_per_process(tmp_path, capsys, monkeypatch):
+    import argparse
+
+    from deltader import cli
+
+    cli.build_parser.cache_clear()
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    for _ in range(3):
+        codes = [code for code, *_ in _run_sequence(tmp_path, capsys)]
+        assert set(codes) == {0, 2}
+    assert built.count("deltader") == 1
+    assert len(built) == 6  # the parser and its five subcommands
+
+
+def test_shared_parser_answers_as_fresh_parsers_do(tmp_path, capsys):
+    """Every call of SEQUENCE, made in turn with the one parser of the
+    process, gives what the same call gives with a parser built for it."""
+    from deltader import cli
+
+    cli.build_parser.cache_clear()
+    shared = _run_sequence(tmp_path, capsys)
+    fresh = _run_sequence(tmp_path, capsys, before_each=cli.build_parser.cache_clear)
+    assert shared == fresh
+    assert [code for code, *_ in shared[:4]] == [0, 0, 0, 2]
+    assert shared[3][2] == "error: make zassenhaus does not take --field\n"
+    assert shared[12][:3] == (0, "dim = 3\n", "")
+    assert shared[13][2] == "error: --kind centroid does not take --parity\n"
+    assert [code for code, *_ in shared[-5:]] == [2, 2, 2, 0, 0]
+
+
+@pytest.mark.parametrize(
+    "argv,out",
+    [
+        (["--delta", "1/2"], None),
+        (["--parametric"], None),
+        (["--kind", "centroid"], None),
+        (["--kind", "quasider"], None),
+        (["--delta", "1/2", "--out", "{out}"], "SolutionSpace"),
+        (["--parametric", "--out", "{out}"], "ParametricResult"),
+    ],
+    ids=["der", "parametric", "centroid", "quasider", "der-out", "parametric-out"],
+)
+def test_solve_makes_json_only_for_out(tmp_path, capsys, monkeypatch, argv, out):
+    from deltader.solver import ParametricResult, SolutionSpace
+
+    calls = []
+    for cls in (SolutionSpace, ParametricResult):
+        def counted(self, *args, _cls=cls, _fn=cls.to_json):
+            calls.append(_cls.__name__)
+            return _fn(self, *args)
+
+        monkeypatch.setattr(cls, "to_json", counted)
+    path = tmp_path / "sl2.json"
+    path.write_text(json.dumps(SL2))
+    argv = [a.format(out=tmp_path / "out.json") for a in argv]
+    code, _, err = run(capsys, "solve", str(path), *argv)
+    assert (code, err) == (0, "")
+    assert calls == ([out] if out else [])
+
+
+def test_usage_error_and_help_return_their_codes(capsys):
+    code, out, err = run(capsys, "solve")
+    assert (code, out) == (2, "")
+    assert err.startswith("usage: deltader solve ")
+    assert err.endswith("deltader solve: error: the following arguments are required: algebra\n")
+    code, out, err = run(capsys, "make", "bogus", "--out", "x.json")
+    assert (code, out) == (2, "")
+    assert "argument kind: invalid choice: 'bogus'" in err
+    code, out, err = run(capsys, "--help")
+    assert (code, err) == (0, "")
+    assert out.startswith("usage: deltader ")

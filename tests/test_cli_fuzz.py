@@ -189,8 +189,6 @@ def run_cli(argv, cwd):
     try:
         with redirect_stdout(out), redirect_stderr(err):
             code = main(argv)
-    except SystemExit as exc:
-        code = exc.code
     finally:
         os.chdir(home)
     return code, out.getvalue(), err.getvalue()

@@ -1,0 +1,147 @@
+#!/usr/bin/env python3
+"""Record one point of the benchmark trajectory as ``BENCH_<label>.json``.
+
+    python3 tools/bench_record.py LABEL
+
+Run from the root of a source checkout.  It runs
+
+    python3 perfbench/run.py --workload W --seed 7 --seconds 20
+
+once for each workload of ``BENCHMARK.json`` and keeps each run's final
+JSON line as it is.  Then it times the slow cases, which no workload runs,
+each in a fresh process: the time runs from before the algebra is built to
+the answer, and the peak RSS is the process's ``ru_maxrss``.  Each case's
+answer (a dimension, or a spectrum as ``ParametricResult.to_json`` writes
+it) is recorded next to its figures.  The file also holds the seed, the
+commit (``git rev-parse HEAD``, and whether tracked files differ from it)
+and the machine keys of ``perfbench/environment.json``, so that two files
+are compared only on one machine.  Metrics that ``perfbench/run.py`` is
+known to misreport are copied as they are and flagged under ``caveats``.
+
+Only the standard library is used.
+"""
+
+import argparse
+import json
+import os
+import subprocess
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SEED = 7
+MACHINE_KEYS = ("machine", "nproc", "python")
+CASE_TIMEOUT_S = 600
+
+CAVEATS = {
+    "parametric": {
+        "job_tail_s": "known wrong: tail() in perfbench/run.py returns lat[0], "
+        "the fastest of the workload's 11 jobs, so it reads below job_p50_s",
+    },
+    "s4_report": {
+        "job_tail_s": "bimodal: it is lat[35] of 46 jobs, which falls between the "
+        "7-9 ms jobs and the ten above 10 ms, so one slow outlier among the "
+        "smaller jobs moves it from about 8 to about 10 ms",
+    },
+}
+
+# name -> code run after the imports of CHILD; it leaves the answer in ``answer``
+SLOW_CASES = {
+    "solve_parametric W(1,2)/GF(11)":
+        "alg = A.make_zassenhaus(11, 2); answer = S.solve_parametric(alg).to_json(alg.field)",
+    "solve_parametric W(1,3)/GF(5)":
+        "alg = A.make_zassenhaus(5, 3); answer = S.solve_parametric(alg).to_json(alg.field)",
+    "solve_parametric sl2/GF(1000003)":
+        "alg = A.make_special_linear(2, F.PrimeField(1000003)); "
+        "answer = S.solve_parametric(alg).to_json(alg.field)",
+    "root_decompose sl2/GF(100003), ad h":
+        "alg = A.make_special_linear(2, F.PrimeField(100003)); "
+        "rep = G.grading_report(G.root_decompose(alg, [alg.ad(2)], 1)); "
+        "answer = {'roots': rep['roots'], 'dims': rep['dims']}",
+    "root_decompose sl2/GF(1000003), ad h":
+        "alg = A.make_special_linear(2, F.PrimeField(1000003)); "
+        "rep = G.grading_report(G.root_decompose(alg, [alg.ad(2)], 1)); "
+        "answer = {'roots': rep['roots'], 'dims': rep['dims']}",
+    "solve_delta_derivations W(1,2)/GF(13), delta = 1/2":
+        "answer = S.solve_delta_derivations(A.make_zassenhaus(13, 2), '1/2').dim",
+    "solve_delta_derivations W(1,2)/GF(11), delta = 1/2":
+        "answer = S.solve_delta_derivations(A.make_zassenhaus(11, 2), '1/2').dim",
+    "solve_delta_derivations W(1,3)/GF(5), delta = 1/2":
+        "answer = S.solve_delta_derivations(A.make_zassenhaus(5, 3), '1/2').dim",
+    "solve_quasiderivations W(1,3)/GF(5)":
+        "answer = S.solve_quasiderivations(A.make_zassenhaus(5, 3)).dim",
+    "compute_s4 G7(osp(1|2)/GF(7))":
+        "alg = A.make_grassmann_envelope(A.make_osp12(F.PrimeField(7)), 7); "
+        "answer = {'dim': alg.dim, 's4_dim': X.compute_s4(alg).dim}",
+}
+
+CHILD = """
+import json, resource, sys, time
+sys.path.insert(0, {src!r})
+from deltader import algebras as A, fields as F, gradings as G, solver as S, superstd as X
+t0 = time.perf_counter()
+{body}
+wall_s = time.perf_counter() - t0
+peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+print(json.dumps({{"wall_s": wall_s, "peak_rss_mb": peak_rss_mb, "answer": answer}}))
+"""
+
+
+def last_json_line(text: str) -> dict:
+    return json.loads(text.strip().splitlines()[-1])
+
+
+def git(*argv) -> str:
+    return subprocess.run(["git", *argv], cwd=ROOT, capture_output=True, text=True, check=True).stdout.strip()
+
+
+def run_workload(name: str) -> dict:
+    argv = [sys.executable, "perfbench/run.py", "--workload", name, "--seed", str(SEED), "--seconds", "20"]
+    proc = subprocess.run(argv, cwd=ROOT, capture_output=True, text=True, check=True)
+    return last_json_line(proc.stdout)
+
+
+def run_case(body: str) -> dict:
+    code = CHILD.format(src=os.path.join(ROOT, "src"), body=body)
+    try:
+        proc = subprocess.run([sys.executable, "-c", code], cwd=ROOT, capture_output=True, text=True,
+                              timeout=CASE_TIMEOUT_S)
+    except subprocess.TimeoutExpired:
+        return {"error": f"no answer within {CASE_TIMEOUT_S} s"}
+    if proc.returncode:
+        return {"error": proc.stderr.strip().splitlines()[-1] if proc.stderr.strip() else f"exit {proc.returncode}"}
+    return last_json_line(proc.stdout)
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("label", help="the file written is BENCH_<label>.json at the repository root")
+    args = parser.parse_args()
+    with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
+        workloads = [w["name"] for w in json.load(fh)["workloads"]]
+    with open(os.path.join(ROOT, "perfbench", "environment.json"), encoding="utf-8") as fh:
+        env = json.load(fh)
+    record = {
+        "commit": git("rev-parse", "HEAD"),
+        # true when the measured tree differs from that commit
+        "uncommitted_changes": bool(git("status", "--porcelain", "--untracked-files=no")),
+        "seed": SEED,
+        "machine": {key: env[key] for key in MACHINE_KEYS},
+        "workloads": {},
+        "slow_cases": {},
+        "caveats": CAVEATS,
+    }
+    for name in workloads:
+        print(f"workload {name}", file=sys.stderr)
+        record["workloads"][name] = run_workload(name)
+    for name, body in SLOW_CASES.items():
+        print(f"slow case {name}", file=sys.stderr)
+        record["slow_cases"][name] = run_case(body)
+    path = os.path.join(ROOT, f"BENCH_{args.label}.json")
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(json.dumps(record, sort_keys=True, indent=2) + "\n")
+    print(f"wrote {path}", file=sys.stderr)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
