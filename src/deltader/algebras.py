@@ -104,9 +104,10 @@ class Algebra:
 
     An algebra is not modified after construction.  The solvers rely on
     that: they keep what they derive from the structure constants, the
-    product table (``_table``) and the part of each pointwise system that
-    the pairs with no product give (``solver._zero_part``), in a store on
-    the instance, ``_memo``, which is freed with it.
+    product table (``_table``), its constants lowered to integers over Q
+    (``_lowering``, ``_lowered_table``) and the part of each pointwise
+    system that the pairs with no product give (``solver._zero_part``), in
+    a store on the instance, ``_memo``, which is freed with it.
     """
 
     def __init__(
@@ -190,6 +191,35 @@ class Algebra:
         if table is None:
             n, empty = self.dim, {}
             table = self._memo["table"] = [[self.product(i, j) or empty for j in range(n)] for i in range(n)]
+        return table
+
+    def _lowering(self) -> tuple:
+        """``(D, lower)``: over Q, D is the lcm of the denominators of the
+        structure constants and ``lower`` takes a constant c to the integer
+        D c; over any other field, 1 and the identity.  Made once and kept
+        in the store.  The identity checks (``_lowered``) and the solvers'
+        assembly (``_lowered_table``) read the constants so lowered, and
+        take sums of their products in ints over Q as over GF(p)."""
+        lowering = self._memo.get("lowering")
+        if lowering is None:
+            D, lower = 1, (lambda c: c)
+            if isinstance(self.field, Rationals):
+                D = math.lcm(*(c.denominator for terms in self.products.values() for c in terms.values()))
+                lower = lambda c: c.numerator * (D // c.denominator)
+            lowering = self._memo["lowering"] = D, lower
+        return lowering
+
+    def _lowered_table(self) -> list[list[dict]]:
+        """``_table`` with every constant lowered by ``_lowering``, to the
+        integer D c over Q, made once and kept in the store; over any other
+        field, ``_table`` itself."""
+        table = self._memo.get("lowered")
+        if table is None:
+            table = self._table()
+            if isinstance(self.field, Rationals):
+                lower = self._lowering()[1]
+                table = [[{k: lower(c) for k, c in prod.items()} if prod else prod for prod in row] for row in table]
+            self._memo["lowered"] = table
         return table
 
     def product_vec(self, i: int, j: int) -> list:
@@ -321,14 +351,13 @@ def _lowered(alg: Algebra):
     products of two lowered constants, taken with ``add``, ``mul`` and
     ``neg``, as a field scalar."""
     F = alg.field
-    lower, finish = (lambda c: c), (lambda s: s)
+    D, lower = alg._lowering()
+    finish = lambda s: s
     ops = operator.add, operator.mul, operator.neg
     if isinstance(F, PrimeField):
         finish = lambda s: s % F.p
     elif isinstance(F, Rationals):
-        D = math.lcm(*(c.denominator for terms in alg.products.values() for c in terms.values()))
         D2, zero = D * D, F.zero()
-        lower = lambda c: c.numerator * (D // c.denominator)
         finish = lambda s: Fraction(s, D2) if s else zero
     else:
         ops = F.add, F.mul, F.neg
@@ -424,11 +453,12 @@ def validate(alg: Algebra, law: str | None = None) -> ValidationReport:
     triple once for every cyclic shift of that triple equal to (a, b, c),
     so (i, i, i) with i odd counts its one path three times and an odd
     permutation of distinct indices counts not at all.  The constants are
-    lowered once per call (see ``_lowered``): over GF(p) each defect
-    coordinate is a sum of products of residues, reduced mod p once; over
-    Q the constants are scaled by D, the lcm of their denominators, so a
-    defect coordinate is the integer sum s read as s / D^2; quotient-ring
-    scalars are summed with the ring's own operations in the same loop.
+    lowered once per call (see ``_lowered`` and ``Algebra._lowering``):
+    over GF(p) each defect coordinate is a sum of products of residues,
+    reduced mod p once; over Q the constants are scaled by D, the lcm of
+    their denominators, so a defect coordinate is the integer sum s read
+    as s / D^2; quotient-ring scalars are summed with the ring's own
+    operations in the same loop.
     """
     if law is None:
         law = _FLAVOR_LAW[alg.flavor]

@@ -27,13 +27,16 @@ only the work, and the nullspace basis that ``sparse_nullspace`` reads off
 it is reproducible byte-for-byte.  Over a quotient ring the rows keep their
 input order: there the order decides whether a zero-divisor pivot is met.
 
-``_rref`` is the only batch elimination.  Over Q it scales the rows to
-integers and eliminates them by fraction-free Gauss-Jordan elimination
-(``_int_rref``, which the parametric solver also runs on its integer
-rows): every division is exact, and the entries stay minors of the
-block, so the pivot rows avoid the gcd work and coefficient growth of
-fraction arithmetic.
-One division by the last pivot minor gives the RREF over Q.  Over GF(p)
+``_rref`` is the only batch elimination.  Over Q it eliminates integer
+rows by fraction-free Gauss-Jordan elimination (``_int_rref``, which the
+parametric solver also runs on its integer rows): every division is
+exact, and the entries stay minors of the block, so the pivot rows avoid
+the gcd work and coefficient growth of fraction arithmetic.  The solvers'
+rows are ints already, integer multiples of the laws' rows (see
+``solver._law_rows``); rows of Fractions from any other caller are scaled
+to integers first, each by the lcm of its denominators.
+One division by the last pivot minor gives the RREF over Q: that
+division is where ``Fraction`` enters.  Over GF(p)
 and over quotient rings the dict kernel (``_dict_rref``) runs the
 elimination step, ``_sub_multiple``, one loop that ``superstd`` shares for
 its incremental insertions: it scales each new pivot row and clears pivot
@@ -141,9 +144,10 @@ def _rref(rows, F: Field) -> tuple[dict[int, dict], list[int]]:
     rows that became pivots, in order: each is independent of the rows
     before it.  Over GF(p) the entries may be any ints; they are reduced
     mod p.  A new row, reduced by the pivot rows so far, becomes a pivot at
-    its least column if it is not zero.  Over Q each row is scaled to
-    integers, by the lcm of its denominators, and the rows go through
-    ``_int_rref``; one division by its last pivot minor gives the RREF.
+    its least column if it is not zero.  Over Q the rows go through
+    ``_int_rref`` in ints, as the solvers make them; unless every entry is
+    an int, each row is first scaled to integers by the lcm of its
+    denominators.  One division by the last pivot minor gives the RREF.
 
     Over GF(p) a dense block, one with m >= 16 columns and on average at
     least m/5 entries a row, goes to ``_packed_rref``, which packs each
@@ -155,11 +159,14 @@ def _rref(rows, F: Field) -> tuple[dict[int, dict], list[int]]:
     few dict entries they replace.
     """
     if isinstance(F, Rationals):
-        ints = []
-        for row in rows:
-            den = math.lcm(*(v.denominator for v in row.values()))
-            ints.append({c: v.numerator * (den // v.denominator) for c, v in row.items() if v})
-        pivots, d, chosen = _int_rref(ints)
+        rows = list(rows)
+        if not {type(v) for row in rows for v in row.values()} <= {int}:
+            ints = []
+            for row in rows:
+                den = math.lcm(*(v.denominator for v in row.values()))
+                ints.append({c: v.numerator * (den // v.denominator) for c, v in row.items() if v})
+            rows = ints
+        pivots, d, chosen = _int_rref(rows)
         return {p: {c: Fraction(x, d) for c, x in prow.items()} for p, prow in pivots.items()}, chosen
     if isinstance(F, PrimeField):
         rows = list(rows)

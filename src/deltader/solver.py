@@ -27,6 +27,15 @@ the rows that do not vanish.  The solvers choose the coefficients:
   that vanish on M and map L into M, read off its rows on the entries
   d_(k, n+l), k < n, renumbered k*m + l.
 
+Over Q the rows are ints.  The algebra lowers its structure constants
+once to D c, D the lcm of their denominators (``Algebra._lowered_table``),
+and a law list is lowered by t, the lcm of the denominators of its
+coefficients: the assembler writes (t a, t b) and the x coefficient t
+(``_law_terms``).  Each row is then t D times the row above, so the
+row space, the pins (a nonzero int is a unit over Q), the blocks and the
+canonical RREF are the same, and ``Fraction`` enters only at the last
+division of each block's RREF (``linalg._rref``) and in the basis maps.
+
 The super variants make the map homogeneous by starting the pin set
 below with the entries that would break its parity.
 ``is_delta_derivation`` does not restate the law: it evaluates these same
@@ -64,6 +73,7 @@ through the determinant of a square of it, by the rule set out in
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import chain
 
@@ -73,7 +83,6 @@ from .linalg import (
     SpanSolver,
     _blocks,
     _int_rref,
-    _integer_entries,
     _pencil_det,
     _pin,
     _row_value,
@@ -111,13 +120,20 @@ def _equation_pairs(alg: Algebra):
     return pairs
 
 
-def _law_terms(alg: Algebra, laws, parity: int = 0) -> tuple[list, list]:
+def _law_terms(alg: Algebra, laws, parity: int = 0) -> tuple[list, list, int]:
     """For each law (a, b), the terms of -a D(e_i) e_j listed by j and those
     of -b (-1)^(parity deg e_i) e_i D(e_j) listed by i: for each index, the
     terms c e_l of the products e_k e_j (or e_i e_k) as (l, k, coefficient
-    times c), with the zero multiples left out."""
+    times c), with the zero multiples left out; and t, the scalar of the x
+    part.  Over Q the constants are those of ``Algebra._lowered_table`` and
+    each law is lowered to the ints (t a, t b), t the lcm of the
+    denominators of the laws' coefficients; over any other field t = 1."""
     F = alg.field
-    table = alg._table()
+    table = alg._lowered_table()
+    t = 1
+    if isinstance(F, Rationals):
+        t = math.lcm(*(c.denominator for law in laws for c in law))
+        laws = [tuple(c.numerator * (t // c.denominator) for c in law) for law in laws]
 
     def scaled(coef, products):
         if F.is_zero(coef):
@@ -134,7 +150,7 @@ def _law_terms(alg: Algebra, laws, parity: int = 0) -> tuple[list, list]:
         [scaled(b if parity and alg.grading[i] else F.neg(b), products) for i, products in enumerate(table)]
         for _, b in laws
     ]
-    return right, left
+    return right, left, t
 
 
 def _law_rows(
@@ -167,6 +183,10 @@ def _law_rows(
     their order and their values, with their types, are those of adding
     every term scalar by scalar.
 
+    Over Q the constants and coefficients are those of
+    ``Algebra._lowered_table`` and ``_law_terms``: each row is t D times
+    the law's row, in ints.
+
     Given a set ``pinned``, the assembler hands it the one-entry rows whose
     entry is a unit (``Field.is_unit``) as their columns, and yields only
     the other rows, in the same order: a row of several entries is always
@@ -184,13 +204,15 @@ def _law_rows(
     """
     F = alg.field
     n = alg.dim
-    table = alg._table()
-    right, left = _law_terms(alg, laws, parity) if terms is None else terms
+    table = alg._lowered_table()
+    right, left, t = _law_terms(alg, laws, parity) if terms is None else terms
     # an entry is a nonzero multiple of a structure constant, or a sum that
     # did not cancel, so over GF(p) and Q it is a unit
     field = isinstance(F, (PrimeField, Rationals))
     for (i, j) in _equation_pairs(alg) if pairs is None else pairs:
         product = table[i][j]
+        if t != 1 and product:
+            product = {k: t * c for k, c in product.items()}
         # with no product, or one term c e_k with c a unit, a row is made
         # only for a target that some term reaches: the row of any other
         # target is empty, or c x_kl alone, whose column is pinned
@@ -531,17 +553,18 @@ def _block_spectrum(F: Field, block: list[dict]) -> tuple[int, dict]:
       nonzero r x r minor.  At most three steps with pivots of degree at
       most three cost less than the square's eliminations and
       interpolation;
-    - square, over Q, and over GF(p) where u > 3 and p > u + 1: the rows
-      are scaled to integers (over Q) and ranked at delta = 0, 1, ...,
-      until a rank reaches u or u + 1 points are done.  The largest rank is
-      r, since a nonzero r x r minor has at most r <= u roots, and the
-      u + 1 < p points are distinct in GF(p) too.  The rows and pivot
-      columns of an elimination of rank r give an r x r square, nonsingular
-      there, whose determinant, of degree at most k in delta, k the number
-      of its rows with a delta term, comes from integer determinants at
-      delta = 0..k by exact interpolation (``linalg._pencil_det``).  Over
-      GF(p) they are taken on the ints of the residues, and the result
-      reduced mod p is det(delta) over GF(p).
+    - square, over Q, and over GF(p) where u > 3 and p > u + 1: the rows,
+      whose entries are ints (over Q the assembler's pencil is integral,
+      see ``_law_terms``), are ranked at delta = 0, 1, ..., until a rank
+      reaches u or u + 1 points are done.  The largest rank is r, since a
+      nonzero r x r minor has at most r <= u roots, and the u + 1 < p
+      points are distinct in GF(p) too.  The rows and pivot columns of an
+      elimination of rank r give an r x r square, nonsingular there, whose
+      determinant, of degree at most k in delta, k the number of its rows
+      with a delta term, comes from integer determinants at delta = 0..k
+      by exact interpolation (``linalg._pencil_det``).  Over GF(p) they
+      are taken on the ints of the residues, and the result reduced mod p
+      is det(delta) over GF(p).
 
     On the last two routes the rank can drop only at the roots of that
     r x r minor (found exactly, by Sturm bisection over Q and by evaluation
@@ -565,11 +588,8 @@ def _block_spectrum(F: Field, block: list[dict]) -> tuple[int, dict]:
         r, pivots = bareiss()
         det = pivots[-1]
     else:
-        # rows in integers, with fewer delta terms first: the square then
-        # takes as many of them as it can, which lowers the degree of its
-        # determinant
-        if not prime:
-            block = [dict(zip(row, _integer_entries(row.values()))) for row in block]
+        # rows with fewer delta terms first: the square then takes as many
+        # of them as it can, which lowers the degree of its determinant
         block = sorted(block, key=lambda row: sum(len(f) > 1 for f in row.values()))
         best = [], []
         for d in range(u + 1):
@@ -622,7 +642,7 @@ def solve_parametric(alg: Algebra) -> ParametricResult:
         for row in _law_rows(alg, [(F.one(), F.one())], x_offset=nn):
             const = {c - nn: v for c, v in row.items() if c >= nn}
             entries = {c: [v] for c, v in const.items()}
-            entries.update({c: [const.get(c, F.zero()), v] for c, v in row.items() if c < nn})
+            entries.update({c: [const.get(c, 0), v] for c, v in row.items() if c < nn})
             yield entries
 
     rank, ranks = _pencil_spectrum(F, pencil())

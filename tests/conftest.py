@@ -1,5 +1,5 @@
 """Shared helpers: an independent dense nullspace oracle, coordinates read
-off it, and a seeded dense change of basis.
+off it, a seeded dense change of basis and a diagonal one.
 
 The oracle deliberately avoids the package's sparse elimination and its
 structure-constant index manipulation: it evaluates the defining law of a
@@ -147,7 +147,8 @@ def rebased(alg, seed: int = 1, scale: bool = False):
     the seeded dense unimodular P = S1 M S2 of the rebased benchmark
     workload: M[i][j] = min(i, j) + 1, whose inverse is tridiagonal, and S1,
     S2 signed permutations.  With ``scale``, d = (2, 1/2, 1, ..., 1), so the
-    constants carry denominators; otherwise d = 1.  The products are dense,
+    constants may carry denominators (those of sl3 do at seeds 1 to 7, those
+    of sl2 only at seeds 5 and 6 among them); otherwise d = 1.  The products are dense,
     so their support carries no grading."""
     from deltader.algebras import Algebra
 
@@ -169,3 +170,16 @@ def rebased(alg, seed: int = 1, scale: bool = False):
                 c: reduce(F.add, (F.mul(v[k], Pinv[k][c]) for k in range(n))) for c in range(n)
             }
     return Algebra(F, n, [f"f{i}" for i in range(n)], products)
+
+
+def diagonally_scaled(alg, scales):
+    """``alg`` in the basis f_i = s_i e_i, whose constants are c s_i s_j / s_k:
+    the grading and the sparsity of the products are kept."""
+    from deltader.algebras import Algebra
+
+    F = alg.field
+    products = {
+        (i, j): {k: F.div(F.mul(c, F.mul(scales[i], scales[j])), scales[k]) for k, c in terms.items()}
+        for (i, j), terms in alg.products.items()
+    }
+    return Algebra(F, alg.dim, alg.basis, products, alg.flavor, alg.grading)

@@ -15,11 +15,14 @@ Gauss-Jordan rank at every field point, the squared Q path against
 fraction-free elimination of the whole block on tall, square and wide
 blocks, and the pinned pencil against the spectrum of the whole unpinned
 pencil.  The spectra of sl_n over large prime fields are those over Q read
-mod p, found from a few points of each block.  Where sympy is installed, its
-``Matrix.rank`` of the pencil at each special delta and at one generic
-delta is a second reference over Q.
+mod p, found from a few points of each block, and those of sl2 and sl3 in
+bases with fractional constants, whose pencils are lowered to integers by
+the lcm of the denominators, are those of the standard bases.  Where sympy
+is installed, its ``Matrix.rank`` of the pencil at each special delta and
+at one generic delta is a second reference over Q.
 """
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -34,7 +37,7 @@ from deltader.algebras import (
     make_zassenhaus,
 )
 from deltader.fields import PrimeField, Rationals, poly_eval, poly_trim
-from deltader.linalg import base_field_roots, fraction_free_pivots
+from deltader.linalg import _integer_entries, base_field_roots, fraction_free_pivots
 from deltader.solver import (
     ParametricResult,
     _block_spectrum,
@@ -44,7 +47,7 @@ from deltader.solver import (
     solve_parametric,
 )
 
-from conftest import dense_gauss_nullspace
+from conftest import dense_gauss_nullspace, diagonally_scaled, rebased
 
 Q = Rationals()
 
@@ -141,6 +144,29 @@ def test_blocks_match_monolithic_on_random_algebras(alg):
         specials = dict(res.specials)
         for d in range(F.p):
             assert solve_delta_derivations(alg, d).dim == specials.get(d, res.generic_dim)
+
+
+# Bases whose constants carry denominators, D > 1 in the lowering of the
+# pencil: the seeded dense basis of conftest for sl2, and a diagonal one for
+# sl3, whose dense basis takes 43 s, 39 of them in the rational root search
+CHANGED_BASES = {
+    "rebased sl2/Q": (2, lambda sl: rebased(sl, 5, scale=True), [(-1, 5), (Fraction(1, 2), 1), (1, 3)]),
+    "scaled sl3/Q": (3, lambda sl: diagonally_scaled(sl, [Fraction(x) for x in ("2", "1/2", "3", "-1/3", "5/7", "1", "-2", "7/4")]),
+                     [(Fraction(1, 2), 1), (1, 8)]),
+}
+
+
+@pytest.mark.parametrize("name", list(CHANGED_BASES))
+def test_spectrum_is_invariant_under_change_of_basis(name):
+    """The delta-spectrum of sl_n in a basis with fractional constants is
+    that of the standard basis and that of the monolithic reference."""
+    n, change, specials = CHANGED_BASES[name]
+    standard = make_special_linear(n, Q)
+    alg = change(standard)
+    assert math.lcm(*(c.denominator for terms in alg.products.values() for c in terms.values())) > 1
+    res = solve_parametric(alg)
+    assert (res.generic_dim, res.specials) == (0, [(Q.coerce(d), dim) for d, dim in specials])
+    assert res == solve_parametric(standard) == monolithic_parametric(alg)
 
 
 # Results that the monolithic elimination cannot reach in reasonable time
@@ -297,6 +323,14 @@ def test_block_rank_below_every_field_point_needs_bareiss():
     assert (rank, sorted(candidates)) == (5, [0, 1, 2, 3, 4])
 
 
+def integral(block):
+    """A Q pencil block with each row scaled to integers by the lcm of its
+    denominators, as the assembler makes it: over Q ``_block_spectrum``
+    and ``_pencil_spectrum`` take rows of ints.  A row scaled by a nonzero
+    constant has the same rank at every delta."""
+    return [dict(zip(row, _integer_entries(row.values()))) for row in block]
+
+
 def diagonal_block(F, roots, chained=False):
     """diag(delta - a) over the given a, joined by a unit superdiagonal if
     ``chained``."""
@@ -323,7 +357,7 @@ def diagonal_block(F, roots, chained=False):
          {"_pivots_at": 3, "_pencil_det": 0, "fraction_free_pivots": 1, "base_field_roots": 1}),
         # over Q: squared, with rank u first at delta = 4, then ranked at
         # the four roots of the square's determinant
-        (Q, diagonal_block(Q, range(4)), (4, {0: 3, 1: 3, 2: 3, 3: 3}),
+        (Q, integral(diagonal_block(Q, range(4))), (4, {0: 3, 1: 3, 2: 3, 3: 3}),
          {"_pivots_at": 9, "_pencil_det": 1, "fraction_free_pivots": 0, "base_field_roots": 1}),
     ],
     ids=["sweep", "sweep-below-every-point", "bareiss", "square"],
@@ -402,15 +436,14 @@ def test_squared_q_block_drops_only_at_one_half():
         {2: [Fraction(1, 5)]},
     ]
     assert pointwise_rank(Q, block, 3, half) == 2
-    assert _block_spectrum(Q, block) == (3, {half: 2})
+    assert _block_spectrum(Q, integral(block)) == (3, {half: 2})
 
 
 @pytest.mark.parametrize("F", [Q, PrimeField(7)], ids=["Q", "GF7"])
 def test_spurious_root_of_last_pivot_is_not_a_drop(F):
     """The one row (delta, 1): its last pivot delta has the root 0, but the
     row keeps rank 1 there, so no delta is special."""
-    zero, one = F.zero(), F.one()
-    assert _block_spectrum(F, [{0: [zero, one], 1: [one]}]) == (1, {})
+    assert _block_spectrum(F, [{0: [0, 1], 1: [1]}]) == (1, {})
 
 
 def test_sweep_reduces_entries_that_vanish_mod_p():
@@ -465,7 +498,7 @@ def test_squared_block_matches_whole_bareiss(drawn):
     block, and its candidates are exactly the roots of the whole block's
     last pivot at which the block's rank drops."""
     block, ncols = drawn
-    rank, candidates = _block_spectrum(Q, block)
+    rank, candidates = _block_spectrum(Q, integral(block))
     dense = [[row.get(c, []) for c in range(ncols)] for row in block]
     bareiss_rank, pivots = fraction_free_pivots(Q, dense, ncols)
     assert rank == bareiss_rank
@@ -498,7 +531,7 @@ def test_square_and_wide_blocks_match_whole_bareiss(drawn):
     """As ``test_squared_block_matches_whole_bareiss``, on blocks with no
     more rows than columns."""
     block, ncols = drawn
-    rank, candidates = _block_spectrum(Q, block)
+    rank, candidates = _block_spectrum(Q, integral(block))
     dense = [[row.get(c, []) for c in range(ncols)] for row in block]
     bareiss_rank, pivots = fraction_free_pivots(Q, dense, ncols)
     assert rank == bareiss_rank
@@ -516,7 +549,7 @@ def test_tall_block_rank_below_generic_at_first_points():
         block[i][i + 1] = [Fraction(1)]
     block += [dict(row) for row in block[:2]]
     assert [pointwise_rank(Q, block, u, d) for d in range(u + 1)] == [4, 4, 4, 4, 4, 5]
-    rank, candidates = _block_spectrum(Q, block)
+    rank, candidates = _block_spectrum(Q, integral(block))
     assert (rank, sorted(candidates)) == (u, list(range(u)))
 
 
@@ -573,6 +606,8 @@ def test_pinned_pencil_matches_unpinned_spectrum(drawn):
     the blocks left, gives the spectrum of the whole pencil unpinned, and
     over GF(p) the rank at every field point."""
     F, pencil, ncols = drawn
+    if isinstance(F, Rationals):
+        pencil = integral(pencil)
     rank, ranks = _pencil_spectrum(F, pencil)
     assert (rank, ranks) == _block_spectrum(F, pencil)
     if isinstance(F, PrimeField):

@@ -16,35 +16,46 @@
 * A drawn sequence of pointwise solves and checks on one algebra object,
   which keeps the part of each system that the pairs with no product give,
   answers each call as a freshly built copy of the algebra does.
+* Over Q the solvers work on the structure constants and the law lowered
+  to integers.  On constants with denominators (sl2 in a scaled dense
+  basis, sparse algebras, osp(1|2) in a scaled basis) and at delta such as
+  2/3 and -5/7, every Q pointwise solver and the check agree with a dense
+  oracle in Fractions, and every payload they return is a Fraction.
 """
 
 import functools
+import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from deltader.algebras import (
     Algebra,
+    ModuleAction,
     make_current,
     make_divided_powers,
     make_osp12,
+    make_semidirect,
     make_special_linear,
     make_witt_type,
     make_zassenhaus,
     validate,
 )
 from deltader.fields import PrimeField, Rationals
+from deltader.linmap import LinearMap
 from deltader.solver import (
     is_delta_derivation,
     solve_centroid,
     solve_delta_derivations,
+    solve_module_valued,
     solve_quasiderivations,
     solve_supercentroid,
     solve_superderivations,
 )
 
-from conftest import oracle_delta_derivations
+import conftest
+from conftest import dense_gauss_nullspace, diagonally_scaled, oracle_centroid, oracle_delta_derivations
 
 Q = Rationals()
 GF7 = PrimeField(7)
@@ -265,3 +276,116 @@ def test_solves_on_one_random_algebra_match_a_fresh_copy(data):
     for kind, delta, parity in data.draw(st.lists(calls(alg), min_size=2, max_size=6)):
         maps = [alg.ad(i) for i in range(alg.dim)] if kind == "check" else []
         assert answer(alg, kind, delta, parity, maps) == answer(fresh_copy(alg), kind, delta, parity, maps)
+
+
+# --- Q constants with denominators --------------------------------------------
+
+
+def law_columns(alg, laws, parity=0, x_start=None):
+    """u -> the defect X(e_i e_j) - a D(e_i) e_j - b (-1)^(parity deg e_i)
+    e_i D(e_j), over every law (a, b), ordered pair (i, j) and coordinate,
+    of the unit vector u: the elementary map E_kl, with k n + l = u mod n^2,
+    as D and X, or as D where u < x_start and as X from x_start on.  The
+    products come from ``bracket``, as in conftest's oracle."""
+    F = alg.field
+    n = alg.dim
+    units = [alg.unit_vector(i) for i in range(n)]
+    products = [[alg.bracket(ei, ej) for ej in units] for ei in units]
+
+    def column(u):
+        k, l = divmod(u % (n * n), n)
+        is_x, is_d = x_start is None or u >= x_start, x_start is None or u < x_start
+        out = [F.zero()] * (len(laws) * n**3)
+        for t, (a, b) in enumerate(laws):
+            for i in range(n):
+                sb = b if parity and alg.grading[i] else F.neg(b)
+                for j in range(n):
+                    pos = ((t * n + i) * n + j) * n
+                    if is_x:
+                        out[pos + l] = F.add(out[pos + l], products[i][j][k])
+                    for m in range(n):
+                        if is_d and i == k:
+                            out[pos + m] = F.sub(out[pos + m], F.mul(a, products[l][j][m]))
+                        if is_d and j == k:
+                            out[pos + m] = F.add(out[pos + m], F.mul(sb, products[i][l][m]))
+        return out
+
+    return column
+
+
+def dense_oracle(F, ncols, allowed, column):
+    """Canonical nullspace basis, among the vectors of length ncols that
+    vanish outside the sorted columns ``allowed``, of the matrix with the
+    column ``column(u)`` at each u: conftest's textbook elimination, zero
+    and repeated rows left out, in the package's column order."""
+    rows = list(dict.fromkeys(r for r in zip(*map(column, allowed)) if any(r)))
+    basis = []
+    for w in dense_gauss_nullspace(F, rows, len(allowed)):
+        v = [F.zero()] * ncols
+        for u, x in zip(allowed, w):
+            v[u] = x
+        basis.append(v)
+    return basis
+
+
+@st.composite
+def denominator_algebras(draw):
+    """A Q algebra whose structure constants carry denominators, and a
+    delta: sl2 in a seeded dense scaled basis, a sparse algebra of
+    ``Q_CONSTANTS``, or osp(1|2) in a basis scaled by them."""
+    kind = draw(st.sampled_from(["rebased", "sparse", "osp12"]))
+    if kind == "rebased":
+        alg = conftest.rebased(make_special_linear(2, Q), draw(st.integers(1, 50)), scale=True)
+    elif kind == "sparse":
+        alg = draw(sparse_algebras(Q))[0]
+    else:
+        alg = diagonally_scaled(make_osp12(Q), [Q.coerce(draw(Q_CONSTANTS)) for _ in range(5)])
+    assume(math.lcm(*(c.denominator for terms in alg.products.values() for c in terms.values())) > 1)
+    delta = draw(st.sampled_from([Fraction(2, 3), Fraction(-5, 7), Fraction(1, 2), Fraction(1), Fraction(-1)]))
+    return alg, delta
+
+
+def fractions_only(space):
+    flats = [b[0].flat() + b[1].flat() if isinstance(b, tuple) else b.flat() for b in space.basis]
+    assert all(type(x) is Fraction for v in flats for x in v)
+    return flats
+
+
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(data=st.data())
+def test_q_solvers_on_constants_with_denominators(data):
+    """Over Q the assembler lowers the constants to D c and a law list to
+    (t a, t b) with x coefficient t.  Every Q pointwise solver and the
+    check must still give the dense oracle's answer, with every payload a
+    Fraction, on constants and delta with denominators."""
+    alg, delta = data.draw(denominator_algebras())
+    F = alg.field
+    n, nn = alg.dim, alg.dim**2
+    one, zero = F.one(), F.zero()
+    every = list(range(nn))
+    der = solve_delta_derivations(alg, delta)
+    assert fractions_only(der) == oracle_delta_derivations(alg, delta)
+    assert fractions_only(solve_centroid(alg)) == oracle_centroid(alg)
+    quasi = dense_oracle(F, 2 * nn, range(2 * nn), law_columns(alg, [(one, one)], x_start=nn))
+    assert fractions_only(solve_quasiderivations(alg)) == quasi
+    maps = der.basis[:2] + [alg.ad(i) for i in range(n)]
+    maps.append(LinearMap.from_flat(F, [x + y for x, y in zip(*(m.flat() for m in maps[-2:]))], n, n))
+    for q in [None] if alg.grading is None else [None, 0, 1]:
+        columns = list(map(law_columns(alg, [(delta, delta)], q or 0), every))
+        for m in maps:
+            defect = [sum((x * y for x, y in zip(m.flat(), r) if x), zero) for r in zip(*columns)]
+            assert is_delta_derivation(alg, m, delta, q) == (not any(defect))
+    if alg.grading is not None:
+        for q in (0, 1):
+            allowed = [c for c in every if alg.grading[c % n] == (alg.grading[c // n] + q) % 2]
+            space = solve_superderivations(alg, delta, q)
+            assert fractions_only(space) == dense_oracle(F, nn, allowed, law_columns(alg, [(delta, delta)], q))
+            space = solve_supercentroid(alg, q)
+            assert fractions_only(space) == dense_oracle(F, nn, allowed, law_columns(alg, [(one, zero), (zero, one)], q))
+        return
+    module = ModuleAction.adjoint(alg) if validate(alg).ok else ModuleAction.trivial(alg, 2)
+    S, m = make_semidirect(alg, module), module.mdim
+    s = S.dim
+    allowed = [k * s + n + l for k in range(n) for l in range(m)]
+    expected = [[v[c] for c in allowed] for v in dense_oracle(F, s * s, allowed, law_columns(S, [(delta, delta)]))]
+    assert fractions_only(solve_module_valued(alg, module, delta)) == expected

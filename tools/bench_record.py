@@ -69,6 +69,10 @@ SLOW_CASES = {
         "answer = S.solve_delta_derivations(A.make_zassenhaus(5, 3), '1/2').dim",
     "solve_quasiderivations W(1,3)/GF(5)":
         "answer = S.solve_quasiderivations(A.make_zassenhaus(5, 3)).dim",
+    "solve_delta_derivations sl8/Q, delta = 1":
+        "answer = S.solve_delta_derivations(A.make_special_linear(8, F.Rationals()), 1).dim",
+    "solve_parametric sl7/Q":
+        "alg = A.make_special_linear(7, F.Rationals()); answer = S.solve_parametric(alg).to_json(alg.field)",
     "compute_s4 G7(osp(1|2)/GF(7))":
         "alg = A.make_grassmann_envelope(A.make_osp12(F.PrimeField(7)), 7); "
         "answer = {'dim': alg.dim, 's4_dim': X.compute_s4(alg).dim}",
