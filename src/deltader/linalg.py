@@ -63,8 +63,11 @@ determinant of a nonsingular square of the block, taken exactly by
 fraction-free (Bareiss) elimination over GF(p)[delta]
 (``fraction_free_pivots``); ``solver._block_spectrum`` sets out which
 block takes which.  ``charpoly`` takes det(xI - M) through ``_pencil_det``
-over Q and GF(p) alike, for any n.  Rational roots are isolated exactly by
-Sturm bisection on integer polynomials.
+over Q and GF(p) alike, for any n.  Roots in the base field come from
+``base_field_roots``: over Q by lifting the roots mod a small prime p to
+roots mod a power of p and reconstructing fractions from them, each checked
+exactly; over GF(p) by evaluation at every point for small p and by
+splitting gcd(f, x^p - x) for large p.
 """
 
 from __future__ import annotations
@@ -74,14 +77,18 @@ import sys
 from array import array
 from collections import Counter
 from fractions import Fraction
+from itertools import count, islice
 
 from .fields import (
     Field,
     PrimeField,
     Rationals,
+    _is_prime,
     poly_deg,
     poly_divmod,
     poly_eval,
+    poly_ext_gcd,
+    poly_mod,
     poly_mul,
     poly_sub,
     poly_trim,
@@ -756,6 +763,14 @@ def _pencil_det(square: list[list[list[int]]]) -> list[int]:
 # ---------------------------------------------------------------------------
 # root finding in the base field
 
+# odd primes tried for p-adic lifting before f is made squarefree
+_LIFT_TRIES = 3
+# GF(p) roots are found by evaluation at every point for p below this, and
+# by splitting gcd(f, x^p - x) from it on: on the determinants of sl_n
+# spectra the two cost the same between p = 151 and p = 211 (about 150 us a
+# polynomial, CPython 3.11 on a 2-vCPU x86-64 VM)
+_SWEEP_LIMIT = 200
+
 
 def _primitive(f: list) -> list[int]:
     """f times a positive rational: coprime integer coefficients, same signs."""
@@ -804,59 +819,139 @@ def _sign_at(f: list[int], y: int, q: int) -> int:
     return (acc > 0) - (acc < 0)
 
 
-def _rational_roots(f: list) -> list:
-    """Distinct rational roots of f over Q by Sturm bisection, in integers.
-
-    The squarefree part is f over gcd(f, f'), taken by the primitive
-    pseudo-remainder sequence and an exact division.  Each Sturm step is
-    the primitive pseudo-remainder times the sign of lc^steps, that is
-    minus the remainder over Q times a positive number, so the chain is
-    the classical one made primitive.  On the primitive squarefree part,
-    every rational root x satisfies lead * x = y for an integer y, so the
-    Sturm counts of roots in (a/lead, b/lead] are bisected over integer
-    a < b down to b - a = 1, where the only candidate left is y = b.
-    """
-    f = _primitive(f)
+def _squarefree(f: list[int]) -> list[int]:
+    """f over gcd(f, f'), the gcd taken by the primitive pseudo-remainder
+    sequence, and the quotient by an exact division: an integer polynomial
+    with the same roots as f, each simple."""
     g, h = f, _primitive(_derivative(f))
     while h:
         r = _prem(g, h)[0]
         g, h = h, _primitive(r) if r else []
-    f = _exact_quo(f, g)
-    lead = abs(f[-1])
-    seq = [f, _primitive(_derivative(f))]
-    while len(seq[-1]) > 1:
-        rem, steps = _prem(seq[-2], seq[-1])
-        sign = -1 if seq[-1][-1] < 0 and steps % 2 else 1
-        seq.append([-sign * c for c in _primitive(rem)])
+    return _exact_quo(f, g)
 
-    def variations(y: int) -> int:
-        signs = [s for s in (_sign_at(g, y, lead) for g in seq) if s]
-        return sum(a != b for a, b in zip(signs, signs[1:]))
 
-    # Cauchy: every root x has |lead * x| < lead + max |coefficient|
-    m = lead + max(abs(c) for c in f)
-    roots, todo = [], [(-m, variations(-m), m, variations(m))]
+def _value_mod(f: list[int], a: int, m: int) -> int:
+    acc = 0
+    for c in reversed(f):
+        acc = (acc * a + c) % m
+    return acc
+
+
+def _lifting_prime(f: list[int], tries: int | None = None) -> tuple[int, list[int]] | None:
+    """(p, roots): the first odd prime p not dividing lc(f), among the
+    first ``tries`` such primes or among all of them, at which every root of
+    f mod p is simple, with those roots mod p, found by evaluation at every
+    point of GF(p); None if none of those primes serves."""
+    for p in islice((p for p in count(3, 2) if f[-1] % p and _is_prime(p)), tries):
+        fp = [c % p for c in f]
+        df = _derivative(fp)
+        roots = [a for a in range(p) if not _value_mod(fp, a, p)]
+        if all(_value_mod(df, a, p) for a in roots):
+            return p, roots
+    return None
+
+
+def _rational_roots(f: list) -> list:
+    """Distinct rational roots of f over Q, by p-adic lifting in integers.
+
+    f is made primitive and its factor x^k split off (0 is then a root), so
+    that f(0) != 0 and every rational root is r/s in lowest terms with r
+    dividing f(0) and s dividing lc(f).  At an odd prime p that does not
+    divide lc(f), r/s reduces to a root of f mod p, and where every root of
+    f mod p is simple each lifts to one root mod p^(2^j) by Newton's
+    iteration, which must be r/s mod that power once the root mod p is
+    that of r/s.  Past m = p^(2^j) > 2 |f(0)| |lc f| at most one fraction
+    with |r| <= |f(0)| and 0 < s <= |lc f| is congruent to a lifted root;
+    the extended Euclidean algorithm on (m, root), stopped at the first
+    remainder <= |f(0)| (Wang's rational reconstruction), finds it if it
+    exists, and it is kept if f vanishes there exactly.  A repeated
+    rational root is a multiple root mod every p, so when the first
+    ``_LIFT_TRIES`` such primes all fail, f is replaced by its squarefree
+    part, for which all but finitely many primes serve, and the primes are
+    searched again without a bound (``_lifting_prime``).
+    """
+    f = _primitive(f)
+    k = next(i for i, c in enumerate(f) if c)
+    roots = [Fraction(0)] if k else []
+    f = f[k:]
+    if len(f) == 1:
+        return roots
+    found = _lifting_prime(f, _LIFT_TRIES)
+    if found is None:
+        f = _squarefree(f)
+        found = _lifting_prime(f)
+    p, mod_p = found
+    bound, top = abs(f[0]), abs(f[-1])
+    m = p
+    while m <= 2 * bound * top:
+        m *= m
+    df = _derivative(f)
+    for a in mod_p:
+        q = p
+        while q < m:
+            q *= q
+            a = (a - _value_mod(f, a, q) * pow(_value_mod(df, a, q), -1, q)) % q
+        # Euclid on (m, a), each remainder r_i = s_i a mod m
+        r0, r1, s0, s1 = m, a, 0, 1
+        while r1 > bound:
+            quo = r0 // r1
+            r0, r1, s0, s1 = r1, r0 - quo * r1, s1, s0 - quo * s1
+        if s1 < 0:
+            r1, s1 = -r1, -s1
+        if s1 <= top and not _sign_at(f, r1, s1):
+            roots.append(Fraction(r1, s1))
+    return sorted(roots)
+
+
+def _poly_powmod(F: PrimeField, f: list, e: int, g: list) -> list:
+    """f^e mod g over GF(p), for a linear f, by left-to-right binary
+    powering: each step squares, and a multiplication by f is one pass."""
+    out = [1]
+    for bit in bin(e)[2:]:
+        out = poly_mod(F, poly_mul(F, out, out), g)
+        if bit == "1":
+            out = poly_mod(F, poly_mul(F, out, f), g)
+    return out
+
+
+def _split_roots(F: PrimeField, f: list) -> list[int]:
+    """Roots in GF(p), p odd, of f without a sweep of the field.
+
+    They are the roots of g = gcd(f, x^p - x), the product of the distinct
+    linear factors of f, with x^p reduced mod f by repeated squaring.  A
+    factor g of degree above 1 is split by gcd(g, (x + a)^((p - 1)/2) - 1),
+    which keeps the roots r with r + a a nonzero square, for a = 0, 1, 2,
+    ... in turn (Cantor and Zassenhaus; von zur Gathen and Gerhard, *Modern
+    Computer Algebra*, ch. 14), so that a run is reproducible.
+    """
+    x = [0, 1]
+    todo = [poly_ext_gcd(F, f, poly_sub(F, _poly_powmod(F, x, F.p, f), x))[0]]
+    roots, a = [], 0
     while todo:
-        a, va, b, vb = todo.pop()
-        if va == vb:
-            continue
-        if b - a == 1:
-            if _sign_at(f, b, lead) == 0:
-                roots.append(Fraction(b, lead))
-            continue
-        c = (a + b) // 2
-        vc = variations(c)
-        todo += [(a, va, c, vc), (c, vc, b, vb)]
+        g = todo.pop()
+        if len(g) == 2:
+            roots.append(F.neg(g[0]))
+        elif len(g) > 2:
+            d = poly_ext_gcd(F, g, poly_sub(F, _poly_powmod(F, [a, 1], F.p // 2, g), [1]))[0]
+            a += 1
+            todo += [d, poly_divmod(F, g, d)[0]] if 1 < len(d) < len(g) else [g]
     return sorted(roots)
 
 
 def base_field_roots(base: Field, f: list) -> list:
-    """All roots of the polynomial f (over ``base``) lying in ``base``, sorted."""
+    """All roots of the polynomial f (over ``base``) lying in ``base``, sorted.
+
+    Over Q they are found by p-adic lifting (``_rational_roots``); over
+    GF(p) by evaluation at every point below ``_SWEEP_LIMIT``, and above it
+    by splitting gcd(f, x^p - x) (``_split_roots``).
+    """
     f = poly_trim(base, list(f))
     if not f or poly_deg(f) == 0:
         return []
     if isinstance(base, PrimeField):
-        return [a for a in range(base.p) if base.is_zero(poly_eval(base, f, a))]
+        if base.p < _SWEEP_LIMIT:
+            return [a for a in range(base.p) if base.is_zero(poly_eval(base, f, a))]
+        return _split_roots(base, f)
     if isinstance(base, Rationals):
         return _rational_roots(f)
     raise TypeError("root search is supported over Q and GF(p) only")

@@ -567,8 +567,9 @@ def _block_spectrum(F: Field, block: list[dict]) -> tuple[int, dict]:
       is det(delta) over GF(p).
 
     On the last two routes the rank can drop only at the roots of that
-    r x r minor (found exactly, by Sturm bisection over Q and by evaluation
-    at every point of GF(p)), and the block is ranked at each of them,
+    r x r minor (found exactly by ``linalg.base_field_roots``: over Q by
+    p-adic lifting, over GF(p) by evaluation at every point or, for large p,
+    by splitting gcd(f, x^p - x)), and the block is ranked at each of them,
     since the minor may vanish where another r x r minor does not.
     """
     columns = sorted({c for row in block for c in row})

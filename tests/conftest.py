@@ -1,5 +1,6 @@
 """Shared helpers: an independent dense nullspace oracle, coordinates read
-off it, a seeded dense change of basis and a diagonal one.
+off it, a seeded dense change of basis and a diagonal one, and an
+independent rational root oracle by Sturm bisection.
 
 The oracle deliberately avoids the package's sparse elimination and its
 structure-constant index manipulation: it evaluates the defining law of a
@@ -10,6 +11,7 @@ and runs a plain dense Gaussian elimination written here.
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 from functools import reduce
@@ -183,3 +185,92 @@ def diagonally_scaled(alg, scales):
         for (i, j), terms in alg.products.items()
     }
     return Algebra(F, alg.dim, alg.basis, products, alg.flavor, alg.grading)
+
+
+def _int_prem(f, g):
+    """(r, s): the pseudo-remainder r = lc(g)^s f - q g of integer
+    polynomials (low degree first), with s the number of steps taken."""
+    r, s = list(f), 0
+    while len(r) >= len(g):
+        c, shift = r[-1], len(r) - len(g)
+        r = [g[-1] * x for x in r]
+        for i, y in enumerate(g):
+            r[shift + i] -= c * y
+        s += 1
+        while r and not r[-1]:
+            r.pop()
+    return r, s
+
+
+def _int_primitive(f):
+    """f times a positive rational: coprime integer coefficients, same signs."""
+    den = math.lcm(*(Fraction(c).denominator for c in f))
+    ints = [int(Fraction(c) * den) for c in f]
+    g = math.gcd(*ints)
+    return [c // g for c in ints]
+
+
+def _int_sign_at(f, y, q):
+    """Sign of f(y/q) for q > 0, from the integer q^deg f(y/q)."""
+    acc, qk = f[-1], 1
+    for c in reversed(f[:-1]):
+        qk *= q
+        acc = acc * y + c * qk
+    return (acc > 0) - (acc < 0)
+
+
+def sturm_rational_roots(f):
+    """Distinct rational roots of f (coefficients low degree first, the
+    last nonzero, degree >= 1) by Sturm bisection in integers.
+
+    The squarefree part is f over gcd(f, f'), taken by the primitive
+    pseudo-remainder sequence and an exact division.  Each Sturm step is the
+    primitive pseudo-remainder times the sign of lc^steps, that is minus the
+    remainder over Q times a positive number, so the chain is the classical
+    one made primitive.  On the primitive squarefree part, every rational
+    root x satisfies lead * x = y for an integer y, so the Sturm counts of
+    roots in (a/lead, b/lead] are bisected over integer a < b down to
+    b - a = 1, where the only candidate left is y = b.
+    """
+    f = _int_primitive(f)
+
+    def derivative(g):
+        return _int_primitive([k * c for k, c in enumerate(g)][1:])
+
+    g, h = f, derivative(f)
+    while h:
+        r = _int_prem(g, h)[0]
+        g, h = h, _int_primitive(r) if r else []
+    # f / g, exact in integers
+    r, quo = list(f), [0] * (len(f) - len(g) + 1)
+    for shift in range(len(quo) - 1, -1, -1):
+        c = quo[shift] = r[shift + len(g) - 1] // g[-1]
+        for i, y in enumerate(g):
+            r[shift + i] -= c * y
+    f = quo
+    lead = abs(f[-1])
+    seq = [f, derivative(f)]
+    while len(seq[-1]) > 1:
+        rem, steps = _int_prem(seq[-2], seq[-1])
+        sign = -1 if seq[-1][-1] < 0 and steps % 2 else 1
+        seq.append([-sign * c for c in _int_primitive(rem)])
+
+    def variations(y):
+        signs = [s for s in (_int_sign_at(g, y, lead) for g in seq) if s]
+        return sum(a != b for a, b in zip(signs, signs[1:]))
+
+    # Cauchy: every root x has |lead * x| < lead + max |coefficient|
+    m = lead + max(abs(c) for c in f)
+    roots, todo = [], [(-m, variations(-m), m, variations(m))]
+    while todo:
+        a, va, b, vb = todo.pop()
+        if va == vb:
+            continue
+        if b - a == 1:
+            if _int_sign_at(f, b, lead) == 0:
+                roots.append(Fraction(b, lead))
+            continue
+        c = (a + b) // 2
+        vc = variations(c)
+        todo += [(a, va, c, vc), (c, vc, b, vb)]
+    return sorted(roots)

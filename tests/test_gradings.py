@@ -45,6 +45,20 @@ def test_sl2_cartan_grading():
     assert verdict.verdict == "SemigroupConsistent"
 
 
+def test_sl2_cartan_grading_large_prime():
+    # the roots of the characteristic polynomial come from splitting
+    # gcd(f, x^p - x), not from a sweep of the field
+    F = PrimeField(2**31 - 1)
+    sl2 = make_special_linear(2, F)
+    H = sl2.ad(2)  # ad of the Cartan element h
+    dec = root_decompose(sl2, [H], 1)
+    assert sorted(dec.roots) == [(F.coerce(r),) for r in [0, 2, 2**31 - 3]]
+    assert all(len(s) == 1 for s in dec.spaces)
+    assert dec.complete
+    verdict = check_semigroup(dec)
+    assert verdict.verdict == "SemigroupConsistent"
+
+
 def test_zero_map_single_root():
     sl2 = make_special_linear(2, Q)
     Z = LinearMap(Q, [[Q.zero()] * 3 for _ in range(3)])

@@ -8,12 +8,17 @@ Q[t] or GF(p)[t] of the same square, whose last pivot is the determinant up
 to sign where the square is nonsingular; the determinant of the scaled rows
 is checked exactly against a ``Fraction`` determinant at rational points.
 ``charpoly`` over GF(p) is checked for n >= p too, where k! is 0 mod p.
-``base_field_roots`` over Q runs its squarefree part and its Sturm chain on
-integer pseudo-remainders; it is checked on polynomials built from known
-linear factors.  Neither the parametric solver over Q nor ``charpoly`` over
-any field reaches Bareiss.
+``base_field_roots`` over Q lifts the simple roots mod a small prime to
+roots mod a power of it and reconstructs fractions from them, making f
+squarefree first where every tried prime meets a multiple root; it is
+checked on polynomials built from known linear factors and against the
+Sturm bisection of conftest, on draws that take each branch.  Over GF(p)
+the splitting of gcd(f, x^p - x) is checked against evaluation at every
+point, and on planted roots over GF(1000003) and GF(2^31 - 1).  Neither the
+parametric solver over Q nor ``charpoly`` over any field reaches Bareiss.
 """
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -27,7 +32,7 @@ from deltader.algebras import (
     make_witt_type,
     make_zassenhaus,
 )
-from deltader.fields import PrimeField, Rationals, poly_eval, poly_mul, poly_trim
+from deltader.fields import PrimeField, Rationals, _is_prime, poly_eval, poly_mul, poly_trim
 from deltader.linalg import (
     _integer_entries,
     _pencil_det,
@@ -36,6 +41,8 @@ from deltader.linalg import (
     fraction_free_pivots,
 )
 from deltader.solver import solve_parametric
+
+from conftest import sturm_rational_roots
 
 Q = Rationals()
 
@@ -154,6 +161,126 @@ def rational_polys(draw):
 def test_rational_roots_of_drawn_products(drawn):
     f, roots = drawn
     assert base_field_roots(Q, f) == roots
+
+
+@st.composite
+def lifting_polys(draw):
+    """(f, its distinct rational roots), drawn so that each branch of the
+    p-adic root search is taken: a root whose denominator 1155 = 3 5 7 11
+    makes lc(f) a multiple of the first four odd primes; roots r and
+    r + 105, one root mod 3, 5 and 7; roots of multiplicity 2 or 3, and 0
+    of multiplicity above 1, which make f mod p have a multiple root at
+    every p, so that f is made squarefree; the square of x^2 - 2, which has
+    double roots mod 7; and a root at the bound, r/s = +-f(0)/lc(f), where
+    every other factor is monic with constant term 1 or -1."""
+    if draw(st.booleans()):
+        r = draw(st.integers(-(2**70), 2**70).filter(bool))
+        s = draw(st.integers(1, 2**70).filter(lambda s: math.gcd(r, s) == 1))
+        units = draw(st.lists(st.sampled_from([[1, 1], [-1, 1], [1, 0, 1], [1, 1, 1], [1, 1, 0, 1]]), max_size=3))
+        roots = {Fraction(r, s)} | {Fraction(-g[0]) for g in units if len(g) == 2}
+        return from_factors([[-r, s]] + units, draw(st.sampled_from([1, -3]))), sorted(roots)
+    mult = {}
+    if draw(st.booleans()):
+        r = draw(st.integers(-(10**6), 10**6).filter(lambda r: math.gcd(r, 1155) == 1))
+        mult[Fraction(r, 1155 * draw(st.integers(1, 9)))] = 1
+    if draw(st.booleans()):
+        r = draw(st.integers(-1000, 1000))
+        mult.update({Fraction(r): 1, Fraction(r + 105): 1})
+    for x in draw(st.lists(rationals, max_size=3)):
+        mult[x] = draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        mult[Fraction(0)] = draw(st.integers(2, 4))
+    factors = [[-x.numerator, x.denominator] for x, m in mult.items() for _ in range(m)]
+    if draw(st.booleans()) or not factors:
+        factors += [[-2, 0, 1], [-2, 0, 1]]
+    return from_factors(factors, draw(rationals.filter(bool))), sorted(mult)
+
+
+LIFTING_EXAMPLES = {
+    # lc(f) = 1155, so the first four odd primes are passed over; 13 serves
+    "lc 3 5 7 11": ([[-1, 1155], [2, 0, 1]], 13, False),
+    # 4 and 109 meet mod 3, 5 and 7: f is made squarefree, and 11 serves
+    "r and r + 105": ([[-4, 1], [-109, 1]], 11, True),
+    "repeated roots": ([[-3, 2], [-3, 2], [5, 1], [5, 1], [5, 1]], 3, True),
+    # 3 and 5 divide lc(f), and x^2 - 2 has the double roots 3 and 4 mod 7
+    "(x^2 - 2)^2": ([[-1, 15], [-2, 0, 1], [-2, 0, 1]], 11, False),
+    "0 of multiplicity 3": ([[0, 1], [0, 1], [0, 1], [-5, 1]], 3, False),
+    # the root -(2^61 - 1)/6 meets -1 mod 5 and 1 mod 7
+    "at the bound f(0)/lc": ([[2**61 - 1, 6], [-1, 0, 1]], 11, False),
+    "at the bound -f(0)/lc": ([[-(2**61 - 1), 6], [1, 1, 1]], 5, False),
+}
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(lifting_polys())
+def test_lifted_roots_match_sturm_bisection(drawn):
+    """``base_field_roots`` over Q, by p-adic lifting, finds the roots that
+    the Sturm bisection of conftest finds, and those the factors plant."""
+    f, roots = drawn
+    assert base_field_roots(Q, f) == sturm_rational_roots(f) == roots
+
+
+@pytest.mark.parametrize("name", list(LIFTING_EXAMPLES))
+def test_lifting_takes_each_branch(name, monkeypatch):
+    """Each example lifts from the prime named, and is made squarefree
+    only where that is named; its roots are those of the Sturm oracle."""
+    factors, prime, squarefree = LIFTING_EXAMPLES[name]
+    f = from_factors(factors, 1)
+    served, squared = [], []
+    lifting_prime, make_squarefree = linalg._lifting_prime, linalg._squarefree
+
+    def record(g, tries=None):
+        found = lifting_prime(g, tries)
+        served.append(found and found[0])
+        return found
+
+    monkeypatch.setattr(linalg, "_lifting_prime", record)
+    monkeypatch.setattr(linalg, "_squarefree", lambda g: squared.append(g) or make_squarefree(g))
+    assert base_field_roots(Q, f) == sturm_rational_roots(f)
+    assert (served[-1], bool(squared)) == (prime, squarefree)
+
+
+# every prime that PrimeField takes, up to 211
+SMALL_PRIMES = [p for p in range(5, 212) if _is_prime(p)]
+
+
+@st.composite
+def gf_polys(draw):
+    """(p, f): p a prime from 5 to 211, f a product of linear factors, some
+    repeated, and of a drawn polynomial, of degree 1 to 12 in all."""
+    p = draw(st.sampled_from(SMALL_PRIMES))
+    planted = draw(st.lists(st.integers(0, p - 1), max_size=6))
+    rest = draw(st.lists(st.integers(0, p - 1), min_size=0 if planted else 1, max_size=5))
+    f = rest + [draw(st.integers(1, p - 1))]
+    for r in planted + planted[:2]:
+        f = poly_mul(PrimeField(p), f, [-r % p, 1])
+    return p, f
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(gf_polys())
+def test_split_roots_match_evaluation(drawn):
+    """The splitting route finds the roots that evaluation at every point
+    of GF(p) finds, below the prime where ``base_field_roots`` takes it."""
+    p, f = drawn
+    F = PrimeField(p)
+    assert linalg._split_roots(F, f) == [a for a in range(p) if not poly_eval(F, f, a)]
+
+
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(st.sampled_from([1000003, 2**31 - 1]).flatmap(
+    lambda p: st.tuples(st.just(p), st.lists(st.integers(0, p - 1), min_size=1, max_size=6), st.integers(1, p - 1))
+))
+def test_roots_in_large_prime_fields(drawn):
+    """Planted roots over GF(1000003) and GF(2^31 - 1), some repeated,
+    times x^2 - n c^2 for a non-residue n, which has no root."""
+    p, roots, c = drawn
+    F = PrimeField(p)
+    n = next(n for n in range(2, p) if pow(n, p // 2, p) == p - 1)
+    f = [-n * c * c % p, 0, 1]
+    for r in roots + roots[:2]:
+        f = poly_mul(F, f, [-r % p, 1])
+    assert base_field_roots(F, f) == sorted(set(roots))
 
 
 @st.composite

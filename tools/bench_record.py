@@ -15,7 +15,8 @@ answer (a dimension, or a spectrum as ``ParametricResult.to_json`` writes
 it) is recorded next to its figures.  The file also holds the seed, the
 commit (``git rev-parse HEAD``, and whether tracked files differ from it)
 and the machine keys of ``perfbench/environment.json``, so that two files
-are compared only on one machine.  Metrics that ``perfbench/run.py`` is
+are compared only on one machine.  The dense rebased sl3 case builds its
+algebra with ``rebased`` of ``tests/conftest.py``.  Metrics that ``perfbench/run.py`` is
 known to misreport are copied as they are and flagged under ``caveats``.
 
 Only the standard library is used.
@@ -73,6 +74,17 @@ SLOW_CASES = {
         "answer = S.solve_delta_derivations(A.make_special_linear(8, F.Rationals()), 1).dim",
     "solve_parametric sl7/Q":
         "alg = A.make_special_linear(7, F.Rationals()); answer = S.solve_parametric(alg).to_json(alg.field)",
+    "solve_parametric rebased sl3/Q, dense":
+        "sys.path.insert(0, 'tests'); from conftest import rebased; "
+        "alg = rebased(A.make_special_linear(3, F.Rationals()), 1, scale=True); "
+        "answer = S.solve_parametric(alg).to_json(alg.field)",
+    "solve_parametric sl3/GF(2147483647)":
+        "alg = A.make_special_linear(3, F.PrimeField(2147483647)); "
+        "answer = S.solve_parametric(alg).to_json(alg.field)",
+    "root_decompose sl2/GF(2147483647), ad h":
+        "alg = A.make_special_linear(2, F.PrimeField(2147483647)); "
+        "rep = G.grading_report(G.root_decompose(alg, [alg.ad(2)], 1)); "
+        "answer = {'roots': rep['roots'], 'dims': rep['dims']}",
     "compute_s4 G7(osp(1|2)/GF(7))":
         "alg = A.make_grassmann_envelope(A.make_osp12(F.PrimeField(7)), 7); "
         "answer = {'dim': alg.dim, 's4_dim': X.compute_s4(alg).dim}",
