@@ -103,11 +103,11 @@ class Algebra:
     """Finite-dimensional algebra over an exact field, sparse constants.
 
     An algebra is not modified after construction.  The solvers rely on
-    that: they keep what they derive from the structure constants, the
+    that: they keep what they derive from the structure constants, the one
     product table (``_table``), its constants lowered to integers over Q
-    (``_lowering``, ``_lowered_table``) and the part of each pointwise
-    system that the pairs with no product give (``solver._zero_part``), in
-    a store on the instance, ``_memo``, which is freed with it.
+    (``_lowering``), and the part of each pointwise system that the pairs
+    with no product give (``solver._zero_part``), in a store on the
+    instance, ``_memo``, which is freed with it.
     """
 
     def __init__(
@@ -184,22 +184,29 @@ class Algebra:
         return {k: F.neg(v) for k, v in terms.items()}
 
     def _table(self) -> list[list[dict]]:
-        """Every product e_i e_j, as ``product`` gives it, at [i][j]: made
-        once and kept in the store.  Its dicts are shared, one empty dict
-        for every vanishing product among them, and must not be modified."""
+        """Every product e_i e_j, as ``product`` gives it, its constants
+        lowered by ``_lowering``, at [i][j]: made once and kept in the
+        store.  Its dicts are shared, one empty dict for every vanishing
+        product among them, and must not be modified.  The solvers and s4
+        read it; over Q a value made from it is a power of D times its
+        value, which no canonical RREF or zero test can see."""
         table = self._memo.get("table")
         if table is None:
             n, empty = self.dim, {}
-            table = self._memo["table"] = [[self.product(i, j) or empty for j in range(n)] for i in range(n)]
+            table = [[self.product(i, j) or empty for j in range(n)] for i in range(n)]
+            if isinstance(self.field, Rationals):
+                lower = self._lowering()[1]
+                table = [[{k: lower(c) for k, c in prod.items()} if prod else prod for prod in row] for row in table]
+            self._memo["table"] = table
         return table
 
     def _lowering(self) -> tuple:
         """``(D, lower)``: over Q, D is the lcm of the denominators of the
         structure constants and ``lower`` takes a constant c to the integer
         D c; over any other field, 1 and the identity.  Made once and kept
-        in the store.  The identity checks (``_lowered``) and the solvers'
-        assembly (``_lowered_table``) read the constants so lowered, and
-        take sums of their products in ints over Q as over GF(p)."""
+        in the store.  The identity checks (``_lowered``) and the product
+        table (``_table``) hold the constants so lowered, and take sums of
+        their products in ints over Q as over GF(p)."""
         lowering = self._memo.get("lowering")
         if lowering is None:
             D, lower = 1, (lambda c: c)
@@ -208,19 +215,6 @@ class Algebra:
                 lower = lambda c: c.numerator * (D // c.denominator)
             lowering = self._memo["lowering"] = D, lower
         return lowering
-
-    def _lowered_table(self) -> list[list[dict]]:
-        """``_table`` with every constant lowered by ``_lowering``, to the
-        integer D c over Q, made once and kept in the store; over any other
-        field, ``_table`` itself."""
-        table = self._memo.get("lowered")
-        if table is None:
-            table = self._table()
-            if isinstance(self.field, Rationals):
-                lower = self._lowering()[1]
-                table = [[{k: lower(c) for k, c in prod.items()} if prod else prod for prod in row] for row in table]
-            self._memo["lowered"] = table
-        return table
 
     def product_vec(self, i: int, j: int) -> list:
         v = [self.field.zero()] * self.dim
@@ -1000,7 +994,14 @@ def algebra_from_json(data: dict) -> Algebra:
         terms = entry["terms"]
         if not isinstance(terms, list) or not all(isinstance(t, list) and len(t) == 2 for t in terms):
             raise AlgebraError(f"{where}: 'terms' must be a list of [index, scalar] pairs, got {terms!r}")
-        products[(i, j)] = {_integer(k, f"{where}: term index"): _scalar(F, v, where) for k, v in terms}
+        if (i, j) in products:
+            raise AlgebraError(f"{where}: the pair ({i}, {j}) is given twice")
+        row = products[(i, j)] = {}
+        for k, v in terms:
+            k = _integer(k, f"{where}: term index")
+            if k in row:
+                raise AlgebraError(f"{where}: the term index {k} is given twice")
+            row[k] = _scalar(F, v, where)
     form, grading = data.get("form"), data.get("grading")
     if form is not None:
         if not isinstance(form, list) or not all(isinstance(row, list) for row in form):

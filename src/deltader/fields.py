@@ -124,9 +124,6 @@ class Field:
         """A pseudo-random payload, for property tests."""
         raise NotImplementedError
 
-    def __ne__(self, other):
-        return not self.__eq__(other)
-
 
 class Rationals(Field):
     char = 0
@@ -349,13 +346,6 @@ def poly_ext_gcd(base: Field, f: list, g: list) -> tuple[list, list, list]:
         u0 = poly_scale(base, u0, c)
         v0 = poly_scale(base, v0, c)
     return r0, u0, v0
-
-
-def poly_eval(base: Field, f: list, x):
-    acc = base.zero()
-    for c in reversed(f):
-        acc = base.add(base.mul(acc, x), c)
-    return acc
 
 
 class QuotientRing(Field):

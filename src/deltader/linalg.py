@@ -86,7 +86,6 @@ from .fields import (
     _is_prime,
     poly_deg,
     poly_divmod,
-    poly_eval,
     poly_ext_gcd,
     poly_mod,
     poly_mul,
@@ -837,6 +836,11 @@ def _value_mod(f: list[int], a: int, m: int) -> int:
     return acc
 
 
+def _sweep_roots(f: list[int], p: int) -> list[int]:
+    """The roots of f in GF(p), ascending, by evaluation at every point."""
+    return [a for a in range(p) if not _value_mod(f, a, p)]
+
+
 def _lifting_prime(f: list[int], tries: int | None = None) -> tuple[int, list[int]] | None:
     """(p, roots): the first odd prime p not dividing lc(f), among the
     first ``tries`` such primes or among all of them, at which every root of
@@ -845,7 +849,7 @@ def _lifting_prime(f: list[int], tries: int | None = None) -> tuple[int, list[in
     for p in islice((p for p in count(3, 2) if f[-1] % p and _is_prime(p)), tries):
         fp = [c % p for c in f]
         df = _derivative(fp)
-        roots = [a for a in range(p) if not _value_mod(fp, a, p)]
+        roots = _sweep_roots(fp, p)
         if all(_value_mod(df, a, p) for a in roots):
             return p, roots
     return None
@@ -950,7 +954,7 @@ def base_field_roots(base: Field, f: list) -> list:
         return []
     if isinstance(base, PrimeField):
         if base.p < _SWEEP_LIMIT:
-            return [a for a in range(base.p) if base.is_zero(poly_eval(base, f, a))]
+            return _sweep_roots(f, base.p)
         return _split_roots(base, f)
     if isinstance(base, Rationals):
         return _rational_roots(f)

@@ -27,14 +27,15 @@ the rows that do not vanish.  The solvers choose the coefficients:
   that vanish on M and map L into M, read off its rows on the entries
   d_(k, n+l), k < n, renumbered k*m + l.
 
-Over Q the rows are ints.  The algebra lowers its structure constants
-once to D c, D the lcm of their denominators (``Algebra._lowered_table``),
-and a law list is lowered by t, the lcm of the denominators of its
-coefficients: the assembler writes (t a, t b) and the x coefficient t
-(``_law_terms``).  Each row is then t D times the row above, so the
-row space, the pins (a nonzero int is a unit over Q), the blocks and the
-canonical RREF are the same, and ``Fraction`` enters only at the last
-division of each block's RREF (``linalg._rref``) and in the basis maps.
+Over Q the rows are ints.  The algebra keeps one product table
+(``Algebra._table``), its structure constants lowered once to D c, D the
+lcm of their denominators, and a law list is lowered by t, the lcm of the
+denominators of its coefficients: the assembler writes (t a, t b) and the
+x coefficient t (``_law_terms``, made by each assembly).  Each row is
+then t D times the row above, so the row space, the pins (a nonzero int
+is a unit over Q), the blocks and the canonical RREF are the same, and
+``Fraction`` enters only at the last division of each block's RREF
+(``linalg._rref``) and in the basis maps.
 
 The super variants make the map homogeneous by starting the pin set
 below with the entries that would break its parity.
@@ -125,11 +126,12 @@ def _law_terms(alg: Algebra, laws, parity: int = 0) -> tuple[list, list, int]:
     of -b (-1)^(parity deg e_i) e_i D(e_j) listed by i: for each index, the
     terms c e_l of the products e_k e_j (or e_i e_k) as (l, k, coefficient
     times c), with the zero multiples left out; and t, the scalar of the x
-    part.  Over Q the constants are those of ``Algebra._lowered_table`` and
-    each law is lowered to the ints (t a, t b), t the lcm of the
-    denominators of the laws' coefficients; over any other field t = 1."""
+    part.  Over Q the constants are those of ``Algebra._table``, the ints
+    D c, and each law is lowered to the ints (t a, t b), t the lcm of the
+    denominators of the laws' coefficients; over any other field t = 1.
+    ``_law_rows`` makes its own for each assembly."""
     F = alg.field
-    table = alg._lowered_table()
+    table = alg._table()
     t = 1
     if isinstance(F, Rationals):
         t = math.lcm(*(c.denominator for law in laws for c in law))
@@ -153,9 +155,7 @@ def _law_terms(alg: Algebra, laws, parity: int = 0) -> tuple[list, list, int]:
     return right, left, t
 
 
-def _law_rows(
-    alg: Algebra, laws, parity: int = 0, x_offset: int = 0, pinned: set | None = None, pairs=None, terms=None
-):
+def _law_rows(alg: Algebra, laws, parity: int = 0, x_offset: int = 0, pinned: set | None = None, pairs=None):
     """Nonzero rows of X(e_i e_j) = a D(e_i) e_j + b (-1)^(parity deg e_i) e_i D(e_j),
     one law for each (a, b) in ``laws``.
 
@@ -183,9 +183,8 @@ def _law_rows(
     their order and their values, with their types, are those of adding
     every term scalar by scalar.
 
-    Over Q the constants and coefficients are those of
-    ``Algebra._lowered_table`` and ``_law_terms``: each row is t D times
-    the law's row, in ints.
+    Over Q the constants and coefficients are those of ``Algebra._table``
+    and ``_law_terms``: each row is t D times the law's row, in ints.
 
     Given a set ``pinned``, the assembler hands it the one-entry rows whose
     entry is a unit (``Field.is_unit``) as their columns, and yields only
@@ -199,13 +198,11 @@ def _law_rows(
     ``pairs``, if given, lists the equation pairs to assemble, in the order
     of ``_equation_pairs``, in place of all of them: ``_zero_part`` passes
     the pairs whose product is zero, ``_pointwise_rows`` the others.
-    ``terms``, if given, is ``_law_terms(alg, laws, parity)``, made once
-    for both assemblies of a first pointwise solve.
     """
     F = alg.field
     n = alg.dim
-    table = alg._lowered_table()
-    right, left, t = _law_terms(alg, laws, parity) if terms is None else terms
+    table = alg._table()
+    right, left, t = _law_terms(alg, laws, parity)
     # an entry is a nonzero multiple of a structure constant, or a sum that
     # did not cancel, so over GF(p) and Q it is a unit
     field = isinstance(F, (PrimeField, Rationals))
@@ -258,10 +255,10 @@ def _law_rows(
                     yield row
 
 
-def _zero_part(alg: Algebra, laws, parity: int, terms) -> tuple[frozenset, list[dict]]:
+def _zero_part(alg: Algebra, laws, parity: int) -> tuple[frozenset, list[dict]]:
     """The pins and rows that ``linalg._pin`` leaves of the rows of the
     equation pairs with no product, for these laws over GF(p) or Q, kept in
-    the algebra's store; ``terms`` is ``_law_terms(alg, laws, parity)``.
+    the algebra's store.
 
     With e_i e_j = 0 the law is a D(e_i) e_j + b (-1)^(parity deg e_i)
     e_i D(e_j) = 0: no x entry, and a law scaled by a nonzero scalar has
@@ -287,7 +284,7 @@ def _zero_part(alg: Algebra, laws, parity: int, terms) -> tuple[frozenset, list[
         pairs = _split_pairs(alg)[1]
         pins, rows = set(), []
         if pairs:
-            rows = _law_rows(alg, laws, parity, pinned=pins, pairs=pairs, terms=terms)
+            rows = _law_rows(alg, laws, parity, pinned=pins, pairs=pairs)
             pins, rows = _pin(rows, F.is_unit, pins)
         part = alg._memo[key] = frozenset(pins), rows
     return part
@@ -316,10 +313,9 @@ def _pointwise_rows(alg: Algebra, laws, pinned: set, parity: int = 0, x_offset: 
     whether a zero-divisor pivot is met (see ``linalg.sparse_rref``)."""
     if not isinstance(alg.field, (PrimeField, Rationals)):
         return _law_rows(alg, laws, parity, x_offset, pinned)
-    terms = _law_terms(alg, laws, parity)
-    pins, rows = _zero_part(alg, laws, parity, terms)
+    pins, rows = _zero_part(alg, laws, parity)
     pinned.update(pins)
-    return chain(rows, _law_rows(alg, laws, parity, x_offset, pinned, _split_pairs(alg)[0], terms))
+    return chain(rows, _law_rows(alg, laws, parity, x_offset, pinned, _split_pairs(alg)[0]))
 
 
 def _drained(vectors: list):

@@ -144,6 +144,14 @@ def spans_equal(field, vecs_a, vecs_b):
     return same_span(list(vecs_a), list(vecs_b), field)
 
 
+def poly_eval(field, f, x):
+    """f(x) by Horner's rule with the field's own methods."""
+    acc = field.zero()
+    for c in reversed(f):
+        acc = field.add(field.mul(acc, x), c)
+    return acc
+
+
 def rebased(alg, seed: int = 1, scale: bool = False):
     """The Lie algebra ``alg`` in the basis f_a = d_a sum_i P[a][i] e_i for
     the seeded dense unimodular P = S1 M S2 of the rebased benchmark

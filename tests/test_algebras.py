@@ -240,8 +240,13 @@ def test_abelian_center():
         ({"products": [{"i": 0, "j": 1, "terms": [[1, "0.5"]]}]}, "products[0]: invalid scalar '0.5'"),
         ({"form": [["1"]]}, "'form' must be 2 x 2, got rows of lengths [1]"),
         ({"form": [["1", "0"], ["1"]]}, "'form' must be 2 x 2, got rows of lengths [2, 1]"),
+        (
+            {"products": [{"i": 0, "j": 1, "terms": [[0, "1"]]}, {"i": 0, "j": 1, "terms": [[1, "1"]]}]},
+            "products[1]: the pair (0, 1) is given twice",
+        ),
+        ({"products": [{"i": 0, "j": 1, "terms": [[1, "1"], [1, "2"]]}]}, "products[0]: the term index 1 is given twice"),
     ],
-    ids=["dim", "products-object", "terms", "decimal-term", "form-1x1", "form-ragged"],
+    ids=["dim", "products-object", "terms", "decimal-term", "form-1x1", "form-ragged", "repeated-pair", "repeated-term"],
 )
 def test_algebra_from_json_rejects_malformed_input(change, message):
     """The library loader, not only the CLI, names what is wrong."""

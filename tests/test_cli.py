@@ -200,6 +200,9 @@ BAD_ALGEBRAS = {
     "form_exponent": dict(SL2, form=[["1e2", "0", "0"], ["0", "0", "0"], ["0", "0", "0"]]),
     "modulus_decimal": dict(SL2, field={"kind": "quot", "base": {"kind": "Q"}, "modulus": ["0.5", "1"]}),
     "p_mersenne89": dict(SL2, field={"kind": "GFp", "p": 2**89 - 1}),
+    # a repeated entry would otherwise overwrite the first silently
+    "pair_twice": dict(SL2, field={"kind": "GFp", "p": 5}, products=[*SL2["products"], {"i": 0, "j": 1, "terms": [[2, "3"]]}]),
+    "term_twice": dict(SL2, products=[{"i": 0, "j": 1, "terms": [[2, "1"], [2, "1"]]}]),
 }
 # valid files, for commands that cannot use them
 VALID_FILES = {
@@ -292,6 +295,8 @@ VALID_FILES = {
         (["solve", "{alg}", "--kind", "superder", "--delta", "1"], "--kind superder requires --parity"),
         (["solve", "{alg}", "--kind", "superder", "--parity", "1"], "--kind superder requires --delta"),
         (["solve", "{alg}"], "--delta is required unless --parametric is given"),
+        (["validate", "{pair_twice}"], "pair_twice.json: products[3]: the pair (0, 1) is given twice"),
+        (["solve", "{term_twice}", "--delta", "1"], "term_twice.json: products[0]: the term index 2 is given twice"),
         (["validate", "{p_mersenne89}"],
          "p_mersenne89.json: 'field': p = 618970019642690137449562111 is too large: "
          "primality is decided only below 318665857834031151167461"),
@@ -331,7 +336,7 @@ VALID_FILES = {
         "grade-quot-field", "zassenhaus-n-negative", "zassenhaus-n-0", "divided-powers-n-negative",
         "zassenhaus-field", "divided-powers-dim", "elduque4-n", "abelian-p", "sl-support", "osp12-modulus",
         "witt-left", "current-field", "superder-no-parity", "superder-no-delta", "solve-no-delta",
-        "p-beyond-bound-file", "p-beyond-bound-flag", "field-unknown",
+        "pair-twice", "term-twice", "p-beyond-bound-file", "p-beyond-bound-flag", "field-unknown",
         "zassenhaus-above-size-bound", "zassenhaus-height-past-64", "zassenhaus-p-above-size-bound",
         "divided-powers-above-size-bound", "abelian-above-size-bound", "sl-huge", "sl23", "witt-above-size-bound",
         "current-above-size-bound",

@@ -165,6 +165,10 @@ def graded_algebras(draw, flavor=None):
 
 def s4_result(alg, law):
     ideal = compute_s4(alg, law)
+    if isinstance(alg.field, Rationals):
+        # s4 reads the table of constants lowered to integers; a stray int
+        # would still compare equal to the reference's Fraction
+        assert all(type(c) is Fraction for v in ideal.basis for c in v)
     return ideal.basis, ideal.is_ideal
 
 
@@ -401,7 +405,7 @@ def test_envelope_degrees_read_off_the_basis(m):
 
 @pytest.mark.parametrize("name, law", [
     (name, law) for name in sorted(KNOWN) for law in ("ordinary", "super")
-    # a dense sl3 is checked once, by test_s4_rebased_matches_permutation_sum
+    # a dense sl3 is checked by the two test_s4_*rebased_matches_permutation_sum
     if name != "rebased sl3/Q" and (law == "ordinary" or KNOWN[name]().grading is not None)
 ])
 def test_s4_known_matches_permutation_sum(name, law):
@@ -412,6 +416,13 @@ def test_s4_known_matches_permutation_sum(name, law):
 def test_s4_rebased_matches_permutation_sum():
     # a single homogeneous component: the grading has rank 0
     alg = rebased_sl3()
+    assert s4_result(alg, "ordinary") == reference_s4(alg, "ordinary")
+
+
+def test_s4_rescaled_rebased_matches_permutation_sum():
+    # constants with denominators, lowered in s4's table by D = 4
+    alg = KNOWN["rebased sl3/Q"]()
+    assert alg._lowering()[0] == 4
     assert s4_result(alg, "ordinary") == reference_s4(alg, "ordinary")
 
 

@@ -32,7 +32,7 @@ from deltader.algebras import (
     make_witt_type,
     make_zassenhaus,
 )
-from deltader.fields import PrimeField, Rationals, _is_prime, poly_eval, poly_mul, poly_trim
+from deltader.fields import PrimeField, Rationals, _is_prime, poly_mul, poly_trim
 from deltader.linalg import (
     _integer_entries,
     _pencil_det,
@@ -42,7 +42,7 @@ from deltader.linalg import (
 )
 from deltader.solver import solve_parametric
 
-from conftest import sturm_rational_roots
+from conftest import poly_eval, sturm_rational_roots
 
 Q = Rationals()
 
@@ -261,10 +261,13 @@ def gf_polys(draw):
 @given(gf_polys())
 def test_split_roots_match_evaluation(drawn):
     """The splitting route finds the roots that evaluation at every point
-    of GF(p) finds, below the prime where ``base_field_roots`` takes it."""
+    of GF(p) finds, below the prime where ``base_field_roots`` takes it,
+    and so does ``base_field_roots``, which sweeps the field there."""
     p, f = drawn
     F = PrimeField(p)
-    assert linalg._split_roots(F, f) == [a for a in range(p) if not poly_eval(F, f, a)]
+    roots = [a for a in range(p) if not poly_eval(F, f, a)]
+    assert linalg._split_roots(F, f) == roots
+    assert base_field_roots(F, f) == roots
 
 
 @settings(derandomize=True, deadline=None, max_examples=30)
