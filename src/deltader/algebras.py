@@ -27,6 +27,7 @@ from itertools import combinations
 
 from .fields import Field, PrimeField, Rationals, field_from_json, field_to_json, parse_scalar
 from .linalg import (
+    _dense,
     _row_value,
     dense_to_sparse,
     kernel_of_map,
@@ -294,9 +295,9 @@ def _support_degrees(alg: Algebra) -> list[tuple]:
             relations.add(tuple(sorted((c, a) for c, a in row.items() if a)))
     scaled = []
     for v in sparse_nullspace([dict(r) for r in relations], alg.dim, Rationals()):
-        den = math.lcm(*(x.denominator for x in v))
-        scaled.append([int(x * den) for x in v])
-    return [tuple(v[k] for v in scaled) for k in range(alg.dim)]
+        den = math.lcm(*(x.denominator for x in v.values()))
+        scaled.append({k: int(x * den) for k, x in v.items()})
+    return [tuple(v.get(k, 0) for v in scaled) for k in range(alg.dim)]
 
 
 # ---------------------------------------------------------------------------
@@ -507,7 +508,8 @@ def validate_form(alg: Algebra) -> ValidationReport:
     if alg.form is None:
         raise FormMissing("no bilinear form attached")
     F = alg.field
-    flat = [c for row in alg.form for c in row]
+    n = alg.dim
+    flat = {i * n + j: c for i, row in enumerate(alg.form) for j, c in enumerate(row) if not F.is_zero(c)}
     violations = []
     for label, row in _form_rows(alg):
         value = _row_value(row, flat, F)
@@ -526,7 +528,8 @@ def invariant_forms(alg: Algebra) -> list[list[list]]:
     """Basis of (super)symmetric invariant bilinear forms, as n x n matrices."""
     n = alg.dim
     sols = sparse_nullspace((row for _, row in _form_rows(alg)), n * n, alg.field)
-    return [[sol[i * n : (i + 1) * n] for i in range(n)] for sol in sols]
+    flats = [_dense(sol, n * n, alg.field) for sol in sols]
+    return [[flat[i * n : (i + 1) * n] for i in range(n)] for flat in flats]
 
 
 # ---------------------------------------------------------------------------
@@ -772,7 +775,7 @@ def make_derivation_algebra(A: Algebra, partial: LinearMap) -> Algebra:
         raise NotADerivation("the map fails the Leibniz rule")
     F = A.field
     n = A.dim
-    d = partial.rows
+    d = [partial.apply(A.unit_vector(j)) for j in range(n)]
     products = {}
     for i in range(n):
         for j in range(i + 1, n):

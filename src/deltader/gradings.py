@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from itertools import product
 
 from .algebras import Algebra, AlgebraError, NotADerivation
-from .linalg import SpanSolver, base_field_roots, charpoly, kernel_of_map, rref_dense
+from .linalg import SpanSolver, base_field_roots, charpoly, rref_dense
 from .linmap import LinearMap
 from .solver import is_delta_derivation
 from .fields import QuotientRing, parse_scalar, poly_deg, poly_divmod, poly_trim
@@ -122,14 +122,14 @@ def root_decompose(alg: Algebra, D_set: list[LinearMap], delta) -> RootDecomposi
             if Da.compose(D_set[b]) != D_set[b].compose(Da):
                 raise NonCommuting(f"maps {a} and {b} do not commute")
 
-    # pieces are (root so far, map whose rows are a basis of the piece)
-    pieces = [((), LinearMap.identity(F, alg.dim))]
+    # pieces are (root so far, dense basis vectors of the piece)
+    pieces = [((), [alg.unit_vector(i) for i in range(alg.dim)])]
     for D in D_set:
         refined = []
         for root, basis in pieces:
-            span = SpanSolver(F, basis.rows)
+            span = SpanSolver(F, basis)
             # restriction of D to the invariant subspace spanned by the basis
-            mat = [span.coordinates(D.apply(v)) for v in basis.rows]
+            mat = [span.coordinates(D.apply(v)) for v in basis]
             if None in mat:
                 raise NonCommuting("subspace is not invariant; the maps do not commute")
             cp = charpoly(F, mat)
@@ -140,15 +140,15 @@ def root_decompose(alg: Algebra, D_set: list[LinearMap], delta) -> RootDecomposi
                 )
             M = LinearMap(F, mat)
             identity = LinearMap.identity(F, M.nrows)
+            B = LinearMap(F, basis)
             for lam in sorted(mult):
                 shifted = M.add(identity.scale(F.neg(lam)))
-                kern = kernel_of_map(shifted.power(mult[lam]).rows, F)
-                lifted = LinearMap(F, kern).compose(basis)
-                refined.append((root + (lam,), LinearMap(F, rref_dense(lifted.rows, F))))
+                lifted = [B.apply(k) for k in shifted.power(mult[lam]).kernel()]
+                refined.append((root + (lam,), rref_dense(lifted, F)))
         pieces = refined
 
     dec = RootDecomposition(
-        alg, delta, list(D_set), [r for r, _ in pieces], [b.rows for _, b in pieces], set()
+        alg, delta, list(D_set), [r for r, _ in pieces], [b for _, b in pieces], set()
     )
     # verify product inclusions and record the defined mask
     spans = [SpanSolver(F, s) for s in dec.spaces]

@@ -104,12 +104,18 @@ class CompositionRing:
         return acc
 
     def coordinates(self, m: LinearMap):
-        span = SpanSolver(self.field, [b.flat() for b in self.basis])
-        return span.coordinates(m.flat())
+        span = SpanSolver(self.field, [b.vector() for b in self.basis])
+        return span.coordinates(m.vector())
 
 
 def build_composition_ring(space: SolutionSpace) -> CompositionRing:
-    """Composition table of a half-derivation space in its canonical basis."""
+    """Composition table of a half-derivation space in its canonical basis.
+
+    The basis maps are composed on their sparse entries.  The coordinates
+    of a composite are its entries at the identity columns of the basis
+    (the free columns of its ``sparse_nullspace``), and it lies in the span
+    exactly when subtracting that combination leaves nothing: no dense map
+    is built."""
     if space.kind != "delta_der":
         raise ValueError("expected a delta-derivation solution space")
     F = space.algebra.field
@@ -117,13 +123,13 @@ def build_composition_ring(space: SolutionSpace) -> CompositionRing:
     if space.delta is None or not F.eq(space.delta, half):
         raise ValueError("the composition ring is built from half-derivations")
     basis = space.basis
-    span = SpanSolver(F, [b.flat() for b in basis])
+    span = SpanSolver(F, [b.vector() for b in basis])
     table = []
     for a, Da in enumerate(basis):
         row = []
         for b, Db in enumerate(basis):
             comp = Db.compose(Da)  # x -> Da(Db(x))
-            coords = span.coordinates(comp.flat())
+            coords = span.coordinates(comp.vector())
             if coords is None:
                 raise NotClosedRing(
                     f"composite of basis maps {a} and {b} leaves the span",
@@ -131,8 +137,13 @@ def build_composition_ring(space: SolutionSpace) -> CompositionRing:
                 )
             row.append(coords)
         table.append(row)
-    unit = span.coordinates(LinearMap.identity(F, space.algebra.dim).flat())
+    unit = span.coordinates(LinearMap.identity(F, space.algebra.dim).vector())
     return CompositionRing(space.algebra, basis, table, unit)
+
+
+def _units(F: Field, d: int) -> list[list]:
+    """The unit coordinate vectors e_0, ..., e_(d-1) of a ring of dimension d."""
+    return [[F.one() if a == b else F.zero() for b in range(d)] for a in range(d)]
 
 
 def nilradical(ring: CompositionRing) -> list[list]:
@@ -148,13 +159,13 @@ def nilradical(ring: CompositionRing) -> list[list]:
     d = ring.dim
     if isinstance(F, PrimeField):
         p = F.p
-        frob = LinearMap(F, [ring.power(ea, p) for ea in LinearMap.identity(F, d).rows])
+        frob = LinearMap(F, [ring.power(ea, p) for ea in _units(F, d)])
         total = p
         acc = frob
         while total < d:
             acc = acc.compose(frob)
             total *= p
-        return kernel_of_map(acc.rows, F)
+        return acc.kernel()
     if isinstance(F, Rationals):
         # trace(R_u) is linear in u, and R_{e_c} has diagonal table[c][b][b]
         tr = [sum(ring.table[c][b][b] for b in range(d)) for c in range(d)]
@@ -194,7 +205,7 @@ def find_zero_divisors(ring: CompositionRing, rad: list | None = None) -> list:
     computed unless given (a nilpotent u of index k gives the pair
     (u^(k-1), u)).
     """
-    e = LinearMap.identity(ring.field, ring.dim).rows
+    e = _units(ring.field, ring.dim)
     out = [
         (e[a], e[b])
         for a in range(ring.dim)
@@ -239,14 +250,12 @@ def witt_half_basis(alg: Algebra) -> list[LinearMap]:
     for gamma in R:
         if norm(2 * gamma) not in index:
             continue
-        rows = []
-        for alpha in R:
-            row = [F.zero()] * alg.dim
-            tgt = norm(alpha + gamma)
-            if tgt in index:
-                row[index[tgt]] = F.one()
-            rows.append(row)
-        D = LinearMap(F, rows)
+        entries = {
+            index[alpha]: {index[tgt]: F.one()}
+            for alpha in R
+            if (tgt := norm(alpha + gamma)) in index
+        }
+        D = LinearMap.from_entries(F, entries, alg.dim, alg.dim)
         if not is_delta_derivation(alg, D, half):
             raise ArithmeticError(
                 f"shift map for gamma={gamma} is unexpectedly not a half-derivation"

@@ -101,13 +101,25 @@ from .fields import (
 def _sub_multiple(dst: dict, coef, src: dict, skip, F: Field) -> None:
     """dst -= coef * src, over the columns of src other than ``skip``: the one
     loop of the elimination step.  Over GF(p) the entries are plain ints,
-    each sum reduced mod p as it is made; over any other field the loop
-    calls the field's own ``sub``, ``mul`` and ``is_zero``."""
+    each sum reduced mod p as it is made; over Q the loop uses the
+    operators that ``Rationals.sub`` and ``mul`` apply, with the same values
+    and types; over a quotient ring it calls the field's own ``sub``,
+    ``mul`` and ``is_zero``."""
     get, p = dst.get, F.p
     if p:
         for j, v in src.items():
             if j != skip:
                 x = (get(j, 0) - coef * v) % p
+                if x:
+                    dst[j] = x
+                else:
+                    dst.pop(j, None)
+        return
+    if isinstance(F, Rationals):
+        zero = F.zero()
+        for j, v in src.items():
+            if j != skip:
+                x = get(j, zero) - coef * v
                 if x:
                     dst[j] = x
                 else:
@@ -477,37 +489,53 @@ def _pin(rows, is_unit, pinned: set | None = None) -> tuple[set, list[dict]]:
     return pinned, rest
 
 
-def sparse_nullspace(rows, ncols: int, field: Field, pinned: set | None = None) -> list[list]:
-    """Canonical nullspace basis (dense vectors) of a sparse homogeneous
-    system, read off its ``sparse_rref``.
+def sparse_nullspace(rows, ncols: int, field: Field, pinned: set | None = None) -> list[dict]:
+    """Canonical nullspace basis of a sparse homogeneous system, read off
+    its ``sparse_rref`` as sparse vectors {column: value}.
 
-    The basis has one vector v_c per free column c of the RREF, with
-    v_c[c] = 1 and v_c zero on the other free columns; columns in no row
-    and not in ``pinned`` are free.  ``pinned``, if given, is the pin set
-    of a pointwise solve, columns known to be zero, which its assembler
-    fills in place of yielding its one-entry unit rows; ``sparse_rref``
-    empties it.  So the basis is the same however the rows are ordered,
-    and whether a one-entry unit row came as a row or as a column."""
+    The basis has one vector v_c per free column c of the RREF: 1 at c, and
+    -x at each pivot p whose RREF row has x at c.  It is zero on the other
+    free columns, and holds no zero value.  Columns in no row and not in
+    ``pinned`` are free.  ``pinned``, if given, is the pin set of a
+    pointwise solve, columns known to be zero, which its assembler fills in
+    place of yielding its one-entry unit rows; ``sparse_rref`` empties it.
+    So the basis is the same however the rows are ordered, and whether a
+    one-entry unit row came as a row or as a column."""
     F = field
     pivots = sparse_rref(rows, F, pinned)
-    basis = {c: [F.zero()] * ncols for c in range(ncols) if c not in pivots}
-    for c, v in basis.items():
-        v[c] = F.one()
+    one, neg = F.one(), F.neg
+    basis = {c: {c: one} for c in range(ncols) if c not in pivots}
     # a pivot row's other columns are all free; a one-entry row has none
     for p, row in pivots.items():
         if len(row) > 1:
             for c, x in row.items():
                 if c != p:
-                    basis[c][p] = F.neg(x)
+                    basis[c][p] = neg(x)
     return list(basis.values())
 
 
-def _row_value(row: dict, vec: list, F: Field):
-    """The value of the sparse row {col: coeff} at the dense vector vec."""
+def _dense(v: dict, ncols: int, F: Field) -> list:
+    """The sparse vector v as a dense list of length ncols."""
+    out = [F.zero()] * ncols
+    for j, c in v.items():
+        out[j] = c
+    return out
+
+
+def _sparse(v, F: Field) -> dict:
+    """A vector, a dense list or a sparse dict, as a fresh sparse dict with
+    no zero value."""
+    items = v.items() if isinstance(v, dict) else enumerate(v)
+    return {j: c for j, c in items if not F.is_zero(c)}
+
+
+def _row_value(row: dict, vec: dict, F: Field):
+    """The value of the sparse row {col: coeff} at the sparse vector vec."""
     value = F.zero()
     for c, a in row.items():
-        if not F.is_zero(vec[c]):
-            value = F.add(value, F.mul(a, vec[c]))
+        x = vec.get(c)
+        if x is not None:
+            value = F.add(value, F.mul(a, x))
     return value
 
 
@@ -516,23 +544,28 @@ def sparse_rank(rows, field: Field) -> int:
 
 
 def dense_to_sparse(matrix, field: Field) -> list[dict]:
-    return [
-        {j: v for j, v in enumerate(row) if not field.is_zero(v)} for row in matrix
-    ]
+    return [_sparse(row, field) for row in matrix]
 
 
 def dense_nullspace(matrix: list[list], field: Field) -> list[list]:
-    """Nullspace {v : matrix @ v = 0} for a dense matrix (rows are equations)."""
+    """Nullspace {v : matrix @ v = 0} for a dense matrix (rows are
+    equations), as dense vectors."""
     if not matrix:
         return []
-    return sparse_nullspace(dense_to_sparse(matrix, field), len(matrix[0]), field)
+    n = len(matrix[0])
+    return [_dense(v, n, field) for v in sparse_nullspace(dense_to_sparse(matrix, field), n, field)]
 
 
-def kernel_of_map(rows: list[list], field: Field) -> list[list]:
-    """Basis of {v : v @ rows = 0}; ``rows[i]`` is the image of e_i."""
-    if not rows:
-        return []
-    return sparse_nullspace(dense_to_sparse(zip(*rows), field), len(rows), field)
+def kernel_of_map(rows: list, field: Field) -> list[list]:
+    """Basis of {v : v @ rows = 0}, as dense vectors; ``rows[i]`` is the
+    image of e_i, a dense list or a sparse dict.  The equations are the
+    columns, in order."""
+    columns: dict[int, dict] = {}
+    for i, row in enumerate(rows):
+        for j, x in _sparse(row, field).items():
+            columns.setdefault(j, {})[i] = x
+    n = len(rows)
+    return [_dense(v, n, field) for v in sparse_nullspace([columns[j] for j in sorted(columns)], n, field)]
 
 
 # ---------------------------------------------------------------------------
@@ -544,15 +577,18 @@ class SpanSolver:
     column where it is 1 and every other vector is 0.  These are the pivot
     columns of an RREF (``rref_dense``) and the free columns of a
     ``sparse_nullspace`` basis.  The coordinates of v are its entries at
-    those columns, and v lies in the span exactly when the combination
-    they give is v: one pass over the basis, with no elimination.
+    those columns, and v lies in the span exactly when v minus the
+    combination they give is zero: one pass over the basis vectors with a
+    nonzero coordinate, with no elimination.  Vectors, of the basis or
+    queried, are dense lists or sparse dicts {index: value}; each is held
+    and reduced as a sparse dict, so the work follows the nonzero entries.
     """
 
-    def __init__(self, field: Field, vectors: list[list] | None = None):
+    def __init__(self, field: Field, vectors: list | None = None):
         self.field = field
         self._rows: list[dict] = []
         self._columns: list[int] = []
-        rows = [{j: c for j, c in enumerate(v) if not field.is_zero(c)} for v in vectors or []]
+        rows = [_sparse(v, field) for v in vectors or []]
         hits = Counter(j for row in rows for j in row)
         one = field.one()
         for i, row in enumerate(rows):
@@ -571,31 +607,25 @@ class SpanSolver:
         self._columns.append(column)
         return True
 
-    def contains(self, v: list) -> bool:
+    def contains(self, v) -> bool:
         return self.coordinates(v) is not None
 
-    def coordinates(self, v: list):
-        """Coefficients of v over the basis, or None if v is not in its span."""
+    def coordinates(self, v):
+        """Coefficients of v over the basis, as a dense list, or None if v
+        is not in its span."""
         F = self.field
+        rest = _sparse(v, F)
         zero = F.zero()
-        coords = [v[c] for c in self._columns]
-        rest = {j: c for j, c in enumerate(v) if not F.is_zero(c)}
+        coords = [rest.get(c, zero) for c in self._columns]
         for a, row in zip(coords, self._rows):
             if not F.is_zero(a):
-                for j, x in row.items():
-                    rest[j] = F.sub(rest.get(j, zero), F.mul(a, x))
-        return coords if all(F.is_zero(x) for x in rest.values()) else None
+                _sub_multiple(rest, a, row, None, F)
+        return None if rest else coords
 
 
 def _dense_pivot_rows(pivots: dict[int, dict], ncols: int, F: Field) -> list[list]:
     """The pivot rows in pivot order as dense vectors of length ncols."""
-    out = []
-    for p in sorted(pivots):
-        v = [F.zero()] * ncols
-        for j, c in pivots[p].items():
-            v[j] = c
-        out.append(v)
-    return out
+    return [_dense(pivots[p], ncols, F) for p in sorted(pivots)]
 
 
 def rref_dense(vectors: list[list], field: Field) -> list[list]:
@@ -606,8 +636,12 @@ def rref_dense(vectors: list[list], field: Field) -> list[list]:
     return _dense_pivot_rows(pivots, len(vectors[0]), field)
 
 
-def same_span(a: list[list], b: list[list], field: Field) -> bool:
-    return rref_dense(a, field) == rref_dense(b, field)
+def same_span(a: list, b: list, field: Field) -> bool:
+    """Whether two lists of vectors, dense lists or sparse dicts, span the
+    same space: whether their RREFs, sparse and canonical, are equal."""
+    return sparse_rref([_sparse(v, field) for v in a], field) == sparse_rref(
+        [_sparse(v, field) for v in b], field
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -90,8 +90,8 @@ from .linalg import (
     _rref,
     base_field_roots,
     fraction_free_pivots,
-    rref_dense,
     sparse_nullspace,
+    sparse_rref,
 )
 from .linmap import LinearMap
 
@@ -318,15 +318,6 @@ def _pointwise_rows(alg: Algebra, laws, pinned: set, parity: int = 0, x_offset: 
     return chain(rows, _law_rows(alg, laws, parity, x_offset, pinned, _split_pairs(alg)[0]))
 
 
-def _drained(vectors: list):
-    """The vectors of the list in order, each dropped from it as it is
-    yielded: a dense basis made into maps is not held twice over, once as
-    vectors and once as the maps' rows."""
-    vectors.reverse()
-    while vectors:
-        yield vectors.pop()
-
-
 def _maps(alg: Algebra, laws, parity: int = 0, pinned: set | None = None) -> list[LinearMap]:
     """Canonical basis of the maps of the algebra into itself solving the
     laws, with the entries in ``pinned`` (a fresh set if None) zero."""
@@ -334,7 +325,7 @@ def _maps(alg: Algebra, laws, parity: int = 0, pinned: set | None = None) -> lis
     n = alg.dim
     pinned = set() if pinned is None else pinned
     rows = _pointwise_rows(alg, laws, pinned, parity)
-    return [LinearMap.from_flat(F, v, n, n) for v in _drained(sparse_nullspace(rows, n * n, F, pinned))]
+    return [LinearMap.from_flat(F, v, n, n) for v in sparse_nullspace(rows, n * n, F, pinned)]
 
 
 class SolutionSpace:
@@ -352,17 +343,19 @@ class SolutionSpace:
     def dim(self) -> int:
         return len(self.basis)
 
-    def _flat(self, item) -> list:
+    def _vector(self, item) -> dict:
+        """A map, or a pair's D then F, as one sparse vector."""
         if isinstance(item, tuple):
-            return [c for part in item for c in part.flat()]
-        return item.flat()
+            d, f = item
+            return d.vector() | f.vector(d.nrows * d.ncols)
+        return item.vector()
 
     def contains(self, item) -> bool:
         if self._span is None:
             self._span = SpanSolver(
-                self.algebra.field, [self._flat(b) for b in self.basis]
+                self.algebra.field, [self._vector(b) for b in self.basis]
             )
-        return self._span.contains(self._flat(item))
+        return self._span.contains(self._vector(item))
 
     def d_component(self) -> list[LinearMap]:
         """For quasiderivation pairs: canonical basis of the D-projections."""
@@ -370,8 +363,8 @@ class SolutionSpace:
             raise ValueError("d_component is defined for quasiderivation spaces")
         F = self.algebra.field
         n = self.algebra.dim
-        flats = [d.flat() for (d, _) in self.basis]
-        return [LinearMap.from_flat(F, v, n, n) for v in rref_dense(flats, F)]
+        pivots = sparse_rref([d.vector() for (d, _) in self.basis], F)
+        return [LinearMap.from_flat(F, pivots[c], n, n) for c in sorted(pivots)]
 
     def to_json(self) -> dict:
         F = self.algebra.field
@@ -421,7 +414,7 @@ def solve_module_valued(alg: Algebra, M: ModuleAction, delta) -> SolutionSpace:
             yield {c // s * m + c % s - n: v for c, v in row.items() if c < n * s and c % s >= n}
         pinned.update(c // s * m + c % s - n for c in pins if c < n * s and c % s >= n)
 
-    basis = [LinearMap.from_flat(F, v, n, m) for v in _drained(sparse_nullspace(rows(), n * m, F, pinned))]
+    basis = [LinearMap.from_flat(F, v, n, m) for v in sparse_nullspace(rows(), n * m, F, pinned)]
     return SolutionSpace(alg, "module_valued", delta, basis)
 
 
@@ -474,7 +467,7 @@ def solve_quasiderivations(alg: Algebra) -> SolutionSpace:
     rows = _pointwise_rows(alg, [(F.one(), F.one())], pinned, x_offset=nn)
     basis = [
         (LinearMap.from_flat(F, v, n, n), LinearMap.from_flat(F, v, n, n, nn))
-        for v in _drained(sparse_nullspace(rows, 2 * nn, F, pinned))
+        for v in sparse_nullspace(rows, 2 * nn, F, pinned)
     ]
     return SolutionSpace(alg, "quasider", None, basis)
 
@@ -485,14 +478,18 @@ def is_delta_derivation(alg: Algebra, D: LinearMap, delta, parity=None) -> bool:
 
     The check evaluates at D the rows that the solver assembles for this
     law, and requires D to vanish at the entries that it pins instead of
-    building their rows, so checking and solving share one encoding of it."""
+    building their rows, so checking and solving share one encoding of it.
+    A map that is not dim x dim raises ``ValueError``."""
     F = alg.field
+    n = alg.dim
+    if (D.nrows, D.ncols) != (n, n):
+        raise ValueError(f"the map is {D.nrows} x {D.ncols}, not {n} x {n} as the algebra")
     delta = parse_scalar(F, delta)
-    flat = D.flat()
+    vec = D.vector()
     pinned = set()
     rows = _pointwise_rows(alg, [(delta, delta)], pinned, parity or 0)
     # the pin set is complete once every row has been read
-    return all(F.is_zero(_row_value(row, flat, F)) for row in rows) and all(F.is_zero(flat[c]) for c in pinned)
+    return all(F.is_zero(_row_value(row, vec, F)) for row in rows) and pinned.isdisjoint(vec)
 
 
 # ---------------------------------------------------------------------------
@@ -665,28 +662,24 @@ def lift_grassmann(env: Algebra, D: LinearMap, g: tuple = ()) -> LinearMap:
     F = env.field
     for c in sorted(_parity_columns(L, q)):
         i, j = divmod(c, L.dim)
-        if not F.is_zero(D.rows[i][j]):
+        if j in D.entries.get(i, {}):
             raise ParityMismatch(
                 f"map sends parity {L.grading[i]} to parity {L.grading[j]}, "
                 f"but the monomial has parity {q}"
             )
     index = {b: p for p, b in enumerate(basis)}
-    rows = []
-    for (i, h) in basis:
-        row = [F.zero()] * env.dim
+    entries = {}
+    for p, (i, h) in enumerate(basis):
         gh = grassmann_mul(g, h)
-        if gh is not None:
-            sign, mono = gh
-            sgn = F.from_int(sign)
-            for j in range(L.dim):
-                c = D.rows[i][j]
-                if F.is_zero(c):
-                    continue
-                tgt = index.get((j, mono))
-                if tgt is not None:
-                    row[tgt] = F.add(row[tgt], F.mul(c, sgn))
-        rows.append(row)
-    return LinearMap(F, rows)
+        if gh is None:
+            continue
+        sign, mono = gh
+        sgn = F.from_int(sign)
+        # distinct j give distinct targets (j, mono)
+        entries[p] = {
+            index[j, mono]: F.mul(c, sgn) for j, c in D.entries.get(i, {}).items() if (j, mono) in index
+        }
+    return LinearMap.from_entries(F, entries, env.dim, env.dim)
 
 
 @dataclass
@@ -743,10 +736,11 @@ def exp_quasiautomorphism(
     else:
         phi = _exp(F, _nilpotent_powers(F, D), F.one())
         psi = _exp(F, _nilpotent_powers(F, F_map), F.one())
+    images = [phi.apply(alg.unit_vector(i)) for i in range(n)]
     ok = all(
         F.eq(a, b)
         for i in range(n)
         for j in range(n)
-        for a, b in zip(psi.apply(alg.product_vec(i, j)), alg.bracket(phi.rows[i], phi.rows[j]))
+        for a, b in zip(psi.apply(alg.product_vec(i, j)), alg.bracket(images[i], images[j]))
     )
     return ExpResult(phi, psi, ok)

@@ -322,8 +322,8 @@ def desk_check_theorems(alg: Algebra, half: SolutionSpace | None = None) -> dict
     centroid = solve_centroid(alg)
     report["centroid_dim"] = centroid.dim
     report["half_equals_centroid"] = same_span(
-        [m.flat() for m in spaces["1/2"].basis],
-        [m.flat() for m in centroid.basis],
+        [m.vector() for m in spaces["1/2"].basis],
+        [m.vector() for m in centroid.basis],
         F,
     )
     if alg.grading is not None:
@@ -342,8 +342,8 @@ def desk_check_theorems(alg: Algebra, half: SolutionSpace | None = None) -> dict
         supercent = solve_supercentroid(alg)
         report["supercentroid_dim"] = supercent.dim
         report["half_super_equals_supercentroid"] = same_span(
-            [m.flat() for even_odd in super_spaces["1/2"] for m in even_odd.basis],
-            [m.flat() for m in supercent.basis],
+            [m.vector() for even_odd in super_spaces["1/2"] for m in even_odd.basis],
+            [m.vector() for m in supercent.basis],
             F,
         )
     return report

@@ -56,6 +56,20 @@ def dense_gauss_nullspace(field, rows, ncols):
     return basis
 
 
+def dense_vectors(field, vectors, ncols):
+    """Sparse vectors {index: value}, as ``sparse_nullspace`` gives them,
+    written out as dense lists of length ncols, once each is checked to
+    hold no zero value."""
+    out = []
+    for v in vectors:
+        assert not any(field.is_zero(x) for x in v.values()), v
+        dense = [field.zero()] * ncols
+        for j, x in v.items():
+            dense[j] = x
+        out.append(dense)
+    return out
+
+
 def gauss_coordinates(field, basis, v):
     """Coefficients of v over the independent vectors ``basis``, or None if
     v is not in their span, from the textbook nullspace of the matrix whose

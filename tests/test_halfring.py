@@ -163,3 +163,23 @@ def test_power_squares_the_ring_over_a_large_prime(monkeypatch):
     rep = half_ring_report(make_special_linear(2, PrimeField(10**9 + 7)))
     assert rep == half_ring_report(make_special_linear(2, PrimeField(7)))
     assert rep["closed"] and rep["is_local"] and rep["nilradical_dim"] == 0
+
+
+@pytest.mark.parametrize("p, m", [(7, 2), (5, 3)], ids=["W12/GF7", "W13/GF5"])
+def test_zassenhaus_half_ring_has_zero_divisors(p, m):
+    """The paper's answer to Filippov's question on W(1, m) over GF(p): the
+    half-derivations, of dimension p^m, form a ring under composition that
+    is closed, commutative and local, its nilradical of codimension 1, and
+    it has zero divisors.  The witness is checked on the composed maps."""
+    alg = make_zassenhaus(p, m)
+    F = alg.field
+    space = half_space(alg)
+    assert space.dim == p**m
+    report = half_ring_report(alg, space)
+    assert report["closed"] and report["commutative"] and report["is_local"]
+    assert report["nilradical_dim"] == space.dim - 1
+    ring = build_composition_ring(space)
+    u, v = ([F.coerce(c) for c in w] for w in report["zero_divisor_witness"])
+    U, V = ring.as_map(u), ring.as_map(v)
+    assert not U.is_zero() and not V.is_zero()
+    assert U.compose(V).is_zero() and V.compose(U).is_zero()

@@ -42,6 +42,8 @@ from deltader.solver import (
     solve_superderivations,
 )
 
+from conftest import dense_vectors
+
 Q = Rationals()
 GF5, GF7, GF11 = PrimeField(5), PrimeField(7), PrimeField(11)
 QT = QuotientRing(Q, [Fraction(-2), Fraction(0), Fraction(1)])  # Q[t]/(t^2 - 2)
@@ -120,7 +122,7 @@ def ref_invariant_forms(alg):
                 for m, c in alg.product(j, k).items():
                     eq[i * n + m] = F.sub(eq.get(i * n + m, F.zero()), c)
                 eqs.append(eq)
-    sols = sparse_nullspace(eqs, n * n, F)
+    sols = dense_vectors(F, sparse_nullspace(eqs, n * n, F), n * n)
     return [[sol[i * n : (i + 1) * n] for i in range(n)] for sol in sols]
 
 
@@ -137,7 +139,7 @@ def ref_center(alg):
                     eq[j] = c
             if eq:
                 eqs.append(eq)
-    return sparse_nullspace(eqs, n, F)
+    return dense_vectors(F, sparse_nullspace(eqs, n, F), n)
 
 
 def ref_parity_mismatch(L, D, q):

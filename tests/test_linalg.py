@@ -24,7 +24,7 @@ from deltader.linalg import (
 )
 from deltader.superstd import load_fixture
 
-from conftest import dense_gauss_nullspace, gauss_coordinates, rebased
+from conftest import dense_gauss_nullspace, dense_vectors, gauss_coordinates, rebased
 
 
 def random_matrix(F, rng, nrows, ncols):
@@ -215,13 +215,14 @@ def block_diagonal_systems(draw):
 def test_block_nullspace_matches_textbook_gauss(system):
     F, rows, ncols = system
     dense = [[row.get(c, F.zero()) for c in range(ncols)] for row in rows]
-    assert sparse_nullspace(rows, ncols, F) == dense_gauss_nullspace(F, dense, ncols)
+    assert dense_vectors(F, sparse_nullspace(rows, ncols, F), ncols) == dense_gauss_nullspace(F, dense, ncols)
 
 
 def unsplit_nullspace(rows, ncols, field, pinned=()):
     """The canonical nullspace basis from one RREF of all rows, with no
     pinning and no split (``linalg._rref``).  Each column of ``pinned``, a
-    set that the solver fills as its rows stream, adds a row {c: 1}."""
+    set that the solver fills as its rows stream, adds a row {c: 1}.  The
+    vectors are sparse, as ``sparse_nullspace`` gives them."""
     rows = list(rows)
     rows += [{c: field.one()} for c in pinned]
     pivots = linalg._rref(rows, field)[0]
@@ -229,8 +230,7 @@ def unsplit_nullspace(rows, ncols, field, pinned=()):
     for c in range(ncols):
         if c in pivots:
             continue
-        v = [field.zero()] * ncols
-        v[c] = field.one()
+        v = {c: field.one()}
         for r, row in pivots.items():
             if c in row:
                 v[r] = field.neg(row[c])
@@ -334,7 +334,7 @@ def test_pinned_nullspace_matches_one_elimination(system):
     dense = [[row.get(c, F.zero()) for c in range(ncols)] for row in rows]
     basis = sparse_nullspace(rows, ncols, F)
     assert basis == unsplit_nullspace(rows, ncols, F)
-    assert basis == dense_gauss_nullspace(F, dense, ncols)
+    assert dense_vectors(F, basis, ncols) == dense_gauss_nullspace(F, dense, ncols)
 
 
 @settings(derandomize=True, deadline=None, max_examples=300)
@@ -385,8 +385,8 @@ def test_coefficient_divisible_by_lift_prime_pins_its_column(coef):
     Q = Rationals()
     rows = [{0: Fraction(coef)}, {0: Fraction(5), 1: Fraction(-1, 3)}, {1: Fraction(2), 2: Fraction(7)}]
     assert linalg._pin(rows, Q.is_unit)[0] == {0, 1, 2}
-    assert sparse_nullspace(rows, 4, Q) == [[0, 0, 0, 1]]
-    assert sparse_nullspace(rows[:1], 2, Q) == unsplit_nullspace(rows[:1], 2, Q) == [[0, 1]]
+    assert sparse_nullspace(rows, 4, Q) == [{3: 1}]
+    assert sparse_nullspace(rows[:1], 2, Q) == unsplit_nullspace(rows[:1], 2, Q) == [{1: 1}]
 
 
 T2 = QuotientRing(Rationals(), [0, 0, 1])  # Q[t]/(t^2), where t is a zero divisor
@@ -403,7 +403,7 @@ def test_zero_divisor_left_with_one_entry_is_reported(rows):
 def test_unit_of_quotient_ring_pins_its_column():
     rows = [{0: ONE_PLUS_T}, {0: T2.t, 1: T2.one()}]
     assert linalg._pin(rows, T2.is_unit)[0] == {0, 1}
-    assert sparse_nullspace(rows, 3, T2) == unsplit_nullspace(rows, 3, T2) == [[T2.zero(), T2.zero(), T2.one()]]
+    assert sparse_nullspace(rows, 3, T2) == unsplit_nullspace(rows, 3, T2) == [{2: T2.one()}]
 
 
 # ---------------------------------------------------------------------------
@@ -500,7 +500,7 @@ def test_elimination_step_matches_textbook_gauss(system):
     F, vecs, rows, targets = system
     ncols = len(vecs[0])
     null = dense_gauss_nullspace(F, vecs, ncols)
-    assert sparse_nullspace(rows, ncols, F) == null
+    assert dense_vectors(F, sparse_nullspace(rows, ncols, F), ncols) == null
     # the RREF, read off the textbook basis: the vector of free column c has
     # 1 at c, and at each pivot p < c minus the entry of row p at c
     free = [max(c for c, x in enumerate(v) if not F.is_zero(x)) for v in null]
@@ -536,7 +536,7 @@ def reduced_spans(draw):
     ncols = draw(st.integers(1, 6))
     vecs = draw(st.lists(st.lists(scalar, min_size=ncols, max_size=ncols), max_size=5))
     if draw(st.booleans()):
-        basis = sparse_nullspace(dense_to_sparse(vecs, F), ncols, F)
+        basis = dense_vectors(F, sparse_nullspace(dense_to_sparse(vecs, F), ncols, F), ncols)
     else:
         basis = rref_dense(vecs, F)
     coeffs = draw(st.lists(scalar, min_size=len(basis), max_size=len(basis)))
@@ -554,6 +554,10 @@ def test_span_solver_reads_coordinates_off_reduced_bases(case):
     target = combination(F, coeffs, basis) if basis else [F.zero()] * len(other)
     assert span.coordinates(target) == coeffs
     assert span.coordinates(other) == gauss_coordinates(F, basis, other)
+    # the same basis and queries as sparse vectors give the same answers
+    sparse = SpanSolver(F, dense_to_sparse(basis, F))
+    for w in (target, other):
+        assert sparse.coordinates(dense_to_sparse([w], F)[0]) == span.coordinates(w)
 
 
 @pytest.mark.parametrize(

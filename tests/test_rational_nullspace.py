@@ -25,10 +25,15 @@ from deltader import linalg
 from deltader.fields import Rationals
 from deltader.linalg import dense_nullspace, kernel_of_map, sparse_nullspace
 
-from conftest import dense_gauss_nullspace
+from conftest import dense_gauss_nullspace, dense_vectors
 
 Q = Rationals()
 P1 = 2**31 - 1  # the largest prime below 2**31
+
+
+def nullspace(rows, ncols):
+    """``sparse_nullspace`` over Q, its sparse vectors written out dense."""
+    return dense_vectors(Q, sparse_nullspace(rows, ncols, Q), ncols)
 
 
 def fraction_nullspace(rows, ncols):
@@ -60,27 +65,27 @@ def rows_of(*dense):
 def test_rank_deficient_mod_first_prime():
     # rank 2 over Q, rank 1 mod p1
     rows = rows_of([1, 1, 0], [1, 1 + P1, 0])
-    assert sparse_nullspace(rows, 3, Q) == fraction_nullspace(rows, 3) == [[0, 0, 1]]
+    assert nullspace(rows, 3) == fraction_nullspace(rows, 3) == [[0, 0, 1]]
 
 
 def test_full_rank_over_q_rank_deficient_mod_first_prime():
     rows = rows_of([1, 1], [1, 1 + P1])
-    assert sparse_nullspace(rows, 2, Q) == fraction_nullspace(rows, 2) == []
+    assert nullspace(rows, 2) == fraction_nullspace(rows, 2) == []
 
 
 def test_pivot_column_moves_mod_first_prime():
     # over Q the pivot is column 0 and the kernel (-1/p1, 1); mod p1 the
     # pivot is column 1 and the kernel e0
     rows = rows_of([P1, 1])
-    assert sparse_nullspace(rows, 2, Q) == fraction_nullspace(rows, 2) == [[Fraction(-1, P1), 1]]
+    assert nullspace(rows, 2) == fraction_nullspace(rows, 2) == [[Fraction(-1, P1), 1]]
     rows = rows_of([P1, 1, 0, 3], [0, 0, P1, 1])
-    assert sparse_nullspace(rows, 4, Q) == fraction_nullspace(rows, 4)
+    assert nullspace(rows, 4) == fraction_nullspace(rows, 4)
 
 
 def test_two_block_system():
     # the block [P1, 1] beside the block [1, 2], each eliminated on its own
     rows = rows_of([P1, 1, 0, 0], [0, 0, 1, 2])
-    assert sparse_nullspace(rows, 4, Q) == fraction_nullspace(rows, 4) == [
+    assert nullspace(rows, 4) == fraction_nullspace(rows, 4) == [
         [Fraction(-1, P1), 1, 0, 0],
         [0, 0, -2, 1],
     ]
@@ -90,7 +95,7 @@ def test_unlucky_prime_after_a_lucky_one():
     # p1 fixes the pivot list; p2 moves the pivot
     p2 = 2147483629
     rows = rows_of([p2, 1, 1], [0, 0, 2])
-    assert sparse_nullspace(rows, 3, Q) == fraction_nullspace(rows, 3) == [[Fraction(-1, p2), 1, 0]]
+    assert nullspace(rows, 3) == fraction_nullspace(rows, 3) == [[Fraction(-1, p2), 1, 0]]
 
 
 def test_entries_of_80_bits():
@@ -100,16 +105,16 @@ def test_entries_of_80_bits():
         {1: Fraction(big - 1, big + 3), 2: Fraction(5)},
         {0: Fraction(1, big), 2: Fraction(big * 3 + 1), 3: Fraction(2)},
     ]
-    basis = sparse_nullspace(rows, 5, Q)
+    basis = nullspace(rows, 5)
     assert basis == fraction_nullspace(rows, 5)
     assert max(abs(x.numerator) for v in basis for x in v) > 2**100
 
 
 def test_degenerate_systems():
     identity = [[Fraction(int(i == j)) for j in range(3)] for i in range(3)]
-    assert sparse_nullspace([], 3, Q) == identity
-    assert sparse_nullspace([{}, {1: Fraction(0)}], 3, Q) == identity
-    assert sparse_nullspace([], 0, Q) == sparse_nullspace([{}], 0, Q) == []
+    assert nullspace([], 3) == identity
+    assert nullspace([{}, {1: Fraction(0)}], 3) == identity
+    assert nullspace([], 0) == nullspace([{}], 0) == []
     assert dense_nullspace([[Fraction(0)] * 3] * 2, Q) == identity
     assert kernel_of_map([], Q) == []
 
@@ -150,7 +155,7 @@ def rational_systems(draw):
 @given(rational_systems())
 def test_random_systems_match_fraction_elimination(system):
     rows, ncols = system
-    assert sparse_nullspace(rows, ncols, Q) == fraction_nullspace(rows, ncols)
+    assert nullspace(rows, ncols) == fraction_nullspace(rows, ncols)
 
 
 @st.composite
@@ -184,6 +189,6 @@ def test_random_systems_match_sympy():
         rows, ncols = system
         entries = [sympy.Rational(x.numerator, x.denominator) for row in rows for x in (row.get(c, 0) for c in range(ncols))]
         kernel = sympy.Matrix(len(rows), ncols, entries).nullspace()
-        assert sparse_nullspace(rows, ncols, Q) == [[Fraction(int(x.p), int(x.q)) for x in v] for v in kernel]
+        assert nullspace(rows, ncols) == [[Fraction(int(x.p), int(x.q)) for x in v] for v in kernel]
 
     check()

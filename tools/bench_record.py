@@ -88,12 +88,23 @@ SLOW_CASES = {
     "compute_s4 G7(osp(1|2)/GF(7))":
         "alg = A.make_grassmann_envelope(A.make_osp12(F.PrimeField(7)), 7); "
         "answer = {'dim': alg.dim, 's4_dim': X.compute_s4(alg).dim}",
+    # the report of the CLI, run in-process on a file written first; the
+    # answer leaves out the zero-divisor witness, a vector of dim entries
+    "report W(1,2)/GF(7)":
+        "import contextlib, io, os, tempfile; from deltader import cli\n"
+        "tmp = tempfile.TemporaryDirectory(); path = os.path.join(tmp.name, 'w12.json')\n"
+        "cli.write_json(path, A.algebra_to_json(A.make_zassenhaus(7, 2))); out = io.StringIO()\n"
+        "with contextlib.redirect_stdout(out): cli.main(['report', path])\n"
+        "rep = json.loads(out.getvalue()); rep['half_ring'].pop('zero_divisor_witness'); "
+        "answer = {'half_ring': rep['half_ring'], 's4_dim': rep['s4_dim']}",
+    "half_ring_report W(1,3)/GF(5)":
+        "rep = H.half_ring_report(A.make_zassenhaus(5, 3)); rep.pop('zero_divisor_witness'); answer = rep",
 }
 
 CHILD = """
 import json, resource, sys, time
 sys.path.insert(0, {src!r})
-from deltader import algebras as A, fields as F, gradings as G, solver as S, superstd as X
+from deltader import algebras as A, fields as F, gradings as G, halfring as H, solver as S, superstd as X
 t0 = time.perf_counter()
 {body}
 wall_s = time.perf_counter() - t0
