@@ -13,8 +13,8 @@ Field objects operate on *raw payloads* (``Fraction``, ``int`` in [0, p),
 or a tuple of base payloads of length deg f) so that inner loops stay cheap.
 ``Rationals`` adds, multiplies and tests ints as it does Fractions, and
 keeps them ints: the solvers' systems over Q are integer multiples of the
-laws' rows (see ``solver._law_rows``), and ``Fraction`` enters only at the
-last division of each block's echelon form (``linalg._rref``).
+laws' rows (see ``solver._law_rows``), and ``Fraction`` enters only in
+each block's echelon form (``linalg._rref``).
 Every scalar from outside -- a CLI flag, a JSON file, an argument of a
 library call -- enters through :func:`parse_scalar`, one grammar of exact
 literals that also passes payloads through.

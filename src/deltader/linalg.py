@@ -36,7 +36,13 @@ rows are ints already, integer multiples of the laws' rows (see
 ``solver._law_rows``); rows of Fractions from any other caller are scaled
 to integers first, each by the lcm of its denominators.
 One division by the last pivot minor gives the RREF over Q: that
-division is where ``Fraction`` enters.  Over GF(p)
+division is where ``Fraction`` enters.  A dense Q block, of m >= 16
+columns with on average at least 12 entries a row, whose minors grow to
+hundreds of bits while its RREF keeps entries of a few, is first
+eliminated modulo word-size primes on the packed kernel below, its
+residues read back by rational reconstruction (``_modular_rref``); a
+candidate is returned only after an exact certificate, and a block with
+none goes to ``_int_rref``.  Over GF(p)
 and over quotient rings the dict kernel (``_dict_rref``) runs the
 elimination step, ``_sub_multiple``, one loop that ``superstd`` shares for
 its incremental insertions: it scales each new pivot row and clears pivot
@@ -166,6 +172,14 @@ def _rref(rows, F: Field) -> tuple[dict[int, dict], list[int]]:
     ``_int_rref`` in ints, as the solvers make them; unless every entry is
     an int, each row is first scaled to integers by the lcm of its
     denominators.  One division by the last pivot minor gives the RREF.
+    A block of m >= 16 columns with on average at least 12 entries a row
+    goes first to ``_modular_rref``, which gives the same RREF, with the
+    same ``Fraction`` values, and as chosen rows those of its first
+    prime: a basis of the row space, not always the rows ``_int_rref``
+    would choose (``sparse_rref``, the one Q caller, reads only the RREF).
+    The gate is fitted on per-block times (ROADMAP): it keeps the blocks of
+    standard bases (2.5-4 entries a row) and the rebased centroids of sl3
+    and Witt Z/7 (10-12), which would run 1.2-3x and 1.5x slower.
 
     Over GF(p) a dense block, one with m >= 16 columns and on average at
     least m/5 entries a row, goes to ``_packed_rref``, which packs each
@@ -184,6 +198,12 @@ def _rref(rows, F: Field) -> tuple[dict[int, dict], list[int]]:
                 den = math.lcm(*(v.denominator for v in row.values()))
                 ints.append({c: v.numerator * (den // v.denominator) for c, v in row.items() if v})
             rows = ints
+        if sum(map(len, rows)) >= 12 * len(rows):
+            cols = set().union(*rows)
+            if len(cols) >= 16:
+                found = _modular_rref(rows, sorted(cols))
+                if found is not None:
+                    return found
         pivots, d, chosen = _int_rref(rows)
         return {p: {c: Fraction(x, d) for c, x in prow.items()} for p, prow in pivots.items()}, chosen
     if isinstance(F, PrimeField):
@@ -214,23 +234,27 @@ def _dict_rref(rows, F: Field) -> tuple[dict[int, dict], list[int]]:
     return pivots, chosen
 
 
-# the typecode of the packed kernel's slots: 32-bit unsigned
+# the typecodes of the packed kernel's slots: 32-bit unsigned over GF(p),
+# 64-bit unsigned for the primes of the modular route over Q
 _SLOT = "I"
+_WIDE = "Q"
 
 
-def _packs(p: int, m: int) -> bool:
-    """Whether the slots of ``_packed_rref`` hold p + m (m + 1) p^3, the
-    bound on every slot, for a block of m columns over GF(p)."""
-    return p + m * (m + 1) * p**3 < 1 << 8 * array(_SLOT).itemsize
+def _packs(p: int, m: int, typecode: str = _SLOT) -> bool:
+    """Whether the slots of ``_packed_rref``, of the array typecode
+    ``typecode``, hold p + m (m + 1) p^3, the bound on every slot, for a
+    block of m columns over GF(p)."""
+    return p + m * (m + 1) * p**3 < 1 << 8 * array(typecode).itemsize
 
 
-def _packed_rref(rows: list[dict], cols: list[int], p: int) -> tuple[dict[int, dict], list[int]]:
+def _packed_rref(rows: list[dict], cols: list[int], p: int, typecode: str = _SLOT) -> tuple[dict[int, dict], list[int]]:
     """``_dict_rref`` over GF(p) for a dense block, on packed rows (after
     Dumas, Fousse and Salvy, "Simultaneous modular reduction and Kronecker
     substitution for small finite fields", 2011): each row is one int with
-    a 32-bit slot per column of ``cols``, so that adding a multiple of one
-    row to another is one big-int multiply-add.  The slots are reduced mod
-    p only where a value is read.
+    a slot per column of ``cols``, of the array typecode ``typecode`` (32
+    bits over GF(p), 64 bits for the modular route over Q), so that adding
+    a multiple of one row to another is one big-int multiply-add.  The
+    slots are reduced mod p only where a value is read.
 
     A stored row is congruent, slot by slot, to its pivot value e at its
     pivot column, to 0 at every other pivot column, and to e times its row
@@ -248,7 +272,7 @@ def _packed_rref(rows: list[dict], cols: list[int], p: int) -> tuple[dict[int, d
     makes fit, so that no slot carries into the next.  At the end each
     stored row is unpacked and scaled by 1/e, mod p.
     """
-    size = array(_SLOT).itemsize
+    size = array(typecode).itemsize
     width, order = 8 * size, sys.byteorder
     mask, nbytes = (1 << width) - 1, size * len(cols)
     slot = {c: i for i, c in enumerate(cols)}
@@ -269,15 +293,15 @@ def _packed_rref(rows: list[dict], cols: list[int], p: int) -> tuple[dict[int, d
             y = dense[i] = v % p
             if y and i in stored:
                 hits.append((i, y))
-        acc = int.from_bytes(array(_SLOT, dense).tobytes(), order)
+        acc = int.from_bytes(array(typecode, dense).tobytes(), order)
         for i, y in hits:
             acc += y * scale[i] % p * stored[i]
-        slots = memoryview(acc.to_bytes(nbytes, order)).cast(_SLOT)
+        slots = memoryview(acc.to_bytes(nbytes, order)).cast(typecode)
         j = next((i for i in free if slots[i] % p), None)
         if j is None:
             continue
         vals = [x % p for x in slots]
-        new = int.from_bytes(array(_SLOT, vals).tobytes(), order)
+        new = int.from_bytes(array(typecode, vals).tobytes(), order)
         a = scale[j] = -pow(vals[j], -1, p) % p
         for i, prow in stored.items():
             b = (prow >> shift[j] & mask) % p
@@ -289,9 +313,146 @@ def _packed_rref(rows: list[dict], cols: list[int], p: int) -> tuple[dict[int, d
     pivots = {}
     for j, prow in stored.items():
         inv = p - scale[j]
-        vals = memoryview(prow.to_bytes(nbytes, order)).cast(_SLOT)
+        vals = memoryview(prow.to_bytes(nbytes, order)).cast(typecode)
         pivots[cols[j]] = {cols[i]: y for i, x in enumerate(vals) if (y := x * inv % p)}
     return pivots, chosen
+
+
+def _wide_primes(m: int):
+    """The primes whose 64-bit slots hold a block of m columns in
+    ``_packed_rref``, from the largest down."""
+    p = int((2**64 / (m * (m + 1))) ** (1 / 3)) + 1
+    while p > 2:
+        p -= 1
+        if _packs(p, m, _WIDE) and _is_prime(p):
+            yield p
+
+
+def _modular_rref(rows: list[dict], cols: list[int]) -> tuple[dict[int, dict], list[int]] | None:
+    """``_rref`` over Q of a dense block of integer rows on the columns
+    ``cols``, by elimination modulo word-size primes on the packed kernel,
+    or None where no candidate is certified before the modulus passes 2 H^2.
+
+    The first prime (the largest of ``_wide_primes``) eliminates every row
+    and chooses a basis of their row space mod p; every later prime
+    eliminates only the rows it chose.  A prime whose pivot set is shorter
+    than the best seen, or as long but later (lexicographically larger),
+    is unlucky, since mod p the pivot set is never longer or earlier than
+    over Q: it is skipped, and a better one discards the residues kept so
+    far.  The residues of each RREF entry under equal pivot sets are
+    combined by the Chinese remainder theorem, and after each prime the
+    entries are read back as fractions (``_lift``).  A candidate is
+    returned only if every input row lies in its row space
+    (``_certified``): then the row space of the rows is inside that of the
+    candidate, whose rank, the number of pivots mod p, is at most the rank
+    over Q, so the two are equal, and the candidate, being in reduced
+    echelon form, is the canonical RREF over Q.  Every entry of that RREF
+    is a ratio of two minors of the chosen rows, each at most their
+    Hadamard bound H, so once the modulus passes 2 H^2 and no candidate
+    is certified, the chosen rows miss part of the row space over Q (the
+    first prime was unlucky) and None sends the block to ``_int_rref``.
+    The RREF is returned with the first prime's chosen rows, a basis of
+    the row space, not the rows ``_int_rref`` would choose.
+    """
+    def eliminate(rows, p):
+        # the RREF mod p without the pivots' own entries, and the rows chosen
+        residues, chosen = _packed_rref(rows, cols, p, _WIDE)
+        for q, row in residues.items():
+            del row[q]
+        return residues, chosen
+
+    primes = _wide_primes(len(cols))
+    p = next(primes)
+    residues, chosen = eliminate(rows, p)
+    base = [rows[k] for k in chosen]
+    limit = 2 * math.prod(sum(v * v for v in row.values()) for row in base)
+    best, modulus = sorted(residues), p
+    while True:
+        found = _lift(residues, modulus)
+        if found is not None and _certified(rows, cols, *found):
+            return {q: {c: Fraction(a, b) for c, (a, b) in row.items()} for q, row in found[0].items()}, chosen
+        if modulus > limit:
+            return None
+        p = next(primes, None)
+        if p is None:
+            return None
+        more = eliminate(base, p)[0]
+        key = sorted(more)
+        if key == best:
+            inv = pow(modulus, -1, p)
+            for q, row in residues.items():
+                new = more[q]
+                for c in row.keys() | new.keys():
+                    x = row.get(c, 0)
+                    row[c] = x + modulus * ((new.get(c, 0) - x) * inv % p)
+            modulus *= p
+        elif len(key) > len(best) or len(key) == len(best) and key < best:
+            residues, best, modulus = more, key, p
+
+
+def _lift(residues: dict[int, dict], modulus: int) -> tuple[dict[int, dict], int] | None:
+    """The RREF whose entries are congruent to ``residues`` mod the
+    modulus, as {pivot: {column: (a, b)}} for the entry a / b, and a common
+    denominator of its entries; None if an entry has no fraction a / b with
+    |a| and b at most N, N^2 < modulus / 2, where at most one fraction is
+    congruent to it (Wang's rational reconstruction; von zur Gathen and
+    Gerhard, *Modern Computer Algebra*, section 5.10).  An entry u whose
+    value times the common denominator d of the entries read so far is
+    within N of a multiple of the modulus is read off that product, with
+    no Euclid: the entries of an RREF share a denominator."""
+    bound = math.isqrt(modulus // 2)
+    den, out = 1, {}
+    for q, row in residues.items():
+        lifted = out[q] = {q: (1, 1)}
+        for c, u in row.items():
+            v = u * den % modulus
+            if den <= bound and (v <= bound or modulus - v <= bound):
+                lifted[c] = (v if v <= bound else v - modulus, den)
+                continue
+            found = _ratrec(u, modulus, bound, bound)
+            if found is None:
+                return None
+            lifted[c] = found
+            den = math.lcm(den, found[1])
+    return out, den
+
+
+def _certified(rows: list[dict], cols: list[int], candidate: dict[int, dict], den: int) -> bool:
+    """Whether every row lies in the row space of the candidate RREF, whose
+    entries (a, b), a / b, have the common denominator ``den``: whether
+    each row r is orthogonal to each vector v_f of the candidate's
+    nullspace, 1 at the free column f and -x at each pivot whose row has x
+    at f.  With den v_f integral, column c's entries den v_f[c] are packed
+    into one int K_c, a slot of w bits per free column, and the check is
+    sum_c r[c] K_c = 0 in integers: every slot's sum is below 2^(w - 1) in
+    absolute value, so the total is 0 exactly when every slot's is."""
+    free = {c: i for i, c in enumerate(c for c in cols if c not in candidate)}
+    if not free:
+        return True
+    top = max([den] + [abs(a) * (den // b) for row in candidate.values() for a, b in row.values()])
+    width = (max(sum(map(abs, row.values())) for row in rows) * top).bit_length() + 2
+    packed = dict.fromkeys(cols, 0)
+    for f, i in free.items():
+        packed[f] = den << width * i
+    for q, row in candidate.items():
+        packed[q] = sum(-a * (den // b) << width * free[c] for c, (a, b) in row.items() if c != q)
+    return not any(sum(a * packed[c] for c, a in row.items()) for row in rows)
+
+
+def _ratrec(u: int, modulus: int, nbound: int, dbound: int) -> tuple[int, int] | None:
+    """(r, s) with r = s u mod the modulus, |r| <= nbound and
+    0 < s <= dbound, from the extended Euclidean algorithm on (modulus, u)
+    stopped at the first remainder r_i <= nbound, each r_i = s_i u (Wang's
+    rational reconstruction); None if that s_i exceeds dbound.  Past a
+    modulus of 2 nbound dbound at most one fraction r / s within the
+    bounds is congruent to u."""
+    r0, r1, s0, s1 = modulus, u, 0, 1
+    while r1 > nbound:
+        quo = r0 // r1
+        r0, r1, s0, s1 = r1, r0 - quo * r1, s1, s0 - quo * s1
+    if s1 < 0:
+        r1, s1 = -r1, -s1
+    return (r1, s1) if s1 <= dbound else None
 
 
 def _int_rref(rows) -> tuple[dict[int, dict], int, list[int]]:
@@ -929,15 +1090,9 @@ def _rational_roots(f: list) -> list:
         while q < m:
             q *= q
             a = (a - _value_mod(f, a, q) * pow(_value_mod(df, a, q), -1, q)) % q
-        # Euclid on (m, a), each remainder r_i = s_i a mod m
-        r0, r1, s0, s1 = m, a, 0, 1
-        while r1 > bound:
-            quo = r0 // r1
-            r0, r1, s0, s1 = r1, r0 - quo * r1, s1, s0 - quo * s1
-        if s1 < 0:
-            r1, s1 = -r1, -s1
-        if s1 <= top and not _sign_at(f, r1, s1):
-            roots.append(Fraction(r1, s1))
+        found = _ratrec(a, m, bound, top)
+        if found is not None and not _sign_at(f, *found):
+            roots.append(Fraction(*found))
     return sorted(roots)
 
 

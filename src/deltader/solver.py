@@ -19,7 +19,8 @@ the rows that do not vanish.  The solvers choose the coefficients:
   of which the empty ones are dropped;
 - delta-superderivations: X = D, a = b = delta, q = the parity of D;
 - the centroid: X = D, with the laws (a, b) = (1, 0) and (0, 1), whose
-  rows follow each other pair by pair;
+  rows follow each other pair by pair, with the diagonal pairs (i, i)
+  that a Lie algebra's law a = b leaves out (``_diagonal``);
 - the supercentroid: as the centroid, with q = the parity of the map;
 - quasiderivation pairs (D, F): X = F in columns n^2 .. 2n^2 - 1, a = b = 1;
 - module-valued delta-derivations D: L -> M, D(xy) = delta x.D(y) -
@@ -34,8 +35,9 @@ denominators of its coefficients: the assembler writes (t a, t b) and the
 x coefficient t (``_law_terms``, made by each assembly).  Each row is
 then t D times the row above, so the row space, the pins (a nonzero int
 is a unit over Q), the blocks and the canonical RREF are the same, and
-``Fraction`` enters only at the last division of each block's RREF
-(``linalg._rref``) and in the basis maps.
+``Fraction`` enters only in each block's RREF (``linalg._rref``: its last
+division, or the fractions read back from residues modulo primes) and in
+the basis maps.
 
 The super variants make the map homogeneous by starting the pin set
 below with the entries that would break its parity.
@@ -104,21 +106,36 @@ class ParityMismatch(AlgebraError):
     pass
 
 
-def _equation_pairs(alg: Algebra):
-    """Basis pairs whose defining equation is assembled.
+def _equation_pairs(alg: Algebra, laws=()):
+    """Basis pairs whose defining equation is assembled for these laws.
 
     For anticommutative algebras the (j, i) equation is the negative of the
     (i, j) one and e_i e_i = 0, so i < j suffices.  Graded and associative
     flavors get all ordered pairs, since reversal is not a global sign, plus
     the diagonal where a square may be nonzero: every (i, i) for "assoc"
-    (x_i x_i need not vanish), the odd ones for "super".
+    (x_i x_i need not vanish), the odd ones for "super".  The other
+    diagonal pairs follow at the end where a law has a != b (``_diagonal``).
     """
     n = alg.dim
     if alg.flavor == "lie":
-        return [(i, j) for i in range(n) for j in range(i + 1, n)]
-    pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
-    pairs += [(i, i) for i in range(n) if alg.flavor == "assoc" or alg.grading[i]]
-    return pairs
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    else:
+        pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+        pairs += [(i, i) for i in range(n) if alg.flavor == "assoc" or alg.grading[i]]
+    return pairs + _diagonal(alg, laws)
+
+
+def _diagonal(alg: Algebra, laws) -> list:
+    """The pairs (i, i) with e_i e_i = 0 by the flavor, those of a Lie
+    algebra and the even ones of a superalgebra, where some law (a, b) has
+    a != b.  Their law is a D(e_i) e_i + b e_i D(e_i) = 0, and e_i x =
+    -x e_i for every x, so it reads (a - b) D(e_i) e_i = 0: with a = b its
+    rows vanish, but the centroid's laws (1, 0) and (0, 1) need
+    chi(e_i) e_i = 0, which the pairs i != j do not imply."""
+    F = alg.field
+    if alg.flavor == "assoc" or all(F.eq(a, b) for a, b in laws):
+        return []
+    return [(i, i) for i in range(alg.dim) if alg.flavor == "lie" or not alg.grading[i]]
 
 
 def _law_terms(alg: Algebra, laws, parity: int = 0) -> tuple[list, list, int]:
@@ -197,7 +214,8 @@ def _law_rows(alg: Algebra, laws, parity: int = 0, x_offset: int = 0, pinned: se
 
     ``pairs``, if given, lists the equation pairs to assemble, in the order
     of ``_equation_pairs``, in place of all of them: ``_zero_part`` passes
-    the pairs whose product is zero, ``_pointwise_rows`` the others.
+    the pairs whose product is zero, ``_pointwise_rows`` the others and
+    the diagonal pairs of ``_diagonal``.
     """
     F = alg.field
     n = alg.dim
@@ -206,7 +224,7 @@ def _law_rows(alg: Algebra, laws, parity: int = 0, x_offset: int = 0, pinned: se
     # an entry is a nonzero multiple of a structure constant, or a sum that
     # did not cancel, so over GF(p) and Q it is a unit
     field = isinstance(F, (PrimeField, Rationals))
-    for (i, j) in _equation_pairs(alg) if pairs is None else pairs:
+    for (i, j) in _equation_pairs(alg, laws) if pairs is None else pairs:
         product = table[i][j]
         if t != 1 and product:
             product = {k: t * c for k, c in product.items()}
@@ -306,16 +324,20 @@ def _split_pairs(alg: Algebra) -> tuple[list, list]:
 def _pointwise_rows(alg: Algebra, laws, pinned: set, parity: int = 0, x_offset: int = 0):
     """The rows of a pointwise system, and its pins added to ``pinned``:
     over GF(p) and Q, the pins and rows of ``_zero_part`` and then those
-    that ``_law_rows`` assembles of the pairs with a product.  Pinned and
-    eliminated, they give the RREF of the full stream of ``_law_rows``,
-    which is canonical; a map satisfies the one where it satisfies the
-    other.  Over a quotient ring it is the full stream, whose order decides
-    whether a zero-divisor pivot is met (see ``linalg.sparse_rref``)."""
+    that ``_law_rows`` assembles of the pairs with a product and of the
+    diagonal pairs of ``_diagonal``, which are assembled with every solve
+    rather than kept: in a dense basis they are n^2 dense rows.  Pinned
+    and eliminated, they give the RREF of the full stream of
+    ``_law_rows``, which is canonical; a map satisfies the one where it
+    satisfies the other.  Over a quotient ring it is the full stream,
+    whose order decides whether a zero-divisor pivot is met (see
+    ``linalg.sparse_rref``)."""
     if not isinstance(alg.field, (PrimeField, Rationals)):
         return _law_rows(alg, laws, parity, x_offset, pinned)
     pins, rows = _zero_part(alg, laws, parity)
     pinned.update(pins)
-    return chain(rows, _law_rows(alg, laws, parity, x_offset, pinned, _split_pairs(alg)[0]))
+    pairs = _split_pairs(alg)[0] + _diagonal(alg, laws)
+    return chain(rows, _law_rows(alg, laws, parity, x_offset, pinned, pairs))
 
 
 def _maps(alg: Algebra, laws, parity: int = 0, pinned: set | None = None) -> list[LinearMap]:

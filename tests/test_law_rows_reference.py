@@ -11,9 +11,10 @@ reference row times t D, where D is the lcm of the denominators of the
 structure constants and t that of the laws' coefficients, and every entry
 is an int.  The cases cover a column where the two sides cancel
 (2 - 2 delta on sl2 at delta = 1), the super sign, the quasiderivation and
-centroid layouts, the diagonal pairs of an associative algebra, a
-semidirect sum, a quotient ring, a zero divisor whose multiples vanish,
-and constants with denominators.
+centroid layouts, the diagonal pairs of an associative algebra, those
+that the centroid's laws add to a Lie algebra and to a superalgebra's
+even basis vectors, a semidirect sum, a quotient ring, a zero divisor
+whose multiples vanish, and constants with denominators.
 
 Given a pin set, the assembler must instead put the column of each of the
 reference's one-entry unit rows in the set and yield the other rows.
@@ -56,7 +57,7 @@ def ref_law_rows(alg, laws, parity=0, x_offset=0):
             row[col] = nv
 
     out = []
-    for i, j in _equation_pairs(alg):
+    for i, j in _equation_pairs(alg, laws):
         for a, b in laws:
             rows = [{} for _ in range(n)]
             for k, c in alg.product(i, j).items():

@@ -15,8 +15,8 @@ answer (a dimension, or a spectrum as ``ParametricResult.to_json`` writes
 it) is recorded next to its figures.  The file also holds the seed, the
 commit (``git rev-parse HEAD``, and whether tracked files differ from it)
 and the machine keys of ``perfbench/environment.json``, so that two files
-are compared only on one machine.  The dense rebased sl3 case builds its
-algebra with ``rebased`` of ``tests/conftest.py``.  Metrics that ``perfbench/run.py`` is
+are compared only on one machine.  The dense rebased sl3 and sl4 cases
+build their algebras with ``rebased`` of ``tests/conftest.py``.  Metrics that ``perfbench/run.py`` is
 known to misreport are copied as they are and flagged under ``caveats``.
 
 Only the standard library is used.
@@ -78,6 +78,21 @@ SLOW_CASES = {
         "sys.path.insert(0, 'tests'); from conftest import rebased; "
         "alg = rebased(A.make_special_linear(3, F.Rationals()), 1, scale=True); "
         "answer = S.solve_parametric(alg).to_json(alg.field)",
+    # rebased sl4 over Q: each solve is one dense block of 225 columns (450
+    # for the quasiderivations), which the modular route of linalg._rref
+    # eliminates
+    "solve_delta_derivations rebased sl4/Q, dense, delta = 1/2":
+        "sys.path.insert(0, 'tests'); from conftest import rebased; "
+        "answer = S.solve_delta_derivations(rebased(A.make_special_linear(4, F.Rationals()), 1), '1/2').dim",
+    "solve_delta_derivations rebased sl4/Q, dense, delta = 1":
+        "sys.path.insert(0, 'tests'); from conftest import rebased; "
+        "answer = S.solve_delta_derivations(rebased(A.make_special_linear(4, F.Rationals()), 1), 1).dim",
+    "solve_centroid rebased sl4/Q, dense":
+        "sys.path.insert(0, 'tests'); from conftest import rebased; "
+        "answer = S.solve_centroid(rebased(A.make_special_linear(4, F.Rationals()), 1)).dim",
+    "solve_quasiderivations rebased sl4/Q, dense":
+        "sys.path.insert(0, 'tests'); from conftest import rebased; "
+        "answer = S.solve_quasiderivations(rebased(A.make_special_linear(4, F.Rationals()), 1)).dim",
     "solve_parametric sl3/GF(2147483647)":
         "alg = A.make_special_linear(3, F.PrimeField(2147483647)); "
         "answer = S.solve_parametric(alg).to_json(alg.field)",
