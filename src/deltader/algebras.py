@@ -28,12 +28,13 @@ from itertools import combinations
 from .fields import Field, PrimeField, Rationals, field_from_json, field_to_json, parse_scalar
 from .linalg import (
     _dense,
+    _dense_pivot_rows,
     _row_value,
     dense_to_sparse,
     kernel_of_map,
-    rref_dense,
     sparse_nullspace,
     sparse_rank,
+    sparse_rref,
 )
 from .linmap import LinearMap
 
@@ -105,10 +106,10 @@ class Algebra:
 
     An algebra is not modified after construction.  The solvers rely on
     that: they keep what they derive from the structure constants, the one
-    product table (``_table``), its constants lowered to integers over Q
-    (``_lowering``), and the part of each pointwise system that the pairs
-    with no product give (``solver._zero_part``), in a store on the
-    instance, ``_memo``, which is freed with it.
+    product table (``_table``) with its constants lowered to integers over
+    Q, and the part of each pointwise system that the pairs with no product
+    give (``solver._zero_part``), in a store on the instance, ``_memo``,
+    which is freed with it.
     """
 
     def __init__(
@@ -185,37 +186,27 @@ class Algebra:
         return {k: F.neg(v) for k, v in terms.items()}
 
     def _table(self) -> list[list[dict]]:
-        """Every product e_i e_j, as ``product`` gives it, its constants
-        lowered by ``_lowering``, at [i][j]: made once and kept in the
-        store.  Its dicts are shared, one empty dict for every vanishing
-        product among them, and must not be modified.  The solvers and s4
-        read it; over Q a value made from it is a power of D times its
-        value, which no canonical RREF or zero test can see."""
+        """Every product e_i e_j, as ``product`` gives it, at [i][j]: made
+        once and kept in the store.  Its dicts are shared, one empty dict
+        for every vanishing product among them, and must not be modified.
+        Over Q its constants are lowered to the ints D c, D the lcm of their
+        denominators, which the store keeps beside it as ``"scale"`` (1 over
+        any other field).  This is the one place the constants are lowered:
+        the solvers, s4, the identity checks (``_lowered``) and the center
+        read the table, and over Q a value made from it is a power of D
+        times its value, which no canonical RREF or zero test can see."""
         table = self._memo.get("table")
         if table is None:
-            n, empty = self.dim, {}
+            n, empty, D = self.dim, {}, 1
             table = [[self.product(i, j) or empty for j in range(n)] for i in range(n)]
             if isinstance(self.field, Rationals):
-                lower = self._lowering()[1]
-                table = [[{k: lower(c) for k, c in prod.items()} if prod else prod for prod in row] for row in table]
-            self._memo["table"] = table
-        return table
-
-    def _lowering(self) -> tuple:
-        """``(D, lower)``: over Q, D is the lcm of the denominators of the
-        structure constants and ``lower`` takes a constant c to the integer
-        D c; over any other field, 1 and the identity.  Made once and kept
-        in the store.  The identity checks (``_lowered``) and the product
-        table (``_table``) hold the constants so lowered, and take sums of
-        their products in ints over Q as over GF(p)."""
-        lowering = self._memo.get("lowering")
-        if lowering is None:
-            D, lower = 1, (lambda c: c)
-            if isinstance(self.field, Rationals):
                 D = math.lcm(*(c.denominator for terms in self.products.values() for c in terms.values()))
-                lower = lambda c: c.numerator * (D // c.denominator)
-            lowering = self._memo["lowering"] = D, lower
-        return lowering
+                table = [
+                    [{k: c.numerator * (D // c.denominator) for k, c in prod.items()} if prod else prod for prod in row]
+                    for row in table
+                ]
+            self._memo["table"], self._memo["scale"] = table, D
+        return table
 
     def product_vec(self, i: int, j: int) -> list:
         v = [self.field.zero()] * self.dim
@@ -249,17 +240,16 @@ class Algebra:
         return LinearMap(self.field, rows)
 
     def commutant(self) -> list[list]:
-        """Canonical basis of the span of all products."""
-        vecs = []
-        for (i, j) in self.products:
-            vecs.append(self.product_vec(i, j))
-        return rref_dense(vecs, self.field)
+        """Canonical basis of the span of all products: the RREF of the
+        stored products, which span them all."""
+        return _dense_pivot_rows(sparse_rref(self.products.values(), self.field), self.dim, self.field)
 
     def center(self) -> list[list]:
         """{v : v e_i = 0 for all i} (two-sided by (anti)commutativity): the
-        kernel of the map sending e_j to (e_j e_0, ..., e_j e_(n-1))."""
+        kernel of the map sending e_j to (e_j e_0, ..., e_j e_(n-1)), read
+        off the rows of ``_table``, whose scale the kernel does not see."""
         n = self.dim
-        rows = [[c for i in range(n) for c in self.product_vec(j, i)] for j in range(n)]
+        rows = [{i * n + k: c for i, prod in enumerate(row) for k, c in prod.items()} for row in self._table()]
         return kernel_of_map(rows, self.field)
 
     def __repr__(self):
@@ -338,34 +328,33 @@ def index_tuples(parities, k: int, supports=None):
 
 
 def _lowered(alg: Algebra):
-    """``(rows, cols, makers, add, mul, neg, finish)`` for the products
-    e_a e_b = sum of c e_k != 0 of every ordered pair, signs synthesized and
-    constants lowered as set out in :func:`validate`: ``rows[a]`` holds
-    (b, terms), ``cols[b]`` (a, terms) and ``makers[k]`` (a, b, c), each by
-    descending a or b, with terms the (k, c).  ``finish`` reads a sum of
-    products of two lowered constants, taken with ``add``, ``mul`` and
-    ``neg``, as a field scalar."""
+    """``(rows, cols, makers, add, mul, neg, finish)`` for the nonzero cells
+    e_a e_b = sum of c e_k of ``Algebra._table``, its constants lowered as
+    set out in :func:`validate`: ``rows[a]`` holds (b, terms), ``cols[b]``
+    (a, terms) and ``makers[k]`` (a, b, c), each by descending a or b, with
+    terms the (k, c).  ``finish`` reads a sum of products of two lowered
+    constants, taken with ``add``, ``mul`` and ``neg``, as a field scalar."""
     F = alg.field
-    D, lower = alg._lowering()
+    table = alg._table()
     finish = lambda s: s
     ops = operator.add, operator.mul, operator.neg
     if isinstance(F, PrimeField):
         finish = lambda s: s % F.p
     elif isinstance(F, Rationals):
-        D2, zero = D * D, F.zero()
+        D2, zero = alg._memo["scale"] ** 2, F.zero()
         finish = lambda s: Fraction(s, D2) if s else zero
     else:
         ops = F.add, F.mul, F.neg
     n = alg.dim
     rows, cols, makers = [[] for _ in range(n)], [[] for _ in range(n)], [[] for _ in range(n)]
-    pairs = sorted({(a, b) for i, j in alg.products for a, b in ((i, j), (j, i))}, reverse=True)
-    for a, b in pairs:
-        terms = [(k, lower(c)) for k, c in alg.product(a, b).items()]
-        if terms:
-            rows[a].append((b, terms))
-            cols[b].append((a, terms))
-            for k, c in terms:
-                makers[k].append((a, b, c))
+    for a in reversed(range(n)):
+        for b in reversed(range(n)):
+            if table[a][b]:
+                terms = list(table[a][b].items())
+                rows[a].append((b, terms))
+                cols[b].append((a, terms))
+                for k, c in terms:
+                    makers[k].append((a, b, c))
     return rows, cols, makers, *ops, finish
 
 
@@ -447,10 +436,10 @@ def validate(alg: Algebra, law: str | None = None) -> ValidationReport:
     those of one leading index i at a time.  A path adds to its sorted
     triple once for every cyclic shift of that triple equal to (a, b, c),
     so (i, i, i) with i odd counts its one path three times and an odd
-    permutation of distinct indices counts not at all.  The constants are
-    lowered once per call (see ``_lowered`` and ``Algebra._lowering``):
-    over GF(p) each defect coordinate is a sum of products of residues,
-    reduced mod p once; over Q the constants are scaled by D, the lcm of
+    permutation of distinct indices counts not at all.  The paths are read
+    off the product table (see ``_lowered`` and ``Algebra._table``): over
+    GF(p) each defect coordinate is a sum of products of residues, reduced
+    mod p once; over Q the table's constants are scaled by D, the lcm of
     their denominators, so a defect coordinate is the integer sum s read
     as s / D^2; quotient-ring scalars are summed with the ring's own
     operations in the same loop.

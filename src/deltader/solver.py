@@ -29,8 +29,9 @@ the rows that do not vanish.  The solvers choose the coefficients:
   d_(k, n+l), k < n, renumbered k*m + l.
 
 Over Q the rows are ints.  The algebra keeps one product table
-(``Algebra._table``), its structure constants lowered once to D c, D the
-lcm of their denominators, and a law list is lowered by t, the lcm of the
+(``Algebra._table``), the one place its structure constants are lowered,
+to D c, D the lcm of their denominators (validation reads the same
+table), and a law list is lowered by t, the lcm of the
 denominators of its coefficients: the assembler writes (t a, t b) and the
 x coefficient t (``_law_terms``, made by each assembly).  Each row is
 then t D times the row above, so the row space, the pins (a nonzero int

@@ -420,9 +420,13 @@ def test_s4_rebased_matches_permutation_sum():
 
 
 def test_s4_rescaled_rebased_matches_permutation_sum():
-    # constants with denominators, lowered in s4's table by D = 4
+    # constants with denominators, lowered in s4's table by D = 4: the table
+    # holds the int 4 c for every constant c, and some c has denominator 4
     alg = KNOWN["rebased sl3/Q"]()
-    assert alg._lowering()[0] == 4
+    table = alg._table()
+    lowered = [(table[i][j][k], c) for (i, j), terms in alg.products.items() for k, c in terms.items()]
+    assert all(type(x) is int and x == 4 * c for x, c in lowered)
+    assert any(c.denominator == 4 for _, c in lowered)
     assert s4_result(alg, "ordinary") == reference_s4(alg, "ordinary")
 
 

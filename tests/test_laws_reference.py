@@ -8,12 +8,15 @@ equations e_j e_i by hand and scans the map for parity-breaking entries.
 Both must give the same verdicts, violation lists (labels and defects, in
 order), canonical bases and ParityMismatch messages, on solved bases and on
 perturbed and random maps and forms, over Q, GF(p) and Q[t]/(t^2 - 2).
+The commutant and the center of drawn algebras are also checked against
+textbook dense elimination of the products that ``product`` gives.
 """
 
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from deltader.algebras import (
     Algebra,
@@ -42,7 +45,7 @@ from deltader.solver import (
     solve_superderivations,
 )
 
-from conftest import dense_vectors
+from conftest import dense_gauss_nullspace, dense_vectors, rebased
 
 Q = Rationals()
 GF5, GF7, GF11 = PrimeField(5), PrimeField(7), PrimeField(11)
@@ -299,6 +302,80 @@ CENTER_ALGEBRAS = {
 def test_center_matches_reference(name):
     alg = CENTER_ALGEBRAS[name]()
     assert alg.center() == ref_center(alg)
+
+
+def dense_span_rref(F, vectors, ncols):
+    """The nonzero rows of the RREF of dense vectors, by textbook
+    Gauss-Jordan elimination: the canonical basis of their span."""
+    mat = [list(v) for v in vectors]
+    r = 0
+    for c in range(ncols):
+        pr = next((i for i in range(r, len(mat)) if not F.is_zero(mat[i][c])), None)
+        if pr is None:
+            continue
+        mat[r], mat[pr] = mat[pr], mat[r]
+        inv = F.inv(mat[r][c])
+        mat[r] = [F.mul(inv, x) for x in mat[r]]
+        for i, row in enumerate(mat):
+            if i != r and not F.is_zero(row[c]):
+                f = row[c]
+                mat[i] = [F.sub(x, F.mul(f, y)) for x, y in zip(row, mat[r])]
+        r += 1
+    return mat[:r]
+
+
+@st.composite
+def drawn_algebras(draw, F, flavor):
+    """A sparse algebra of the flavor ("lie" or "super") and dim 2-6 over F,
+    its constants (a + b t) / d, d = 1..4, with b t only over
+    Q[t]/(t^2 - 2), respecting a drawn grading; a Lie algebra over Q is then rebased
+    (conftest) with the scaled basis, so its dense constants carry
+    denominators."""
+    n = draw(st.integers(2, 6))
+    grading = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)) if flavor == "super" else None
+    par = grading or [0] * n
+    pairs = [(i, j) for i in range(n) for j in range(i, n) if i < j or par[i]]
+
+    def scalar():
+        a, b, d = draw(st.integers(-4, 4)), draw(st.integers(-2, 2)), draw(st.integers(1, 4))
+        c = F.add(F.from_int(a), F.mul(F.from_int(b), F.t)) if F is QT else F.from_int(a)
+        return F.div(c, F.from_int(d))
+
+    products = {}
+    for i, j in draw(st.lists(st.sampled_from(pairs), unique=True, min_size=1, max_size=2 * n)):
+        targets = [k for k in range(n) if par[k] == (par[i] + par[j]) % 2]
+        if targets:
+            terms = draw(st.lists(st.sampled_from(targets), unique=True, min_size=1, max_size=2))
+            products[(i, j)] = {k: scalar() for k in terms}
+    alg = Algebra(F, n, [f"e{i}" for i in range(n)], products, flavor=flavor, grading=grading)
+    if F is Q and flavor == "lie":
+        alg = rebased(alg, draw(st.integers(1, 7)), scale=True)
+    return alg
+
+
+@pytest.mark.parametrize("flavor", ["lie", "super"])
+@pytest.mark.parametrize("F", [GF5, GF7, Q, QT], ids=["GF5", "GF7", "Q", "Q[t]"])
+@settings(derandomize=True, deadline=None, max_examples=25)
+@given(data=st.data())
+def test_commutant_and_center_match_dense_oracles(F, flavor, data):
+    """The commutant is the RREF of every product e_i e_j, and the center
+    the nullspace of the equations (v e_i)_l = sum_j v_j (e_j e_i)_l = 0,
+    both from ``product`` alone; the stored products, which reach the
+    commutant's elimination, are left as they were."""
+    alg = data.draw(drawn_algebras(F, flavor))
+    n = alg.dim
+    stored = {key: dict(terms) for key, terms in alg.products.items()}
+    prods = [[alg.product(i, j) for j in range(n)] for i in range(n)]
+    vecs = [[prod.get(k, F.zero()) for k in range(n)] for row in prods for prod in row]
+    eqs = [[prods[j][i].get(l, F.zero()) for j in range(n)] for i in range(n) for l in range(n)]
+    commutant, center = alg.commutant(), alg.center()
+    assert commutant == dense_span_rref(F, vecs, n)
+    assert center == dense_gauss_nullspace(F, eqs, n)
+    if F is Q:
+        # the center is read off constants lowered to integers; a stray int
+        # would still compare equal to the oracle's Fraction
+        assert all(type(c) is Fraction for v in commutant + center for c in v)
+    assert alg.products == stored
 
 
 def test_lift_grassmann_parity_messages_match_reference():
