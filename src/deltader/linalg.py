@@ -7,11 +7,11 @@ from one pipeline, ``sparse_rref``, the same over every field:
 - pin: most rows of these systems have a single entry, which forces one
   unknown to zero; those unknowns, and the ones that rows left with one
   entry force in turn, are pinned before any elimination (``_pin``),
-  which holds no row whose unknowns are all pinned when it arrives.  A
-  pointwise solver's assembler hands a one-entry unit row to the pin set
-  as its column and never yields it (see ``solver._law_rows``), so the
-  cascade starts from the set; ``solve_parametric`` still reads the full
-  stream;
+  which holds no row whose unknowns are all pinned when it arrives, and
+  is the one place where a yielded row is pinned.  A pointwise solver's
+  assembler puts in a pin set only the columns of one-entry rows that it
+  never builds (see ``solver._law_rows``), and the cascade starts from
+  the set;
 - split: the other rows fall apart into many small blocks, the connected
   components of the row/column incidence graph (``_blocks``);
 - order: over a field, each block's rows by descending least column, then
@@ -507,8 +507,8 @@ def sparse_rref(rows, field: Field, pinned: set | None = None) -> dict[int, dict
     absent, or explicit).  Returns {pivot_col: row} where each stored row
     has coefficient 1 at its pivot column and contains no other pivot
     column.  ``pinned``, if given, is a set of columns known to be zero,
-    as if each were a row {c: 1}: the pin set that a pointwise solver's
-    assembler fills in place of yielding its one-entry unit rows.  It is
+    as if each were a row {c: 1}: the pin set of a pointwise solve, which
+    holds the columns of the rows its assembler never builds.  It is
     read once ``rows`` is, and emptied once its pivots are made, so that
     it holds nothing while the caller reads the RREF.
 
@@ -592,14 +592,14 @@ def _pin(rows, is_unit, pinned: set | None = None) -> tuple[set, list[dict]]:
     with a reducible modulus), drop an explicit zero, or rank a pencil
     entry a + b delta (see ``solver.solve_parametric``).  ``rows`` is read
     once, as a stream (the solvers store no system whole): a one-entry
-    unit row that still arrives pins its column and is dropped, and so is
-    a row whose columns are all pinned when it arrives, which says nothing
-    more, so the only rows ever held are those that may still be kept here.
+    unit row pins its column and is dropped, and so is a row whose
+    columns are all pinned when it arrives, which says nothing more, so
+    the only rows ever held are those that may still be kept here.
     ``pinned``, if given, is a set of columns already known to be zero,
-    which is added to and returned: in a pointwise solve the assembler
-    has put most one-entry unit rows in it as columns, never yielding
-    them, and the cascade starts from it once the stream is read.  The
-    pencil of ``solve_parametric`` passes none.  Rows with several entries
+    which is added to and returned: in a pointwise solve it holds the
+    columns of the one-entry rows that the assembler never builds, and
+    the cascade starts from it once the stream is read.  The pencil of
+    ``solve_parametric`` passes none.  Rows with several entries
     are indexed by column, with a live count of their entries in unpinned
     columns, so the cascade costs O(nnz).  The rows returned are those
     that pin nothing and keep a live entry: unchanged if every entry is
@@ -658,9 +658,9 @@ def sparse_nullspace(rows, ncols: int, field: Field, pinned: set | None = None) 
     -x at each pivot p whose RREF row has x at c.  It is zero on the other
     free columns, and holds no zero value.  Columns in no row and not in
     ``pinned`` are free.  ``pinned``, if given, is the pin set of a
-    pointwise solve, columns known to be zero, which its assembler fills in
-    place of yielding its one-entry unit rows; ``sparse_rref`` empties it.
-    So the basis is the same however the rows are ordered, and whether a
+    pointwise solve, columns known to be zero, among them those of the
+    rows its assembler never builds; ``sparse_rref`` empties it.  So the
+    basis is the same however the rows are ordered, and whether a
     one-entry unit row came as a row or as a column."""
     F = field
     pivots = sparse_rref(rows, F, pinned)

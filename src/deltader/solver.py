@@ -44,24 +44,24 @@ The super variants make the map homogeneous by starting the pin set
 below with the entries that would break its parity.
 ``is_delta_derivation`` does not restate the law: it evaluates these same
 rows at the entries of the given map, and requires the map to vanish on
-the columns that the assembler pins instead of yielding their rows.
+the columns that the assembler pins instead of building their rows.
 
 Every system, pointwise or parametric, streams from the assembler to
-``linalg._pin``, which holds only the rows it cannot pin at once.  A
-pointwise solve also hands the assembler a pin set, the columns known to
-be zero: a row with one unit entry (most rows of these systems) reaches
-the set as its column and is never yielded, and where an equation pair's
-product is one unit term c e_k, the rows c x_kl of the targets l that no
-term reaches are never built at all.  ``_pin`` starts its cascade from
-the set.  One part of a pointwise system is kept, over GF(p) and Q: the
-rows of the pairs whose product is zero have no x entry and, up to a
-scalar, do not depend on delta, so ``_zero_part`` assembles and pins them
-once per parity and law list and keeps the pins and rows left in the
-algebra's store, beside its product table.  Every pointwise solve and
-check of the algebra starts from them and assembles only the pairs with
-a product (``_pointwise_rows``).  ``solve_parametric`` passes no set and
-reads the full stream, since a one-entry row a + b delta of its pencil
-pins nothing.  The rows left are eliminated one block at a time, a
+``linalg._pin``, the one place that pins a yielded row, and which holds
+only the rows it cannot pin at once.  A pointwise solve also hands the
+assembler a pin set, the columns known to be zero: where an equation
+pair's product is one unit term c e_k, the rows c x_kl of the targets l
+that no term reaches are never built, and their columns join the set,
+from which ``_pin`` starts its cascade.  One part of a pointwise system
+is kept, over GF(p) and Q: the rows of the pairs whose product is zero,
+the diagonal pairs of ``_diagonal`` among them, have no x entry and, up
+to a scalar, do not depend on delta, so ``_zero_part`` assembles and
+pins them once per parity and law list and keeps the pins and rows left
+in the algebra's store, beside its product table.  Every pointwise solve
+and check of the algebra starts from them and assembles only the pairs
+with a product (``_pointwise_rows``).  ``solve_parametric`` passes no
+set and reads the full stream, since a one-entry row a + b delta of its
+pencil pins nothing.  The rows left are eliminated one block at a time, a
 block being a connected component of their row/column incidence graph
 (for a graded algebra such as W(1, n), each block lies inside one degree
 shift of D; current algebras and Grassmann envelopes split into hundreds
@@ -179,9 +179,9 @@ def _law_rows(alg: Algebra, laws, parity: int = 0, x_offset: int = 0, pinned: se
 
     The rows are yielded as they are made, and no list of them is built:
     each solver hands the stream to ``linalg._pin``, the one place that
-    keeps a row (``_zero_part`` keeps those it leaves).  D and X map the
-    algebra into itself: d_kl sits in column k*n + l and x_kl in column
-    x_offset + k*n + l.  For each equation pair the rows of each law
+    pins or keeps a row (``_zero_part`` keeps those it leaves).  D and X
+    map the algebra into itself: d_kl sits in column k*n + l and x_kl in
+    column x_offset + k*n + l.  For each equation pair the rows of each law
     follow in turn, by target coordinate l; a row that vanishes is left
     out.  (With the centroid's two laws, elimination on
     dense structure constants fills in less in this order than with one
@@ -204,19 +204,17 @@ def _law_rows(alg: Algebra, laws, parity: int = 0, x_offset: int = 0, pinned: se
     Over Q the constants and coefficients are those of ``Algebra._table``
     and ``_law_terms``: each row is t D times the law's row, in ints.
 
-    Given a set ``pinned``, the assembler hands it the one-entry rows whose
-    entry is a unit (``Field.is_unit``) as their columns, and yields only
-    the other rows, in the same order: a row of several entries is always
-    yielded, even where all its columns are pinned.  Where the product
+    Every row that is built is yielded.  Given a set ``pinned``, the
+    assembler skips only the rows it never builds: where the product
     e_i e_j is one term c e_k with c a unit, the row of a target l that no
-    term of the law reaches is c x_kl alone: its column x_offset + k*n + l
-    joins the set and the row is never built.  The set is complete once
-    the stream is read.  Without a set the stream is every nonzero row.
+    term of the law reaches is c x_kl alone, and its column
+    x_offset + k*n + l joins the set.  The set is complete once the stream
+    is read.  Without a set the stream is every nonzero row.
 
     ``pairs``, if given, lists the equation pairs to assemble, in the order
     of ``_equation_pairs``, in place of all of them: ``_zero_part`` passes
-    the pairs whose product is zero, ``_pointwise_rows`` the others and
-    the diagonal pairs of ``_diagonal``.
+    the pairs whose product is zero and the diagonal pairs of
+    ``_diagonal``, ``_pointwise_rows`` the others.
     """
     F = alg.field
     n = alg.dim
@@ -261,29 +259,21 @@ def _law_rows(alg: Algebra, laws, parity: int = 0, x_offset: int = 0, pinned: se
                 pinned.update([x + l for l in range(n) if rows[l] is None])
             for l in cancelled:
                 rows[l] = {c: v for c, v in rows[l].items() if not F.is_zero(v)}
-            if pinned is None:
-                yield from filter(None, rows)
-                continue
-            for row in filter(None, rows):
-                if len(row) == 1 and (field or F.is_unit(*row.values())):
-                    # add, not update(row): mixed with add, update from a
-                    # dict grows the set in smaller steps and can leave it
-                    # twice as large
-                    pinned.add(*row)
-                else:
-                    yield row
+            yield from filter(None, rows)
 
 
 def _zero_part(alg: Algebra, laws, parity: int) -> tuple[frozenset, list[dict]]:
     """The pins and rows that ``linalg._pin`` leaves of the rows of the
-    equation pairs with no product, for these laws over GF(p) or Q, kept in
-    the algebra's store.
+    equation pairs with no product, and of the diagonal pairs of
+    ``_diagonal``, for these laws over GF(p) or Q, kept in the algebra's
+    store.
 
     With e_i e_j = 0 the law is a D(e_i) e_j + b (-1)^(parity deg e_i)
     e_i D(e_j) = 0: no x entry, and a law scaled by a nonzero scalar has
     the same rows up to that scalar.  So the part is kept under the law
     list with every law scaled to a = 1 (b = 1 where a = 0, and a law with
-    a = b = 0, whose rows vanish, left out), for each parity.  The first
+    a = b = 0, whose rows vanish, left out), for each parity; the key
+    keeps whether some law has a != b, and so the diagonal.  The first
     law list to reach it assembles it; its rows span those of every list
     kept under the same key, at every delta, in both layouts, so they give
     the same RREF and the same verdict on a map.
@@ -300,7 +290,7 @@ def _zero_part(alg: Algebra, laws, parity: int) -> tuple[frozenset, list[dict]]:
     key = ("zero", parity, tuple(key))
     part = alg._memo.get(key)
     if part is None:
-        pairs = _split_pairs(alg)[1]
+        pairs = _split_pairs(alg)[1] + _diagonal(alg, laws)
         pins, rows = set(), []
         if pairs:
             rows = _law_rows(alg, laws, parity, pinned=pins, pairs=pairs)
@@ -325,20 +315,17 @@ def _split_pairs(alg: Algebra) -> tuple[list, list]:
 def _pointwise_rows(alg: Algebra, laws, pinned: set, parity: int = 0, x_offset: int = 0):
     """The rows of a pointwise system, and its pins added to ``pinned``:
     over GF(p) and Q, the pins and rows of ``_zero_part`` and then those
-    that ``_law_rows`` assembles of the pairs with a product and of the
-    diagonal pairs of ``_diagonal``, which are assembled with every solve
-    rather than kept: in a dense basis they are n^2 dense rows.  Pinned
-    and eliminated, they give the RREF of the full stream of
-    ``_law_rows``, which is canonical; a map satisfies the one where it
-    satisfies the other.  Over a quotient ring it is the full stream,
-    whose order decides whether a zero-divisor pivot is met (see
+    that ``_law_rows`` assembles of the pairs with a product.  Pinned and
+    eliminated, they give the RREF of the full stream of ``_law_rows``,
+    which is canonical; a map satisfies the one where it satisfies the
+    other.  Over a quotient ring it is the full stream, whose order
+    decides whether a zero-divisor pivot is met (see
     ``linalg.sparse_rref``)."""
     if not isinstance(alg.field, (PrimeField, Rationals)):
         return _law_rows(alg, laws, parity, x_offset, pinned)
     pins, rows = _zero_part(alg, laws, parity)
     pinned.update(pins)
-    pairs = _split_pairs(alg)[0] + _diagonal(alg, laws)
-    return chain(rows, _law_rows(alg, laws, parity, x_offset, pinned, pairs))
+    return chain(rows, _law_rows(alg, laws, parity, x_offset, pinned, _split_pairs(alg)[0]))
 
 
 def _maps(alg: Algebra, laws, parity: int = 0, pinned: set | None = None) -> list[LinearMap]:
@@ -500,8 +487,8 @@ def is_delta_derivation(alg: Algebra, D: LinearMap, delta, parity=None) -> bool:
     (with the super sign when a parity is given).
 
     The check evaluates at D the rows that the solver assembles for this
-    law, and requires D to vanish at the entries that it pins instead of
-    building their rows, so checking and solving share one encoding of it.
+    law, and requires D to vanish at the entries whose rows it never
+    builds, so checking and solving share one encoding of it.
     A map that is not dim x dim raises ``ValueError``."""
     F = alg.field
     n = alg.dim

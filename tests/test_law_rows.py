@@ -15,6 +15,7 @@ is not used over a quotient ring, and is freed with the algebra.
 import gc
 import tracemalloc
 import weakref
+from fractions import Fraction
 
 import pytest
 
@@ -161,6 +162,43 @@ def test_repeat_solve_assembles_only_the_pairs_with_a_product(name, monkeypatch)
     fresh = make()
     assert two.to_json() == solve_at(fresh, 2, parity).to_json()
     assert verdict == solver.is_delta_derivation(fresh, fresh.ad(1), fresh.field.one(), parity)
+
+
+CENTROIDS = {
+    "sl3/Q": lambda: make_special_linear(3, Q),
+    "W11/GF5": lambda: make_zassenhaus(5, 1),
+    # its centroid needs chi(e1) e1 = 0 (see tests/test_centroid_diagonal.py)
+    "action/Q": lambda: Algebra(Q, 3, ["e0", "e1", "e2"], {(0, 1): {0: Fraction(1, 2)}}),
+    "osp12/GF7": lambda: make_osp12(GF7),
+}
+
+
+def centroids(alg):
+    spaces = [solver.solve_centroid(alg)]
+    if alg.grading is not None:
+        spaces.append(solver.solve_supercentroid(alg))
+    return [space.to_json() for space in spaces]
+
+
+@pytest.mark.parametrize("name", list(CENTROIDS))
+def test_repeat_centroid_assembles_no_diagonal_pair(name, monkeypatch):
+    """The diagonal pairs (i, i) of the centroid's laws have no product,
+    so they are kept with the other zero-product pairs: after a first
+    solve, a repeat centroid and supercentroid of the same algebra
+    assemble none of them, and give a fresh algebra's answers."""
+    make = CENTROIDS[name]
+    alg = make()
+    F = alg.field
+    diagonal = solver._diagonal(alg, [(F.one(), F.zero())])
+    assert diagonal
+    centroids(alg)
+    calls = spy_law_rows(monkeypatch)
+    again = centroids(alg)
+    assert len(calls) == (3 if alg.grading is not None else 1)
+    for pairs in calls:
+        assert pairs is not None and not set(pairs) & set(diagonal)
+    monkeypatch.undo()
+    assert again == centroids(make())
 
 
 def test_quotient_ring_reads_the_full_stream(monkeypatch):

@@ -16,8 +16,9 @@ that the centroid's laws add to a Lie algebra and to a superalgebra's
 even basis vectors, a semidirect sum, a quotient ring, a zero divisor
 whose multiples vanish, and constants with denominators.
 
-Given a pin set, the assembler must instead put the column of each of the
-reference's one-entry unit rows in the set and yield the other rows.
+Given a pin set, the assembler must still yield every row it builds, in
+the reference's order; it skips only the one-entry unit rows c x_kl that
+it never builds, and puts their columns in the set.
 """
 
 import math
@@ -36,7 +37,7 @@ from deltader.algebras import (
 )
 from deltader.fields import PrimeField, QuotientRing, Rationals
 from deltader.linmap import LinearMap
-from deltader.solver import _equation_pairs, _law_rows, is_delta_derivation
+from deltader.solver import _equation_pairs, _law_rows, _pointwise_rows, is_delta_derivation
 
 from conftest import rebased
 
@@ -193,17 +194,30 @@ def is_unit_row(F, row):
 
 @pytest.mark.parametrize("name,delta,parity", CASES, ids=[f"{a}-{d}-q{q}" for a, d, q in CASES])
 def test_pin_set_takes_the_one_entry_unit_rows(name, delta, parity):
-    """Given a pin set, the assembler puts in it the column of each of the
-    reference's rows with one entry, a unit, and yields the other rows in
-    the reference's order."""
+    """Given a pin set, the assembler yields the reference's rows in order,
+    with some rows skipped: each skipped row is a one-entry unit row c x_kl,
+    k the one term of some pair's product, and the skipped rows' columns
+    are exactly the pin set."""
     alg = ALGEBRAS[name]()
     F = alg.field
+    n = alg.dim
     laws, kwargs = case_laws(alg, delta)
+    x_offset = kwargs.get("x_offset", 0)
     pinned = set()
-    got = list(_law_rows(alg, laws, parity, pinned=pinned, **kwargs))
+    got = typed(_law_rows(alg, laws, parity, pinned=pinned, **kwargs))
     ref = lowered(alg, laws, ref_law_rows(alg, laws, parity, **kwargs))
-    assert pinned == {c for row in ref if is_unit_row(F, row) for c in row}
-    assert typed(got) == typed([row for row in ref if not is_unit_row(F, row)])
+    targets = {k for i, j in _equation_pairs(alg, laws) if len(p := alg.product(i, j)) == 1 for k in p}
+    skipped, at = set(), 0
+    for row in ref:
+        if at < len(got) and typed([row]) == got[at : at + 1]:
+            at += 1
+            continue
+        assert is_unit_row(F, row)
+        [c] = row
+        assert 0 <= c - x_offset < n * n and (c - x_offset) // n in targets
+        skipped.add(c)
+    assert at == len(got)
+    assert pinned == skipped
 
 
 def test_one_entry_row_of_a_zero_divisor_stays_a_row():
@@ -219,21 +233,30 @@ def test_one_entry_row_of_a_zero_divisor_stays_a_row():
     assert not pinned & {6, 7, 8}
 
 
+def with_center(alg):
+    """The direct sum of the algebra and a one-dimensional even center
+    <z>, z last."""
+    grading = None if alg.grading is None else alg.grading + [0]
+    return Algebra(alg.field, alg.dim + 1, alg.basis + ["z"], dict(alg.products), alg.flavor, grading)
+
+
 @pytest.mark.parametrize("name,delta,parity", [("sl2/Q", Fraction(1, 2), 0), ("W11/GF5", 3, 0), ("osp12/GF7", 4, 1)])
 def test_map_at_a_pinned_column_is_no_delta_derivation(name, delta, parity):
-    """A map that is nonzero only at a column that the pin set holds, and
-    that no yielded row has, fails ``is_delta_derivation``: the check reads
-    the pins as well as the rows."""
-    alg = ALGEBRAS[name]()
+    """On L + <z>, z central, the rows c x_kz of a pair with product c e_k
+    are never built, since no term of the law reaches the target z outside
+    [L, L].  So a map that is nonzero only at such a column, e_k -> z, is in
+    no row of the stream that ``is_delta_derivation`` reads, only in the
+    pin set, and fails the check: the check reads the pins as well as the
+    rows."""
+    alg = with_center(ALGEBRAS[name]())
     F = alg.field
     n = alg.dim
     d = F.coerce(delta)
     pinned = set()
-    rows = list(_law_rows(alg, [(d, d)], parity, pinned=pinned))
-    free = sorted(pinned - {c for row in rows for c in row})
-    assert free
-    for c in free[:3]:
-        flat = [F.zero()] * (n * n)
-        flat[c] = F.one()
-        D = LinearMap.from_flat(F, flat, n, n)
+    rows = list(_pointwise_rows(alg, [(d, d)], pinned, parity))
+    free = pinned - {c for row in rows for c in row}
+    to_z = sorted({k * n + n - 1 for i, j in _equation_pairs(alg) for k in alg.product(i, j)})
+    assert to_z and free.issuperset(to_z)
+    for c in to_z[:3]:
+        D = LinearMap.from_entries(F, {c // n: {c % n: F.one()}}, n, n)
         assert not is_delta_derivation(alg, D, d, parity or None)

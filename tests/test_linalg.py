@@ -341,8 +341,9 @@ def test_pinned_nullspace_matches_one_elimination(system):
 @given(singleton_cascades())
 def test_pin_set_gives_the_basis_of_its_rows(system):
     """The one-entry unit rows handed to ``sparse_nullspace`` as a pin set
-    of their columns, as a pointwise solver's assembler does, give the
-    basis of the whole system, and the set is emptied once used."""
+    of their columns, as a pointwise solver's assembler does with the rows
+    it never builds, give the basis of the whole system, and the set is
+    emptied once used."""
     F, rows, ncols = system
     unit = [len(row) == 1 and F.is_unit(*row.values()) for row in rows]
     pinned = {c for row, u in zip(rows, unit) if u for c in row}
