@@ -64,12 +64,16 @@ columns of a basis that is already reduced.
 A pencil A + delta B is pinned and split the same way, with a nonzero
 constant as the unit (see ``solver.solve_parametric``).  The rank of a
 block can drop only at the roots of a maximal nonvanishing minor: the
-determinant of a nonsingular square of the block, taken exactly by
-``_pencil_det`` from integer determinants, or the last pivot of one-step
-fraction-free (Bareiss) elimination over GF(p)[delta]
-(``fraction_free_pivots``); ``solver._block_spectrum`` sets out which
-block takes which.  ``charpoly`` takes det(xI - M) through ``_pencil_det``
-over Q and GF(p) alike, for any n.  Roots in the base field come from
+determinant of a square S(delta) of the block nonsingular at a point c,
+or the last pivot of one-step fraction-free (Bareiss) elimination over
+GF(p)[delta] (``fraction_free_pivots``); ``solver._block_spectrum`` sets
+out which block takes which.  ``_pencil_det`` takes the determinant as
+det S(c) det(I + (delta - c) S(c)^-1 S_1), S_1 the delta part, whose second
+factor is read off the characteristic polynomial of S(c)^-1 S_1 in upper
+Hessenberg form: one O(r^3) pass mod p over GF(p), and over Q passes mod
+62-bit primes combined by the Chinese remainder theorem up to a Hadamard
+bound.  ``charpoly`` runs the same Hessenberg pass on M itself: once over
+GF(p), for any n, and over Q on the same primes.  Roots in the base field come from
 ``base_field_roots``: over Q by lifting the roots mod a small prime p to
 roots mod a power of p and reconstructing fractions from them, each checked
 exactly; over GF(p) by evaluation at every point for small p and by
@@ -84,6 +88,7 @@ from array import array
 from collections import Counter
 from fractions import Fraction
 from itertools import count, islice
+from operator import mul
 
 from .fields import (
     Field,
@@ -862,50 +867,35 @@ def charpoly(field: Field, matrix: list[list]) -> list:
     """Characteristic polynomial det(xI - M) over Q or GF(p), monic, as a
     coefficient list low-degree-first.
 
-    xI - M is the pencil -M + x I.  Its rows are scaled to integers (over
-    GF(p) the residues already are), ``_pencil_det`` takes their
-    determinant exactly, and its coefficients are read in the field and
-    divided by the leading one, the product of the row scales: 1 over
-    GF(p).  Over GF(p) the ring map Z -> GF(p) takes the integer
-    determinant to the one over GF(p), for any n.
+    Over GF(p) it is one pass of ``_charpoly_mod`` on M, for any n, n >= p
+    included.  Over Q the rows of xI - M are scaled to integers, each by
+    the lcm of its denominators D_i (``_integer_entries``), and the integer
+    polynomial det(D (xI - M)) = (prod D_i) det(xI - M) is read off its
+    residues mod word-size primes q (``_crt``): mod q it is prod D_i times
+    ``_charpoly_mod`` of M, and a q that divides some D_i is skipped.  One
+    division by prod D_i makes it monic.
     """
-    rows = []
+    if isinstance(field, PrimeField):
+        return _charpoly_mod([[c % field.p for c in row] for row in matrix], field.p)
+    square = []
     for i, row in enumerate(matrix):
         entries = [poly_trim(field, [field.neg(c)]) for c in row]
         entries[i] = [field.neg(row[i]), field.one()]
-        rows.append(_integer_entries(entries))
-    det = [field.from_int(c) for c in _pencil_det(rows)]
-    inv = field.inv(det[-1])
-    return [field.mul(inv, c) for c in det]
+        square.append(_integer_entries(entries))
+    rows = _pencil_rows(square)
+    scales = [b[i] for i, (_, b) in enumerate(rows)]
+    lead = math.prod(scales)
 
+    def residues(q):
+        if any(d % q == 0 for d in scales):
+            return None
+        m = []
+        for d, (a, _) in zip(scales, rows):
+            inv = -pow(d, -1, q)
+            m.append([x * inv % q for x in a])
+        return [lead * c % q for c in _charpoly_mod(m, q)]
 
-# ---------------------------------------------------------------------------
-# integer determinants of pencils over Q and GF(p)
-
-
-def _int_det(m: list[list[int]]) -> int:
-    """Determinant of a square integer matrix (consumed) by fraction-free
-    (Bareiss) elimination: every division is exact, and each row swap
-    flips the sign."""
-    n = len(m)
-    sign, prev = 1, 1
-    for k in range(n):
-        i = next((i for i in range(k, n) if m[i][k]), None)
-        if i is None:
-            return 0
-        if i != k:
-            m[k], m[i] = m[i], m[k]
-            sign = -sign
-        top = m[k][k + 1 :]
-        p = m[k][k]
-        for i in range(k + 1, n):
-            row, a = m[i], m[i][k]
-            if a:
-                row[k + 1 :] = [(p * x - a * y) // prev for x, y in zip(row[k + 1 :], top)]
-            else:
-                row[k + 1 :] = [p * x // prev for x in row[k + 1 :]]
-        prev = p
-    return sign * prev
+    return [Fraction(c, lead) for c in _crt(residues, _norm_bound(rows))]
 
 
 def _integer_entries(entries) -> list[list[int]]:
@@ -916,42 +906,199 @@ def _integer_entries(entries) -> list[list[int]]:
     return [[c.numerator * (den // c.denominator) for c in f] for f in entries]
 
 
-def _pencil_det(square: list[list[list[int]]]) -> list[int]:
-    """det(A + tB), as integer coefficients low-degree-first ([] if it
-    vanishes), for a square of integer pencil entries [], [a] or [a, b],
-    that is a + b t.
+# ---------------------------------------------------------------------------
+# pencil determinants modulo word-size primes
 
-    The determinant has degree at most k, the number of rows with a t term,
-    so its integer values at t = 0..k, from ``_int_det``, determine it:
-    with D^j the j-th forward difference of those values at t = 0,
-    k! det(t) = sum_j D^j (k! / j!) t (t - 1) ... (t - j + 1), all in
-    integers (Newton interpolation), and one exact division by k! leaves
-    det(t).  Over GF(p) the entries are the ints of the residues, and the
-    ring map Z -> GF(p) takes this determinant, reduced mod p, to the one
-    over GF(p).
+_WORD_PRIMES: list[int] = []
+
+
+def _word_primes():
+    """The primes below 2^62, from the largest down.  Each is found once per
+    process and kept: a search would cost more than most passes."""
+    for i in count():
+        if i == len(_WORD_PRIMES):
+            q = (_WORD_PRIMES[-1] if _WORD_PRIMES else (1 << 62) + 1) - 2
+            while not _is_prime(q):
+                q -= 2
+            _WORD_PRIMES.append(q)
+        yield _WORD_PRIMES[i]
+
+
+def _pencil_rows(square) -> list[tuple[list[int], list[int]]]:
+    """The rows a_i + t b_i of a square of pencil entries [], [a] or [a, b],
+    as the pairs (a_i, b_i) of integer lists."""
+    return [([f[0] if f else 0 for f in row], [f[1] if len(f) > 1 else 0 for f in row]) for row in square]
+
+
+def _norm_bound(rows) -> int:
+    """prod_i (|a_i| + |b_i|), Euclidean norms rounded up, over the rows
+    (a_i, b_i).  The coefficient of t^j in det(A + tB) is the sum over the
+    j-sets S of rows of the determinants with b_i in the rows of S and a_i
+    elsewhere, each at most prod_S |b_i| prod_(not S) |a_i| (Hadamard), and
+    the sum of those bounds over every S is this product: it bounds every
+    coefficient."""
+
+    def norm(v):
+        s = sum(x * x for x in v)
+        return math.isqrt(s - 1) + 1 if s else 0
+
+    return math.prod(norm(a) + norm(b) for a, b in rows)
+
+
+def _crt(residues, bound: int) -> list[int]:
+    """The integer polynomial, coefficients low-degree-first ([] if zero),
+    each at most ``bound`` in absolute value, whose reduction mod each
+    prime q of ``_word_primes`` is ``residues(q)``, or None where q is to be
+    skipped.  The residues are combined by the Chinese remainder theorem
+    until the modulus exceeds 2 ``bound``, and read in the symmetric range
+    (von zur Gathen and Gerhard, *Modern Computer Algebra*, ch. 5)."""
+    f, modulus = [], 1
+    for q in _word_primes():
+        g = residues(q)
+        if g is None:
+            continue
+        n = max(len(f), len(g))
+        f, g = f + [0] * (n - len(f)), g + [0] * (n - len(g))
+        inv = pow(modulus, -1, q)
+        f = [x + modulus * ((y - x) * inv % q) for x, y in zip(f, g)]
+        modulus *= q
+        if modulus > 2 * bound:
+            break
+    half = modulus // 2
+    f = [x - modulus if x > half else x for x in f]
+    while f and not f[-1]:
+        f.pop()
+    return f
+
+
+def _inverse_times(m: list[list[int]], r: int, q: int) -> int:
+    """Gauss-Jordan elimination mod q of an r x w matrix (consumed) whose
+    first r columns are a square S: on return they are the identity, and
+    the other columns are S^-1 times what they were.  Returns det S mod q;
+    where it is 0, S is singular mod q and the matrix is left half done."""
+    det = 1
+    for j in range(r):
+        i = next((i for i in range(j, r) if m[i][j]), None)
+        if i is None:
+            return 0
+        if i != j:
+            m[i], m[j] = m[j], m[i]
+            det = -det
+        det = det * m[j][j] % q
+        inv = pow(m[j][j], -1, q)
+        top = m[j][j:] = [x * inv % q for x in m[j][j:]]
+        for i in range(r):
+            row = m[i]
+            u = row[j]
+            if u and i != j:
+                row[j:] = [(x - u * y) % q for x, y in zip(row[j:], top)]
+    return det % q
+
+
+def _charpoly_mod(m: list[list[int]], q: int) -> list[int]:
+    """det(xI - M) mod q, monic, low-degree-first, for a square matrix of
+    residues mod q (consumed), q prime.  M is taken to upper Hessenberg
+    form H by similarities: for each column j, the row with a nonzero
+    entry below the subdiagonal is swapped to j + 1 (rows and columns), and
+    the rows below it cleared by multiples of it, each row operation paired
+    with the inverse column operation.  Then the characteristic
+    polynomials p_k of H's leading k x k blocks follow from
+    p_(k+1) = (x - h_kk) p_k - sum_i h_(k-i),k h_k,(k-1) ... h_(k-i+1),(k-i) p_(k-i),
+    which stops where a subdiagonal entry is 0 (Cohen, *A Course in
+    Computational Algebraic Number Theory*, Alg. 2.2.9).  No division by
+    anything but pivots, so any n, n >= q included, takes one pass."""
+    n = len(m)
+    for j in range(n - 2):
+        k = j + 1
+        i = next((i for i in range(k, n) if m[i][j]), None)
+        if i is None:
+            continue
+        if i != k:
+            m[i], m[k] = m[k], m[i]
+            for row in m:
+                row[i], row[k] = row[k], row[i]
+        # left of column j, rows k and below are 0
+        top = m[k][j:]
+        inv = pow(top[0], -1, q)
+        us = [0] * (n - k - 1)
+        for i in range(k + 1, n):
+            row = m[i]
+            if row[j]:
+                u = us[i - k - 1] = row[j] * inv % q
+                row[j:] = [(x - u * y) % q for x, y in zip(row[j:], top)]
+        if any(us):
+            for row in m:
+                row[k] = (row[k] + sum(map(mul, us, row[k + 1 :]))) % q
+    polys = [[1]]
+    for k in range(n):
+        prev = polys[k]
+        h = m[k][k]
+        p = [y - h * x for x, y in zip(prev + [0], [0] + prev)]
+        t = 1
+        for i in range(1, k + 1):
+            t = t * m[k - i + 1][k - i] % q
+            if not t:
+                break
+            c = t * m[k - i][k] % q
+            if c:
+                low = polys[k - i]
+                p[: len(low)] = [x - c * y for x, y in zip(p, low)]
+        polys.append([x % q for x in p])
+    return polys[n]
+
+
+def _pencil_det_mod(rows, point: int, q: int) -> list[int]:
+    """det(A + tB) mod q, low-degree-first ([] if it vanishes mod q), for
+    the rows (a_i, b_i) of a square, q prime.
+
+    At the first point c of point, point + 1, ... where S(c) = A + cB is
+    nonsingular mod q, det S(t) = det S(c) det(I + (t - c) M) with
+    M = S(c)^-1 B (``_inverse_times``), and det(I + s M) is
+    sum_j (-1)^j chi_(r-j) s^j, where chi is the characteristic polynomial
+    of M (``_charpoly_mod``).  The determinant has degree at most k, the
+    number of rows with a t term, so if S is singular at k + 1 points it
+    vanishes; where q <= k and S is singular at every point of GF(q) that
+    cannot be told, and ``ArithmeticError`` is raised."""
+    r = len(rows)
+    k = sum(1 for _, b in rows if any(b))
+    for c in range(point, point + min(k + 1, q)):
+        c %= q
+        m = [[(x + c * y) % q for x, y in zip(a, b)] + [y % q for y in b] for a, b in rows]
+        det = _inverse_times(m, r, q)
+        if not det:
+            continue
+        chi = _charpoly_mod([row[r:] for row in m], q)
+        f = [(-det if j % 2 else det) * chi[r - j] % q for j in range(r + 1)]
+        while f and not f[-1]:
+            f.pop()
+        if c:
+            # Horner's scheme for f(t - c)
+            g = [f[-1]]
+            for x in reversed(f[:-1]):
+                g = [(y - c * z) % q for z, y in zip(g + [0], [0] + g)]
+                g[0] = (g[0] + x) % q
+            f = g
+        return f
+    if k >= q:
+        raise ArithmeticError(f"the square is singular at every point of GF({q})")
+    return []
+
+
+def _pencil_det(square: list[list[list[int]]], point: int = 0, p: int = 0) -> list[int]:
+    """det(A + tB), as coefficients low-degree-first ([] if it vanishes),
+    for a square of integer pencil entries [], [a] or [a, b], that is
+    a + b t.  Each pass tries t = ``point`` first: the solver passes the
+    point where it found the square nonsingular.
+
+    Over GF(p) (p > 0) it is one pass of ``_pencil_det_mod`` on the
+    residues, and the coefficients are residues.  Over Q (p = 0) it is the
+    integer determinant, from passes modulo word-size primes combined up to
+    the bound of ``_norm_bound`` (``_crt``).
     """
-    rows, k = [], 0
-    for row in square:
-        a = [f[0] if f else 0 for f in row]
-        b = [f[1] if len(f) > 1 else 0 for f in row]
-        k += any(b)
-        rows.append((a, b))
-    values = [_int_det([[x + t * y for x, y in zip(a, b)] for a, b in rows]) for t in range(k + 1)]
-    diffs = []
-    for _ in range(k + 1):
-        diffs.append(values[0])
-        values = [y - x for x, y in zip(values, values[1:])]
-    # Horner's scheme in the falling factorials: c_j + (t - j)(c_(j+1) + ...),
-    # with c_j = D^j k! / j!, so that scale ends at k!
-    det, scale = [diffs[k]], 1
-    for j in range(k - 1, -1, -1):
-        scale *= j + 1
-        det = [x - j * y for x, y in zip([0] + det, det + [0])]
-        det[0] += diffs[j] * scale
-    det = [x // scale for x in det]
-    while det and not det[-1]:
-        det.pop()
-    return det
+    rows = _pencil_rows(square)
+    if p:
+        return _pencil_det_mod(rows, point, p)
+    return _crt(lambda q: _pencil_det_mod(rows, point, q), _norm_bound(rows))
 
 
 # ---------------------------------------------------------------------------

@@ -554,20 +554,20 @@ def _block_spectrum(F: Field, block: list[dict]) -> tuple[int, dict]:
     - Bareiss, over GF(p) where u <= 3: fraction-free elimination over
       GF(p)[delta] (``linalg.fraction_free_pivots``), whose last pivot is a
       nonzero r x r minor.  At most three steps with pivots of degree at
-      most three cost less than the square's eliminations and
-      interpolation;
+      most three cost less than the square's search and determinant on
+      sl2 over GF(7);
     - square, over Q, and over GF(p) where u > 3 and p > u + 1: the rows,
       whose entries are ints (over Q the assembler's pencil is integral,
       see ``_law_terms``), are ranked at delta = 0, 1, ..., until a rank
       reaches u or u + 1 points are done.  The largest rank is r, since a
       nonzero r x r minor has at most r <= u roots, and the u + 1 < p
       points are distinct in GF(p) too.  The rows and pivot columns of an
-      elimination of rank r give an r x r square, nonsingular there, whose
-      determinant, of degree at most k in delta, k the number of its rows
-      with a delta term, comes from integer determinants at delta = 0..k
-      by exact interpolation (``linalg._pencil_det``).  Over GF(p) they
-      are taken on the ints of the residues, and the result reduced mod p
-      is det(delta) over GF(p).
+      elimination of rank r, at the first point c that reaches it, give an
+      r x r square S, nonsingular at c, whose determinant
+      det S(c) det(I + (delta - c) S(c)^-1 S_1) comes from the
+      characteristic polynomial of S(c)^-1 S_1 (``linalg._pencil_det``):
+      over GF(p) in one pass mod p, over Q in passes mod word-size primes
+      combined up to a Hadamard bound.
 
     On the last two routes the rank can drop only at the roots of that
     r x r minor (found exactly by ``linalg.base_field_roots``: over Q by
@@ -595,17 +595,15 @@ def _block_spectrum(F: Field, block: list[dict]) -> tuple[int, dict]:
         # rows with fewer delta terms first: the square then takes as many
         # of them as it can, which lowers the degree of its determinant
         block = sorted(block, key=lambda row: sum(len(f) > 1 for f in row.values()))
-        best = [], []
+        best = [], [], 0
         for d in range(u + 1):
             rows, cols = _pivots_at(F, block, d)
             if len(rows) > len(best[0]):
-                best = rows, cols
+                best = rows, cols, d
             if len(rows) == u:
                 break
-        rows, cols = best
-        r, det = len(rows), _pencil_det([[block[i].get(c, []) for c in cols] for i in rows])
-        if prime:
-            det = [c % F.p for c in det]
+        rows, cols, d = best
+        r, det = len(rows), _pencil_det([[block[i].get(c, []) for c in cols] for i in rows], d, F.p)
     ranks = {d: len(_pivots_at(F, block, d)[0]) for d in base_field_roots(F, det)}
     return r, {d: k for d, k in ranks.items() if k < r}
 

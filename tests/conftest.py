@@ -1,6 +1,7 @@
 """Shared helpers: an independent dense nullspace oracle, coordinates read
-off it, a seeded dense change of basis and a diagonal one, and an
-independent rational root oracle by Sturm bisection.
+off it, a seeded dense change of basis and a diagonal one, an
+independent rational root oracle by Sturm bisection, and an independent
+pencil determinant by interpolation of integer determinants.
 
 The oracle deliberately avoids the package's sparse elimination and its
 structure-constant index manipulation: it evaluates the defining law of a
@@ -296,3 +297,65 @@ def sturm_rational_roots(f):
         vc = variations(c)
         todo += [(a, va, c, vc), (c, vc, b, vb)]
     return sorted(roots)
+
+
+def int_det(m):
+    """Determinant of a square integer matrix (consumed) by fraction-free
+    (Bareiss) elimination: every division is exact, and each row swap
+    flips the sign."""
+    n = len(m)
+    sign, prev = 1, 1
+    for k in range(n):
+        i = next((i for i in range(k, n) if m[i][k]), None)
+        if i is None:
+            return 0
+        if i != k:
+            m[k], m[i] = m[i], m[k]
+            sign = -sign
+        top = m[k][k + 1 :]
+        p = m[k][k]
+        for i in range(k + 1, n):
+            row, a = m[i], m[i][k]
+            if a:
+                row[k + 1 :] = [(p * x - a * y) // prev for x, y in zip(row[k + 1 :], top)]
+            else:
+                row[k + 1 :] = [p * x // prev for x in row[k + 1 :]]
+        prev = p
+    return sign * prev
+
+
+def interpolated_pencil_det(square):
+    """det(A + tB), as integer coefficients low-degree-first ([] if it
+    vanishes), for a square of integer pencil entries [], [a] or [a, b],
+    that is a + b t.
+
+    The determinant has degree at most k, the number of rows with a t term,
+    so its integer values at t = 0..k, from ``int_det``, determine it:
+    with D^j the j-th forward difference of those values at t = 0,
+    k! det(t) = sum_j D^j (k! / j!) t (t - 1) ... (t - j + 1), all in
+    integers (Newton interpolation), and one exact division by k! leaves
+    det(t).  Reduced mod p it is the determinant of the residues over
+    GF(p), for any k.
+    """
+    rows, k = [], 0
+    for row in square:
+        a = [f[0] if f else 0 for f in row]
+        b = [f[1] if len(f) > 1 else 0 for f in row]
+        k += any(b)
+        rows.append((a, b))
+    values = [int_det([[x + t * y for x, y in zip(a, b)] for a, b in rows]) for t in range(k + 1)]
+    diffs = []
+    for _ in range(k + 1):
+        diffs.append(values[0])
+        values = [y - x for x, y in zip(values, values[1:])]
+    # Horner's scheme in the falling factorials: c_j + (t - j)(c_(j+1) + ...),
+    # with c_j = D^j k! / j!, so that scale ends at k!
+    det, scale = [diffs[k]], 1
+    for j in range(k - 1, -1, -1):
+        scale *= j + 1
+        det = [x - j * y for x, y in zip([0] + det, det + [0])]
+        det[0] += diffs[j] * scale
+    det = [x // scale for x in det]
+    while det and not det[-1]:
+        det.pop()
+    return det

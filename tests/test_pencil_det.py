@@ -1,13 +1,22 @@
-"""Integer determinants of pencils, the integer root search and charpoly.
+"""Pencil determinants modulo word-size primes, the integer root search and charpoly.
 
 ``solver._block_spectrum`` and ``linalg.charpoly`` take the determinant of
 a square pencil A + t B, its rows scaled to integers, from
-``linalg._pencil_det``: integer values at t = 0..k, interpolated exactly.
-The reference here is one-step fraction-free (Bareiss) elimination over
-Q[t] or GF(p)[t] of the same square, whose last pivot is the determinant up
-to sign where the square is nonsingular; the determinant of the scaled rows
-is checked exactly against a ``Fraction`` determinant at rational points.
-``charpoly`` over GF(p) is checked for n >= p too, where k! is 0 mod p.
+``linalg._pencil_det``: at a point c where S(c) = A + cB is nonsingular,
+det S(t) = det S(c) det(I + (t - c) S(c)^-1 B), the second factor read off
+the characteristic polynomial of S(c)^-1 B by Hessenberg reduction, in one
+pass mod p over GF(p) and, over Q, in passes mod 62-bit primes combined by
+the Chinese remainder theorem up to a Hadamard bound.  The references here
+are independent of that route: the interpolation of integer determinants
+at t = 0..k in ``conftest`` (``interpolated_pencil_det``), and one-step
+fraction-free (Bareiss) elimination over Q[t] or GF(p)[t] of the same
+square, whose last pivot is the determinant up to a constant where the
+square is nonsingular; the determinant of the scaled rows is checked
+exactly against a ``Fraction`` determinant at rational points.  The
+squares are drawn over Q and over GF(7), GF(11), GF(101) and
+GF(2^31 - 1); a pass whose prime divides det S(c) moves on to the next
+point.  ``charpoly`` over GF(p) is checked for n >= p too, and its pass
+mod p at p = 2 and 3 as well, which ``PrimeField`` refuses.
 ``base_field_roots`` over Q lifts the simple roots mod a small prime to
 roots mod a power of it and reconstructs fractions from them, making f
 squarefree first where every tried prime meets a multiple root; it is
@@ -42,7 +51,7 @@ from deltader.linalg import (
 )
 from deltader.solver import solve_parametric
 
-from conftest import poly_eval, sturm_rational_roots
+from conftest import interpolated_pencil_det, poly_eval, sturm_rational_roots
 
 Q = Rationals()
 
@@ -101,17 +110,19 @@ def q_squares(draw):
 
 
 @settings(derandomize=True, deadline=None, max_examples=300)
-@given(q_squares())
-@example([[[Fraction(1, 2), Fraction(1, 2)], [1]], [[1], [Fraction(1, 3), 1]]])
-@example([[[0, 1], [1]], [[1], [0, 1]]])
-def test_pencil_det_matches_last_bareiss_pivot(square):
-    """``_pencil_det`` of the square's rows scaled to integers is the last
+@given(q_squares(), st.integers(-3, 9))
+@example([[[Fraction(1, 2), Fraction(1, 2)], [1]], [[1], [Fraction(1, 3), 1]]], 0)
+@example([[[0, 1], [1]], [[1], [0, 1]]], 0)
+def test_pencil_det_matches_last_bareiss_pivot(square, point):
+    """``_pencil_det`` of the square's rows scaled to integers, from any
+    first point, is the interpolated determinant of conftest, the last
     Bareiss pivot up to a constant, [] where the square is singular over
     Q[t], and the determinant of the scaled rows exactly."""
     r = len(square)
     ints = [_integer_entries(row) for row in square]
-    det = _pencil_det(ints)
+    det = _pencil_det(ints, point)
     assert all(isinstance(c, int) for c in det)
+    assert det == interpolated_pencil_det(ints)
     rank, pivots = fraction_free_pivots(Q, square, r)
     if rank < r:
         assert det == []
@@ -122,6 +133,140 @@ def test_pencil_det_matches_last_bareiss_pivot(square):
     for t in (Fraction(1, 3), Fraction(-7, 2)):
         exact = fraction_det([[poly_eval(Q, f, t) for f in row] for row in ints])
         assert poly_eval(Q, det, t) == exact
+
+
+@st.composite
+def gf_squares(draw):
+    """(p, square, point): a square of pencil entries [], [a] or [a, b] of
+    residues over GF(7), GF(11), GF(101) or GF(2^31 - 1), r = 1..7, rows
+    with no t term, singular squares with one row a multiple of another,
+    and a first point anywhere in the field."""
+    p = draw(st.sampled_from([7, 11, 101, 2**31 - 1]))
+    r = draw(st.integers(1, 7))
+    coef = st.one_of(st.sampled_from([1, p - 1]), st.integers(1, p - 1))
+    entry = st.one_of(
+        st.just([]),
+        st.builds(lambda a: [a], coef),
+        st.builds(lambda a, b: [a, b], st.one_of(st.just(0), coef), coef),
+    )
+    constant = st.one_of(st.just([]), st.builds(lambda a: [a], coef))
+    no_t = draw(st.lists(st.booleans(), min_size=r, max_size=r))
+    square = [[draw(constant if c else entry) for _ in range(r)] for c in no_t]
+    if r > 1 and draw(st.booleans()):
+        i, j = draw(st.permutations(range(r)))[:2]
+        c = draw(coef)
+        square[i] = [[c * x % p for x in f] for f in square[j]]
+    return p, square, draw(st.integers(0, p - 1))
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(gf_squares())
+# diag(t - a) over every a in GF(7): t^7 - t, which vanishes at every point
+@example((7, [[[-a % 7, 1] if i == a else [] for i in range(7)] for a in range(7)], 3))
+def test_gf_pencil_det_matches_oracles(drawn):
+    """Over GF(p) ``_pencil_det`` is the interpolated integer determinant
+    reduced mod p, and the last Bareiss pivot over GF(p)[t] up to a
+    constant; where k >= p and the square is singular at every point of
+    GF(p) it cannot be read off a point, and says so."""
+    p, square, point = drawn
+    F = PrimeField(p)
+    want = [c % p for c in interpolated_pencil_det(square)]
+    while want and not want[-1]:
+        want.pop()
+    if want and all(poly_eval(F, want, a) == 0 for a in range(p)):
+        with pytest.raises(ArithmeticError):
+            _pencil_det(square, point, p)
+        return
+    det = _pencil_det(square, point, p)
+    assert det == want
+    rank, pivots = fraction_free_pivots(F, square, len(square))
+    if rank < len(square):
+        assert det == []
+    else:
+        assert monic_mod(det, p) == monic_mod(pivots[-1], p)
+
+
+def monic_mod(f, p):
+    inv = pow(f[-1], -1, p)
+    return [c * inv % p for c in f]
+
+
+def test_pass_whose_prime_divides_det_moves_to_the_next_point(monkeypatch):
+    """A first prime q that divides det S(c) leaves S(c) singular mod q:
+    that pass moves on to c + 1, the other primes' passes stay at c, and
+    the combined determinant is exact."""
+    q = 1009
+    # det S(t) = (q + t)(2 + 3t) - t^2, and det S(0) = 2 q
+    square = [[[q, 1], [0, 1]], [[0, 1], [2, 3]]]
+    word_primes, inverse_times = linalg._word_primes, linalg._inverse_times
+    passes = []
+
+    def primes():
+        yield q
+        yield from word_primes()
+
+    def record(m, r, p):
+        point = m[0][0] - square[0][0][0]
+        det = inverse_times(m, r, p)
+        passes.append((p, point % p, det))
+        return det
+
+    monkeypatch.setattr(linalg, "_word_primes", primes)
+    monkeypatch.setattr(linalg, "_inverse_times", record)
+    det = _pencil_det(square, 0)
+    assert det == interpolated_pencil_det(square) == [2 * q, 3 * q + 2, 2]
+    assert [(p, c, bool(d)) for p, c, d in passes[:3]] == [(q, 0, False), (q, 1, True), (next(word_primes()), 0, True)]
+
+
+@st.composite
+def small_prime_matrices(draw):
+    """(p, M): p in {2, 3, 5} and a square matrix of residues of size 1 to
+    p + 4, so that n >= p, with repeated and zero rows and scalar matrices."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    n = draw(st.integers(1, p + 4))
+    if draw(st.booleans()):
+        c = draw(st.integers(0, p - 1))
+        return p, [[c * (i == j) for j in range(n)] for i in range(n)]
+    matrix = [[draw(st.integers(0, p - 1)) for _ in range(n)] for _ in range(n)]
+    if n > 1 and draw(st.booleans()):
+        i, j = draw(st.permutations(range(n)))[:2]
+        matrix[i] = list(matrix[j]) if draw(st.booleans()) else [0] * n
+    return p, matrix
+
+
+def oracle_charpoly(matrix):
+    """det(tI - M) of an integer matrix, from the interpolation oracle."""
+    n = len(matrix)
+    return interpolated_pencil_det([[[-matrix[i][j], 1] if i == j else [-matrix[i][j]] for j in range(n)] for i in range(n)])
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(small_prime_matrices())
+# n = 6 > p = 2: the identity, whose polynomial (t + 1)^6 has one root
+@example((2, [[int(i == j) for j in range(6)] for i in range(6)]))
+def test_charpoly_pass_mod_small_primes_matches_oracle(drawn):
+    """The characteristic polynomial pass mod p, at p = 2, 3 and 5 and
+    n >= p, is the integer one of conftest reduced mod p: the Hessenberg
+    reduction divides by nothing but its pivots."""
+    p, matrix = drawn
+    want = [c % p for c in oracle_charpoly(matrix)]
+    assert linalg._charpoly_mod([list(row) for row in matrix], p) == want
+    if p == 5:
+        assert charpoly(PrimeField(5), matrix) == want
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(st.integers(1, 7).flatmap(lambda n: st.lists(
+    st.lists(st.builds(Fraction, st.integers(-(2**40), 2**40), st.integers(1, 10**6)), min_size=n, max_size=n),
+    min_size=n, max_size=n,
+)))
+def test_q_charpoly_matches_interpolated_oracle(matrix):
+    """Over Q, with denominators, ``charpoly`` is the interpolated integer
+    determinant of the row-scaled xI - M, made monic."""
+    n = len(matrix)
+    scaled = [_integer_entries([[-matrix[i][j], 1] if i == j else [-matrix[i][j]] for j in range(n)]) for i in range(n)]
+    det = interpolated_pencil_det(scaled)
+    assert charpoly(Q, matrix) == [Fraction(c, det[-1]) for c in det]
 
 
 def from_factors(factors, scale):
