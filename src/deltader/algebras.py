@@ -21,9 +21,9 @@ from __future__ import annotations
 import math
 import operator
 from bisect import bisect_left
-from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from itertools import combinations
+from typing import NamedTuple
 
 from .fields import Field, PrimeField, Rationals, field_from_json, field_to_json, parse_scalar
 from .linalg import (
@@ -88,8 +88,7 @@ def binom_mod_p(a: int, b: int, p: int) -> int:
     return r
 
 
-@dataclass
-class ValidationReport:
+class ValidationReport(NamedTuple):
     law: str
     violations: list  # (basis tuple, defect vector)
 

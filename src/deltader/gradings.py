@@ -18,8 +18,8 @@ triples.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
+from typing import NamedTuple
 
 from .algebras import Algebra, AlgebraError, NotADerivation
 from .linalg import SpanSolver, base_field_roots, charpoly, rref_dense
@@ -45,8 +45,7 @@ class BadDelta(ValueError):
     pass
 
 
-@dataclass
-class RootDecomposition:
+class RootDecomposition(NamedTuple):
     algebra: Algebra
     delta: object  # field payload
     derivations: list  # the commuting maps
@@ -168,8 +167,7 @@ def _is_zero(field, v: list) -> bool:
     return all(field.is_zero(c) for c in v)
 
 
-@dataclass
-class SemigroupVerdict:
+class SemigroupVerdict(NamedTuple):
     non_semigroup: bool
     witness: dict | None
 

@@ -37,7 +37,7 @@ rows are ints already, integer multiples of the laws' rows (see
 to integers first, each by the lcm of its denominators.
 One division by the last pivot minor gives the RREF over Q: that
 division is where ``Fraction`` enters.  A dense Q block, of m >= 16
-columns with on average at least 12 entries a row, whose minors grow to
+columns with on average at least 10 entries a row, whose minors grow to
 hundreds of bits while its RREF keeps entries of a few, is first
 eliminated modulo word-size primes on the packed kernel below, its
 residues read back by rational reconstruction (``_modular_rref``); a
@@ -49,15 +49,16 @@ its incremental insertions: it scales each new pivot row and clears pivot
 columns from incoming and stored rows.  The step takes the field: over
 GF(p) it works on plain ints, each sum reduced mod p as it is made, and
 over every other field it calls the field's own methods.  Q reaches the
-step only in ``superstd``'s s4 insertions.  Over GF(p) a dense block, of
-m >= 16 columns with on average at least m/5 entries a row, goes instead
-to the packed kernel (``_packed_rref``), which runs the same elimination
-on rows packed into one int each, a 32-bit slot per column: a row
-operation is one big-int multiply-add, and a slot is reduced mod p only
-where it is read.  No slot exceeds p + m (m + 1) p^3, so the kernel runs
-only where that bound is below 2^32; past it, and on sparser blocks,
-where the packed rows cost more than the dict entries they replace, the
-dict kernel runs.
+step only in ``superstd``'s s4 insertions.  Over GF(p) a block of m >= 16
+columns with on average at least 4 entries a row goes instead to the
+packed kernel (``_packed_rref``).  Such a block is tall, most of its rows
+dependent, so the kernel tracks a basis of the kernel of the rows read so
+far, entry c of every vector in one int, a 32-bit slot per vector reduced
+mod p only where it is read: a dependent row costs one big-int
+multiply-add per entry.  No slot exceeds p + m (m + 1) p^3, so the kernel
+runs only where that bound is below 2^32; past it, and on the sparse
+blocks of standard bases, where a packed int costs more than the few dict
+entries it replaces, the dict kernel runs.
 ``SpanSolver`` runs no elimination: it reads coordinates off the identity
 columns of a basis that is already reduced.
 
@@ -177,23 +178,24 @@ def _rref(rows, F: Field) -> tuple[dict[int, dict], list[int]]:
     ``_int_rref`` in ints, as the solvers make them; unless every entry is
     an int, each row is first scaled to integers by the lcm of its
     denominators.  One division by the last pivot minor gives the RREF.
-    A block of m >= 16 columns with on average at least 12 entries a row
+    A block of m >= 16 columns with on average at least 10 entries a row
     goes first to ``_modular_rref``, which gives the same RREF, with the
     same ``Fraction`` values, and as chosen rows those of its first
     prime: a basis of the row space, not always the rows ``_int_rref``
     would choose (``sparse_rref``, the one Q caller, reads only the RREF).
-    The gate is fitted on per-block times (ROADMAP): it keeps the blocks of
-    standard bases (2.5-4 entries a row) and the rebased centroids of sl3
-    and Witt Z/7 (10-12), which would run 1.2-3x and 1.5x slower.
+    The gate is fitted on per-block times (ROADMAP): the rebased centroids
+    of sl3 and Witt Z/7 (11-13 entries a row) pass it, 0.7-0.9x their
+    ``_int_rref`` time, and the blocks of standard bases (2.5-4) do not,
+    which would take 2-3x.
 
-    Over GF(p) a dense block, one with m >= 16 columns and on average at
-    least m/5 entries a row, goes to ``_packed_rref``, which packs each
-    row into one int with a 32-bit slot per column, where the slots' bound
-    p + m (m + 1) p^3 is below 2^32 (see ``_packs``); any other block, and
-    every block over a quotient ring, goes to ``_dict_rref``.
-    Both run the same elimination in the same row order, so they return
-    the same pair.  On sparser blocks the packed rows cost more than the
-    few dict entries they replace.
+    Over GF(p) a block with m >= 16 columns and on average at least 4
+    entries a row goes to ``_packed_rref``, which tracks a kernel basis
+    packed into ints, where its slots' bound p + m (m + 1) p^3 is below
+    2^32 (see ``_packs``); any other block, and every block over a
+    quotient ring, goes to ``_dict_rref``.  Both return the same pair.
+    The gate is fitted on per-block times (ROADMAP): the rebased blocks
+    (5-27 entries a row) take 0.1-0.9x their dict time, and the blocks of
+    standard bases (2-3 a row) would take 1.3-3x.
     """
     if isinstance(F, Rationals):
         rows = list(rows)
@@ -203,7 +205,7 @@ def _rref(rows, F: Field) -> tuple[dict[int, dict], list[int]]:
                 den = math.lcm(*(v.denominator for v in row.values()))
                 ints.append({c: v.numerator * (den // v.denominator) for c, v in row.items() if v})
             rows = ints
-        if sum(map(len, rows)) >= 12 * len(rows):
+        if sum(map(len, rows)) >= 10 * len(rows):
             cols = set().union(*rows)
             if len(cols) >= 16:
                 found = _modular_rref(rows, sorted(cols))
@@ -215,7 +217,7 @@ def _rref(rows, F: Field) -> tuple[dict[int, dict], list[int]]:
         rows = list(rows)
         cols = set().union(*rows)
         m = len(cols)
-        if m >= 16 and 5 * sum(map(len, rows)) >= m * len(rows) and _packs(F.p, m):
+        if m >= 16 and sum(map(len, rows)) >= 4 * len(rows) and _packs(F.p, m):
             return _packed_rref(rows, sorted(cols), F.p)
     return _dict_rref(rows, F)
 
@@ -253,74 +255,82 @@ def _packs(p: int, m: int, typecode: str = _SLOT) -> bool:
 
 
 def _packed_rref(rows: list[dict], cols: list[int], p: int, typecode: str = _SLOT) -> tuple[dict[int, dict], list[int]]:
-    """``_dict_rref`` over GF(p) for a dense block, on packed rows (after
-    Dumas, Fousse and Salvy, "Simultaneous modular reduction and Kronecker
-    substitution for small finite fields", 2011): each row is one int with
-    a slot per column of ``cols``, of the array typecode ``typecode`` (32
-    bits over GF(p), 64 bits for the modular route over Q), so that adding
-    a multiple of one row to another is one big-int multiply-add.  The
-    slots are reduced mod p only where a value is read.
+    """``_dict_rref`` over GF(p) for a tall block, by tracking a basis of
+    the kernel of the rows read so far, packed by column (after Dumas,
+    Fousse and Salvy, "Simultaneous modular reduction and Kronecker
+    substitution for small finite fields", 2011): K_c holds entry c of each
+    live kernel vector in a slot of the array typecode ``typecode`` (32
+    bits over GF(p), 64 for the modular route over Q), reduced mod p only
+    where it is read.
 
-    A stored row is congruent, slot by slot, to its pivot value e at its
-    pivot column, to 0 at every other pivot column, and to e times its row
-    of the RREF elsewhere.  An incoming row, its entries reduced mod p, is
-    reduced by adding y (-1/e) times the stored row at each pivot column
-    where it has y: the stored rows are 0 at the other pivots, so those y
-    are read once, off the row as it came.  The row is then 0 at every
-    pivot column, so its slots are unpacked once, and those of the other
-    columns reduced mod p in order until one is not 0: that is the zero
-    test and the least column j.  If it becomes a pivot row, all its slots
-    are reduced, below p, and packed again, and each stored row with b at
-    j gets b (-1/e) times it, b read with one shift and mask.  So a stored
-    slot grows by less than p^2 per new pivot and stays below m p^2, and
-    an incoming slot stays below p + m (m + 1) p^3, which ``_packs``
-    makes fit, so that no slot carries into the next.  At the end each
-    stored row is unpacked and scaled by 1/e, mod p.
+    The live vectors start as the identity on ``cols``; each stays 1 at its
+    own column and 0 at the other live ones and right of its own, so they
+    are the canonical nullspace basis of the rows so far, and the live
+    columns its free ones.  A row r (mod p) is dependent when sum_c r_c K_c,
+    one multiply-add per entry, is 0 mod p at every slot.  Else the live
+    vector j of least column with slot d_j != 0 retires, its column the
+    pivot: each K_c where it is not 0 (the pivots' and its own) takes the
+    packed ratios -d_s / d_j times its entry, and slot j is zeroed.  So a
+    slot grows by less than p^2 a pivot and stays below p + m p^2, and a
+    row's sums below p + m (m + 1) p^3, which ``_packs`` makes fit.  Once
+    half the slots are dead the ints are repacked to the live ones,
+    reduced below p.  The RREF row of pivot q is 1 at q and -v_f[q] at each
+    live column f; the chosen rows, those that retired a vector, are
+    ``_dict_rref``'s.
     """
     size = array(typecode).itemsize
     width, order = 8 * size, sys.byteorder
-    mask, nbytes = (1 << width) - 1, size * len(cols)
-    slot = {c: i for i, c in enumerate(cols)}
-    # the bit offset of slot i: int.from_bytes reads the array's items in
-    # the machine's byte order, so on a big-endian machine slot 0 is on top
-    shift = [width * i for i in range(len(cols))]
-    if order == "big":
-        shift.reverse()
-    stored: dict[int, int] = {}  # slot of each pivot -> its packed row
-    scale: dict[int, int] = {}  # slot of each pivot -> -1/e mod p
-    chosen = []
-    empty = [0] * len(cols)
-    free = list(range(len(cols)))  # the slots of non-pivot columns, in order
+    mask = (1 << width) - 1
+
+    def offsets(n):  # int.from_bytes reads items in machine order: slot 0 on top if big-endian
+        return [width * i for i in range(n)][:: -1 if order == "big" else 1]
+
+    def pack(vals):
+        return int.from_bytes(array(typecode, vals).tobytes(), order)
+
+    def unpack(col):
+        return memoryview(col.to_bytes(size * len(live), order)).cast(typecode)
+
+    live = list(cols)  # each slot's column, None once its vector retires
+    shift = offsets(len(live))
+    kernel = {c: 1 << s for c, s in zip(live, shift)}
+    pivots, chosen = [], []
     for k, row in enumerate(rows):
-        dense, hits = empty[:], []
+        if len(pivots) == len(cols):
+            break
+        acc = 0
         for c, v in row.items():
-            i = slot[c]
-            y = dense[i] = v % p
-            if y and i in stored:
-                hits.append((i, y))
-        acc = int.from_bytes(array(typecode, dense).tobytes(), order)
-        for i, y in hits:
-            acc += y * scale[i] % p * stored[i]
-        slots = memoryview(acc.to_bytes(nbytes, order)).cast(typecode)
-        j = next((i for i in free if slots[i] % p), None)
-        if j is None:
+            acc += v % p * kernel[c]
+        slots = unpack(acc)
+        if not any(map(p.__rmod__, slots)):
             continue
-        vals = [x % p for x in slots]
-        new = int.from_bytes(array(typecode, vals).tobytes(), order)
-        a = scale[j] = -pow(vals[j], -1, p) % p
-        for i, prow in stored.items():
-            b = (prow >> shift[j] & mask) % p
-            if b:
-                stored[i] = prow + b * a % p * new
-        stored[j] = new
-        free.remove(j)
+        j = next(i for i, x in enumerate(slots) if x % p)
+        inv = pow(slots[j], -1, p)
+        d = [x * inv % p for x in slots]
+        d[j] = 0
+        ratios, at, q = pack(d), shift[j], live[j]
+        for c in pivots + [q]:
+            col = kernel[c]
+            x = col >> at & mask
+            if x:
+                kernel[c] = col - (x << at) + -x % p * ratios
+        pivots.append(q)
         chosen.append(k)
-    pivots = {}
-    for j, prow in stored.items():
-        inv = p - scale[j]
-        vals = memoryview(prow.to_bytes(nbytes, order)).cast(typecode)
-        pivots[cols[j]] = {cols[i]: y for i, x in enumerate(vals) if (y := x * inv % p)}
-    return pivots, chosen
+        live[j] = None
+        if 2 * (len(cols) - len(pivots)) <= len(live):
+            keep = [i for i, c in enumerate(live) if c is not None]
+            for c, col in kernel.items():
+                vals = unpack(col)
+                kernel[c] = pack([vals[i] % p for i in keep])
+            live = [live[i] for i in keep]
+            shift = offsets(len(live))
+    rref = {}
+    for q in pivots:
+        row = rref[q] = {q: 1}
+        for c, x in zip(live, unpack(kernel[q])):
+            if x % p:
+                row[c] = -x % p
+    return rref, chosen
 
 
 def _wide_primes(m: int):

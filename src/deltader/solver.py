@@ -20,7 +20,8 @@ the rows that do not vanish.  The solvers choose the coefficients:
 - delta-superderivations: X = D, a = b = delta, q = the parity of D;
 - the centroid: X = D, with the laws (a, b) = (1, 0) and (0, 1), whose
   rows follow each other pair by pair, with the diagonal pairs (i, i)
-  that a Lie algebra's law a = b leaves out (``_diagonal``);
+  that a Lie algebra's law a = b leaves out (``_diagonal``), which a
+  pointwise solve assembles under the first law only;
 - the supercentroid: as the centroid, with q = the parity of the map;
 - quasiderivation pairs (D, F): X = F in columns n^2 .. 2n^2 - 1, a = b = 1;
 - module-valued delta-derivations D: L -> M, D(xy) = delta x.D(y) -
@@ -78,8 +79,8 @@ through the determinant of a square of it, by the rule set out in
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import chain
+from typing import NamedTuple
 
 from .algebras import Algebra, AlgebraError, GradingMissing, ModuleAction, make_semidirect
 from .fields import Field, PrimeField, QuotientRing, Rationals, parse_scalar
@@ -132,7 +133,9 @@ def _diagonal(alg: Algebra, laws) -> list:
     a != b.  Their law is a D(e_i) e_i + b e_i D(e_i) = 0, and e_i x =
     -x e_i for every x, so it reads (a - b) D(e_i) e_i = 0: with a = b its
     rows vanish, but the centroid's laws (1, 0) and (0, 1) need
-    chi(e_i) e_i = 0, which the pairs i != j do not imply."""
+    chi(e_i) e_i = 0, which the pairs i != j do not imply.  Every law with
+    a != b gives these rows up to a scalar, so a pointwise solve assembles
+    them under the first such law only (``_zero_part``)."""
     F = alg.field
     if alg.flavor == "assoc" or all(F.eq(a, b) for a, b in laws):
         return []
@@ -290,10 +293,15 @@ def _zero_part(alg: Algebra, laws, parity: int) -> tuple[frozenset, list[dict]]:
     key = ("zero", parity, tuple(key))
     part = alg._memo.get(key)
     if part is None:
-        pairs = _split_pairs(alg)[1] + _diagonal(alg, laws)
+        zero, diagonal = _split_pairs(alg)[1], _diagonal(alg, laws)
         pins, rows = set(), []
-        if pairs:
-            rows = _law_rows(alg, laws, parity, pinned=pins, pairs=pairs)
+        if zero or diagonal:
+            # every law with a != b gives the diagonal rows up to a scalar
+            first = [next(law for law in laws if not F.eq(*law))] if diagonal else []
+            rows = chain(
+                _law_rows(alg, laws, parity, pinned=pins, pairs=zero),
+                _law_rows(alg, first, parity, pinned=pins, pairs=diagonal),
+            )
             pins, rows = _pin(rows, F.is_unit, pins)
         part = alg._memo[key] = frozenset(pins), rows
     return part
@@ -506,8 +514,7 @@ def is_delta_derivation(alg: Algebra, D: LinearMap, delta, parity=None) -> bool:
 # parametric delta
 
 
-@dataclass
-class ParametricResult:
+class ParametricResult(NamedTuple):
     generic_dim: int
     specials: list  # (delta payload in the base field, dimension)
 
@@ -690,8 +697,7 @@ def lift_grassmann(env: Algebra, D: LinearMap, g: tuple = ()) -> LinearMap:
     return LinearMap.from_entries(F, entries, env.dim, env.dim)
 
 
-@dataclass
-class ExpResult:
+class ExpResult(NamedTuple):
     phi: LinearMap
     psi: LinearMap
     verified: bool

@@ -37,8 +37,8 @@ from __future__ import annotations
 import json
 import os
 import random
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .algebras import (
     Algebra,
@@ -80,8 +80,7 @@ def _koszul_steps(arg_par: tuple) -> list:
     ]
 
 
-@dataclass
-class IdealBasis:
+class IdealBasis(NamedTuple):
     algebra: Algebra
     basis: list  # canonical basis vectors
     is_ideal: bool
