@@ -184,9 +184,9 @@ def _rref(rows, F: Field) -> tuple[dict[int, dict], list[int]]:
     prime: a basis of the row space, not always the rows ``_int_rref``
     would choose (``sparse_rref``, the one Q caller, reads only the RREF).
     The gate is fitted on per-block times (ROADMAP): the rebased centroids
-    of sl3 and Witt Z/7 (11-13 entries a row) pass it, 0.7-0.9x their
+    of sl3 and Witt Z/7 (11-12 entries a row) pass it, 0.8-0.9x their
     ``_int_rref`` time, and the blocks of standard bases (2.5-4) do not,
-    which would take 2-3x.
+    which would take 1.6-3x.
 
     Over GF(p) a block with m >= 16 columns and on average at least 4
     entries a row goes to ``_packed_rref``, which tracks a kernel basis
@@ -194,8 +194,8 @@ def _rref(rows, F: Field) -> tuple[dict[int, dict], list[int]]:
     2^32 (see ``_packs``); any other block, and every block over a
     quotient ring, goes to ``_dict_rref``.  Both return the same pair.
     The gate is fitted on per-block times (ROADMAP): the rebased blocks
-    (5-27 entries a row) take 0.1-0.9x their dict time, and the blocks of
-    standard bases (2-3 a row) would take 1.3-3x.
+    (6-27 entries a row) take 0.2-1.05x their dict time, and the blocks of
+    standard bases (2-3 a row) would take 1.4-3.2x.
     """
     if isinstance(F, Rationals):
         rows = list(rows)

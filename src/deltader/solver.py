@@ -296,7 +296,6 @@ def _zero_part(alg: Algebra, laws, parity: int) -> tuple[frozenset, list[dict]]:
         zero, diagonal = _split_pairs(alg)[1], _diagonal(alg, laws)
         pins, rows = set(), []
         if zero or diagonal:
-            # every law with a != b gives the diagonal rows up to a scalar
             first = [next(law for law in laws if not F.eq(*law))] if diagonal else []
             rows = chain(
                 _law_rows(alg, laws, parity, pinned=pins, pairs=zero),
