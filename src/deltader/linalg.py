@@ -88,7 +88,7 @@ import sys
 from array import array
 from collections import Counter
 from fractions import Fraction
-from itertools import count, islice
+from itertools import compress, count, islice
 from operator import mul
 
 from .fields import (
@@ -281,19 +281,15 @@ def _packed_rref(rows: list[dict], cols: list[int], p: int, typecode: str = _SLO
     size = array(typecode).itemsize
     width, order = 8 * size, sys.byteorder
     mask = (1 << width) - 1
-
-    def offsets(n):  # int.from_bytes reads items in machine order: slot 0 on top if big-endian
-        return [width * i for i in range(n)][:: -1 if order == "big" else 1]
-
     def pack(vals):
         return int.from_bytes(array(typecode, vals).tobytes(), order)
 
     def unpack(col):
         return memoryview(col.to_bytes(size * len(live), order)).cast(typecode)
 
+    # int.from_bytes reads the slots in machine order: slot 0 on top if big-endian
     live = list(cols)  # each slot's column, None once its vector retires
-    shift = offsets(len(live))
-    kernel = {c: 1 << s for c, s in zip(live, shift)}
+    kernel = {c: 1 << width * (i if order == "little" else len(cols) - 1 - i) for i, c in enumerate(cols)}
     pivots, chosen = [], []
     for k, row in enumerate(rows):
         if len(pivots) == len(cols):
@@ -308,7 +304,8 @@ def _packed_rref(rows: list[dict], cols: list[int], p: int, typecode: str = _SLO
         inv = pow(slots[j], -1, p)
         d = [x * inv % p for x in slots]
         d[j] = 0
-        ratios, at, q = pack(d), shift[j], live[j]
+        ratios, q = pack(d), live[j]
+        at = width * (j if order == "little" else len(live) - 1 - j)
         for c in pivots + [q]:
             col = kernel[c]
             x = col >> at & mask
@@ -318,18 +315,11 @@ def _packed_rref(rows: list[dict], cols: list[int], p: int, typecode: str = _SLO
         chosen.append(k)
         live[j] = None
         if 2 * (len(cols) - len(pivots)) <= len(live):
-            keep = [i for i, c in enumerate(live) if c is not None]
+            keep = [c is not None for c in live]
             for c, col in kernel.items():
-                vals = unpack(col)
-                kernel[c] = pack([vals[i] % p for i in keep])
-            live = [live[i] for i in keep]
-            shift = offsets(len(live))
-    rref = {}
-    for q in pivots:
-        row = rref[q] = {q: 1}
-        for c, x in zip(live, unpack(kernel[q])):
-            if x % p:
-                row[c] = -x % p
+                kernel[c] = pack([x % p for x in compress(unpack(col), keep)])
+            live = list(compress(live, keep))
+    rref = {q: {q: 1, **{c: -x % p for c, x in zip(live, unpack(kernel[q])) if x % p}} for q in pivots}
     return rref, chosen
 
 

@@ -1,6 +1,6 @@
 """The modular route of ``linalg._rref`` over Q against integer elimination.
 
-A dense Q block, of at least 16 columns and on average at least 12 entries
+A dense Q block, of at least 16 columns and on average at least 10 entries
 a row, is eliminated modulo word-size primes on the packed kernel, read
 back by rational reconstruction and returned only once an exact
 certificate shows that every input row lies in the candidate's row space;
@@ -128,7 +128,8 @@ def dense_blocks(draw):
         dense.append([x + p * rng.randint(-1, 1) for x in near])
     rng.shuffle(dense)
     rows = [{c: x for c, x in enumerate(r) if x} for r in dense]
-    # the gate: at least 12 entries a row on average, on 16 columns or more
+    # past the gate (at least 10 entries a row on average, on 16 columns or
+    # more): rows of 12 entries or more
     rows = [r for r in rows if len(r) >= 12]
     if len(set().union(*rows)) < 16:
         rows.append({c: 1 for c in range(m)})

@@ -1,8 +1,10 @@
 #!/usr/bin/env python3
 """Digests of the package's canonical answers on a fixed corpus.
 
-    python3 tools/golden_digests.py           # rewrite tests/golden/digests.json
-    python3 tools/golden_digests.py --check   # name each key that differs
+    python3 tools/golden_digests.py   # rewrite tests/golden/digests.json
+
+``pytest tests/test_golden_digests.py`` compares the answers with the file
+and names each key that differs.
 
 Run from the root of a source checkout.  Each record is one solve, and its
 digest the first 16 hex digits of the SHA-256 of
@@ -111,15 +113,8 @@ def differing(got: dict, want: dict) -> list[str]:
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--check", action="store_true", help="compare with the file instead of writing it")
-    args = parser.parse_args()
+    argparse.ArgumentParser(description=__doc__.split("\n\n")[0]).parse_args()
     got = compute()
-    if args.check:
-        bad = differing(got, load())
-        for key in bad:
-            print(key)
-        return 1 if bad else 0
     os.makedirs(os.path.dirname(PATH), exist_ok=True)
     with open(PATH, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(json.dumps(got, sort_keys=True, indent=1) + "\n")
