@@ -19,7 +19,15 @@ digest the first 16 hex digits of the SHA-256 of
   ``tests/conftest.py`` at seeds 7 and 23;
 - ``solve_parametric`` on the algebras of the ``parametric`` workload, and
   on the rebased parametric ones plus sl3 over GF(7) and Q, rebased at
-  both seeds.
+  both seeds;
+- ``compute_s4`` on the ``pointwise`` algebras, with the super law too on
+  the superalgebras, and ``compute_s4`` and ``half_ring_report`` on the
+  rebased algebras at both seeds, but for s4 of rebased W(1,1)/GF(11),
+  which takes over 2 s a seed;
+- ``charpoly`` of the matrix of every ad e_i of sl3 and sl4 over Q and of
+  the rebased Q algebras at both seeds;
+- ``grading_report`` of the root decomposition of sl4 over Q by its three
+  Cartan ad maps at delta = 1.
 
 A digest pins the package against itself, not against the truth: a change
 that moves one must say which independent check backs the new answer.
@@ -48,6 +56,9 @@ def _imports():
     import jobs
     from conftest import rebased
 
+    import deltader.gradings
+    import deltader.halfring
+    import deltader.linalg
     import deltader.solver
     import deltader.superstd
 
@@ -66,6 +77,21 @@ def records():
     def spectrum(key, alg):
         out[key] = lambda: S.solve_parametric(alg).to_json(alg.field)
 
+    def value(key, run, *args):
+        out[key] = lambda: run(*args)
+
+    def s4(alg, law):
+        ideal = pkg.superstd.compute_s4(alg, law)
+        return {"basis": [[alg.field.fmt(c) for c in v] for v in ideal.basis], "is_ideal": ideal.is_ideal}
+
+    def charpolys(alg):
+        F = alg.field
+        return [[F.fmt(c) for c in pkg.linalg.charpoly(F, alg.ad(i).rows)] for i in range(alg.dim)]
+
+    def cartan_grading(alg, cartan, delta):
+        G = pkg.gradings
+        return G.grading_report(G.root_decompose(alg, [alg.ad(i) for i in cartan], delta))
+
     for name in jobs.POINTWISE:
         alg = jobs.build(name, pkg)
         for d in jobs.FIXED_DELTAS:
@@ -78,17 +104,28 @@ def records():
                 for d in jobs.FIXED_DELTAS:
                     space(f"superder|{name}|{d}|{q}", S.solve_superderivations, alg, d, q)
                 space(f"supercentroid|{name}|{q}", S.solve_supercentroid, alg, q)
+            value(f"s4super|{name}", s4, alg, "super")
+        value(f"s4|{name}", s4, alg, "ordinary")
     for seed in SEEDS:
         for name in jobs.REBASED_POINTWISE:
             alg = rebased(jobs.build(name, pkg), seed)
             for d in jobs.FIXED_DELTAS:
                 space(f"der|rebased{seed} {name}|{d}", S.solve_delta_derivations, alg, d)
             space(f"centroid|rebased{seed} {name}", S.solve_centroid, alg)
+            if name != "W11/GF11":
+                value(f"s4|rebased{seed} {name}", s4, alg, "ordinary")
+            value(f"half_ring|rebased{seed} {name}", pkg.halfring.half_ring_report, alg)
+            if name.endswith("/Q"):
+                value(f"charpoly|rebased{seed} {name}", charpolys, alg)
     for name in jobs.PARAMETRIC:
         spectrum(f"parametric|{name}", jobs.build(name, pkg))
     for seed in SEEDS:
         for name in jobs.REBASED_PARAMETRIC + ["sl3/GF7", "sl3/Q"]:
             spectrum(f"parametric|rebased{seed} {name}", rebased(jobs.build(name, pkg), seed))
+    for name in ("sl3/Q", "sl4/Q"):
+        value(f"charpoly|{name}", charpolys, jobs.build(name, pkg))
+    # sl4's basis is the 12 E_ij, then the Cartan H_0, H_1, H_2
+    value("grade|sl4/Q|cartan|1", cartan_grading, jobs.build("sl4/Q", pkg), (12, 13, 14), 1)
     return out
 
 
