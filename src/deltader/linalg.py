@@ -49,7 +49,8 @@ its incremental insertions: it scales each new pivot row and clears pivot
 columns from incoming and stored rows.  The step takes the field: over
 GF(p) it works on plain ints, each sum reduced mod p as it is made, and
 over every other field it calls the field's own methods.  Q reaches the
-step only in ``superstd``'s s4 insertions.  Over GF(p) a block of m >= 16
+step only in ``superstd``'s s4 insertions and in the coordinates that
+``SpanSolver`` reads.  Over GF(p) a block of m >= 16
 columns with on average at least 4 entries a row goes instead to the
 packed kernel (``_packed_rref``).  Such a block is tall, most of its rows
 dependent, so the kernel tracks a basis of the kernel of the rows read so
@@ -74,7 +75,9 @@ factor is read off the characteristic polynomial of S(c)^-1 S_1 in upper
 Hessenberg form: one O(r^3) pass mod p over GF(p), and over Q passes mod
 62-bit primes combined by the Chinese remainder theorem up to a Hadamard
 bound.  ``charpoly`` runs the same Hessenberg pass on M itself: once over
-GF(p), for any n, and over Q on the same primes.  Roots in the base field come from
+GF(p), for any n, and over Q on the same primes, M's rows scaled to
+integers.  Every word-size prime comes from one cached search
+(``_word_primes``).  Roots in the base field come from
 ``base_field_roots``: over Q by lifting the roots mod a small prime p to
 roots mod a power of p and reconstructing fractions from them, each checked
 exactly; over GF(p) by evaluation at every point for small p and by
@@ -113,25 +116,13 @@ from .fields import (
 def _sub_multiple(dst: dict, coef, src: dict, skip, F: Field) -> None:
     """dst -= coef * src, over the columns of src other than ``skip``: the one
     loop of the elimination step.  Over GF(p) the entries are plain ints,
-    each sum reduced mod p as it is made; over Q the loop uses the
-    operators that ``Rationals.sub`` and ``mul`` apply, with the same values
-    and types; over a quotient ring it calls the field's own ``sub``,
-    ``mul`` and ``is_zero``."""
+    each sum reduced mod p as it is made; over Q and over a quotient ring
+    it calls the field's own ``sub``, ``mul`` and ``is_zero``."""
     get, p = dst.get, F.p
     if p:
         for j, v in src.items():
             if j != skip:
                 x = (get(j, 0) - coef * v) % p
-                if x:
-                    dst[j] = x
-                else:
-                    dst.pop(j, None)
-        return
-    if isinstance(F, Rationals):
-        zero = F.zero()
-        for j, v in src.items():
-            if j != skip:
-                x = get(j, zero) - coef * v
                 if x:
                     dst[j] = x
                 else:
@@ -325,12 +316,10 @@ def _packed_rref(rows: list[dict], cols: list[int], p: int, typecode: str = _SLO
 
 def _wide_primes(m: int):
     """The primes whose 64-bit slots hold a block of m columns in
-    ``_packed_rref``, from the largest down."""
-    p = int((2**64 / (m * (m + 1))) ** (1 / 3)) + 1
-    while p > 2:
-        p -= 1
-        if _packs(p, m, _WIDE) and _is_prime(p):
-            yield p
+    ``_packed_rref``, from the largest down: those of ``_word_primes``
+    below the cube root of 2^64 / (m (m + 1)) that ``_packs`` admits."""
+    top = int((2**64 / (m * (m + 1))) ** (1 / 3)) + 1
+    return (p for p in _word_primes(top) if _packs(p, m, _WIDE))
 
 
 def _modular_rref(rows: list[dict], cols: list[int]) -> tuple[dict[int, dict], list[int]] | None:
@@ -868,66 +857,57 @@ def charpoly(field: Field, matrix: list[list]) -> list:
     coefficient list low-degree-first.
 
     Over GF(p) it is one pass of ``_charpoly_mod`` on M, for any n, n >= p
-    included.  Over Q the rows of xI - M are scaled to integers, each by
-    the lcm of its denominators D_i (``_integer_entries``), and the integer
-    polynomial det(D (xI - M)) = (prod D_i) det(xI - M) is read off its
-    residues mod word-size primes q (``_crt``): mod q it is prod D_i times
-    ``_charpoly_mod`` of M, and a q that divides some D_i is skipped.  One
-    division by prod D_i makes it monic.
+    included.  Over Q each row M_i is scaled to the integer row D_i M_i, D_i
+    the lcm of its denominators, and the integer polynomial
+    det(D (xI - M)) = (prod D_i) det(xI - M), whose rows are
+    x D_i e_i - D_i M_i, is read off its residues mod word-size primes q
+    (``_crt``): mod q it is prod D_i times ``_charpoly_mod`` of M, and a q
+    that divides some D_i is skipped.  One division by prod D_i makes it
+    monic.
     """
     if isinstance(field, PrimeField):
         return _charpoly_mod([[c % field.p for c in row] for row in matrix], field.p)
-    square = []
-    for i, row in enumerate(matrix):
-        entries = [poly_trim(field, [field.neg(c)]) for c in row]
-        entries[i] = [field.neg(row[i]), field.one()]
-        square.append(_integer_entries(entries))
-    rows = _pencil_rows(square)
-    scales = [b[i] for i, (_, b) in enumerate(rows)]
+    rows, scales = [], []
+    for row in matrix:
+        d = math.lcm(*(c.denominator for c in row))
+        rows.append([c.numerator * (d // c.denominator) for c in row])
+        scales.append(d)
     lead = math.prod(scales)
 
     def residues(q):
-        if any(d % q == 0 for d in scales):
+        if lead % q == 0:
             return None
         m = []
-        for d, (a, _) in zip(scales, rows):
-            inv = -pow(d, -1, q)
+        for d, a in zip(scales, rows):
+            inv = pow(d, -1, q)
             m.append([x * inv % q for x in a])
         return [lead * c % q for c in _charpoly_mod(m, q)]
 
-    return [Fraction(c, lead) for c in _crt(residues, _norm_bound(rows))]
-
-
-def _integer_entries(entries) -> list[list[int]]:
-    """Pencil entries (coefficient lists over Q, or plain ints) times the
-    lcm of all their denominators: integers in the same ratios."""
-    entries = list(entries)
-    den = math.lcm(*(c.denominator for f in entries for c in f))
-    return [[c.numerator * (den // c.denominator) for c in f] for f in entries]
+    # the norm of row i's x part, D_i e_i, is that of [D_i]
+    bound = _norm_bound([(a, [d]) for a, d in zip(rows, scales)])
+    return [Fraction(c, lead) for c in _crt(residues, bound)]
 
 
 # ---------------------------------------------------------------------------
 # pencil determinants modulo word-size primes
 
-_WORD_PRIMES: list[int] = []
+_WORD_PRIMES: dict[int, list[int]] = {}
 
 
-def _word_primes():
-    """The primes below 2^62, from the largest down.  Each is found once per
-    process and kept: a search would cost more than most passes."""
+def _word_primes(top: int = 1 << 62):
+    """The odd primes below ``top``, from the largest down: the one prime
+    search.  Each is found once per process and kept, per ``top``: a
+    search would cost more than most passes."""
+    found = _WORD_PRIMES.setdefault(top, [])
     for i in count():
-        if i == len(_WORD_PRIMES):
-            q = (_WORD_PRIMES[-1] if _WORD_PRIMES else (1 << 62) + 1) - 2
-            while not _is_prime(q):
+        if i == len(found):
+            q = (found[-1] if found else top | 1) - 2
+            while q > 2 and not _is_prime(q):
                 q -= 2
-            _WORD_PRIMES.append(q)
-        yield _WORD_PRIMES[i]
-
-
-def _pencil_rows(square) -> list[tuple[list[int], list[int]]]:
-    """The rows a_i + t b_i of a square of pencil entries [], [a] or [a, b],
-    as the pairs (a_i, b_i) of integer lists."""
-    return [([f[0] if f else 0 for f in row], [f[1] if len(f) > 1 else 0 for f in row]) for row in square]
+            if q < 3:
+                return
+            found.append(q)
+        yield found[i]
 
 
 def _norm_bound(rows) -> int:
@@ -1095,7 +1075,7 @@ def _pencil_det(square: list[list[list[int]]], point: int = 0, p: int = 0) -> li
     integer determinant, from passes modulo word-size primes combined up to
     the bound of ``_norm_bound`` (``_crt``).
     """
-    rows = _pencil_rows(square)
+    rows = [([f[0] if f else 0 for f in row], [f[1] if len(f) > 1 else 0 for f in row]) for row in square]
     if p:
         return _pencil_det_mod(rows, point, p)
     return _crt(lambda q: _pencil_det_mod(rows, point, q), _norm_bound(rows))

@@ -324,6 +324,14 @@ def int_det(m):
     return sign * prev
 
 
+def _integer_entries(entries):
+    """Pencil entries (coefficient lists over Q, or plain ints) times the
+    lcm of all their denominators: integers in the same ratios."""
+    entries = list(entries)
+    den = math.lcm(*(c.denominator for f in entries for c in f))
+    return [[c.numerator * (den // c.denominator) for c in f] for f in entries]
+
+
 def interpolated_pencil_det(square):
     """det(A + tB), as integer coefficients low-degree-first ([] if it
     vanishes), for a square of integer pencil entries [], [a] or [a, b],

@@ -18,6 +18,7 @@ the certificate.
 import math
 import random
 from fractions import Fraction
+from itertools import islice
 from unittest import mock
 
 import pytest
@@ -246,6 +247,24 @@ def test_wide_primes_fit_64_bit_slots():
         assert low < p < high and linalg._packs(p, m, linalg._WIDE)
         assert not linalg._packs(p + 1000, m, linalg._WIDE)
         assert next(primes) < p
+
+
+def test_wide_primes_are_searched_once_per_width(route, monkeypatch):
+    """The wide primes of a width are found once and kept: a second
+    ``_wide_primes(m)``, or ``_modular_rref`` again on a block of the same
+    m, tests no number for primality, and takes the same primes."""
+    m = 19
+    rng = random.Random(5)
+    rows = [{c: rng.randint(-(10**6), 10**6) for c in range(m)} for _ in range(12)]
+    primes = list(islice(linalg._wide_primes(m), 5))
+    found = linalg._modular_rref(rows, list(range(m)))
+    assert found[0] == int_rref(rows) and route["primes"] > 5
+    tested = []
+    is_prime = linalg._is_prime
+    monkeypatch.setattr(linalg, "_is_prime", lambda n: tested.append(n) or is_prime(n))
+    assert list(islice(linalg._wide_primes(m), 5)) == primes
+    assert linalg._modular_rref(rows, list(range(m))) == found
+    assert tested == []
 
 
 @pytest.mark.parametrize(

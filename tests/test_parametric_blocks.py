@@ -37,7 +37,7 @@ from deltader.algebras import (
     make_zassenhaus,
 )
 from deltader.fields import PrimeField, Rationals, poly_trim
-from deltader.linalg import _integer_entries, base_field_roots, fraction_free_pivots
+from deltader.linalg import base_field_roots, fraction_free_pivots
 from deltader.solver import (
     ParametricResult,
     _block_spectrum,
@@ -47,7 +47,7 @@ from deltader.solver import (
     solve_parametric,
 )
 
-from conftest import dense_gauss_nullspace, diagonally_scaled, poly_eval, rebased
+from conftest import _integer_entries, dense_gauss_nullspace, diagonally_scaled, poly_eval, rebased
 
 Q = Rationals()
 

@@ -43,7 +43,6 @@ from deltader.algebras import (
 )
 from deltader.fields import PrimeField, Rationals, _is_prime, poly_mul, poly_trim
 from deltader.linalg import (
-    _integer_entries,
     _pencil_det,
     base_field_roots,
     charpoly,
@@ -51,7 +50,7 @@ from deltader.linalg import (
 )
 from deltader.solver import solve_parametric
 
-from conftest import interpolated_pencil_det, poly_eval, sturm_rational_roots
+from conftest import _integer_entries, interpolated_pencil_det, poly_eval, sturm_rational_roots
 
 Q = Rationals()
 
@@ -267,6 +266,37 @@ def test_q_charpoly_matches_interpolated_oracle(matrix):
     scaled = [_integer_entries([[-matrix[i][j], 1] if i == j else [-matrix[i][j]] for j in range(n)]) for i in range(n)]
     det = interpolated_pencil_det(scaled)
     assert charpoly(Q, matrix) == [Fraction(c, det[-1]) for c in det]
+
+
+def test_q_charpoly_skips_a_prime_that_divides_a_row_denominator(monkeypatch):
+    """A word prime q that divides the lcm D_i of a row's denominators
+    leaves D_i M_i without an inverse scale mod q: ``charpoly`` skips q,
+    passes on the next primes, and is still the interpolated determinant
+    of the row-scaled xI - M, made monic."""
+    q = 1009
+    matrix = [
+        [Fraction(3, q), Fraction(-5, 2 * q), Fraction(7)],
+        [Fraction(1, 3), Fraction(2), Fraction(-4, 9)],
+        [Fraction(6), Fraction(0), Fraction(11, 5)],
+    ]
+    word_primes, charpoly_mod = linalg._word_primes, linalg._charpoly_mod
+    passes = []
+
+    def primes():
+        yield q
+        yield from word_primes()
+
+    def record(m, p):
+        passes.append(p)
+        return charpoly_mod(m, p)
+
+    monkeypatch.setattr(linalg, "_word_primes", primes)
+    monkeypatch.setattr(linalg, "_charpoly_mod", record)
+    n = len(matrix)
+    scaled = [_integer_entries([[-matrix[i][j], 1] if i == j else [-matrix[i][j]] for j in range(n)]) for i in range(n)]
+    det = interpolated_pencil_det(scaled)
+    assert charpoly(Q, matrix) == [Fraction(c, det[-1]) for c in det]
+    assert passes and q not in passes
 
 
 def from_factors(factors, scale):
