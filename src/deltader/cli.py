@@ -274,16 +274,16 @@ def cmd_solve(args) -> int:
     alg = load_algebra(args.algebra)
     F = alg.field
     result = entry.run(alg, args)
-    if isinstance(result, ParametricResult):
+    parametric = isinstance(result, ParametricResult)
+    # --out is written before stdout, so that a failed write prints nothing
+    if args.out:
+        write_json(args.out, result.to_json(F) if parametric else result.to_json())
+    if parametric:
         specials = ", ".join(f"{F.fmt(d)} (dim {dim})" for d, dim in result.specials)
         print(f"generic dim = {result.generic_dim}")
         print(f"specials: {specials if specials else 'none'}")
-        if args.out:
-            write_json(args.out, result.to_json(F))
     else:
         print(f"dim = {result.dim}")
-        if args.out:
-            write_json(args.out, result.to_json())
     return 0
 
 

@@ -618,6 +618,17 @@ def test_solve_centroid_and_quasider_out(tmp_path, capsys):
         assert (data["kind"], data["dim"], len(data["basis"])) == (kind, dim, dim)
 
 
+@pytest.mark.parametrize("argv", [["--kind", "quasider"], ["--parametric"]], ids=["quasider", "parametric"])
+def test_solve_out_that_cannot_be_written_prints_nothing(tmp_path, capsys, argv):
+    """A --out in a missing directory exits 2 with nothing on stdout: the
+    file is written before the result is printed."""
+    path = tmp_path / "sl2.json"
+    path.write_text(json.dumps(SL2))
+    code, out, err = run(capsys, "solve", str(path), *argv, "--out", str(tmp_path / "missing" / "q.json"))
+    assert (code, out) == (2, "")
+    assert "No such file or directory" in err
+
+
 def test_grade_and_report_out_match_stdout(tmp_path, capsys):
     path = tmp_path / "sl2.json"
     path.write_text(json.dumps(SL2))
