@@ -895,9 +895,9 @@ _WORD_PRIMES: dict[int, list[int]] = {}
 
 
 def _word_primes(top: int = 1 << 62):
-    """The odd primes below ``top``, from the largest down: the one prime
-    search.  Each is found once per process and kept, per ``top``: a
-    search would cost more than most passes."""
+    """The odd primes below ``top``, from the largest down: the one search
+    for word-size primes.  Each is found once per process and kept, per
+    ``top``: a search would cost more than most passes."""
     found = _WORD_PRIMES.setdefault(top, [])
     for i in count():
         if i == len(found):
