@@ -13,10 +13,13 @@ from one pipeline, ``sparse_rref``, the same over every field:
   never builds (see ``solver._law_rows``), and the cascade starts from
   the set;
 - split: the other rows fall apart into many small blocks, the connected
-  components of the row/column incidence graph (``_blocks``);
+  components of the row/column incidence graph (``_blocks``); the rows of
+  a dense system, one component, are found to be one early and returned
+  as they are;
 - order: over a field, each block's rows by descending least column, then
-  fewer entries first (``_fill_key``), so that a new pivot column seldom
-  meets a stored row and a new pivot row is short: little fill;
+  fewer entries first (``_fill_order``, two stable sorts with built-in
+  keys), so that a new pivot column seldom meets a stored row and a new
+  pivot row is short: little fill;
 - eliminate each block on its own (``_rref``).
 
 No block shares a column with another or with a pinned unknown, so the
@@ -54,9 +57,9 @@ step only in ``superstd``'s s4 insertions and in the coordinates that
 columns with on average at least 4 entries a row goes instead to the
 packed kernel (``_packed_rref``).  Such a block is tall, most of its rows
 dependent, so the kernel tracks a basis of the kernel of the rows read so
-far, entry c of every vector in one int, a 32-bit slot per vector reduced
-mod p only where it is read: a dependent row costs one big-int
-multiply-add per entry.  No slot exceeds p + m (m + 1) p^3, so the kernel
+far, entry c of every vector in one int, a 32-bit slot per vector, never
+reduced, but read mod p: a dependent row costs one big-int multiply-add
+per entry.  No sum of slots exceeds p + m (m + 1) p^3, so the kernel
 runs only where that bound is below 2^32; past it, and on the sparse
 blocks of standard bases, where a packed int costs more than the few dict
 entries it replaces, the dict kernel runs.
@@ -261,13 +264,15 @@ def _packed_rref(rows: list[dict], cols: list[int], p: int, typecode: str = _SLO
     one multiply-add per entry, is 0 mod p at every slot.  Else the live
     vector j of least column with slot d_j != 0 retires, its column the
     pivot: each K_c where it is not 0 (the pivots' and its own) takes the
-    packed ratios -d_s / d_j times its entry, and slot j is zeroed.  So a
-    slot grows by less than p^2 a pivot and stays below p + m p^2, and a
-    row's sums below p + m (m + 1) p^3, which ``_packs`` makes fit.  Once
-    half the slots are dead the ints are repacked to the live ones,
-    reduced below p.  The RREF row of pivot q is 1 at q and -v_f[q] at each
-    live column f; the chosen rows, those that retired a vector, are
-    ``_dict_rref``'s.
+    packed ratios -d_s / d_j times its entry, and slot j is zeroed.  Once
+    half the slots are dead the ints are repacked to the live ones, which
+    are copied as they are, not reduced: no slot ever is.  A slot starts
+    at 0 or 1 and gains less than p^2 at each of at most m pivots (a
+    residue times a residue), so it stays below p + m p^2, and a row's
+    sums, m products of a residue and a slot, below p + m (m + 1) p^3,
+    which ``_packs`` makes fit.  Every read of a slot reduces it mod p.
+    The RREF row of pivot q is 1 at q and -v_f[q] at each live column f;
+    the chosen rows, those that retired a vector, are ``_dict_rref``'s.
     """
     size = array(typecode).itemsize
     width, order = 8 * size, sys.byteorder
@@ -308,7 +313,7 @@ def _packed_rref(rows: list[dict], cols: list[int], p: int, typecode: str = _SLO
         if 2 * (len(cols) - len(pivots)) <= len(live):
             keep = [c is not None for c in live]
             for c, col in kernel.items():
-                kernel[c] = pack([x % p for x in compress(unpack(col), keep)])
+                kernel[c] = pack(compress(unpack(col), keep))
             live = list(compress(live, keep))
     rref = {q: {q: 1, **{c: -x % p for c, x in zip(live, unpack(kernel[q])) if x % p}} for q in pivots}
     return rref, chosen
@@ -514,10 +519,12 @@ def sparse_rref(rows, field: Field, pinned: set | None = None) -> dict[int, dict
     the RREF of the system.  Then each block of those rows (see
     ``_blocks``) is eliminated on its own by ``_rref``; the union of the
     block RREFs is their RREF, since no two blocks share a column.  So the
-    RREF is the one that a single elimination of all rows gives.
+    RREF is the one that a single elimination of all rows gives.  A dense
+    system is one block, which ``_blocks`` returns as soon as the rows it
+    has read join every column.
 
     Over a field (GF(p) or Q) each block enters ``_rref`` in the order of
-    ``_fill_key``: by descending least column, then fewer entries first,
+    ``_fill_order``: by descending least column, then fewer entries first,
     to limit fill (Markowitz, "The elimination form of the inverse and its
     application to linear programming", 1957, chooses the elimination
     order for the same end).  ``_rref`` clears each new pivot column from
@@ -538,22 +545,33 @@ def sparse_rref(rows, field: Field, pinned: set | None = None) -> dict[int, dict
     reorder = isinstance(field, (PrimeField, Rationals))
     for block in _blocks(rows):
         if reorder:
-            block.sort(key=_fill_key)
+            _fill_order(block)
         pivots.update(_rref(block, field)[0])
     return pivots
 
 
-def _fill_key(row: dict) -> tuple[int, int]:
-    """The sort key of a block's rows over a field (see ``sparse_rref``):
-    descending least column, then fewer entries; ties keep their order."""
-    return -min(row), len(row)
+def _fill_order(block: list[dict]) -> None:
+    """Sort a block's rows over a field (see ``sparse_rref``) by descending
+    least column, then fewer entries; ties keep their order.  Two stable
+    sorts with built-in keys give the order of the key (-min(row),
+    len(row)) with no Python call per row."""
+    block.sort(key=len)
+    block.sort(key=min, reverse=True)
 
 
 def _blocks(rows) -> list[list[dict]]:
     """The rows left by ``_pin``, grouped by connected component of the
     incidence graph in which a row meets every column it has an entry in,
-    each block in the order of its first row and keeping its rows' order."""
-    parent = {c: c for row in rows for c in row}
+    each block in the order of its first row and keeping its rows' order.
+
+    The components are counted as they are joined: once a join leaves one,
+    spanning every column, the rows are one block, and the input list is
+    returned with no further walk.  A dense system, such as every system
+    of a dense basis, is joined early: those of sl3, W(1,1) and Witt Z/m
+    in dense bases after 3 to 150 of their 9 to 1331 rows."""
+    cols = set().union(*rows)
+    parent = dict(zip(cols, cols))
+    left = len(cols)
 
     def find(c):
         while parent[c] != c:
@@ -569,6 +587,9 @@ def _blocks(rows) -> list[list[dict]]:
                 s = find(c)
                 if s != r:
                     parent[s] = r
+                    left -= 1
+                    if left == 1:
+                        return [rows]
     blocks: dict = {}
     for row in rows:
         blocks.setdefault(find(next(iter(row))), []).append(row)

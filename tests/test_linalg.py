@@ -574,12 +574,185 @@ def test_zero_divisor_pivot_raises(vectors):
 
 
 def test_quotient_ring_rows_keep_their_order():
-    """In ``_fill_key`` order these rows solve: {0: 1, 1: 1} comes first and
+    """In ``_fill_order`` order these rows solve: {0: 1, 1: 1} comes first and
     leaves the other row 1 - t, a unit, at column 1.  Over a quotient ring
     ``sparse_rref`` keeps the given order, which meets t at column 0."""
     rows = [{0: T2.t, 1: T2.one(), 2: T2.one()}, {0: T2.one(), 1: T2.one()}]
-    assert len(linalg._rref(sorted(rows, key=linalg._fill_key), T2)[0]) == 2
+    ordered = list(rows)
+    linalg._fill_order(ordered)
+    assert len(linalg._rref(ordered, T2)[0]) == 2
     with pytest.raises(NonInvertible):
         sparse_rref(rows, T2)
     with pytest.raises(NonInvertible):
         sparse_nullspace(rows, 3, T2)
+
+
+# ---------------------------------------------------------------------------
+# the split and the fill order: ``_blocks`` against a plain union-find, and
+# ``_fill_order`` against the sort key it replaces
+
+
+def plain_blocks(rows):
+    """The blocks of the rows as indices into them: a plain union-find over
+    every entry, with no early stop, each block in the order of its first
+    row and keeping its rows' order."""
+    parent = {}
+
+    def find(c):
+        while parent.setdefault(c, c) != c:
+            c = parent[c]
+        return c
+
+    for row in rows:
+        first, *rest = row
+        for c in rest:
+            a, b = find(first), find(c)
+            if a != b:
+                parent[b] = a
+    blocks = {}
+    for k, row in enumerate(rows):
+        blocks.setdefault(find(next(iter(row))), []).append(k)
+    return list(blocks.values())
+
+
+def block_indices(rows, blocks):
+    """The blocks of ``_blocks`` as indices into the rows, by identity."""
+    at = {id(row): k for k, row in enumerate(rows)}
+    return [[at[id(row)] for row in block] for block in blocks]
+
+
+def check_blocks(rows):
+    """``_blocks`` gives the plain union-find's partition and order, and a
+    system of one block on several columns, which a join makes one, as the
+    input list itself."""
+    blocks = linalg._blocks(rows)
+    want = plain_blocks(rows)
+    assert block_indices(rows, blocks) == want
+    if len(want) == 1 and len(set().union(*rows)) > 1:
+        assert blocks[0] is rows
+    return want
+
+
+@st.composite
+def split_systems(draw):
+    """Rows as ``_pin`` leaves them, none empty, on 1 to 5 disjoint sets of
+    shuffled columns: each row has 1 to 4 entries in one set, and a few rows
+    bridge two sets.  The rows are shuffled, so a set may split into several
+    blocks, join another, or be joined whole only by its last row."""
+    order = draw(st.permutations(range(draw(st.integers(1, 30)))))
+    cuts = sorted(draw(st.lists(st.integers(1, len(order)), max_size=4, unique=True)))
+    groups = [order[a:b] for a, b in zip([0] + cuts, cuts + [len(order)]) if a < b]
+    rows = []
+    for group in groups:
+        for _ in range(draw(st.integers(1, 2 * len(group)))):
+            cols = draw(st.lists(st.sampled_from(group), min_size=1, max_size=4, unique=True))
+            rows.append({c: 1 for c in cols})
+    for _ in range(draw(st.integers(0, 2)) if len(groups) > 1 else 0):
+        a, b = draw(st.lists(st.sampled_from(range(len(groups))), min_size=2, max_size=2, unique=True))
+        rows.append({draw(st.sampled_from(groups[a])): 1, draw(st.sampled_from(groups[b])): 1})
+    return draw(st.permutations(rows))
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(split_systems())
+def test_blocks_match_a_plain_union_find(rows):
+    check_blocks(rows)
+
+
+def test_blocks_of_a_dense_system_are_the_input_list():
+    """Every row of this system meets every column but one, so its first two
+    rows join all of them: the rows come back as the input list, one
+    block in input order, however many rows follow."""
+    m = 9
+    rows = [{c: 1 for c in range(m) if c != k % m} for k in range(3 * m)]
+    assert check_blocks(rows) == [list(range(3 * m))]
+    # one column: one block, with no join
+    check_blocks([{5: 1}, {5: 2}])
+    assert linalg._blocks([]) == []
+
+
+SPLIT_SOLVES = {
+    # standard bases, as in the pointwise workload: many blocks
+    "W11/GF7": lambda: make_zassenhaus(7, 1),
+    "W12/GF5": lambda: make_zassenhaus(5, 2),
+    "sl3/Q": lambda: make_special_linear(3, Rationals()),
+    "osp12/GF7": lambda: load_fixture("osp12_gf7.json"),
+    "env4(osp12/GF7)": lambda: make_grassmann_envelope(load_fixture("osp12_gf7.json"), 4),
+    # a dense basis: one block
+    "rebased W11/GF7": lambda: rebased(make_zassenhaus(7, 1)),
+}
+
+
+@pytest.mark.parametrize("name", list(SPLIT_SOLVES))
+def test_blocks_of_solver_systems_match_a_plain_union_find(name, monkeypatch):
+    """The rows that pointwise solves hand to ``_blocks`` split as the plain
+    union-find splits them: into many blocks on a standard basis, and into
+    one, the input list, on a dense basis."""
+    alg = SPLIT_SOLVES[name]()
+    F = alg.field
+    seen = []
+    blocks = linalg._blocks
+
+    def spy(rows):
+        seen.append(list(rows))
+        return blocks(rows)
+
+    monkeypatch.setattr(linalg, "_blocks", spy)
+    solver.solve_delta_derivations(alg, F.coerce("1/2"))
+    solver.solve_centroid(alg)
+    solver.solve_quasiderivations(alg)
+    monkeypatch.undo()
+    counts = [len(check_blocks(rows)) for rows in seen]
+    if name.startswith("rebased"):
+        assert counts == [1] * len(seen)
+    else:
+        assert max(counts) > 1
+
+
+@st.composite
+def fill_rows(draw):
+    """Nonempty rows on a few columns, many sharing a least column and a
+    length, so that ties are common."""
+    cols = st.lists(st.integers(0, 6), min_size=1, max_size=5, unique=True)
+    return [{c: 1 for c in draw(cols)} for _ in range(draw(st.integers(0, 30)))]
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(fill_rows())
+def test_fill_order_is_the_stable_sort_by_least_column_then_length(rows):
+    """Two stable sorts give the one sort by the key (-min(row), len(row)),
+    ties in their input order."""
+    ordered = list(rows)
+    linalg._fill_order(ordered)
+    want = sorted(range(len(rows)), key=lambda k: (-min(rows[k]), len(rows[k])))
+    assert block_indices(rows, [ordered]) == [want]
+
+
+@pytest.mark.parametrize("dense", [True, False], ids=["one-block", "two-blocks"])
+def test_quotient_ring_blocks_keep_the_input_order(dense, monkeypatch):
+    """Over a quotient ring, here Q(sqrt 2), each block reaches ``_rref`` in
+    its rows' input order, whether the system is one dense block or
+    splits; over GF(7) the same pattern arrives in ``_fill_order``."""
+    one, r2 = SQRT2.one(), SQRT2.t
+    rows = [{0: one, 1: r2, 2: one}, {1: one, 2: r2}, {0: r2, 2: one}, {2: one, 1: one}]
+    if not dense:
+        rows += [{3: one, 4: r2}, {4: one, 3: one}]
+    seen = []
+    rref = linalg._rref
+
+    def spy(block, F):
+        seen.append(block)
+        return rref(block, F)
+
+    monkeypatch.setattr(linalg, "_rref", spy)
+    sparse_rref(rows, SQRT2)
+    assert block_indices(rows, seen) == plain_blocks(rows)
+    seen.clear()
+    gf7 = [{c: 1 for c in row} for row in rows]
+    sparse_rref(gf7, PrimeField(7))
+    want = []
+    for block in plain_blocks(gf7):
+        ordered = [gf7[k] for k in block]
+        linalg._fill_order(ordered)
+        want.append(ordered)
+    assert block_indices(gf7, seen) == block_indices(gf7, want) != plain_blocks(gf7)

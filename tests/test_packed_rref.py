@@ -8,7 +8,10 @@ elimination in the same row order, so they must return the same pivot rows
 and the same chosen rows on every block: the dict kernel is the oracle.
 The tall blocks are drawn as the solvers' dense systems are: many more
 rows than columns, most of them dependent, so that the kernel basis the
-packed kernel tracks shrinks, is repacked, and often runs out early.
+packed kernel tracks shrinks, is repacked, and often runs out early.  The
+repack copies the slots unreduced, so the blocks of 64 columns at the
+slot bound, with every residue near p - 1, are repacked at every halving
+and read on past each repack.
 The routing test solves dense systems end to end, checks the bases
 against the dense oracle of ``conftest``, and checks which kernel ran.
 """
@@ -151,6 +154,50 @@ def test_kernel_basis_on_tall_blocks(block):
                 v[cols.index(q)] = -row.get(cols[f], 0) % p
             ours.append(v)
     assert ours == null
+
+
+@st.composite
+def bound_blocks(draw):
+    """A tall block at the slot bound: 64 columns, over GF(101), the most
+    that ``_packs`` admits with 32-bit slots, or at the first prime of
+    ``_wide_primes(64)`` with 64-bit slots.  Its r independent rows have
+    every residue near p - 1; the other rows, at least as many, are
+    combinations of them with coefficients near p - 1, so their raw
+    entries run far past p.  Most often r = 64, and the kernel repacks at
+    every halving of its live vectors, 64 to 32 to ... to 1 to 0; the
+    independent rows are spread among the others, so that dependent rows
+    are read after each repack.  Returns p, the typecode and the rows."""
+    m = 64
+    if draw(st.booleans()):
+        p, typecode = 101, linalg._SLOT
+    else:
+        p, typecode = next(linalg._wide_primes(m)), linalg._WIDE
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    r = draw(st.sampled_from([m, m, m, m - 1, 48, 33]))
+    drawn, independent = [], []
+    while len(independent) < r:
+        drawn += [[p - rng.randint(1, 3) for _ in range(m)] for _ in range(r + 8 - len(independent))]
+        independent = linalg._dict_rref([dict(enumerate(row)) for row in drawn], gf(p))[1]
+    base = [drawn[k] for k in independent[:r]]
+    rows = []
+    for _ in range(r + draw(st.integers(0, m))):
+        coefs = [p - rng.randint(1, 3) if rng.random() < 0.3 else 0 for _ in base]
+        rows.append([sum(a * b[c] for a, b in zip(coefs, base)) for c in range(m)])
+    for i, row in zip(sorted(rng.sample(range(len(rows) + r), r)), base):
+        rows.insert(i, row)
+    return p, typecode, [{c: v for c, v in enumerate(row) if v} for row in rows]
+
+
+@settings(derandomize=True, deadline=None, max_examples=12)
+@given(bound_blocks())
+def test_unreduced_slots_at_the_bound(block):
+    """The repack copies the slots unreduced, so they grow toward the bound
+    p + m p^2 of the ``_packs`` argument; at the bound the packed kernel
+    still gives the dict kernel's pivots and chosen rows."""
+    p, typecode, rows = block
+    m = 64
+    assert linalg._packs(p, m, typecode) and not linalg._packs(p, m + 1, typecode)
+    assert linalg._packed_rref(rows, list(range(m)), p, typecode) == linalg._dict_rref(rows, gf(p))
 
 
 def test_slot_bound():

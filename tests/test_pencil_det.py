@@ -1,13 +1,17 @@
 """Pencil determinants modulo word-size primes, the integer root search and charpoly.
 
-``solver._block_spectrum`` and ``linalg.charpoly`` take the determinant of
-a square pencil A + t B, its rows scaled to integers, from
-``linalg._pencil_det``: at a point c where S(c) = A + cB is nonsingular,
+``solver._block_spectrum`` takes the determinant of a square pencil
+A + t B, its rows scaled to integers, from ``linalg._pencil_det``: at a
+point c where S(c) = A + cB is nonsingular,
 det S(t) = det S(c) det(I + (t - c) S(c)^-1 B), the second factor read off
-the characteristic polynomial of S(c)^-1 B by Hessenberg reduction, in one
-pass mod p over GF(p) and, over Q, in passes mod 62-bit primes combined by
-the Chinese remainder theorem up to a Hadamard bound.  The references here
-are independent of that route: the interpolation of integer determinants
+the characteristic polynomial of S(c)^-1 B by Hessenberg reduction
+(``linalg._charpoly_mod``), in one pass mod p over GF(p) and, over Q, in
+passes mod 62-bit primes combined by the Chinese remainder theorem up to a
+Hadamard bound.  ``linalg.charpoly`` runs the same Hessenberg pass on M
+itself, not through ``_pencil_det``: once mod p over GF(p), and over Q on
+the rows D_i M_i, each scaled to integers by the lcm D_i of its
+denominators, mod word-size primes combined by CRT.  The references here
+are independent of both routes: the interpolation of integer determinants
 at t = 0..k in ``conftest`` (``interpolated_pencil_det``), and one-step
 fraction-free (Bareiss) elimination over Q[t] or GF(p)[t] of the same
 square, whose last pivot is the determinant up to a constant where the
