@@ -174,36 +174,35 @@ def nilradical(ring: CompositionRing) -> list[list]:
     raise ValueError("nilradical computation needs a rational or prime field")
 
 
-def locality_report(ring: CompositionRing, rad: list | None = None) -> dict:
-    """Commutativity, nilradical dimension, and locality of the ring, whose
-    nilradical ``rad`` is computed unless given.
+def locality_report(ring: CompositionRing) -> dict:
+    """Commutativity, nilradical dimension, and locality of the ring.
 
     The ring is local exactly when its nilpotents form an ideal of
     codimension one (non-units of a finite-dimensional commutative algebra
     over a field are the nilpotents of its local factors; codimension one
-    means a single factor).
+    means a single factor).  Both numbers are invariants of the ring, so
+    they read the same in every basis of the half-derivations.
     """
     w = ring.commutativity_witness()
     if w is not None:
         raise NotCommutative(f"basis maps {w[0]} and {w[1]} do not commute", witness=w)
-    if rad is None:
-        rad = nilradical(ring)
-    report = {
+    rad = nilradical(ring)
+    return {
         "dim": ring.dim,
         "commutative": True,
         "nilradical_dim": len(rad),
         "is_local": len(rad) == ring.dim - 1,
     }
-    return report
 
 
-def find_zero_divisors(ring: CompositionRing, rad: list | None = None) -> list:
+def find_zero_divisors(ring: CompositionRing) -> list:
     """Pairs (u, v) of nonzero ring elements (coordinate vectors) with uv = 0.
 
-    All basis pairs are checked; for rings of dimension at most 6 a
-    certificate pair is also extracted from the nilradical ``rad``,
-    computed unless given (a nilpotent u of index k gives the pair
-    (u^(k-1), u)).
+    These are the basis pairs with a zero product.  When there is none and
+    the ring is commutative, the one pair is the nilpotent certificate
+    (u^(k-1), u), u the first basis vector of the nilradical and k its
+    index, found in at most ``ring.dim`` multiplications.  A commutative
+    ring with a nonzero nilradical thus yields a pair in every basis.
     """
     e = _units(ring.field, ring.dim)
     out = [
@@ -212,19 +211,13 @@ def find_zero_divisors(ring: CompositionRing, rad: list | None = None) -> list:
         for b in range(ring.dim)
         if ring.is_zero(ring.table[a][b])
     ]
-    if ring.dim <= 6 and ring.is_commutative():
-        for u in nilradical(ring) if rad is None else rad:
-            if ring.is_zero(u):
-                continue
-            prev = list(u)
-            while True:
-                nxt = ring.mul(prev, u)
-                if ring.is_zero(nxt):
-                    break
+    if not out and ring.is_commutative():
+        rad = nilradical(ring)
+        if rad:
+            u = prev = rad[0]
+            while not ring.is_zero(nxt := ring.mul(prev, u)):
                 prev = nxt
-            pair = (prev, u)
-            if not ring.is_zero(prev) and pair not in out:
-                out.append(pair)
+            out.append((prev, u))
     return out
 
 
@@ -267,7 +260,9 @@ def witt_half_basis(alg: Algebra) -> list[LinearMap]:
 def half_ring_report(alg: Algebra, space: SolutionSpace | None = None) -> dict:
     """Aggregate JSON-ready report on the half-derivation composition ring,
     read off ``space``, the half-derivations of the algebra, which are
-    solved for unless given."""
+    solved for unless given.  The zero-divisor witness is the first pair of
+    ``find_zero_divisors``, so a commutative ring with a nonzero nilradical
+    has one in every basis; only its coordinates depend on the basis."""
     F = alg.field
     if space is None:
         space = solve_delta_derivations(alg, F.div(F.one(), F.from_int(2)))
@@ -282,11 +277,10 @@ def half_ring_report(alg: Algebra, space: SolutionSpace | None = None) -> dict:
     w = ring.commutativity_witness()
     report["commutative"] = w is None
     if w is None:
-        rad = nilradical(ring)
-        loc = locality_report(ring, rad)
+        loc = locality_report(ring)
         report["is_local"] = loc["is_local"]
         report["nilradical_dim"] = loc["nilradical_dim"]
-        zd = find_zero_divisors(ring, rad)
+        zd = find_zero_divisors(ring)
         report["zero_divisor_witness"] = (
             [[F.fmt(c) for c in zd[0][0]], [F.fmt(c) for c in zd[0][1]]] if zd else None
         )

@@ -2,9 +2,11 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import rebased
 from deltader.algebras import (
     Algebra,
     make_current,
+    make_divided_powers,
     make_special_linear,
     make_witt_type,
     make_zassenhaus,
@@ -183,3 +185,35 @@ def test_zassenhaus_half_ring_has_zero_divisors(p, m):
     U, V = ring.as_map(u), ring.as_map(v)
     assert not U.is_zero() and not V.is_zero()
     assert U.compose(V).is_zero() and V.compose(U).is_zero()
+
+
+BASIS_CASES = {
+    "W11/GF5": lambda: make_zassenhaus(5, 1),
+    "W11/GF7": lambda: make_zassenhaus(7, 1),
+    "W11/GF11": lambda: make_zassenhaus(11, 1),
+    "sl2xO1/GF5": lambda: make_current(
+        make_special_linear(2, PrimeField(5)), make_divided_powers(5, 1)
+    ),
+}
+
+
+@pytest.mark.parametrize("seed", [7, 23])
+@pytest.mark.parametrize("name", list(BASIS_CASES))
+def test_half_ring_answer_does_not_depend_on_the_basis(name, seed):
+    """The ring's closure, commutativity, locality and nilradical are
+    invariants, and so is the existence of zero divisors: in a dense basis,
+    where no two basis maps compose to zero, the nilpotent certificate still
+    gives a witness.  Only the witness's coordinates may differ."""
+    alg = BASIS_CASES[name]()
+    want = half_ring_report(alg)
+    dense = rebased(alg, seed)
+    space = half_space(dense)
+    got = half_ring_report(dense, space)
+    assert {k: v for k, v in got.items() if k != "zero_divisor_witness"} == {
+        k: v for k, v in want.items() if k != "zero_divisor_witness"
+    }
+    assert (got["zero_divisor_witness"] is not None) == (got["nilradical_dim"] > 0)
+    ring = build_composition_ring(space)
+    for u, v in find_zero_divisors(ring):
+        assert not ring.is_zero(u) and not ring.is_zero(v)
+        assert ring.as_map(u).compose(ring.as_map(v)).is_zero()
